@@ -317,6 +317,59 @@ func TestLogReplayAfterCrash(t *testing.T) {
 	}
 }
 
+// TestLogReplayAfterCrashPastLogWrap crashes after the circular log has
+// been reclaimed and refilled past the reclaimed space. The superblock a
+// checkpoint writes must carry the recovery hint its own reclaim leaves:
+// with the hint of the reclaim before, appends after the checkpoint
+// overwrite the records it points at, recovery finds an out-of-sequence
+// record where it starts and replays nothing, and every operation synced
+// since the checkpoint is lost.
+func TestLogReplayAfterCrashPastLogWrap(t *testing.T) {
+	env := sim.NewEnv(1)
+	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))
+	lay := sfl.DefaultLayout(dev.Size())
+	lay.LogBytes = 4 << 20
+	backend, berr := sfl.New(env, dev, lay)
+	if berr != nil {
+		t.Fatal(berr)
+	}
+	cfg := DefaultConfig()
+	cfg.CacheBytes = 64 << 20
+	alloc := kmem.New(env, true)
+	s, err := Open(env, alloc, cfg, backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One log-space checkpoint at four fifths of the region, then half a
+	// region more: the head is now past where the first lap began.
+	const n = 21000
+	for i := 0; i < n; i++ {
+		if err := s.Meta().Put(k(i), v(i, 200), LogAuto); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.MaybeCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SyncLog(); err != nil {
+		t.Fatal(err)
+	}
+	if ck, live := s.Stats().Checkpoints, s.Log().LiveBytes(); ck != 2 || live < lay.LogBytes/4 {
+		t.Fatalf("setup: %d checkpoints, %d live log bytes; want 2 and over a quarter region", ck, live)
+	}
+	s.cache.dropAll()
+	s2, err := Open(env, alloc, cfg, backend)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		got, ok, _ := s2.Meta().Get(k(i))
+		if !ok || !bytes.Equal(got, v(i, 200)) {
+			t.Fatalf("synced key %d of %d lost after crash past log wrap", i, n)
+		}
+	}
+}
+
 func TestUnsyncedOpsLostAfterCrash(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))

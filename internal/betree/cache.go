@@ -227,7 +227,14 @@ func (c *nodeCache) evictShard(sh *cacheShard, target int64) (dirtySkipped bool,
 				el = prev
 				continue
 			}
-			if werr := c.tryWriteNode(ce.key.tree, ce.node); werr != nil {
+			// Inline write-back exists only in deterministic mode, where
+			// this goroutine is the store's only one. The shard lock is
+			// dropped across it: writing a leaf back first loads its
+			// missing basements, which resizes this entry through resize.
+			sh.mu.Unlock()
+			werr := c.tryWriteNode(ce.key.tree, ce.node)
+			sh.mu.Lock()
+			if werr != nil {
 				// Write-back failed (device error or node file full):
 				// evicting would silently discard the dirty state, so the
 				// node stays cached over budget and the error surfaces

@@ -75,7 +75,11 @@ type Store struct {
 	lastCheckpoint time.Duration
 	// OnLogPressure, when set, is invoked before retrying a log append
 	// that failed for space, giving the northbound a chance to release
-	// conditional-logging pins that block reclamation (§3.3).
+	// every conditional-logging pin that blocks reclamation (§3.3). It is
+	// the last resort for a single operation that logs more than the free
+	// share of the region; the northbound's own policy keeps ordinary
+	// traffic from getting here (DESIGN.md §6). The store calls it with no
+	// store lock held, so the hook may use the public mutators.
 	OnLogPressure func()
 	// unloggedData is set when a bulk value entered the tree without its
 	// payload in the log; full durability then requires a checkpoint.
@@ -497,9 +501,7 @@ func (s *Store) logOp(t *Tree, m *Msg, withPayload bool) uint64 {
 	}
 	lsn, err := s.log.Append(opRecord, rec)
 	if err == wal.ErrLogFull {
-		if s.OnLogPressure != nil {
-			s.OnLogPressure()
-		}
+		s.releaseLogPins()
 		// checkpointLocked, not Checkpoint: in concurrent mode the caller
 		// already holds writerMu (logAndInsert / LogInsertOnly).
 		s.checkpointLocked()
@@ -512,6 +514,22 @@ func (s *Store) logOp(t *Tree, m *Msg, withPayload bool) uint64 {
 	}
 	s.devCheck(err)
 	return lsn
+}
+
+// releaseLogPins runs the OnLogPressure hook for a mutator that found the
+// log full. The caller holds writerMu in concurrent mode and the hook
+// inserts through the public mutators, which take it, so it is dropped
+// around the call: the blocked operation has been assigned neither an LSN
+// nor an MSN yet, so whatever the hook inserts simply orders before it.
+func (s *Store) releaseLogPins() {
+	if s.OnLogPressure == nil {
+		return
+	}
+	if s.concurrent {
+		s.writerMu.Unlock()
+		defer s.writerMu.Lock()
+	}
+	s.OnLogPressure()
 }
 
 func (s *Store) replay(rec wal.Record) error {
@@ -572,7 +590,14 @@ type nodeImage struct {
 // are split so the checkpoint pipeline can fan serialization out across
 // the flusher pool while keeping block placement and write submission in
 // deterministic order on the coordinating goroutine (writeDirtyNodes).
+//
+// A dirty leaf can reach write-back half-loaded: a cold point read caches a
+// leaf with one basement resident, and a flush into it loads only the
+// basements its messages land in. The new image must carry the untouched
+// basements too, so they are read in first — here, on the coordinating
+// goroutine, because the read touches the device and the cache accounting.
 func (s *Store) writeNode(t *Tree, n *node) {
+	t.ensureAllBasements(n)
 	s.finishNodeWrite(t, n, s.prepareNodeImage(t, n))
 }
 
@@ -957,8 +982,43 @@ func (s *Store) Sync() (err error) {
 	return nil
 }
 
-// MaybeCheckpoint runs a checkpoint if the period elapsed or log space is
-// low; the northbound calls it on its operation paths.
+// Log-space policy (DESIGN.md §6). Every threshold is a fixed fraction of
+// the log region. The log is under pressure once less than a fifth of it is
+// free. A checkpoint is run for log space only when it would free at least a
+// quarter of the region, so log-space checkpoints are at least a quarter
+// region of appends apart however many conditional-logging pins are
+// outstanding. When pins keep the reclaimable share below that, the
+// northbound releases its oldest pins until half the region is reclaimable
+// (LogPinsBlockReclaim, LogHalfReclaimable) and the next MaybeCheckpoint
+// fires. If a pin really cannot be released the log fills, and logOp's
+// ErrLogFull path reports ErrNoSpace.
+
+func (s *Store) logUnderPressure() bool {
+	return s.log.FreeBytes() < s.log.LiveBytes()/4
+}
+
+// checkpointFrees reports whether a checkpoint now would free at least one
+// part in div of the log region.
+func (s *Store) checkpointFrees(div int64) bool {
+	return s.log.Reclaimable() >= s.log.Capacity()/div
+}
+
+// LogPinsBlockReclaim reports that the log is under pressure and pins hold
+// so much of it that a checkpoint now would free less than a quarter of the
+// region — the state in which MaybeCheckpoint does not run one.
+func (s *Store) LogPinsBlockReclaim() bool {
+	return s.logUnderPressure() && !s.checkpointFrees(4)
+}
+
+// LogHalfReclaimable reports that a checkpoint now would free at least half
+// the log region: the point at which the northbound stops releasing pins.
+func (s *Store) LogHalfReclaimable() bool {
+	return s.checkpointFrees(2)
+}
+
+// MaybeCheckpoint runs a checkpoint if the period elapsed, or if log space
+// is low and the checkpoint would free a worthwhile share of it; the
+// northbound calls it on its operation paths.
 func (s *Store) MaybeCheckpoint() (err error) {
 	defer ioerr.Guard(&err)
 	if s.concurrent {
@@ -966,7 +1026,7 @@ func (s *Store) MaybeCheckpoint() (err error) {
 		defer s.writerMu.Unlock()
 	}
 	if s.env.Now()-s.lastCheckpoint >= s.cfg.CheckpointPeriod ||
-		s.log.FreeBytes() < s.log.LiveBytes()/4 {
+		(s.logUnderPressure() && s.checkpointFrees(4)) {
 		s.checkpointLocked()
 	}
 	return nil
@@ -1009,7 +1069,14 @@ func (s *Store) checkpointLocked() {
 	for _, t := range []*Tree{s.meta, s.data} {
 		s.devCheck(t.f.Flush())
 	}
-	s.writeSuperblock()
+	// The superblock records the recovery hint the reclaim below will
+	// leave, but the log is reclaimed only once that superblock is durable:
+	// until then the previous superblock's hint is the one recovery would
+	// use, and the space it points into must not be reused. No pin is
+	// released in between: pins are dropped on the northbound's operation
+	// paths, and those are the paths that run checkpoints (one goroutine,
+	// or serialized by the mount lock).
+	s.writeSuperblock(s.log.HintAfterReclaim(checkpointLSN))
 	// The superblock just made durable, together with the one still in
 	// the other slot, bounds every state recovery can select. Log space
 	// below the OLDER slot's recovery hint and extents free across both
@@ -1045,6 +1112,7 @@ func (s *Store) writeDirtyNodes(t *Tree) {
 	var wg sync.WaitGroup
 	for i, n := range dirty {
 		i, n := i, n
+		t.ensureAllBasements(n) // see writeNode
 		wg.Add(1)
 		pool.Submit(func() {
 			defer wg.Done()
@@ -1064,8 +1132,7 @@ const (
 	superSlotSize = 4 << 20
 )
 
-func (s *Store) writeSuperblock() {
-	hint := s.log.Hint()
+func (s *Store) writeSuperblock(hint wal.Hint) {
 	payload := make([]byte, 0, 1<<20)
 	var t8 [8]byte
 	put64 := func(v uint64) {

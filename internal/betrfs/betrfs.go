@@ -82,8 +82,11 @@ type FS struct {
 	cfg   Config
 	store *betree.Store
 
-	// pending tracks conditionally-logged creates not yet inserted.
-	pending map[string]*deferredCreate
+	// pending tracks conditionally-logged creates not yet inserted, by
+	// path; oldest/newest link the same entries in creation order, which
+	// is the order of their log pins (see deferredCreate).
+	pending        map[string]*deferredCreate
+	oldest, newest *deferredCreate
 	// nlink tracks per-directory child counts (RG); a directory's count
 	// is only authoritative once initialized (at its creation or by a
 	// full readdir), mirroring the paper's note that the cached values
@@ -104,6 +107,7 @@ type fsMetrics struct {
 	metaQuery       *metrics.Counter
 	create          *metrics.Counter
 	createDeferred  *metrics.Counter
+	createForced    *metrics.Counter
 	remove          *metrics.Counter
 	rename          *metrics.Counter
 	renameKeys      *metrics.Counter
@@ -120,6 +124,7 @@ func resolveFSMetrics(reg *metrics.Registry) fsMetrics {
 		metaQuery:       reg.Counter("betrfs.meta.query"),
 		create:          reg.Counter("betrfs.create.count"),
 		createDeferred:  reg.Counter("betrfs.create.deferred"),
+		createForced:    reg.Counter("betrfs.create.forced"),
 		remove:          reg.Counter("betrfs.remove.count"),
 		rename:          reg.Counter("betrfs.rename.count"),
 		renameKeys:      reg.Counter("betrfs.rename.keys"),
@@ -132,9 +137,63 @@ func resolveFSMetrics(reg *metrics.Registry) fsMetrics {
 	}
 }
 
+// deferredCreate is one conditionally-logged create awaiting its tree
+// insert. The entries form a doubly linked queue in creation order. Creates
+// are serialized and each pins the record it just logged, so that is LSN
+// order: the head holds the oldest pin, the one log reclamation stops at.
+// Everything that walks all deferred creates walks the queue, never the
+// map, because the walk order reaches MSN assignment.
 type deferredCreate struct {
-	attr  vfs.Attr
-	unpin func()
+	path       string
+	attr       vfs.Attr
+	unpin      func()
+	prev, next *deferredCreate
+}
+
+// deferCreate appends a deferred create to the queue and the path index.
+func (fs *FS) deferCreate(dc *deferredCreate) {
+	fs.pending[dc.path] = dc
+	dc.prev = fs.newest
+	if fs.newest != nil {
+		fs.newest.next = dc
+	} else {
+		fs.oldest = dc
+	}
+	fs.newest = dc
+}
+
+// settleCreate drops a deferred create from the queue and the path index
+// and releases its log pin. The caller has put the inode in the tree, or is
+// removing it.
+func (fs *FS) settleCreate(dc *deferredCreate) {
+	delete(fs.pending, dc.path)
+	if dc.prev != nil {
+		dc.prev.next = dc.next
+	} else {
+		fs.oldest = dc.next
+	}
+	if dc.next != nil {
+		dc.next.prev = dc.prev
+	} else {
+		fs.newest = dc.prev
+	}
+	dc.prev, dc.next = nil, nil
+	dc.unpin()
+}
+
+// flushAllPending forces every deferred create into the tree, oldest first.
+// A failed flush leaves that create pinned in the log and the walk goes on;
+// the first failure is returned.
+func (fs *FS) flushAllPending() error {
+	var first error
+	for dc := fs.oldest; dc != nil; {
+		next := dc.next
+		if err := fs.flushDeferred(dc); err != nil && first == nil {
+			first = err
+		}
+		dc = next
+	}
+	return first
 }
 
 // Stats counts northbound activity.
@@ -171,15 +230,16 @@ func New(env *sim.Env, alloc *kmem.Allocator, cfg Config, backend betree.Backend
 		reg = metrics.NewRegistry()
 	}
 	fs.m = resolveFSMetrics(reg)
-	// Under log-space pressure, deferred creates must reach the tree so
-	// their pins stop blocking reclamation (§3.3 notes this cannot occur
-	// in practice on the real log sizes; scaled simulations can hit it).
+	// Last resort under log-space pressure: one operation filled the log
+	// on its own (a directory rename logs every key it moves), so every
+	// deferred create must reach the tree for the checkpoint that follows
+	// to reclaim anything. Ordinary traffic is kept away from here by
+	// relievePinnedLog. A failed flush leaves its create pinned; the error
+	// recurs on the operation that needs the space.
 	store.OnLogPressure = func() {
-		for path := range fs.pending {
-			// Best-effort: a failed flush leaves the create pinned in the
-			// log; the error recurs on the operation that needs the space.
-			_ = fs.flushPending(path)
-		}
+		before := len(fs.pending)
+		_ = fs.flushAllPending()
+		fs.m.createForced.Add(int64(before - len(fs.pending)))
 	}
 	return fs, nil
 }
@@ -265,7 +325,7 @@ func (fs *FS) Create(parent vfs.Handle, name string, dir bool) (vfs.Handle, vfs.
 		if err != nil {
 			return nil, vfs.Attr{}, err
 		}
-		fs.pending[path] = &deferredCreate{attr: attr, unpin: fs.store.Log().Pin(lsn)}
+		fs.deferCreate(&deferredCreate{path: path, attr: attr, unpin: fs.store.Log().Pin(lsn)})
 		fs.stats.DeferredCreates++
 		fs.m.createDeferred.Inc()
 		fs.env.Trace("betrfs", "create.deferred", path, 0)
@@ -302,8 +362,7 @@ func (fs *FS) Remove(parent vfs.Handle, name string, h vfs.Handle, dir bool) err
 	}
 	// Deferred create that never reached the tree: cancel it.
 	if dc, ok := fs.pending[path]; ok {
-		dc.unpin()
-		delete(fs.pending, path)
+		fs.settleCreate(dc)
 	}
 	if err := fs.store.Meta().Delete(keys.MetaKey(path), betree.LogAuto); err != nil {
 		return err
@@ -442,7 +501,6 @@ func (fs *FS) Rename(oldParent vfs.Handle, oldName string, h vfs.Handle, newPare
 				}
 				fs.stats.RenamedKeys++
 				fs.m.renameKeys.Inc()
-				fs.m.renameKeys.Inc()
 			}
 			if err := t.DeleteRange(lo, hi, betree.LogAuto); err != nil {
 				return nil, err
@@ -533,7 +591,8 @@ func (fs *FS) ReadDir(h vfs.Handle) ([]vfs.DirEntry, error) {
 		return nil, err
 	}
 	// Merge deferred creates that have not reached the tree yet.
-	for p, dc := range fs.pending {
+	for dc := fs.oldest; dc != nil; dc = dc.next {
+		p := dc.path
 		parent, name := keys.ParentAndName(p)
 		if parent != path {
 			continue
@@ -565,27 +624,31 @@ func (fs *FS) WriteAttr(h vfs.Handle, a vfs.Attr) error {
 		return err
 	}
 	if dc, ok := fs.pending[path]; ok {
-		dc.unpin()
-		delete(fs.pending, path)
+		fs.settleCreate(dc)
 	}
 	fs.maybeCheckpoint()
 	return nil
 }
 
-// flushPending forces a deferred create into the tree. The insert is not
-// re-logged: the creation record already sits in the redo log (that is
-// what the pin protected), so only the tree needs the message. On failure
-// the create stays pending and the log stays pinned.
+// flushPending forces the deferred create at path, if there is one, into
+// the tree.
 func (fs *FS) flushPending(path string) error {
-	dc, ok := fs.pending[path]
-	if !ok {
-		return nil
+	if dc, ok := fs.pending[path]; ok {
+		return fs.flushDeferred(dc)
 	}
-	if err := fs.store.Meta().Put(keys.MetaKey(path), encodeAttr(dc.attr), betree.LogNone); err != nil {
+	return nil
+}
+
+// flushDeferred forces a deferred create into the tree. The insert is not
+// re-logged: the creation record already sits in the redo log (that is
+// what the pin protected), so only the tree needs the message, and the pin
+// is dropped only once the message is in. On failure the create stays
+// pending and the log stays pinned.
+func (fs *FS) flushDeferred(dc *deferredCreate) error {
+	if err := fs.store.Meta().Put(keys.MetaKey(dc.path), encodeAttr(dc.attr), betree.LogNone); err != nil {
 		return err
 	}
-	delete(fs.pending, path)
-	dc.unpin()
+	fs.settleCreate(dc)
 	return nil
 }
 
@@ -725,10 +788,8 @@ func (fs *FS) Fsync(h vfs.Handle) error {
 
 // Sync makes the whole file system durable.
 func (fs *FS) Sync() error {
-	for path := range fs.pending {
-		if err := fs.flushPending(path); err != nil {
-			return err
-		}
+	if err := fs.flushAllPending(); err != nil {
+		return err
 	}
 	if err := fs.store.Sync(); err != nil {
 		return err
@@ -748,7 +809,28 @@ func (fs *FS) Maintain() {
 // ErrReadOnly via the write gate), and a log-full ENOSPC recurs on the
 // operation that actually needs the space.
 func (fs *FS) maybeCheckpoint() {
+	fs.relievePinnedLog()
 	_ = fs.store.MaybeCheckpoint()
+}
+
+// relievePinnedLog keeps conditional-logging pins from wedging the log
+// (DESIGN.md §6). When the log is under pressure and the pins hold so much
+// of it that a checkpoint would not be worth running, the oldest deferred
+// creates are inserted, which drops their pins, until a checkpoint would
+// free half the region; younger creates keep their deferral. It runs
+// before the store is asked to checkpoint and outside its writer lock.
+func (fs *FS) relievePinnedLog() {
+	if fs.oldest == nil || !fs.store.LogPinsBlockReclaim() {
+		return
+	}
+	for fs.oldest != nil && !fs.store.LogHalfReclaimable() {
+		// Stop at a failed insert: its pin stays, so nothing behind it can
+		// help, and the error recurs on the operation that needs the space.
+		if fs.flushDeferred(fs.oldest) != nil {
+			return
+		}
+		fs.m.createForced.Inc()
+	}
 }
 
 // Scrub verifies every node extent of both trees (vfs.Scrubber). With
@@ -777,10 +859,8 @@ func (fs *FS) Scrub(repair bool) (vfs.ScrubStats, error) {
 
 // DropCaches empties the node cache after a checkpoint.
 func (fs *FS) DropCaches() {
-	for path := range fs.pending {
-		// Best-effort: a failed flush keeps the create pinned in the log.
-		_ = fs.flushPending(path)
-	}
+	// Best-effort: a failed flush keeps its create pinned in the log.
+	_ = fs.flushAllPending()
 	if fs.store.DropCleanCaches() == nil {
 		fs.unloggedData = make(map[string]bool)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"betrfs/internal/betree"
 	"betrfs/internal/blockdev"
 	"betrfs/internal/keys"
 	"betrfs/internal/kmem"
@@ -15,14 +14,25 @@ import (
 
 func newFS(t testing.TB, mutate func(*Config)) (*sim.Env, *FS) {
 	t.Helper()
+	return newFSWithLog(t, 0, mutate)
+}
+
+// newFSWithLog is newFS over a log region of logBytes (the default layout's
+// when zero).
+func newFSWithLog(t testing.TB, logBytes int64, mutate func(*Config)) (*sim.Env, *FS) {
+	t.Helper()
 	env := sim.NewEnv(1)
 	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))
+	lay := sfl.DefaultLayout(dev.Size())
+	if logBytes > 0 {
+		lay.LogBytes = logBytes
+	}
 	cfg := V06Config()
 	cfg.Tree.CacheBytes = 64 << 20
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	backend, err := sfl.NewDefault(env, dev)
+	backend, err := sfl.New(env, dev, lay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +159,7 @@ func TestDirRangeDeleteEmitted(t *testing.T) {
 }
 
 func TestRenameMovesDataKeys(t *testing.T) {
-	_, fs := newFS(t, nil)
+	env, fs := newFS(t, nil)
 	h, _, _ := fs.Create(fs.Root(), "old", false)
 	pg := &vfs.Page{Data: make([]byte, 4096)}
 	pg.Data[0] = 0x77
@@ -165,6 +175,18 @@ func TestRenameMovesDataKeys(t *testing.T) {
 	}
 	if _, ok, _ := fs.store.Data().Get(keys.DataKey("old", 0)); ok {
 		t.Fatal("old data keys survived rename")
+	}
+	// A directory rename moves its descendants' keys in both indexes; the
+	// registry counter and the Stats field count each moved key once.
+	d, _, _ := fs.Create(fs.Root(), "dir", true)
+	c, _, _ := fs.Create(d, "child", false)
+	fs.WriteAttr(c, vfs.Attr{Nlink: 1})
+	fs.WriteBlocks(c, 0, []*vfs.Page{{Data: make([]byte, 4096)}}, false)
+	if _, err := fs.Rename(fs.Root(), "dir", d, fs.Root(), "dir2"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := env.Metrics.Snapshot().Counters["betrfs.rename.keys"], fs.Stats().RenamedKeys; got != want || want != 3 {
+		t.Fatalf("betrfs.rename.keys = %d, Stats().RenamedKeys = %d, want both 3", got, want)
 	}
 }
 
@@ -239,33 +261,5 @@ func TestAttrRoundTrip(t *testing.T) {
 	a := vfs.Attr{Dir: true, Size: 123456789, Nlink: 7, Mtime: 42}
 	if got := decodeAttr(encodeAttr(a)); got != a {
 		t.Fatalf("attr round trip: %+v != %+v", got, a)
-	}
-}
-
-func TestLogPressureReleasesPins(t *testing.T) {
-	env := sim.NewEnv(1)
-	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))
-	lay := sfl.DefaultLayout(dev.Size())
-	lay.LogBytes = 4 << 20 // tiny log to force pressure
-	cfg := V06Config()
-	cfg.Tree.CacheBytes = 64 << 20
-	backend, err := sfl.New(env, dev, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := New(env, kmem.New(env, true), cfg, backend)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pin the log head with a deferred create, then flood the log.
-	fs.Create(fs.Root(), "pinned", false)
-	tr := fs.store.Meta()
-	payload := make([]byte, 400)
-	for i := 0; i < 20000; i++ {
-		tr.Put([]byte(fmt.Sprintf("k%06d", i)), payload, betree.LogAuto)
-	}
-	// Surviving without a panic means OnLogPressure flushed the pin.
-	if len(fs.pending) != 0 {
-		t.Fatal("log pressure did not flush pending creates")
 	}
 }

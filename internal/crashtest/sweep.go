@@ -183,21 +183,27 @@ func RunTrial(sys System, steps []Step, spec CrashSpec) []Violation {
 		sys.Push(fs)
 	}
 	spec.apply(dev)
+	return recoverAndCheck(sys.Name, spec.String(), mo, env, func() (vfs.FS, error) { return sys.Recover(env, dev) })
+}
 
+// recoverAndCheck re-mounts a crashed device through remount and checks the
+// survivor against the model. Recovery and traversal of a crashed image
+// must never panic; a panic is reported as a violation like any other.
+func recoverAndCheck(system, spec string, mo *model, env *sim.Env, remount func() (vfs.FS, error)) []Violation {
 	var m2 *vfs.Mount
 	if err := guard(func() {
-		fs2, rerr := sys.Recover(env, dev)
+		fs2, rerr := remount()
 		if rerr != nil {
 			panic(rerr)
 		}
 		m2 = vfs.NewMount(env, fs2, mountConfig())
 	}); err != nil {
-		return []Violation{{System: sys.Name, Spec: spec.String(), Detail: "recovery failed: " + err.Error()}}
+		return []Violation{{System: system, Spec: spec, Detail: "recovery failed: " + err.Error()}}
 	}
 
 	var vs []Violation
-	if err := guard(func() { vs = mo.check(m2, sys.Name, spec.String()) }); err != nil {
-		vs = append(vs, Violation{System: sys.Name, Spec: spec.String(), Detail: "post-recovery check: " + err.Error()})
+	if err := guard(func() { vs = mo.check(m2, system, spec) }); err != nil {
+		vs = append(vs, Violation{System: system, Spec: spec, Detail: "post-recovery check: " + err.Error()})
 	}
 	return vs
 }

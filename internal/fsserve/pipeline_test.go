@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"betrfs/internal/bench"
 	"betrfs/internal/fsrpc"
@@ -165,5 +167,47 @@ func TestPipelinedConcurrentSessions(t *testing.T) {
 	}
 	if in.Env.Metrics.Counter("fsserve.zerocopy.bytes").Load() == 0 {
 		t.Fatal("zero-copy READ framing never engaged")
+	}
+}
+
+// TestPipelinedMkdirOrdersChildCreate forces the interleaving that made
+// TestPipelinedNamespaceOrder flaky: MKDIR d is parked inside execute while
+// the pipelined CREATE d/f0 behind it is free to be picked up by another
+// worker. MKDIR joins d's own chain (§13.5), so the CREATE must not reach
+// execute until the MKDIR's turn is over. If it does, the parked MKDIR
+// sees it and the test fails without waiting; otherwise the MKDIR gives it
+// a grace period in which a wrongly unordered CREATE would have arrived.
+func TestPipelinedMkdirOrdersChildCreate(t *testing.T) {
+	in := bench.BuildConcurrent("betrfs-v0.6", 256, 4)
+	cfg := fsserve.DefaultConfig()
+	cfg.Workers = 4
+	cfg.ExecSlots = -1 // the parked MKDIR must not hold the only slot at GOMAXPROCS=1
+	createRan := make(chan struct{})
+	var overtook atomic.Bool
+	cfg.OnExecute = func(op fsrpc.Op) {
+		switch op {
+		case fsrpc.OpMkdir:
+			select {
+			case <-createRan:
+				overtook.Store(true)
+			case <-time.After(200 * time.Millisecond):
+			}
+		case fsrpc.OpCreate:
+			close(createRan)
+		}
+	}
+	srv := fsserve.New(in.Env, in.Mount, cfg)
+	t.Cleanup(srv.Shutdown)
+	cli := dial(t, srv)
+
+	mk := cli.Go(context.Background(), &fsrpc.Request{Op: fsrpc.OpMkdir, Path: "d"})
+	cr := cli.Go(context.Background(), &fsrpc.Request{Op: fsrpc.OpCreate, Path: "d/f0"})
+	<-mk.Done()
+	<-cr.Done()
+	if overtook.Load() {
+		t.Error("CREATE d/f0 reached execute while MKDIR d was still executing")
+	}
+	if mk.Err != nil || cr.Err != nil {
+		t.Fatalf("mkdir d: %v; create d/f0: %v", mk.Err, cr.Err)
 	}
 }

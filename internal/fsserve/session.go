@@ -182,8 +182,8 @@ func parentDir(path string) string {
 
 // chainKeys classifies q for the §13.5 ordering guarantees: WRITE/FSYNC
 // order per handle, path-mutating ops order per affected parent directory
-// (RENAME and RMDIR join the chain of every directory they touch, up to
-// two), and everything else (reads) runs unordered. Keying mutations by
+// (RENAME, MKDIR and RMDIR join the chain of every directory they touch,
+// up to two), and everything else (reads) runs unordered. Keying mutations by
 // directory rather than one per-session namespace chain lets pipelined
 // clients mutate disjoint directories concurrently while same-directory
 // mutations still apply in issue order.
@@ -200,12 +200,14 @@ func chainKeys(q *fsrpc.Request) (keys [2]uint64, n int) {
 		// (DirectReads fast path), like READ.
 		keys[0] = q.Handle | handleKeyBit
 		return keys, 1
-	case fsrpc.OpCreate, fsrpc.OpMkdir, fsrpc.OpUnlink:
+	case fsrpc.OpCreate, fsrpc.OpUnlink:
 		keys[0] = dirKey(parentDir(q.Path))
 		return keys, 1
-	case fsrpc.OpRmdir:
+	case fsrpc.OpMkdir, fsrpc.OpRmdir:
+		// The directory's own chain too: creations inside it must wait
+		// for the MKDIR and settle before the RMDIR.
 		keys[0] = dirKey(parentDir(q.Path))
-		keys[1] = dirKey(q.Path) // creations inside must settle first
+		keys[1] = dirKey(q.Path)
 	case fsrpc.OpRename:
 		keys[0] = dirKey(parentDir(q.Path))
 		keys[1] = dirKey(parentDir(q.Path2))
@@ -221,7 +223,7 @@ func chainKeys(q *fsrpc.Request) (keys [2]uint64, n int) {
 // link places t at the tail of its ordering chains (if its op has any).
 // Called from the session reader only, so links happen in wire order —
 // which is what makes chain order equal the client's issue order. A task
-// spanning two chains (RENAME, RMDIR) installs the same done channel as
+// spanning two chains (RENAME, MKDIR, RMDIR) installs the same done channel as
 // both tails; every wait edge points at an earlier-admitted task, so the
 // wait graph cannot cycle.
 func (s *session) link(t *task) {

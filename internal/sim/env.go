@@ -104,17 +104,7 @@ func (e *Env) Memcpy(n int) {
 	d := psCost(n, e.Costs.MemcpyPsPerByte)
 	e.Clock.Advance(d)
 	addDur(&e.Stats.Memcpy, d)
-	if memcpyTrap > 0 && loadDur(&e.Stats.Memcpy) > memcpyTrap {
-		panic("memcpy trap")
-	}
 }
-
-// memcpyTrap is a debugging aid: panic when cumulative memcpy passes it.
-var memcpyTrap = time.Duration(0)
-
-// SetMemcpyTrap arms the trap (tests/debugging only; set it before any
-// concurrent work starts).
-func SetMemcpyTrap(d time.Duration) { memcpyTrap = d }
 
 // Checksum charges for checksumming n bytes.
 func (e *Env) Checksum(n int) {

@@ -12,10 +12,12 @@
 package wal
 
 import (
+	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sort"
 	"sync"
 	"time"
 
@@ -79,10 +81,11 @@ type Log struct {
 
 	// discarded is the monotonic position up to which reclaimed log space
 	// has been handed back to the device via TRIM. It trails tail by a
-	// full checkpoint: ckptTail records the tail embedded in the most
-	// recent durable superblock, and DiscardReclaimed trims only below
-	// the PREVIOUS superblock's tail — the older of the two superblock
-	// slots recovery can fall back to — so no recovery starting point any
+	// full checkpoint: ckptTail records the tail at the latest checkpoint,
+	// before that checkpoint's own reclaim, and DiscardReclaimed trims only
+	// below the tail the checkpoint BEFORE recorded. That is at or below
+	// the recovery hint in the older of the two superblock slots recovery
+	// can fall back to, so no recovery starting point any
 	// crash-plus-corruption scenario selects lies inside a trimmed range.
 	discarded int64
 	ckptTail  int64
@@ -97,8 +100,12 @@ type Log struct {
 	positions []lsnPos
 
 	// pins maps LSN -> refcount; reclamation never passes the minimum
-	// pinned LSN (conditional logging).
-	pins map[uint64]int
+	// pinned LSN (conditional logging). pinOrder holds every LSN that
+	// entered pins as a min-heap, so the oldest pin is found without
+	// scanning the map; released LSNs stay in it until they surface at the
+	// top (lazy deletion, see minPinned).
+	pins     map[uint64]int
+	pinOrder lsnHeap
 
 	// SyncDelay models the synchronous commit path latency beyond the
 	// device flush itself (context switches, plug/unplug); OLTP-style
@@ -121,6 +128,20 @@ type Log struct {
 type lsnPos struct {
 	lsn uint64
 	pos int64
+}
+
+// lsnHeap is a min-heap of LSNs (container/heap).
+type lsnHeap []uint64
+
+func (h lsnHeap) Len() int           { return len(h) }
+func (h lsnHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h lsnHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *lsnHeap) Push(x any)        { *h = append(*h, x.(uint64)) }
+func (h *lsnHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // Stats counts log activity.
@@ -331,6 +352,9 @@ func (l *Log) Flush() error {
 func (l *Log) Pin(lsn uint64) func() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.pins[lsn] == 0 {
+		heap.Push(&l.pinOrder, lsn)
+	}
 	l.pins[lsn]++
 	released := false
 	return func() {
@@ -346,16 +370,60 @@ func (l *Log) Pin(lsn uint64) func() {
 	}
 }
 
+// minPinned returns the oldest live pin, dropping released LSNs from the
+// top of the heap on the way: each pin costs O(log n) over its life, however
+// many are outstanding.
 func (l *Log) minPinned() (uint64, bool) {
-	var min uint64
-	found := false
-	for lsn := range l.pins {
-		if !found || lsn < min {
-			min = lsn
-			found = true
+	for len(l.pinOrder) > 0 {
+		if lsn := l.pinOrder[0]; l.pins[lsn] > 0 {
+			return lsn, true
 		}
+		heap.Pop(&l.pinOrder)
 	}
-	return min, found
+	return 0, false
+}
+
+// cut resolves a reclaim up to LSN upto against the pins: it returns how
+// many leading entries of positions the reclaim drops, the tail position
+// that results, and whether a pin stopped it short of upto.
+func (l *Log) cut(upto uint64) (n int, tail int64, blocked bool) {
+	if min, ok := l.minPinned(); ok && min < upto {
+		upto, blocked = min, true
+	}
+	n = sort.Search(len(l.positions), func(i int) bool { return l.positions[i].lsn >= upto })
+	switch {
+	case n == 0:
+		tail = l.tail
+	case n < len(l.positions):
+		// Tail moves to the start of the first live record.
+		tail = l.positions[n].pos
+	default:
+		tail = l.head // everything reclaimed
+	}
+	return n, tail, blocked
+}
+
+// Reclaimable returns how many bytes Reclaim(NextLSN()) would free right
+// now: from the tail to the oldest live pin, or to the head when nothing is
+// pinned. Checkpoint policy uses it to skip a checkpoint that pins would
+// keep from freeing log space.
+func (l *Log) Reclaimable() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, tail, _ := l.cut(l.nextLSN)
+	return tail - l.tail
+}
+
+// HintAfterReclaim returns the recovery hint Reclaim(upto) would return,
+// without freeing anything. A checkpoint records it in the superblock it
+// is about to make durable and reclaims only afterwards, so the space the
+// previous superblock's hint still points into is not reused before the
+// new one is on disk.
+func (l *Log) HintAfterReclaim(upto uint64) Hint {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n, _, _ := l.cut(upto)
+	return l.hintFrom(n)
 }
 
 // Reclaim releases log space for all records with LSN < upto (typically
@@ -364,36 +432,25 @@ func (l *Log) minPinned() (uint64, bool) {
 func (l *Log) Reclaim(upto uint64) Hint {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if min, ok := l.minPinned(); ok && min < upto {
-		upto = min
+	n, tail, blocked := l.cut(upto)
+	if blocked {
 		l.stats.PinsBlocked++
 		l.mPinBlocked.Inc()
 	}
-	i := 0
-	for i < len(l.positions) && l.positions[i].lsn < upto {
-		i++
-	}
-	if i > 0 {
-		// Tail moves to the start of the first live record, or to head
-		// if everything was reclaimed.
-		if i < len(l.positions) {
-			l.tail = l.positions[i].pos
-		} else {
-			l.tail = l.head
-		}
-		l.positions = l.positions[i:]
-	}
-	return l.hint()
+	l.tail = tail
+	l.positions = l.positions[n:]
+	return l.hintFrom(0)
 }
 
 // DiscardReclaimed trims reclaimed log space, telling the device's FTL
 // the dead records no longer need preserving. The caller invokes it once
-// per checkpoint, right after the new superblock is durable. Because the
-// store keeps TWO superblock generations and may fall back to the older
-// one, the trimmed range is aged one checkpoint: this call trims only
-// below the tail captured by the PREVIOUS call — the recovery hint
-// embedded in the older durable slot — so no starting point recovery can
-// select lies inside a trimmed range. Positions the ring has already
+// per checkpoint, right after the new superblock is durable and before
+// that checkpoint's Reclaim. Because the store keeps TWO superblock
+// generations and may fall back to the older one, the trimmed range is
+// aged: this call trims only below the tail captured by the PREVIOUS call,
+// which is at or below the recovery hint embedded in the older durable
+// slot, so no starting point recovery can select lies inside a trimmed
+// range. Positions the ring has already
 // physically reused for newer records are skipped, not trimmed. Discard
 // failures are advisory and ignored — the space is simply not handed
 // back.
@@ -425,14 +482,16 @@ func (l *Log) DiscardReclaimed() {
 func (l *Log) Hint() Hint {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.hint()
+	return l.hintFrom(0)
 }
 
-func (l *Log) hint() Hint {
-	if len(l.positions) == 0 {
+// hintFrom is the recovery starting point once the first n entries of
+// positions are reclaimed.
+func (l *Log) hintFrom(n int) Hint {
+	if n >= len(l.positions) {
 		return Hint{Offset: l.head % l.cap, LSN: l.nextLSN, Epoch: l.epoch}
 	}
-	return Hint{Offset: l.positions[0].pos % l.cap, LSN: l.positions[0].lsn, Epoch: l.epoch}
+	return Hint{Offset: l.positions[n].pos % l.cap, LSN: l.positions[n].lsn, Epoch: l.epoch}
 }
 
 // Recover scans the region from hint, returning every valid record in LSN

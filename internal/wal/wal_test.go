@@ -37,7 +37,7 @@ func (m *memFile) Discard(off, length int64) error {
 }
 func (m *memFile) Capacity() int64 { return int64(len(m.data)) }
 
-func newLog(t *testing.T, size int64) (*sim.Env, *memFile, *Log) {
+func newLog(t testing.TB, size int64) (*sim.Env, *memFile, *Log) {
 	t.Helper()
 	env := sim.NewEnv(1)
 	f := newMemFile(env, size)
@@ -317,5 +317,147 @@ func TestRecoverStopsAtInvalidMiddleRecord(t *testing.T) {
 		if r.LSN != uint64(i+1) {
 			t.Fatalf("record %d has LSN %d", i, r.LSN)
 		}
+	}
+}
+
+// scanMinPinned is the full-map scan minPinned used to be, kept as the
+// reference the heap is checked against.
+func scanMinPinned(pins map[uint64]int) (uint64, bool) {
+	var min uint64
+	found := false
+	for lsn := range pins {
+		if !found || lsn < min {
+			min = lsn
+			found = true
+		}
+	}
+	return min, found
+}
+
+// TestPinReclaimProperty drives random append/pin/release/reclaim
+// sequences. After every step the heap's oldest pin must equal the map
+// scan's and the tail must not have passed it, and before every full
+// reclaim Reclaimable must predict exactly what Reclaim then frees.
+func TestPinReclaimProperty(t *testing.T) {
+	type pin struct {
+		lsn     uint64
+		release func()
+	}
+	for seed := uint64(1); seed <= 16; seed++ {
+		_, _, l := newLog(t, 32<<10)
+		rnd := sim.NewRand(seed)
+		var live []pin
+		reclaims, blocked := 0, 0
+		for step := 0; step < 5000; step++ {
+			switch op := rnd.Intn(16); {
+			case op < 8:
+				// Append; half the time pin the new record, as a deferred
+				// create does.
+				lsn, err := l.Append(1, make([]byte, 16+rnd.Intn(240)))
+				if err == ErrLogFull {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rnd.Intn(2) == 0 {
+					live = append(live, pin{lsn, l.Pin(lsn)})
+				}
+			case op < 9:
+				// Pin some record that is still live, out of LSN order;
+				// it may carry a pin already.
+				if lo, next := l.Hint().LSN, l.NextLSN(); lo < next {
+					lsn := lo + uint64(rnd.Int63n(int64(next-lo)))
+					live = append(live, pin{lsn, l.Pin(lsn)})
+				}
+			case op < 13:
+				if len(live) > 0 {
+					i := rnd.Intn(len(live))
+					live[i].release()
+					live[i].release() // a second release is a no-op
+					live = append(live[:i], live[i+1:]...)
+				}
+			case op < 14:
+				// Partial reclaim, as after a checkpoint that started a
+				// while ago.
+				if lo, next := l.Hint().LSN, l.NextLSN(); lo < next {
+					l.Reclaim(lo + uint64(rnd.Int63n(int64(next-lo)+1)))
+				}
+			default:
+				want := l.Reclaimable()
+				peek := l.HintAfterReclaim(l.NextLSN())
+				before := l.LiveBytes()
+				was := l.Stats().PinsBlocked
+				hint := l.Reclaim(l.NextLSN())
+				if freed := before - l.LiveBytes(); freed != want {
+					t.Fatalf("seed %d step %d: Reclaimable said %d, Reclaim freed %d", seed, step, want, freed)
+				}
+				if hint != peek {
+					t.Fatalf("seed %d step %d: HintAfterReclaim %+v, Reclaim returned %+v", seed, step, peek, hint)
+				}
+				if l.Reclaimable() != 0 {
+					t.Fatalf("seed %d step %d: %d bytes reclaimable right after a full reclaim", seed, step, l.Reclaimable())
+				}
+				reclaims++
+				blocked += int(l.Stats().PinsBlocked - was)
+			}
+			got, gok := l.minPinned()
+			ref, rok := scanMinPinned(l.pins)
+			if got != ref || gok != rok {
+				t.Fatalf("seed %d step %d: oldest pin %d,%v; map scan says %d,%v", seed, step, got, gok, ref, rok)
+			}
+			if len(l.pins) > len(live) {
+				t.Fatalf("seed %d step %d: %d pinned LSNs for %d live pins", seed, step, len(l.pins), len(live))
+			}
+			if gok && l.Hint().LSN > got {
+				t.Fatalf("seed %d step %d: tail at LSN %d passed the oldest live pin %d", seed, step, l.Hint().LSN, got)
+			}
+		}
+		if reclaims == 0 || blocked == 0 || blocked == reclaims {
+			t.Fatalf("seed %d: %d full reclaims, %d stopped by a pin: both kinds must occur", seed, reclaims, blocked)
+		}
+	}
+}
+
+// BenchmarkReclaimPinned is one log-space check and reclaim with 30 000
+// live pins, the count tree_ops holds at its sync: each iteration releases
+// the oldest pin, appends and pins a new record, and asks what a checkpoint
+// would free before reclaiming it. The oldest pin was found by scanning
+// the whole pin map, which made this step linear in the live pins.
+func BenchmarkReclaimPinned(b *testing.B) {
+	const pins = 30000
+	_, _, l := newLog(b, 16<<20)
+	payload := make([]byte, 100)
+	release := make([]func(), 0, pins+b.N)
+	add := func() {
+		lsn, err := l.Append(1, payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		release = append(release, l.Pin(lsn))
+	}
+	for i := 0; i < pins; i++ {
+		add()
+	}
+	if err := l.WriteOut(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var freed int64
+	for i := 0; i < b.N; i++ {
+		release[i]()
+		add()
+		freed += l.Reclaimable()
+		l.Reclaim(l.NextLSN())
+		if i%4096 == 4095 {
+			// Keep the in-memory tail of the log bounded.
+			if err := l.WriteOut(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if b.N > 1 && freed == 0 {
+		b.Fatal("nothing was ever reclaimable")
 	}
 }
