@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // goldenMicro2048 pins every Table 1 cell at scale 2048 to the exact
 // float64 the deterministic simulation must produce. The single-worker
@@ -15,14 +19,14 @@ var goldenMicro2048 = []MicroResults{
 		SeqRead: 324.12785247771063, SeqWrite: 66.19076974691347,
 		Rand4K: 91.85451422141641, Rand4B: 0.8698852562731662,
 		TokuBench: 47.50774962053022,
-		Grep:      0.120253636, Rm: 0.444701632, Find: 0.003462474,
+		Grep:      0.119565158, Rm: 0.44478626099999996, Find: 0.002773996,
 	},
 	{
 		System:  "betrfs-v0.6",
 		SeqRead: 651.196554479046, SeqWrite: 221.23567499315627,
 		Rand4K: 106.54223516825695, Rand4B: 1.1260827824801753,
 		TokuBench: 60.16142988267534,
-		Grep:      0.056641272, Rm: 0.066789297, Find: 0.002404118,
+		Grep:      0.056049319, Rm: 0.06683188, Find: 0.00171564,
 	},
 }
 
@@ -45,7 +49,8 @@ func TestGoldenCellsDeterministic(t *testing.T) {
 	}
 	for i, want := range goldenMicro2048 {
 		if seq[i] != want {
-			t.Errorf("golden drift for %s:\n got  %+v\n want %+v", want.System, seq[i], want)
+			t.Errorf("golden drift for %s:\n got  %+v\n want %+v\n re-pin as:\n%s,",
+				want.System, seq[i], want, strings.TrimPrefix(fmt.Sprintf("%#v", seq[i]), "bench."))
 		}
 	}
 

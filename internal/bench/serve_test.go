@@ -92,8 +92,8 @@ var goldenServe256 = map[string]struct {
 	"ext4":        {43.70468353116473, 820717, 4096},
 	"f2fs":        {18.683320531466215, 2097152, 4096},
 	"btrfs":       {27.78874532656986, 1331919, 4096},
-	"betrfs-v0.4": {28.619221623216205, 1284404, 4096},
-	"betrfs-v0.6": {61.28345226971711, 665583, 4096},
+	"betrfs-v0.4": {28.62265578614326, 1284404, 4096},
+	"betrfs-v0.6": {61.283187448574665, 665583, 4096},
 }
 
 // TestServeGoldenCells runs the full deterministic serve sweep and
@@ -113,11 +113,9 @@ func TestServeGoldenCells(t *testing.T) {
 		if len(r.Errors) != 0 {
 			t.Fatalf("%s: serve run failed: %v", sys, r.Errors)
 		}
-		if got := r.KOpsPerSimSec(); got != want.wireOps {
-			t.Errorf("%s: wire_ops = %v, want %v", sys, got, want.wireOps)
-		}
-		if r.P99 != want.p99 || r.P95 != want.p95 {
-			t.Errorf("%s: p95/p99 = %d/%d, want %d/%d", sys, r.P95, r.P99, want.p95, want.p99)
+		if got := r.KOpsPerSimSec(); got != want.wireOps || r.P99 != want.p99 || r.P95 != want.p95 {
+			t.Errorf("%s: wire_ops, p99, p95 = %v, %d, %d, want %v, %d, %d; re-pin as:\n%q: {%#v, %d, %d},",
+				sys, got, r.P99, r.P95, want.wireOps, want.p99, want.p95, sys, got, r.P99, r.P95)
 		}
 		if r.Shed != 0 {
 			t.Errorf("%s: shed = %d, want 0", sys, r.Shed)

@@ -3,7 +3,9 @@ package betree
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"testing"
+	"time"
 
 	"betrfs/internal/blockdev"
 	"betrfs/internal/kmem"
@@ -154,6 +156,40 @@ func TestScanSeesBufferedInserts(t *testing.T) {
 	})
 	if !found {
 		t.Fatal("scan missed a buffered insert")
+	}
+}
+
+// TestScanSeeksWithinBasement: a scan that starts mid-basement positions
+// its cursor by binary search, so yielding k entries from a basement of n
+// charges at most k + ⌈log₂(n+1)⌉ + 2 key comparisons, not the walk over
+// the ~2n/3 entries that precede the cursor here.
+func TestScanSeeksWithinBasement(t *testing.T) {
+	env, s := testStore(t, func(c *Config) { c.NodeSize = 4 << 20 })
+	tr := s.Meta()
+	const n = 30000
+	for i := 0; i < n; i++ {
+		tr.Put(k(i), v(i, 8), LogNone)
+	}
+	root := tr.mustFetch(tr.rootID, nil)
+	leaf, basements := root.isLeaf(), len(root.basements)
+	tr.unpin(root)
+	if !leaf || basements != 1 {
+		t.Fatalf("want one root leaf with one basement, got leaf=%v basements=%d", leaf, basements)
+	}
+
+	lo, hi := k(2*n/3), k(2*n/3+3)
+	before := env.Stats.Compare
+	yielded := tr.Count(lo, hi)
+	charged := env.Stats.Compare - before
+	// Every comparison the scan charges inspects len(lo) bytes.
+	per := env.Costs.CompareBase + time.Duration(int64(len(lo))*env.Costs.ComparePsPerByte/1000)
+	compares := int(charged / per)
+	if yielded != 3 {
+		t.Fatalf("scan yielded %d entries, want 3", yielded)
+	}
+	if bound := yielded + bits.Len(n) + 2; compares > bound {
+		t.Fatalf("scan of %d entries from a %d-entry basement charged %d comparisons, want at most %d",
+			yielded, n, compares, bound)
 	}
 }
 

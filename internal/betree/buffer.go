@@ -119,19 +119,6 @@ func (b *buffer) collectRange(env *sim.Env, lo, hi []byte, after MSN, out []*Msg
 	return out
 }
 
-// anyOverlap reports whether any message overlaps [lo, hi), charging
-// comparisons for the scan.
-func (b *buffer) anyOverlap(env *sim.Env, lo, hi []byte) bool {
-	for _, m := range b.msgs {
-		env.Compare(len(lo))
-		env.Compare(len(hi))
-		if m.overlapsRange(lo, hi) {
-			return true
-		}
-	}
-	return false
-}
-
 // removeOverlapping removes and returns (in buffer order) all messages
 // overlapping [lo, hi). Used by the apply-on-query flush path, which pushes
 // pending messages into a dirty leaf.

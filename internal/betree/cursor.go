@@ -32,8 +32,7 @@ func (t *Tree) Scan(lo, hi []byte, fn func(k, v []byte) bool) (err error) {
 	// eviction whose inline write-back hits a device failure.
 	defer ioerr.Guard(&err)
 	atomic.AddInt64(&t.stats.Scans, 1)
-	s := t.store
-	s.m.queryScan.Inc()
+	t.store.m.queryScan.Inc()
 	cursor := lo
 	if cursor == nil {
 		cursor = []byte{}
@@ -50,7 +49,6 @@ func (t *Tree) Scan(lo, hi []byte, fn func(k, v []byte) bool) (err error) {
 			return nil
 		}
 		cursor = leafHi
-		_ = s
 	}
 }
 
@@ -149,7 +147,13 @@ func (t *Tree) scanLeaf(cursor, hi []byte, fn func(k, v []byte) bool) ([]byte, b
 		if hi != nil && keys.Compare(blo, hi) >= 0 {
 			return lhi, false, nil
 		}
-		for i := range b.entries {
+		// Seek, don't walk: in the basement holding the cursor, position
+		// by the charged binary search instead of stepping over the prefix.
+		start := 0
+		if keys.Compare(blo, cursor) < 0 {
+			start, _ = b.find(s.env, cursor)
+		}
+		for i := start; i < len(b.entries); i++ {
 			e := &b.entries[i]
 			s.env.Compare(len(cursor))
 			if keys.Compare(e.key, cursor) < 0 {

@@ -114,7 +114,7 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 					}
 				}
 			}
-			verifyAgainstModel(t, tr, md)
+			verifyAgainstModel(t, tr, md, md.sortedKeys(), "", "")
 
 			// Survive a clean reopen.
 			s.Checkpoint()
@@ -122,34 +122,148 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			verifyAgainstModel(t, s2.Meta(), md)
+			verifyAgainstModel(t, s2.Meta(), md, md.sortedKeys(), "", "")
 		})
 	}
 }
 
-func verifyAgainstModel(t *testing.T, tr *Tree, md *model) {
+// verifyAgainstModel scans [lo, hi) (hi == "" means unbounded) and checks
+// that it yields exactly the model's keys in that range, in order, with
+// their values. want is md.sortedKeys(): the model's string order equals
+// byte order because keys are ASCII, and the tree stores the model's raw
+// keys as opaque bytes.
+func verifyAgainstModel(t *testing.T, tr *Tree, md *model, want []string, lo, hi string) {
 	t.Helper()
-	// Full scan must match the model's sorted contents. The model's
-	// string order equals byte order because keys are ASCII.
-	want := md.sortedKeys()
-	// Model uses raw "p0/f001" keys; the tree stores the same bytes, so
-	// path-encoding differences don't apply here (keys contain '/', which
-	// is fine for the tree: it treats keys as opaque bytes).
-	var got []string
-	tr.Scan(nil, nil, func(k, v []byte) bool {
-		got = append(got, string(k))
-		if want := md.m[string(k)]; !bytes.Equal(v, want) {
-			t.Fatalf("scan value mismatch at %q", k)
+	var hiKey []byte
+	if hi != "" {
+		hiKey = []byte(hi)
+	}
+	inRange := func(k string) bool { return hi == "" || k < hi }
+	i := sort.SearchStrings(want, lo)
+	err := tr.Scan([]byte(lo), hiKey, func(k, v []byte) bool {
+		if i >= len(want) || !inRange(want[i]) || want[i] != string(k) {
+			t.Fatalf("scan [%q, %q) yielded %q out of model order", lo, hi, k)
 		}
+		if !bytes.Equal(v, md.m[want[i]]) {
+			t.Fatalf("scan [%q, %q): value mismatch at %q", lo, hi, k)
+		}
+		i++
 		return true
 	})
-	if len(got) != len(want) {
-		t.Fatalf("scan found %d keys, model has %d", len(got), len(want))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("scan key %d = %q, model %q", i, got[i], want[i])
-		}
+	if i < len(want) && inRange(want[i]) {
+		t.Fatalf("scan [%q, %q) stopped before model key %q", lo, hi, want[i])
+	}
+}
+
+// TestRandomScansAgainstModel checks bounded scans that start mid-basement
+// against the model on the shapes the cursor seek must handle: a root leaf
+// holding one basement of more than 20 000 keys, and then — once that leaf
+// has split into single-basement leaves of up to ~22 000 keys — with
+// random puts, deletes, range deletes and updates pending in the root's
+// buffers.
+func TestRandomScansAgainstModel(t *testing.T) {
+	for _, seed := range []uint64{3, 17} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			env := sim.NewEnv(seed)
+			dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))
+			backend, berr := sfl.NewDefault(env, dev)
+			if berr != nil {
+				t.Fatal(berr)
+			}
+			cfg := DefaultConfig()
+			cfg.NodeSize = 2 << 20
+			cfg.BasementSize = cfg.NodeSize // split halves keep one basement
+			cfg.CacheBytes = 64 << 20
+			s, err := Open(env, kmem.New(env, true), cfg, backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := s.Meta()
+			md := newModel()
+			rnd := sim.NewRand(seed)
+			const span = 100000
+			key := func(i int) string { return fmt.Sprintf("k%06d", i) }
+			val := func() []byte { return bytes.Repeat([]byte{byte(rnd.Intn(256))}, 8+rnd.Intn(16)) }
+			scans := func(count int) {
+				t.Helper()
+				want := md.sortedKeys()
+				for i := 0; i < count; i++ {
+					lo := rnd.Intn(span)
+					hi := lo + rnd.Intn(span/20)
+					verifyAgainstModel(t, tr, md, want, key(lo), key(hi))
+				}
+			}
+			rootShape := func() (leaf bool, basements, entries, pending int) {
+				root := tr.mustFetch(tr.rootID, nil)
+				defer tr.unpin(root)
+				if !root.isLeaf() {
+					return false, 0, 0, root.bufferBytes()
+				}
+				return true, len(root.basements), len(root.basements[0].entries), 0
+			}
+
+			// Even keys ascending: one basement in the root leaf.
+			next := 0
+			for ; next < 22000; next++ {
+				k, v := key(2*next), val()
+				tr.Put([]byte(k), v, LogNone)
+				md.put(k, v)
+			}
+			if leaf, basements, entries, _ := rootShape(); !leaf || basements != 1 || entries <= 20000 {
+				t.Fatalf("want a single-basement root leaf over 20000 keys, got leaf=%v basements=%d entries=%d",
+					leaf, basements, entries)
+			}
+			scans(30)
+
+			// Grow until the root splits, then leave random messages
+			// pending above the single-basement leaves.
+			for ; next < span/2; next++ {
+				k, v := key(2*next), val()
+				tr.Put([]byte(k), v, LogNone)
+				md.put(k, v)
+			}
+			root := tr.mustFetch(tr.rootID, nil)
+			for _, id := range root.children {
+				c := tr.mustFetch(id, nil)
+				if !c.isLeaf() || len(c.basements) != 1 {
+					t.Fatalf("want single-basement leaves under the root, got height %d with %d basements",
+						c.height, len(c.basements))
+				}
+				tr.unpin(c)
+			}
+			tr.unpin(root)
+			for i := 0; i < 2000; i++ {
+				ki := rnd.Intn(span)
+				k := key(ki)
+				switch rnd.Intn(8) {
+				case 0, 1, 2, 3:
+					v := val()
+					tr.Put([]byte(k), v, LogNone)
+					md.put(k, v)
+				case 4, 5:
+					tr.Delete([]byte(k), LogNone)
+					md.del(k)
+				case 6:
+					hi := key(ki + 1 + rnd.Intn(200))
+					tr.DeleteRange([]byte(k), []byte(hi), LogNone)
+					md.delRange(k, hi)
+				case 7:
+					off, patch := rnd.Intn(32), []byte{byte(i)}
+					tr.Update([]byte(k), off, patch, LogNone)
+					md.update(k, off, patch)
+				}
+				if i%200 == 199 {
+					if leaf, _, _, pending := rootShape(); leaf || pending == 0 {
+						t.Fatalf("op %d: want messages pending in an interior root (leaf=%v, %d bytes)", i, leaf, pending)
+					}
+					scans(5)
+				}
+			}
+		})
 	}
 }
 

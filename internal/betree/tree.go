@@ -357,8 +357,7 @@ func (t *Tree) insertMsg(m *Msg) {
 // buffer whose range it overlaps (the message was already appended to ci).
 func (t *Tree) routeRangeMsg(n *node, m *Msg, ci int) {
 	for i := ci + 1; i < len(n.children); i++ {
-		lo, hi := n.childRange(i, nil, nil)
-		_ = hi
+		lo, _ := n.childRange(i, nil, nil)
 		if lo != nil && keys.Compare(m.EndKey, lo) <= 0 {
 			break
 		}
@@ -581,8 +580,6 @@ func (t *Tree) pacman(n *node) {
 	}
 	s.cache.resize(t, n)
 }
-
-// --- splits
 
 // --- splits -----------------------------------------------------------------
 

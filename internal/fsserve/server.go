@@ -405,13 +405,18 @@ func (s *Server) admit(t *task) fsrpc.Status {
 	s.inflight.Add(1)
 	s.mu.Unlock()
 	t.sess.link(t)
+	// Count the request outstanding before a worker can see it: a worker
+	// may execute and reply (decrementing the count) before this goroutine
+	// runs again, and a depth taken after that would read one short.
+	depth := t.sess.outstanding.Add(1)
 	select {
 	case s.queue <- t:
 		s.m.queueDepth.Add(1)
 		s.m.inflight.Add(1)
-		s.m.pipeDepth.Observe(t.sess.outstanding.Add(1))
+		s.m.pipeDepth.Observe(depth)
 		return fsrpc.StatusOK
 	default:
+		t.sess.outstanding.Add(-1)
 		t.sess.unlink(t)
 		s.inflight.Done()
 		return fsrpc.StatusBusy

@@ -119,12 +119,11 @@ func FileDataRange(path string) (lo, hi []byte) {
 	return SubtreeRange(path)
 }
 
-// ChildRange returns the metadata-index range containing exactly the
-// direct children of directory path (not deeper descendants). Children are
-// keys with prefix enc(path)+Sep that contain no further separator; since
-// deeper keys contain an extra Sep which sorts first, direct children are
-// interleaved with their own subtrees, so callers iterating [lo,hi) must
-// skip grandchildren. Use ScanChildren for that logic.
+// ChildRange returns the metadata-index range to scan for the direct
+// children of directory path. It is SubtreeRange: direct children are
+// interleaved with their own subtrees in key order, so the range also
+// holds every deeper descendant, and callers iterating [lo, hi) keep only
+// the keys for which IsDirectChild holds.
 func ChildRange(path string) (lo, hi []byte) {
 	return SubtreeRange(path)
 }
