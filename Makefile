@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race crashtest scrub repair faults bench-json serve servebench netfaults aging shard
+.PHONY: check vet build test race benchmod crashtest scrub repair faults bench-json serve servebench netfaults aging shard
 
-check: vet build race crashtest scrub repair faults serve servebench netfaults aging shard bench-json
+check: vet build race benchmod crashtest scrub repair faults serve servebench netfaults aging shard bench-json
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +24,13 @@ test:
 # only meaningful under the race detector.
 race:
 	$(GO) test -race ./...
+
+# The benchmark module's own tests (about 5 s). The benchmark is a separate
+# Go module that `go test ./...` above never builds; it reaches into the
+# repository only through the seams in benchmark/README.md's "API surface"
+# table, so a change to one of them fails here.
+benchmod:
+	cd benchmark && $(GO) test ./...
 
 # Short crash sweep: prefix/torn/subset crash points on ext4, f2fs,
 # btrfs, betrfs-v0.6 and the SFL-backed store, checked against the

@@ -16,17 +16,17 @@ import (
 var goldenMicro2048 = []MicroResults{
 	{
 		System:  "betrfs-v0.4",
-		SeqRead: 324.12785247771063, SeqWrite: 66.19076974691347,
+		SeqRead: 324.12785247771063, SeqWrite: 66.16127563991681,
 		Rand4K: 91.85451422141641, Rand4B: 0.8698852562731662,
 		TokuBench: 47.50774962053022,
-		Grep:      0.119565158, Rm: 0.44478626099999996, Find: 0.002773996,
+		Grep:      0.101658949, Rm: 0.44478626099999996, Find: 0.002773996,
 	},
 	{
 		System:  "betrfs-v0.6",
-		SeqRead: 651.196554479046, SeqWrite: 221.23567499315627,
+		SeqRead: 651.196554479046, SeqWrite: 221.24096021365202,
 		Rand4K: 106.54223516825695, Rand4B: 1.1260827824801753,
 		TokuBench: 60.16142988267534,
-		Grep:      0.056049319, Rm: 0.06683188, Find: 0.00171564,
+		Grep:      0.055850422, Rm: 0.06683188, Find: 0.00171564,
 	},
 }
 

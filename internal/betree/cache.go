@@ -14,19 +14,20 @@ type cacheKey struct {
 	id   nodeID
 }
 
-// nodeCache is the cachetable: an LRU of decoded nodes shared by the
-// metadata and data trees, bounded by a byte budget.
+// nodeCache is the cachetable: decoded nodes shared by the metadata and
+// data trees, bounded by a byte budget and evicted interior-last
+// (evictShard).
 //
 // The cache is split into power-of-two lock-striped shards, each with its
 // own mutex, LRU list, and slice of the byte budget, so concurrent readers
 // on different nodes never contend on one lock (DESIGN.md §9). A
-// deterministic single-goroutine store uses exactly one shard, which makes
-// the eviction order — and therefore every golden benchmark number —
-// identical to the historical single-LRU implementation.
+// deterministic single-goroutine store uses exactly one shard, so its
+// eviction order — and therefore every golden benchmark number — does not
+// depend on the shard hash.
 //
 // Dirty-node writeback on eviction has two policies:
 //   - inline (deterministic mode): the evicting caller writes the node
-//     back synchronously via writeNode, exactly as before;
+//     back synchronously via writeNode;
 //   - deferred (concurrent mode): dirty nodes are never evicted by
 //     readers — they are skipped like pinned nodes and onDirtyPressure is
 //     invoked so the store can schedule a background writeback on the
@@ -209,54 +210,71 @@ func (c *nodeCache) remove(t *Tree, id nodeID) {
 // deferred policy (the caller reports pressure outside the lock), and the
 // first write-back failure — which the caller must re-raise only after
 // releasing the shard lock, or the mutex would stay held forever.
+//
+// Victims are taken from the LRU tail in two sweeps (DESIGN.md §9): first
+// the leaves that are not their tree's root, then the rest. Like TokuDB's
+// cachetable, this keeps the interior nodes every descent crosses while
+// leaves read once cycle through the budget.
 func (c *nodeCache) evictShard(sh *cacheShard, target int64) (dirtySkipped bool, failed error) {
-	el := sh.lru.Back()
-	for el != nil && sh.used > target {
-		prev := el.Prev()
-		ce := el.Value.(*cacheEntry)
-		if ce.node.pins.Load() > 0 {
-			el = prev
-			continue
-		}
-		if ce.node.dirty.Load() {
-			if c.deferDirty {
-				// Readers never write back: leave the node cached (over
-				// budget) and let the flusher clean it.
-				c.mDeferred.Inc()
-				dirtySkipped = true
+	for _, leaves := range [2]bool{true, false} {
+		el := sh.lru.Back()
+		for el != nil && sh.used > target {
+			prev := el.Prev()
+			ce := el.Value.(*cacheEntry)
+			if ce.node.pins.Load() > 0 || ce.evictsFirst() != leaves {
 				el = prev
 				continue
 			}
-			// Inline write-back exists only in deterministic mode, where
-			// this goroutine is the store's only one. The shard lock is
-			// dropped across it: writing a leaf back first loads its
-			// missing basements, which resizes this entry through resize.
-			sh.mu.Unlock()
-			werr := c.tryWriteNode(ce.key.tree, ce.node)
-			sh.mu.Lock()
-			if werr != nil {
-				// Write-back failed (device error or node file full):
-				// evicting would silently discard the dirty state, so the
-				// node stays cached over budget and the error surfaces
-				// once the sweep finishes.
-				if failed == nil {
-					failed = werr
+			if ce.node.dirty.Load() {
+				if c.deferDirty {
+					// Readers never write back: leave the node cached (over
+					// budget) and let the flusher clean it.
+					c.mDeferred.Inc()
+					dirtySkipped = true
+					el = prev
+					continue
 				}
-				el = prev
-				continue
+				// Inline write-back exists only in deterministic mode, where
+				// this goroutine is the store's only one. The shard lock is
+				// dropped across it: writing a leaf back first loads its
+				// missing basements, which resizes this entry through resize.
+				sh.mu.Unlock()
+				werr := c.tryWriteNode(ce.key.tree, ce.node)
+				sh.mu.Lock()
+				if werr != nil {
+					// Write-back failed (device error or node file full):
+					// evicting would silently discard the dirty state, so the
+					// node stays cached over budget and the error surfaces
+					// once the sweep finishes.
+					if failed == nil {
+						failed = werr
+					}
+					el = prev
+					continue
+				}
+				sh.dirtyEvictions++
+				c.mEvictDirty.Inc()
 			}
-			sh.dirtyEvictions++
-			c.mEvictDirty.Inc()
+			sh.evictions++
+			c.mEvict.Inc()
+			sh.used -= int64(ce.node.memSize)
+			ce.node.releaseRefs()
+			sh.lru.Remove(el)
+			delete(sh.entries, ce.key)
+			el = prev
 		}
-		sh.evictions++
-		c.mEvict.Inc()
-		sh.used -= int64(ce.node.memSize)
-		ce.node.releaseRefs()
-		sh.lru.Remove(el)
-		delete(sh.entries, ce.key)
-		el = prev
 	}
 	return dirtySkipped, failed
+}
+
+// evictsFirst reports whether the entry goes in the first eviction sweep:
+// a leaf that is not its tree's root. A node's height never changes. Its
+// tree's rootID is read under the shard lock, but what makes the read safe
+// is the store's structure lock (Store.treeMu): rootID changes only under
+// it exclusively, and every eviction sweep runs inside a cache insert,
+// which callers make only while holding it shared or exclusively.
+func (ce *cacheEntry) evictsFirst() bool {
+	return ce.node.isLeaf() && ce.node.id != ce.key.tree.rootID
 }
 
 // tryWriteNode runs the inline write-back callback, converting an abort

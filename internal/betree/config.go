@@ -60,8 +60,8 @@ type Config struct {
 	Concurrent bool
 	// CacheShards is the number of lock-striped node-cache shards,
 	// rounded up to a power of two. Zero selects one shard when
-	// Concurrent is off (preserving the historical global LRU eviction
-	// order) and eight when it is on.
+	// Concurrent is off (one global eviction order) and eight when it is
+	// on.
 	CacheShards int
 
 	// RelocateAttempts bounds write-path relocation (DESIGN.md §10.6):

@@ -192,10 +192,12 @@ func TestScanSurfacesCorruption(t *testing.T) {
 	}
 }
 
-// TestBasementChecksumOnPartialRead corrupts bytes beyond the header
-// region of a large leaf, so the shell still verifies and the damage is
-// only visible to the per-basement checksums used by basement-granular
-// partial reads.
+// TestBasementChecksumOnPartialRead first flips one bit in transfer, once:
+// the basement checksum catches it and the re-read, into the same buffer
+// of just the basement's size, returns the right value. It then corrupts
+// bytes beyond the header region of a large leaf on the medium, so the
+// shell still verifies and the damage is only visible to the per-basement
+// checksums used by basement-granular partial reads.
 func TestBasementChecksumOnPartialRead(t *testing.T) {
 	_, dev, backend, s := corruptStore(t, func(c *Config) {
 		c.NodeSize = 128 << 10
@@ -213,6 +215,39 @@ func TestBasementChecksumOnPartialRead(t *testing.T) {
 	victim := largestLeaf(t, s)
 	if victim.Len <= headerRegion {
 		t.Skipf("largest leaf (%d bytes) fits in the header region", victim.Len)
+	}
+
+	leaf, err := s.readNode(tr, nodeID(victim.ID), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := leaf.basements[len(leaf.basements)-1]
+	want := b.entries[len(b.entries)/2]
+	inner := tr.f
+	var bufs []*byte
+	tr.f = &tapFile{File: inner, onRead: func(p []byte, off int64) {
+		if off != victim.Off+int64(b.diskOff) {
+			return
+		}
+		if cap(p) != b.diskLen+b.pageLen {
+			t.Errorf("basement read into a %d-byte buffer, want %d", cap(p), b.diskLen+b.pageLen)
+		}
+		bufs = append(bufs, &p[0])
+		if len(bufs) == 1 {
+			p[len(p)/2] ^= 0x10
+		}
+	}}
+	retried := s.m.retryCorrupt.Load()
+	got, ok, err := tr.Get(want.key)
+	tr.f = inner
+	if err != nil || !ok || !bytes.Equal(got, want.val.Bytes()) {
+		t.Fatalf("Get after a one-shot bit flip: ok=%v err=%v", ok, err)
+	}
+	if n := s.m.retryCorrupt.Load() - retried; n != 1 {
+		t.Fatalf("io.retry.corrupt rose by %d, want 1", n)
+	}
+	if len(bufs) != 2 || bufs[0] != bufs[1] {
+		t.Fatalf("basement read %d times, want a read and a re-read into the same buffer", len(bufs))
 	}
 	// Corrupt everything past the header region: shell CRC stays valid,
 	// basement CRCs do not.

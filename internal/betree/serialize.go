@@ -92,7 +92,7 @@ func (e *nodeEncoder) keyed(b []byte) { e.u16(uint16(len(b))); e.bytes(b) }
 // serializeNode encodes n, charging serialization and checksum CPU costs.
 // Returned bytes are 4 KiB-aligned in length.
 func serializeNode(env *sim.Env, cfg *Config, n *node) []byte {
-	e := &nodeEncoder{env: env, cfg: cfg, buf: make([]byte, 0, cfg.NodeSize/2)}
+	e := &nodeEncoder{env: env, cfg: cfg, buf: make([]byte, 0, encodedSizeBound(cfg, n))}
 	// Header placeholder; patched at the end.
 	e.buf = append(e.buf, make([]byte, baseHeaderSize)...)
 	e.smallBytes += baseHeaderSize
@@ -240,6 +240,40 @@ func serializeNode(env *sim.Env, cfg *Config, n *node) []byte {
 	return e.buf
 }
 
+// encodedSizeBound bounds serializeNode's output for n from above, so the
+// encoder allocates its buffer once. It counts the encoding below exactly,
+// except that each of the two alignment pads is taken as a whole block.
+func encodedSizeBound(cfg *Config, n *node) int {
+	value := func(v Value) int {
+		if cfg.PageSharing && v.Len() >= alignedValueMin {
+			return 9 + ((v.Len() + blockAlign - 1) &^ (blockAlign - 1))
+		}
+		return 5 + v.Len()
+	}
+	size := baseHeaderSize + 4 + 2*blockAlign
+	for _, b := range n.basements {
+		lift := 0
+		if cfg.Lifting && len(b.entries) > 1 {
+			lift = keylen.CommonPrefix(b.entries[0].key, b.entries[len(b.entries)-1].key)
+		}
+		size += dirSlotSize + 2 + len(b.lowKey()) + 4 + 2 + lift
+		for _, en := range b.entries {
+			size += 2 + len(en.key) - lift + value(en.val)
+		}
+	}
+	for _, p := range n.pivots {
+		size += 2 + len(p)
+	}
+	size += 8 * len(n.children)
+	for i := range n.bufs {
+		size += 4
+		for _, m := range n.bufs[i].msgs {
+			size += 1 + 8 + 2 + len(m.Key) + 2 + len(m.EndKey) + 4 + value(m.Val)
+		}
+	}
+	return size
+}
+
 // shellCRC computes the shell checksum: header fields [4:36] plus the
 // basement directory and first keys [40:shellEnd], skipping the two crc
 // fields themselves.
@@ -284,14 +318,16 @@ func (d *nodeDecoder) keyed() []byte {
 	return b
 }
 
-// value decodes one encoded value. whole is the full node image and
-// pageBase the node's page-section base offset (header bytes [24:28]).
-func (d *nodeDecoder) value(whole []byte, pageBase int) Value {
+// value decodes one encoded value. An aligned value's payload is read
+// from pages at pageBase plus its recorded offset: for a full image, pages
+// is the image and pageBase the header's page-section base; for a
+// basement, pages is its page range and pageBase is shifted to match.
+func (d *nodeDecoder) value(pages []byte, pageBase int) Value {
 	aligned := d.u8() == 1
 	n := int(d.u32())
 	if aligned {
 		off := pageBase + int(d.u32())
-		return InlineValue(append([]byte{}, whole[off:off+n]...))
+		return InlineValue(append([]byte{}, pages[off:off+n]...))
 	}
 	v := append([]byte{}, d.data[d.pos:d.pos+n]...)
 	d.pos += n
@@ -328,8 +364,11 @@ func deserializeNode(env *sim.Env, cfg *Config, data []byte) (*node, error) {
 		}
 		n.basements = shell
 		n.pageBase = pageBase(data)
-		for bi := range n.basements {
-			if err := loadBasementFrom(env, data, n.basements[bi], n.pageBase); err != nil {
+		for _, b := range n.basements {
+			if err := b.checkSpan(int64(len(data))); err != nil {
+				return nil, err
+			}
+			if err := decodeBasement(data[b.diskOff:b.diskOff+b.diskLen], data[b.pageOff:b.pageOff+b.pageLen], b, n.pageBase); err != nil {
 				return nil, err
 			}
 		}
@@ -425,15 +464,28 @@ func pageBase(data []byte) int {
 	return int(binary.BigEndian.Uint32(data[24:]))
 }
 
-// loadBasementFrom materializes basement b from a (possibly sparse) node
-// image in which b's small section and b's page range have been
-// populated; pb is the node's page-section base offset, taken from the
-// (checksum-verified) header rather than the image bytes, since sparse
-// partial reads never populate the header region. The basement's
-// directory checksum is verified over the small section and page range
-// before decoding, so a basement-granular partial read of a torn or
-// corrupted node surfaces ErrChecksum.
-func loadBasementFrom(env *sim.Env, data []byte, b *basement, pb int) (err error) {
+// checkSpan reports ErrChecksum unless b's small section and page range
+// lie inside a node image of total bytes. The offsets come from a
+// checksum-verified directory, so only a bug or a corrupt image that beat
+// its checksum fails here; the check keeps such an image from panicking.
+func (b *basement) checkSpan(total int64) error {
+	if b.diskOff < baseHeaderSize || b.diskLen < 4 || int64(b.diskOff)+int64(b.diskLen) > total {
+		return fmt.Errorf("betree: basement small section out of bounds: %w", ErrChecksum)
+	}
+	if b.pageOff < 0 || b.pageLen < 0 || int64(b.pageOff)+int64(b.pageLen) > total {
+		return fmt.Errorf("betree: basement page range out of bounds: %w", ErrChecksum)
+	}
+	return nil
+}
+
+// decodeBasement materializes basement b from its two on-disk pieces:
+// small, its small section, and pages, its page range (which begins at
+// node offset b.pageOff). pb is the node's page-section base offset, taken
+// from the checksum-verified header. The basement's directory checksum is
+// verified over both pieces before decoding, so a basement-granular read
+// of a torn or corrupted node surfaces ErrChecksum. Every key and value is
+// copied out: the caller may reuse both buffers.
+func decodeBasement(small, pages []byte, b *basement, pb int) (err error) {
 	if b.loaded {
 		return nil
 	}
@@ -442,20 +494,14 @@ func loadBasementFrom(env *sim.Env, data []byte, b *basement, pb int) (err error
 			err = fmt.Errorf("betree: truncated basement: %w", ErrChecksum)
 		}
 	}()
-	if b.diskOff < baseHeaderSize || b.diskLen < 4 || b.diskOff+b.diskLen > len(data) {
-		return fmt.Errorf("betree: basement small section out of bounds: %w", ErrChecksum)
-	}
-	if b.pageLen < 0 || b.pageOff < 0 || b.pageOff+b.pageLen > len(data) {
-		return fmt.Errorf("betree: basement page range out of bounds: %w", ErrChecksum)
-	}
-	crc := crc32.ChecksumIEEE(data[b.diskOff : b.diskOff+b.diskLen])
-	if b.pageLen > 0 {
-		crc = crc32.Update(crc, crc32.IEEETable, data[b.pageOff:b.pageOff+b.pageLen])
+	crc := crc32.ChecksumIEEE(small)
+	if len(pages) > 0 {
+		crc = crc32.Update(crc, crc32.IEEETable, pages)
 	}
 	if crc != b.crc {
 		return fmt.Errorf("betree: basement at %d: %w", b.diskOff, ErrChecksum)
 	}
-	d := &nodeDecoder{data: data, pos: b.diskOff}
+	d := &nodeDecoder{data: small}
 	nEntries := int(d.u32())
 	prefix := d.keyed()
 	b.entries = make([]entry, 0, nEntries)
@@ -465,7 +511,7 @@ func loadBasementFrom(env *sim.Env, data []byte, b *basement, pb int) (err error
 		if len(prefix) > 0 {
 			k = append(append(make([]byte, 0, len(prefix)+len(suffix)), prefix...), suffix...)
 		}
-		v := d.value(data, pb)
+		v := d.value(pages, pb-b.pageOff)
 		b.entries = append(b.entries, entry{key: k, val: v})
 	}
 	b.loaded = true

@@ -159,7 +159,8 @@ func TestLeafShellPartialDecode(t *testing.T) {
 	}
 	// Load just one basement and verify its entries.
 	bi := len(shell) / 2
-	if err := loadBasementFrom(env, data, shell[bi], pageBase(data)); err != nil {
+	b := shell[bi]
+	if err := decodeBasement(data[b.diskOff:b.diskOff+b.diskLen], data[b.pageOff:b.pageOff+b.pageLen], b, pageBase(data)); err != nil {
 		t.Fatal(err)
 	}
 	want := n.basements[bi].entries
@@ -348,6 +349,73 @@ func TestCompressedStoreEndToEnd(t *testing.T) {
 		got, ok, _ := tr.Get(k(i))
 		if !ok || !bytes.Equal(got, v(i, 64)) {
 			t.Fatalf("key %d lost under compression", i)
+		}
+	}
+}
+
+// TestDecodeDoesNotAliasImage decodes node images and basements, then
+// overwrites the bytes they were decoded from: the decoded nodes must not
+// change, because full-image read buffers are recycled (imagePool) and a
+// basement's re-read reuses its buffer. It also checks encodedSizeBound.
+func TestDecodeDoesNotAliasImage(t *testing.T) {
+	env := sim.NewEnv(1)
+	cfg := DefaultConfig() // page sharing and lifting on
+	var entries []entry
+	for i := 0; i < 300; i++ {
+		size := 40
+		if i%3 == 0 {
+			size = alignedValueMin + i // lands in the aligned page section
+		}
+		entries = append(entries, entry{key: []byte(fmt.Sprintf("usr/share/doc/f%04d", i)), val: InlineValue(bytes.Repeat([]byte{byte(i)}, size))})
+	}
+	leaf := mkLeaf(entries, 16<<10)
+	interior := &node{id: 9, height: 1, children: []nodeID{10, 11}, pivots: [][]byte{[]byte("k020")}, bufs: make([]buffer, 2)}
+	for i := 0; i < 40; i++ {
+		interior.bufs[i/20].append(&Msg{Type: MsgInsert, MSN: MSN(i + 1), Key: []byte(fmt.Sprintf("k%03d", i)), Val: InlineValue(bytes.Repeat([]byte{byte(i)}, 100*i))})
+	}
+	overwrite := func(b []byte) {
+		for i := range b {
+			b[i] = 0xa5
+		}
+	}
+
+	for _, n := range []*node{leaf, interior} {
+		img := serializeNode(env, &cfg, n)
+		if bound := encodedSizeBound(&cfg, n); len(img) > bound || bound >= len(img)+2*blockAlign+8 {
+			t.Errorf("height %d: encodedSizeBound %d, image %d bytes", n.height, bound, len(img))
+		}
+		want := append([]byte(nil), img...)
+		got, err := deserializeNode(env, &cfg, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overwrite(img)
+		if !bytes.Equal(serializeNode(env, &cfg, got), want) {
+			t.Errorf("height %d: decoded node changed when its image was overwritten", n.height)
+		}
+	}
+
+	img := serializeNode(env, &cfg, leaf)
+	shell, _, err := decodeLeafShell(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bi, b := range shell {
+		small := append([]byte(nil), img[b.diskOff:b.diskOff+b.diskLen]...)
+		pages := append([]byte(nil), img[b.pageOff:b.pageOff+b.pageLen]...)
+		if err := decodeBasement(small, pages, b, pageBase(img)); err != nil {
+			t.Fatal(err)
+		}
+		overwrite(small)
+		overwrite(pages)
+		want := leaf.basements[bi].entries
+		if len(b.entries) != len(want) {
+			t.Fatalf("basement %d: %d entries, want %d", bi, len(b.entries), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(b.entries[i].key, want[i].key) || !bytes.Equal(b.entries[i].val.Bytes(), want[i].val.Bytes()) {
+				t.Fatalf("basement %d entry %d changed when its buffers were overwritten", bi, i)
+			}
 		}
 	}
 }

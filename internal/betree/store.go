@@ -147,6 +147,11 @@ type storeMetrics struct {
 	queryScan     *metrics.Counter
 	retryCorrupt  *metrics.Counter
 
+	// bytesReadInterior and bytesReadLeaf split bytesRead by node kind;
+	// leaf bytes include whole leaves, leaf shells and basements.
+	bytesReadInterior *metrics.Counter
+	bytesReadLeaf     *metrics.Counter
+
 	defectGrown    *metrics.Counter
 	defectBytes    *metrics.Counter
 	defectRelocate *metrics.Counter
@@ -193,6 +198,9 @@ func resolveStoreMetrics(reg *metrics.Registry) storeMetrics {
 		queryGet:      reg.Counter("betree.query.get"),
 		queryScan:     reg.Counter("betree.query.scan"),
 		retryCorrupt:  reg.Counter("io.retry.corrupt"),
+
+		bytesReadInterior: reg.Counter("betree.bytes.read.interior"),
+		bytesReadLeaf:     reg.Counter("betree.bytes.read.leaf"),
 
 		defectGrown:    reg.Counter("io.defect.grown"),
 		defectBytes:    reg.Counter("io.defect.bytes"),
@@ -306,7 +314,7 @@ func (s *Store) unlatchExcl(n *node) {
 }
 
 type pendingRead struct {
-	data []byte
+	img  *[]byte // from imagePool
 	wait stor.Wait
 }
 
@@ -713,13 +721,15 @@ func (s *Store) completeWrite(w *inflightWrite) error {
 // partialKey are read and materialized (§2.2 basement nodes). A corrupted
 // or torn image surfaces an error wrapping ErrChecksum rather than
 // garbage or a panic.
-func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (*node, error) {
+func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("betree: %s node %d: %w", t.name, id, err)
+		}
+	}()
 	ext, ok := t.bt.lookup(id)
 	if !ok {
-		return nil, fmt.Errorf("betree: %s node %d has no extent", t.name, id)
-	}
-	fail := func(err error) (*node, error) {
-		return nil, fmt.Errorf("betree: %s node %d: %w", t.name, id, err)
+		return nil, errors.New("no extent")
 	}
 	key := cacheKey{t, id}
 	s.pendingMu.Lock()
@@ -731,102 +741,93 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (*node, error) {
 	if havePending {
 		// A prefetch is in flight: wait for it instead of re-reading. A
 		// failed prefetch read falls back to a fresh synchronous read
-		// (decodeWithReread re-reads on checksum failure too).
+		// (decodeFull re-reads on checksum failure too).
 		if werr := pr.wait(); werr != nil {
-			if rerr := t.f.SubmitRead(pr.data, ext.off)(); rerr != nil {
-				return fail(rerr)
+			if rerr := t.f.SubmitRead(*pr.img, ext.off)(); rerr != nil {
+				return nil, rerr
 			}
 		}
 		atomic.AddInt64(&s.stats.PrefetchHits, 1)
 		s.m.prefetchHit.Inc()
-		n, err := s.decodeWithReread(t, ext, pr.data)
-		if err != nil {
-			return fail(err)
-		}
-		atomic.AddInt64(&s.stats.NodesRead, 1)
-		atomic.AddInt64(&s.stats.BytesRead, ext.len)
-		s.m.nodeRead.Inc()
-		s.m.bytesRead.Add(ext.len)
-		return n, nil
+		return s.decodeFull(t, ext, pr.img)
 	}
 
 	if partialKey != nil {
-		// Header region first.
+		// Header region first, into a buffer of just that size.
 		hlen := int64(headerRegion)
 		if hlen > ext.len {
 			hlen = ext.len
 		}
-		hdr := make([]byte, ext.len) // sparse image; only ranges read below are valid
-		if rerr := t.f.SubmitRead(hdr[:hlen], ext.off)(); rerr != nil {
-			return fail(rerr)
+		hdr := make([]byte, hlen)
+		if rerr := t.f.SubmitRead(hdr, ext.off)(); rerr != nil {
+			return nil, rerr
 		}
-		if s.cfg.Compression && binary.BigEndian.Uint32(hdr) == compressedMagic {
-			// Compressed nodes cannot be partially read: fetch the
-			// rest and inflate.
-			if ext.len > hlen {
-				if rerr := t.f.SubmitRead(hdr[hlen:], ext.off+hlen)(); rerr != nil {
-					return fail(rerr)
-				}
-			}
-			n, err := s.decodeWithReread(t, ext, hdr)
-			if err != nil {
-				return fail(err)
-			}
-			atomic.AddInt64(&s.stats.NodesRead, 1)
-			atomic.AddInt64(&s.stats.BytesRead, ext.len)
-			s.m.nodeRead.Inc()
-			s.m.bytesRead.Add(ext.len)
-			return n, nil
-		}
-		if binary.BigEndian.Uint32(hdr[4:]) == nodeMagic && binary.BigEndian.Uint32(hdr[8:]) == 0 {
-			basements, consumed, err := decodeLeafShell(hdr[:hlen])
-			if err == nil && consumed <= int(hlen) {
+		compressed := s.cfg.Compression && binary.BigEndian.Uint32(hdr) == compressedMagic
+		if !compressed && binary.BigEndian.Uint32(hdr[4:]) == nodeMagic && binary.BigEndian.Uint32(hdr[8:]) == 0 {
+			if basements, _, err := decodeLeafShell(hdr); err == nil {
 				n := &node{id: id, height: 0, basements: basements, pageBase: pageBase(hdr)}
-				atomic.AddInt64(&s.stats.NodesRead, 1)
 				atomic.AddInt64(&s.stats.PartialReads, 1)
-				atomic.AddInt64(&s.stats.BytesRead, hlen)
-				s.m.nodeRead.Inc()
 				s.m.nodePartial.Inc()
-				s.m.bytesRead.Add(hlen)
+				s.countNodeRead(n, hlen)
 				if err := s.loadBasement(t, n, ext, n.basementFor(s.env, partialKey)); err != nil {
-					return fail(err)
+					return nil, err
 				}
 				n.computeMemSize()
 				return n, nil
 			}
 		}
-		// Shell didn't fit in the header region (or failed its checksum);
-		// fall through to a full read of the remainder, whose whole-image
-		// checksum decides.
+		// Compressed nodes cannot be partially read, and a shell that did
+		// not fit in the header region (or failed its checksum) leaves the
+		// decision to the whole-image checksum: read the remainder.
+		img := getImage(ext.len)
+		copy(*img, hdr)
 		if ext.len > hlen {
-			if rerr := t.f.SubmitRead(hdr[hlen:], ext.off+hlen)(); rerr != nil {
-				return fail(rerr)
+			if rerr := t.f.SubmitRead((*img)[hlen:], ext.off+hlen)(); rerr != nil {
+				return nil, rerr
 			}
 		}
-		n, err := s.decodeWithReread(t, ext, hdr)
-		if err != nil {
-			return fail(err)
-		}
-		atomic.AddInt64(&s.stats.NodesRead, 1)
-		atomic.AddInt64(&s.stats.BytesRead, ext.len)
-		s.m.nodeRead.Inc()
-		s.m.bytesRead.Add(ext.len)
-		return n, nil
+		return s.decodeFull(t, ext, img)
 	}
 
-	data := make([]byte, ext.len)
-	if rerr := t.f.SubmitRead(data, ext.off)(); rerr != nil {
-		return fail(rerr)
+	img := getImage(ext.len)
+	if rerr := t.f.SubmitRead(*img, ext.off)(); rerr != nil {
+		return nil, rerr
 	}
-	n, err := s.decodeWithReread(t, ext, data)
-	if err != nil {
-		return fail(err)
+	return s.decodeFull(t, ext, img)
+}
+
+// imagePool recycles full node-image read buffers (*[]byte). Reuse is safe
+// because decoding copies every key and value out of the image.
+var imagePool sync.Pool
+
+// getImage returns a buffer of n bytes, pooled when one large enough is
+// available. Its contents are stale: callers fill every byte.
+func getImage(n int64) *[]byte {
+	if p, _ := imagePool.Get().(*[]byte); p != nil && int64(cap(*p)) >= n {
+		*p = (*p)[:n]
+		return p
 	}
+	b := make([]byte, n)
+	return &b
+}
+
+// countNodeRead counts one node read of bytes off the device.
+func (s *Store) countNodeRead(n *node, bytes int64) {
 	atomic.AddInt64(&s.stats.NodesRead, 1)
-	atomic.AddInt64(&s.stats.BytesRead, ext.len)
 	s.m.nodeRead.Inc()
-	s.m.bytesRead.Add(ext.len)
-	return n, nil
+	s.countBytesRead(n, bytes)
+}
+
+// countBytesRead adds bytes read for node n to betree.bytes.read and to
+// its interior or leaf share.
+func (s *Store) countBytesRead(n *node, bytes int64) {
+	atomic.AddInt64(&s.stats.BytesRead, bytes)
+	s.m.bytesRead.Add(bytes)
+	if n.isLeaf() {
+		s.m.bytesReadLeaf.Add(bytes)
+	} else {
+		s.m.bytesReadInterior.Add(bytes)
+	}
 }
 
 // decodeImage decompresses and deserializes a full node image.
@@ -838,69 +839,74 @@ func (s *Store) decodeImage(data []byte) (*node, error) {
 	return deserializeNode(s.env, &s.cfg, raw)
 }
 
-// decodeWithReread decodes a full node image, re-reading the extent once
-// when a checksum fails: a bit flip picked up in transfer (not on the
-// medium) yields a clean second read. Re-reads count in io.retry.corrupt;
-// a second failure is persistent corruption and surfaces ErrChecksum.
-func (s *Store) decodeWithReread(t *Tree, ext extent, data []byte) (*node, error) {
-	n, err := s.decodeImage(data)
-	if err == nil || !errors.Is(err, ErrChecksum) {
-		return n, err
+// decodeFull decodes the full node image in img, counts the read and
+// returns img to imagePool. A checksum failure re-reads the extent once:
+// a bit flip picked up in transfer (not on the medium) yields a clean
+// second read. Re-reads count in io.retry.corrupt; a second failure is
+// persistent corruption and surfaces ErrChecksum.
+func (s *Store) decodeFull(t *Tree, ext extent, img *[]byte) (*node, error) {
+	defer imagePool.Put(img)
+	n, err := s.decodeImage(*img)
+	if err != nil && errors.Is(err, ErrChecksum) {
+		s.m.retryCorrupt.Inc()
+		if rerr := t.f.SubmitRead(*img, ext.off)(); rerr != nil {
+			return nil, rerr
+		}
+		n, err = s.decodeImage(*img)
 	}
-	s.m.retryCorrupt.Inc()
-	if rerr := t.f.SubmitRead(data, ext.off)(); rerr != nil {
-		return nil, rerr
+	if err != nil {
+		return nil, err
 	}
-	return s.decodeImage(data)
+	s.countNodeRead(n, ext.len)
+	return n, nil
 }
 
 // loadBasement materializes basement bi of cached leaf n with a partial
-// disk read (small section + page section), verifying the basement's
-// directory checksum. A checksum failure is re-read once (see
-// decodeWithReread) before being reported as corruption.
+// disk read: its small section and its page range, read into one buffer
+// of exactly their size. The basement's directory checksum is verified,
+// and a failure is re-read once into the same buffer (see decodeFull)
+// before being reported as corruption.
 func (s *Store) loadBasement(t *Tree, n *node, ext extent, bi int) error {
 	b := n.basements[bi]
 	if b.loaded {
 		return nil
 	}
-	if b.diskOff < 0 || b.diskLen < 0 || b.pageOff < 0 || b.pageLen < 0 ||
-		int64(b.diskOff)+int64(b.diskLen) > ext.len || int64(b.pageOff)+int64(b.pageLen) > ext.len {
-		return fmt.Errorf("betree: %s node %d basement %d extent out of bounds: %w", t.name, n.id, bi, ErrChecksum)
+	fail := func(err error) error {
+		return fmt.Errorf("betree: %s node %d basement %d: %w", t.name, n.id, bi, err)
 	}
-	img := make([]byte, ext.len)
+	if err := b.checkSpan(ext.len); err != nil {
+		return fail(err)
+	}
+	buf := make([]byte, b.diskLen+b.pageLen)
+	small, pages := buf[:b.diskLen], buf[b.diskLen:]
 	readRanges := func() error {
-		if b.diskLen > 0 {
-			if rerr := t.f.SubmitRead(img[b.diskOff:b.diskOff+b.diskLen], ext.off+int64(b.diskOff))(); rerr != nil {
-				return rerr
-			}
+		if rerr := t.f.SubmitRead(small, ext.off+int64(b.diskOff))(); rerr != nil {
+			return rerr
 		}
 		if b.pageLen > 0 {
-			if rerr := t.f.SubmitRead(img[b.pageOff:b.pageOff+b.pageLen], ext.off+int64(b.pageOff))(); rerr != nil {
-				return rerr
-			}
+			return t.f.SubmitRead(pages, ext.off+int64(b.pageOff))()
 		}
 		return nil
 	}
 	if rerr := readRanges(); rerr != nil {
-		return fmt.Errorf("betree: %s node %d basement %d: %w", t.name, n.id, bi, rerr)
+		return fail(rerr)
 	}
 	s.env.Checksum(b.diskLen + b.pageLen)
 	s.env.Serialize(b.diskLen)
-	err := loadBasementFrom(s.env, img, b, n.pageBase)
+	err := decodeBasement(small, pages, b, n.pageBase)
 	if err != nil && errors.Is(err, ErrChecksum) {
 		s.m.retryCorrupt.Inc()
 		if rerr := readRanges(); rerr != nil {
-			return fmt.Errorf("betree: %s node %d basement %d: %w", t.name, n.id, bi, rerr)
+			return fail(rerr)
 		}
-		err = loadBasementFrom(s.env, img, b, n.pageBase)
+		err = decodeBasement(small, pages, b, n.pageBase)
 	}
 	if err != nil {
-		return fmt.Errorf("betree: %s node %d basement %d: %w", t.name, n.id, bi, err)
+		return fail(err)
 	}
 	atomic.AddInt64(&s.stats.BasementsRead, 1)
-	atomic.AddInt64(&s.stats.BytesRead, int64(b.diskLen+b.pageLen))
 	s.m.basementRead.Inc()
-	s.m.bytesRead.Add(int64(b.diskLen + b.pageLen))
+	s.countBytesRead(n, int64(len(buf)))
 	s.cache.resize(t, n)
 	return nil
 }
@@ -926,8 +932,8 @@ func (s *Store) prefetch(t *Tree, id nodeID) {
 	if !ok {
 		return
 	}
-	data := make([]byte, ext.len)
-	wait := t.f.SubmitRead(data, ext.off)
+	img := getImage(ext.len)
+	wait := t.f.SubmitRead(*img, ext.off)
 	s.pendingMu.Lock()
 	if _, raced := s.pending[key]; raced {
 		// Another goroutine issued the same prefetch between our check
@@ -935,9 +941,10 @@ func (s *Store) prefetch(t *Tree, id nodeID) {
 		// is discarded, so its error is irrelevant).
 		s.pendingMu.Unlock()
 		_ = wait()
+		imagePool.Put(img)
 		return
 	}
-	s.pending[key] = &pendingRead{data: data, wait: wait}
+	s.pending[key] = &pendingRead{img: img, wait: wait}
 	s.pendingMu.Unlock()
 	atomic.AddInt64(&s.stats.Prefetches, 1)
 	s.m.prefetchIssue.Inc()
@@ -1246,6 +1253,7 @@ func (s *Store) DropCleanCaches() (err error) {
 	s.pendingMu.Lock()
 	for k, pr := range s.pending {
 		_ = pr.wait() // prefetched data is being discarded
+		imagePool.Put(pr.img)
 		delete(s.pending, k)
 	}
 	s.pendingMu.Unlock()

@@ -145,24 +145,6 @@ func (r *Registry) Snapshot() metrics.Snapshot {
 	return snap
 }
 
-// ShareSnapshot returns the metrics snapshot of the machine hosting the
-// named share, for per-share `stats` in fsshell. The second result is
-// false if the share does not exist or its machine has no registry.
-func (r *Registry) ShareSnapshot(name string) (metrics.Snapshot, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var env *sim.Env
-	if s, ok := r.mounts[name]; ok {
-		env = s.env
-	} else if s, ok := r.stores[name]; ok {
-		env = s.env
-	}
-	if env == nil || env.Metrics == nil {
-		return metrics.Snapshot{}, false
-	}
-	return env.Metrics.Snapshot(), true
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
