@@ -1,13 +1,18 @@
 # Developer checks. `make check` is the gate a change must pass: static
-# analysis, a full build, the race-enabled test suite, a crash-
-# consistency smoke sweep over every file system plus the raw store, and
-# a machine-readable bench run whose JSON must validate.
+# analysis, a full build, the race-enabled test suite over every package,
+# the benchmark module's tests, fsck-style exit codes through a real
+# binary, and machine-readable bench runs whose JSON must validate.
+#
+# Tests run on whole packages, never through a -run filter, so a renamed
+# test cannot silently drop out of the gate: `race` runs every package,
+# and the other targets add what `go test` cannot check (binaries, exit
+# codes, bench documents).
 
 GO ?= go
 
-.PHONY: check vet build test race benchmod crashtest scrub repair faults bench-json serve servebench netfaults aging shard
+.PHONY: check vet build test race benchmod scrub repair faults bench-json serve servebench netfaults aging shard
 
-check: vet build race benchmod crashtest scrub repair faults serve servebench netfaults aging shard bench-json
+check: vet build race benchmod scrub repair faults serve servebench netfaults aging shard bench-json
 
 vet:
 	$(GO) vet ./...
@@ -20,10 +25,12 @@ test:
 
 # The race-enabled suite is the one `make check` gates on: the
 # concurrent-mode stress tests (internal/betree/concurrent_test.go, the
-# parallel bench runner tests) are the repo's data-race canaries and are
-# only meaningful under the race detector.
+# parallel bench runner tests, the fsserve/nettest serving tests) are the
+# repo's data-race canaries and are only meaningful under the race
+# detector. It also covers the crash sweeps, fault injection and the wire
+# goldens. -count=1 keeps the test cache from skipping it.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 # The benchmark module's own tests (about 5 s). The benchmark is a separate
 # Go module that `go test ./...` above never builds; it reaches into the
@@ -31,12 +38,6 @@ race:
 # table, so a change to one of them fails here.
 benchmod:
 	cd benchmark && $(GO) test ./...
-
-# Short crash sweep: prefix/torn/subset crash points on ext4, f2fs,
-# btrfs, betrfs-v0.6 and the SFL-backed store, checked against the
-# legal-states oracle.
-crashtest:
-	$(GO) test -race -short -v -run 'Crash|Reorder' ./internal/crashtest/ ./internal/extfs/ ./internal/logfs/ ./internal/cowfs/
 
 # Corruption detection end to end, with fsck-style exit codes: a clean
 # image passes (0), injected bit flips are reported as checksum
@@ -55,17 +56,14 @@ scrub:
 # exit codes pinned through a real binary: a -repair run over
 # recoverable damage (bad sectors under cached nodes, checksum flips)
 # relocates every image and exits 0, while the same damage without
-# -repair keeps the historical exit 3. The race-enabled sweep then
-# covers the library level across all five systems: scrub-driven
-# repair, write-path relocation, the disabled-relocation negative
-# controls, and the remap table's crash round-trip.
+# -repair keeps the historical exit 3. The library level (scrub-driven
+# repair, write-path relocation, the remap table's crash round-trip) is
+# in `race`.
 repair:
 	mkdir -p bin && $(GO) build -o bin/betrfsck ./cmd/betrfsck
 	./bin/betrfsck -mode=scrub -badsector=2 -seed=7 -repair > /dev/null
 	./bin/betrfsck -mode=scrub -corrupt=2 -seed=9 -repair > /dev/null
 	./bin/betrfsck -mode=scrub -badsector=2 -seed=7 > /dev/null 2>&1; test $$? -eq 3
-	$(GO) test -race -count=1 -run 'Repair|Relocat|ScrubHook|DefectRemap|RetryExhausted' \
-		./internal/faulttest/ ./internal/betree/ ./internal/crashtest/ ./internal/blockdev/
 
 # Deterministic fault-injection sweep (fixed seeds): transient faults
 # absorbed by retry, persistent write death degrading mounts read-only,
@@ -77,31 +75,17 @@ repair:
 faults:
 	$(GO) test -race -count=1 ./internal/faulttest/
 
-# Network file-service layer: protocol conformance (every wire op vs
-# the direct mount, identical statuses/attrs/data including EIO, ENOSPC
-# and EROFS mapping, across all five systems), backpressure (EBUSY shed
-# on a full queue, queue-wait deadline shed, graceful drain), and the
-# multi-client write-death contract under the race detector. Then a
-# deterministic serve-mode bench whose JSON must validate.
+# Network file-service layer (DESIGN.md §11; its conformance,
+# backpressure and drain tests are in `race`): a deterministic serve-mode
+# bench whose JSON must validate.
 serve:
-	$(GO) test -race -count=1 -run 'Conformance|Saturation|QueueWait|Drain|OverWire|Handle|Sessions|ServeDeterministic|ServeDoc|ServerWriteDeath' \
-		./internal/fsrpc/ ./internal/fsserve/ ./internal/faulttest/ ./internal/bench/
 	$(GO) run ./cmd/betrbench -serve -clients 4 -scale 256 -o BENCH_serve.json > /dev/null
 	$(GO) run ./cmd/betrbench -validate BENCH_serve.json
 
-# Async pipelined wire path (DESIGN.md §13): the multiplexing client
-# (out-of-order completion, window saturation, transport-death and
-# tag-mismatch poison, Reset), pipelined server execution (issue-order
-# writes per handle, per-directory namespace ordering, concurrent
-# sessions), the scatter-gather frame equivalence, the buffered bench
-# transport, the §13 spec drift tests, and the pinned deterministic
-# goldens — all under the race detector. Then a concurrent serve run
-# with the pipelined-vs-serialized comparison pass whose schema-v4
-# JSON must validate.
+# Async pipelined wire path (DESIGN.md §13; its client, server, spec
+# drift and golden tests are in `race`): a concurrent serve run with the
+# pipelined-vs-sync comparison pass whose schema-v4 JSON must validate.
 servebench:
-	$(GO) test -race -count=1 \
-		-run 'OutOfOrder|WindowSaturation|MidPipeline|TagMismatch|ResetRestarts|FrameParts|Pipelined|BufPipe|WireSpec|DocumentedMetrics|ServeGolden' \
-		./internal/fsrpc/ ./internal/fsserve/ ./internal/bench/
 	$(GO) run ./cmd/betrbench -serve -workers 8 -clients 4 -scale 256 \
 		-o BENCH_serve_pipe.json > /dev/null
 	$(GO) run ./cmd/betrbench -validate BENCH_serve_pipe.json
@@ -109,42 +93,27 @@ servebench:
 
 # Wire-level fault injection and session resumption (DESIGN.md §13.9):
 # the seeded multi-client torture sweep (mid-frame connection cuts vs a
-# fault-free oracle, byte-for-byte), the exactly-once replay tests
+# fault-free oracle, byte-for-byte) and the exactly-once replay tests
 # (DRC hits over re-execution, handle survival, typed lease expiry,
-# bounded redial give-up, PING keepalive), and the teardown races
-# (Reset/Close vs in-flight calls and the redial loop) — all only
-# meaningful under the race detector.
+# bounded redial give-up, PING keepalive) — all only meaningful under
+# the race detector.
 netfaults:
 	$(GO) test -race -count=1 ./internal/nettest/
-	$(GO) test -race -count=1 -run 'ResetRacesInFlightGo|CloseRacesRedialLoop' ./internal/fsrpc/
 
-# FTL aging rung (DESIGN.md §12): discard plumbing correctness under
-# the race detector — the crash sweeps over FTL-backed stacks, the
-# betree trim-queue rejection/two-generation tests, the FTL unit suite
-# — then the pinned write-amplification invariance test, and a fast
-# two-system aging run whose schema-v3 JSON must validate.
+# FTL aging rung (DESIGN.md §12; its discard, FTL and pinned
+# write-amplification tests are in `race`): a fast two-system aging run
+# whose schema-v3 JSON must validate.
 aging:
-	$(GO) test -race -count=1 -run 'Discard|Trim|WAF|GC|FTL|PassThrough|SequentialOverwrite|Composes|CountersDeterministic|SubPage' \
-		./internal/ftl/ ./internal/crashtest/ ./internal/betree/ ./internal/bench/
 	$(GO) run ./cmd/betrbench -aging -scale 4096 -systems f2fs,btrfs \
 		-o BENCH_aging_smoke.json > /dev/null
 	$(GO) run ./cmd/betrbench -validate BENCH_aging_smoke.json
 	rm -f BENCH_aging_smoke.json
 
-# Scale-out sharded service (DESIGN.md §14): the share registry and
-# block-class wire ops (ATTACH/BOPEN semantics, handle scoping, discard
-# forwarding), remote-vs-local blockstore equivalence (byte-identical
-# device images, identical EIO/ENOSPC surfacing through the wire), the
-# read cache's hit/miss/evict contract, the prefix shard map, the
-# 3-shard wire-vs-direct conformance suite, and the cross-shard
-# workload with per-shard metrics roll-up — all under the race
-# detector, plus the §14.3 spec drift test and the pinned deterministic
-# shard rung. Then a 3-shard bench run whose schema-v6 JSON must
+# Scale-out sharded service (DESIGN.md §14; its share registry,
+# blockstore equivalence, shard-map, conformance and pinned shard-rung
+# tests are in `race`): a 3-shard bench run whose schema-v6 JSON must
 # validate.
 shard:
-	$(GO) test -race -count=1 ./internal/blockstore/... ./internal/controlplane/
-	$(GO) test -race -count=1 -run 'OverWire|Shard|BlockClassSpec|Discard' \
-		./internal/fsserve/ ./internal/bench/
 	$(GO) run ./cmd/betrbench -shard -shards 3 -scale 2048 \
 		-o BENCH_shard_smoke.json > /dev/null
 	$(GO) run ./cmd/betrbench -validate BENCH_shard_smoke.json

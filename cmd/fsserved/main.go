@@ -37,17 +37,16 @@ import (
 )
 
 func main() {
+	def := fsserve.DefaultConfig()
 	addr := flag.String("addr", "127.0.0.1:9000", "TCP listen address")
 	fsName := flag.String("fs", "betrfs-v0.6", "file system: "+strings.Join(bench.Systems, ", "))
 	scale := flag.Int64("scale", bench.DefaultScale, "divide paper hardware sizes by this factor")
 	workers := flag.Int("workers", 2, "request worker goroutines (1 = serialized execution)")
-	queue := flag.Int("queue", 64, "admission queue depth; a full queue sheds requests with EBUSY")
+	queue := flag.Int("queue", def.QueueDepth, "admission queue depth; a full queue sheds requests with EBUSY")
 	queueWait := flag.Duration("queue-wait", 0, "max time a request may wait queued before being shed (0 = no deadline)")
-	maxHandles := flag.Int("max-handles", 128, "per-session open-handle cap (oldest evicted beyond it)")
-	directReads := flag.Bool("direct-reads", true, "execute read-class ops on the session reader, skipping the admission queue (DESIGN.md §13.5)")
-	inlineReplies := flag.Bool("inline-replies", false, "write each reply frame synchronously instead of batching through the session writer")
+	maxHandles := flag.Int("max-handles", def.MaxHandles, "per-session open-handle cap (oldest evicted beyond it)")
 	sessionLease := flag.Duration("session-lease", 2*time.Minute, "how long a disconnected named session (HELLO, DESIGN.md §13.9) survives without traffic before its handles close (0 = never expire)")
-	drcEntries := flag.Int("drc-entries", 256, "per-session duplicate-reply cache entries; must exceed the client window or slow replays are refused with ERETIRED")
+	drcEntries := flag.Int("drc-entries", def.DRCEntries, "per-session duplicate-reply cache entries; must exceed the client window or slow replays are refused with ERETIRED")
 	shares := flag.String("shares", "", "extra mount shares, comma-separated name=system pairs (clients ATTACH by name; the primary mount is always exported as \"fs\")")
 	blockShares := flag.String("block-shares", "", "block shares, comma-separated names; each exports a fresh FTL-backed device at -scale (clients BOPEN by name)")
 	flag.Parse()
@@ -60,15 +59,13 @@ func main() {
 	}
 	reg := buildRegistry(in, *scale, *shares, *blockShares)
 	cfg := fsserve.Config{
-		Workers:       *workers,
-		QueueDepth:    *queue,
-		QueueWait:     *queueWait,
-		MaxHandles:    *maxHandles,
-		DirectReads:   *directReads,
-		InlineReplies: *inlineReplies,
-		SessionLease:  *sessionLease,
-		DRCEntries:    *drcEntries,
-		Registry:      reg,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		QueueWait:    *queueWait,
+		MaxHandles:   *maxHandles,
+		SessionLease: *sessionLease,
+		DRCEntries:   *drcEntries,
+		Registry:     reg,
 	}
 	srv := fsserve.New(in.Env, in.Mount, cfg)
 

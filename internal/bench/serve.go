@@ -27,17 +27,15 @@ import (
 // requests execute in a fixed order and the latency histogram (hence the
 // reported percentiles) is bit-identical run to run at a fixed seed.
 //
-// With workers > 1 the run measures the pipelined wire path against the
-// synchronous baseline in the same invocation (EXPERIMENTS.md "Pipelined
-// serve"). Both passes use the same topology — one connection per bench
-// client, shared by that client's `streams` concurrent scripts — and the
-// same scripts with the same total concurrency. The baseline pass caps
-// each connection at window 1 against an InlineReplies server (the
-// pre-pipeline wire path: one call at a time per connection); the
-// pipelined pass opens the full async window against the batched/
-// zero-copy server, so the same streams' calls overlap in flight.
-// Per-call wall latency is collected client-side (pipe_p50/pipe_p99 vs
-// sync_p50/sync_p99).
+// With workers > 1 the run measures pipelining against a synchronous
+// client in the same invocation (EXPERIMENTS.md "Pipelined serve"). Both
+// passes use the same server, the same topology — one connection per
+// bench client, shared by that client's `streams` concurrent scripts —
+// and the same scripts with the same total concurrency. The sync pass
+// caps each connection at window 1 (one call at a time per connection);
+// the pipelined pass opens the full async window, so the same streams'
+// calls overlap in flight. Per-call wall latency is collected client-side
+// (pipe_p50/pipe_p99 vs sync_p50/sync_p99).
 
 // ServeSystems lists the systems the serve bench sweeps: the five
 // fault-injection stacks (one representative per FS family plus both
@@ -65,7 +63,7 @@ type ServeResult struct {
 
 	PipeP50  int64 // client-observed wall latency, pipelined pass, ns
 	PipeP99  int64
-	SyncP50  int64 // client-observed wall latency, synchronous baseline, ns
+	SyncP50  int64 // client-observed wall latency, window-1 sync pass, ns
 	SyncP99  int64
 	SyncOps  int64
 	SyncWall time.Duration
@@ -388,14 +386,13 @@ const servePipeReadRounds = 4
 const serveWarmup = 5
 
 // runServeTrial runs one full driving pass — every stream's script to
-// completion — over a fresh instance of system, in either the synchronous
-// baseline configuration (window-1 client, InlineReplies server: the
-// pre-pipeline write path) or the pipelined one (async full-window
-// client, batched/zero-copy server). The topology is identical in both —
-// one shared connection per bench client carrying all of that client's
-// streams — so the comparison isolates exactly the wire machinery under
-// test: whether calls on one connection can overlap. Workload and total
-// concurrency are identical too.
+// completion — over a fresh instance of system, with either a window-1
+// client (the sync pass) or the full async window (the pipelined pass).
+// The server and the topology are identical in both — one shared
+// connection per bench client carrying all of that client's streams — so
+// the comparison isolates pipelining alone: whether calls on one
+// connection can overlap. Workload and total concurrency are identical
+// too.
 // It returns the phase result plus the instance's final snapshot and
 // consumed simulated time.
 func runServeTrial(system string, scale int64, clients, streams, workers, files int, payload []byte, pipelined bool) (phaseResult, metrics.Snapshot, time.Duration) {
@@ -405,27 +402,24 @@ func runServeTrial(system string, scale int64, clients, streams, workers, files 
 	in := BuildConcurrent(system, scale, workers)
 	cfg := fsserve.DefaultConfig()
 	cfg.Workers = workers
-	cfg.InlineReplies = !pipelined
 	srv := fsserve.New(in.Env, in.Mount, cfg)
 	var cls []*serveClient
 	var conns []*fsrpc.Client
 	for c := 0; c < clients; c++ {
 		// One connection per bench client, shared by all of its streams —
-		// in both modes. The synchronous baseline caps that connection at
-		// window 1, so a client's streams serialize on the wire exactly as
-		// they did with the pre-pipeline one-call-at-a-time client; the
-		// pipelined mode opens the full window and the same streams' calls
-		// interleave in flight over the same single connection. The
-		// transport is the buffered duplex (wirebuf.go), not net.Pipe, so
-		// frame writes behave like socket writes instead of rendezvous.
+		// in both modes. The sync pass caps that connection at window 1, so
+		// a client's streams serialize on the wire; the pipelined pass opens
+		// the full window and the same streams' calls interleave in flight
+		// over the same single connection. The transport is the buffered
+		// duplex (wirebuf.go), not net.Pipe, so frame writes behave like
+		// socket writes instead of rendezvous.
 		cliEnd, srvEnd := bufPipe()
 		go srv.ServeConn(srvEnd)
-		var cli *fsrpc.Client
-		if pipelined {
-			cli = fsrpc.NewClientOpts(cliEnd, fsrpc.Options{Metrics: in.Env.Metrics})
-		} else {
-			cli = fsrpc.NewClientOpts(cliEnd, fsrpc.Options{Window: 1, Metrics: in.Env.Metrics})
+		opts := fsrpc.Options{Metrics: in.Env.Metrics}
+		if !pipelined {
+			opts.Window = 1
 		}
+		cli := fsrpc.NewClientOpts(cliEnd, opts)
 		conns = append(conns, cli)
 		for s := 0; s < streams; s++ {
 			// The fsync phase is the global stream index, so concurrent

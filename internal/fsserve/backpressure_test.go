@@ -2,6 +2,7 @@ package fsserve_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -13,19 +14,17 @@ import (
 )
 
 // parkableServer builds a server whose single worker parks inside
-// execute on the first STATFS request until gate is closed, signalling
-// on parked once it is stuck. Every other op passes straight through.
+// execute on every MKDIR until gate is closed, signalling on parked once
+// it is stuck. Every other op passes straight through. The tests park and
+// queue mutations because only mutations go through the admission queue;
+// read-class ops run on the session reader.
 func parkableServer(t *testing.T, cfg fsserve.Config) (in *bench.Instance, srv *fsserve.Server, release func(), parked chan struct{}) {
 	t.Helper()
 	in = bench.BuildConcurrent("ext4", 256, 1)
-	// These tests drive read-class ops (STATFS/GETATTR) through the
-	// admission queue to exercise backpressure; the DirectReads fast path
-	// would serve them on the session reader and bypass it.
-	cfg.DirectReads = false
 	gate := make(chan struct{})
 	parked = make(chan struct{}, 4)
 	cfg.OnExecute = func(op fsrpc.Op) {
-		if op == fsrpc.OpStatfs {
+		if op == fsrpc.OpMkdir {
 			parked <- struct{}{}
 			<-gate
 		}
@@ -39,6 +38,11 @@ func parkableServer(t *testing.T, cfg fsserve.Config) (in *bench.Instance, srv *
 	t.Cleanup(release)
 	return in, srv, release, parked
 }
+
+// missing names a file in directory i, which no test creates: an UNLINK
+// of it is a mutation that queues on its own directory chain and fails
+// ENOENT once executed.
+func missing(i int) string { return fmt.Sprintf("d%d/f", i) }
 
 func waitCond(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -63,28 +67,22 @@ func TestSaturationShedsEBUSY(t *testing.T) {
 	in, srv, release, parked := parkableServer(t, cfg)
 
 	parkCli := dial(t, srv)
-	statfsErr := make(chan error, 1)
-	go func() {
-		_, err := parkCli.Statfs()
-		statfsErr <- err
-	}()
+	mkdirErr := make(chan error, 1)
+	go func() { mkdirErr <- parkCli.Mkdir("parked") }()
 	<-parked
 
 	// Two requests fit the queue while the worker is stuck.
 	queued := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		cli := dial(t, srv)
-		go func() {
-			_, err := cli.Getattr("missing")
-			queued <- err
-		}()
+		go func() { queued <- cli.Unlink(missing(i)) }()
 	}
 	depth := in.Env.Metrics.Gauge("fsserve.queue.depth")
 	waitCond(t, "queue to fill", func() bool { return depth.Load() == 2 })
 
 	// The third is shed synchronously with EBUSY.
 	shedCli := dial(t, srv)
-	if _, err := shedCli.Getattr("missing"); !errors.Is(err, fsrpc.ErrBusy) {
+	if err := shedCli.Unlink(missing(2)); !errors.Is(err, fsrpc.ErrBusy) {
 		t.Fatalf("request on full queue = %v, want EBUSY", err)
 	}
 	if got := in.Env.Metrics.Counter("fsserve.queue.shed").Load(); got < 1 {
@@ -93,12 +91,12 @@ func TestSaturationShedsEBUSY(t *testing.T) {
 
 	// Release the worker: the parked op and both queued ops complete.
 	release()
-	if err := <-statfsErr; err != nil {
-		t.Fatalf("parked statfs: %v", err)
+	if err := <-mkdirErr; err != nil {
+		t.Fatalf("parked mkdir: %v", err)
 	}
 	for i := 0; i < 2; i++ {
 		if err := <-queued; !errors.Is(err, vfs.ErrNotExist) {
-			t.Fatalf("queued getattr after release = %v, want ENOENT", err)
+			t.Fatalf("queued unlink after release = %v, want ENOENT", err)
 		}
 	}
 }
@@ -114,29 +112,23 @@ func TestQueueWaitShedsStaleRequests(t *testing.T) {
 	in, srv, release, parked := parkableServer(t, cfg)
 
 	parkCli := dial(t, srv)
-	statfsErr := make(chan error, 1)
-	go func() {
-		_, err := parkCli.Statfs()
-		statfsErr <- err
-	}()
+	mkdirErr := make(chan error, 1)
+	go func() { mkdirErr <- parkCli.Mkdir("parked") }()
 	<-parked
 
 	const stale = 3
 	queued := make(chan error, stale)
 	for i := 0; i < stale; i++ {
 		cli := dial(t, srv)
-		go func() {
-			_, err := cli.Getattr("missing")
-			queued <- err
-		}()
+		go func() { queued <- cli.Unlink(missing(i)) }()
 	}
 	depth := in.Env.Metrics.Gauge("fsserve.queue.depth")
 	waitCond(t, "queue to fill", func() bool { return depth.Load() == stale })
 	time.Sleep(20 * time.Millisecond) // let every queued request expire
 	release()
 
-	if err := <-statfsErr; err != nil {
-		t.Fatalf("parked statfs: %v", err)
+	if err := <-mkdirErr; err != nil {
+		t.Fatalf("parked mkdir: %v", err)
 	}
 	for i := 0; i < stale; i++ {
 		if err := <-queued; !errors.Is(err, fsrpc.ErrBusy) {
@@ -158,11 +150,8 @@ func TestGracefulDrain(t *testing.T) {
 	in, srv, release, parked := parkableServer(t, cfg)
 
 	parkCli := dial(t, srv)
-	statfsErr := make(chan error, 1)
-	go func() {
-		_, err := parkCli.Statfs()
-		statfsErr <- err
-	}()
+	mkdirErr := make(chan error, 1)
+	go func() { mkdirErr <- parkCli.Mkdir("parked") }()
 	<-parked
 
 	lateCli := dial(t, srv) // connected before the drain begins
@@ -184,7 +173,7 @@ func TestGracefulDrain(t *testing.T) {
 	waitCond(t, "drain to start", func() bool { return drainCtr.Load() == 1 })
 
 	// While draining, new requests on existing connections get ESHUTDOWN.
-	if _, err := lateCli.Getattr("x"); !errors.Is(err, fsrpc.ErrShutdown) {
+	if err := lateCli.Mkdir("late"); !errors.Is(err, fsrpc.ErrShutdown) {
 		t.Fatalf("request while draining = %v, want ESHUTDOWN", err)
 	}
 	select {
@@ -195,8 +184,8 @@ func TestGracefulDrain(t *testing.T) {
 
 	// Releasing the worker lets the in-flight reply out and the drain end.
 	release()
-	if err := <-statfsErr; err != nil {
-		t.Fatalf("in-flight statfs reply lost during drain: %v", err)
+	if err := <-mkdirErr; err != nil {
+		t.Fatalf("in-flight mkdir reply lost during drain: %v", err)
 	}
 	<-done
 	if got := in.Env.Metrics.Counter("fsserve.drain.count").Load(); got != 1 {

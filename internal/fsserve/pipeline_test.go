@@ -2,7 +2,9 @@ package fsserve_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"betrfs/internal/bench"
 	"betrfs/internal/fsrpc"
 	"betrfs/internal/fsserve"
+	"betrfs/internal/vfs"
 )
 
 // pipelinedServer builds a 4-worker server over a concurrent mount — the
@@ -181,7 +184,6 @@ func TestPipelinedMkdirOrdersChildCreate(t *testing.T) {
 	in := bench.BuildConcurrent("betrfs-v0.6", 256, 4)
 	cfg := fsserve.DefaultConfig()
 	cfg.Workers = 4
-	cfg.ExecSlots = -1 // the parked MKDIR must not hold the only slot at GOMAXPROCS=1
 	createRan := make(chan struct{})
 	var overtook atomic.Bool
 	cfg.OnExecute = func(op fsrpc.Op) {
@@ -209,5 +211,51 @@ func TestPipelinedMkdirOrdersChildCreate(t *testing.T) {
 	}
 	if mk.Err != nil || cr.Err != nil {
 		t.Fatalf("mkdir d: %v; create d/f0: %v", mk.Err, cr.Err)
+	}
+}
+
+// TestParkedHookHoldsNoSlot parks a MKDIR in OnExecute at GOMAXPROCS=1,
+// where the execution gate has one slot, and checks that a GETATTR on the
+// same connection still replies: the hook runs before the gate, so a
+// parked hook cannot starve the reads the session reader executes.
+func TestParkedHookHoldsNoSlot(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	in := bench.BuildConcurrent("betrfs-v0.6", 256, 2)
+	cfg := fsserve.DefaultConfig()
+	cfg.Workers = 2
+	gate := make(chan struct{})
+	parked := make(chan struct{}, 1)
+	cfg.OnExecute = func(op fsrpc.Op) {
+		if op == fsrpc.OpMkdir {
+			parked <- struct{}{}
+			<-gate
+		}
+	}
+	srv := fsserve.New(in.Env, in.Mount, cfg)
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	// LIFO cleanup order: unpark the MKDIR before Shutdown drains it.
+	t.Cleanup(srv.Shutdown)
+	t.Cleanup(release)
+	cli := dial(t, srv)
+
+	mk := cli.Go(context.Background(), &fsrpc.Request{Op: fsrpc.OpMkdir, Path: "d"})
+	<-parked
+	got := make(chan error, 1)
+	go func() {
+		_, err := cli.Getattr("d")
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if !errors.Is(err, vfs.ErrNotExist) {
+			t.Fatalf("getattr d while MKDIR d is parked = %v, want ENOENT", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("deadlock: the parked MKDIR holds the only execution slot")
+	}
+	release()
+	if <-mk.Done(); mk.Err != nil {
+		t.Fatalf("mkdir d: %v", mk.Err)
 	}
 }

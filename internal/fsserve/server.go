@@ -62,32 +62,10 @@ type Config struct {
 	// is evicted (closed) beyond it. Default 128.
 	MaxHandles int
 	// OnExecute, when set, runs at the top of every execute call, before
-	// the op touches the mount. It exists for instrumentation and for the
-	// saturation/drain tests, which use it to park the worker
-	// deterministically. Leave nil in production.
+	// the op takes an execution slot or touches the mount. It exists for
+	// instrumentation and for the saturation/drain tests, which use it to
+	// park the worker deterministically. Leave nil in production.
 	OnExecute func(op fsrpc.Op)
-	// InlineReplies disables the per-session reply writer: workers encode
-	// and write each reply synchronously, one frame per write, with no
-	// batching or zero-copy framing. This is the pre-pipeline baseline;
-	// the serve benchmark uses it to measure the batched path against the
-	// old one in a single run. Leave false in production.
-	InlineReplies bool
-	// DirectReads executes chainless (read-class) requests on the session
-	// reader goroutine itself instead of handing them to the worker pool:
-	// LOOKUP/GETATTR/READ/READDIR/STATFS skip the queue handoff and reply
-	// from the same goroutine that decoded them. §13.5 already allows
-	// reads to complete out of order relative to queued mutations, so the
-	// only cost is that reads from one session no longer overlap each
-	// other — in exchange every read saves two scheduler handoffs, which
-	// dominates small-op latency. Mutations stay in the worker pool on
-	// purpose: they are the expensive op class, and executing them on the
-	// reader would head-of-line block every other request multiplexed on
-	// the connection behind one slow commit. Backpressure still exists:
-	// the reader cannot read ahead while executing, so a read-heavy
-	// session is naturally limited to one direct op in flight. Disabled
-	// automatically in the InlineReplies baseline, and by tests that need
-	// reads to traverse the admission queue.
-	DirectReads bool
 	// SessionLease is how long a named session (HELLO, DESIGN.md §13.9)
 	// survives without traffic: a detached session idle past the lease is
 	// expired — its handle table closes and a later HELLO with its token
@@ -104,18 +82,6 @@ type Config struct {
 	// LeaseNow replaces time.Now for lease bookkeeping. Tests use it to
 	// expire sessions deterministically; leave nil in production.
 	LeaseNow func() time.Time
-	// ExecSlots bounds how many requests execute against the mount at
-	// once, across the worker pool and the DirectReads fast path. The
-	// mount big lock serializes the FS work regardless, so slots beyond
-	// the CPU count buy no overlap — they only pile waiters onto the
-	// mutex, whose barging hand-off lets an unlucky request wait out the
-	// full 1ms starvation threshold under load. The gate is a channel
-	// semaphore, so waiters queue FIFO and the execution tail is bounded
-	// by queue depth instead. 0 (the default) sizes the gate to
-	// GOMAXPROCS; negative disables it. Chain waits happen before the
-	// gate, so a slot is never held by a request waiting on a
-	// predecessor.
-	ExecSlots int
 	// Registry names the shares this server exports (DESIGN.md §14.2):
 	// mount shares a client ATTACHes to and block shares a client BOPENs.
 	// Nil leaves the server single-mount (BOPEN/ATTACH answer ENOENT and
@@ -125,7 +91,7 @@ type Config struct {
 
 // DefaultConfig returns the deterministic single-worker configuration.
 func DefaultConfig() Config {
-	return Config{Workers: 1, QueueDepth: 64, MaxHandles: 128, DirectReads: true}
+	return Config{}.withDefaults()
 }
 
 func (c Config) withDefaults() Config {
@@ -230,8 +196,17 @@ type Server struct {
 	cfg   Config
 	m     serveMetrics
 
-	queue    chan *task
-	gate     chan struct{} // FIFO execution gate (Config.ExecSlots); nil when disabled
+	queue chan *task
+	// gate bounds how many requests execute against the mount at once,
+	// across the worker pool and the session readers, to GOMAXPROCS. The
+	// mount big lock serializes the FS work regardless, so more would buy
+	// no overlap — only pile waiters onto the mutex, whose barging
+	// hand-off lets an unlucky request wait out the full 1ms starvation
+	// threshold under load. A channel semaphore queues waiters FIFO, so
+	// the execution tail is bounded by queue depth instead. Chain waits
+	// happen before the gate, so a slot is never held by a request
+	// waiting on a predecessor.
+	gate     chan struct{}
 	workerWG sync.WaitGroup
 	inflight sync.WaitGroup
 
@@ -259,15 +234,9 @@ func New(env *sim.Env, mount *vfs.Mount, cfg Config) *Server {
 		cfg:      cfg,
 		m:        resolveServeMetrics(env.Metrics),
 		queue:    make(chan *task, cfg.QueueDepth),
+		gate:     make(chan struct{}, runtime.GOMAXPROCS(0)),
 		sessions: make(map[*session]struct{}),
 		named:    make(map[string]*sessState),
-	}
-	slots := cfg.ExecSlots
-	if slots == 0 {
-		slots = runtime.GOMAXPROCS(0)
-	}
-	if slots > 0 {
-		s.gate = make(chan struct{}, slots)
 	}
 	s.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -336,32 +305,38 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 		if s.cfg.SessionLease > 0 {
 			sess.touch(s.now())
 		}
-		if s.cfg.DirectReads && !sess.inline {
-			if _, n := chainKeys(req); n == 0 {
-				if st := s.serveDirect(sess, req); st != fsrpc.StatusOK {
-					s.m.statusErr.Inc()
-					sess.sendReply(&fsrpc.Reply{Op: req.Op, Tag: req.Tag, Status: st}, nil, nil)
-				}
-				continue
-			}
+		var st fsrpc.Status
+		if _, n := chainKeys(req); n == 0 {
+			st = s.serveDirect(sess, req)
+		} else if st = s.admit(&task{sess: sess, req: req, enqueued: time.Now()}); st == fsrpc.StatusBusy {
+			s.m.queueShed.Inc()
 		}
-		if st := s.admit(&task{sess: sess, req: req, enqueued: time.Now()}); st != fsrpc.StatusOK {
-			if st == fsrpc.StatusBusy {
-				s.m.queueShed.Inc()
-			}
+		if st != fsrpc.StatusOK {
 			s.m.statusErr.Inc()
 			sess.sendReply(&fsrpc.Reply{Op: req.Op, Tag: req.Tag, Status: st}, nil, nil)
 		}
 	}
 }
 
-// serveDirect is the DirectReads request fast path: execute a chainless
-// request on the calling (session reader) goroutine and stage its reply.
+// serveDirect executes a chainless (read-class) request on the calling
+// session reader goroutine and stages its reply:
+// LOOKUP/GETATTR/READ/READDIR/STATFS skip the queue handoff and reply from
+// the goroutine that decoded them. §13.5 already allows reads to complete
+// out of order relative to queued mutations, so the only cost is that
+// reads from one session do not overlap each other — in exchange every
+// read saves two scheduler handoffs, which dominates small-op latency.
+// Mutations stay in the worker pool on purpose: they are the expensive op
+// class, and executing them on the reader would head-of-line block every
+// other request multiplexed on the connection behind one slow commit.
+// Backpressure still exists: the reader cannot read ahead while
+// executing, so a read-heavy session is limited to one direct op in
+// flight.
+//
 // Accounting mirrors admit/worker exactly — the inflight count is raised
 // under the state lock so Shutdown's drain barrier cannot miss it, and
 // the pipeline-depth sample and gauge decrements are identical — so the
-// metric catalog cannot tell fast-path ops from pooled ones except
-// through fsserve.queue.depth, which direct ops never touch.
+// metric catalog cannot tell direct ops from pooled ones except through
+// fsserve.queue.depth, which direct ops never touch.
 func (s *Server) serveDirect(sess *session, req *fsrpc.Request) fsrpc.Status {
 	s.mu.Lock()
 	if s.state != stateServing {
@@ -574,13 +549,11 @@ func (s *Server) executeOp(sess *session, q *fsrpc.Request) (rep *fsrpc.Reply, d
 			data = nil
 		}
 	}()
-	if s.gate != nil {
-		s.gate <- struct{}{}
-		defer func() { <-s.gate }()
-	}
 	if s.cfg.OnExecute != nil {
 		s.cfg.OnExecute(q.Op)
 	}
+	s.gate <- struct{}{}
+	defer func() { <-s.gate }()
 	s.m.opCount.Inc()
 	if c := s.m.perOp[q.Op]; c != nil {
 		c.Inc()

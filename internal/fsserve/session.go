@@ -28,9 +28,8 @@ var hdrBufPool = sync.Pool{New: func() any {
 }}
 
 // maxPendingReplies bounds the per-session outgoing reply queue. A
-// producer (worker or the session reader's shed path) blocks once the
-// slow client's queue is full — the same backpressure the old inline
-// write gave, now decoupled from frame assembly.
+// producer (worker or session reader) blocks once the slow client's
+// queue is full, so a client that stops reading backpressures the server.
 const maxPendingReplies = 256
 
 // outReply is one reply staged for the session writer: pre-framed
@@ -85,9 +84,8 @@ func (o *outReply) finish(srv *Server, wrote bool) {
 // keeps a misbehaving client from pinning unbounded server memory while
 // sparing well-behaved clients an extra round trip per file.
 type session struct {
-	srv    *Server
-	rw     io.ReadWriteCloser
-	inline bool // InlineReplies: write replies synchronously, no writer
+	srv *Server
+	rw  io.ReadWriteCloser
 
 	wmu        sync.Mutex
 	wcond      *sync.Cond // pending gained replies, or closing
@@ -133,10 +131,10 @@ type session struct {
 
 func newSession(srv *Server, rw io.ReadWriteCloser) *session {
 	s := &session{
-		srv:    srv,
-		rw:     rw,
-		inline: srv.cfg.InlineReplies,
-		chains: make(map[uint64]chan struct{}),
+		srv:        srv,
+		rw:         rw,
+		chains:     make(map[uint64]chan struct{}),
+		writerDone: make(chan struct{}),
 	}
 	s.st.Store(newSessState(srv.cfg.DRCEntries))
 	if srv.mount != nil {
@@ -144,10 +142,7 @@ func newSession(srv *Server, rw io.ReadWriteCloser) *session {
 	}
 	s.wcond = sync.NewCond(&s.wmu)
 	s.wspace = sync.NewCond(&s.wmu)
-	if !s.inline {
-		s.writerDone = make(chan struct{})
-		go s.writer()
-	}
+	go s.writer()
 	return s
 }
 
@@ -197,7 +192,7 @@ func chainKeys(q *fsrpc.Request) (keys [2]uint64, n int) {
 		// write→flush applies in issue order. Block and file handles are
 		// separate id spaces sharing one chain-key space; a collision
 		// only over-serializes, never misorders. BREAD stays chainless
-		// (DirectReads fast path), like READ.
+		// (run on the session reader), like READ.
 		keys[0] = q.Handle | handleKeyBit
 		return keys, 1
 	case fsrpc.OpCreate, fsrpc.OpUnlink:
@@ -324,20 +319,10 @@ func (s *session) bget(id uint64) (blockstore.Store, bool) {
 	return st, ok
 }
 
-// sendReply hands one reply to the session writer (or writes it inline in
-// InlineReplies mode). data is the pooled READ buffer the reply references,
-// nil otherwise; done runs exactly once, after the write attempt.
+// sendReply hands one reply to the session writer. data is the pooled
+// READ buffer the reply references, nil otherwise; done runs exactly once,
+// after the write attempt.
 func (s *session) sendReply(r *fsrpc.Reply, data *[]byte, done func()) {
-	if s.inline {
-		s.writeInline(r)
-		if data != nil {
-			readBufPool.Put(data)
-		}
-		if done != nil {
-			done()
-		}
-		return
-	}
 	hdr := hdrBufPool.Get().(*[]byte)
 	segs, zc, err := r.FrameParts((*hdr)[:0])
 	if err != nil {
@@ -390,24 +375,6 @@ func (s *session) sendReply(r *fsrpc.Reply, data *[]byte, done func()) {
 	s.pending = append(s.pending, o)
 	s.wcond.Signal()
 	s.wmu.Unlock()
-}
-
-// writeInline is the InlineReplies (synchronous-baseline) write path:
-// encode, copy, one frame per write, serialized on wmu — the pre-pipeline
-// behavior, kept so the serve bench can measure the old path against the
-// batched one in the same binary.
-func (s *session) writeInline(r *fsrpc.Reply) {
-	payload := r.Encode()
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if s.broken || s.wclosed {
-		return
-	}
-	if err := fsrpc.WriteFrame(s.rw, payload); err != nil {
-		s.broken = true
-		return
-	}
-	s.srv.m.respBytes.Add(int64(len(payload)) + 4)
 }
 
 // writer drains the pending reply queue: each pass takes every staged
@@ -465,9 +432,6 @@ func (s *session) writer() {
 // session broke/closed). The reader uses it before tearing a connection
 // down for a protocol error, so the best-effort EPROTO reply gets out.
 func (s *session) flush() {
-	if s.inline {
-		return
-	}
 	s.wmu.Lock()
 	for (len(s.pending) > 0 || s.writing) && !s.wclosed && !s.broken {
 		s.wspace.Wait()
@@ -488,9 +452,7 @@ func (s *session) close() {
 	s.wspace.Broadcast()
 	s.wmu.Unlock()
 	s.rw.Close() // unblocks a writer stuck mid-flush
-	if !s.inline {
-		<-s.writerDone
-	}
+	<-s.writerDone
 	if st := s.state(); st.tok() == "" {
 		st.closeHandles()
 	}

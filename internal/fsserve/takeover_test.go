@@ -1,6 +1,9 @@
 package fsserve_test
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -11,6 +14,7 @@ import (
 	"betrfs/internal/fsrpc"
 	"betrfs/internal/fsserve"
 	"betrfs/internal/metrics"
+	"betrfs/internal/vfs"
 )
 
 // rawConn drives the wire protocol frame by frame over one connection —
@@ -73,8 +77,7 @@ func TestQueuedMutationFromTakenOverConnHitsSharedDRC(t *testing.T) {
 	gate := make(chan struct{})
 	parked := make(chan struct{}, 1)
 	var park atomic.Bool
-	cfg := fsserve.DefaultConfig() // Workers=1, DirectReads on
-	cfg.ExecSlots = -1             // HELLO must not wait behind the parked worker
+	cfg := fsserve.DefaultConfig() // Workers=1
 	cfg.OnExecute = func(op fsrpc.Op) {
 		if op == fsrpc.OpMkdir && park.CompareAndSwap(true, false) {
 			parked <- struct{}{}
@@ -182,44 +185,53 @@ func TestAttachedSessionIsTakenOverNotExpired(t *testing.T) {
 	}
 }
 
-// TestHelloPromoteRacesPipelinedTraffic drives chainless traffic — which
-// makes the session reader stamp the lease clock, reading the state's
-// token — while HELLO promotes the anonymous state on a worker, naming it
-// in place. Run under -race this pins that the promotion publishes the
-// token safely.
+// TestHelloPromoteRacesPipelinedTraffic runs HELLO's in-place promotion
+// of the anonymous state — a token write on the session reader — while
+// pipelined sequenced mutations sit on workers that have already read the
+// token to decide whether the duplicate-reply cache applies. Run under
+// -race this pins that the promotion publishes the token safely.
 func TestHelloPromoteRacesPipelinedTraffic(t *testing.T) {
-	in := bench.Build("betrfs-v0.6", 256)
+	in := bench.BuildConcurrent("betrfs-v0.6", 256, 4)
 	cfg := fsserve.DefaultConfig()
 	cfg.Workers = 4
-	cfg.DirectReads = false // HELLO and reads run on workers, concurrently
 	cfg.SessionLease = time.Minute
+	gate := make(chan struct{})
+	cfg.OnExecute = func(op fsrpc.Op) {
+		if op == fsrpc.OpUnlink {
+			<-gate
+		}
+	}
 	srv := fsserve.New(in.Env, in.Mount, cfg)
-	defer srv.Shutdown()
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	// LIFO cleanup order: unpark the workers before Shutdown drains them.
+	t.Cleanup(srv.Shutdown)
+	t.Cleanup(release)
 
 	cliEnd, srvEnd := net.Pipe()
 	go srv.ServeConn(srvEnd)
 	cli := fsrpc.NewClientOpts(cliEnd, fsrpc.Options{Window: 8})
 	t.Cleanup(func() { cli.Close() })
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_, _ = cli.Getattr("nope")
-		}
-	}()
+	// One mutation per worker, each on its own directory chain: every
+	// worker reads the token, then parks in the hook. The test gives them
+	// time to get there instead of waiting for a signal, which would order
+	// their reads before the HELLO and hide a missing lock.
+	var calls []*fsrpc.Call
+	for i := 0; i < cfg.Workers; i++ {
+		q := &fsrpc.Request{Op: fsrpc.OpUnlink, Seq: uint64(1000 + i), Path: fmt.Sprintf("d%d/f", i)}
+		calls = append(calls, cli.Go(context.Background(), q))
+	}
+	time.Sleep(20 * time.Millisecond)
 	if err := cli.Hello(); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
-	close(stop)
-	wg.Wait()
+	release()
+	for _, c := range calls {
+		if <-c.Done(); !errors.Is(c.Err, vfs.ErrNotExist) {
+			t.Fatalf("unlink %s = %v, want ENOENT", c.Req.Path, c.Err)
+		}
+	}
 	if err := cli.Mkdir("after"); err != nil {
 		t.Fatalf("mkdir on the promoted session: %v", err)
 	}

@@ -258,7 +258,6 @@ func tortureServer() (*bench.Instance, *fsserve.Server) {
 	cfg := fsserve.DefaultConfig()
 	cfg.Workers = 2
 	cfg.QueueDepth = 1024 // no shedding: every acknowledged op must land
-	cfg.DirectReads = true
 	cfg.SessionLease = time.Hour // long: the sweep tests cuts, not expiry
 	srv := fsserve.New(in.Env, in.Mount, cfg)
 	return in, srv
