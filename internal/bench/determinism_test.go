@@ -16,17 +16,17 @@ import (
 var goldenMicro2048 = []MicroResults{
 	{
 		System:  "betrfs-v0.4",
-		SeqRead: 324.12785247771063, SeqWrite: 66.16127563991681,
-		Rand4K: 91.85451422141641, Rand4B: 0.8698852562731662,
-		TokuBench: 47.50774962053022,
-		Grep:      0.101658949, Rm: 0.44478626099999996, Find: 0.002773996,
+		SeqRead: 532.2403629347165, SeqWrite: 66.11854018769964,
+		Rand4K: 91.74523761016123, Rand4B: 0.8484401316325035,
+		TokuBench: 47.41995138094575,
+		Grep:      0.056302333, Rm: 0.444738183, Find: 0.002773996,
 	},
 	{
 		System:  "betrfs-v0.6",
-		SeqRead: 651.196554479046, SeqWrite: 221.24096021365202,
-		Rand4K: 106.54223516825695, Rand4B: 1.1260827824801753,
-		TokuBench: 60.16142988267534,
-		Grep:      0.055850422, Rm: 0.06683188, Find: 0.00171564,
+		SeqRead: 759.8895243468967, SeqWrite: 220.90283280344374,
+		Rand4K: 106.53151369496189, Rand4B: 1.0904045464758316,
+		TokuBench: 60.02070222253708,
+		Grep:      0.033174724, Rm: 0.066783802, Find: 0.00171564,
 	},
 }
 

@@ -62,7 +62,7 @@ func (t *Tree) injectRoot(m *Msg) (size, limit int) {
 		return root.leafBytes(), s.cfg.NodeSize
 	}
 	ci := root.childFor(s.env, m.Key)
-	root.bufs[ci].appendCharged(s.alloc, m)
+	root.bufs[ci].add(s.env, s.alloc, m)
 	if m.Type == MsgRangeDelete {
 		t.routeRangeMsg(root, m, ci)
 	}

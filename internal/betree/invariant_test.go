@@ -15,7 +15,8 @@ import (
 //  2. every child's keys (pivots, buffered messages, leaf entries) lie
 //     within the key range its parent's pivots assign to it;
 //  3. leaf entries are strictly sorted;
-//  4. buffered messages are in ascending MSN order per child buffer;
+//  4. each child buffer's index is in order: point messages by (key,
+//     MSN), range deletes by MSN, and its byte count matches;
 //  5. interior node heights decrease by one per level.
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
@@ -61,17 +62,11 @@ func checkInvariants(t *testing.T, tr *Tree) {
 		}
 		for ci := range n.children {
 			clo, chi := n.childRange(ci, lo, hi)
-			var prevMSN MSN
-			for _, m := range n.bufs[ci].msgs {
-				if m.MSN < prevMSN {
-					t.Fatalf("node %d child %d: buffer MSNs out of order", id, ci)
-				}
-				prevMSN = m.MSN
-				if m.Type != MsgRangeDelete {
-					if clo != nil && keys.Compare(m.Key, clo) < 0 ||
-						chi != nil && keys.Compare(m.Key, chi) >= 0 {
-						t.Fatalf("node %d child %d: message key %q outside child range", id, ci, m.Key)
-					}
+			checkBufferIndex(t, &n.bufs[ci])
+			for _, m := range n.bufs[ci].points {
+				if clo != nil && keys.Compare(m.Key, clo) < 0 ||
+					chi != nil && keys.Compare(m.Key, chi) >= 0 {
+					t.Fatalf("node %d child %d: message key %q outside child range", id, ci, m.Key)
 				}
 			}
 			walk(n.children[ci], clo, chi, n.height-1)

@@ -143,6 +143,27 @@ func (n *node) childFor(env *sim.Env, key []byte) int {
 	return lo
 }
 
+// cutRuns cuts key-sorted point messages into per-child runs with one
+// merge against the pivots, charging a comparison per message and per
+// pivot it passes: m + F in all, where routing each message by binary
+// search would charge m·⌈log₂ F⌉. Child ci's run is msgs[ends[ci-1]:ends[ci]].
+func (n *node) cutRuns(env *sim.Env, msgs []*Msg) (ends []int) {
+	ends = make([]int, len(n.children))
+	i := 0
+	for ci, p := range n.pivots {
+		for i < len(msgs) {
+			env.Compare(len(msgs[i].Key))
+			if keys.Compare(msgs[i].Key, p) >= 0 {
+				break
+			}
+			i++
+		}
+		ends[ci] = i
+	}
+	ends[len(n.pivots)] = len(msgs)
+	return ends
+}
+
 // childRange returns the key range [lo, hi) that child i covers, clipped
 // to the bounds the caller knows for this node (nil means unbounded).
 func (n *node) childRange(i int, lo, hi []byte) (clo, chi []byte) {
@@ -305,7 +326,7 @@ func cloneForSharedApply(env *sim.Env, m *Msg) *Msg {
 // node is discarded from the cache.
 func (n *node) releaseRefs() {
 	for i := range n.bufs {
-		for _, m := range n.bufs[i].msgs {
+		for _, m := range n.bufs[i].points { // range deletes carry no value
 			m.Val.Release()
 		}
 	}

@@ -198,15 +198,20 @@ func serializeNode(env *sim.Env, cfg *Config, n *node) []byte {
 		for _, c := range n.children {
 			e.u64(uint64(c))
 		}
+		// Each buffer is stored in index order, point messages first, so
+		// decoding rebuilds the index in one pass.
 		for ci := range n.bufs {
-			e.u32(uint32(n.bufs[ci].len()))
-			for _, m := range n.bufs[ci].msgs {
-				e.u8(uint8(m.Type))
-				e.u64(uint64(m.MSN))
-				e.keyed(m.Key)
-				e.keyed(m.EndKey)
-				e.u32(uint32(m.Off))
-				encValue(m.Val)
+			b := &n.bufs[ci]
+			e.u32(uint32(b.len()))
+			for _, list := range [2][]*Msg{b.points, b.ranges} {
+				for _, m := range list {
+					e.u8(uint8(m.Type))
+					e.u64(uint64(m.MSN))
+					e.keyed(m.Key)
+					e.keyed(m.EndKey)
+					e.u32(uint32(m.Off))
+					encValue(m.Val)
+				}
 			}
 		}
 		// Page section for by-ref message values.
@@ -267,8 +272,10 @@ func encodedSizeBound(cfg *Config, n *node) int {
 	size += 8 * len(n.children)
 	for i := range n.bufs {
 		size += 4
-		for _, m := range n.bufs[i].msgs {
-			size += 1 + 8 + 2 + len(m.Key) + 2 + len(m.EndKey) + 4 + value(m.Val)
+		for _, list := range [2][]*Msg{n.bufs[i].points, n.bufs[i].ranges} {
+			for _, m := range list {
+				size += 1 + 8 + 2 + len(m.Key) + 2 + len(m.EndKey) + 4 + value(m.Val)
+			}
 		}
 	}
 	return size
@@ -375,9 +382,29 @@ func deserializeNode(env *sim.Env, cfg *Config, data []byte) (*node, error) {
 		env.Serialize(smallSpan(n.basements))
 		return n, nil
 	}
+	read, err := decodeInterior(n, data, count)
+	if err != nil {
+		return nil, err
+	}
+	env.Serialize(read)
+	n.computeMemSize()
+	return n, nil
+}
+
+// decodeInterior decodes an interior node's pivots, children and message
+// buffers from a checksum-verified image, returning the bytes it read. An
+// image that beat its checksum but is malformed — a count or length
+// running past the image, an unknown message type, a buffer out of index
+// order — surfaces ErrChecksum instead of a panic or a misordered index.
+func decodeInterior(n *node, data []byte, count int) (read int, err error) {
+	defer func() {
+		if recover() != nil {
+			read, err = 0, fmt.Errorf("betree: truncated interior node: %w", ErrChecksum)
+		}
+	}()
 	d := &nodeDecoder{data: data, pos: baseHeaderSize}
-	if got := int(d.u32()); got != count {
-		return nil, fmt.Errorf("betree: child count mismatch")
+	if got := int(d.u32()); got != count || count < 1 || count > len(data)/12 {
+		return 0, fmt.Errorf("betree: bad child count %d: %w", count, ErrChecksum)
 	}
 	for i := 0; i < count-1; i++ {
 		n.pivots = append(n.pivots, d.keyed())
@@ -396,12 +423,15 @@ func deserializeNode(env *sim.Env, cfg *Config, data []byte) (*node, error) {
 			m.EndKey = d.keyed()
 			m.Off = int(d.u32())
 			m.Val = d.value(data, pageBase(data))
-			n.bufs[ci].append(m)
+			if m.Type < MsgInsert || m.Type > MsgRangeDelete {
+				return 0, fmt.Errorf("betree: node %d: message type %d: %w", n.id, m.Type, ErrChecksum)
+			}
+			if !n.bufs[ci].appendDecoded(m) {
+				return 0, fmt.Errorf("betree: node %d: buffer %d out of index order: %w", n.id, ci, ErrChecksum)
+			}
 		}
 	}
-	env.Serialize(d.pos)
-	n.computeMemSize()
-	return n, nil
+	return d.pos, nil
 }
 
 // decodeLeafShell parses the header + basement directory of a leaf image,

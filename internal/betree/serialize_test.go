@@ -95,7 +95,7 @@ func TestInteriorSerializeRoundTrip(t *testing.T) {
 	msn := MSN(1)
 	for ci := 0; ci < 3; ci++ {
 		for i := 0; i < 20; i++ {
-			n.bufs[ci].append(&Msg{
+			n.bufs[ci].insert(&Msg{
 				Type: MsgInsert, MSN: msn,
 				Key: []byte(fmt.Sprintf("c%d/k%02d", ci, i)),
 				Val: InlineValue(bytes.Repeat([]byte{1}, 30)),
@@ -103,8 +103,8 @@ func TestInteriorSerializeRoundTrip(t *testing.T) {
 			msn++
 		}
 	}
-	n.bufs[1].append(&Msg{Type: MsgRangeDelete, MSN: msn, Key: []byte("p"), EndKey: []byte("q")})
-	n.bufs[2].append(&Msg{Type: MsgUpdate, MSN: msn + 1, Key: []byte("u"), Off: 17, Val: InlineValue([]byte{9})})
+	n.bufs[1].insert(&Msg{Type: MsgRangeDelete, MSN: msn, Key: []byte("p"), EndKey: []byte("q")})
+	n.bufs[2].insert(&Msg{Type: MsgUpdate, MSN: msn + 1, Key: []byte("u"), Off: 17, Val: InlineValue([]byte{9})})
 
 	data := serializeNode(env, &cfg, n)
 	got, err := deserializeNode(env, &cfg, data)
@@ -117,11 +117,11 @@ func TestInteriorSerializeRoundTrip(t *testing.T) {
 	if got.bufs[1].len() != 21 || got.bufs[2].len() != 21 {
 		t.Fatalf("buffer counts %d/%d", got.bufs[1].len(), got.bufs[2].len())
 	}
-	last := got.bufs[2].msgs[20]
+	last := got.bufs[2].points[20]
 	if last.Type != MsgUpdate || last.Off != 17 {
 		t.Fatal("update message lost fields")
 	}
-	rd := got.bufs[1].msgs[20]
+	rd := got.bufs[1].ranges[0]
 	if rd.Type != MsgRangeDelete || string(rd.EndKey) != "q" {
 		t.Fatal("range delete lost fields")
 	}
@@ -371,7 +371,7 @@ func TestDecodeDoesNotAliasImage(t *testing.T) {
 	leaf := mkLeaf(entries, 16<<10)
 	interior := &node{id: 9, height: 1, children: []nodeID{10, 11}, pivots: [][]byte{[]byte("k020")}, bufs: make([]buffer, 2)}
 	for i := 0; i < 40; i++ {
-		interior.bufs[i/20].append(&Msg{Type: MsgInsert, MSN: MSN(i + 1), Key: []byte(fmt.Sprintf("k%03d", i)), Val: InlineValue(bytes.Repeat([]byte{byte(i)}, 100*i))})
+		interior.bufs[i/20].insert(&Msg{Type: MsgInsert, MSN: MSN(i + 1), Key: []byte(fmt.Sprintf("k%03d", i)), Val: InlineValue(bytes.Repeat([]byte{byte(i)}, 100*i))})
 	}
 	overwrite := func(b []byte) {
 		for i := range b {

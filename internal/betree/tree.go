@@ -340,7 +340,7 @@ func (t *Tree) insertMsg(m *Msg) {
 		return
 	}
 	ci := root.childFor(s.env, m.Key)
-	root.bufs[ci].appendCharged(s.alloc, m)
+	root.bufs[ci].add(s.env, s.alloc, m)
 	if m.Type == MsgRangeDelete {
 		t.routeRangeMsg(root, m, ci)
 	}
@@ -354,14 +354,14 @@ func (t *Tree) insertMsg(m *Msg) {
 }
 
 // routeRangeMsg duplicates a range-delete into every additional child
-// buffer whose range it overlaps (the message was already appended to ci).
+// buffer whose range it overlaps (the message was already added to ci).
 func (t *Tree) routeRangeMsg(n *node, m *Msg, ci int) {
 	for i := ci + 1; i < len(n.children); i++ {
 		lo, _ := n.childRange(i, nil, nil)
 		if lo != nil && keys.Compare(m.EndKey, lo) <= 0 {
 			break
 		}
-		n.bufs[i].append(m)
+		n.bufs[i].insert(m)
 	}
 }
 
@@ -414,11 +414,10 @@ func (t *Tree) flushToChild(parent *node, ci int) {
 	}()
 
 	if child.isLeaf() {
-		// Buffers hold messages in arrival order, which under the writer
-		// lock is MSN order; the stable sort is a host-side no-op then,
-		// and a safety net for any future out-of-order producer (the
-		// basement maxApplied guard drops late messages otherwise).
-		sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].MSN < msgs[j].MSN })
+		// The batch is in index order; a leaf applies it in MSN order
+		// (the basement maxApplied guard drops late messages otherwise),
+		// so the restored tail is always the newest messages.
+		sort.Slice(msgs, func(i, j int) bool { return msgs[i].MSN < msgs[j].MSN })
 		for i, m := range msgs {
 			t.applyToLeaf(child, m)
 			pending = msgs[i+1:]
@@ -431,19 +430,40 @@ func (t *Tree) flushToChild(parent *node, ci int) {
 		}
 		return
 	}
-	for i, m := range msgs {
-		// Without page sharing, the complete message is memcpy-ed into
-		// the child's buffer at every level (§2.3, §6).
+	// Without page sharing, the complete message is memcpy-ed into the
+	// child's buffer at every level (§2.3, §6).
+	copyDown := func(m *Msg) {
 		if !s.cfg.PageSharing {
 			s.env.Memcpy(m.memBytes())
 		} else {
 			s.env.Memcpy(len(m.Key) + 48) // header + key only; value by ref
 		}
-		cci := child.childFor(s.env, m.Key)
-		child.bufs[cci].appendCharged(s.alloc, m)
-		if m.Type == MsgRangeDelete {
-			t.routeRangeMsg(child, m, cci)
+	}
+	// The batch leaves the parent in index order, point messages first:
+	// one merge against the child's pivots cuts them into per-child runs,
+	// and each run merges into its child's index.
+	np := 0
+	for np < len(msgs) && msgs[np].Type != MsgRangeDelete {
+		np++
+	}
+	start := 0
+	for cci, end := range child.cutRuns(s.env, msgs[:np]) {
+		if end > start {
+			run := msgs[start:end]
+			for _, m := range run {
+				copyDown(m)
+			}
+			child.bufs[cci].merge(s.env, s.alloc, run)
+			pending = msgs[end:]
 		}
+		start = end
+	}
+	for i := np; i < len(msgs); i++ {
+		m := msgs[i]
+		copyDown(m)
+		cci := child.childFor(s.env, m.Key)
+		child.bufs[cci].add(s.env, s.alloc, m)
+		t.routeRangeMsg(child, m, cci)
 		pending = msgs[i+1:]
 	}
 	pending = nil
@@ -484,31 +504,26 @@ func (t *Tree) applyToLeaf(n *node, m *Msg) {
 // other message — the quadratic scan whose CPU cost the paper analyzes —
 // and messages fully covered by a newer range-delete are consumed
 // ("eaten"). The simulated cost charges that full quadratic comparison
-// count; the host-side implementation finds the covered messages through a
-// sorted index so large nodes stay tractable to simulate. Without the
-// v0.6 coalescing order this reproduces the v0.4 behaviour: the same
-// quadratic charge, oldest-first traversal, and nothing to eat when range
-// deletes are adjacent-but-not-overlapping.
+// count; the host-side implementation finds the covered messages through
+// the buffers' own key indexes so large nodes stay tractable to simulate.
+// Without the v0.6 coalescing order this reproduces the v0.4 behaviour:
+// the same quadratic charge, oldest-first traversal, and nothing to eat
+// when range deletes are adjacent-but-not-overlapping.
 func (t *Tree) pacman(n *node) {
 	s := t.store
 	atomic.AddInt64(&s.stats.PacmanScans, 1)
 	s.m.pacmanScan.Inc()
-	type loc struct {
-		m     *Msg
-		ci, i int
-	}
-	var ranges []loc
-	var points []loc
-	total := 0
-	keyBytes := 0
+	// A range delete counts once per buffer it was routed into, as it is
+	// compared once per copy.
+	var ranges []*Msg
+	total, keyBytes := 0, 0
 	for ci := range n.bufs {
-		for i, m := range n.bufs[ci].msgs {
-			total++
-			keyBytes += len(m.Key)
-			if m.Type == MsgRangeDelete {
-				ranges = append(ranges, loc{m, ci, i})
-			} else {
-				points = append(points, loc{m, ci, i})
+		b := &n.bufs[ci]
+		ranges = append(ranges, b.ranges...)
+		total += b.len()
+		for _, list := range [2][]*Msg{b.points, b.ranges} {
+			for _, m := range list {
+				keyBytes += len(m.Key)
 			}
 		}
 	}
@@ -521,34 +536,35 @@ func (t *Tree) pacman(n *node) {
 	// directory-level) deletes first so they gobble narrower ones; v0.4
 	// considers them in discovery order.
 	if s.cfg.CoalesceRangeDeletes {
-		sort.Slice(ranges, func(a, b int) bool { return ranges[a].m.MSN > ranges[b].m.MSN })
+		sort.Slice(ranges, func(a, b int) bool { return ranges[a].MSN > ranges[b].MSN })
 	}
-	// Sorted indexes for efficient coverage queries.
-	byKey := append([]loc{}, points...)
-	sort.Slice(byKey, func(a, b int) bool { return keys.Compare(byKey[a].m.Key, byKey[b].m.Key) < 0 })
-	byStart := append([]loc{}, ranges...)
-	sort.Slice(byStart, func(a, b int) bool { return keys.Compare(byStart[a].m.Key, byStart[b].m.Key) < 0 })
-
 	eaten := make(map[*Msg]bool)
-	for _, rl := range ranges {
-		r := rl.m
-		if eaten[r] {
+	scanned := make(map[*Msg]bool)
+	for _, r := range ranges {
+		if eaten[r] || scanned[r] {
 			continue
 		}
-		// Point messages inside [r.Key, r.EndKey) older than r.
-		lo := sort.Search(len(byKey), func(i int) bool { return keys.Compare(byKey[i].m.Key, r.Key) >= 0 })
-		for i := lo; i < len(byKey) && keys.Compare(byKey[i].m.Key, r.EndKey) < 0; i++ {
-			m := byKey[i].m
-			if m.MSN < r.MSN && !eaten[m] {
-				eaten[m] = true
+		scanned[r] = true
+		// Everything r can eat sits in a buffer whose child range overlaps
+		// [r.Key, r.EndKey): a point message in its key's child buffer, a
+		// covered range delete in buffers overlapping its own, narrower span.
+		for ci := sort.Search(len(n.pivots), func(i int) bool { return keys.Compare(n.pivots[i], r.Key) > 0 }); ci < len(n.bufs); ci++ {
+			if ci > 0 && keys.Compare(n.pivots[ci-1], r.EndKey) >= 0 {
+				break
 			}
-		}
-		// Older range deletes fully covered by r.
-		rlo := sort.Search(len(byStart), func(i int) bool { return keys.Compare(byStart[i].m.Key, r.Key) >= 0 })
-		for i := rlo; i < len(byStart) && keys.Compare(byStart[i].m.Key, r.EndKey) < 0; i++ {
-			m := byStart[i].m
-			if m != r && m.MSN < r.MSN && !eaten[m] && keys.Compare(m.EndKey, r.EndKey) <= 0 {
-				eaten[m] = true
+			b := &n.bufs[ci]
+			// Point messages inside [r.Key, r.EndKey) older than r.
+			for i := b.seek(r.Key); i < len(b.points) && keys.Compare(b.points[i].Key, r.EndKey) < 0; i++ {
+				if m := b.points[i]; m.MSN < r.MSN {
+					eaten[m] = true
+				}
+			}
+			// Older range deletes fully covered by r.
+			for _, m := range b.ranges {
+				if m != r && m.MSN < r.MSN && keys.Compare(r.Key, m.Key) <= 0 &&
+					keys.Compare(m.Key, r.EndKey) < 0 && keys.Compare(m.EndKey, r.EndKey) <= 0 {
+					eaten[m] = true
+				}
 			}
 		}
 	}
@@ -560,8 +576,8 @@ func (t *Tree) pacman(n *node) {
 	// and none of them scan. Without coalescing (v0.4) nothing is eaten
 	// and every range delete pays the full scan.
 	eatenRanges := 0
-	for _, rl := range ranges {
-		if eaten[rl.m] {
+	for _, r := range ranges {
+		if eaten[r] {
 			eatenRanges++
 		}
 	}
@@ -570,13 +586,9 @@ func (t *Tree) pacman(n *node) {
 		return
 	}
 	for ci := range n.bufs {
-		for i := len(n.bufs[ci].msgs) - 1; i >= 0; i-- {
-			if eaten[n.bufs[ci].msgs[i]] {
-				n.bufs[ci].drop(i)
-				atomic.AddInt64(&s.stats.PacmanDrops, 1)
-				s.m.pacmanDrop.Inc()
-			}
-		}
+		dropped := n.bufs[ci].drop(func(m *Msg) bool { return eaten[m] })
+		atomic.AddInt64(&s.stats.PacmanDrops, int64(dropped))
+		s.m.pacmanDrop.Add(int64(dropped))
 	}
 	s.cache.resize(t, n)
 }
@@ -686,12 +698,13 @@ func (t *Tree) replaceChild(parent *node, ci int, nodes []*node, pivots [][]byte
 	parent.pivots = newPivots
 	parent.bufs = newBufs
 	// Re-route any residual messages from the old buffer.
-	for _, m := range oldBuf.msgs {
+	for _, m := range oldBuf.points {
+		parent.bufs[parent.childFor(s.env, m.Key)].insert(m)
+	}
+	for _, m := range oldBuf.ranges {
 		i := parent.childFor(s.env, m.Key)
-		parent.bufs[i].append(m)
-		if m.Type == MsgRangeDelete {
-			t.routeRangeMsg(parent, m, i)
-		}
+		parent.bufs[i].insert(m)
+		t.routeRangeMsg(parent, m, i)
 	}
 	t.markDirty(parent)
 	for _, n := range nodes {
