@@ -109,10 +109,10 @@ aging:
 	$(GO) run ./cmd/betrbench -validate BENCH_aging_smoke.json
 	rm -f BENCH_aging_smoke.json
 
-# Scale-out sharded service (DESIGN.md §14; its share registry,
-# blockstore equivalence, shard-map, conformance and pinned shard-rung
-# tests are in `race`): a 3-shard bench run whose schema-v6 JSON must
-# validate.
+# Scale-out sharded service (DESIGN.md §14; its remote-device
+# equivalence, read-cache, block-range, shard-map, conformance and pinned
+# shard-rung tests are in `race`): a 3-shard bench run whose schema-v6
+# JSON must validate.
 shard:
 	$(GO) run ./cmd/betrbench -shard -shards 3 -scale 2048 \
 		-o BENCH_shard_smoke.json > /dev/null

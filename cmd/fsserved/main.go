@@ -9,7 +9,7 @@
 // (DESIGN.md §14.2). -shares exports additional named mounts a client
 // can ATTACH to, and -block-shares exports named FTL-backed devices a
 // client (typically another node's file system) can BOPEN and use as a
-// remote block store:
+// remote block device:
 //
 //	$ go run ./cmd/fsserved -shares scratch=ext4 -block-shares blk0,blk1
 //
@@ -30,7 +30,6 @@ import (
 
 	"betrfs/internal/bench"
 	"betrfs/internal/blockdev"
-	"betrfs/internal/blockstore/local"
 	"betrfs/internal/fsserve"
 	"betrfs/internal/ftl"
 	"betrfs/internal/registry"
@@ -138,7 +137,7 @@ func buildRegistry(in *bench.Instance, scale int64, shares, blockShares string) 
 				os.Exit(2)
 			}
 			dev := blockdev.New(in.Env, blockdev.SamsungEVO860().Scale(scale))
-			reg.AddStore(name, in.Env, local.New(ftl.New(in.Env, dev, ftl.DefaultConfig())))
+			reg.AddDevice(name, in.Env, ftl.New(in.Env, dev, ftl.DefaultConfig()))
 		}
 	}
 	return reg

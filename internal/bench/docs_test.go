@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"betrfs/internal/blockdev"
-	"betrfs/internal/blockstore/local"
 	"betrfs/internal/blockstore/readcache"
 	"betrfs/internal/fsrpc"
 	"betrfs/internal/fsserve"
@@ -55,7 +54,7 @@ func registeredMetrics() map[string]bool {
 	blockdev.WithRetry(env, blockdev.NewFault(env, dev, blockdev.FaultPlan{}), blockdev.DefaultRetryPolicy())
 	// The sharded file node's read cache (§14.4) registers its counters at
 	// construction; stand one up over the scratch device.
-	readcache.New(env.Metrics, local.New(dev), readcache.Config{})
+	readcache.New(env, dev)
 	for _, n := range env.Metrics.Names() {
 		out[n] = true
 	}

@@ -21,7 +21,7 @@ import (
 // The workload is write phase then shardReadRounds cold re-read rounds,
 // with every file node's caches dropped before each round: the re-reads
 // then miss the page cache and land on the read cache in front of the
-// remote store, which is the layer this rung measures (readcache.hit
+// remote device, which is the layer this rung measures (readcache.hit
 // must be nonzero on any healthy run — schema v6 validates that).
 
 // shardReadRounds is the number of cold re-read rounds after the write

@@ -111,3 +111,41 @@ func TestShardSingleVsMulti(t *testing.T) {
 		t.Fatalf("catch-all shard should create most: %d vs %d", creates(0), creates(1))
 	}
 }
+
+// shardCells are one shard row's pinned cells.
+type shardCells struct {
+	wireOps       float64
+	p50, p95, p99 int64
+	rcHit, rcMiss int64
+}
+
+// goldenShard2048 pins the deterministic shard rung at -shards 3 -scale
+// 2048, one entry per shard: wire_ops, p50, p95, p99, rc_hit, rc_miss.
+// Any drift means the sharded block path changed behavior. Regenerate
+// with: go run ./cmd/betrbench -shard -shards 3 -scale 2048 (and update
+// here in the same commit, explaining why).
+var goldenShard2048 = []shardCells{
+	{10.581034149820907, 4096, 500000, 500000, 1, 7},
+	{7.42612595982678, 4096, 500000, 500000, 1, 7},
+	{7.42612595982678, 4096, 500000, 500000, 1, 7},
+}
+
+// TestShardGoldenCells asserts every shard row of the rung against the
+// pinned goldens with zero tolerance, printing a paste-ready row on
+// drift.
+func TestShardGoldenCells(t *testing.T) {
+	run := RunShard(3, 2048)
+	if len(run.Errors) != 0 {
+		t.Fatalf("shard run failed: %v", run.Errors)
+	}
+	if len(run.Rows) != len(goldenShard2048) {
+		t.Fatalf("%d shard rows, %d pinned", len(run.Rows), len(goldenShard2048))
+	}
+	for i, r := range run.Rows {
+		got := shardCells{r.KOpsPerSimSec(), r.P50, r.P95, r.P99, r.RcHit, r.RcMiss}
+		if want := goldenShard2048[i]; got != want {
+			t.Errorf("shard%02d: cells = %+v, want %+v; re-pin as:\n{%#v, %d, %d, %d, %d, %d},",
+				i, got, want, got.wireOps, got.p50, got.p95, got.p99, got.rcHit, got.rcMiss)
+		}
+	}
+}

@@ -51,18 +51,14 @@ type Config struct {
 	// Concurrent enables the reader/writer locking protocol of
 	// DESIGN.md §9: point queries and scans run concurrently with
 	// injects, readers defer dirty writeback to the background flusher,
-	// and the node cache uses CacheShards lock stripes. Off (the
-	// default), the store assumes single-goroutine use and keeps the
-	// historical deterministic behaviour bit-for-bit, which is what the
-	// golden benchmark cells are pinned against. Concurrent mode
-	// requires LegacyApplyOnQuery to be off for shared-mode reads; with
-	// the v0.4 policy reads serialize (they restructure the tree).
+	// and the node cache is split into eight lock stripes. Off (the
+	// default), the store assumes single-goroutine use, keeps one cache
+	// shard (one global eviction order) and the historical deterministic
+	// behaviour bit-for-bit, which is what the golden benchmark cells are
+	// pinned against. Concurrent mode requires LegacyApplyOnQuery to be
+	// off for shared-mode reads; with the v0.4 policy reads serialize
+	// (they restructure the tree).
 	Concurrent bool
-	// CacheShards is the number of lock-striped node-cache shards,
-	// rounded up to a power of two. Zero selects one shard when
-	// Concurrent is off (one global eviction order) and eight when it is
-	// on.
-	CacheShards int
 
 	// RelocateAttempts bounds write-path relocation (DESIGN.md §10.6):
 	// when a node-image write fails with a non-transient device error,

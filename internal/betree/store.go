@@ -365,12 +365,9 @@ func Open(env *sim.Env, alloc *kmem.Allocator, cfg Config, backend Backend) (*St
 	}
 	s.m = resolveStoreMetrics(reg)
 	s.concurrent = cfg.Concurrent
-	shards := cfg.CacheShards
-	if shards <= 0 {
-		shards = 1
-		if cfg.Concurrent {
-			shards = 8
-		}
+	shards := 1
+	if cfg.Concurrent {
+		shards = 8
 	}
 	s.cache = newNodeCache(cfg.CacheBytes, shards, s.writeNode)
 	s.cache.deferDirty = cfg.Concurrent

@@ -62,11 +62,9 @@ type Device interface {
 	Discard(off, length int64) error
 	// Size returns the device capacity in bytes.
 	Size() int64
-	// Stats returns cumulative I/O statistics.
-	Stats() *Stats
 }
 
-// Stats counts the I/O traffic a device has served.
+// Stats counts the I/O traffic a Dev has served.
 type Stats struct {
 	Reads        int64
 	Writes       int64

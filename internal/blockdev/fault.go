@@ -106,9 +106,6 @@ func NewFault(env *sim.Env, dev Device, plan FaultPlan) *FaultDev {
 // Size returns the underlying device capacity.
 func (d *FaultDev) Size() int64 { return d.dev.Size() }
 
-// Stats returns the underlying device statistics.
-func (d *FaultDev) Stats() *Stats { return d.dev.Stats() }
-
 // AddBadRange grows a permanent defect at runtime (a sector going bad
 // mid-run).
 func (d *FaultDev) AddBadRange(off, length int64) {

@@ -73,9 +73,6 @@ func WithRetry(env *sim.Env, dev Device, pol RetryPolicy) *RetryDev {
 // Size returns the underlying device capacity.
 func (d *RetryDev) Size() int64 { return d.dev.Size() }
 
-// Stats returns the underlying device statistics.
-func (d *RetryDev) Stats() *Stats { return d.dev.Stats() }
-
 // submit runs the shared retry loop for one command.
 //
 // Counter contract (metrics assertions rely on it): io.retry.read/write

@@ -1,39 +1,36 @@
 // Package readcache implements a bounded read-through block cache in
-// front of a slower blockstore.Store — typically a remote one, where
+// front of a slower blockdev.Device — typically a remote one, where
 // every miss costs an fsrpc round trip (DESIGN.md §14.4). The cache
-// holds fixed-size lines under LRU eviction; writes go through to the
-// backing store and invalidate overlapping lines, so the cache never
-// holds data the backing store does not. Effectiveness is observable as
-// the `readcache.hit` / `readcache.miss` / `readcache.evict` counters.
+// holds LineSize lines, at most Lines of them, under LRU eviction; writes
+// go through to the lower device and invalidate overlapping lines, so the
+// cache never holds data the lower device does not. Effectiveness is
+// observable as the `readcache.hit` / `readcache.miss` / `readcache.evict`
+// counters.
 package readcache
 
 import (
 	"container/list"
 	"sync"
 
-	"betrfs/internal/blockstore"
+	"betrfs/internal/blockdev"
 	"betrfs/internal/metrics"
+	"betrfs/internal/sim"
 )
-
-// Config sizes the cache. The zero value picks the defaults.
-type Config struct {
-	// LineSize is the cache line size in bytes (default 64 KiB). Reads
-	// that span lines fill each covered line independently.
-	LineSize int
-	// Lines bounds the number of resident lines (default 64, i.e. 4 MiB
-	// at the default line size). The least recently used line is evicted
-	// when the bound is exceeded.
-	Lines int
-}
 
 const (
-	defaultLineSize = 64 << 10
-	defaultLines    = 64
+	// LineSize is the cache line size in bytes. Reads that span lines
+	// fill each covered line independently.
+	LineSize = 64 << 10
+	// Lines bounds the number of resident lines (4 MiB in all).
+	Lines = 64
 )
 
-// Store is the caching wrapper.
-type Store struct {
-	lower    blockstore.Store
+// Dev is the caching wrapper. It is itself a blockdev.Device whose
+// commands are synchronous: SubmitRead and SubmitWrite run at once and
+// complete at the current simulated time.
+type Dev struct {
+	env      *sim.Env
+	lower    blockdev.Device
 	lineSize int64
 	maxLines int
 	size     int64
@@ -49,25 +46,21 @@ type Store struct {
 
 type line struct {
 	idx  int64
-	data []byte // len ≤ lineSize (tail line is clamped to store size)
+	data []byte // len ≤ lineSize (tail line is clamped to device size)
 }
 
-// New wraps lower with a read cache sized by cfg, registering the
-// readcache.* counters in reg.
-func New(reg *metrics.Registry, lower blockstore.Store, cfg Config) *Store {
-	if cfg.LineSize <= 0 {
-		cfg.LineSize = defaultLineSize
-	}
-	if cfg.Lines <= 0 {
-		cfg.Lines = defaultLines
-	}
+// New wraps lower with a read cache, registering the readcache.*
+// counters in env's registry.
+func New(env *sim.Env, lower blockdev.Device) *Dev {
+	reg := env.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &Store{
+	return &Dev{
+		env:      env,
 		lower:    lower,
-		lineSize: int64(cfg.LineSize),
-		maxLines: cfg.Lines,
+		lineSize: LineSize,
+		maxLines: Lines,
 		size:     lower.Size(),
 		lines:    make(map[int64]*list.Element),
 		lru:      list.New(),
@@ -77,27 +70,27 @@ func New(reg *metrics.Registry, lower blockstore.Store, cfg Config) *Store {
 	}
 }
 
-// ReadAt serves p from cached lines, filling misses from the backing
-// store a full line at a time (read-through).
-func (s *Store) ReadAt(p []byte, off int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// ReadAt serves p from cached lines, filling misses from the lower
+// device a full line at a time (read-through).
+func (d *Dev) ReadAt(p []byte, off int64) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for n := 0; n < len(p); {
 		pos := off + int64(n)
-		idx := pos / s.lineSize
-		lo := pos % s.lineSize
+		idx := pos / d.lineSize
+		lo := pos % d.lineSize
 		want := int64(len(p) - n)
-		if max := s.lineSize - lo; want > max {
+		if max := d.lineSize - lo; want > max {
 			want = max
 		}
-		ln, err := s.lineLocked(idx)
+		ln, err := d.lineLocked(idx)
 		if err != nil {
 			return err
 		}
 		if lo+want > int64(len(ln.data)) {
-			// Read past the clamped tail line: beyond the store; let the
-			// backing store produce its own out-of-range behavior.
-			if err := s.lower.ReadAt(p[n:n+int(want)], pos); err != nil {
+			// Read past the clamped tail line: beyond the device; let the
+			// lower device produce its own out-of-range behavior.
+			if err := d.lower.ReadAt(p[n:n+int(want)], pos); err != nil {
 				return err
 			}
 		} else {
@@ -108,84 +101,99 @@ func (s *Store) ReadAt(p []byte, off int64) error {
 	return nil
 }
 
-// lineLocked returns the cached line idx, filling it from the backing
-// store on a miss and evicting the LRU line when over bound.
-func (s *Store) lineLocked(idx int64) (*line, error) {
-	if e, ok := s.lines[idx]; ok {
-		s.mHit.Inc()
-		s.lru.MoveToFront(e)
+// lineLocked returns the cached line idx, filling it from the lower
+// device on a miss and evicting the LRU line when over bound.
+func (d *Dev) lineLocked(idx int64) (*line, error) {
+	if e, ok := d.lines[idx]; ok {
+		d.mHit.Inc()
+		d.lru.MoveToFront(e)
 		return e.Value.(*line), nil
 	}
-	s.mMiss.Inc()
-	start := idx * s.lineSize
-	n := s.lineSize
-	if start+n > s.size {
-		n = s.size - start
+	d.mMiss.Inc()
+	start := idx * d.lineSize
+	n := d.lineSize
+	if start+n > d.size {
+		n = d.size - start
 	}
 	if n <= 0 {
 		// Entirely past the end: cache an empty line; reads here fall
-		// through to the backing store's own range handling.
+		// through to the lower device's own range handling.
 		ln := &line{idx: idx}
-		s.insertLocked(ln)
+		d.insertLocked(ln)
 		return ln, nil
 	}
 	buf := make([]byte, n)
 	// The lock is held across the (possibly remote) fill: dropping it
 	// would let a concurrent write invalidate the line mid-fill and the
 	// stale fill would then be inserted over it.
-	if err := s.lower.ReadAt(buf, start); err != nil {
+	if err := d.lower.ReadAt(buf, start); err != nil {
 		return nil, err
 	}
 	ln := &line{idx: idx, data: buf}
-	s.insertLocked(ln)
+	d.insertLocked(ln)
 	return ln, nil
 }
 
-func (s *Store) insertLocked(ln *line) {
-	s.lines[ln.idx] = s.lru.PushFront(ln)
-	for s.lru.Len() > s.maxLines {
-		e := s.lru.Back()
+func (d *Dev) insertLocked(ln *line) {
+	d.lines[ln.idx] = d.lru.PushFront(ln)
+	for d.lru.Len() > d.maxLines {
+		e := d.lru.Back()
 		victim := e.Value.(*line)
-		s.lru.Remove(e)
-		delete(s.lines, victim.idx)
-		s.mEvict.Inc()
+		d.lru.Remove(e)
+		delete(d.lines, victim.idx)
+		d.mEvict.Inc()
 	}
 }
 
-// WriteAt writes through to the backing store and invalidates every
+// WriteAt writes through to the lower device and invalidates every
 // overlapping cached line.
-func (s *Store) WriteAt(p []byte, off int64) error {
-	if err := s.lower.WriteAt(p, off); err != nil {
+func (d *Dev) WriteAt(p []byte, off int64) error {
+	if err := d.lower.WriteAt(p, off); err != nil {
 		return err
 	}
-	s.invalidate(off, int64(len(p)))
+	d.invalidate(off, int64(len(p)))
 	return nil
 }
+
+// SubmitRead runs the read now and completes when it returns.
+func (d *Dev) SubmitRead(p []byte, off int64) blockdev.Completion {
+	err := d.ReadAt(p, off)
+	return blockdev.Completion{At: d.env.Now(), Err: err}
+}
+
+// SubmitWrite runs the write now and completes when it returns.
+func (d *Dev) SubmitWrite(p []byte, off int64) blockdev.Completion {
+	err := d.WriteAt(p, off)
+	return blockdev.Completion{At: d.env.Now(), Err: err}
+}
+
+// Wait returns c's outcome; the command already ran at submission.
+func (d *Dev) Wait(c blockdev.Completion) error { return c.Err }
 
 // Discard forwards the TRIM and invalidates overlapping lines, so the
 // deterministic read-after-TRIM zeroes are re-fetched, not stale cache.
-func (s *Store) Discard(off, length int64) error {
-	if err := s.lower.Discard(off, length); err != nil {
+func (d *Dev) Discard(off, length int64) error {
+	if err := d.lower.Discard(off, length); err != nil {
 		return err
 	}
-	s.invalidate(off, length)
+	d.invalidate(off, length)
 	return nil
 }
 
-func (s *Store) invalidate(off, length int64) {
+func (d *Dev) invalidate(off, length int64) {
 	if length <= 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for idx := off / s.lineSize; idx <= (off+length-1)/s.lineSize; idx++ {
-		if e, ok := s.lines[idx]; ok {
-			s.lru.Remove(e)
-			delete(s.lines, idx)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for idx := off / d.lineSize; idx <= (off+length-1)/d.lineSize; idx++ {
+		if e, ok := d.lines[idx]; ok {
+			d.lru.Remove(e)
+			delete(d.lines, idx)
 		}
 	}
 }
 
-func (s *Store) Flush() error { return s.lower.Flush() }
+func (d *Dev) Flush() error { return d.lower.Flush() }
 
-func (s *Store) Size() int64 { return s.size }
+func (d *Dev) Size() int64 { return d.size }

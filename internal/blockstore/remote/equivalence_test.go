@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"betrfs/internal/blockdev"
-	"betrfs/internal/blockstore"
-	"betrfs/internal/blockstore/local"
 	"betrfs/internal/blockstore/remote"
 	"betrfs/internal/fsrpc"
 	"betrfs/internal/fsserve"
@@ -19,55 +17,55 @@ import (
 	"betrfs/internal/sim"
 )
 
-// serveStore exports st as the block share "blk0" behind a mount-less
-// server and returns a connected wire client plus the opened remote
-// store.
-func serveStore(t *testing.T, env *sim.Env, st blockstore.Store) (*remote.Store, func()) {
+// serveDevice exports dev as the block share "blk0" behind a mount-less
+// server and returns the remote device a client on its own machine opens
+// over the wire.
+func serveDevice(t *testing.T, env *sim.Env, dev blockdev.Device) (*remote.Dev, func()) {
 	t.Helper()
 	reg := registry.New()
-	reg.AddStore("blk0", env, st)
+	reg.AddDevice("blk0", env, dev)
 	cfg := fsserve.DefaultConfig()
 	cfg.Registry = reg
 	srv := fsserve.New(env, nil, cfg)
 	cliEnd, srvEnd := net.Pipe()
 	go srv.ServeConn(srvEnd)
 	cli := fsrpc.NewClient(cliEnd)
-	rst, err := remote.Open(cli, "blk0")
+	rdev, err := remote.Open(sim.NewEnv(1), cli, "blk0")
 	if err != nil {
-		t.Fatalf("open remote store: %v", err)
+		t.Fatalf("open remote device: %v", err)
 	}
-	return rst, func() { cli.Close(); srv.Shutdown() }
+	return rdev, func() { cli.Close(); srv.Shutdown() }
 }
 
 // TestRemoteLocalEquivalence applies one seeded op sequence to a local
-// store and to an identical device behind the wire, then requires the
-// two device images to be byte-identical: the remote backend must be
+// device and to an identical device behind the wire, then requires the
+// two device images to be byte-identical: the remote device must be
 // indistinguishable from the local one at the media level.
 func TestRemoteLocalEquivalence(t *testing.T) {
 	const scale = 2048 // small device so the full-image diff is cheap
 	envL := sim.NewEnv(1)
 	devL := blockdev.New(envL, blockdev.SamsungEVO860().Scale(scale))
-	loc := local.New(devL)
 
 	envR := sim.NewEnv(1)
 	devR := blockdev.New(envR, blockdev.SamsungEVO860().Scale(scale))
-	rst, shutdown := serveStore(t, envR, local.New(devR))
+	rdev, shutdown := serveDevice(t, envR, devR)
 	defer shutdown()
 
-	if rst.Size() != loc.Size() {
-		t.Fatalf("size over the wire = %d, local %d", rst.Size(), loc.Size())
+	if rdev.Size() != devL.Size() {
+		t.Fatalf("size over the wire = %d, local %d", rdev.Size(), devL.Size())
 	}
 
 	// One seeded sequence of block-aligned writes, discards, flushes, and
-	// verifying reads, applied to both stores in lockstep. Includes a
-	// multi-chunk transfer (> MaxData) to cover the wire chunking path.
+	// verifying reads, applied to both devices in lockstep, half of the
+	// transfers through Submit*/Wait. Includes a multi-chunk transfer
+	// (> MaxData) to cover the wire chunking path.
 	rng := rand.New(rand.NewSource(42))
-	size := loc.Size()
+	size := devL.Size()
 	blocks := size / blockdev.BlockSize
-	apply := func(op func(st blockstore.Store) error) {
+	apply := func(op func(d blockdev.Device) error) {
 		t.Helper()
-		errL := op(loc)
-		errR := op(rst)
+		errL := op(devL)
+		errR := op(rdev)
 		if (errL == nil) != (errR == nil) {
 			t.Fatalf("local/remote diverged: local=%v remote=%v", errL, errR)
 		}
@@ -78,19 +76,27 @@ func TestRemoteLocalEquivalence(t *testing.T) {
 		case 0, 1: // write 1–8 blocks of op-dependent bytes
 			n := (1 + rng.Intn(8)) * blockdev.BlockSize
 			payload := bytes.Repeat([]byte{byte(i)}, n)
-			apply(func(st blockstore.Store) error { return st.WriteAt(payload, off) })
+			if i%2 == 0 {
+				apply(func(d blockdev.Device) error { return d.WriteAt(payload, off) })
+			} else {
+				apply(func(d blockdev.Device) error { return d.Wait(d.SubmitWrite(payload, off)) })
+			}
 		case 2: // discard 1–16 blocks
 			n := int64(1+rng.Intn(16)) * blockdev.BlockSize
-			apply(func(st blockstore.Store) error { return st.Discard(off, n) })
+			apply(func(d blockdev.Device) error { return d.Discard(off, n) })
 		case 3:
-			apply(func(st blockstore.Store) error { return st.Flush() })
+			apply(func(d blockdev.Device) error { return d.Flush() })
 		case 4: // verifying read
 			n := (1 + rng.Intn(4)) * blockdev.BlockSize
 			bl, br := make([]byte, n), make([]byte, n)
-			if err := loc.ReadAt(bl, off); err != nil {
+			if err := devL.ReadAt(bl, off); err != nil {
 				t.Fatalf("local read: %v", err)
 			}
-			if err := rst.ReadAt(br, off); err != nil {
+			read := rdev.ReadAt
+			if i%2 == 1 {
+				read = func(p []byte, off int64) error { return rdev.Wait(rdev.SubmitRead(p, off)) }
+			}
+			if err := read(br, off); err != nil {
 				t.Fatalf("remote read: %v", err)
 			}
 			if !bytes.Equal(bl, br) {
@@ -101,9 +107,9 @@ func TestRemoteLocalEquivalence(t *testing.T) {
 	// A transfer larger than one wire frame's data cap must chunk
 	// transparently.
 	big := bytes.Repeat([]byte{0xcd}, fsrpc.MaxData+3*blockdev.BlockSize)
-	apply(func(st blockstore.Store) error { return st.WriteAt(big, 0) })
+	apply(func(d blockdev.Device) error { return d.WriteAt(big, 0) })
 	got := make([]byte, len(big))
-	if err := rst.ReadAt(got, 0); err != nil || !bytes.Equal(got, big) {
+	if err := rdev.ReadAt(got, 0); err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("multi-chunk read back: %v", err)
 	}
 
@@ -142,13 +148,12 @@ func TestRemoteErrorSurfacing(t *testing.T) {
 	faulted := blockdev.NewFault(env, dev, blockdev.FaultPlan{
 		BadSectors: []blockdev.Range{{Off: 0, Len: blockdev.BlockSize}},
 	})
-	loc := local.New(faulted)
-	rst, shutdown := serveStore(t, env, loc)
+	rdev, shutdown := serveDevice(t, env, faulted)
 	defer shutdown()
 
 	buf := make([]byte, blockdev.BlockSize)
-	errLocal := loc.ReadAt(buf, 0)
-	errRemote := rst.ReadAt(buf, 0)
+	errLocal := faulted.ReadAt(buf, 0)
+	errRemote := rdev.ReadAt(buf, 0)
 	if !errors.Is(errLocal, ioerr.ErrIO) {
 		t.Fatalf("local faulted read = %v, want EIO", errLocal)
 	}
@@ -162,17 +167,17 @@ func TestRemoteErrorSurfacing(t *testing.T) {
 
 	env2 := sim.NewEnv(1)
 	dev2 := blockdev.New(env2, blockdev.SamsungEVO860().Scale(2048))
-	full := nospace{local.New(dev2)}
-	rst2, shutdown2 := serveStore(t, env2, full)
+	full := nospace{dev2}
+	rdev2, shutdown2 := serveDevice(t, env2, full)
 	defer shutdown2()
 	errLocal = full.WriteAt(buf, 0)
-	errRemote = rst2.WriteAt(buf, 0)
+	errRemote = rdev2.WriteAt(buf, 0)
 	if !errors.Is(errLocal, ioerr.ErrNoSpace) || !errors.Is(errRemote, ioerr.ErrNoSpace) {
 		t.Fatalf("ENOSPC drift: local=%v remote=%v", errLocal, errRemote)
 	}
 }
 
-type nospace struct{ blockstore.Store }
+type nospace struct{ blockdev.Device }
 
 func (nospace) WriteAt(p []byte, off int64) error {
 	return fmt.Errorf("backend full: %w", ioerr.ErrNoSpace)

@@ -6,8 +6,6 @@ import (
 
 	"betrfs/internal/betrfs"
 	"betrfs/internal/blockdev"
-	"betrfs/internal/blockstore"
-	"betrfs/internal/blockstore/local"
 	"betrfs/internal/blockstore/readcache"
 	"betrfs/internal/blockstore/remote"
 	"betrfs/internal/fsrpc"
@@ -31,9 +29,6 @@ type Config struct {
 	Scale int64
 	// Routes overrides the shard map; nil uses DefaultRoutes(Shards).
 	Routes []Route
-	// CacheLines bounds each file node's read cache (readcache.Config
-	// .Lines); 0 uses the readcache default.
-	CacheLines int
 }
 
 // Shard is one shard of a deployment: a storage node exporting its
@@ -58,8 +53,6 @@ type Shard struct {
 	// Mount is the file node's mount. Conformance tests drive it
 	// directly and diff against the wire path.
 	Mount *vfs.Mount
-	// Cache is the file node's read cache over the remote block share.
-	Cache *readcache.Store
 
 	front      *fsserve.Server // serves Mount to control-plane clients
 	storage    *fsserve.Server // serves the block share to the file node
@@ -74,10 +67,10 @@ type Deployment struct {
 }
 
 // New builds the deployment: per shard, a storage node (device → FTL →
-// local block store → fsserve with a block-share registry) and a file
-// node (remote block store over a pipe to the storage node → read cache
-// → BetrFS v0.6 → fsserve front end). Deterministic: every machine is a
-// fresh single-worker sim.Env and nothing runs until a client drives it.
+// fsserve with a block-share registry) and a file node (remote device
+// over a pipe to the storage node → read cache → BetrFS v0.6 → fsserve
+// front end). Deterministic: every machine is a fresh single-worker
+// sim.Env and nothing runs until a client drives it.
 func New(cfg Config) *Deployment {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
@@ -104,13 +97,13 @@ const (
 )
 
 func buildShard(i int, cfg Config) *Shard {
-	// Storage node: device → FTL → local store, exported as a block
-	// share by a mount-less server.
+	// Storage node: device → FTL, exported as a block share by a
+	// mount-less server.
 	senv := sim.NewEnv(1)
 	dev := blockdev.New(senv, blockdev.SamsungEVO860().Scale(cfg.Scale))
 	fdev := ftl.New(senv, dev, ftl.DefaultConfig())
 	sreg := registry.New()
-	sreg.AddStore(BlockShare, senv, local.New(fdev))
+	sreg.AddDevice(BlockShare, senv, fdev)
 	scfg := fsserve.DefaultConfig()
 	scfg.Registry = sreg
 	storage := fsserve.New(senv, nil, scfg)
@@ -121,17 +114,15 @@ func buildShard(i int, cfg Config) *Shard {
 	cliEnd, srvEnd := net.Pipe()
 	go storage.ServeConn(srvEnd)
 	scli := fsrpc.NewClientOpts(cliEnd, fsrpc.Options{Metrics: fenv.Metrics})
-	rstore, err := remote.Open(scli, BlockShare)
+	rdev, err := remote.Open(fenv, scli, BlockShare)
 	if err != nil {
 		panic(fmt.Sprintf("controlplane: shard %d: %v", i, err))
 	}
-	cache := readcache.New(fenv.Metrics, rstore, readcache.Config{Lines: cfg.CacheLines})
-	bdev := blockstore.AsDevice(fenv, cache)
 
 	bcfg := betrfs.V06Config()
 	ramBytes := (32 << 30) / cfg.Scale
 	bcfg.Tree.CacheBytes = ramBytes / 2
-	backend, err := sfl.NewDefault(fenv, bdev)
+	backend, err := sfl.NewDefault(fenv, readcache.New(fenv, rdev))
 	if err != nil {
 		panic(err)
 	}
@@ -156,7 +147,6 @@ func buildShard(i int, cfg Config) *Shard {
 		Dev:        dev,
 		FTL:        fdev,
 		Mount:      mount,
-		Cache:      cache,
 		front:      front,
 		storage:    storage,
 		storageCli: scli,
@@ -206,7 +196,7 @@ func (d *Deployment) Snapshot() metrics.Snapshot {
 // node caches (vfs.Mount.DropCaches), so subsequent reads go to the
 // block layer. The shard bench uses it between its write and read
 // phases: the cold re-reads then exercise the read cache in front of
-// the remote store instead of being absorbed by the file node's RAM.
+// the remote device instead of being absorbed by the file node's RAM.
 func (d *Deployment) DropCaches() {
 	for _, sh := range d.Shards {
 		sh.Mount.DropCaches()

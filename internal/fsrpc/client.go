@@ -497,11 +497,11 @@ func (c *Client) Statfs() (Statfs, error) {
 	return r.Statfs, nil
 }
 
-// Bopen opens the named block store on the server's registry (DESIGN.md
-// §14), returning the session-scoped block handle and the store's
+// Bopen opens the named block share on the server's registry (DESIGN.md
+// §14), returning the session-scoped block handle and the share's
 // capacity in bytes. Block handles do not survive a session resume.
-func (c *Client) Bopen(store string) (handle uint64, size int64, err error) {
-	r, err := c.call(&Request{Op: OpBopen, Path: store})
+func (c *Client) Bopen(share string) (handle uint64, size int64, err error) {
+	r, err := c.call(&Request{Op: OpBopen, Path: share})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -534,7 +534,7 @@ func (c *Client) Bwrite(handle uint64, off int64, data []byte) (int, error) {
 	return int(r.N), nil
 }
 
-// Bflush drains the block store's queue and volatile write cache.
+// Bflush drains the block share's queue and volatile write cache.
 func (c *Client) Bflush(handle uint64) error {
 	_, err := c.call(&Request{Op: OpBflush, Handle: handle})
 	return err
@@ -556,7 +556,7 @@ func (c *Client) Attach(share string) error {
 }
 
 // Shares lists the server registry's shares: mount shares as directory
-// entries (Dir true), block stores as file entries (Dir false).
+// entries (Dir true), block shares as file entries (Dir false).
 func (c *Client) Shares() ([]DirEnt, error) {
 	r, err := c.call(&Request{Op: OpShares})
 	if err != nil {

@@ -223,7 +223,7 @@ type Reply struct {
 	Token   string // HELLO: server-issued session token
 	Lease   int64  // HELLO: session lease in nanoseconds (0 = no expiry)
 	Resumed bool   // HELLO: an existing session was resumed
-	Size    int64  // BOPEN: capacity of the opened block store in bytes
+	Size    int64  // BOPEN: capacity of the opened block share in bytes
 }
 
 func (e *enc) attr(a Attr) {

@@ -7,7 +7,6 @@ import (
 
 	"betrfs/internal/bench"
 	"betrfs/internal/blockdev"
-	"betrfs/internal/blockstore/local"
 	"betrfs/internal/fsrpc"
 	"betrfs/internal/fsserve"
 	"betrfs/internal/registry"
@@ -22,7 +21,7 @@ func TestBlockOpsOverWire(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(256))
 	reg := registry.New()
-	reg.AddStore("blk0", env, local.New(dev))
+	reg.AddDevice("blk0", env, dev)
 	cfg := fsserve.DefaultConfig()
 	cfg.Registry = reg
 	srv := fsserve.New(env, nil, cfg)
@@ -69,6 +68,29 @@ func TestBlockOpsOverWire(t *testing.T) {
 	}
 	if dev.Stats().Discards == 0 || dev.Stats().BytesDiscarded != int64(len(payload)) {
 		t.Fatalf("discard did not reach the device: %+v", dev.Stats())
+	}
+
+	// Ranges outside the device answer EINVAL before reaching it: no
+	// device panic for the server to catch, and no negative TRIM in the
+	// device's ledger.
+	counter := func(name string) int64 { return env.Metrics.Snapshot().Counters[name] }
+	discarded := counter("blockdev.discard.bytes")
+	inval := func(what string, err error) {
+		t.Helper()
+		if fsrpc.StatusOf(err) != fsrpc.StatusInval {
+			t.Errorf("%s = %v, want EINVAL", what, err)
+		}
+	}
+	_, err = cli.Bread(h, size, blockdev.BlockSize)
+	inval("bread at the device end", err)
+	_, err = cli.Bwrite(h, -blockdev.BlockSize, payload)
+	inval("bwrite at a negative offset", err)
+	inval("bdiscard of a negative length", cli.Bdiscard(h, off, -2*blockdev.BlockSize))
+	if n := counter("fsserve.op.panic"); n != 0 {
+		t.Errorf("fsserve.op.panic = %d, want 0", n)
+	}
+	if got := counter("blockdev.discard.bytes"); got < discarded {
+		t.Errorf("blockdev.discard.bytes fell from %d to %d", discarded, got)
 	}
 
 	// Stale handle surfaces EBADF, like file handles.

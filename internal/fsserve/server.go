@@ -38,7 +38,7 @@ import (
 	"sync"
 	"time"
 
-	"betrfs/internal/blockstore"
+	"betrfs/internal/blockdev"
 	"betrfs/internal/fsrpc"
 	"betrfs/internal/metrics"
 	"betrfs/internal/registry"
@@ -565,6 +565,10 @@ func (s *Server) executeOp(sess *session, q *fsrpc.Request) (rep *fsrpc.Reply, d
 		rep.Status = fsrpc.StatusOf(err)
 		return rep, nil
 	}
+	invalid := func() (*fsrpc.Reply, *[]byte) {
+		rep.Status = fsrpc.StatusInval
+		return rep, nil
+	}
 	mnt := sess.mount()
 	if mnt == nil && fileClassOp(q.Op) {
 		// Block-only storage node (or no mount share attached): the file
@@ -673,52 +677,61 @@ func (s *Server) executeOp(sess *session, q *fsrpc.Request) (rep *fsrpc.Reply, d
 			OpsServed: s.m.opCount.Load(),
 		}
 	case fsrpc.OpBopen:
-		var st blockstore.Store
+		var dev blockdev.Device
 		if s.cfg.Registry != nil {
-			st = s.cfg.Registry.Store(q.Path)
+			dev = s.cfg.Registry.Device(q.Path)
 		}
-		if st == nil {
+		if dev == nil {
 			return fail(vfs.ErrNotExist)
 		}
-		rep.Handle = sess.bput(st)
-		rep.Size = st.Size()
+		rep.Handle = sess.bput(dev)
+		rep.Size = dev.Size()
 	case fsrpc.OpBread:
-		bs, ok := sess.bget(q.Handle)
+		dev, ok := sess.bget(q.Handle)
 		if !ok {
 			return fail(fsrpc.ErrBadHandle)
 		}
-		// Same pooled zero-copy path as READ: the store fills the buffer
+		if !inDevice(dev, q.Off, int64(q.N)) {
+			return invalid()
+		}
+		// Same pooled zero-copy path as READ: the device fills the buffer
 		// and the reply frame references it.
 		bufp := readBufPool.Get().(*[]byte)
-		if err := bs.ReadAt((*bufp)[:q.N], q.Off); err != nil {
+		if err := dev.ReadAt((*bufp)[:q.N], q.Off); err != nil {
 			readBufPool.Put(bufp)
 			return fail(err)
 		}
 		rep.Data = (*bufp)[:q.N]
 		data = bufp
 	case fsrpc.OpBwrite:
-		bs, ok := sess.bget(q.Handle)
+		dev, ok := sess.bget(q.Handle)
 		if !ok {
 			return fail(fsrpc.ErrBadHandle)
 		}
-		if err := bs.WriteAt(q.Data, q.Off); err != nil {
+		if !inDevice(dev, q.Off, int64(len(q.Data))) {
+			return invalid()
+		}
+		if err := dev.WriteAt(q.Data, q.Off); err != nil {
 			return fail(err)
 		}
 		rep.N = uint32(len(q.Data))
 	case fsrpc.OpBflush:
-		bs, ok := sess.bget(q.Handle)
+		dev, ok := sess.bget(q.Handle)
 		if !ok {
 			return fail(fsrpc.ErrBadHandle)
 		}
-		if err := bs.Flush(); err != nil {
+		if err := dev.Flush(); err != nil {
 			return fail(err)
 		}
 	case fsrpc.OpBdiscard:
-		bs, ok := sess.bget(q.Handle)
+		dev, ok := sess.bget(q.Handle)
 		if !ok {
 			return fail(fsrpc.ErrBadHandle)
 		}
-		if err := bs.Discard(q.Off, q.Len); err != nil {
+		if !inDevice(dev, q.Off, q.Len) {
+			return invalid()
+		}
+		if err := dev.Discard(q.Off, q.Len); err != nil {
 			return fail(err)
 		}
 	case fsrpc.OpAttach:
@@ -758,4 +771,12 @@ func fileClassOp(op fsrpc.Op) bool {
 		return false
 	}
 	return !op.Block()
+}
+
+// inDevice reports whether the wire range [off, off+n) lies inside dev.
+// Block ops check it before touching the device, so a bad offset or
+// length from the wire is EINVAL rather than a device panic; the sum is
+// never formed, so it cannot overflow.
+func inDevice(dev blockdev.Device, off, n int64) bool {
+	return off >= 0 && n >= 0 && n <= dev.Size()-off
 }

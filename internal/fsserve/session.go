@@ -6,7 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"betrfs/internal/blockstore"
+	"betrfs/internal/blockdev"
 	"betrfs/internal/fsrpc"
 	"betrfs/internal/vfs"
 )
@@ -124,9 +124,9 @@ type session struct {
 	// a block handle holds no server-side state worth replaying (block
 	// ops are idempotent at absolute offsets), so the client simply
 	// re-BOPENs after a reconnect.
-	bmu     sync.Mutex
-	bnext   uint64
-	bstores map[uint64]blockstore.Store
+	bmu   sync.Mutex
+	bnext uint64
+	bdevs map[uint64]blockdev.Device
 }
 
 func newSession(srv *Server, rw io.ReadWriteCloser) *session {
@@ -290,33 +290,33 @@ func (s *session) mount() *vfs.Mount { return s.mnt.Load() }
 // bput registers a block-share handle. The table is bounded like the
 // file-handle table: beyond MaxHandles the oldest handle is evicted and
 // later requests naming it get EBADF.
-func (s *session) bput(st blockstore.Store) uint64 {
+func (s *session) bput(dev blockdev.Device) uint64 {
 	s.bmu.Lock()
 	defer s.bmu.Unlock()
-	if s.bstores == nil {
-		s.bstores = make(map[uint64]blockstore.Store)
+	if s.bdevs == nil {
+		s.bdevs = make(map[uint64]blockdev.Device)
 	}
 	s.bnext++
 	id := s.bnext
-	s.bstores[id] = st
-	if len(s.bstores) > s.srv.cfg.MaxHandles {
+	s.bdevs[id] = dev
+	if len(s.bdevs) > s.srv.cfg.MaxHandles {
 		oldest := id
-		for k := range s.bstores {
+		for k := range s.bdevs {
 			if k < oldest {
 				oldest = k
 			}
 		}
-		delete(s.bstores, oldest)
+		delete(s.bdevs, oldest)
 	}
 	return id
 }
 
 // bget resolves a block-share handle.
-func (s *session) bget(id uint64) (blockstore.Store, bool) {
+func (s *session) bget(id uint64) (blockdev.Device, bool) {
 	s.bmu.Lock()
 	defer s.bmu.Unlock()
-	st, ok := s.bstores[id]
-	return st, ok
+	dev, ok := s.bdevs[id]
+	return dev, ok
 }
 
 // sendReply hands one reply to the session writer. data is the pooled

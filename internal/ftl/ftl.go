@@ -181,9 +181,6 @@ func New(env *sim.Env, dev blockdev.Device, cfg Config) *Dev {
 // over-provisioned physical space is internal to the FTL.
 func (d *Dev) Size() int64 { return d.dev.Size() }
 
-// Stats returns the wrapped device's I/O statistics.
-func (d *Dev) Stats() *blockdev.Stats { return d.dev.Stats() }
-
 // WAFMilli returns the current write amplification factor in thousandths
 // (flash bytes programmed per host byte written); 0 before any write.
 func (d *Dev) WAFMilli() int64 {

@@ -1,7 +1,7 @@
 // Package registry names the shares one fsserved instance exports
-// (DESIGN.md §14.2). A share is either a mount share — a vfs.Mount a
+// (DESIGN.md §14.1). A share is either a mount share — a vfs.Mount a
 // client ATTACHes to for file-class ops — or a block share — a
-// blockstore.Store a client BOPENs for block-class ops, which is how one
+// blockdev.Device a client BOPENs for block-class ops, which is how one
 // node's file system runs over another node's device. Each share records
 // the sim.Env of the machine that hosts it, so a registry can roll every
 // hosted machine's metrics into one snapshot without double-counting
@@ -12,7 +12,7 @@ import (
 	"sort"
 	"sync"
 
-	"betrfs/internal/blockstore"
+	"betrfs/internal/blockdev"
 	"betrfs/internal/metrics"
 	"betrfs/internal/sim"
 	"betrfs/internal/vfs"
@@ -21,9 +21,9 @@ import (
 // Registry is a named-share table. It is safe for concurrent use; shares
 // are added at daemon start-up and looked up on every ATTACH/BOPEN.
 type Registry struct {
-	mu     sync.RWMutex
-	mounts map[string]*mountShare
-	stores map[string]*storeShare
+	mu      sync.RWMutex
+	mounts  map[string]*mountShare
+	devices map[string]*deviceShare
 }
 
 type mountShare struct {
@@ -31,16 +31,16 @@ type mountShare struct {
 	mount *vfs.Mount
 }
 
-type storeShare struct {
-	env   *sim.Env
-	store blockstore.Store
+type deviceShare struct {
+	env *sim.Env
+	dev blockdev.Device
 }
 
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		mounts: make(map[string]*mountShare),
-		stores: make(map[string]*storeShare),
+		mounts:  make(map[string]*mountShare),
+		devices: make(map[string]*deviceShare),
 	}
 }
 
@@ -54,19 +54,19 @@ func (r *Registry) AddMount(name string, env *sim.Env, mount *vfs.Mount) {
 	r.mounts[name] = &mountShare{env: env, mount: mount}
 }
 
-// AddStore exports store under name.
-func (r *Registry) AddStore(name string, env *sim.Env, store blockstore.Store) {
+// AddDevice exports dev under name as a block share.
+func (r *Registry) AddDevice(name string, env *sim.Env, dev blockdev.Device) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.checkFresh(name)
-	r.stores[name] = &storeShare{env: env, store: store}
+	r.devices[name] = &deviceShare{env: env, dev: dev}
 }
 
 func (r *Registry) checkFresh(name string) {
 	if _, ok := r.mounts[name]; ok {
 		panic("registry: duplicate share " + name)
 	}
-	if _, ok := r.stores[name]; ok {
+	if _, ok := r.devices[name]; ok {
 		panic("registry: duplicate share " + name)
 	}
 }
@@ -81,12 +81,12 @@ func (r *Registry) Mount(name string) *vfs.Mount {
 	return nil
 }
 
-// Store returns the block share name, or nil if no such block share.
-func (r *Registry) Store(name string) blockstore.Store {
+// Device returns the block share name, or nil if no such block share.
+func (r *Registry) Device(name string) blockdev.Device {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if s, ok := r.stores[name]; ok {
-		return s.store
+	if s, ok := r.devices[name]; ok {
+		return s.dev
 	}
 	return nil
 }
@@ -105,12 +105,12 @@ type Share struct {
 func (r *Registry) Shares() []Share {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Share, 0, len(r.mounts)+len(r.stores))
+	out := make([]Share, 0, len(r.mounts)+len(r.devices))
 	for name := range r.mounts {
 		out = append(out, Share{Name: name, Mount: true})
 	}
-	for name, s := range r.stores {
-		out = append(out, Share{Name: name, Size: s.store.Size()})
+	for name, s := range r.devices {
+		out = append(out, Share{Name: name, Size: s.dev.Size()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -118,8 +118,7 @@ func (r *Registry) Shares() []Share {
 
 // Snapshot merges the metrics of every distinct machine hosting a share
 // into one snapshot. Shares sharing a sim.Env (the common case: one
-// machine exports a mount and the block store beneath it) are counted
-// once.
+// machine exports a mount and the device beneath it) are counted once.
 func (r *Registry) Snapshot() metrics.Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -132,12 +131,12 @@ func (r *Registry) Snapshot() metrics.Snapshot {
 		seen[env.Metrics] = true
 		snap.Merge(env.Metrics.Snapshot())
 	}
-	// Deterministic merge order: sorted names, mounts then stores.
+	// Deterministic merge order: sorted names, mounts then devices.
 	for _, name := range sortedKeys(r.mounts) {
 		merge(r.mounts[name].env)
 	}
-	for _, name := range sortedKeys(r.stores) {
-		merge(r.stores[name].env)
+	for _, name := range sortedKeys(r.devices) {
+		merge(r.devices[name].env)
 	}
 	if snap.Counters == nil {
 		snap.Counters = map[string]int64{}

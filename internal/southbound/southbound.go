@@ -55,11 +55,11 @@ type Backend struct {
 	dirtyBytes int64
 	pending    []pendingWrite
 
-	// StallThreshold is the lower page cache's dirty watermark;
-	// StallDelay is the congestion wait charged when a writer crosses
+	// stallThreshold is the lower page cache's dirty watermark;
+	// stallDelay is the congestion wait charged when a writer crosses
 	// it (balance_dirty_pages-style sleeps).
-	StallThreshold int64
-	StallDelay     time.Duration
+	stallThreshold int64
+	stallDelay     time.Duration
 
 	stats Stats
 
@@ -92,8 +92,8 @@ func New(env *sim.Env, lower *extfs.FS, lay Layout) *Backend {
 		env:            env,
 		lower:          lower,
 		files:          make(map[string]*sbFile),
-		StallThreshold: 32 << 20,
-		StallDelay:     220 * time.Millisecond,
+		stallThreshold: 32 << 20,
+		stallDelay:     220 * time.Millisecond,
 	}
 	reg := env.Metrics
 	if reg == nil {
@@ -154,14 +154,14 @@ func (b *Backend) drainTo(target int64) error {
 // §2.3, since the Bε-tree's writes re-dirty lower pages with no net
 // progress on the dirty count.
 func (b *Backend) throttle() error {
-	if b.dirtyBytes <= b.StallThreshold {
+	if b.dirtyBytes <= b.stallThreshold {
 		return nil
 	}
 	b.stats.Stalls++
 	b.mStallCount.Inc()
 	b.env.Trace("southbound", "stall", "", b.dirtyBytes)
-	b.env.Charge(b.StallDelay)
-	return b.drainTo(b.StallThreshold / 2)
+	b.env.Charge(b.stallDelay)
+	return b.drainTo(b.stallThreshold / 2)
 }
 
 // sbFile adapts one lower file to stor.File with the stacking costs.

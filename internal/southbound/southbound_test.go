@@ -47,7 +47,7 @@ func TestStackingChargesCopies(t *testing.T) {
 
 func TestWritebackStallsUnderPressure(t *testing.T) {
 	env, b := newBackend(t)
-	b.StallThreshold = 4 << 20
+	b.stallThreshold = 4 << 20
 	f := b.File("data")
 	buf := make([]byte, 1<<20)
 	start := env.Now()
@@ -58,7 +58,7 @@ func TestWritebackStallsUnderPressure(t *testing.T) {
 		t.Fatal("no write-back stalls despite pressure")
 	}
 	// The stall time must dominate raw device time for this burst.
-	if env.Now()-start < b.StallDelay {
+	if env.Now()-start < b.stallDelay {
 		t.Fatal("stalls charged no time")
 	}
 }
