@@ -16,17 +16,17 @@ import (
 var goldenMicro2048 = []MicroResults{
 	{
 		System:  "betrfs-v0.4",
-		SeqRead: 532.2403629347165, SeqWrite: 66.11854018769964,
-		Rand4K: 91.74523761016123, Rand4B: 0.8484401316325035,
+		SeqRead: 337.11949601185756, SeqWrite: 121.50524469039345,
+		Rand4K: 165.54508201169665, Rand4B: 0.8479163841831301,
 		TokuBench: 47.41995138094575,
-		Grep:      0.056302333, Rm: 0.444738183, Find: 0.002773996,
+		Grep:      0.056302333, Rm: 0.445036355, Find: 0.002773996,
 	},
 	{
 		System:  "betrfs-v0.6",
-		SeqRead: 759.8895243468967, SeqWrite: 220.90283280344374,
-		Rand4K: 106.53151369496189, Rand4B: 1.0904045464758316,
+		SeqRead: 474.2990339531994, SeqWrite: 359.72580211410127,
+		Rand4K: 204.73230238516834, Rand4B: 0.8596151501293936,
 		TokuBench: 60.02070222253708,
-		Grep:      0.033174724, Rm: 0.066783802, Find: 0.00171564,
+		Grep:      0.033174724, Rm: 0.067394941, Find: 0.00171564,
 	},
 }
 

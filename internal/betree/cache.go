@@ -63,6 +63,19 @@ type cacheShard struct {
 type cacheEntry struct {
 	key  cacheKey
 	node *node
+	// charged is what this entry adds to its shard's used: the node's
+	// size when it was inserted or last resized. Resizes and evictions
+	// refund exactly this, never the node's current size, which a
+	// mutation changes before it resizes.
+	charged int64
+}
+
+// recharge replaces the entry's charge with its node's current size. The
+// shard lock is held.
+func (sh *cacheShard) recharge(ce *cacheEntry) {
+	sh.used -= ce.charged
+	ce.charged = int64(ce.node.memSize())
+	sh.used += ce.charged
 }
 
 // newNodeCache builds a cache with the given total budget split over
@@ -125,83 +138,54 @@ func (c *nodeCache) lookup(t *Tree, id nodeID, pin bool) (*node, bool) {
 	return n, true
 }
 
-// insertPinned adds a freshly read node that the caller has already
-// pinned. If another goroutine cached the same node first (a concurrent
-// read miss), the existing node wins: it is pinned and returned, and the
-// caller's duplicate is discarded.
-func (c *nodeCache) insertPinned(t *Tree, n *node) *node {
+// insert is the only way into the cache. It returns the cached node
+// pinned, and the caller unpins it: a node is used only while pinned, so
+// the eviction sweep this insert runs can never take the node it adds.
+//
+// If the entry already exists the cached node wins. When it is n itself
+// (a structural change resized a node it holds pinned) its charge is
+// brought up to date; when it is another node (a concurrent read miss
+// cached it first) the caller's duplicate is released.
+func (c *nodeCache) insert(t *Tree, n *node) *node {
 	key := cacheKey{t, n.id}
 	sh := c.shardFor(t, n.id)
 	sh.mu.Lock()
 	if el, ok := sh.entries[key]; ok {
-		won := el.Value.(*cacheEntry).node
-		won.pins.Add(1)
+		ce := el.Value.(*cacheEntry)
+		ce.node.pins.Add(1)
 		sh.lru.MoveToFront(el)
+		if ce.node == n {
+			sh.recharge(ce)
+		}
 		sh.mu.Unlock()
-		n.releaseRefs()
-		return won
+		if ce.node != n {
+			n.releaseRefs()
+		}
+		return ce.node
 	}
-	el := sh.lru.PushFront(&cacheEntry{key: key, node: n})
-	sh.entries[key] = el
-	sh.used += int64(n.computeMemSize())
+	n.pins.Add(1)
+	ce := &cacheEntry{key: key, node: n}
+	sh.entries[key] = sh.lru.PushFront(ce)
+	sh.recharge(ce)
 	pressure, evErr := c.evictShard(sh, sh.budget)
 	sh.mu.Unlock()
 	c.dirtyPressure(pressure)
-	ioerr.Check(evErr)
+	if evErr != nil {
+		n.pins.Add(-1) // the caller never receives the node to unpin it
+		ioerr.Check(evErr)
+	}
 	return n
 }
 
-// put inserts (or replaces) a node, evicting as needed to stay within the
-// shard's budget. Used by structural code paths that manage pins
-// themselves; concurrent read misses use insertPinned.
-func (c *nodeCache) put(t *Tree, n *node) {
-	key := cacheKey{t, n.id}
-	sh := c.shardFor(t, n.id)
-	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
-		old := el.Value.(*cacheEntry)
-		sh.used -= int64(old.node.memSize)
-		old.node = n
-		sh.used += int64(n.computeMemSize())
-		sh.lru.MoveToFront(el)
-		pressure, evErr := c.evictShard(sh, sh.budget)
-		sh.mu.Unlock()
-		c.dirtyPressure(pressure)
-		ioerr.Check(evErr)
-		return
-	}
-	el := sh.lru.PushFront(&cacheEntry{key: key, node: n})
-	sh.entries[key] = el
-	sh.used += int64(n.computeMemSize())
-	pressure, evErr := c.evictShard(sh, sh.budget)
-	sh.mu.Unlock()
-	c.dirtyPressure(pressure)
-	ioerr.Check(evErr)
-}
-
-// resize recomputes a node's footprint after mutation.
+// resize recharges a cached node's footprint after mutation.
 func (c *nodeCache) resize(t *Tree, n *node) {
 	sh := c.shardFor(t, n.id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.entries[cacheKey{t, n.id}]; ok {
-		sh.used -= int64(n.memSize)
-		sh.used += int64(n.computeMemSize())
-	}
-}
-
-// remove drops a node without writeback (deleted by merges).
-func (c *nodeCache) remove(t *Tree, id nodeID) {
-	sh := c.shardFor(t, id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	key := cacheKey{t, id}
-	if el, ok := sh.entries[key]; ok {
-		ce := el.Value.(*cacheEntry)
-		sh.used -= int64(ce.node.memSize)
-		ce.node.releaseRefs()
-		sh.lru.Remove(el)
-		delete(sh.entries, key)
+	if el, ok := sh.entries[cacheKey{t, n.id}]; ok {
+		if ce := el.Value.(*cacheEntry); ce.node == n {
+			sh.recharge(ce)
+		}
 	}
 }
 
@@ -257,7 +241,7 @@ func (c *nodeCache) evictShard(sh *cacheShard, target int64) (dirtySkipped bool,
 			}
 			sh.evictions++
 			c.mEvict.Inc()
-			sh.used -= int64(ce.node.memSize)
+			sh.used -= ce.charged
 			ce.node.releaseRefs()
 			sh.lru.Remove(el)
 			delete(sh.entries, ce.key)

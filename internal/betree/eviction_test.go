@@ -73,7 +73,7 @@ func TestEvictionKeepsDescentPath(t *testing.T) {
 	addInterior := func(n *node) {
 		ext, _ := data.bt.lookup(n.id)
 		interior[ext.off] = n.id
-		budget += int64(n.computeMemSize())
+		budget += int64(n.memSize())
 	}
 	addInterior(root)
 	var groups [][][]byte
@@ -86,7 +86,7 @@ func TestEvictionKeepsDescentPath(t *testing.T) {
 		for li, leaf := range h1.children {
 			key, _ := h1.childRange(li, lo, nil)
 			group = append(group, key)
-			leafMem = max(leafMem, int64(mustRead(data, leaf, key).computeMemSize()))
+			leafMem = max(leafMem, int64(mustRead(data, leaf, key).memSize()))
 		}
 		groups = append(groups, group)
 	}
@@ -98,7 +98,7 @@ func TestEvictionKeepsDescentPath(t *testing.T) {
 		t.Fatal("metadata tree root is not a leaf")
 	}
 	metaExt, _ := meta.bt.lookup(meta.rootID)
-	budget += int64(metaRoot.computeMemSize()) + 2*leafMem
+	budget += int64(metaRoot.memSize()) + 2*leafMem
 
 	if err := s.DropCleanCaches(); err != nil {
 		t.Fatal(err)
@@ -177,12 +177,11 @@ func TestColdGetAllocatesWhatItReads(t *testing.T) {
 	if root.height != 1 {
 		t.Fatalf("root height %d, want 1", root.height)
 	}
-	var leaf nodeID
 	var ext extent
 	var key []byte
 	for ci, id := range root.children {
 		if e, _ := tr.bt.lookup(id); e.len > ext.len {
-			leaf, ext = id, e
+			ext = e
 			key, _ = root.childRange(ci, k(0), nil)
 		}
 	}
@@ -190,17 +189,24 @@ func TestColdGetAllocatesWhatItReads(t *testing.T) {
 		t.Fatalf("largest leaf extent is %d bytes, want at least 2 MiB", ext.len)
 	}
 
+	// Each round empties the cache and warms the root again, so only the
+	// leaf is cold when the measured Get runs.
 	const rounds = 4
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	var total uint64
 	for i := 0; i < rounds; i++ {
-		s.cache.remove(tr, leaf)
+		if err := s.DropCleanCaches(); err != nil {
+			t.Fatal(err)
+		}
+		tr.unpin(tr.mustFetch(tr.rootID, nil))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		if _, ok, err := tr.Get(key); err != nil || !ok {
 			t.Fatalf("Get: ok=%v err=%v", ok, err)
 		}
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
 	}
-	runtime.ReadMemStats(&after)
-	perGet := int64(after.TotalAlloc-before.TotalAlloc) / rounds
+	perGet := int64(total) / rounds
 	t.Logf("a cold Get on a %d-byte leaf allocated %d bytes", ext.len, perGet)
 	if perGet > ext.len/4 {
 		t.Fatalf("a cold Get on a %d-byte leaf allocated %d bytes, want under a quarter of the extent", ext.len, perGet)

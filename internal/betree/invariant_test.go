@@ -17,9 +17,13 @@ import (
 //  3. leaf entries are strictly sorted;
 //  4. each child buffer's index is in order: point messages by (key,
 //     MSN), range deletes by MSN, and its byte count matches;
-//  5. interior node heights decrease by one per level.
+//  5. interior node heights decrease by one per level;
+//  6. the node cache's accounting is exact (checkCacheCharges), before
+//     the walk and after it.
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
+	checkCacheCharges(t, tr.store.cache)
+	defer checkCacheCharges(t, tr.store.cache)
 	var walk func(id nodeID, lo, hi []byte, wantHeight int)
 	walk = func(id nodeID, lo, hi []byte, wantHeight int) {
 		n := tr.mustFetch(id, nil)
@@ -76,6 +80,60 @@ func checkInvariants(t *testing.T, tr *Tree) {
 	h := root.height
 	tr.unpin(root)
 	walk(tr.rootID, nil, nil, h)
+}
+
+// checkCacheCharges verifies the node cache's byte accounting: each
+// shard's used is the sum of what its entries were charged, and each
+// charge is its node's current size, so no node changed size behind the
+// cache's back.
+func checkCacheCharges(t *testing.T, c *nodeCache) {
+	t.Helper()
+	for i, sh := range c.shards {
+		sh.mu.Lock()
+		var sum int64
+		for el := sh.lru.Front(); el != nil; el = el.Next() {
+			ce := el.Value.(*cacheEntry)
+			sum += ce.charged
+			if size := int64(ce.node.memSize()); ce.charged != size {
+				t.Errorf("shard %d: node %d charged %d bytes, its size is %d", i, ce.node.id, ce.charged, size)
+			}
+		}
+		used := sh.used
+		sh.mu.Unlock()
+		if used != sum {
+			t.Fatalf("shard %d: used %d bytes, its entries were charged %d", i, used, sum)
+		}
+	}
+}
+
+// TestRootSplitUnderCachePressure writes sequential keys through a cache
+// far smaller than the tree's interior nodes, so root splits happen while
+// no unpinned leaf can bring the shard under budget. A new root the cache
+// evicted before it was pinned would be written back with one child, and
+// every key right of its pivot would be lost.
+func TestRootSplitUnderCachePressure(t *testing.T) {
+	_, s := testStore(t, func(c *Config) { c.CacheBytes = 16 << 10 })
+	tr := s.Data()
+	const n = 20000
+	for i := 0; i < n; i++ {
+		if err := tr.Put(k(i), v(i, 200), LogAuto); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lost := 0
+	for i := 0; i < n; i++ {
+		got, ok, err := tr.Get(k(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || !bytes.Equal(got, v(i, 200)) {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d keys lost", lost, n)
+	}
+	checkInvariants(t, tr)
 }
 
 func TestInvariantsUnderRandomOps(t *testing.T) {

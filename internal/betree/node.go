@@ -101,10 +101,10 @@ type node struct {
 	// partial loads need it to resolve aligned value offsets.
 	pageBase int
 
-	// Cache bookkeeping. pins is atomic: fetch pins under the cache
-	// shard lock, but unpin is lock-free.
-	pins    atomic.Int32
-	memSize int
+	// pins counts the users holding the node; the cache evicts only
+	// unpinned nodes. Atomic: the cache pins under its shard lock, but
+	// unpin is lock-free.
+	pins atomic.Int32
 }
 
 func (n *node) isLeaf() bool { return n.height == 0 }
@@ -337,9 +337,9 @@ func (n *node) releaseRefs() {
 	}
 }
 
-// computeMemSize estimates the node's in-memory footprint for cache
-// accounting.
-func (n *node) computeMemSize() int {
+// memSize estimates the node's in-memory footprint: what the cache charges
+// for it and what serialization reserves for its image.
+func (n *node) memSize() int {
 	total := 256
 	for i := range n.pivots {
 		total += len(n.pivots[i]) + 16
@@ -353,6 +353,5 @@ func (n *node) computeMemSize() int {
 			total += b.bytes
 		}
 	}
-	n.memSize = total
 	return total
 }

@@ -387,7 +387,6 @@ func deserializeNode(env *sim.Env, cfg *Config, data []byte) (*node, error) {
 		return nil, err
 	}
 	env.Serialize(read)
-	n.computeMemSize()
 	return n, nil
 }
 

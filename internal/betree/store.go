@@ -616,10 +616,10 @@ func (s *Store) prepareNodeImage(t *Tree, n *node) nodeImage {
 	// cooperative path negotiates the final size up front (§5).
 	var buf *kmem.Buf
 	if s.alloc.Cooperative() {
-		buf = s.alloc.AllocUsable(n.memSize + 512)
+		buf = s.alloc.AllocUsable(n.memSize() + 512)
 	} else {
 		buf = s.alloc.Alloc(64 << 10)
-		buf = s.alloc.GrowDoubling(buf, n.memSize+512, 64<<10)
+		buf = s.alloc.GrowDoubling(buf, n.memSize()+512, 64<<10)
 	}
 	data := serializeNode(s.env, &s.cfg, n)
 	if s.cfg.Compression {
@@ -769,7 +769,6 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 				if err := s.loadBasement(t, n, ext, n.basementFor(s.env, partialKey)); err != nil {
 					return nil, err
 				}
-				n.computeMemSize()
 				return n, nil
 			}
 		}

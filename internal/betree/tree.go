@@ -134,7 +134,7 @@ func (t *Tree) formatEmpty() {
 	}
 	root.dirty.Store(true)
 	t.rootID = root.id
-	t.store.cache.put(t, root)
+	t.unpin(t.store.cache.insert(t, root))
 }
 
 func (t *Tree) newNodeID() nodeID {
@@ -164,8 +164,7 @@ func (t *Tree) fetch(id nodeID, partialKey []byte) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.pins.Add(1)
-	return s.cache.insertPinned(t, n), nil
+	return s.cache.insert(t, n), nil
 }
 
 // mustFetch is fetch for write paths, where an unreadable node aborts the
@@ -607,10 +606,9 @@ func (t *Tree) splitRoot(old *node) {
 	}
 	newRoot.dirty.Store(true)
 	t.rootID = newRoot.id
-	s.cache.put(t, newRoot)
-	newRoot.pins.Add(1)
+	s.cache.insert(t, newRoot)
+	defer t.unpin(newRoot)
 	t.splitChild(newRoot, 0, old)
-	newRoot.pins.Add(-1)
 	t.markDirty(newRoot)
 }
 
@@ -708,8 +706,7 @@ func (t *Tree) replaceChild(parent *node, ci int, nodes []*node, pivots [][]byte
 	}
 	t.markDirty(parent)
 	for _, n := range nodes {
-		n.computeMemSize()
-		s.cache.put(t, n)
+		t.unpin(s.cache.insert(t, n))
 	}
 }
 

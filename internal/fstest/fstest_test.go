@@ -7,6 +7,7 @@ package fstest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -22,11 +23,25 @@ import (
 	"betrfs/internal/vfs"
 )
 
-// build constructs a named file system over a fresh scaled SSD.
+// sizes is the machine a test file system runs on: the SSD profile scaled
+// down by scale, a BetrFS node cache of nodeCache bytes and a page cache
+// of pageCache bytes.
+type sizes struct {
+	scale                int64
+	nodeCache, pageCache int64
+}
+
+// build constructs a named file system over a fresh 1/64 SSD with caches
+// that hold every conformance scenario.
 func build(t testing.TB, name string) (*sim.Env, *vfs.Mount) {
+	return buildSized(t, name, sizes{scale: 64, nodeCache: 64 << 20, pageCache: 128 << 20})
+}
+
+// buildSized constructs a named file system on the machine sz describes.
+func buildSized(t testing.TB, name string, sz sizes) (*sim.Env, *vfs.Mount) {
 	t.Helper()
 	env := sim.NewEnv(1)
-	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))
+	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(sz.scale))
 	var fs vfs.FS
 	switch name {
 	case "ext4":
@@ -41,7 +56,7 @@ func build(t testing.TB, name string) (*sim.Env, *vfs.Mount) {
 		fs = cowfs.New(env, dev, cowfs.ZFSProfile())
 	case "betrfs-v0.6":
 		cfg := betrfs.V06Config()
-		cfg.Tree.CacheBytes = 64 << 20
+		cfg.Tree.CacheBytes = sz.nodeCache
 		backend, serr := sfl.NewDefault(env, dev)
 		if serr != nil {
 			t.Fatal(serr)
@@ -53,7 +68,7 @@ func build(t testing.TB, name string) (*sim.Env, *vfs.Mount) {
 		fs = b
 	case "betrfs-v0.4":
 		cfg := betrfs.V04Config()
-		cfg.Tree.CacheBytes = 64 << 20
+		cfg.Tree.CacheBytes = sz.nodeCache
 		lower := extfs.New(env, dev, extfs.Ext4Profile())
 		backend := southbound.New(env, lower, southbound.DefaultLayout(dev.Size()))
 		b, err := betrfs.New(env, kmem.New(env, false), cfg, backend)
@@ -65,7 +80,7 @@ func build(t testing.TB, name string) (*sim.Env, *vfs.Mount) {
 		t.Fatalf("unknown fs %q", name)
 	}
 	mcfg := vfs.DefaultConfig()
-	mcfg.CacheBytes = 128 << 20
+	mcfg.CacheBytes = sz.pageCache
 	return env, vfs.NewMount(env, fs, mcfg)
 }
 
@@ -225,6 +240,98 @@ func TestRenameFileKeepsData(t *testing.T) {
 			t.Fatal("old name still present")
 		}
 	})
+}
+
+// TestRenameBigFileKeepsData renames a file 8× the node cache and 8× the
+// log region on a 1/512 machine, then overwrites it. Every block must read
+// back after a sync and a cache drop, both times. On BetrFS the rename
+// re-puts every block under the new name, which grows the data tree until
+// its interior nodes alone outgrow the node cache and the root splits.
+func TestRenameBigFileKeepsData(t *testing.T) {
+	const blocks = 8192
+	const chunk = 64 // blocks per call
+	block := func(i, gen int) []byte {
+		b := make([]byte, vfs.PageSize)
+		for j := range b {
+			b[j] = byte(i*131 + gen*7 + j)
+		}
+		binary.BigEndian.PutUint64(b, uint64(i+1))
+		b[8] = byte(gen)
+		return b
+	}
+	write := func(t *testing.T, f *vfs.File, gen int) {
+		for i := 0; i < blocks; i += chunk {
+			var buf []byte
+			for j := i; j < i+chunk; j++ {
+				buf = append(buf, block(j, gen)...)
+			}
+			if _, err := f.WriteAt(buf, int64(i)*vfs.PageSize); err != nil {
+				t.Fatalf("write block %d: %v", i, err)
+			}
+		}
+	}
+	verify := func(t *testing.T, m *vfs.Mount, path string, gen int) {
+		f, err := m.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad, first := 0, -1
+		buf := make([]byte, chunk*vfs.PageSize)
+		for i := 0; i < blocks; i += chunk {
+			if n, err := f.ReadAt(buf, int64(i)*vfs.PageSize); err != nil || n != len(buf) {
+				t.Fatalf("read block %d: n=%d err=%v", i, n, err)
+			}
+			for j := 0; j < chunk; j++ {
+				if !bytes.Equal(buf[j*vfs.PageSize:(j+1)*vfs.PageSize], block(i+j, gen)) {
+					if bad++; first < 0 {
+						first = i + j
+					}
+				}
+			}
+		}
+		if bad > 0 {
+			t.Fatalf("%s: %d of %d blocks wrong, the first at block %d", path, bad, blocks, first)
+		}
+	}
+	for _, name := range allFS {
+		t.Run(name, func(t *testing.T) {
+			_, m := buildSized(t, name, sizes{scale: 512, nodeCache: 4 << 20, pageCache: 4 << 20})
+			for _, d := range []string{"src", "dst"} {
+				if err := m.MkdirAll(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f, err := m.Create("src/big")
+			if err != nil {
+				t.Fatal(err)
+			}
+			write(t, f, 1)
+			f.Close()
+			if err := m.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Rename("src/big", "dst/big"); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			m.DropCaches()
+			verify(t, m, "dst/big", 1)
+
+			g, err := m.Open("dst/big")
+			if err != nil {
+				t.Fatal(err)
+			}
+			write(t, g, 2)
+			g.Close()
+			if err := m.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			m.DropCaches()
+			verify(t, m, "dst/big", 2)
+		})
+	}
 }
 
 func TestRenameDirectoryMovesSubtree(t *testing.T) {

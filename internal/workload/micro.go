@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -11,19 +12,16 @@ import (
 // Microbenchmarks of Table 1/3.
 
 // SequentialWrite writes one file of total bytes in chunk-sized calls
-// (fio-style), ending with fsync.
+// (fio-style), ending with fsync. Every call writes seqChunk(chunk).
 func SequentialWrite(env *sim.Env, m *vfs.Mount, total int64, chunk int) Result {
 	start := env.Now()
 	f, err := m.Create("bigfile")
 	if err != nil {
 		panic(err)
 	}
-	buf := make([]byte, chunk)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
+	buf := seqChunk(chunk)
 	for written := int64(0); written < total; written += int64(chunk) {
-		f.Write(buf)
+		mustDo(f.Write(buf))
 	}
 	f.Fsync()
 	f.Close()
@@ -31,7 +29,10 @@ func SequentialWrite(env *sim.Env, m *vfs.Mount, total int64, chunk int) Result 
 }
 
 // SequentialRead re-reads the file written by SequentialWrite after
-// dropping caches.
+// dropping caches, in calls of the same chunk size, so each call returns
+// one written chunk (the last one possibly cut short). It panics on a
+// chunk that differs from what was written; the check costs no simulated
+// time.
 func SequentialRead(env *sim.Env, m *vfs.Mount, chunk int) Result {
 	m.DropCaches()
 	f, err := m.Open("bigfile")
@@ -40,11 +41,15 @@ func SequentialRead(env *sim.Env, m *vfs.Mount, chunk int) Result {
 	}
 	start := env.Now()
 	buf := make([]byte, chunk)
+	want := seqChunk(chunk)
 	var total int64
 	for {
-		n, _ := f.Read(buf)
+		n := mustDo(f.Read(buf))
 		if n == 0 {
 			break
+		}
+		if !bytes.Equal(buf[:n], want[:n]) {
+			panic(fmt.Sprintf("workload: bigfile bytes [%d, %d) differ from what was written", total, total+int64(n)))
 		}
 		total += int64(n)
 	}
@@ -63,11 +68,13 @@ func RandomWrite(env *sim.Env, m *vfs.Mount, fileSize int64, count int, writeSiz
 	}
 	big := make([]byte, 1<<20)
 	for w := int64(0); w < fileSize; w += int64(len(big)) {
-		f.Write(big)
+		mustDo(f.Write(big))
 	}
 	f.Fsync()
 	m.DropCaches()
-	f, _ = m.Open("randfile")
+	if f, err = m.Open("randfile"); err != nil {
+		panic(err)
+	}
 
 	rnd := sim.NewRand(11)
 	buf := make([]byte, writeSize)
@@ -79,7 +86,7 @@ func RandomWrite(env *sim.Env, m *vfs.Mount, fileSize int64, count int, writeSiz
 		} else {
 			off = rnd.Int63n(fileSize - int64(writeSize))
 		}
-		f.WriteAt(buf, off)
+		mustDo(f.WriteAt(buf, off))
 	}
 	f.Fsync()
 	f.Close()
@@ -112,7 +119,7 @@ func TokuBench(env *sim.Env, m *vfs.Mount, n int) Result {
 				if err != nil {
 					panic(err)
 				}
-				f.Write(payload)
+				mustDo(f.Write(payload))
 				f.Close()
 			}
 			created += remaining
@@ -153,7 +160,7 @@ func Grep(env *sim.Env, m *vfs.Mount, root string) Result {
 			return true
 		}
 		for {
-			n, _ := f.Read(buf)
+			n := mustDo(f.Read(buf))
 			if n == 0 {
 				break
 			}
@@ -191,6 +198,25 @@ func RecursiveDelete(env *sim.Env, m *vfs.Mount, root string) Result {
 	}
 	m.Sync()
 	return Result{Name: "rm", Elapsed: env.Now() - start}
+}
+
+// seqChunk is the chunk SequentialWrite writes over and over.
+func seqChunk(chunk int) []byte {
+	buf := make([]byte, chunk)
+	for i := range buf {
+		buf[i] = byte(i)
+	}
+	return buf
+}
+
+// mustDo returns the byte count of a file read or write, panicking on its
+// error as the workloads do on a failed Create: a benchmark cell measured
+// over a failed call would be silently wrong.
+func mustDo(n int, err error) int {
+	if err != nil {
+		panic(err)
+	}
+	return n
 }
 
 func psDuration(bytes int, ps int64) time.Duration {
