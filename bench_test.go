@@ -20,6 +20,7 @@ import (
 	"betrfs/internal/kmem"
 	"betrfs/internal/sfl"
 	"betrfs/internal/sim"
+	"betrfs/internal/systems"
 	"betrfs/internal/workload"
 )
 
@@ -31,7 +32,7 @@ const benchScale = 256
 // BenchmarkTable1 reproduces Table 1: every file system on the eight
 // microbenchmarks.
 func BenchmarkTable1(b *testing.B) {
-	for _, system := range bench.Systems {
+	for _, system := range systems.Table1 {
 		system := system
 		b.Run(system, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -52,7 +53,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable3 reproduces Table 3: the cumulative optimization ladder
 // from BetrFS v0.4 to v0.6, one rung per sub-benchmark.
 func BenchmarkTable3(b *testing.B) {
-	for _, system := range bench.Ladder {
+	for _, system := range systems.Ladder {
 		system := system
 		b.Run(system, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

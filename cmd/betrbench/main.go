@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -34,6 +35,7 @@ import (
 	"betrfs/internal/metrics"
 	"betrfs/internal/sfl"
 	"betrfs/internal/sim"
+	"betrfs/internal/systems"
 )
 
 func main() {
@@ -41,7 +43,7 @@ func main() {
 	figure := flag.Int("figure", 0, "reproduce a paper figure (2)")
 	hdd := flag.Bool("hdd", false, "run the HDD ablation")
 	scale := flag.Int64("scale", bench.DefaultScale, "divide paper workload sizes by this factor")
-	systems := flag.String("systems", "", "comma-separated subset of systems to run")
+	only := flag.String("systems", "", "comma-separated subset of systems to run: "+strings.Join(systems.Names(), ", "))
 	jsonOut := flag.Bool("json", false, "also write a BENCH_<name>.json document")
 	outPath := flag.String("o", "", "path for the JSON document (implies -json)")
 	validate := flag.String("validate", "", "validate a BENCH_*.json document and exit")
@@ -67,16 +69,22 @@ func main() {
 		*jsonOut = true
 	}
 
+	var picked []string
+	if *only != "" {
+		for _, s := range strings.Split(*only, ",") {
+			s = strings.TrimSpace(s)
+			if _, err := systems.Lookup(s); err != nil {
+				fmt.Fprintln(os.Stderr, "betrbench: -systems:", err)
+				os.Exit(2)
+			}
+			picked = append(picked, s)
+		}
+	}
 	pick := func(all []string) []string {
-		if *systems == "" {
+		if picked == nil {
 			return all
 		}
-		var out []string
-		want := strings.Split(*systems, ",")
-		for _, s := range want {
-			out = append(out, strings.TrimSpace(s))
-		}
-		return out
+		return picked
 	}
 
 	opts := runOpts{json: *jsonOut, outPath: *outPath, scale: *scale, parallel: *parallel}
@@ -85,21 +93,21 @@ func main() {
 	case *shard:
 		ok = runShardCmd(opts, *shards)
 	case *aging:
-		ok = runAging(pick(bench.ServeSystems), opts, *agingChurn)
+		ok = runAging(pick(systems.Core), opts, *agingChurn)
 	case *serve:
-		ok = runServe(pick(bench.ServeSystems), opts, *clients, *serveWorkers)
+		ok = runServe(pick(systems.Core), opts, *clients, *serveWorkers)
 	case *clients > 0:
 		ok = runClients(pick([]string{"betrfs-v0.6"}), opts, *clients)
 	case *table == 1:
-		ok = runMicro(pick(bench.Systems), "table1", opts)
+		ok = runMicro(pick(systems.Table1), "table1", opts)
 	case *table == 2:
 		printLayout(*scale)
 	case *table == 3:
-		ok = runMicro(pick(bench.Ladder), "table3", opts)
+		ok = runMicro(pick(systems.Ladder), "table3", opts)
 	case *figure == 2:
-		ok = runApps(pick(bench.Systems), "figure2", opts)
+		ok = runApps(pick(systems.Table1), "figure2", opts)
 	case *hdd:
-		ok = runMicro([]string{"ext4-hdd", "betrfs-v0.6-hdd"}, "hdd", opts)
+		ok = runMicro(systems.HDD, "hdd", opts)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -145,58 +153,31 @@ func writeDoc(d *bench.Doc, path string) bool {
 	return true
 }
 
-func runMicro(systems []string, name string, o runOpts) bool {
+func runMicro(names []string, name string, o runOpts) bool {
 	fmt.Printf("microbenchmarks at scale 1/%d (paper: Table 1/3)\n\n", o.scale)
-	var rows []bench.MicroResults
-	var snaps []metrics.Snapshot
-	var info *bench.ParallelInfo
-	ok := true
-	if o.parallel > 1 {
-		var allRows []bench.MicroResults
-		var allSnaps []metrics.Snapshot
-		allRows, allSnaps, info = bench.RunMicroParallel(systems, o.scale, o.parallel)
-		for i, st := range info.Statuses {
-			if st.OK {
-				rows = append(rows, allRows[i])
-				snaps = append(snaps, allSnaps[i])
-			} else {
-				fmt.Fprintf(os.Stderr, "betrbench: %s\n", st.Err)
-				ok = false
-			}
-		}
-	} else {
-		for _, s := range systems {
-			fmt.Fprintf(os.Stderr, "running %s...\n", s)
-			err := runSystem(s, func() {
-				r, snap := bench.RunMicroCollect(s, o.scale)
-				rows = append(rows, r)
-				snaps = append(snaps, snap)
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "betrbench: %v\n", err)
-				ok = false
-			}
-		}
-	}
-	bench.WriteMicroTable(os.Stdout, rows)
-	if o.json && len(rows) > 0 {
-		d := bench.MicroDoc(name, o.scale, rows, snaps)
-		d.Parallel = info
-		ok = writeDoc(d, o.jsonPath(name)) && ok
-	}
-	return ok
+	return runRows(names, name, o, bench.RunMicroCollect, bench.WriteMicroTable, bench.MicroDoc)
 }
 
-func runApps(systems []string, name string, o runOpts) bool {
+func runApps(names []string, name string, o runOpts) bool {
 	fmt.Printf("application benchmarks at scale 1/%d (paper: Figure 2)\n\n", o.scale)
-	var rows []bench.AppResults
+	return runRows(names, name, o, bench.RunAppsCollect, bench.WriteAppTable, bench.AppDoc)
+}
+
+// runRows runs one row per system, sequentially or on o.parallel workers,
+// prints the table and writes the document. A failed system is reported
+// on stderr and makes the run fail after the others finish.
+func runRows[R any](names []string, name string, o runOpts,
+	collect func(string, int64) (R, metrics.Snapshot),
+	table func(io.Writer, []R),
+	doc func(string, int64, []R, []metrics.Snapshot) *bench.Doc) bool {
+	var rows []R
 	var snaps []metrics.Snapshot
 	var info *bench.ParallelInfo
 	ok := true
 	if o.parallel > 1 {
-		var allRows []bench.AppResults
+		var allRows []R
 		var allSnaps []metrics.Snapshot
-		allRows, allSnaps, info = bench.RunAppsParallel(systems, o.scale, o.parallel)
+		allRows, allSnaps, info = bench.RunParallel(names, o.scale, o.parallel, collect)
 		for i, st := range info.Statuses {
 			if st.OK {
 				rows = append(rows, allRows[i])
@@ -207,10 +188,10 @@ func runApps(systems []string, name string, o runOpts) bool {
 			}
 		}
 	} else {
-		for _, s := range systems {
+		for _, s := range names {
 			fmt.Fprintf(os.Stderr, "running %s...\n", s)
 			err := runSystem(s, func() {
-				r, snap := bench.RunAppsCollect(s, o.scale)
+				r, snap := collect(s, o.scale)
 				rows = append(rows, r)
 				snaps = append(snaps, snap)
 			})
@@ -220,9 +201,9 @@ func runApps(systems []string, name string, o runOpts) bool {
 			}
 		}
 	}
-	bench.WriteAppTable(os.Stdout, rows)
+	table(os.Stdout, rows)
 	if o.json && len(rows) > 0 {
-		d := bench.AppDoc(name, o.scale, rows, snaps)
+		d := doc(name, o.scale, rows, snaps)
 		d.Parallel = info
 		ok = writeDoc(d, o.jsonPath(name)) && ok
 	}

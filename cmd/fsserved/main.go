@@ -33,12 +33,13 @@ import (
 	"betrfs/internal/fsserve"
 	"betrfs/internal/ftl"
 	"betrfs/internal/registry"
+	"betrfs/internal/systems"
 )
 
 func main() {
 	def := fsserve.DefaultConfig()
 	addr := flag.String("addr", "127.0.0.1:9000", "TCP listen address")
-	fsName := flag.String("fs", "betrfs-v0.6", "file system: "+strings.Join(bench.Systems, ", "))
+	fsName := flag.String("fs", "betrfs-v0.6", "file system: "+strings.Join(systems.Names(), ", "))
 	scale := flag.Int64("scale", bench.DefaultScale, "divide paper hardware sizes by this factor")
 	workers := flag.Int("workers", 2, "request worker goroutines (1 = serialized execution)")
 	queue := flag.Int("queue", def.QueueDepth, "admission queue depth; a full queue sheds requests with EBUSY")
@@ -49,6 +50,8 @@ func main() {
 	shares := flag.String("shares", "", "extra mount shares, comma-separated name=system pairs (clients ATTACH by name; the primary mount is always exported as \"fs\")")
 	blockShares := flag.String("block-shares", "", "block shares, comma-separated names; each exports a fresh FTL-backed device at -scale (clients BOPEN by name)")
 	flag.Parse()
+	checkSystem("-fs", *fsName)
+	extra := parseShares(*shares)
 
 	var in *bench.Instance
 	if *workers > 1 {
@@ -56,7 +59,7 @@ func main() {
 	} else {
 		in = bench.Build(*fsName, *scale)
 	}
-	reg := buildRegistry(in, *scale, *shares, *blockShares)
+	reg := buildRegistry(in, *scale, extra, *blockShares)
 	cfg := fsserve.Config{
 		Workers:      *workers,
 		QueueDepth:   *queue,
@@ -109,25 +112,45 @@ func main() {
 	}
 }
 
+// checkSystem exits with status 2 unless name is a catalogue system.
+func checkSystem(flagName, name string) {
+	if _, err := systems.Lookup(name); err != nil {
+		fmt.Fprintf(os.Stderr, "fsserved: %s: %v\n", flagName, err)
+		os.Exit(2)
+	}
+}
+
+// parseShares parses -shares into (name, system) pairs, exiting with
+// status 2 on a malformed pair or an unknown system.
+func parseShares(shares string) [][2]string {
+	var out [][2]string
+	for _, pair := range strings.Split(shares, ",") {
+		if shares == "" {
+			break
+		}
+		name, system, ok := strings.Cut(strings.TrimSpace(pair), "=")
+		if !ok || name == "" || system == "" {
+			fmt.Fprintf(os.Stderr, "fsserved: -shares: %q is not name=system\n", pair)
+			os.Exit(2)
+		}
+		checkSystem("-shares "+name, system)
+		out = append(out, [2]string{name, system})
+	}
+	return out
+}
+
 // buildRegistry assembles the daemon's share table (DESIGN.md §14.2):
-// the primary mount as "fs", one extra mount per -shares name=system
-// pair (each its own simulated stack at the daemon's scale), and one
-// fresh FTL-backed device per -block-shares name. Block-share devices
-// live on the daemon's machine, so their I/O charges its clock and
-// their counters land in its registry.
-func buildRegistry(in *bench.Instance, scale int64, shares, blockShares string) *registry.Registry {
+// the primary mount as "fs", one extra mount per -shares pair (each its
+// own simulated stack at the daemon's scale), and one fresh FTL-backed
+// device per -block-shares name. Block-share devices live on the daemon's
+// machine, so their I/O charges its clock and their counters land in its
+// registry.
+func buildRegistry(in *bench.Instance, scale int64, shares [][2]string, blockShares string) *registry.Registry {
 	reg := registry.New()
 	reg.AddMount("fs", in.Env, in.Mount)
-	if shares != "" {
-		for _, pair := range strings.Split(shares, ",") {
-			name, system, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			if !ok || name == "" || system == "" {
-				fmt.Fprintf(os.Stderr, "fsserved: -shares: %q is not name=system\n", pair)
-				os.Exit(2)
-			}
-			extra := bench.Build(system, scale)
-			reg.AddMount(name, extra.Env, extra.Mount)
-		}
+	for _, sh := range shares {
+		extra := bench.Build(sh[1], scale)
+		reg.AddMount(sh[0], extra.Env, extra.Mount)
 	}
 	if blockShares != "" {
 		for _, name := range strings.Split(blockShares, ",") {

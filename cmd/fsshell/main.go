@@ -31,15 +31,20 @@ import (
 
 	"betrfs/internal/bench"
 	"betrfs/internal/fsrpc"
+	"betrfs/internal/systems"
 	"betrfs/internal/vfs"
 )
 
 func main() {
-	fsName := flag.String("fs", "betrfs-v0.6", "file system: "+strings.Join(bench.Systems, ", "))
+	fsName := flag.String("fs", "betrfs-v0.6", "file system: "+strings.Join(systems.Names(), ", "))
 	connect := flag.String("connect", "", "host:port of an fsserved to drive over the wire instead of mounting in-process")
 	window := flag.Int("window", fsrpc.DefaultWindow, "with -connect: max requests in flight on the connection (1 = serialized)")
 	shards := flag.Int("shards", 0, "stand up an in-process N-shard prefix-routed deployment (DESIGN.md §14) and drive it through the control plane")
 	flag.Parse()
+	if _, err := systems.Lookup(*fsName); err != nil {
+		fmt.Fprintln(os.Stderr, "fsshell: -fs:", err)
+		os.Exit(2)
+	}
 
 	if *connect != "" {
 		runRemote(*connect, *window)

@@ -173,15 +173,7 @@ func RunAging(system string, scale int64, cfg AgingConfig) (AgingResult, metrics
 	return out, snap
 }
 
-// agingColumn mirrors microColumn for the aging table.
-type agingColumn struct {
-	Name  string
-	Unit  string
-	Lower bool
-	Get   func(AgingResult) float64
-}
-
-var agingColumns = []agingColumn{
+var agingColumns = []column[AgingResult]{
 	{"waf", "x", true, func(r AgingResult) float64 { return r.WAF }},
 	{"waf_notrim", "x", true, func(r AgingResult) float64 { return r.WAFNoTrim }},
 	{"erases", "blk", true, func(r AgingResult) float64 { return float64(r.Erases) }},

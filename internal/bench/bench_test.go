@@ -5,11 +5,16 @@ import (
 	"strings"
 	"testing"
 
+	"betrfs/internal/systems"
 	"betrfs/internal/workload"
 )
 
+// TestBuildAllSystems mounts every Table 1 and Table 3 system through
+// Build's testbed stack (scaled SSD, FTL, testbed memory). The catalogue's
+// own tests cover every name over a bare device, recovery and unknown
+// names.
 func TestBuildAllSystems(t *testing.T) {
-	for _, name := range append(append([]string{}, Systems...), Ladder...) {
+	for _, name := range append(append([]string{}, systems.Table1...), systems.Ladder...) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			in := Build(name, 256)
@@ -23,35 +28,6 @@ func TestBuildAllSystems(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-func TestLadderIsCumulative(t *testing.T) {
-	// Each rung must add exactly its feature on top of the previous one.
-	cfgSFL, sfl1 := ladderConfig("betrfs+SFL")
-	if !sfl1 || !cfgSFL.Tree.ReadAhead {
-		t.Fatal("+SFL must enable the SFL backend and tree read-ahead")
-	}
-	if cfgSFL.DirRangeDelete || cfgSFL.CooperativeMem || cfgSFL.Tree.PageSharing {
-		t.Fatal("+SFL must not enable later rungs")
-	}
-	cfgRG, _ := ladderConfig("betrfs+RG")
-	if !cfgRG.DirRangeDelete || !cfgRG.NlinkChecks || cfgRG.RedundantDeletes {
-		t.Fatal("+RG features missing")
-	}
-	if cfgRG.CooperativeMem {
-		t.Fatal("+RG must not enable MLC")
-	}
-	cfgQRY, _ := ladderConfig("betrfs+QRY")
-	if cfgQRY.Tree.LegacyApplyOnQuery {
-		t.Fatal("+QRY must disable the legacy apply-on-query policy")
-	}
-	if !cfgQRY.ConditionalLogging || !cfgQRY.Tree.PageSharing || !cfgQRY.CooperativeMem {
-		t.Fatal("+QRY must include all earlier rungs")
-	}
-	cfg04, useSFL := ladderConfig("betrfs-v0.4")
-	if useSFL || cfg04.Tree.ReadAhead || !cfg04.RedundantDeletes || !cfg04.Tree.LegacyApplyOnQuery {
-		t.Fatal("v0.4 config wrong")
 	}
 }
 
@@ -89,12 +65,12 @@ func TestShadeRule(t *testing.T) {
 }
 
 func TestPaperReferenceTableComplete(t *testing.T) {
-	for _, sys := range Systems {
+	for _, sys := range systems.Table1 {
 		if _, ok := PaperMicro[sys]; !ok {
 			t.Errorf("missing paper reference for %s", sys)
 		}
 	}
-	for _, sys := range Ladder {
+	for _, sys := range systems.Ladder {
 		if _, ok := PaperMicro[sys]; !ok {
 			t.Errorf("missing paper reference for ladder rung %s", sys)
 		}

@@ -85,60 +85,55 @@ func RunMicroCollect(system string, scale int64) (MicroResults, metrics.Snapshot
 	p := Scaled(scale)
 	out := MicroResults{System: system}
 	var snap metrics.Snapshot
-	collect := func(in *Instance) { snap.Merge(in.Env.Metrics.Snapshot()) }
-
-	{ // Sequential write then cold re-read on the same instance.
-		in := Build(system, scale)
+	run := fresh(system, scale, &snap)
+	run(func(in *Instance) { // sequential write then cold re-read
 		w := workload.SequentialWrite(in.Env, in.Mount, p.SeqBytes, p.SeqChunk)
 		out.SeqWrite = w.MBps()
-		r := workload.SequentialRead(in.Env, in.Mount, p.SeqChunk)
-		out.SeqRead = r.MBps()
-		collect(in)
-	}
-	{
-		in := Build(system, scale)
-		r := workload.RandomWrite(in.Env, in.Mount, p.RandFile, p.RandCount, 4096)
-		out.Rand4K = r.MBps()
-		collect(in)
-	}
-	{
-		in := Build(system, scale)
-		r := workload.RandomWrite(in.Env, in.Mount, p.RandFile, p.RandCount, 4)
-		out.Rand4B = r.MBps()
-		collect(in)
-	}
-	{
-		in := Build(system, scale)
-		r := workload.TokuBench(in.Env, in.Mount, p.TokuFiles)
-		out.TokuBench = r.KOpsPerSec()
-		collect(in)
-	}
-	{ // grep and find share a populated tree.
-		in := Build(system, scale)
+		out.SeqRead = workload.SequentialRead(in.Env, in.Mount, p.SeqChunk).MBps()
+	})
+	run(func(in *Instance) {
+		out.Rand4K = workload.RandomWrite(in.Env, in.Mount, p.RandFile, p.RandCount, 4096).MBps()
+	})
+	run(func(in *Instance) {
+		out.Rand4B = workload.RandomWrite(in.Env, in.Mount, p.RandFile, p.RandCount, 4).MBps()
+	})
+	run(func(in *Instance) {
+		out.TokuBench = workload.TokuBench(in.Env, in.Mount, p.TokuFiles).KOpsPerSec()
+	})
+	run(func(in *Instance) { // grep and find share a populated tree
 		p.TreeSpec.Populate(in.Mount, "linux")
-		g := workload.Grep(in.Env, in.Mount, "linux")
-		out.Grep = g.Seconds()
-		f := workload.Find(in.Env, in.Mount, "linux")
-		out.Find = f.Seconds()
-		collect(in)
-	}
-	{ // rm -rf of two copies of the tree. The recursive-delete pathology
-		// needs the deletion's message volume to exceed Bε-tree node
-		// buffers (the paper's 94k-file deletion does), so this
-		// experiment scales its tree less aggressively than the others.
-		rmSpec := p.TreeSpec
-		rmSpec.FilesPerDir *= 4
-		rmSpec.SubDirs *= 2
-		rmSpec.MeanFile /= 8
-		in := Build(system, scale)
-		rmSpec.Populate(in.Mount, "copy1")
-		rmSpec.Populate(in.Mount, "copy2")
-		r1 := workload.RecursiveDelete(in.Env, in.Mount, "copy1")
-		r2 := workload.RecursiveDelete(in.Env, in.Mount, "copy2")
-		out.Rm = r1.Seconds() + r2.Seconds()
-		collect(in)
-	}
+		out.Grep = workload.Grep(in.Env, in.Mount, "linux").Seconds()
+		out.Find = workload.Find(in.Env, in.Mount, "linux").Seconds()
+	})
+	run(func(in *Instance) { out.Rm = rmTwoTrees(in, p) })
 	return out, snap
+}
+
+// fresh returns a runner that hands each benchmark a freshly built
+// instance, as the artifact's scripts do, and merges the instance's
+// metrics into snap afterwards.
+func fresh(system string, scale int64, snap *metrics.Snapshot) func(func(*Instance)) {
+	return func(bench func(*Instance)) {
+		in := Build(system, scale)
+		bench(in)
+		snap.Merge(in.Env.Metrics.Snapshot())
+	}
+}
+
+// rmTwoTrees populates two copies of the tree and times their rm -rf. The
+// recursive-delete pathology needs the deletion's message volume to
+// exceed Bε-tree node buffers (the paper's 94k-file deletion does), so
+// this experiment scales its tree less aggressively than the others.
+func rmTwoTrees(in *Instance, p MicroParams) float64 {
+	rmSpec := p.TreeSpec
+	rmSpec.FilesPerDir *= 4
+	rmSpec.SubDirs *= 2
+	rmSpec.MeanFile /= 8
+	rmSpec.Populate(in.Mount, "copy1")
+	rmSpec.Populate(in.Mount, "copy2")
+	r1 := workload.RecursiveDelete(in.Env, in.Mount, "copy1")
+	r2 := workload.RecursiveDelete(in.Env, in.Mount, "copy2")
+	return r1.Seconds() + r2.Seconds()
 }
 
 // AppResults holds one system's Figure 2 values.
@@ -169,10 +164,8 @@ func RunAppsCollect(system string, scale int64) (AppResults, metrics.Snapshot) {
 	p := Scaled(scale)
 	out := AppResults{System: system}
 	var snap metrics.Snapshot
-	collect := func(in *Instance) { snap.Merge(in.Env.Metrics.Snapshot()) }
-
-	{ // tar: build an archive image, unpack it, then repack the tree.
-		in := Build(system, scale)
+	run := fresh(system, scale, &snap)
+	run(func(in *Instance) { // tar: build an archive image, unpack it, then repack the tree
 		var total int64
 		p.TreeSpec.Paths(func(_ string, dir bool, size int) {
 			if !dir {
@@ -189,87 +182,43 @@ func RunAppsCollect(system string, scale int64) (AppResults, metrics.Snapshot) {
 		}
 		af.Close()
 		in.Mount.Sync()
-		r := workload.TarUnpack(in.Env, in.Mount, p.TreeSpec, "linux.tar", "untarred")
-		out.Tar = r.Seconds()
-		r2 := workload.TarPack(in.Env, in.Mount, "untarred", "repacked.tar")
-		out.Untar = r2.Seconds()
-		collect(in)
-	}
-	{
-		in := Build(system, scale)
+		out.Tar = workload.TarUnpack(in.Env, in.Mount, p.TreeSpec, "linux.tar", "untarred").Seconds()
+		out.Untar = workload.TarPack(in.Env, in.Mount, "untarred", "repacked.tar").Seconds()
+	})
+	run(func(in *Instance) {
 		p.TreeSpec.Populate(in.Mount, "repo")
-		r := workload.GitClone(in.Env, in.Mount, "repo", "clone")
-		out.GitClone = r.Seconds()
-		r2 := workload.GitDiff(in.Env, in.Mount, "repo")
-		out.GitDiff = r2.Seconds()
-		collect(in)
+		out.GitClone = workload.GitClone(in.Env, in.Mount, "repo", "clone").Seconds()
+		out.GitDiff = workload.GitDiff(in.Env, in.Mount, "repo").Seconds()
+	})
+	for _, inPlace := range []bool{false, true} {
+		run(func(in *Instance) {
+			p.TreeSpec.Populate(in.Mount, "srctree")
+			in.Mount.MkdirAll("dst")
+			r := workload.Rsync(in.Env, in.Mount, "srctree", "dst", inPlace).MBps()
+			if inPlace {
+				out.RsyncInPlace = r
+			} else {
+				out.Rsync = r
+			}
+		})
 	}
-	{
-		in := Build(system, scale)
-		p.TreeSpec.Populate(in.Mount, "srctree")
-		in.Mount.MkdirAll("dst")
-		r := workload.Rsync(in.Env, in.Mount, "srctree", "dst", false)
-		out.Rsync = r.MBps()
-		collect(in)
-	}
-	{
-		in := Build(system, scale)
-		p.TreeSpec.Populate(in.Mount, "srctree")
-		in.Mount.MkdirAll("dst")
-		r := workload.Rsync(in.Env, in.Mount, "srctree", "dst", true)
-		out.RsyncInPlace = r.MBps()
-		collect(in)
-	}
-	{
-		in := Build(system, scale)
+	run(func(in *Instance) {
 		msgs := int(2500 / (scale / 8))
 		if msgs < 100 {
 			msgs = 100
 		}
 		ops := int(80_000 / scale * 8)
-		r := workload.MailServer(in.Env, in.Mount, 10, msgs, ops)
-		out.Dovecot = r.KOpsPerSec() * 1000
-		collect(in)
-	}
+		out.Dovecot = workload.MailServer(in.Env, in.Mount, 10, msgs, ops).KOpsPerSec() * 1000
+	})
 	fb := workload.FilebenchSpec{Files: 800, MeanFile: 16 << 10, Ops: 6000, Seed: 5}
-	{
-		in := Build(system, scale)
-		r := workload.OLTP(in.Env, in.Mount, fb)
-		out.OLTP = r.KOpsPerSec()
-		collect(in)
-	}
-	{
-		in := Build(system, scale)
-		r := workload.Fileserver(in.Env, in.Mount, fb)
-		out.Fileserver = r.KOpsPerSec()
-		collect(in)
-	}
-	{
-		in := Build(system, scale)
-		r := workload.Webserver(in.Env, in.Mount, fb)
-		out.Webserver = r.KOpsPerSec()
-		collect(in)
-	}
-	{
-		in := Build(system, scale)
-		r := workload.Webproxy(in.Env, in.Mount, fb)
-		out.Webproxy = r.KOpsPerSec()
-		collect(in)
-	}
+	run(func(in *Instance) { out.OLTP = workload.OLTP(in.Env, in.Mount, fb).KOpsPerSec() })
+	run(func(in *Instance) { out.Fileserver = workload.Fileserver(in.Env, in.Mount, fb).KOpsPerSec() })
+	run(func(in *Instance) { out.Webserver = workload.Webserver(in.Env, in.Mount, fb).KOpsPerSec() })
+	run(func(in *Instance) { out.Webproxy = workload.Webproxy(in.Env, in.Mount, fb).KOpsPerSec() })
 	return out, snap
 }
 
 // RunMicroRmOnly runs just the recursive-delete experiment (tools/tests).
 func RunMicroRmOnly(system string, scale int64) float64 {
-	p := Scaled(scale)
-	rmSpec := p.TreeSpec
-	rmSpec.FilesPerDir *= 4
-	rmSpec.SubDirs *= 2
-	rmSpec.MeanFile /= 8
-	in := Build(system, scale)
-	rmSpec.Populate(in.Mount, "copy1")
-	rmSpec.Populate(in.Mount, "copy2")
-	r1 := workload.RecursiveDelete(in.Env, in.Mount, "copy1")
-	r2 := workload.RecursiveDelete(in.Env, in.Mount, "copy2")
-	return r1.Seconds() + r2.Seconds()
+	return rmTwoTrees(Build(system, scale), Scaled(scale))
 }

@@ -153,21 +153,28 @@ func better(lower bool) string {
 	return "higher"
 }
 
-// MicroDoc assembles a Doc from Table 1/3 rows; snaps[i] belongs to
-// rows[i] (it may be shorter — trailing systems then carry empty
-// snapshots, which Validate rejects, so callers should pass one per row).
-func MicroDoc(name string, scale int64, rows []MicroResults, snaps []metrics.Snapshot) *Doc {
-	d := &Doc{SchemaVersion: SchemaVersion, Name: name, Kind: "micro", Scale: scale}
-	for _, c := range microColumns {
+// newDoc lays rows out under cols, naming each row by system and, when
+// paper is non-nil, pairing its cells with the paper's reference row.
+// snaps[i] belongs to rows[i] (it may be shorter — trailing systems then
+// carry empty snapshots, which Validate rejects, so callers should pass one
+// per row).
+func newDoc[R any](name, kind string, scale int64, cols []column[R], rows []R, snaps []metrics.Snapshot,
+	system func(R) string, paper func(R) (R, bool)) *Doc {
+	d := &Doc{SchemaVersion: SchemaVersion, Name: name, Kind: kind, Scale: scale}
+	for _, c := range cols {
 		d.Columns = append(d.Columns, ColumnMeta{Name: c.Name, Unit: c.Unit, Better: better(c.Lower)})
 	}
 	for i, r := range rows {
-		sr := SystemResult{System: r.System}
-		paper, hasPaper := PaperMicro[r.System]
-		for _, c := range microColumns {
+		sr := SystemResult{System: system(r)}
+		var ref R
+		hasRef := false
+		if paper != nil {
+			ref, hasRef = paper(r)
+		}
+		for _, c := range cols {
 			cell := CellJSON{Name: c.Name, Value: c.Get(r)}
-			if hasPaper {
-				cell.Paper = c.Get(paper)
+			if hasRef {
+				cell.Paper = c.Get(ref)
 			}
 			sr.Cells = append(sr.Cells, cell)
 		}
@@ -179,51 +186,25 @@ func MicroDoc(name string, scale int64, rows []MicroResults, snaps []metrics.Sna
 	return d
 }
 
+// MicroDoc assembles a Doc from Table 1/3 rows; snaps[i] belongs to rows[i].
+func MicroDoc(name string, scale int64, rows []MicroResults, snaps []metrics.Snapshot) *Doc {
+	return newDoc(name, "micro", scale, microColumns, rows, snaps,
+		func(r MicroResults) string { return r.System },
+		func(r MicroResults) (MicroResults, bool) { p, ok := PaperMicro[r.System]; return p, ok })
+}
+
 // AppDoc assembles a Doc from Figure 2 rows; snaps[i] belongs to rows[i].
 func AppDoc(name string, scale int64, rows []AppResults, snaps []metrics.Snapshot) *Doc {
-	d := &Doc{SchemaVersion: SchemaVersion, Name: name, Kind: "apps", Scale: scale}
-	for _, c := range appColumns {
-		d.Columns = append(d.Columns, ColumnMeta{Name: c.Name, Unit: c.Unit, Better: better(c.Lower)})
-	}
-	for i, r := range rows {
-		sr := SystemResult{System: r.System}
-		for _, c := range appColumns {
-			sr.Cells = append(sr.Cells, CellJSON{Name: c.Name, Value: c.Get(r)})
-		}
-		if i < len(snaps) {
-			sr.Metrics = snaps[i]
-		}
-		d.Systems = append(d.Systems, sr)
-	}
-	return d
+	return newDoc(name, "apps", scale, appColumns, rows, snaps, func(r AppResults) string { return r.System }, nil)
 }
 
 // ServeDoc assembles a Doc from serve-bench rows; snaps[i] belongs to
 // rows[i].
 func ServeDoc(name string, scale int64, rows []ServeResult, snaps []metrics.Snapshot) *Doc {
-	d := &Doc{SchemaVersion: SchemaVersion, Name: name, Kind: "serve", Scale: scale}
-	cols := serveColumnsFor(rows)
-	for _, c := range cols {
-		d.Columns = append(d.Columns, ColumnMeta{Name: c.Name, Unit: c.Unit, Better: better(c.Lower)})
-	}
-	for i, r := range rows {
-		sr := SystemResult{System: r.System}
-		for _, c := range cols {
-			sr.Cells = append(sr.Cells, CellJSON{Name: c.Name, Value: c.Get(r)})
-		}
-		if i < len(snaps) {
-			sr.Metrics = snaps[i]
-		}
-		d.Systems = append(d.Systems, sr)
-		if d.Serve == nil {
-			d.Serve = &ServeInfo{
-				Clients:       r.Clients,
-				Workers:       r.Workers,
-				Deterministic: r.Workers <= 1,
-				Window:        r.Window,
-				Streams:       r.Streams,
-			}
-		}
+	d := newDoc(name, "serve", scale, serveColumnsFor(rows), rows, snaps, func(r ServeResult) string { return r.System }, nil)
+	if len(rows) > 0 {
+		r := rows[0]
+		d.Serve = &ServeInfo{Clients: r.Clients, Workers: r.Workers, Deterministic: r.Workers <= 1, Window: r.Window, Streams: r.Streams}
 	}
 	return d
 }
@@ -232,20 +213,8 @@ func ServeDoc(name string, scale int64, rows []ServeResult, snaps []metrics.Snap
 // shard (named "shard00", "shard01", …) carrying that shard's merged
 // snapshot, plus the shard section with the deployment roll-up.
 func ShardDoc(name string, run ShardRun) *Doc {
-	d := &Doc{SchemaVersion: SchemaVersion, Name: name, Kind: "shard", Scale: run.Scale}
-	for _, c := range shardColumns {
-		d.Columns = append(d.Columns, ColumnMeta{Name: c.Name, Unit: c.Unit, Better: better(c.Lower)})
-	}
-	for i, r := range run.Rows {
-		sr := SystemResult{System: fmt.Sprintf("shard%02d", r.Shard)}
-		for _, c := range shardColumns {
-			sr.Cells = append(sr.Cells, CellJSON{Name: c.Name, Value: c.Get(r)})
-		}
-		if i < len(run.Snaps) {
-			sr.Metrics = run.Snaps[i]
-		}
-		d.Systems = append(d.Systems, sr)
-	}
+	d := newDoc(name, "shard", run.Scale, shardColumns, run.Rows, run.Snaps,
+		func(r ShardResult) string { return fmt.Sprintf("shard%02d", r.Shard) }, nil)
 	d.Shard = &ShardInfo{
 		Shards:        run.Shards,
 		System:        ShardSystem,
@@ -261,28 +230,10 @@ func ShardDoc(name string, run ShardRun) *Doc {
 // AgingDoc assembles a Doc from aging-rung rows; snaps[i] belongs to
 // rows[i].
 func AgingDoc(name string, scale int64, cfg AgingConfig, rows []AgingResult, snaps []metrics.Snapshot) *Doc {
-	d := &Doc{SchemaVersion: SchemaVersion, Name: name, Kind: "aging", Scale: scale}
-	for _, c := range agingColumns {
-		d.Columns = append(d.Columns, ColumnMeta{Name: c.Name, Unit: c.Unit, Better: better(c.Lower)})
-	}
-	for i, r := range rows {
-		sr := SystemResult{System: r.System}
-		for _, c := range agingColumns {
-			sr.Cells = append(sr.Cells, CellJSON{Name: c.Name, Value: c.Get(r)})
-		}
-		if i < len(snaps) {
-			sr.Metrics = snaps[i]
-		}
-		d.Systems = append(d.Systems, sr)
-		if d.Aging == nil {
-			d.Aging = &AgingInfo{
-				FileBytes:     r.FileBytes,
-				WorkingSet:    r.WorkingSet,
-				WriteMultiple: cfg.WriteMultiple,
-				Seed:          cfg.Seed,
-				Deterministic: true,
-			}
-		}
+	d := newDoc(name, "aging", scale, agingColumns, rows, snaps, func(r AgingResult) string { return r.System }, nil)
+	if len(rows) > 0 {
+		d.Aging = &AgingInfo{FileBytes: rows[0].FileBytes, WorkingSet: rows[0].WorkingSet,
+			WriteMultiple: cfg.WriteMultiple, Seed: cfg.Seed, Deterministic: true}
 	}
 	return d
 }
@@ -410,73 +361,19 @@ func Validate(data []byte) (*Doc, error) {
 		if len(s.Metrics.Counters) == 0 {
 			return nil, fmt.Errorf("bench json: system %q has an empty metric snapshot", s.System)
 		}
-		// Schema v2: rows produced by a betree-backed system (identified by
-		// the store's always-registered counters) must carry the
-		// device-health families, so downstream tooling can chart defect
-		// growth and repairs without probing for key presence.
-		if _, betree := s.Metrics.Counters["betree.node.write"]; betree {
-			for _, key := range []string{
-				"io.defect.grown", "io.defect.bytes", "io.defect.relocate.write",
-				"scrub.repair.run", "scrub.repair.node", "scrub.repair.fail",
-			} {
-				if _, ok := s.Metrics.Counters[key]; !ok {
-					return nil, fmt.Errorf("bench json: betree-backed system %q missing %s in its metric snapshot", s.System, key)
-				}
+		for _, f := range requiredMetrics {
+			if _, marked := s.Metrics.Counters[f.marker]; d.Kind != f.kind && !(marked && f.marker != "") {
+				continue
 			}
-		}
-		// Schema v4: serve documents must carry the pipelining instruments
-		// in every system snapshot — they are always registered by
-		// fsserve.New, so their absence means the document was not
-		// produced by the wire path it claims to measure.
-		if d.Kind == "serve" {
-			for _, key := range []string{"fsrpc.pipeline.depth", "fsserve.batch.replies"} {
-				if _, ok := s.Metrics.Histograms[key]; !ok {
-					return nil, fmt.Errorf("bench json: serve system %q missing the %s histogram in its metric snapshot", s.System, key)
-				}
+			key := missing(s.Metrics.Counters, f.counters)
+			if key == "" {
+				key = missing(s.Metrics.Histograms, f.histograms)
 			}
-			if _, ok := s.Metrics.Counters["fsserve.zerocopy.bytes"]; !ok {
-				return nil, fmt.Errorf("bench json: serve system %q missing fsserve.zerocopy.bytes in its metric snapshot", s.System)
+			if key == "" {
+				key = missing(s.Metrics.Gauges, f.gauges)
 			}
-			if _, ok := s.Metrics.Gauges["fsrpc.inflight"]; !ok {
-				return nil, fmt.Errorf("bench json: serve system %q missing the fsrpc.inflight gauge in its metric snapshot", s.System)
-			}
-			// Schema v5: the resilience families must be present — the
-			// client counters register when the bench builds its clients on
-			// the instance registry, the DRC counters at fsserve.New.
-			for _, key := range []string{
-				"fsrpc.redial.attempt", "fsrpc.redial.success", "fsrpc.redial.giveup",
-				"fsserve.drc.hit", "fsserve.drc.miss", "fsserve.drc.evict",
-			} {
-				if _, ok := s.Metrics.Counters[key]; !ok {
-					return nil, fmt.Errorf("bench json: serve system %q missing %s in its metric snapshot", s.System, key)
-				}
-			}
-		}
-		// Schema v6: shard documents must carry the read-cache counters in
-		// every shard row — each file node registers them at readcache.New
-		// — so the roll-up check below is possible in-document.
-		if d.Kind == "shard" {
-			for _, key := range []string{"readcache.hit", "readcache.miss", "readcache.evict"} {
-				if _, ok := s.Metrics.Counters[key]; !ok {
-					return nil, fmt.Errorf("bench json: shard row %q missing %s in its metric snapshot", s.System, key)
-				}
-			}
-		}
-		// Schema v3: rows produced over the simulated FTL (identified by
-		// its always-registered host-write counter) must carry the full
-		// flash lifetime family and the write-amplification gauge, so
-		// downstream tooling can chart WAF and wear without probing.
-		if _, ftl := s.Metrics.Counters["ftl.write.host.bytes"]; ftl {
-			for _, key := range []string{
-				"ftl.write.flash.bytes", "ftl.gc.run", "ftl.gc.moved.pages",
-				"ftl.gc.moved.bytes", "ftl.erase.count", "ftl.trim.count", "ftl.trim.bytes",
-			} {
-				if _, ok := s.Metrics.Counters[key]; !ok {
-					return nil, fmt.Errorf("bench json: FTL-backed system %q missing %s in its metric snapshot", s.System, key)
-				}
-			}
-			if _, ok := s.Metrics.Gauges["io.waf"]; !ok {
-				return nil, fmt.Errorf("bench json: FTL-backed system %q missing the io.waf gauge in its metric snapshot", s.System)
+			if key != "" {
+				return nil, fmt.Errorf("bench json: %s %q missing %s in its metric snapshot", f.family, s.System, key)
 			}
 		}
 	}
@@ -526,6 +423,47 @@ func Validate(data []byte) (*Doc, error) {
 		return nil, fmt.Errorf("bench json: document does not round-trip the schema (field order, formatting, or extraneous content differs from the canonical encoding)")
 	}
 	return &d, nil
+}
+
+// requiredMetrics lists the metric families a row must carry, so tooling
+// can chart them without probing for keys. A row is in a family when it
+// carries the family's marker counter or the document is of its kind.
+var requiredMetrics = []struct {
+	family, marker, kind         string
+	counters, histograms, gauges []string
+}{
+	// Schema v2: betree-backed rows carry the device-health families.
+	{family: "betree-backed system", marker: "betree.node.write", counters: []string{
+		"io.defect.grown", "io.defect.bytes", "io.defect.relocate.write",
+		"scrub.repair.run", "scrub.repair.node", "scrub.repair.fail",
+	}},
+	// Schemas v4 and v5: serve rows carry the pipelining and resilience
+	// instruments fsserve.New and the bench's clients always register, so
+	// their absence means the document did not come from the wire path.
+	{family: "serve system", kind: "serve", counters: []string{
+		"fsserve.zerocopy.bytes",
+		"fsrpc.redial.attempt", "fsrpc.redial.success", "fsrpc.redial.giveup",
+		"fsserve.drc.hit", "fsserve.drc.miss", "fsserve.drc.evict",
+	}, histograms: []string{"fsrpc.pipeline.depth", "fsserve.batch.replies"}, gauges: []string{"fsrpc.inflight"}},
+	// Schema v6: every shard row carries the read-cache counters its file
+	// node registers, so the roll-up check is possible in-document.
+	{family: "shard row", kind: "shard", counters: []string{"readcache.hit", "readcache.miss", "readcache.evict"}},
+	// Schema v3: FTL-backed rows carry the flash lifetime family and the
+	// write-amplification gauge.
+	{family: "FTL-backed system", marker: "ftl.write.host.bytes", counters: []string{
+		"ftl.write.flash.bytes", "ftl.gc.run", "ftl.gc.moved.pages",
+		"ftl.gc.moved.bytes", "ftl.erase.count", "ftl.trim.count", "ftl.trim.bytes",
+	}, gauges: []string{"io.waf"}},
+}
+
+// missing returns the first of keys absent from m, or "".
+func missing[V any](m map[string]V, keys []string) string {
+	for _, k := range keys {
+		if _, ok := m[k]; !ok {
+			return k
+		}
+	}
+	return ""
 }
 
 // ValidateFile runs Validate on the file at path.

@@ -33,9 +33,12 @@ type ParallelInfo struct {
 	Metrics  metrics.Snapshot `json:"metrics"`
 }
 
-// parallelRun fans len(systems) jobs over min(workers, len(systems))
-// goroutines. job(i) must write only state owned by row i.
-func parallelRun(systems []string, workers int, job func(i int) error) *ParallelInfo {
+// RunParallel runs collect — RunMicroCollect for a Table 1/3 row,
+// RunAppsCollect for a Figure 2 row — for every system on a pool of
+// min(workers, len(systems)) goroutines. rows[i]/snaps[i] correspond to
+// systems[i]; a failed system leaves its row zero-valued and is reported
+// in the returned ParallelInfo.
+func RunParallel[R any](systems []string, scale int64, workers int, collect func(string, int64) (R, metrics.Snapshot)) ([]R, []metrics.Snapshot, *ParallelInfo) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -48,6 +51,8 @@ func parallelRun(systems []string, workers int, job func(i int) error) *Parallel
 	}
 	mWorkers.Set(int64(workers))
 
+	rows := make([]R, len(systems))
+	snaps := make([]metrics.Snapshot, len(systems))
 	info := &ParallelInfo{Workers: workers, Statuses: make([]RunStatus, len(systems))}
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -57,7 +62,7 @@ func parallelRun(systems []string, workers int, job func(i int) error) *Parallel
 			defer wg.Done()
 			for i := range next {
 				st := RunStatus{System: systems[i], OK: true}
-				if err := runProtected(systems[i], job, i); err != nil {
+				if err := runProtected(systems[i], func() { rows[i], snaps[i] = collect(systems[i], scale) }); err != nil {
 					st.OK = false
 					st.Err = err.Error()
 					mPanics.Inc()
@@ -73,44 +78,17 @@ func parallelRun(systems []string, workers int, job func(i int) error) *Parallel
 	close(next)
 	wg.Wait()
 	info.Metrics = reg.Snapshot()
-	return info
+	return rows, snaps, info
 }
 
 // runProtected converts a panic from one system's run into an error so the
 // worker survives to take the next job.
-func runProtected(system string, job func(i int) error, i int) (err error) {
+func runProtected(system string, job func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%s: panic: %v", system, r)
 		}
 	}()
-	return job(i)
-}
-
-// RunMicroParallel runs each system's Table 1/3 row on a worker pool.
-// rows[i]/snaps[i] correspond to systems[i]; a failed system leaves its
-// row zero-valued and is reported in the returned ParallelInfo.
-func RunMicroParallel(systems []string, scale int64, workers int) ([]MicroResults, []metrics.Snapshot, *ParallelInfo) {
-	rows := make([]MicroResults, len(systems))
-	snaps := make([]metrics.Snapshot, len(systems))
-	info := parallelRun(systems, workers, func(i int) error {
-		r, snap := RunMicroCollect(systems[i], scale)
-		rows[i] = r
-		snaps[i] = snap
-		return nil
-	})
-	return rows, snaps, info
-}
-
-// RunAppsParallel runs each system's Figure 2 row on a worker pool.
-func RunAppsParallel(systems []string, scale int64, workers int) ([]AppResults, []metrics.Snapshot, *ParallelInfo) {
-	rows := make([]AppResults, len(systems))
-	snaps := make([]metrics.Snapshot, len(systems))
-	info := parallelRun(systems, workers, func(i int) error {
-		r, snap := RunAppsCollect(systems[i], scale)
-		rows[i] = r
-		snaps[i] = snap
-		return nil
-	})
-	return rows, snaps, info
+	job()
+	return nil
 }

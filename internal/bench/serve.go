@@ -37,11 +37,6 @@ import (
 // calls overlap in flight. Per-call wall latency is collected client-side
 // (pipe_p50/pipe_p99 vs sync_p50/sync_p99).
 
-// ServeSystems lists the systems the serve bench sweeps: the five
-// fault-injection stacks (one representative per FS family plus both
-// BetrFS generations).
-var ServeSystems = []string{"ext4", "f2fs", "btrfs", "betrfs-v0.4", "betrfs-v0.6"}
-
 // ServeResult is one system's serve-bench row. The Pipe*/Sync* fields are
 // populated only by the concurrent mode (workers > 1); Streams == 0 marks
 // a deterministic row.
@@ -545,15 +540,7 @@ func runServePipelined(system string, scale int64, clients, workers int) (ServeR
 	return out, snap
 }
 
-// serveColumn mirrors microColumn for the serve table.
-type serveColumn struct {
-	Name  string
-	Unit  string
-	Lower bool
-	Get   func(ServeResult) float64
-}
-
-var serveColumns = []serveColumn{
+var serveColumns = []column[ServeResult]{
 	{"wire_ops", "kop/s", false, func(r ServeResult) float64 { return r.KOpsPerSimSec() }},
 	{"p50", "ns", true, func(r ServeResult) float64 { return float64(r.P50) }},
 	{"p95", "ns", true, func(r ServeResult) float64 { return float64(r.P95) }},
@@ -564,19 +551,19 @@ var serveColumns = []serveColumn{
 // servePipeColumns extends the deterministic columns with the pipelined
 // vs synchronous client-observed wall percentiles (EXPERIMENTS.md
 // "Pipelined serve"); used when rows carry a pipelined pass.
-var servePipeColumns = append(append([]serveColumn{}, serveColumns...),
-	serveColumn{"pipe_p50", "ns", true, func(r ServeResult) float64 { return float64(r.PipeP50) }},
-	serveColumn{"pipe_p99", "ns", true, func(r ServeResult) float64 { return float64(r.PipeP99) }},
-	serveColumn{"sync_p50", "ns", true, func(r ServeResult) float64 { return float64(r.SyncP50) }},
-	serveColumn{"sync_p99", "ns", true, func(r ServeResult) float64 { return float64(r.SyncP99) }},
-	serveColumn{"pipe_wall", "ms", true, func(r ServeResult) float64 { return float64(r.WallTime.Milliseconds()) }},
-	serveColumn{"sync_wall", "ms", true, func(r ServeResult) float64 { return float64(r.SyncWall.Milliseconds()) }},
+var servePipeColumns = append(append([]column[ServeResult]{}, serveColumns...),
+	column[ServeResult]{"pipe_p50", "ns", true, func(r ServeResult) float64 { return float64(r.PipeP50) }},
+	column[ServeResult]{"pipe_p99", "ns", true, func(r ServeResult) float64 { return float64(r.PipeP99) }},
+	column[ServeResult]{"sync_p50", "ns", true, func(r ServeResult) float64 { return float64(r.SyncP50) }},
+	column[ServeResult]{"sync_p99", "ns", true, func(r ServeResult) float64 { return float64(r.SyncP99) }},
+	column[ServeResult]{"pipe_wall", "ms", true, func(r ServeResult) float64 { return float64(r.WallTime.Milliseconds()) }},
+	column[ServeResult]{"sync_wall", "ms", true, func(r ServeResult) float64 { return float64(r.SyncWall.Milliseconds()) }},
 )
 
 // serveColumnsFor picks the column set for a row set: deterministic rows
 // (Streams == 0) keep the historical five columns — and their golden
 // values — while pipelined rows add the before/after wall percentiles.
-func serveColumnsFor(rows []ServeResult) []serveColumn {
+func serveColumnsFor(rows []ServeResult) []column[ServeResult] {
 	for _, r := range rows {
 		if r.Streams > 0 {
 			return servePipeColumns

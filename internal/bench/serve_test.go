@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"betrfs/internal/metrics"
+	"betrfs/internal/systems"
 )
 
 // TestServeDeterministic: the single-worker round-robin mode must produce
@@ -104,7 +105,7 @@ func TestServeGoldenCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, sys := range ServeSystems {
+	for _, sys := range systems.Core {
 		want, ok := goldenServe256[sys]
 		if !ok {
 			t.Fatalf("no golden pinned for %s", sys)

@@ -31,7 +31,7 @@ const shardReadRounds = 2
 
 // ShardSystem is the only system the shard rung runs: the full v0.6
 // stack is the paper's subject, and the deployment builds it per shard.
-const ShardSystem = "betrfs-v0.6"
+const ShardSystem = controlplane.FileSystem
 
 // ShardResult is one shard's row: the wire ops both of its nodes served
 // (front-end file ops plus storage-node block ops), its service-time
@@ -230,15 +230,7 @@ func RunShard(shards int, scale int64) ShardRun {
 	return run
 }
 
-// shardColumn mirrors serveColumn for the shard table.
-type shardColumn struct {
-	Name  string
-	Unit  string
-	Lower bool
-	Get   func(ShardResult) float64
-}
-
-var shardColumns = []shardColumn{
+var shardColumns = []column[ShardResult]{
 	{"wire_ops", "kop/s", false, func(r ShardResult) float64 { return r.KOpsPerSimSec() }},
 	{"p50", "ns", true, func(r ShardResult) float64 { return float64(r.P50) }},
 	{"p95", "ns", true, func(r ShardResult) float64 { return float64(r.P95) }},

@@ -5,18 +5,10 @@
 package bench
 
 import (
-	"fmt"
-
-	"betrfs/internal/betrfs"
 	"betrfs/internal/blockdev"
-	"betrfs/internal/cowfs"
-	"betrfs/internal/extfs"
 	"betrfs/internal/ftl"
-	"betrfs/internal/kmem"
-	"betrfs/internal/logfs"
-	"betrfs/internal/sfl"
 	"betrfs/internal/sim"
-	"betrfs/internal/southbound"
+	"betrfs/internal/systems"
 	"betrfs/internal/vfs"
 )
 
@@ -25,15 +17,6 @@ import (
 // write cache into 192 MiB, preserving every regime the paper exercises
 // (cache overflow, RAM-exceeding datasets).
 const DefaultScale = 64
-
-// Systems lists the Table 1 file systems in paper order.
-var Systems = []string{"ext4", "btrfs", "xfs", "f2fs", "zfs", "betrfs-v0.4", "betrfs-v0.6"}
-
-// Ladder lists the cumulative-optimization rows of Table 3.
-var Ladder = []string{
-	"betrfs-v0.4", "betrfs+SFL", "betrfs+RG", "betrfs+MLC",
-	"betrfs+PGSH", "betrfs+DC", "betrfs+CL", "betrfs+QRY",
-}
 
 // Instance is one mounted system under test. Dev is the raw simulated
 // device (crash and corruption injection operate on it directly); FTL is
@@ -47,11 +30,12 @@ type Instance struct {
 	Mount *vfs.Mount
 }
 
-// Build constructs a named system on a fresh scaled device. Valid names
-// are the Systems and Ladder entries plus "betrfs-v0.6-hdd" and
-// "ext4-hdd" for the HDD ablation.
+// Build constructs a named system on a fresh scaled device with the paper
+// testbed's memory at the same scale. Valid names are the catalogue's
+// (systems.Names); Build panics on any other, so a caller holding an
+// unchecked name validates it with systems.Lookup first.
 func Build(name string, scale int64) *Instance {
-	return buildWith(name, scale, 0)
+	return buildFTL(name, scale, 0, ftl.DefaultConfig())
 }
 
 // BuildConcurrent is Build with the concurrency layer switched on: the
@@ -64,131 +48,31 @@ func BuildConcurrent(name string, scale int64, workers int) *Instance {
 	if workers < 1 {
 		workers = 1
 	}
-	return buildWith(name, scale, workers)
-}
-
-// buildWith constructs the system; workers == 0 means the deterministic
-// single-goroutine configuration, workers >= 1 the concurrent one.
-func buildWith(name string, scale int64, workers int) *Instance {
 	return buildFTL(name, scale, workers, ftl.DefaultConfig())
 }
 
-// buildFTL is buildWith with an explicit FTL configuration (the aging
-// rung uses it to build TRIM-aware and TRIM-blind twins of a system).
+// buildFTL constructs the system over a simulated FTL, so all bench rows
+// carry the device-lifetime ledger; the default configuration is
+// timing-free (zero latencies), keeping golden cells bit-identical, and the
+// aging rung passes TRIM-aware and TRIM-blind ones. workers == 0 means the
+// deterministic single-goroutine configuration, workers >= 1 the
+// concurrent one.
 func buildFTL(name string, scale int64, workers int, fcfg ftl.Config) *Instance {
-	env := sim.NewEnv(1)
-	concurrent := workers > 0
-	if concurrent {
-		env.Pool.SetWorkers(workers)
-	}
-	profile := blockdev.SamsungEVO860()
-	if name == "betrfs-v0.6-hdd" || name == "ext4-hdd" {
-		profile = blockdev.ToshibaDT01()
-	}
-	dev := blockdev.New(env, profile.Scale(scale))
-	// Every system mounts over a simulated FTL, so all bench rows carry
-	// the device-lifetime ledger. The default configuration is
-	// timing-free (zero latencies), keeping golden cells bit-identical.
-	fdev := ftl.New(env, dev, fcfg)
-
-	ramBytes := (32 << 30) / scale // the testbed's 32 GB, scaled
-	vcfg := vfs.DefaultConfig()
-	vcfg.CacheBytes = ramBytes
-	vcfg.Concurrent = concurrent
-
-	var fs vfs.FS
-	switch name {
-	case "ext4", "ext4-hdd":
-		fs = extfs.New(env, fdev, extfs.Ext4Profile())
-	case "xfs":
-		fs = extfs.New(env, fdev, extfs.XFSProfile())
-	case "f2fs":
-		fs = logfs.New(env, fdev)
-	case "btrfs":
-		fs = cowfs.New(env, fdev, cowfs.BtrfsProfile())
-	case "zfs":
-		fs = cowfs.New(env, fdev, cowfs.ZFSProfile())
-	default:
-		fs = buildBetrFS(env, fdev, name, ramBytes, concurrent)
-		// BetrFS splits RAM between the node cache and the page cache.
-		vcfg.CacheBytes = ramBytes / 2
-	}
-	return &Instance{Name: name, Env: env, Dev: dev, FTL: fdev, Mount: vfs.NewMount(env, fs, vcfg)}
-}
-
-// ladderConfig returns the cumulative betrfs configuration for a ladder
-// rung (Table 3 order: SFL, RG, MLC, PGSH, DC, CL, QRY).
-func ladderConfig(name string) (cfg betrfs.Config, useSFL bool) {
-	cfg = betrfs.V04Config()
-	switch name {
-	case "betrfs-v0.4":
-		return cfg, false
-	case "betrfs+SFL":
-	case "betrfs+RG":
-	case "betrfs+MLC":
-	case "betrfs+PGSH":
-	case "betrfs+DC":
-	case "betrfs+CL":
-	case "betrfs+QRY", "betrfs-v0.6", "betrfs-v0.6-hdd":
-	default:
-		panic(fmt.Sprintf("bench: unknown system %q", name))
-	}
-	apply := func(rung string) bool {
-		switch rung {
-		case "SFL":
-			useSFL = true
-			cfg.Tree.ReadAhead = true
-		case "RG":
-			cfg.DirRangeDelete = true
-			cfg.NlinkChecks = true
-			cfg.RedundantDeletes = false
-			cfg.Tree.CoalesceRangeDeletes = true
-		case "MLC":
-			cfg.CooperativeMem = true
-		case "PGSH":
-			cfg.Tree.PageSharing = true
-		case "DC":
-			cfg.ReaddirInstantiates = true
-		case "CL":
-			cfg.ConditionalLogging = true
-		case "QRY":
-			cfg.Tree.LegacyApplyOnQuery = false
-		}
-		return true
-	}
-	order := []string{"SFL", "RG", "MLC", "PGSH", "DC", "CL", "QRY"}
-	target := name[len("betrfs+"):]
-	if name == "betrfs-v0.6" || name == "betrfs-v0.6-hdd" {
-		target = "QRY"
-	}
-	for _, rung := range order {
-		apply(rung)
-		if rung == target {
-			break
-		}
-	}
-	return cfg, useSFL
-}
-
-func buildBetrFS(env *sim.Env, dev blockdev.Device, name string, ramBytes int64, concurrent bool) vfs.FS {
-	cfg, useSFL := ladderConfig(name)
-	cfg.Tree.CacheBytes = ramBytes / 2
-	cfg.Tree.Concurrent = concurrent
-	alloc := kmem.New(env, cfg.CooperativeMem)
-	var fs *betrfs.FS
-	var err error
-	if useSFL {
-		backend, berr := sfl.NewDefault(env, dev)
-		if berr != nil {
-			panic(berr)
-		}
-		fs, err = betrfs.New(env, alloc, cfg, backend)
-	} else {
-		lower := extfs.New(env, dev, extfs.Ext4Profile())
-		fs, err = betrfs.New(env, alloc, cfg, southbound.New(env, lower, southbound.DefaultLayout(dev.Size())))
-	}
+	sys, err := systems.Lookup(name)
 	if err != nil {
-		panic(err)
+		panic("bench: " + err.Error())
 	}
-	return fs
+	env := sim.NewEnv(1)
+	sz := sys.Testbed(scale)
+	if workers > 0 {
+		env.Pool.SetWorkers(workers)
+		sz.Concurrent = true
+	}
+	dev := blockdev.New(env, sys.Device().Scale(scale))
+	fdev := ftl.New(env, dev, fcfg)
+	st, err := sys.New(env, fdev, sz)
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	return &Instance{Name: name, Env: env, Dev: dev, FTL: fdev, Mount: st.Mount}
 }

@@ -28,15 +28,17 @@ var PaperMicro = map[string]MicroResults{
 	"betrfs-v0.6": {System: "betrfs-v0.6", SeqRead: 497, SeqWrite: 310, Rand4K: 116, Rand4B: 0.363, TokuBench: 11.8, Grep: 1.36, Rm: 1.57, Find: 0.22},
 }
 
-// microColumns enumerates the Table 3 columns generically.
-type microColumn struct {
+// column is one benchmark column over rows of type R, shared by a text
+// table and its JSON document.
+type column[R any] struct {
 	Name  string
 	Unit  string
 	Lower bool // lower is better
-	Get   func(MicroResults) float64
+	Get   func(R) float64
 }
 
-var microColumns = []microColumn{
+// microColumns are the Table 1/3 columns.
+var microColumns = []column[MicroResults]{
 	{"seq_read", "MB/s", false, func(r MicroResults) float64 { return r.SeqRead }},
 	{"seq_write", "MB/s", false, func(r MicroResults) float64 { return r.SeqWrite }},
 	{"rand_4K", "MB/s", false, func(r MicroResults) float64 { return r.Rand4K }},
@@ -119,16 +121,8 @@ func WriteMicroTable(w io.Writer, rows []MicroResults) {
 	fmt.Fprintln(w, "\nmeasured [paper].  + within 15% of best, ! below 30% of best (the paper's shading rule)")
 }
 
-// appColumns enumerates the Figure 2 columns generically (shared by the
-// text table and the JSON writer).
-type appColumn struct {
-	Name  string
-	Unit  string
-	Lower bool // lower is better
-	Get   func(AppResults) float64
-}
-
-var appColumns = []appColumn{
+// appColumns are the Figure 2 columns.
+var appColumns = []column[AppResults]{
 	{"tar", "s", true, func(r AppResults) float64 { return r.Tar }},
 	{"untar", "s", true, func(r AppResults) float64 { return r.Untar }},
 	{"git_clone", "s", true, func(r AppResults) float64 { return r.GitClone }},

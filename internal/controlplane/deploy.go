@@ -4,18 +4,16 @@ import (
 	"fmt"
 	"net"
 
-	"betrfs/internal/betrfs"
 	"betrfs/internal/blockdev"
 	"betrfs/internal/blockstore/readcache"
 	"betrfs/internal/blockstore/remote"
 	"betrfs/internal/fsrpc"
 	"betrfs/internal/fsserve"
 	"betrfs/internal/ftl"
-	"betrfs/internal/kmem"
 	"betrfs/internal/metrics"
 	"betrfs/internal/registry"
-	"betrfs/internal/sfl"
 	"betrfs/internal/sim"
+	"betrfs/internal/systems"
 	"betrfs/internal/vfs"
 )
 
@@ -24,8 +22,8 @@ type Config struct {
 	// Shards is the number of shards (≥ 1). Each shard is a file node
 	// plus a storage node.
 	Shards int
-	// Scale divides the device and workload sizes, like bench.Build.
-	// Default 256.
+	// Scale divides the device size and each file node's memory, which is
+	// the paper testbed's (systems.System.Testbed). Default 256.
 	Scale int64
 	// Routes overrides the shard map; nil uses DefaultRoutes(Shards).
 	Routes []Route
@@ -90,10 +88,12 @@ func New(cfg Config) *Deployment {
 }
 
 // BlockShare is the name every storage node exports its device under,
-// and MountShare the name every file node exports its mount under.
+// MountShare the name every file node exports its mount under, and
+// FileSystem the catalogue system every file node mounts.
 const (
 	BlockShare = "blk0"
 	MountShare = "fs"
+	FileSystem = "betrfs-v0.6"
 )
 
 func buildShard(i int, cfg Config) *Shard {
@@ -119,20 +119,15 @@ func buildShard(i int, cfg Config) *Shard {
 		panic(fmt.Sprintf("controlplane: shard %d: %v", i, err))
 	}
 
-	bcfg := betrfs.V06Config()
-	ramBytes := (32 << 30) / cfg.Scale
-	bcfg.Tree.CacheBytes = ramBytes / 2
-	backend, err := sfl.NewDefault(fenv, readcache.New(fenv, rdev))
+	sys, err := systems.Lookup(FileSystem)
 	if err != nil {
 		panic(err)
 	}
-	fs, err := betrfs.New(fenv, kmem.New(fenv, bcfg.CooperativeMem), bcfg, backend)
+	st, err := sys.New(fenv, readcache.New(fenv, rdev), sys.Testbed(cfg.Scale))
 	if err != nil {
-		panic(err)
+		panic(fmt.Sprintf("controlplane: shard %d: %v", i, err))
 	}
-	vcfg := vfs.DefaultConfig()
-	vcfg.CacheBytes = ramBytes / 2
-	mount := vfs.NewMount(fenv, fs, vcfg)
+	mount := st.Mount
 
 	freg := registry.New()
 	freg.AddMount(MountShare, fenv, mount)

@@ -10,6 +10,8 @@
 //     its durable content intact;
 //   - everything newer may be present in any per-byte mix of
 //     post-durable versions, or absent/zero where it was never durable;
+//   - a durable file that is renamed survives under at least one of its
+//     two names;
 //   - nothing else — no phantom files, no foreign data, no panics during
 //     recovery or traversal.
 //
@@ -40,12 +42,21 @@ const (
 	OpFsync
 	OpSync
 	OpRemove
+	// OpRename moves Path to To. The model does not follow the file
+	// across the rename: a program syncs after a rename before it writes
+	// through the new name, and never removes the new name.
+	OpRename
+	// OpSyncInFlight is a sync the crash cuts short: its writes reach the
+	// device but its flushes do not, so it makes nothing durable. It is
+	// the last step of a program; flushes after it are dropped too.
+	OpSyncInFlight
 )
 
 // Step is one recorded workload operation.
 type Step struct {
 	Op   Op
 	Path string
+	To   string // OpRename: the new path
 	Off  int64
 	Data []byte
 }
@@ -71,6 +82,9 @@ func (fm *fileModel) last() snap {
 // model tracks every path a workload touched.
 type model struct {
 	files map[string]*fileModel
+	// renames holds the (from, to) paths of every rename whose source
+	// was durable when it ran.
+	renames [][2]string
 }
 
 func newModel() *model { return &model{files: make(map[string]*fileModel)} }
@@ -146,6 +160,23 @@ func (mo *model) apply(s Step) {
 	case OpRemove:
 		fm := mo.get(s.Path)
 		fm.history = append(fm.history, snap{exists: false})
+	case OpRename:
+		from, to := mo.get(s.Path), mo.get(s.To)
+		if from.durable >= 0 && from.history[from.durable].exists {
+			mo.renames = append(mo.renames, [2]string{s.Path, s.To})
+		}
+		// Until the rename is durable the destination may recover to any
+		// content the source could: its durable version or a later one.
+		lo := from.durable
+		if lo < 0 {
+			lo = 0
+		}
+		for _, c := range from.history[lo:] {
+			if c.exists {
+				to.history = append(to.history, c)
+			}
+		}
+		from.history = append(from.history, snap{exists: false})
 	}
 }
 
@@ -168,10 +199,14 @@ func applyStep(m *vfs.Mount, s Step) {
 		}
 		f.Fsync()
 		f.Close()
-	case OpSync:
+	case OpSync, OpSyncInFlight:
 		m.Sync()
 	case OpRemove:
 		m.Remove(s.Path)
+	case OpRename:
+		if err := m.Rename(s.Path, s.To); err != nil {
+			panic(fmt.Sprintf("crashtest: workload rename %s: %v", s.Path, err))
+		}
 	}
 }
 
@@ -288,6 +323,16 @@ func (mo *model) check(m *vfs.Mount, system, spec string) []Violation {
 				add(path, "byte %d = %#02x matches no legal version (durable watermark %d)", b, buf[b], durableLen)
 				break
 			}
+		}
+	}
+
+	// A rename of a durable file must leave it under at least one of its
+	// two names; the per-path rules above alone would accept losing both.
+	for _, r := range mo.renames {
+		_, errFrom := m.Stat(r[0])
+		_, errTo := m.Stat(r[1])
+		if errFrom != nil && errTo != nil {
+			add(r[0], "durable file lost under both names of its rename to %s", r[1])
 		}
 	}
 

@@ -2,17 +2,6 @@ package crashtest
 
 import (
 	"testing"
-
-	"betrfs/internal/betrfs"
-	"betrfs/internal/blockdev"
-	"betrfs/internal/cowfs"
-	"betrfs/internal/extfs"
-	"betrfs/internal/ftl"
-	"betrfs/internal/kmem"
-	"betrfs/internal/logfs"
-	"betrfs/internal/sfl"
-	"betrfs/internal/sim"
-	"betrfs/internal/vfs"
 )
 
 // ftlSystems mirrors Systems() with every file system built over the
@@ -21,57 +10,13 @@ import (
 // the stream between a checkpoint's free and the deferred discard that
 // zeroes the extent.
 func ftlSystems() []System {
-	mk := func(build func(env *sim.Env, dev blockdev.Device) (vfs.FS, error)) func(*sim.Env, *blockdev.Dev) (vfs.FS, error) {
-		return func(env *sim.Env, dev *blockdev.Dev) (vfs.FS, error) {
-			return build(env, ftl.New(env, dev, ftl.DefaultConfig()))
-		}
+	var out []System
+	for _, sys := range Systems() {
+		sys.Name += "+ftl"
+		sys.overFTL = true
+		out = append(out, sys)
 	}
-	newBetrfsFTL := mk(func(env *sim.Env, dev blockdev.Device) (vfs.FS, error) {
-		cfg := betrfs.V06Config()
-		cfg.Tree.CacheBytes = 1 << 20
-		backend, err := sfl.NewDefault(env, dev)
-		if err != nil {
-			return nil, err
-		}
-		return betrfs.New(env, kmem.New(env, true), cfg, backend)
-	})
-	return []System{
-		{
-			Name: "ext4+ftl",
-			Build: mk(func(env *sim.Env, dev blockdev.Device) (vfs.FS, error) {
-				return extfs.New(env, dev, extfs.Ext4Profile()), nil
-			}),
-			Recover: mk(func(env *sim.Env, dev blockdev.Device) (vfs.FS, error) {
-				return extfs.Recover(env, dev, extfs.Ext4Profile())
-			}),
-		},
-		{
-			Name: "f2fs+ftl",
-			Build: mk(func(env *sim.Env, dev blockdev.Device) (vfs.FS, error) {
-				return logfs.New(env, dev), nil
-			}),
-			Recover: mk(func(env *sim.Env, dev blockdev.Device) (vfs.FS, error) {
-				return logfs.Recover(env, dev)
-			}),
-		},
-		{
-			Name: "btrfs+ftl",
-			Build: mk(func(env *sim.Env, dev blockdev.Device) (vfs.FS, error) {
-				return cowfs.New(env, dev, cowfs.BtrfsProfile()), nil
-			}),
-			Recover: mk(func(env *sim.Env, dev blockdev.Device) (vfs.FS, error) {
-				return cowfs.Recover(env, dev, cowfs.BtrfsProfile())
-			}),
-		},
-		{
-			Name:    "betrfs-v0.6+ftl",
-			Build:   newBetrfsFTL,
-			Recover: newBetrfsFTL,
-			Push: func(fs vfs.FS) {
-				fs.(*betrfs.FS).Store().Log().WriteOut()
-			},
-		},
-	}
+	return out
 }
 
 func removeHeavyFor(t *testing.T) []Step {

@@ -63,7 +63,7 @@ func (d *cutDev) Flush() error {
 
 func newWrapBetrfs(env *sim.Env, dev blockdev.Device) (*betrfs.FS, error) {
 	cfg := betrfs.V06Config()
-	cfg.Tree.CacheBytes = 1 << 20 // as newBetrfs: evictions put node writes in the stream
+	cfg.Tree.CacheBytes = crashSizes.NodeCache // evictions put node writes in the stream
 	lay := sfl.DefaultLayout(dev.Size())
 	lay.LogBytes = wrapLogBytes
 	backend, err := sfl.New(env, dev, lay)
@@ -71,6 +71,13 @@ func newWrapBetrfs(env *sim.Env, dev blockdev.Device) (*betrfs.FS, error) {
 		return nil, err
 	}
 	return betrfs.New(env, kmem.New(env, true), cfg, backend)
+}
+
+// crashMount is the mount configuration of crashSizes.
+func crashMount() vfs.Config {
+	cfg := vfs.DefaultConfig()
+	cfg.CacheBytes = crashSizes.PageCache
+	return cfg
 }
 
 // createHeavySteps creates files empty files with long names in one
@@ -111,7 +118,7 @@ func runUntilCut(t *testing.T, steps []Step, cutAt int, afterStep func(i int, r 
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := vfs.NewMount(env, fs, mountConfig())
+	m := vfs.NewMount(env, fs, crashMount())
 	raw.EnableCrashTracking()
 	r.dev.ops, r.dev.cutAt = 0, cutAt
 	for i, s := range steps {
@@ -187,8 +194,12 @@ func TestCrashSweepPastLogWrap(t *testing.T) {
 				continue // the cut follows a flush: nothing to tear
 			}
 			trials++
-			vs := recoverAndCheck("betrfs-v0.6", spec, r.mo, r.env, func() (vfs.FS, error) {
-				return newWrapBetrfs(r.env, r.raw)
+			vs := recoverAndCheck("betrfs-v0.6", spec, r.mo, func() (*vfs.Mount, error) {
+				fs, err := newWrapBetrfs(r.env, r.raw)
+				if err != nil {
+					return nil, err
+				}
+				return vfs.NewMount(r.env, fs, crashMount()), nil
 			})
 			for _, v := range vs {
 				t.Errorf("%s", v)

@@ -3,6 +3,7 @@ package crashtest
 import (
 	"fmt"
 
+	"betrfs/internal/betrfs"
 	"betrfs/internal/blockdev"
 	"betrfs/internal/sim"
 	"betrfs/internal/vfs"
@@ -106,12 +107,6 @@ func SubsetSpecs(count int, baseSeed uint64, keepPct int) []CrashSpec {
 	return out
 }
 
-func mountConfig() vfs.Config {
-	cfg := vfs.DefaultConfig()
-	cfg.CacheBytes = 128 << 20
-	return cfg
-}
-
 // guard runs fn, converting a panic into an error. Recovery and
 // traversal of a crashed image must never panic; the harness records a
 // panic as an oracle violation rather than aborting the sweep.
@@ -130,21 +125,7 @@ func guard(fn func()) (err error) {
 // varies slightly between runs (map iteration order); specs are clamped
 // per trial.
 func ProbeUnflushed(sys System, steps []Step) int {
-	env := sim.NewEnv(1)
-	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))
-	fs, err := sys.Build(env, dev)
-	if err != nil {
-		panic(fmt.Sprintf("crashtest: %s build: %v", sys.Name, err))
-	}
-	m := vfs.NewMount(env, fs, mountConfig())
-	dev.EnableCrashTracking()
-	for _, s := range steps {
-		applyStep(m, s)
-	}
-	m.Writeback()
-	if sys.Push != nil {
-		sys.Push(fs)
-	}
+	_, dev, _ := run(sys, steps)
 	return dev.UnflushedWrites()
 }
 
@@ -152,40 +133,53 @@ func ProbeUnflushed(sys System, steps []Step) int {
 // at spec, recovers, and checks the oracle. Each trial rebuilds from
 // scratch so crash points are independent.
 func RunTrial(sys System, steps []Step, spec CrashSpec) []Violation {
+	env, dev, mo := run(sys, steps)
+	spec.apply(dev)
+	return recoverAndCheck(sys.Name, spec.String(), mo, func() (*vfs.Mount, error) {
+		st, err := sys.recover(env, dev)
+		if err != nil {
+			return nil, err
+		}
+		return st.Mount, nil
+	})
+}
+
+// run formats sys on a fresh crash-tracked device and applies the workload
+// to it and to a model. It then pushes dirty state to the device without a
+// flush — dirty pages to the FS, and BetrFS's log tail to the device — so
+// the crash cuts an in-flight writeback stream rather than an empty one.
+func run(sys System, steps []Step) (*sim.Env, *blockdev.Dev, *model) {
 	env := sim.NewEnv(1)
 	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))
-	fs, err := sys.Build(env, dev)
+	gate := &flushGate{Device: dev}
+	st, err := sys.build(env, gate)
 	if err != nil {
 		panic(fmt.Sprintf("crashtest: %s build: %v", sys.Name, err))
 	}
-	m := vfs.NewMount(env, fs, mountConfig())
-	mo := newModel()
 	dev.EnableCrashTracking()
+	mo := newModel()
 	for _, s := range steps {
-		applyStep(m, s)
+		gate.held = gate.held || s.Op == OpSyncInFlight
+		applyStep(st.Mount, s)
 		mo.apply(s)
 	}
-	// Push dirty cache state to the device without a flush: the crash
-	// then cuts an in-flight writeback stream rather than an empty one.
-	m.Writeback()
-	if sys.Push != nil {
-		sys.Push(fs)
+	st.Mount.Writeback()
+	if b, ok := st.FS.(*betrfs.FS); ok {
+		b.Store().Log().WriteOut()
 	}
-	spec.apply(dev)
-	return recoverAndCheck(sys.Name, spec.String(), mo, env, func() (vfs.FS, error) { return sys.Recover(env, dev) })
+	return env, dev, mo
 }
 
 // recoverAndCheck re-mounts a crashed device through remount and checks the
 // survivor against the model. Recovery and traversal of a crashed image
 // must never panic; a panic is reported as a violation like any other.
-func recoverAndCheck(system, spec string, mo *model, env *sim.Env, remount func() (vfs.FS, error)) []Violation {
+func recoverAndCheck(system, spec string, mo *model, remount func() (*vfs.Mount, error)) []Violation {
 	var m2 *vfs.Mount
 	if err := guard(func() {
-		fs2, rerr := remount()
-		if rerr != nil {
+		var rerr error
+		if m2, rerr = remount(); rerr != nil {
 			panic(rerr)
 		}
-		m2 = vfs.NewMount(env, fs2, mountConfig())
 	}); err != nil {
 		return []Violation{{System: system, Spec: spec, Detail: "recovery failed: " + err.Error()}}
 	}

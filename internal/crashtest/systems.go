@@ -1,99 +1,79 @@
 package crashtest
 
 import (
-	"betrfs/internal/betrfs"
 	"betrfs/internal/blockdev"
-	"betrfs/internal/cowfs"
-	"betrfs/internal/extfs"
-	"betrfs/internal/kmem"
-	"betrfs/internal/logfs"
-	"betrfs/internal/sfl"
+	"betrfs/internal/ftl"
 	"betrfs/internal/sim"
-	"betrfs/internal/vfs"
+	"betrfs/internal/systems"
 )
 
-// System is one file system under crash test: a formatter and a
-// mount-time recovery entry point over the same device.
+// System is one catalogue system under crash test, mounted over the
+// crash-tracked device directly or through a simulated FTL.
 type System struct {
 	Name string
-	// Build formats a fresh file system over dev.
-	Build func(env *sim.Env, dev *blockdev.Dev) (vfs.FS, error)
-	// Recover re-mounts the (crashed) device.
-	Recover func(env *sim.Env, dev *blockdev.Dev) (vfs.FS, error)
-	// Push, if set, writes FS-internal buffers to the device without a
-	// durability barrier (background log writeback), so the crash cuts
-	// an in-flight stream. It must not assert any durability.
-	Push func(fs vfs.FS)
+	sys  systems.System
+	// overFTL puts a simulated FTL between the file system and the tracked
+	// device, so the FTL's forwarded TRIMs are part of the stream a crash
+	// cuts.
+	overFTL bool
 }
 
-func newBetrfs(env *sim.Env, dev *blockdev.Dev) (vfs.FS, error) {
-	cfg := betrfs.V06Config()
-	// A deliberately tiny node cache: evictions force tree-node
-	// writeouts during the workload, so the unflushed-write stream the
-	// crash cuts contains in-flight node writes racing the log, not
-	// just the log tail.
-	cfg.Tree.CacheBytes = 1 << 20
-	backend, err := sfl.NewDefault(env, dev)
-	if err != nil {
-		return nil, err
-	}
-	return betrfs.New(env, kmem.New(env, true), cfg, backend)
-}
+// crashSizes is the machine every crash trial runs on. BetrFS gets a
+// deliberately tiny node cache: evictions force tree-node writeouts during
+// the workload, so the unflushed-write stream the crash cuts contains
+// in-flight node writes racing the log, not just the log tail.
+var crashSizes = systems.Sizes{NodeCache: 1 << 20, PageCache: 128 << 20}
 
-// Systems returns the file systems under test: the three baselines plus
-// BetrFS v0.6 (the raw SFL-backed store is covered separately by
-// RunStoreTrial). BetrFS has no separate recovery entry point — opening
-// the store over an existing device replays the superblock and log.
+// Systems returns the file systems under test, the catalogue's Recoverable
+// set: the three baselines plus BetrFS v0.6 (the raw SFL-backed store is
+// covered separately by RunStoreTrial).
 func Systems() []System {
-	return []System{
-		{
-			Name: "ext4",
-			Build: func(env *sim.Env, dev *blockdev.Dev) (vfs.FS, error) {
-				return extfs.New(env, dev, extfs.Ext4Profile()), nil
-			},
-			Recover: func(env *sim.Env, dev *blockdev.Dev) (vfs.FS, error) {
-				return extfs.Recover(env, dev, extfs.Ext4Profile())
-			},
-		},
-		{
-			Name: "f2fs",
-			Build: func(env *sim.Env, dev *blockdev.Dev) (vfs.FS, error) {
-				return logfs.New(env, dev), nil
-			},
-			Recover: func(env *sim.Env, dev *blockdev.Dev) (vfs.FS, error) {
-				return logfs.Recover(env, dev)
-			},
-		},
-		{
-			Name: "btrfs",
-			Build: func(env *sim.Env, dev *blockdev.Dev) (vfs.FS, error) {
-				return cowfs.New(env, dev, cowfs.BtrfsProfile()), nil
-			},
-			Recover: func(env *sim.Env, dev *blockdev.Dev) (vfs.FS, error) {
-				return cowfs.Recover(env, dev, cowfs.BtrfsProfile())
-			},
-		},
-		{
-			Name:    "betrfs-v0.6",
-			Build:   newBetrfs,
-			Recover: newBetrfs,
-			// BetrFS buffers messages in the tree and the WAL until a
-			// barrier; background log writeback is what puts a tearable
-			// log tail on the device.
-			Push: func(fs vfs.FS) {
-				fs.(*betrfs.FS).Store().Log().WriteOut()
-			},
-		},
+	var out []System
+	for _, name := range systems.Recoverable {
+		out = append(out, SystemByName(name))
 	}
+	return out
 }
 
 // SystemByName looks up a system; it panics on unknown names (harness
 // wiring error, not a runtime condition).
 func SystemByName(name string) System {
-	for _, s := range Systems() {
-		if s.Name == name {
-			return s
-		}
+	sys, err := systems.Lookup(name)
+	if err != nil {
+		panic("crashtest: " + err.Error())
 	}
-	panic("crashtest: unknown system " + name)
+	return System{Name: name, sys: sys}
+}
+
+func (s System) device(env *sim.Env, dev blockdev.Device) blockdev.Device {
+	if s.overFTL {
+		return ftl.New(env, dev, ftl.DefaultConfig())
+	}
+	return dev
+}
+
+// build formats a fresh file system over dev.
+func (s System) build(env *sim.Env, dev blockdev.Device) (*systems.Stack, error) {
+	return s.sys.New(env, s.device(env, dev), crashSizes)
+}
+
+// recover re-mounts the (crashed) device.
+func (s System) recover(env *sim.Env, dev blockdev.Device) (*systems.Stack, error) {
+	return s.sys.Recover(env, s.device(env, dev), crashSizes)
+}
+
+// flushGate passes every device command through, except that once held it
+// drops cache flushes: the writes of a sync the crash cuts short stay in the
+// volatile cache, where the crash can keep any prefix of them. A prefix of
+// the issue order is a state a device honouring every flush can reach too.
+type flushGate struct {
+	blockdev.Device
+	held bool
+}
+
+func (g *flushGate) Flush() error {
+	if g.held {
+		return nil
+	}
+	return g.Device.Flush()
 }

@@ -2,6 +2,7 @@ package extfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -324,4 +325,81 @@ func TestRandomWritesSlowerThanSequential(t *testing.T) {
 		t.Fatalf("random writes (%.1f ns/B) not much slower than sequential (%.1f ns/B)",
 			randPerByte, seqPerByte)
 	}
+}
+
+// TestInodeTableFullIsENOSPC fills the inode table of a 1/2048 SSD (4 000
+// slots): the create past the last slot fails with ENOSPC, the mount stays
+// writable, and every file acknowledged before it survives a sync, a cache
+// drop and recovery.
+func TestInodeTableFullIsENOSPC(t *testing.T) {
+	env := sim.NewEnv(1)
+	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(2048))
+	fs := New(env, dev, Ext4Profile())
+	m := vfs.NewMount(env, fs, vfs.DefaultConfig())
+	if err := m.MkdirAll("d"); err != nil {
+		t.Fatal(err)
+	}
+	content := func(i int) []byte { return []byte(fmt.Sprintf("file %d", i)) }
+	var acked int
+	for ; ; acked++ {
+		if acked == 5000 {
+			t.Fatalf("5000 creates succeeded on a %d-inode table", fs.maxInodes())
+		}
+		f, err := m.Create(fmt.Sprintf("d/f%05d", acked))
+		if errors.Is(err, vfs.ErrNoSpace) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("create %d: %v", acked, err)
+		}
+		f.Write(content(acked))
+		f.Close()
+	}
+	if int64(acked) != int64(fs.maxInodes())-3 { // inode 0 is unused, 1 is the root, 2 is d
+		t.Errorf("%d creates before ENOSPC, want %d", acked, fs.maxInodes()-3)
+	}
+	if err := m.Mkdir("e"); !errors.Is(err, vfs.ErrNoSpace) {
+		t.Errorf("mkdir on a full table: %v, want ENOSPC", err)
+	}
+	f, err := m.OpenFile("d/f00000", false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("still writable"), 0); err != nil {
+		t.Fatalf("write after ENOSPC: %v", err)
+	}
+	f.Close()
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(stage string, m *vfs.Mount) {
+		t.Helper()
+		ents, err := m.ReadDir("d")
+		if err != nil || len(ents) != acked {
+			t.Fatalf("%s: ReadDir lists %d entries (%v), want %d", stage, len(ents), err, acked)
+		}
+		for i := 1; i < acked; i++ {
+			g, err := m.Open(fmt.Sprintf("d/f%05d", i))
+			if err != nil {
+				t.Fatalf("%s: file %d: %v", stage, i, err)
+			}
+			buf := make([]byte, 32)
+			n, _ := g.ReadAt(buf, 0)
+			g.Close()
+			if !bytes.Equal(buf[:n], content(i)) {
+				t.Fatalf("%s: file %d reads %q, want %q", stage, i, buf[:n], content(i))
+			}
+		}
+	}
+	m.DropCaches()
+	check("after DropCaches", m)
+
+	dev.EnableCrashTracking()
+	dev.Crash(0)
+	fs2, err := Recover(env, dev, Ext4Profile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after Recover", vfs.NewMount(env, fs2, vfs.DefaultConfig()))
 }

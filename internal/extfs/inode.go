@@ -35,6 +35,12 @@ func blockSealed(buf []byte) bool {
 	return crc32.ChecksumIEEE(buf[:blockCRCOff]) == binary.BigEndian.Uint32(buf[blockCRCOff:])
 }
 
+// maxInodes is the inode table's capacity: one past the largest inode
+// number it has a slot for.
+func (fs *FS) maxInodes() Ino {
+	return Ino(fs.lay.itableLen / BlockSize * inodesPerBlock)
+}
+
 // itableBlockAddr returns the device offset of the inode-table block
 // containing ino.
 func (fs *FS) itableBlockAddr(ino Ino) int64 {

@@ -114,8 +114,8 @@ func Recover(env *sim.Env, dev blockdev.Device, prof Profile) (rfs *FS, err erro
 	fs.nextIno = nextIno
 	fs.superGen = gen
 	// A corrupted nextIno cannot be trusted to bound the table scan.
-	if maxInos := Ino(fs.lay.itableLen / inodeSize); fs.nextIno > maxInos {
-		fs.nextIno = maxInos
+	if fs.nextIno > fs.maxInodes() {
+		fs.nextIno = fs.maxInodes()
 	}
 
 	// fsck pass: scan the inode table, rebuilding the bitmap from extent

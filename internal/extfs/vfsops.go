@@ -44,6 +44,12 @@ func (fs *FS) Create(parent vfs.Handle, name string, dir bool) (h vfs.Handle, a 
 	if _, ok := p.children[name]; ok {
 		return nil, vfs.Attr{}, vfs.ErrExist
 	}
+	// Inode numbers are never reused, so the table is full once the next
+	// number lies past its end: ENOSPC, as ext4 reports when it runs out
+	// of inodes, and the mount stays writable.
+	if fs.nextIno >= fs.maxInodes() {
+		fs.noSpace()
+	}
 	ino := fs.nextIno
 	fs.nextIno++
 	x := &xinode{ino: ino, dir: dir, nlink: 1, mtime: fs.env.Now()}

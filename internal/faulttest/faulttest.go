@@ -1,6 +1,6 @@
-// Package faulttest builds the file systems under test over an
-// injected-fault device stack and drives deterministic workloads through
-// them, checking the end-to-end error contract (DESIGN.md §10): faults
+// Package faulttest mounts the catalogue's file systems (internal/systems)
+// over an injected-fault device stack and drives deterministic workloads
+// through them, checking the end-to-end error contract (DESIGN.md §10): faults
 // surface as errno-style errors at the mount API, never as panics;
 // transient faults are absorbed by bounded retry; persistent write
 // failure degrades the mount to read-only while reads keep serving
@@ -20,20 +20,11 @@ import (
 	"betrfs/internal/betree"
 	"betrfs/internal/betrfs"
 	"betrfs/internal/blockdev"
-	"betrfs/internal/cowfs"
-	"betrfs/internal/extfs"
-	"betrfs/internal/kmem"
-	"betrfs/internal/logfs"
 	"betrfs/internal/sfl"
 	"betrfs/internal/sim"
-	"betrfs/internal/southbound"
+	"betrfs/internal/systems"
 	"betrfs/internal/vfs"
 )
-
-// Systems lists the file systems under fault test: the three baselines
-// plus both BetrFS generations (v0.4 on the southbound ext4 stack, v0.6
-// on the SFL).
-var Systems = []string{"ext4", "f2fs", "btrfs", "betrfs-v0.4", "betrfs-v0.6"}
 
 // DefaultScale shrinks the simulated SSD so sweeps stay fast; the fault
 // plan, not the capacity, is what these tests exercise.
@@ -65,14 +56,6 @@ func Build(name string, seed uint64, scale int64, plan blockdev.FaultPlan, pol b
 	return buildWith(name, seed, scale, plan, pol, 0, nil)
 }
 
-// BuildTuned is Build with a hook to adjust the betrfs tree
-// configuration before the file system is constructed; the baselines
-// ignore it. The self-healing sweeps use it to disable write-path
-// relocation for negative controls.
-func BuildTuned(name string, seed uint64, scale int64, plan blockdev.FaultPlan, pol blockdev.RetryPolicy, tune func(*betree.Config)) (*System, error) {
-	return buildWith(name, seed, scale, plan, pol, 0, tune)
-}
-
 // BuildConcurrent is Build with the concurrency layer switched on: the
 // VFS mount takes its client big lock, a betrfs tree store runs its
 // reader/writer locking protocol, and the sim worker pool gets `workers`
@@ -89,73 +72,31 @@ func BuildConcurrent(name string, seed uint64, scale int64, plan blockdev.FaultP
 
 // buildWith constructs the system; workers == 0 means the deterministic
 // single-goroutine configuration, workers >= 1 the concurrent one. A
-// non-nil tune hook edits the betrfs tree config before construction.
+// non-nil tune edits this copy of the catalogue's betrfs tree config before
+// construction: the self-healing sweeps turn write-path relocation off for
+// a negative control.
 func buildWith(name string, seed uint64, scale int64, plan blockdev.FaultPlan, pol blockdev.RetryPolicy, workers int, tune func(*betree.Config)) (*System, error) {
+	sys, err := systems.Lookup(name)
+	if err != nil {
+		return nil, fmt.Errorf("faulttest: %w", err)
+	}
+	if tune != nil {
+		tune(&sys.Betr.Tree)
+	}
 	env := sim.NewEnv(seed)
-	concurrent := workers > 0
-	if concurrent {
+	sz := systems.Sizes{Concurrent: workers > 0}
+	if sz.Concurrent {
 		env.Pool.SetWorkers(workers)
 	}
-	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(scale))
+	dev := blockdev.New(env, sys.Device().Scale(scale))
 	fault := blockdev.NewFault(env, dev, plan)
-	retry := blockdev.WithRetry(env, fault, pol)
-
-	var fs vfs.FS
-	var backend *sfl.SFL
-	switch name {
-	case "ext4":
-		fs = extfs.New(env, retry, extfs.Ext4Profile())
-	case "f2fs":
-		fs = logfs.New(env, retry)
-	case "btrfs":
-		fs = cowfs.New(env, retry, cowfs.BtrfsProfile())
-	case "betrfs-v0.4":
-		lower := extfs.New(env, retry, extfs.Ext4Profile())
-		cfg := betrfs.V04Config()
-		cfg.Tree.Concurrent = concurrent
-		if tune != nil {
-			tune(&cfg.Tree)
-		}
-		bfs, err := betrfs.New(env, kmem.New(env, true), cfg,
-			southbound.New(env, lower, southbound.DefaultLayout(dev.Size())))
-		if err != nil {
-			return nil, fmt.Errorf("faulttest: %s: %w", name, err)
-		}
-		fs = bfs
-	case "betrfs-v0.6":
-		b, err := sfl.NewDefault(env, retry)
-		if err != nil {
-			return nil, fmt.Errorf("faulttest: %s: %w", name, err)
-		}
-		cfg := betrfs.V06Config()
-		cfg.Tree.Concurrent = concurrent
-		if tune != nil {
-			tune(&cfg.Tree)
-		}
-		bfs, err := betrfs.New(env, kmem.New(env, true), cfg, b)
-		if err != nil {
-			return nil, fmt.Errorf("faulttest: %s: %w", name, err)
-		}
-		fs = bfs
-		backend = b
-	default:
-		return nil, fmt.Errorf("faulttest: unknown system %q", name)
+	st, err := sys.New(env, blockdev.WithRetry(env, fault, pol), sz)
+	if err != nil {
+		return nil, fmt.Errorf("faulttest: %w", err)
 	}
-
-	vcfg := vfs.DefaultConfig()
-	vcfg.Concurrent = concurrent
-	sys := &System{
-		Name:  name,
-		Env:   env,
-		Dev:   dev,
-		Fault: fault,
-		SFL:   backend,
-		Mount: vfs.NewMount(env, fs, vcfg),
-	}
-	if bfs, ok := fs.(*betrfs.FS); ok {
-		sys.Betr = bfs
-	}
-	return sys, nil
+	s := &System{Name: name, Env: env, Dev: dev, Fault: fault, SFL: st.SFL, Mount: st.Mount}
+	s.Betr, _ = st.FS.(*betrfs.FS)
+	return s, nil
 }
 
 // FileContent returns the deterministic payload for file index i: every

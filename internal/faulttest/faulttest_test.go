@@ -8,6 +8,7 @@ import (
 
 	"betrfs/internal/betree"
 	"betrfs/internal/blockdev"
+	"betrfs/internal/systems"
 	"betrfs/internal/vfs"
 )
 
@@ -31,7 +32,7 @@ func TestTransientFaultsAbsorbedByRetry(t *testing.T) {
 	// fresh independent fault at the same site.
 	pol := blockdev.DefaultRetryPolicy()
 	pol.MaxAttempts = 6
-	for _, name := range Systems {
+	for _, name := range systems.Core {
 		t.Run(name, func(t *testing.T) {
 			sys, err := Build(name, 1, DefaultScale, plan, pol)
 			if err != nil {
@@ -82,7 +83,7 @@ func TestTransientFaultsAbsorbedByRetry(t *testing.T) {
 // read-only (EROFS on mutations), and every file written before the
 // failure still reads back correct data.
 func TestPersistentWriteFailureDegradesMount(t *testing.T) {
-	for _, name := range Systems {
+	for _, name := range systems.Core {
 		t.Run(name, func(t *testing.T) {
 			sys, err := Build(name, 2, DefaultScale, blockdev.FaultPlan{Seed: 9}, blockdev.DefaultRetryPolicy())
 			if err != nil {

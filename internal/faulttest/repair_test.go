@@ -7,6 +7,7 @@ import (
 
 	"betrfs/internal/betree"
 	"betrfs/internal/blockdev"
+	"betrfs/internal/systems"
 	"betrfs/internal/vfs"
 )
 
@@ -15,7 +16,7 @@ import (
 // clean scrub reports are returned for targeted fault injection.
 func populateCheckpointed(t *testing.T, seed uint64, files int, tune func(*betree.Config)) (*System, map[string]int, []betree.ScrubReport) {
 	t.Helper()
-	sys, err := BuildTuned("betrfs-v0.6", seed, DefaultScale, blockdev.FaultPlan{Seed: seed}, blockdev.DefaultRetryPolicy(), tune)
+	sys, err := buildWith("betrfs-v0.6", seed, DefaultScale, blockdev.FaultPlan{Seed: seed}, blockdev.DefaultRetryPolicy(), 0, tune)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestWritePathRelocationDisabledReproducesEIO(t *testing.T) {
 // checksummed-store feature), both BetrFS generations report a clean
 // non-empty scrub, and a repair pass over a clean store is a no-op.
 func TestScrubHookAcrossSystems(t *testing.T) {
-	for _, name := range Systems {
+	for _, name := range systems.Core {
 		t.Run(name, func(t *testing.T) {
 			sys, err := Build(name, 31, DefaultScale, blockdev.FaultPlan{Seed: 31}, blockdev.DefaultRetryPolicy())
 			if err != nil {
@@ -325,7 +326,7 @@ func TestConcurrentClientsUnderFaultPlan(t *testing.T) {
 	}
 	pol := blockdev.DefaultRetryPolicy()
 	pol.MaxAttempts = 6
-	for _, name := range Systems {
+	for _, name := range systems.Core {
 		t.Run(name, func(t *testing.T) {
 			sys, err := BuildConcurrent(name, 51, DefaultScale, plan, pol, 2)
 			if err != nil {

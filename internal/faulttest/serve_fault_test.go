@@ -12,6 +12,7 @@ import (
 	"betrfs/internal/blockdev"
 	"betrfs/internal/fsrpc"
 	"betrfs/internal/fsserve"
+	"betrfs/internal/systems"
 	"betrfs/internal/vfs"
 )
 
@@ -53,7 +54,7 @@ func TestServerWriteDeathUnderConcurrentClients(t *testing.T) {
 		opsPerCli = 30
 		keepSize  = 8192
 	)
-	for _, name := range Systems {
+	for _, name := range systems.Core {
 		t.Run(name, func(t *testing.T) {
 			sys, err := BuildConcurrent(name, 3, DefaultScale, blockdev.FaultPlan{Seed: 7}, blockdev.DefaultRetryPolicy(), 2)
 			if err != nil {

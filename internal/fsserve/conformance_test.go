@@ -9,6 +9,7 @@ import (
 	"betrfs/internal/faulttest"
 	"betrfs/internal/fsrpc"
 	"betrfs/internal/fsserve"
+	"betrfs/internal/systems"
 	"betrfs/internal/vfs"
 )
 
@@ -256,7 +257,7 @@ func (p *confPair) bothAttr(t *testing.T, desc string, op func(confDriver) (fsrp
 // (ENOENT, EEXIST, EISDIR, ENOTEMPTY), and through a device write death
 // (EIO surfacing, then the sticky EROFS latch).
 func TestWireConformance(t *testing.T) {
-	for _, name := range faulttest.Systems {
+	for _, name := range systems.Core {
 		t.Run(name, func(t *testing.T) {
 			p := buildPair(t, name, faulttest.DefaultScale)
 

@@ -11,83 +11,36 @@ import (
 	"fmt"
 	"testing"
 
-	"betrfs/internal/betrfs"
 	"betrfs/internal/blockdev"
-	"betrfs/internal/cowfs"
-	"betrfs/internal/extfs"
-	"betrfs/internal/kmem"
-	"betrfs/internal/logfs"
-	"betrfs/internal/sfl"
 	"betrfs/internal/sim"
-	"betrfs/internal/southbound"
+	"betrfs/internal/systems"
 	"betrfs/internal/vfs"
 )
-
-// sizes is the machine a test file system runs on: the SSD profile scaled
-// down by scale, a BetrFS node cache of nodeCache bytes and a page cache
-// of pageCache bytes.
-type sizes struct {
-	scale                int64
-	nodeCache, pageCache int64
-}
 
 // build constructs a named file system over a fresh 1/64 SSD with caches
 // that hold every conformance scenario.
 func build(t testing.TB, name string) (*sim.Env, *vfs.Mount) {
-	return buildSized(t, name, sizes{scale: 64, nodeCache: 64 << 20, pageCache: 128 << 20})
+	return buildSized(t, name, 64, systems.Sizes{NodeCache: 64 << 20, PageCache: 128 << 20})
 }
 
-// buildSized constructs a named file system on the machine sz describes.
-func buildSized(t testing.TB, name string, sz sizes) (*sim.Env, *vfs.Mount) {
+// buildSized constructs a named file system over a fresh SSD scaled down by
+// scale, with the memory sz gives it.
+func buildSized(t testing.TB, name string, scale int64, sz systems.Sizes) (*sim.Env, *vfs.Mount) {
 	t.Helper()
-	env := sim.NewEnv(1)
-	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(sz.scale))
-	var fs vfs.FS
-	switch name {
-	case "ext4":
-		fs = extfs.New(env, dev, extfs.Ext4Profile())
-	case "xfs":
-		fs = extfs.New(env, dev, extfs.XFSProfile())
-	case "f2fs":
-		fs = logfs.New(env, dev)
-	case "btrfs":
-		fs = cowfs.New(env, dev, cowfs.BtrfsProfile())
-	case "zfs":
-		fs = cowfs.New(env, dev, cowfs.ZFSProfile())
-	case "betrfs-v0.6":
-		cfg := betrfs.V06Config()
-		cfg.Tree.CacheBytes = sz.nodeCache
-		backend, serr := sfl.NewDefault(env, dev)
-		if serr != nil {
-			t.Fatal(serr)
-		}
-		b, err := betrfs.New(env, kmem.New(env, true), cfg, backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs = b
-	case "betrfs-v0.4":
-		cfg := betrfs.V04Config()
-		cfg.Tree.CacheBytes = sz.nodeCache
-		lower := extfs.New(env, dev, extfs.Ext4Profile())
-		backend := southbound.New(env, lower, southbound.DefaultLayout(dev.Size()))
-		b, err := betrfs.New(env, kmem.New(env, false), cfg, backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs = b
-	default:
-		t.Fatalf("unknown fs %q", name)
+	sys, err := systems.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mcfg := vfs.DefaultConfig()
-	mcfg.CacheBytes = sz.pageCache
-	return env, vfs.NewMount(env, fs, mcfg)
+	env := sim.NewEnv(1)
+	st, err := sys.New(env, blockdev.New(env, sys.Device().Scale(scale)), sz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env, st.Mount
 }
-
-var allFS = []string{"ext4", "xfs", "f2fs", "btrfs", "zfs", "betrfs-v0.4", "betrfs-v0.6"}
 
 func forAll(t *testing.T, fn func(t *testing.T, m *vfs.Mount)) {
-	for _, name := range allFS {
+	for _, name := range systems.Table1 {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			_, m := build(t, name)
@@ -293,9 +246,9 @@ func TestRenameBigFileKeepsData(t *testing.T) {
 			t.Fatalf("%s: %d of %d blocks wrong, the first at block %d", path, bad, blocks, first)
 		}
 	}
-	for _, name := range allFS {
+	for _, name := range systems.Table1 {
 		t.Run(name, func(t *testing.T) {
-			_, m := buildSized(t, name, sizes{scale: 512, nodeCache: 4 << 20, pageCache: 4 << 20})
+			_, m := buildSized(t, name, 512, systems.Sizes{NodeCache: 4 << 20, PageCache: 4 << 20})
 			for _, d := range []string{"src", "dst"} {
 				if err := m.MkdirAll(d); err != nil {
 					t.Fatal(err)
@@ -414,20 +367,18 @@ func TestManySmallFiles(t *testing.T) {
 
 func TestFsyncDurableAfterCrashBetrFS(t *testing.T) {
 	// Crash-recovery end-to-end through the VFS for BetrFS v0.6.
-	env := sim.NewEnv(7)
-	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))
-	dev.EnableCrashTracking()
-	backend, berr := sfl.NewDefault(env, dev)
-	if berr != nil {
-		panic(berr)
-	}
-	alloc := kmem.New(env, true)
-	cfg := betrfs.V06Config()
-	b, err := betrfs.New(env, alloc, cfg, backend)
+	sys, err := systems.Lookup("betrfs-v0.6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := vfs.NewMount(env, b, vfs.DefaultConfig())
+	env := sim.NewEnv(7)
+	dev := blockdev.New(env, sys.Device().Scale(64))
+	dev.EnableCrashTracking()
+	st, err := sys.New(env, dev, systems.Sizes{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := st.Mount
 	m.MkdirAll("mail")
 	f, _ := m.Create("mail/msg1")
 	f.Write([]byte("important"))
@@ -437,11 +388,11 @@ func TestFsyncDurableAfterCrashBetrFS(t *testing.T) {
 	// no fsync
 	dev.Crash(0)
 
-	b2, err := betrfs.New(env, alloc, cfg, backend)
+	st2, err := sys.Recover(env, dev, systems.Sizes{})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
-	m2 := vfs.NewMount(env, b2, vfs.DefaultConfig())
+	m2 := st2.Mount
 	h, err := m2.Open("mail/msg1")
 	if err != nil {
 		t.Fatalf("fsynced file lost: %v", err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"betrfs/internal/sim"
+	"betrfs/internal/systems"
 	"betrfs/internal/vfs"
 )
 
@@ -13,7 +14,7 @@ import (
 // file system and a plain in-memory reference, verifying byte-for-byte
 // agreement, including across cache drops.
 func TestFileContentModel(t *testing.T) {
-	for _, name := range allFS {
+	for _, name := range systems.Table1 {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			_, m := build(t, name)
@@ -88,7 +89,7 @@ func TestFileContentModel(t *testing.T) {
 // TestNamespaceModel drives random namespace operations against every file
 // system and a map-based reference.
 func TestNamespaceModel(t *testing.T) {
-	for _, name := range allFS {
+	for _, name := range systems.Table1 {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			_, m := build(t, name)
