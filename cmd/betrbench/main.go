@@ -56,6 +56,10 @@ func main() {
 	shard := flag.Bool("shard", false, "run the multi-shard rung: a prefix-routed control plane over -shards simulated shard pairs (deterministic)")
 	shards := flag.Int("shards", 3, "shard count for -shard")
 	flag.Parse()
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "betrbench: -scale: must be at least 1, got %d\n", *scale)
+		os.Exit(2)
+	}
 
 	if *validate != "" {
 		if _, err := bench.ValidateFile(*validate); err != nil {

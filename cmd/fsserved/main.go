@@ -51,6 +51,10 @@ func main() {
 	blockShares := flag.String("block-shares", "", "block shares, comma-separated names; each exports a fresh FTL-backed device at -scale (clients BOPEN by name)")
 	flag.Parse()
 	checkSystem("-fs", *fsName)
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "fsserved: -scale: must be at least 1, got %d\n", *scale)
+		os.Exit(2)
+	}
 	extra := parseShares(*shares)
 
 	var in *bench.Instance

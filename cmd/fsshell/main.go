@@ -1,39 +1,35 @@
 // Command fsshell is an interactive shell over any of the simulated file
-// systems — handy for poking at behaviour and watching simulated time and
-// device I/O respond to individual operations.
+// systems, e.g. `printf 'write a/x hi\ncat a/x\nstats\n' | fsshell`.
 //
-//	$ go run ./cmd/fsshell -fs betrfs-v0.6
-//	> mkdir a
-//	> write a/hello.txt hello world
-//	> ls a
-//	> cat a/hello.txt
-//	> stats
-//
-// With -connect host:port the shell instead drives a remote fsserved
-// process over the fsrpc wire protocol (see cmd/fsserved). -window bounds
-// how many requests the client keeps in flight, and the remote-only
-// `pipe` command issues a burst of pipelined calls to show out-of-order
-// completion on the shared connection.
-//
-// With -shards N the shell stands up an in-process prefix-routed
-// deployment (DESIGN.md §14) and drives it through the control plane's
-// routing client; `shardmap`, `shares`, and `stats` inspect the
-// topology and the per-shard metrics.
+// Every mode drives the file system through the fsrpc wire client, so the
+// file commands (see `help`) are the same in each. By default the shell
+// mounts -fs in-process and serves it to itself through fsserve over a
+// pipe. With -connect host:port it drives a remote fsserved (-window
+// bounds the requests in flight; `pipe` bursts pipelined calls). With
+// -shards N it stands up an in-process prefix-routed deployment (DESIGN.md
+// §14) and drives it through the control plane's routing client.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"os"
-	"sort"
+	"strconv"
 	"strings"
+	"time"
 
 	"betrfs/internal/bench"
+	"betrfs/internal/controlplane"
 	"betrfs/internal/fsrpc"
+	"betrfs/internal/fsserve"
+	"betrfs/internal/metrics"
 	"betrfs/internal/systems"
-	"betrfs/internal/vfs"
 )
+
+// scale divides the paper's hardware sizes in the in-process modes.
+const scale = 64
 
 func main() {
 	fsName := flag.String("fs", "betrfs-v0.6", "file system: "+strings.Join(systems.Names(), ", "))
@@ -46,165 +42,185 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *connect != "" {
-		runRemote(*connect, *window)
-		return
-	}
-	if *shards > 0 {
-		runShards(*shards)
-		return
-	}
-
-	in := bench.Build(*fsName, 64)
-	m := in.Mount
-	fmt.Printf("mounted %s on a simulated SSD; type 'help'\n", *fsName)
-
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("> ")
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) > 0 {
-			if !execute(in, m, fields) {
-				return
-			}
-		}
-		fmt.Print("> ")
-	}
-}
-
-func execute(in *bench.Instance, m *vfs.Mount, f []string) bool {
-	switch f[0] {
-	case "help":
-		fmt.Println("commands: ls [dir] | mkdir p | write p text... | cat p | rm p | rmr p | mv a b | stat p | sync | dropcaches | stats | time | quit")
-	case "quit", "exit":
-		return false
-	case "ls":
-		dir := ""
-		if len(f) > 1 {
-			dir = f[1]
-		}
-		ents, err := m.ReadDir(dir)
+	var sh *shell
+	switch {
+	case *connect != "":
+		var err error
+		sh, err = remoteShell(os.Stdout, *connect, func() (io.ReadWriteCloser, error) { return net.Dial("tcp", *connect) }, *window)
 		if err != nil {
-			fmt.Println("ls:", err)
-			break
+			fmt.Fprintln(os.Stderr, "fsshell: connect:", err)
+			os.Exit(1)
 		}
-		for _, e := range ents {
-			kind := "-"
-			if e.Dir {
-				kind = "d"
-			}
-			fmt.Printf("%s %s\n", kind, e.Name)
-		}
-	case "mkdir":
-		if len(f) < 2 {
-			break
-		}
-		if err := m.MkdirAll(f[1]); err != nil {
-			fmt.Println("mkdir:", err)
-		}
-	case "write":
-		if len(f) < 3 {
-			break
-		}
-		file, err := m.Create(f[1])
-		if err != nil {
-			fmt.Println("write:", err)
-			break
-		}
-		file.Write([]byte(strings.Join(f[2:], " ")))
-		file.Close()
-	case "cat":
-		if len(f) < 2 {
-			break
-		}
-		file, err := m.Open(f[1])
-		if err != nil {
-			fmt.Println("cat:", err)
-			break
-		}
-		buf := make([]byte, 64<<10)
-		n, _ := file.ReadAt(buf, 0)
-		fmt.Println(string(buf[:n]))
-	case "rm":
-		if len(f) < 2 {
-			break
-		}
-		if err := m.Remove(f[1]); err != nil {
-			fmt.Println("rm:", err)
-		}
-	case "rmr":
-		if len(f) < 2 {
-			break
-		}
-		if err := m.RemoveAll(f[1]); err != nil {
-			fmt.Println("rmr:", err)
-		}
-	case "mv":
-		if len(f) < 3 {
-			break
-		}
-		if err := m.Rename(f[1], f[2]); err != nil {
-			fmt.Println("mv:", err)
-		}
-	case "stat":
-		if len(f) < 2 {
-			break
-		}
-		a, err := m.Stat(f[1])
-		if err != nil {
-			fmt.Println("stat:", err)
-			break
-		}
-		fmt.Printf("dir=%v size=%d nlink=%d mtime=%v\n", a.Dir, a.Size, a.Nlink, a.Mtime)
-	case "sync":
-		m.Sync()
-	case "dropcaches":
-		m.DropCaches()
-	case "time":
-		fmt.Println("simulated time:", in.Env.Now())
-	case "stats":
-		d := in.Dev.Stats()
-		fmt.Printf("device: %d reads (%d KiB), %d writes (%d KiB), %d flushes\n",
-			d.Reads, d.BytesRead>>10, d.Writes, d.BytesWritten>>10, d.Flushes)
-		v := m.Stats()
-		fmt.Printf("vfs: lookups=%d dcacheHits=%d pagesRead=%d pagesWritten=%d fsyncs=%d\n",
-			v.Lookups, v.DcacheHits, v.PagesRead, v.PagesWritten, v.Fsyncs)
-		printRegistry(in)
+	case *shards > 0:
+		fmt.Fprintf(os.Stderr, "fsshell: building %d-shard deployment (scale 1/%d)...\n", *shards, scale)
+		sh = shardShell(os.Stdout, *shards)
 	default:
-		fmt.Println("unknown command; try 'help'")
+		sh = localShell(os.Stdout, *fsName)
 	}
-	return true
+	defer sh.close()
+	sh.run(os.Stdin)
 }
 
-// printRegistry dumps every non-zero counter and histogram the mounted
-// stack has registered (the full metrics registry, sorted by name).
-func printRegistry(in *bench.Instance) {
-	snap := in.Env.Metrics.Snapshot()
-	names := make([]string, 0, len(snap.Counters))
-	for name := range snap.Counters {
-		names = append(names, name)
+// localShell mounts fsName in-process and serves it to the shell through
+// fsserve over net.Pipe, as the serve rung does.
+func localShell(out io.Writer, fsName string) *shell {
+	in := bench.Build(fsName, scale)
+	srv := fsserve.New(in.Env, in.Mount, fsserve.DefaultConfig())
+	cliEnd, srvEnd := net.Pipe()
+	go srv.ServeConn(srvEnd)
+	cli := fsrpc.NewClientOpts(cliEnd, fsrpc.Options{Metrics: in.Env.Metrics})
+	fmt.Fprintf(out, "mounted %s on a simulated SSD; type 'help'\n", fsName)
+	return &shell{
+		cli:  cli,
+		wire: func(string) *fsrpc.Client { return cli },
+		out:  out,
+		cmds: map[string]command{
+			"sync":       {"", func([]string) error { return in.Mount.Sync() }},
+			"dropcaches": {"", func([]string) error { in.Mount.DropCaches(); return nil }},
+			"stats":      {"", func([]string) error { printSnapshot(out, in.Env.Metrics.Snapshot()); return nil }},
+		},
+		close: func() { cli.Close(); srv.Shutdown() },
 	}
-	sort.Strings(names)
-	fmt.Println("counters:")
-	for _, name := range names {
-		if v := snap.Counters[name]; v != 0 {
-			fmt.Printf("  %-28s %12d\n", name, v)
+}
+
+// remoteShell drives the fsserved that dial reaches. On a dropped
+// connection the client redials and resumes its session, handles included,
+// and in-flight calls replay exactly once (DESIGN.md §13.9).
+func remoteShell(out io.Writer, addr string, dial func() (io.ReadWriteCloser, error), window int) (*shell, error) {
+	conn, err := dial()
+	if err != nil {
+		return nil, err
+	}
+	reg := metrics.NewRegistry()
+	cli := fsrpc.NewClientOpts(conn, fsrpc.Options{Window: window, Metrics: reg})
+	err = cli.EnableRedial(dial, fsrpc.RedialPolicy{OnReconnect: func(attempts int, resumed bool) {
+		what := "session resumed"
+		if !resumed {
+			what = "session lease had expired — handles lost, fresh session started"
+		}
+		fmt.Fprintf(os.Stderr, "fsshell: reconnected to %s after %d attempt(s); %s\n", addr, attempts, what)
+	}})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fsshell: session handshake failed (%v); continuing without auto-reconnect\n", err)
+	}
+	fmt.Fprintf(out, "connected to fsserved at %s (window %d); type 'help'\n", addr, cli.Window())
+	return &shell{
+		cli:  cli,
+		wire: func(string) *fsrpc.Client { return cli },
+		out:  out,
+		cmds: map[string]command{
+			"ping": {"", func([]string) error {
+				start := time.Now()
+				err := cli.Ping()
+				if err == nil {
+					fmt.Fprintf(out, "pong in %v (lease renewed)\n", time.Since(start))
+				}
+				return err
+			}},
+			"attach": {"name", func(a []string) error {
+				err := cli.Attach(a[0])
+				if err == nil {
+					fmt.Fprintf(out, "attached to mount share %s\n", a[0])
+				}
+				return err
+			}},
+			"shares": {"", func([]string) error { return printShares(out, "", cli) }},
+			"stats": {"", func([]string) error {
+				// The client's own redial, replay and deadline counters (§13.7).
+				if token, lease := cli.Session(); token != "" {
+					fmt.Fprintf(out, "session: %s (lease %v)\n", token, lease)
+				}
+				printSnapshot(out, reg.Snapshot())
+				return nil
+			}},
+		},
+		close: func() { cli.Close() },
+	}, nil
+}
+
+// printShares lists a front end's share table (DESIGN.md §14.2): mount
+// shares are directories, block shares files.
+func printShares(out io.Writer, prefix string, cli *fsrpc.Client) error {
+	ents, err := cli.Shares()
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		kind := "block"
+		if e.Dir {
+			kind = "mount"
+		}
+		fmt.Fprintf(out, "%s%s (%s)\n", prefix, e.Name, kind)
+	}
+	return nil
+}
+
+// shardShell drives an in-process deployment of n shard pairs, each a file
+// node over a block share on its own storage node (DESIGN.md §14.4).
+func shardShell(out io.Writer, n int) *shell {
+	d := controlplane.New(controlplane.Config{Shards: n, Scale: scale})
+	cli := d.Connect(metrics.NewRegistry())
+	fmt.Fprintf(out, "%d shards of %s mounted behind a prefix-routing client; type 'help'\n", n, controlplane.FileSystem)
+	return &shell{
+		cli:  cli,
+		wire: func(p string) *fsrpc.Client { return cli.Shard(cli.Route(p)) },
+		out:  out,
+		cmds: map[string]command{
+			"route": {"p", func(a []string) error {
+				fmt.Fprintf(out, "%s -> shard %d\n", a[0], cli.Route(a[0]))
+				return nil
+			}},
+			"shardmap": {"", func([]string) error {
+				routes := cli.Map().Routes()
+				fmt.Fprintf(out, "%d shards, %d routes (longest prefix wins):\n", n, len(routes))
+				for _, r := range routes {
+					prefix := r.Prefix
+					if prefix == "" {
+						prefix = "(catch-all)"
+					}
+					fmt.Fprintf(out, "  %-20s -> shard %d\n", prefix, r.Shard)
+				}
+				return nil
+			}},
+			"shares": {"", func([]string) error {
+				// Each front end answers over the wire; its storage node's
+				// block share is one hop behind it.
+				for i := 0; i < n; i++ {
+					if err := printShares(out, fmt.Sprintf("shard %d: ", i), cli.Shard(i)); err != nil {
+						return err
+					}
+					fmt.Fprintf(out, "shard %d: %s (block, storage node)\n", i, controlplane.BlockShare)
+				}
+				return nil
+			}},
+			"stats":      {"[shard [fs|blk0]]", func(a []string) error { return shardStats(out, d, a) }},
+			"dropcaches": {"", func([]string) error { d.DropCaches(); return nil }},
+		},
+		close: func() { cli.Close(); d.Close() },
+	}
+}
+
+// shardStats prints the deployment roll-up, one shard's two machines
+// merged, or the one machine hosting a named share of that shard.
+func shardStats(out io.Writer, d *controlplane.Deployment, a []string) error {
+	snap, scope := d.Snapshot(), fmt.Sprintf("deployment roll-up (%d shards)", len(d.Shards))
+	if len(a) > 0 {
+		i, err := strconv.Atoi(a[0])
+		if err != nil || i < 0 || i >= len(d.Shards) {
+			return fmt.Errorf("no shard %q", a[0])
+		}
+		switch arg(a, 1) {
+		case "":
+			snap, scope = d.ShardSnapshot(i), fmt.Sprintf("shard %d (file node + storage node)", i)
+		case controlplane.MountShare:
+			snap, scope = d.Shards[i].FileEnv.Metrics.Snapshot(), fmt.Sprintf("shard %d, share %s (file node)", i, a[1])
+		case controlplane.BlockShare:
+			snap, scope = d.Shards[i].StorageEnv.Metrics.Snapshot(), fmt.Sprintf("shard %d, share %s (storage node)", i, a[1])
+		default:
+			return fmt.Errorf("no share %q (try %s or %s)", a[1], controlplane.MountShare, controlplane.BlockShare)
 		}
 	}
-	if len(snap.Histograms) == 0 {
-		return
-	}
-	names = names[:0]
-	for name := range snap.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Println("histograms:")
-	for _, name := range names {
-		h := snap.Histograms[name]
-		if h.Count == 0 {
-			continue
-		}
-		fmt.Printf("  %-28s count=%d sum=%d max=%d (%s)\n", name, h.Count, h.Sum, h.Max, h.Unit)
-	}
+	fmt.Fprintln(out, scope+":")
+	printSnapshot(out, snap)
+	return nil
 }

@@ -72,32 +72,12 @@ func (r ServeResult) KOpsPerSimSec() float64 {
 	return float64(r.Ops) / r.SimTime.Seconds() / 1000
 }
 
-// wireClient is the client surface the bench scripts drive: exactly the
-// file-class convenience methods of *fsrpc.Client. The shard rung
-// substitutes *controlplane.Client — the prefix-routing multiplexer —
-// behind the same scripts, so the single-mount and sharded modes measure
-// identical op sequences.
-type wireClient interface {
-	Lookup(path string, open bool) (uint64, fsrpc.Attr, error)
-	Getattr(path string) (fsrpc.Attr, error)
-	Create(path string) (uint64, fsrpc.Attr, error)
-	Read(handle uint64, off int64, n int) ([]byte, error)
-	Write(handle uint64, off int64, data []byte) (int, error)
-	Fsync(handle uint64) error
-	Mkdir(path string) error
-	Unlink(path string) error
-	Rename(oldPath, newPath string) error
-	Readdir(path string) ([]fsrpc.DirEnt, error)
-	Statfs() (fsrpc.Statfs, error)
-	Close() error
-}
-
 // serveClient is one scripted session driver: the wire client (possibly
 // shared with other drivers on the same connection in pipelined mode), the
 // handle the previous step produced, and the first error (which stops the
 // script). With record set it collects per-step wall latency.
 type serveClient struct {
-	cli    wireClient
+	cli    fsrpc.FileClient
 	h      uint64
 	steps  []func(*serveClient) error
 	next   int
@@ -123,6 +103,20 @@ func buildScript(c int, files int, payload []byte) []func(*serveClient) error {
 // weight the READ path (where the zero-copy reply machinery lives).
 // phase 0 / rounds 1 preserve the historical deterministic sequence.
 func buildScriptDir(dir string, phase, rounds, files int, payload []byte) []func(*serveClient) error {
+	steps := writeSteps(dir, phase, files, payload)
+	for r := 0; r < rounds; r++ {
+		steps = append(steps, readSteps(dir, r, 4, files, len(payload))...)
+	}
+	return append(steps, readdirStep(dir),
+		func(d *serveClient) error { return d.cli.Rename(dir+"/f00000", dir+"/renamed") },
+		func(d *serveClient) error { return d.cli.Unlink(dir + "/renamed") },
+		statfsStep)
+}
+
+// writeSteps is a script's write phase over dir: mkdir, then create and
+// write each file, with an fsync after every 16th (the phase-th of each
+// 16). The serve and shard rungs share it.
+func writeSteps(dir string, phase, files int, payload []byte) []func(*serveClient) error {
 	var steps []func(*serveClient) error
 	steps = append(steps, func(d *serveClient) error { return d.cli.Mkdir(dir) })
 	for i := 0; i < files; i++ {
@@ -140,37 +134,45 @@ func buildScriptDir(dir string, phase, rounds, files int, payload []byte) []func
 			steps = append(steps, func(d *serveClient) error { return d.cli.Fsync(d.h) })
 		}
 	}
-	for r := 0; r < rounds; r++ {
-		for i := r % 4; i < files; i += 4 {
-			path := fmt.Sprintf("%s/f%05d", dir, i)
-			steps = append(steps, func(d *serveClient) error {
-				h, _, err := d.cli.Lookup(path, true)
-				d.h = h
-				return err
-			})
-			steps = append(steps, func(d *serveClient) error {
-				_, err := d.cli.Read(d.h, 0, len(payload))
-				return err
-			})
-			steps = append(steps, func(d *serveClient) error {
-				_, err := d.cli.Getattr(path)
-				return err
-			})
-		}
+	return steps
+}
+
+// readSteps is one read-back round over dir: lookup, read of n bytes and
+// getattr of every stride-th file, starting at round%stride so successive
+// rounds touch the files in different orders.
+func readSteps(dir string, round, stride, files, n int) []func(*serveClient) error {
+	var steps []func(*serveClient) error
+	for i := round % stride; i < files; i += stride {
+		path := fmt.Sprintf("%s/f%05d", dir, i)
+		steps = append(steps, func(d *serveClient) error {
+			h, _, err := d.cli.Lookup(path, true)
+			d.h = h
+			return err
+		})
+		steps = append(steps, func(d *serveClient) error {
+			_, err := d.cli.Read(d.h, 0, n)
+			return err
+		})
+		steps = append(steps, func(d *serveClient) error {
+			_, err := d.cli.Getattr(path)
+			return err
+		})
 	}
-	steps = append(steps, func(d *serveClient) error {
+	return steps
+}
+
+// readdirStep lists dir; statfsStep asks for the service statistics.
+// They close the scripts' phases.
+func readdirStep(dir string) func(*serveClient) error {
+	return func(d *serveClient) error {
 		_, err := d.cli.Readdir(dir)
 		return err
-	})
-	steps = append(steps, func(d *serveClient) error {
-		return d.cli.Rename(dir+"/f00000", dir+"/renamed")
-	})
-	steps = append(steps, func(d *serveClient) error { return d.cli.Unlink(dir + "/renamed") })
-	steps = append(steps, func(d *serveClient) error {
-		_, err := d.cli.Statfs()
-		return err
-	})
-	return steps
+	}
+}
+
+func statfsStep(d *serveClient) error {
+	_, err := d.cli.Statfs()
+	return err
 }
 
 // step runs one script step, retrying when the server sheds it with EBUSY

@@ -69,62 +69,6 @@ type ShardRun struct {
 	Errors   []string
 }
 
-// buildShardWrite is the write-phase script for one route's working
-// directory: mkdir, create+write each file, fsync every 16th, and a
-// closing readdir. One wire call per step, like buildScriptDir.
-func buildShardWrite(dir string, files int, payload []byte) []func(*serveClient) error {
-	var steps []func(*serveClient) error
-	steps = append(steps, func(d *serveClient) error { return d.cli.Mkdir(dir) })
-	for i := 0; i < files; i++ {
-		path := fmt.Sprintf("%s/f%05d", dir, i)
-		steps = append(steps, func(d *serveClient) error {
-			h, _, err := d.cli.Create(path)
-			d.h = h
-			return err
-		})
-		steps = append(steps, func(d *serveClient) error {
-			_, err := d.cli.Write(d.h, 0, payload)
-			return err
-		})
-		if i%16 == 0 {
-			steps = append(steps, func(d *serveClient) error { return d.cli.Fsync(d.h) })
-		}
-	}
-	steps = append(steps, func(d *serveClient) error {
-		_, err := d.cli.Readdir(dir)
-		return err
-	})
-	return steps
-}
-
-// buildShardRead is one cold re-read round over a route's directory:
-// lookup+read+getattr with a per-round stride (so successive rounds
-// touch the files in different orders), closed by a statfs.
-func buildShardRead(dir string, round, files int, payload []byte) []func(*serveClient) error {
-	var steps []func(*serveClient) error
-	for i := round % 2; i < files; i += 2 {
-		path := fmt.Sprintf("%s/f%05d", dir, i)
-		steps = append(steps, func(d *serveClient) error {
-			h, _, err := d.cli.Lookup(path, true)
-			d.h = h
-			return err
-		})
-		steps = append(steps, func(d *serveClient) error {
-			_, err := d.cli.Read(d.h, 0, len(payload))
-			return err
-		})
-		steps = append(steps, func(d *serveClient) error {
-			_, err := d.cli.Getattr(path)
-			return err
-		})
-	}
-	steps = append(steps, func(d *serveClient) error {
-		_, err := d.cli.Statfs()
-		return err
-	})
-	return steps
-}
-
 // driveRoundRobin runs the scripts to completion one synchronous call at
 // a time, round-robin across scripts — the deterministic driver the
 // single-worker serve and shard modes share.
@@ -183,7 +127,7 @@ func RunShard(shards int, scale int64) ShardRun {
 
 	writers := make([]*serveClient, len(dirs))
 	for i, dir := range dirs {
-		writers[i] = &serveClient{cli: cli, steps: buildShardWrite(dir, files, payload)}
+		writers[i] = &serveClient{cli: cli, steps: append(writeSteps(dir, 0, files, payload), readdirStep(dir))}
 	}
 	driveRoundRobin(writers)
 	collect(writers, "write")
@@ -194,7 +138,7 @@ func RunShard(shards int, scale int64) ShardRun {
 		d.DropCaches()
 		readers := make([]*serveClient, len(dirs))
 		for i, dir := range dirs {
-			readers[i] = &serveClient{cli: cli, steps: buildShardRead(dir, round, files, payload)}
+			readers[i] = &serveClient{cli: cli, steps: append(readSteps(dir, round, 2, files, len(payload)), statfsStep)}
 		}
 		driveRoundRobin(readers)
 		collect(readers, fmt.Sprintf("read round %d", round))

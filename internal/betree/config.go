@@ -15,10 +15,6 @@ type Config struct {
 	CacheBytes int64
 	// CheckpointPeriod is the interval between automatic checkpoints.
 	CheckpointPeriod time.Duration
-	// LogPayloadMax is the largest value payload recorded in the redo
-	// log; larger values (file data pages) are logged by key only and
-	// made durable by checkpointing (see DESIGN.md on crash semantics).
-	LogPayloadMax int
 
 	// LegacyApplyOnQuery selects the v0.4 heuristic that pushes or
 	// applies pending messages for the whole basement/leaf on every
@@ -69,6 +65,11 @@ type Config struct {
 	RelocateAttempts int
 }
 
+// logPayloadMax is the largest value payload recorded in the redo log;
+// larger values (file data pages) are logged by key only and made durable
+// by checkpointing (see DESIGN.md on crash semantics).
+const logPayloadMax = 512
+
 // DefaultConfig returns the BetrFS v0.6 tree configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -77,7 +78,6 @@ func DefaultConfig() Config {
 		Fanout:               16,
 		CacheBytes:           1 << 30,
 		CheckpointPeriod:     60 * time.Second,
-		LogPayloadMax:        512,
 		LegacyApplyOnQuery:   false,
 		PageSharing:          true,
 		ReadAhead:            true,

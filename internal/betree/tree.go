@@ -306,7 +306,7 @@ func (t *Tree) logAndInsert(m *Msg, d Durability) {
 	if d != LogNone {
 		withPayload := true
 		if m.Type == MsgInsert || m.Type == MsgUpdate {
-			if d == LogAuto && m.Val.Len() > s.cfg.LogPayloadMax {
+			if d == LogAuto && m.Val.Len() > logPayloadMax {
 				withPayload = false
 			}
 		}

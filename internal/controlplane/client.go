@@ -21,12 +21,14 @@ const shardShift = 56
 // Client multiplexes one wire client per shard behind the single-mount
 // client surface: path-bearing calls route by the shard map,
 // handle-bearing calls by the shard tag in the handle, and STATFS
-// aggregates every shard. It satisfies the same contract the bench
-// driver scripts expect of *fsrpc.Client.
+// aggregates every shard. It is an fsrpc.FileClient, so the bench
+// scripts and fsshell drive it exactly as they drive *fsrpc.Client.
 type Client struct {
 	m      *ShardMap
 	shards []*fsrpc.Client
 }
+
+var _ fsrpc.FileClient = (*Client)(nil)
 
 // Shard exposes the underlying per-shard client (fsshell uses it for
 // shard-targeted commands).

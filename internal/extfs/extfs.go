@@ -48,8 +48,6 @@ type Profile struct {
 	// AllocGroups spreads top-level directories across allocation
 	// groups (the Orlov/XFS-AG policy).
 	AllocGroups int
-	// DataJournal additionally journals file data (data=journal mode).
-	DataJournal bool
 }
 
 // Ext4Profile mimics ext4 in its default data=ordered configuration.

@@ -245,9 +245,6 @@ func (fs *FS) WriteBlocks(h vfs.Handle, blk int64, pgs []*vfs.Page, durable bool
 			enc.i64(e.count)
 		})
 	}
-	if fs.prof.DataJournal {
-		fs.env.Memcpy(len(buf))
-	}
 	// Ordered mode: the data is in place now; the journal transaction
 	// that references it commits in Fsync/Sync/Maintain, not per run.
 	_ = durable

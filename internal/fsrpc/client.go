@@ -77,20 +77,32 @@ type Client struct {
 	replay   []*Call       // fate-unknown calls awaiting resume (hold window slots)
 }
 
+// FileClient is the file-class surface of the wire protocol: one
+// synchronous call per file op, plus Close. *Client implements it over
+// one connection and controlplane.Client over a shard map, so code
+// written against it (the bench scripts, fsshell) drives either.
+type FileClient interface {
+	Lookup(path string, open bool) (uint64, Attr, error)
+	Getattr(path string) (Attr, error)
+	Create(path string) (uint64, Attr, error)
+	Read(handle uint64, off int64, n int) ([]byte, error)
+	Write(handle uint64, off int64, data []byte) (int, error)
+	Fsync(handle uint64) error
+	Mkdir(path string) error
+	Unlink(path string) error
+	Rmdir(path string) error
+	Rename(oldPath, newPath string) error
+	Readdir(path string) ([]DirEnt, error)
+	Statfs() (Statfs, error)
+	Close() error
+}
+
+var _ FileClient = (*Client)(nil)
+
 // NewClient wraps an established connection (a net.Conn or one end of a
 // net.Pipe) with the default in-flight window.
 func NewClient(rw io.ReadWriteCloser) *Client {
-	return NewClientWindow(rw, DefaultWindow)
-}
-
-// NewClientWindow wraps an established connection with an explicit bound
-// on calls in flight. window < 1 means 1 (fully serialized, the historical
-// behavior).
-func NewClientWindow(rw io.ReadWriteCloser, window int) *Client {
-	if window < 1 {
-		window = 1
-	}
-	return NewClientOpts(rw, Options{Window: window})
+	return NewClientOpts(rw, Options{})
 }
 
 // NewClientOpts wraps an established connection with full Options.

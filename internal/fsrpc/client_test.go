@@ -119,7 +119,7 @@ func TestOutOfOrderCompletion(t *testing.T) {
 // wait.
 func TestWindowSaturationBlocks(t *testing.T) {
 	cliEnd, srvEnd := net.Pipe()
-	cli := NewClientWindow(cliEnd, 2)
+	cli := NewClientOpts(cliEnd, Options{Window: 2})
 	defer cli.Close()
 	p := &peer{conn: srvEnd, reqs: make(chan *Request, 64), errCh: make(chan error, 1)}
 	go func() {
@@ -344,7 +344,7 @@ func echoServe(conn net.Conn) {
 func TestResetRacesInFlightGo(t *testing.T) {
 	cliEnd, srvEnd := net.Pipe()
 	go echoServe(srvEnd)
-	cli := NewClientWindow(cliEnd, 8)
+	cli := NewClientOpts(cliEnd, Options{Window: 8})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

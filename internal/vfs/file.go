@@ -295,10 +295,10 @@ func (f *File) readAtLocked(p []byte, off int64) (int, error) {
 	if seq {
 		if f.raPages == 0 {
 			f.raPages = 4
-		} else if f.raPages < m.cfg.ReadAheadMaxPages {
+		} else if f.raPages < readAheadMaxPages {
 			f.raPages *= 2
-			if f.raPages > m.cfg.ReadAheadMaxPages {
-				f.raPages = m.cfg.ReadAheadMaxPages
+			if f.raPages > readAheadMaxPages {
+				f.raPages = readAheadMaxPages
 			}
 		}
 	} else {

@@ -27,12 +27,6 @@ type Config struct {
 	DirtyExpire time.Duration
 	// MaintainInterval is how often operation paths run background work.
 	MaintainInterval time.Duration
-	// ReadAheadMaxPages bounds the sequential read-ahead window.
-	ReadAheadMaxPages int
-	// ReaddirPopulatesCaches enables using Known directory entries to
-	// instantiate dentries and inodes opportunistically (§4 DC). The FS
-	// must also choose to return Known entries.
-	ReaddirPopulatesCaches bool
 	// Concurrent serializes every public Mount and File entry point
 	// behind one mount-wide lock so multiple client goroutines can share
 	// a mount (the betrbench -clients mode). The default (false) takes
@@ -46,14 +40,15 @@ type Config struct {
 // DefaultConfig returns the standard VFS configuration.
 func DefaultConfig() Config {
 	return Config{
-		CacheBytes:             1 << 30,
-		DirtyRatio:             0.20,
-		DirtyExpire:            30 * time.Second,
-		MaintainInterval:       time.Second,
-		ReadAheadMaxPages:      64,
-		ReaddirPopulatesCaches: true,
+		CacheBytes:       1 << 30,
+		DirtyRatio:       0.20,
+		DirtyExpire:      30 * time.Second,
+		MaintainInterval: time.Second,
 	}
 }
+
+// readAheadMaxPages bounds the sequential read-ahead window.
+const readAheadMaxPages = 64
 
 // Stats counts VFS activity.
 type Stats struct {
@@ -511,19 +506,19 @@ func (m *Mount) readDirLocked(path string) ([]DirEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.cfg.ReaddirPopulatesCaches {
-		for _, e := range entries {
-			if !e.Known {
-				continue
-			}
-			childPath := keys.Join(path, e.Name)
-			if _, ok := m.dcache[childPath]; ok {
-				continue
-			}
-			child := m.internInode(e.Handle, childPath, e.Attr)
-			m.dcache[childPath] = &dentry{ino: child}
-			m.env.Charge(m.env.Costs.PathComponent) // dcache insert
+	// Known entries instantiate dentries and inodes opportunistically
+	// (§4 DC); whether the FS returns any is its choice.
+	for _, e := range entries {
+		if !e.Known {
+			continue
 		}
+		childPath := keys.Join(path, e.Name)
+		if _, ok := m.dcache[childPath]; ok {
+			continue
+		}
+		child := m.internInode(e.Handle, childPath, e.Attr)
+		m.dcache[childPath] = &dentry{ino: child}
+		m.env.Charge(m.env.Costs.PathComponent) // dcache insert
 	}
 	return entries, nil
 }
