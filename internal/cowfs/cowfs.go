@@ -9,16 +9,17 @@
 // data is checksummed on write and verified on read (Btrfs/ZFS
 // end-to-end integrity). fsync writes an intent-log record (ZIL/log-tree)
 // rather than forcing a full txg.
+//
+// The namespace, the metadata-blob format and the recovery scan are the
+// shared core of internal/blobfs; this package is cowfs's allocation,
+// commit and logging policy.
 package cowfs
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"sort"
 	"time"
 
+	"betrfs/internal/blobfs"
 	"betrfs/internal/blockdev"
 	"betrfs/internal/ioerr"
 	"betrfs/internal/sim"
@@ -27,15 +28,7 @@ import (
 )
 
 // BlockSize is the file-system block size.
-const BlockSize = 4096
-
-// timeDuration aliases time.Duration for the ZIL decoder.
-type timeDuration = time.Duration
-
-// Ino is an inode number.
-type Ino int64
-
-const rootIno Ino = 1
+const BlockSize = blobfs.BlockSize
 
 // Profile selects the Btrfs-ish or ZFS-ish flavor.
 type Profile struct {
@@ -61,15 +54,15 @@ func ZFSProfile() Profile {
 	return Profile{Name: "zfs", TxgInterval: 5 * time.Second, MetaAmplification: 4, RecordBlocks: 32}
 }
 
-// FS is the cowfs instance.
+// FS is the cowfs instance. The embedded core holds the namespace and the
+// inode map (its location table); cowfs allocates blobs and data in the
+// data area after the uberblock, the imap slots and the intent log.
 type FS struct {
-	env  *sim.Env
-	dev  blockdev.Device
+	blobfs.Core
 	prof Profile
 
 	imapOff, imapLen int64
 	zilOff, zilLen   int64
-	dataOff          int64
 	dataBlocks       int64
 
 	bitmap   []uint64
@@ -78,107 +71,56 @@ type FS struct {
 
 	zil *wal.Log
 
-	inodes  map[Ino]*node
-	imap    map[Ino]blobLoc
-	nextIno Ino
-
 	lastTxg    time.Duration
 	inTxg      bool
 	generation uint64 // uberblock generation, bumped per txg commit
-
-	// ioErr is the sticky abort (§10): after a failed blob, imap, or
-	// uberblock write the on-disk tree may be inconsistent with memory, so
-	// mutations are refused while reads keep working.
-	ioErr error
-
-	stats Stats
-}
-
-// devCheck aborts the current operation on a device error; a failed
-// write or flush also latches the sticky abort.
-func (fs *FS) devCheck(err error) {
-	if err == nil {
-		return
-	}
-	var de *ioerr.DeviceError
-	if errors.As(err, &de) && de.Op != "read" && fs.ioErr == nil {
-		fs.ioErr = err
-	}
-	ioerr.Check(err)
-}
-
-// writeGate is checked at the top of every mutating operation.
-func (fs *FS) writeGate() error { return fs.ioErr }
-
-// Stats counts cowfs activity.
-type Stats struct {
-	DataWrites      int64
-	DataReads       int64
-	MetaWrites      int64
-	MetaReads       int64
-	TxgCommits      int64
-	ZilWrites       int64
-	DroppedNodes    int64 // invalid metadata blobs discarded during recovery
-	DiscardedBlocks int64 // deferred-freed blocks handed to the device as TRIMs
-}
-
-type blobLoc struct {
-	first int64
-	count int
-}
-
-type node struct {
-	ino      Ino
-	dir      bool
-	size     int64
-	nlink    int
-	mtime    time.Duration
-	blocks   map[int64]int64
-	children map[string]childRef
-	dirty    bool
-}
-
-type childRef struct {
-	ino Ino
-	dir bool
 }
 
 // New formats a cowfs over dev.
 func New(env *sim.Env, dev blockdev.Device, prof Profile) *FS {
 	capacity := dev.Size()
 	fs := &FS{
-		env:     env,
-		dev:     dev,
 		prof:    prof,
 		imapOff: BlockSize,
 		imapLen: capacity / 128,
-		inodes:  make(map[Ino]*node),
-		imap:    make(map[Ino]blobLoc),
-		nextIno: rootIno + 1,
 	}
 	fs.zilOff = fs.imapOff + fs.imapLen
 	fs.zilLen = capacity / 128
 	if fs.zilLen < 4<<20 {
 		fs.zilLen = 4 << 20
 	}
-	fs.dataOff = fs.zilOff + fs.zilLen
-	fs.dataBlocks = (capacity - fs.dataOff) / BlockSize
+	dataOff := fs.zilOff + fs.zilLen
+	fs.dataBlocks = (capacity - dataOff) / BlockSize
 	fs.bitmap = make([]uint64, (fs.dataBlocks+63)/64)
 	fs.zil = wal.New(env, blockdev.Region(dev, fs.zilOff, fs.zilLen), 1)
-	root := &node{ino: rootIno, dir: true, nlink: 2, blocks: map[int64]int64{}, children: map[string]childRef{}, dirty: true}
-	fs.inodes[rootIno] = root
-	fs.imap[rootIno] = blobLoc{first: -1}
+	fs.Core = blobfs.New("cowfs", blobMagic, env, dev, dataOff, fs.dataBlocks, policy{fs})
 	return fs
 }
 
-// Stats returns counters.
-func (fs *FS) Stats() *Stats { return &fs.stats }
+// policy is cowfs's side of the shared core: removal defers frees to the
+// next txg, a commit is a txg, every namespace mutation goes to the intent
+// log (ZFS logs creates, removes, renames and setattr in the ZIL, so an
+// fsync-then-crash recovers them), and every read verifies a checksum.
+type policy struct{ *FS }
+
+func (p policy) Free(b int64)           { p.deferFree(b) }
+func (p policy) Commit()                { p.txgCommit() }
+func (p policy) Logged(op blobfs.Op)    { p.logZil(zilRecord(op)) }
+func (p policy) NameLookup(name string) { p.Env.Compare(len(name)) }
+func (p policy) DataRead(n int) {
+	p.Env.Checksum(n)
+	p.Env.Memcpy(n)
+}
+func (p policy) BlobRead(raw, _ int, err error) {
+	p.Env.Checksum(raw)
+	if err == nil {
+		p.Env.Serialize(raw)
+	}
+}
 
 func (fs *FS) bitGet(b int64) bool { return fs.bitmap[b/64]&(1<<(uint(b)%64)) != 0 }
 func (fs *FS) bitSet(b int64)      { fs.bitmap[b/64] |= 1 << (uint(b) % 64) }
 func (fs *FS) bitClear(b int64)    { fs.bitmap[b/64] &^= 1 << (uint(b) % 64) }
-
-func (fs *FS) blockAddr(b int64) int64 { return fs.dataOff + b*BlockSize }
 
 // alloc finds want contiguous blocks with a forward rotor (CoW allocators
 // sweep forward, which keeps fresh writes sequential and ages overwritten
@@ -250,253 +192,40 @@ func (fs *FS) deferFree(b int64) {
 	}
 }
 
-// node returns the cached inode, reading its metadata blob on a miss.
-func (fs *FS) node(ino Ino) *node {
-	if n, ok := fs.inodes[ino]; ok {
-		return n
-	}
-	loc, ok := fs.imap[ino]
-	if !ok || loc.first < 0 {
-		panic(fmt.Sprintf("cowfs: inode %d has no blob", ino))
-	}
-	n, err := fs.readBlob(ino, loc)
-	if err != nil {
-		// Device errors and corrupted blobs abort the operation with the
-		// wrapped cause (errors.Is(err, ErrIO) holds for media errors).
-		ioerr.Check(fmt.Errorf("cowfs: %w", err))
-	}
-	fs.inodes[ino] = n
-	return n
-}
-
-// nodeIfPresent is the non-panicking variant used during recovery: it
-// returns false when the inode is unknown or its blob fails validation.
-func (fs *FS) nodeIfPresent(ino Ino) (*node, bool) {
-	if n, ok := fs.inodes[ino]; ok {
-		return n, true
-	}
-	loc, ok := fs.imap[ino]
-	if !ok || loc.first < 0 {
-		return nil, false
-	}
-	n, err := fs.readBlob(ino, loc)
-	if err != nil {
-		return nil, false
-	}
-	fs.inodes[ino] = n
-	return n, true
-}
-
-// Metadata blobs carry a self-validating header so that recovery can
-// tell a durable blob from one the crash tore or never persisted: magic,
-// the owning inode number (a stale imap entry may point at blocks since
-// reused by a different inode), payload length, and a payload CRC.
-const (
-	blobMagic      = 0xc0b10b55
-	blobHeaderSize = 4 + 8 + 4 + 4
-)
-
-func sealBlob(ino Ino, payload []byte) []byte {
-	blob := make([]byte, blobHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(blob[0:], blobMagic)
-	binary.BigEndian.PutUint64(blob[4:], uint64(ino))
-	binary.BigEndian.PutUint32(blob[12:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(blob[16:], crc32.ChecksumIEEE(payload))
-	copy(blob[blobHeaderSize:], payload)
-	return blob
-}
-
-func openBlob(ino Ino, b []byte) ([]byte, error) {
-	if len(b) < blobHeaderSize {
-		return nil, fmt.Errorf("blob for inode %d too short", ino)
-	}
-	if binary.BigEndian.Uint32(b) != blobMagic {
-		return nil, fmt.Errorf("bad blob magic for inode %d", ino)
-	}
-	if got := Ino(binary.BigEndian.Uint64(b[4:])); got != ino {
-		return nil, fmt.Errorf("blob owned by inode %d, want %d", got, ino)
-	}
-	n := int(binary.BigEndian.Uint32(b[12:]))
-	if n < 0 || blobHeaderSize+n > len(b) {
-		return nil, fmt.Errorf("blob length %d for inode %d out of range", n, ino)
-	}
-	payload := b[blobHeaderSize : blobHeaderSize+n]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[16:]) {
-		return nil, fmt.Errorf("blob checksum mismatch for inode %d", ino)
-	}
-	return payload, nil
-}
+// blobMagic opens every cowfs metadata blob.
+const blobMagic = 0xc0b10b55
 
 // writeBlob persists n's metadata copy-on-write and charges the tree-path
 // amplification.
-func (fs *FS) writeBlob(n *node) {
-	blob := sealBlob(n.ino, encodeNode(n))
-	if old, ok := fs.imap[n.ino]; ok && old.first >= 0 {
-		for i := 0; i < old.count; i++ {
-			fs.deferFree(old.first + int64(i))
+func (fs *FS) writeBlob(n *blobfs.Node) {
+	blob, size := fs.Seal(n)
+	if old := fs.Table[n.Ino]; old.First >= 0 {
+		for i := 0; i < old.Count; i++ {
+			fs.deferFree(old.First + int64(i))
 		}
 	}
-	nBlocks := int64((len(blob) + BlockSize - 1) / BlockSize)
+	nBlocks := int64(len(blob) / BlockSize)
 	first, run := fs.alloc(nBlocks)
 	for run < nBlocks {
-		// Rare fragmentation path: allocate the rest separately and
-		// treat the blob as that many standalone blocks; for
-		// simplicity, retry with a larger contiguous region.
+		// Rare fragmentation path: give the short run back and retry
+		// for a contiguous region.
 		for i := int64(0); i < run; i++ {
 			fs.bitClear(first + i)
 		}
 		first, run = fs.alloc(nBlocks)
 	}
-	padded := make([]byte, nBlocks*BlockSize)
-	copy(padded, blob)
-	fs.devCheck(fs.dev.WriteAt(padded, fs.blockAddr(first)))
-	fs.env.Serialize(len(blob))
-	fs.env.Checksum(len(padded))
-	fs.stats.MetaWrites++
+	fs.DevCheck(fs.Dev.WriteAt(blob, fs.BlockAddr(first)))
+	fs.Env.Serialize(size)
+	fs.Env.Checksum(len(blob))
 	// CoW path amplification: interior tree blocks rewritten.
 	for i := 0; i < fs.prof.MetaAmplification; i++ {
 		ab, _ := fs.alloc(1)
-		fs.devCheck(fs.dev.WriteAt(make([]byte, BlockSize), fs.blockAddr(ab)))
+		fs.DevCheck(fs.Dev.WriteAt(make([]byte, BlockSize), fs.BlockAddr(ab)))
 		fs.deferFree(ab) // superseded at the next rewrite; keep space bounded
-		fs.env.Checksum(BlockSize)
-		fs.stats.MetaWrites++
+		fs.Env.Checksum(BlockSize)
 	}
-	fs.imap[n.ino] = blobLoc{first: first, count: int(nBlocks)}
-	n.dirty = false
-}
-
-// readBlob loads a metadata blob, verifying its header and checksum. Any
-// structural damage — out-of-range imap entry, torn or reused blocks,
-// block map pointing outside the data area — comes back as an error
-// instead of garbage state or a panic.
-func (fs *FS) readBlob(ino Ino, loc blobLoc) (rn *node, err error) {
-	if loc.count <= 0 || loc.first < 0 || loc.first+int64(loc.count) > fs.dataBlocks {
-		return nil, fmt.Errorf("imap entry for inode %d out of range: first=%d count=%d", ino, loc.first, loc.count)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			rn, err = nil, fmt.Errorf("malformed blob for inode %d: %v", ino, r)
-		}
-	}()
-	buf := make([]byte, loc.count*BlockSize)
-	// Explicit error return (not devCheck): the deferred recover above
-	// would otherwise swallow the abort and mislabel it "malformed".
-	if rerr := fs.dev.ReadAt(buf, fs.blockAddr(loc.first)); rerr != nil {
-		return nil, fmt.Errorf("blob for inode %d: %w", ino, rerr)
-	}
-	fs.env.Checksum(len(buf))
-	fs.stats.MetaReads++
-	payload, err := openBlob(ino, buf)
-	if err != nil {
-		return nil, err
-	}
-	n := decodeNode(ino, payload)
-	for _, b := range n.blocks {
-		if b < 0 || b >= fs.dataBlocks {
-			return nil, fmt.Errorf("inode %d block map points outside the data area", ino)
-		}
-	}
-	fs.env.Serialize(len(buf))
-	return n, nil
-}
-
-func encodeNode(n *node) []byte {
-	e := make([]byte, 0, 256)
-	var t8 [8]byte
-	put := func(v int64) {
-		binary.BigEndian.PutUint64(t8[:], uint64(v))
-		e = append(e, t8[:]...)
-	}
-	flags := int64(0)
-	if n.dir {
-		flags = 1
-	}
-	put(flags)
-	put(n.size)
-	put(int64(n.nlink))
-	put(int64(n.mtime))
-	// Block map as run-length extents: logical, physical, count.
-	blks := make([]int64, 0, len(n.blocks))
-	for l := range n.blocks {
-		blks = append(blks, l)
-	}
-	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
-	type run struct{ l, p, c int64 }
-	var runs []run
-	for _, l := range blks {
-		p := n.blocks[l]
-		if len(runs) > 0 {
-			last := &runs[len(runs)-1]
-			if l == last.l+last.c && p == last.p+last.c {
-				last.c++
-				continue
-			}
-		}
-		runs = append(runs, run{l, p, 1})
-	}
-	put(int64(len(runs)))
-	for _, r := range runs {
-		put(r.l)
-		put(r.p)
-		put(r.c)
-	}
-	if n.dir {
-		put(int64(len(n.children)))
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			put(int64(len(name)))
-			e = append(e, name...)
-			c := n.children[name]
-			put(int64(c.ino))
-			if c.dir {
-				put(1)
-			} else {
-				put(0)
-			}
-		}
-	}
-	return e
-}
-
-func decodeNode(ino Ino, buf []byte) *node {
-	n := &node{ino: ino, blocks: map[int64]int64{}}
-	pos := 0
-	get := func() int64 {
-		v := int64(binary.BigEndian.Uint64(buf[pos:]))
-		pos += 8
-		return v
-	}
-	flags := get()
-	n.dir = flags&1 != 0
-	n.size = get()
-	n.nlink = int(get())
-	n.mtime = time.Duration(get())
-	nb := get()
-	for i := int64(0); i < nb; i++ {
-		l := get()
-		p := get()
-		c := get()
-		for j := int64(0); j < c; j++ {
-			n.blocks[l+j] = p + j
-		}
-	}
-	if n.dir {
-		n.children = map[string]childRef{}
-		nc := get()
-		for i := int64(0); i < nc; i++ {
-			nameLen := get()
-			name := string(buf[pos : pos+int(nameLen)])
-			pos += int(nameLen)
-			cino := Ino(get())
-			cdir := get() == 1
-			n.children[name] = childRef{ino: cino, dir: cdir}
-		}
-	}
-	return n
+	fs.Table[n.Ino] = blobfs.Loc{First: first, Count: int(nBlocks)}
+	n.Dirty = false
 }
 
 var _ vfs.FS = (*FS)(nil)

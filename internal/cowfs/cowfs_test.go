@@ -48,15 +48,15 @@ func TestOverwriteRelocatesBlocks(t *testing.T) {
 	f, _ := m.Create("f")
 	f.Write(make([]byte, 1<<20))
 	m.Sync()
-	n := fs.node(Ino(2))
+	n := fs.Node(2)
 	before := map[int64]int64{}
-	for l, p := range n.blocks {
+	for l, p := range n.Blocks {
 		before[l] = p
 	}
 	f.WriteAt(bytes.Repeat([]byte{1}, 1<<20), 0)
 	m.Sync()
 	moved := 0
-	for l, p := range n.blocks {
+	for l, p := range n.Blocks {
 		if before[l] != p {
 			moved++
 		}

@@ -5,192 +5,14 @@ import (
 	"hash/crc32"
 	"sort"
 
+	"betrfs/internal/blobfs"
 	"betrfs/internal/blockdev"
 	"betrfs/internal/ioerr"
 	"betrfs/internal/vfs"
 	"betrfs/internal/wal"
 )
 
-// vfs.FS implementation. Handles are inode numbers.
-
-// Root returns the root handle.
-func (fs *FS) Root() vfs.Handle { return rootIno }
-
-func (fs *FS) attrOf(n *node) vfs.Attr {
-	return vfs.Attr{Dir: n.dir, Size: n.size, Nlink: n.nlink, Mtime: n.mtime}
-}
-
-// Lookup resolves name in parent.
-func (fs *FS) Lookup(parent vfs.Handle, name string) (h vfs.Handle, a vfs.Attr, err error) {
-	defer ioerr.Guard(&err)
-	p := fs.node(parent.(Ino))
-	fs.env.Compare(len(name))
-	c, ok := p.children[name]
-	if !ok {
-		return nil, vfs.Attr{}, vfs.ErrNotExist
-	}
-	return c.ino, fs.attrOf(fs.node(c.ino)), nil
-}
-
-// Create allocates an inode; its blob reaches disk at the next txg.
-func (fs *FS) Create(parent vfs.Handle, name string, dir bool) (h vfs.Handle, a vfs.Attr, err error) {
-	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
-		return nil, vfs.Attr{}, ferr
-	}
-	p := fs.node(parent.(Ino))
-	if _, ok := p.children[name]; ok {
-		return nil, vfs.Attr{}, vfs.ErrExist
-	}
-	ino := fs.nextIno
-	fs.nextIno++
-	n := &node{ino: ino, dir: dir, nlink: 1, mtime: fs.env.Now(), blocks: map[int64]int64{}, dirty: true}
-	if dir {
-		n.nlink = 2
-		n.children = map[string]childRef{}
-	}
-	fs.inodes[ino] = n
-	fs.imap[ino] = blobLoc{first: -1}
-	p.children[name] = childRef{ino: ino, dir: dir}
-	p.mtime = fs.env.Now()
-	p.dirty = true
-	fs.logZil(func(e *zilEnc) { e.op(zilCreate); e.i64(int64(p.ino)); e.str(name); e.i64(int64(ino)); e.bool(dir) })
-	return ino, fs.attrOf(n), nil
-}
-
-// Remove unlinks name; the child's blocks are freed after the next txg.
-func (fs *FS) Remove(parent vfs.Handle, name string, h vfs.Handle, dir bool) (err error) {
-	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
-		return ferr
-	}
-	p := fs.node(parent.(Ino))
-	c, ok := p.children[name]
-	if !ok {
-		return vfs.ErrNotExist
-	}
-	n := fs.node(c.ino)
-	if dir && len(n.children) > 0 {
-		return vfs.ErrNotEmpty
-	}
-	// Free in block order, not map order: deferFree can commit a txg
-	// mid-loop, and which blocks make that txg decides the bitmap state
-	// every later allocation sees.
-	for _, b := range sortedBlocks(n, 0) {
-		fs.deferFree(b)
-	}
-	if loc, ok := fs.imap[c.ino]; ok && loc.first >= 0 {
-		for i := 0; i < loc.count; i++ {
-			fs.deferFree(loc.first + int64(i))
-		}
-	}
-	delete(fs.imap, c.ino)
-	delete(fs.inodes, c.ino)
-	delete(p.children, name)
-	p.mtime = fs.env.Now()
-	p.dirty = true
-	fs.logZil(func(e *zilEnc) { e.op(zilRemove); e.i64(int64(p.ino)); e.str(name); e.i64(int64(c.ino)) })
-	return nil
-}
-
-// Rename moves the entry.
-func (fs *FS) Rename(oldParent vfs.Handle, oldName string, h vfs.Handle, newParent vfs.Handle, newName string) (nh vfs.Handle, err error) {
-	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
-		return nil, ferr
-	}
-	op := fs.node(oldParent.(Ino))
-	np := fs.node(newParent.(Ino))
-	c, ok := op.children[oldName]
-	if !ok {
-		return nil, vfs.ErrNotExist
-	}
-	delete(op.children, oldName)
-	np.children[newName] = c
-	op.dirty = true
-	np.dirty = true
-	op.mtime = fs.env.Now()
-	np.mtime = fs.env.Now()
-	fs.logZil(func(e *zilEnc) {
-		e.op(zilRename)
-		e.i64(int64(op.ino))
-		e.str(oldName)
-		e.i64(int64(np.ino))
-		e.str(newName)
-		e.i64(int64(c.ino))
-	})
-	return h, nil
-}
-
-// ReadDir lists children in sorted (tree-key) order.
-func (fs *FS) ReadDir(h vfs.Handle) (ents []vfs.DirEntry, err error) {
-	defer ioerr.Guard(&err)
-	n := fs.node(h.(Ino))
-	if !n.dir {
-		return nil, vfs.ErrNotDir
-	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]vfs.DirEntry, 0, len(names))
-	for _, name := range names {
-		c := n.children[name]
-		out = append(out, vfs.DirEntry{Name: name, Dir: c.dir})
-	}
-	return out, nil
-}
-
-// WriteAttr records metadata changes; the intent log carries them so an
-// fsync-then-crash recovers sizes correctly (ZFS logs setattr in the ZIL).
-func (fs *FS) WriteAttr(h vfs.Handle, a vfs.Attr) (err error) {
-	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
-		return ferr
-	}
-	n := fs.node(h.(Ino))
-	n.size = a.Size
-	n.mtime = a.Mtime
-	n.dirty = true
-	fs.logZil(func(e *zilEnc) { e.op(zilAttr); e.i64(int64(n.ino)); e.i64(a.Size); e.i64(int64(a.Mtime)) })
-	return nil
-}
-
-// ReadBlocks fills pages, verifying checksums per record.
-func (fs *FS) ReadBlocks(h vfs.Handle, blk int64, pages []*vfs.Page, seq bool) (err error) {
-	defer ioerr.Guard(&err)
-	n := fs.node(h.(Ino))
-	i := 0
-	for i < len(pages) {
-		phys, ok := n.blocks[blk+int64(i)]
-		if !ok {
-			for j := range pages[i].Data {
-				pages[i].Data[j] = 0
-			}
-			i++
-			continue
-		}
-		run := 1
-		for i+run < len(pages) {
-			np, ok := n.blocks[blk+int64(i+run)]
-			if !ok || np != phys+int64(run) {
-				break
-			}
-			run++
-		}
-		buf := make([]byte, run*BlockSize)
-		fs.devCheck(fs.dev.ReadAt(buf, fs.blockAddr(phys)))
-		fs.env.Checksum(len(buf))
-		for j := 0; j < run; j++ {
-			copy(pages[i+j].Data, buf[j*BlockSize:(j+1)*BlockSize])
-		}
-		fs.env.Memcpy(len(buf))
-		fs.stats.DataReads++
-		i += run
-	}
-	return nil
-}
+// vfs.FS operations beyond the shared core's. Handles are inode numbers.
 
 // WriteBlocks writes a run of pages copy-on-write in record-sized units,
 // with the old versions deferred-freed. Records are the unit of
@@ -200,10 +22,10 @@ func (fs *FS) ReadBlocks(h vfs.Handle, blk int64, pages []*vfs.Page, seq bool) (
 // expensive on large-record CoW file systems (ZFS's 128 KiB recordsize).
 func (fs *FS) WriteBlocks(h vfs.Handle, blk int64, pgs []*vfs.Page, durable bool) (err error) {
 	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
+	if ferr := fs.WriteGate(); ferr != nil {
 		return ferr
 	}
-	n := fs.node(h.(Ino))
+	n := fs.Node(h.(blobfs.Ino))
 	rb := int64(fs.prof.RecordBlocks)
 	// Sub-record writes into existing data: expand to record boundaries
 	// by reading the missing blocks (RMW), batched into one read per
@@ -211,7 +33,7 @@ func (fs *FS) WriteBlocks(h vfs.Handle, blk int64, pgs []*vfs.Page, durable bool
 	if len(pgs) < fs.prof.RecordBlocks {
 		rStart := blk / rb * rb
 		rEnd := rStart + rb
-		fileBlocks := (n.size + BlockSize - 1) / BlockSize
+		fileBlocks := (n.Size + BlockSize - 1) / BlockSize
 		if rEnd > fileBlocks {
 			rEnd = fileBlocks
 		}
@@ -227,7 +49,7 @@ func (fs *FS) WriteBlocks(h vfs.Handle, blk int64, pgs []*vfs.Page, durable bool
 				if b >= blk && b < blk+int64(len(pgs)) {
 					continue
 				}
-				if _, ok := n.blocks[b]; !ok {
+				if _, ok := n.Blocks[b]; !ok {
 					allMapped = false
 					break
 				}
@@ -269,94 +91,38 @@ func (fs *FS) WriteBlocks(h vfs.Handle, blk int64, pgs []*vfs.Page, durable bool
 		buf := make([]byte, run*BlockSize)
 		for j := int64(0); j < run; j++ {
 			l := blk + int64(i) + j
-			if old, ok := n.blocks[l]; ok {
+			if old, ok := n.Blocks[l]; ok {
 				fs.deferFree(old)
 			}
 			copy(buf[j*BlockSize:], pgs[i+int(j)].Data)
-			n.blocks[l] = first + j
+			n.Blocks[l] = first + j
 		}
-		fs.devCheck(fs.dev.WriteAt(buf, fs.blockAddr(first)))
-		fs.env.Checksum(len(buf))
-		fs.stats.DataWrites++
+		fs.DevCheck(fs.Dev.WriteAt(buf, fs.BlockAddr(first)))
+		fs.Env.Checksum(len(buf))
 		if durable {
 			// fsync path: the ZIL logs the write intents with payload.
 			for j := int64(0); j < run; j++ {
-				l := blk + int64(i) + j
-				data := pgs[i+int(j)].Data
-				fs.logZil(func(e *zilEnc) { e.op(zilWrite); e.i64(int64(n.ino)); e.i64(l); e.bytes(data) })
+				e := zilEnc{byte(zilWrite)}
+				e.i64(int64(n.Ino))
+				e.i64(blk + int64(i) + j)
+				e.bytes(pgs[i+int(j)].Data)
+				fs.logZil(e)
 			}
 		}
 		i += int(run)
 	}
-	n.dirty = true
+	n.Dirty = true
 	return nil
-}
-
-// WritePartial is unsupported; calling it is a programmer error, so the
-// panic stays.
-func (fs *FS) WritePartial(h vfs.Handle, blk int64, off int, data []byte, durable bool) error {
-	panic("cowfs: blind writes unsupported")
-}
-
-// SupportsBlindWrites reports false.
-func (fs *FS) SupportsBlindWrites() bool { return false }
-
-// TruncateBlocks defer-frees blocks at or beyond fromBlk.
-func (fs *FS) TruncateBlocks(h vfs.Handle, fromBlk int64) (err error) {
-	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
-		return ferr
-	}
-	n := fs.node(h.(Ino))
-	// Same ordering rule as Remove: deferFree may commit mid-loop.
-	for _, b := range sortedBlocks(n, fromBlk) {
-		fs.deferFree(b)
-	}
-	for blk := range n.blocks {
-		if blk >= fromBlk {
-			delete(n.blocks, blk)
-		}
-	}
-	n.dirty = true
-	return nil
-}
-
-// sortedBlocks returns the data-block addresses of n at or beyond logical
-// block fromBlk, ordered by logical block number.
-func sortedBlocks(n *node, fromBlk int64) []int64 {
-	var blks []int64
-	for blk := range n.blocks {
-		if blk >= fromBlk {
-			blks = append(blks, blk)
-		}
-	}
-	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
-	out := make([]int64, len(blks))
-	for i, blk := range blks {
-		out[i] = n.blocks[blk]
-	}
-	return out
 }
 
 // Fsync flushes the intent log (ZIL / log tree): much cheaper than a txg.
 func (fs *FS) Fsync(h vfs.Handle) (err error) {
 	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
+	if ferr := fs.WriteGate(); ferr != nil {
 		return ferr
 	}
-	fs.devCheck(fs.zil.Flush())
-	fs.devCheck(fs.dev.Flush())
-	fs.stats.ZilWrites++
-	return nil
-}
-
-// Sync commits a transaction group.
-func (fs *FS) Sync() (err error) {
-	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
-		return ferr
-	}
-	fs.txgCommit()
+	fs.DevCheck(fs.zil.Flush())
+	fs.DevCheck(fs.Dev.Flush())
 	return nil
 }
 
@@ -365,25 +131,8 @@ func (fs *FS) Sync() (err error) {
 func (fs *FS) Maintain() {
 	var err error
 	defer ioerr.Guard(&err)
-	if fs.ioErr != nil {
-		return
-	}
-	if fs.env.Now()-fs.lastTxg >= fs.prof.TxgInterval {
+	if fs.WriteGate() == nil && fs.Env.Now()-fs.lastTxg >= fs.prof.TxgInterval {
 		fs.txgCommit()
-	}
-}
-
-// DropCaches commits and evicts the inode cache.
-func (fs *FS) DropCaches() {
-	var err error
-	defer ioerr.Guard(&err)
-	if fs.ioErr == nil {
-		fs.txgCommit()
-	}
-	for ino := range fs.inodes {
-		if ino != rootIno {
-			delete(fs.inodes, ino)
-		}
 	}
 }
 
@@ -395,33 +144,25 @@ func (fs *FS) txgCommit() {
 	}
 	fs.inTxg = true
 	defer func() { fs.inTxg = false }()
-	fs.stats.TxgCommits++
-	inos := make([]Ino, 0)
-	for ino, n := range fs.inodes {
-		if n.dirty {
-			inos = append(inos, ino)
-		}
-	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-	for _, ino := range inos {
-		fs.writeBlob(fs.inodes[ino])
+	for _, n := range fs.Dirty() {
+		fs.writeBlob(n)
 	}
 	// Three-phase flush: blobs must be durable before the imap that
 	// references them, and the imap slot before the uberblock that
 	// selects it — otherwise a reordered cache drain could persist a
 	// root pointing at state the device never wrote.
-	fs.devCheck(fs.dev.Flush())
+	fs.DevCheck(fs.Dev.Flush())
 	// The committed txg supersedes the intent log. Start a fresh log
 	// incarnation (epoch bump) rather than reclaiming in place: the
 	// uberblock records only the epoch, and recovery replays every
 	// same-epoch record still physically present in the region, so
 	// reclaimed-in-place records would be re-applied over the newer
 	// committed state, resurrecting stale block maps.
-	fs.zil = wal.New(fs.env, blockdev.Region(fs.dev, fs.zilOff, fs.zilLen), fs.zil.Epoch()+1)
+	fs.zil = wal.New(fs.Env, blockdev.Region(fs.Dev, fs.zilOff, fs.zilLen), fs.zil.Epoch()+1)
 	fs.writeImap()
-	fs.devCheck(fs.dev.Flush())
+	fs.DevCheck(fs.Dev.Flush())
 	fs.writeUberblock()
-	fs.devCheck(fs.dev.Flush())
+	fs.DevCheck(fs.Dev.Flush())
 	// The uberblock selecting the new generation is durable, so nothing
 	// can reference the deferred blocks any more: free them and hand the
 	// ranges to the device as TRIMs (coalesced into runs, the way ZFS
@@ -435,13 +176,13 @@ func (fs *FS) txgCommit() {
 		for j := int64(0); j < run; j++ {
 			fs.bitClear(fs.deferred[i] + j)
 		}
-		if fs.dev.Discard(fs.blockAddr(fs.deferred[i]), run*BlockSize) == nil {
-			fs.stats.DiscardedBlocks += run
-		}
+		// A TRIM is advice: if it fails, the FTL merely keeps migrating
+		// the dead blocks.
+		_ = fs.Dev.Discard(fs.BlockAddr(fs.deferred[i]), run*BlockSize)
 		i += int(run)
 	}
 	fs.deferred = fs.deferred[:0]
-	fs.lastTxg = fs.env.Now()
+	fs.lastTxg = fs.Env.Now()
 }
 
 // imapSlotBase returns the device offset of the imap copy that
@@ -456,33 +197,15 @@ func (fs *FS) imapSlotBase(gen uint64) int64 {
 // selects. The uberblock publishing that generation is written
 // separately (writeUberblock) after the slot is flushed.
 func (fs *FS) writeImap() {
-	const entrySize = 16
 	fs.generation++
-	base := fs.imapSlotBase(fs.generation)
-	per := Ino(BlockSize / entrySize)
-	buf := make([]byte, BlockSize)
-	for first := Ino(0); first < fs.nextIno; first += per {
-		for i := Ino(0); i < per; i++ {
-			off := int64(i) * entrySize
-			loc, ok := fs.imap[first+i]
-			if !ok {
-				binary.BigEndian.PutUint64(buf[off:], ^uint64(0))
-				binary.BigEndian.PutUint64(buf[off+8:], 0)
-				continue
-			}
-			binary.BigEndian.PutUint64(buf[off:], uint64(loc.first))
-			binary.BigEndian.PutUint64(buf[off+8:], uint64(loc.count))
-		}
-		fs.devCheck(fs.dev.WriteAt(buf, base+int64(first)*entrySize))
-	}
-	fs.env.Serialize(int(fs.nextIno) * entrySize)
-	fs.stats.MetaWrites++
+	fs.WriteTable(fs.imapSlotBase(fs.generation))
+	fs.Env.Serialize(int(fs.NextIno) * blobfs.LocSize)
 }
 
 // writeUberblock publishes the current generation; call only after the
 // imap slot it selects is durable.
 func (fs *FS) writeUberblock() {
-	fs.devCheck(fs.dev.WriteAt(encodeUberblock(fs.generation, fs.nextIno, fs.zil.Epoch()),
+	fs.DevCheck(fs.Dev.WriteAt(encodeUberblock(fs.generation, fs.NextIno, fs.zil.Epoch()),
 		int64(fs.generation%2)*uberSlotSize))
 }
 
@@ -496,7 +219,7 @@ const (
 	uberSize     = 4 + 8 + 4 + 8 + 4 // magic, nextIno, zilEpoch, generation, crc
 )
 
-func encodeUberblock(gen uint64, nextIno Ino, zilEpoch uint32) []byte {
+func encodeUberblock(gen uint64, nextIno blobfs.Ino, zilEpoch uint32) []byte {
 	sb := make([]byte, uberSlotSize)
 	binary.BigEndian.PutUint32(sb, uberMagic)
 	binary.BigEndian.PutUint64(sb[4:], uint64(nextIno))
@@ -506,12 +229,12 @@ func encodeUberblock(gen uint64, nextIno Ino, zilEpoch uint32) []byte {
 	return sb
 }
 
-func decodeUberblock(sb []byte) (gen uint64, nextIno Ino, zilEpoch uint32, ok bool) {
+func decodeUberblock(sb []byte) (gen uint64, nextIno blobfs.Ino, zilEpoch uint32, ok bool) {
 	if binary.BigEndian.Uint32(sb) != uberMagic {
 		return 0, 0, 0, false
 	}
 	if crc32.ChecksumIEEE(sb[:24]) != binary.BigEndian.Uint32(sb[24:]) {
 		return 0, 0, 0, false
 	}
-	return binary.BigEndian.Uint64(sb[16:]), Ino(binary.BigEndian.Uint64(sb[4:])), binary.BigEndian.Uint32(sb[12:]), true
+	return binary.BigEndian.Uint64(sb[16:]), blobfs.Ino(binary.BigEndian.Uint64(sb[4:])), binary.BigEndian.Uint32(sb[12:]), true
 }

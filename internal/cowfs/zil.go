@@ -2,9 +2,10 @@ package cowfs
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
+	"time"
 
+	"betrfs/internal/blobfs"
 	"betrfs/internal/blockdev"
 	"betrfs/internal/ioerr"
 	"betrfs/internal/sim"
@@ -25,30 +26,58 @@ const (
 	zilAttr
 )
 
-type zilEnc struct{ b []byte }
+// zilEnc builds one intent-log record: an op byte, then big-endian
+// 64-bit integers, length-prefixed strings and bytes, and one-byte bools.
+type zilEnc []byte
 
-func (e *zilEnc) op(o zilOp) { e.b = append(e.b, byte(o)) }
-func (e *zilEnc) i64(v int64) {
-	var t [8]byte
-	binary.BigEndian.PutUint64(t[:], uint64(v))
-	e.b = append(e.b, t[:]...)
-}
-func (e *zilEnc) str(s string) { e.i64(int64(len(s))); e.b = append(e.b, s...) }
+func (e *zilEnc) i64(v int64)    { *e = binary.BigEndian.AppendUint64(*e, uint64(v)) }
+func (e *zilEnc) str(s string)   { e.i64(int64(len(s))); *e = append(*e, s...) }
+func (e *zilEnc) bytes(p []byte) { e.i64(int64(len(p))); *e = append(*e, p...) }
 func (e *zilEnc) bool(v bool) {
 	if v {
-		e.b = append(e.b, 1)
+		*e = append(*e, 1)
 	} else {
-		e.b = append(e.b, 0)
+		*e = append(*e, 0)
 	}
 }
-func (e *zilEnc) bytes(p []byte) { e.i64(int64(len(p))); e.b = append(e.b, p...) }
 
-func (fs *FS) logZil(enc func(*zilEnc)) {
-	e := &zilEnc{}
-	enc(e)
-	if _, err := fs.zil.Append(wal.RecordType(1), e.b); err == wal.ErrLogFull {
+// zilRecord encodes a namespace mutation the core applied.
+func zilRecord(op blobfs.Op) zilEnc {
+	var e zilEnc
+	switch op.Kind {
+	case blobfs.OpCreate:
+		e = zilEnc{byte(zilCreate)}
+		e.i64(int64(op.Parent))
+		e.str(op.Name)
+		e.i64(int64(op.Ino))
+		e.bool(op.Dir)
+	case blobfs.OpRemove:
+		e = zilEnc{byte(zilRemove)}
+		e.i64(int64(op.Parent))
+		e.str(op.Name)
+		e.i64(int64(op.Ino))
+	case blobfs.OpRename:
+		e = zilEnc{byte(zilRename)}
+		e.i64(int64(op.Parent))
+		e.str(op.Name)
+		e.i64(int64(op.NewParent))
+		e.str(op.NewName)
+		e.i64(int64(op.Ino))
+	case blobfs.OpAttr:
+		e = zilEnc{byte(zilAttr)}
+		e.i64(int64(op.Ino))
+		e.i64(op.Size)
+		e.i64(int64(op.Mtime))
+	}
+	return e
+}
+
+// logZil appends a record. It runs after the mutation it records, since a
+// full log commits a txg, which must see the mutation.
+func (fs *FS) logZil(rec zilEnc) {
+	if _, err := fs.zil.Append(wal.RecordType(1), rec); err == wal.ErrLogFull {
 		fs.txgCommit()
-		if _, err2 := fs.zil.Append(wal.RecordType(1), e.b); err2 != nil {
+		if _, err2 := fs.zil.Append(wal.RecordType(1), rec); err2 != nil {
 			// Still full after a txg commit: the log region cannot hold
 			// the record — a space problem, not a bug.
 			ioerr.Check(fmt.Errorf("cowfs: intent log full after txg commit: %w", ioerr.ErrNoSpace))
@@ -80,8 +109,6 @@ func (d *zilDec) bytes() []byte {
 	return p
 }
 
-func timeDur(v int64) (d timeDuration) { return timeDuration(v) }
-
 // Recover mounts an existing cowfs from its uberblock, inode map, and
 // intent log. A device error during recovery fails the mount.
 func Recover(env *sim.Env, dev blockdev.Device, prof Profile) (rfs *FS, err error) {
@@ -103,7 +130,7 @@ func Recover(env *sim.Env, dev blockdev.Device, prof Profile) (rfs *FS, err erro
 		if !ok || (found && gen <= fs.generation) {
 			continue
 		}
-		fs.generation, fs.nextIno, zilEpoch, found = gen, nextIno, epoch, true
+		fs.generation, fs.NextIno, zilEpoch, found = gen, nextIno, epoch, true
 	}
 	if !found {
 		return nil, fmt.Errorf("cowfs: no valid uberblock")
@@ -112,58 +139,11 @@ func Recover(env *sim.Env, dev blockdev.Device, prof Profile) (rfs *FS, err erro
 		zilEpoch = 1
 	}
 	// A corrupted nextIno cannot be trusted to bound the imap scan.
-	if maxInos := Ino(fs.imapLen / 2 / 16); fs.nextIno > maxInos {
-		fs.nextIno = maxInos
+	if maxInos := blobfs.Ino(fs.imapLen / 2 / blobfs.LocSize); fs.NextIno > maxInos {
+		fs.NextIno = maxInos
 	}
-	fs.inodes = make(map[Ino]*node)
-	fs.imap = make(map[Ino]blobLoc)
-
-	const entrySize = 16
-	per := Ino(BlockSize / entrySize)
-	buf := make([]byte, BlockSize)
-	for first := Ino(0); first < fs.nextIno; first += per {
-		if rerr := dev.ReadAt(buf, fs.imapSlotBase(fs.generation)+int64(first)*entrySize); rerr != nil {
-			return nil, fmt.Errorf("cowfs: imap block for inode %d unreadable: %w", first, rerr)
-		}
-		for i := Ino(0); i < per && first+i < fs.nextIno; i++ {
-			off := int64(i) * entrySize
-			f := binary.BigEndian.Uint64(buf[off:])
-			if f == ^uint64(0) {
-				continue
-			}
-			fs.imap[first+i] = blobLoc{first: int64(f), count: int(binary.BigEndian.Uint64(buf[off+8:]))}
-		}
-	}
-	// Rebuild the allocation bitmap from reachable blobs and block maps.
-	// Entries whose blob fails validation are dropped: they referenced
-	// state the crash never made durable.
-	for ino, loc := range fs.imap {
-		if loc.first < 0 {
-			continue
-		}
-		n, berr := fs.readBlob(ino, loc)
-		if berr != nil {
-			// A media error is not a torn write: dropping the inode would
-			// silently discard durable data, so fail the mount instead.
-			if errors.Is(berr, ioerr.ErrIO) {
-				return nil, fmt.Errorf("cowfs: blob for inode %d: %w", ino, berr)
-			}
-			delete(fs.imap, ino)
-			fs.stats.DroppedNodes++
-			continue
-		}
-		fs.inodes[ino] = n
-		for i := 0; i < loc.count; i++ {
-			fs.bitSet(loc.first + int64(i))
-		}
-		for _, b := range n.blocks {
-			fs.bitSet(b)
-		}
-	}
-	if _, ok := fs.inodes[rootIno]; !ok {
-		root := &node{ino: rootIno, dir: true, nlink: 2, blocks: map[int64]int64{}, children: map[string]childRef{}, dirty: true}
-		fs.inodes[rootIno] = root
-		fs.imap[rootIno] = blobLoc{first: -1}
+	if err := fs.Load(fs.imapSlotBase(fs.generation), fs.claim); err != nil {
+		return nil, err
 	}
 	// Replay the intent log against the committed state, scanning from
 	// the region start in the epoch the uberblock recorded. An unreadable
@@ -176,22 +156,21 @@ func Recover(env *sim.Env, dev blockdev.Device, prof Profile) (rfs *FS, err erro
 		fs.replayZil(rec.Payload)
 	}
 	fs.zil = wal.New(env, blockdev.Region(dev, fs.zilOff, fs.zilLen), zilEpoch+1)
-	// Prune dangling directory entries — children whose inode was dropped
-	// above and not resurrected by the intent-log replay.
-	for _, n := range fs.inodes {
-		if !n.dir {
-			continue
-		}
-		for name, c := range n.children {
-			if _, ok := fs.nodeIfPresent(c.ino); !ok {
-				delete(n.children, name)
-				delete(fs.imap, c.ino)
-				n.dirty = true
-			}
-		}
-	}
+	// Prune the entries whose inode was dropped and not resurrected by
+	// the replay.
+	fs.Prune()
 	fs.txgCommit()
 	return fs, nil
+}
+
+// claim marks a recovered inode's blob and data blocks allocated.
+func (fs *FS) claim(n *blobfs.Node, loc blobfs.Loc) {
+	for i := 0; i < loc.Count; i++ {
+		fs.bitSet(loc.First + int64(i))
+	}
+	for _, b := range n.Blocks {
+		fs.bitSet(b)
+	}
 }
 
 // replayZil applies one intent-log record. Records referencing inodes
@@ -201,86 +180,81 @@ func (fs *FS) replayZil(payload []byte) {
 	d := &zilDec{b: payload}
 	switch d.op() {
 	case zilCreate:
-		pino := Ino(d.i64())
+		pino := blobfs.Ino(d.i64())
 		name := d.str()
-		ino := Ino(d.i64())
+		ino := blobfs.Ino(d.i64())
 		dir := d.bool()
-		p, ok := fs.nodeIfPresent(pino)
+		p, ok := fs.Inodes[pino]
 		if !ok {
 			return
 		}
-		if _, ok := p.children[name]; ok {
+		if _, ok := p.Children[name]; ok {
 			return
 		}
-		n := &node{ino: ino, dir: dir, nlink: 1, blocks: map[int64]int64{}, dirty: true}
-		if dir {
-			n.nlink = 2
-			n.children = map[string]childRef{}
-		}
-		fs.inodes[ino] = n
-		fs.imap[ino] = blobLoc{first: -1}
-		p.children[name] = childRef{ino: ino, dir: dir}
-		p.dirty = true
-		if ino >= fs.nextIno {
-			fs.nextIno = ino + 1
+		fs.Inodes[ino] = blobfs.NewNode(ino, dir, 0)
+		fs.Table[ino] = blobfs.Loc{First: -1}
+		p.Children[name] = blobfs.Child{Ino: ino, Dir: dir}
+		p.Dirty = true
+		if ino >= fs.NextIno {
+			fs.NextIno = ino + 1
 		}
 	case zilRemove:
-		pino := Ino(d.i64())
+		pino := blobfs.Ino(d.i64())
 		name := d.str()
-		p, ok := fs.nodeIfPresent(pino)
+		p, ok := fs.Inodes[pino]
 		if !ok {
 			return
 		}
-		delete(p.children, name)
-		p.dirty = true
+		delete(p.Children, name)
+		p.Dirty = true
 	case zilRename:
-		opino := Ino(d.i64())
+		opino := blobfs.Ino(d.i64())
 		oldName := d.str()
-		npino := Ino(d.i64())
+		npino := blobfs.Ino(d.i64())
 		newName := d.str()
-		op, okOld := fs.nodeIfPresent(opino)
-		np, okNew := fs.nodeIfPresent(npino)
+		op, okOld := fs.Inodes[opino]
+		np, okNew := fs.Inodes[npino]
 		if !okOld || !okNew {
 			return
 		}
-		if c, ok := op.children[oldName]; ok {
-			delete(op.children, oldName)
-			np.children[newName] = c
-			op.dirty = true
-			np.dirty = true
+		if c, ok := op.Children[oldName]; ok {
+			delete(op.Children, oldName)
+			np.Children[newName] = c
+			op.Dirty = true
+			np.Dirty = true
 		}
 	case zilAttr:
-		ino := Ino(d.i64())
+		ino := blobfs.Ino(d.i64())
 		size := d.i64()
 		mtime := d.i64()
-		n, ok := fs.nodeIfPresent(ino)
+		n, ok := fs.Inodes[ino]
 		if !ok {
 			return
 		}
-		n.size = size
-		n.mtime = timeDur(mtime)
-		n.dirty = true
+		n.Size = size
+		n.Mtime = time.Duration(mtime)
+		n.Dirty = true
 	case zilWrite:
-		ino := Ino(d.i64())
+		ino := blobfs.Ino(d.i64())
 		blk := d.i64()
 		data := d.bytes()
-		n, ok := fs.nodeIfPresent(ino)
+		n, ok := fs.Inodes[ino]
 		if !ok {
 			return
 		}
-		if old, ok := n.blocks[blk]; ok {
+		if old, ok := n.Blocks[blk]; ok {
 			fs.deferFree(old)
 		}
 		b, _ := fs.alloc(1)
 		padded := make([]byte, BlockSize)
 		copy(padded, data)
-		fs.devCheck(fs.dev.WriteAt(padded, fs.blockAddr(b)))
-		n.blocks[blk] = b
-		if int64(len(data)) > n.size-blk*BlockSize {
-			if sz := blk*BlockSize + int64(len(data)); sz > n.size {
-				n.size = sz
+		fs.DevCheck(fs.Dev.WriteAt(padded, fs.BlockAddr(b)))
+		n.Blocks[blk] = b
+		if int64(len(data)) > n.Size-blk*BlockSize {
+			if sz := blk*BlockSize + int64(len(data)); sz > n.Size {
+				n.Size = sz
 			}
 		}
-		n.dirty = true
+		n.Dirty = true
 	}
 }

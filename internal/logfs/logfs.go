@@ -11,31 +11,31 @@
 // information; fsync appends the affected node block and a roll-forward
 // record. When free segments run low, greedy cleaning migrates the valid
 // blocks of the dirtiest victim segments to the active logs.
+//
+// The namespace, the node-blob format and the recovery scan are the
+// shared core of internal/blobfs; this package is logfs's placement,
+// cleaning and commit policy.
 package logfs
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"time"
 
+	"betrfs/internal/blobfs"
 	"betrfs/internal/blockdev"
 	"betrfs/internal/ioerr"
 	"betrfs/internal/sim"
 )
 
 // BlockSize is the file-system block size.
-const BlockSize = 4096
+const BlockSize = blobfs.BlockSize
 
 // SegmentBlocks is the number of blocks per log segment (2 MiB).
 const SegmentBlocks = 512
 
-// Ino is an inode number.
-type Ino int64
-
-const rootIno Ino = 1
+// checkpointInterval is the period of Maintain's checkpoints.
+const checkpointInterval = 30 * time.Second
 
 // segPendingFree marks a fully dead segment awaiting the next NAT
 // persist before it can be reallocated.
@@ -51,12 +51,12 @@ const (
 	numHeads
 )
 
-// FS is the logfs instance.
+// FS is the logfs instance. The embedded core holds the namespace and the
+// NAT (its location table); logfs places blocks in the main area of
+// segments that starts after the superblock and the NAT region.
 type FS struct {
-	env *sim.Env
-	dev blockdev.Device
+	blobfs.Core
 
-	// Layout: superblock+NAT region, then the main area of segments.
 	natOff   int64
 	mainOff  int64
 	segments int64
@@ -78,77 +78,22 @@ type FS struct {
 	// node block. Cleared when invalidated.
 	blockOwner map[int64]owner
 
-	// NAT: inode -> node blob location; first < 0 when only in memory.
-	nat map[Ino]natEntry
-
-	inodes  map[Ino]*node
-	nextIno Ino
-
 	lastCheckpoint time.Duration
-	// CheckpointInterval controls periodic checkpoints.
-	CheckpointInterval time.Duration
 	// cleaning guards against re-entering the cleaner from the
 	// allocations the cleaner itself performs.
 	cleaning bool
 
-	// ioErr is the sticky abort (§10): once a node, NAT, or data write
-	// fails, the log's durable state cannot be trusted, so further
-	// mutations are refused while reads keep working.
-	ioErr error
-
 	stats Stats
 }
 
-// devCheck aborts the current operation on a device error; a failed
-// write or flush also latches the sticky abort.
-func (fs *FS) devCheck(err error) {
-	if err == nil {
-		return
-	}
-	var de *ioerr.DeviceError
-	if errors.As(err, &de) && de.Op != "read" && fs.ioErr == nil {
-		fs.ioErr = err
-	}
-	ioerr.Check(err)
-}
-
-// writeGate is checked at the top of every mutating operation.
-func (fs *FS) writeGate() error { return fs.ioErr }
-
 type owner struct {
-	ino     Ino
+	ino     blobfs.Ino
 	logical int64 // -1 for a node block
 }
 
 // Stats counts logfs activity.
 type Stats struct {
-	DataWrites    int64
-	NodeWrites    int64
-	NodeReads     int64
-	Checkpoints   int64
-	CleanedSegs   int64
-	MovedBlocks   int64
-	Fsyncs        int64
-	DroppedNodes  int64 // invalid node blobs discarded during recovery
-	DiscardedSegs int64 // dead segments handed to the device as TRIMs
-}
-
-// node is an in-memory inode with its block map and directory content.
-type node struct {
-	ino      Ino
-	dir      bool
-	size     int64
-	nlink    int
-	mtime    time.Duration
-	blocks   map[int64]int64 // logical -> main-area block address
-	children map[string]childRef
-	dirty    bool
-	hot      bool // recently rewritten: route to the hot data log
-}
-
-type childRef struct {
-	ino Ino
-	dir bool
+	CleanedSegs int64
 }
 
 // New formats a logfs over dev.
@@ -156,41 +101,39 @@ func New(env *sim.Env, dev blockdev.Device) *FS {
 	capacity := dev.Size()
 	natLen := capacity / 128
 	fs := &FS{
-		env:                env,
-		dev:                dev,
-		natOff:             BlockSize,
-		mainOff:            BlockSize + natLen,
-		blockOwner:         make(map[int64]owner),
-		nat:                make(map[Ino]natEntry),
-		inodes:             make(map[Ino]*node),
-		nextIno:            rootIno + 1,
-		CheckpointInterval: 30 * time.Second,
+		natOff:     BlockSize,
+		mainOff:    BlockSize + natLen,
+		blockOwner: make(map[int64]owner),
 	}
 	fs.segments = (capacity - fs.mainOff) / (SegmentBlocks * BlockSize)
+	fs.Core = blobfs.New("logfs", blobMagic, env, dev, fs.mainOff, fs.segments*SegmentBlocks, policy{fs})
 	fs.segValid = make([]int, fs.segments)
 	fs.segState = make([]byte, fs.segments)
 	fs.freeSegs = fs.segments
 	for h := logHead(0); h < numHeads; h++ {
 		fs.heads[h].seg = -1
 	}
-	root := &node{ino: rootIno, dir: true, nlink: 2, blocks: map[int64]int64{}, children: map[string]childRef{}, dirty: true}
-	fs.inodes[rootIno] = root
-	fs.nat[rootIno] = natEntry{first: -1}
 	return fs
-}
-
-// natEntry locates an inode's node blob: count contiguous blocks starting
-// at first (first < 0: not yet written).
-type natEntry struct {
-	first int64
-	count int
 }
 
 // Stats returns counters.
 func (fs *FS) Stats() *Stats { return &fs.stats }
 
-// blockAddr converts a main-area block number to a device offset.
-func (fs *FS) blockAddr(b int64) int64 { return fs.mainOff + b*BlockSize }
+// policy is logfs's side of the shared core: removal invalidates blocks,
+// a commit is a checkpoint, nothing is logged, and a blob read charges
+// decoding what it decoded.
+type policy struct{ *FS }
+
+func (p policy) Free(b int64)           { p.invalidate(b) }
+func (p policy) Commit()                { p.checkpoint() }
+func (p policy) Logged(blobfs.Op)       {}
+func (p policy) NameLookup(name string) { p.Env.Compare(len(name)) }
+func (p policy) DataRead(n int)         { p.Env.Memcpy(n) }
+func (p policy) BlobRead(_, payload int, err error) {
+	if err == nil {
+		p.Env.Serialize(payload)
+	}
+}
 
 // allocBlock appends one block to the given log head, cleaning if needed.
 func (fs *FS) allocBlock(h logHead) int64 {
@@ -222,7 +165,7 @@ func (fs *FS) findFreeSegment() int64 {
 	// segments parked since the last checkpoint. Flush first so every
 	// blob the in-memory NAT references is durable before the NAT is.
 	if fs.pendingSegs > 0 {
-		fs.devCheck(fs.dev.Flush())
+		fs.DevCheck(fs.Dev.Flush())
 		fs.writeNAT()
 		fs.releasePendingSegs()
 		for s := int64(0); s < fs.segments; s++ {
@@ -272,9 +215,9 @@ func (fs *FS) releasePendingSegs() {
 		if fs.segState[s] == segPendingFree {
 			fs.segState[s] = 0
 			fs.freeSegs++
-			if fs.dev.Discard(fs.blockAddr(s*SegmentBlocks), SegmentBlocks*BlockSize) == nil {
-				fs.stats.DiscardedSegs++
-			}
+			// A TRIM is advice: if it fails, the FTL merely keeps
+			// migrating the dead blocks.
+			_ = fs.Dev.Discard(fs.BlockAddr(s*SegmentBlocks), SegmentBlocks*BlockSize)
 		}
 	}
 	fs.pendingSegs = 0
@@ -328,19 +271,17 @@ func (fs *FS) cleanSegment(seg int64) {
 			// Node blob: rewrite the whole blob contiguously at the
 			// node head (this invalidates all of its blocks,
 			// including any others in this victim).
-			fs.stats.MovedBlocks++
-			fs.writeNodeBlock(fs.node(own.ino))
+			fs.writeNodeBlock(fs.Node(own.ino))
 			continue
 		}
 		// Data block: migrate to the cold data log and repoint the
 		// owning node's block map (loading the node if cold).
-		fs.devCheck(fs.dev.ReadAt(buf, fs.blockAddr(b)))
-		fs.stats.MovedBlocks++
+		fs.DevCheck(fs.Dev.ReadAt(buf, fs.BlockAddr(b)))
 		nb := fs.allocBlock(headColdData)
-		n := fs.node(own.ino)
-		n.blocks[own.logical] = nb
-		n.dirty = true
-		fs.devCheck(fs.dev.WriteAt(buf, fs.blockAddr(nb)))
+		n := fs.Node(own.ino)
+		n.Blocks[own.logical] = nb
+		n.Dirty = true
+		fs.DevCheck(fs.Dev.WriteAt(buf, fs.BlockAddr(nb)))
 		fs.blockOwner[nb] = own
 		fs.invalidate(b)
 	}
@@ -348,27 +289,6 @@ func (fs *FS) cleanSegment(seg int64) {
 		fs.segState[seg] = segPendingFree
 		fs.pendingSegs++
 	}
-}
-
-// errUnknown converts lookup misses.
-func (fs *FS) node(ino Ino) *node {
-	if n, ok := fs.inodes[ino]; ok {
-		return n
-	}
-	// Cold-cache path: read the node blob via the NAT.
-	ent, ok := fs.nat[ino]
-	if !ok || ent.first < 0 {
-		panic(fmt.Sprintf("logfs: inode %d has no node block", ino))
-	}
-	n, err := fs.readNodeBlock(ino, ent)
-	if err != nil {
-		// A device error or corrupted blob on the cold-read path aborts
-		// the operation with the wrapped cause (errors.Is(err, ErrIO)
-		// holds for media errors).
-		ioerr.Check(err)
-	}
-	fs.inodes[ino] = n
-	return n
 }
 
 // allocNodeRun allocates n contiguous blocks at the node head, skipping to
@@ -391,200 +311,26 @@ func (fs *FS) allocNodeRun(n int) int64 {
 	return first
 }
 
-// --- node-block serialization ------------------------------------------------
+// blobMagic opens every logfs node blob.
+const blobMagic = 0x1f2b10b5
 
-// Node blobs carry a self-identifying checksummed header so that a NAT
-// entry torn by a crash (or a blob whose write never fully persisted)
-// is detected during recovery instead of being decoded as garbage.
-const (
-	blobMagic      = 0x1f2b10b5
-	blobHeaderSize = 4 + 8 + 4 + 4 // magic, ino, payload len, crc
-)
-
-func sealBlob(ino Ino, payload []byte) []byte {
-	b := make([]byte, blobHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(b[0:], blobMagic)
-	binary.BigEndian.PutUint64(b[4:], uint64(ino))
-	binary.BigEndian.PutUint32(b[12:], uint32(len(payload)))
-	copy(b[blobHeaderSize:], payload)
-	binary.BigEndian.PutUint32(b[16:], crc32.ChecksumIEEE(b[blobHeaderSize:]))
-	return b
-}
-
-// openBlob validates a sealed blob's header and returns its payload.
-func openBlob(ino Ino, b []byte) ([]byte, error) {
-	if len(b) < blobHeaderSize {
-		return nil, fmt.Errorf("logfs: node blob for inode %d too short", ino)
-	}
-	if binary.BigEndian.Uint32(b[0:]) != blobMagic {
-		return nil, fmt.Errorf("logfs: node blob for inode %d has bad magic", ino)
-	}
-	if got := Ino(binary.BigEndian.Uint64(b[4:])); got != ino {
-		return nil, fmt.Errorf("logfs: node blob claims inode %d, NAT says %d", got, ino)
-	}
-	plen := int(binary.BigEndian.Uint32(b[12:]))
-	if plen < 0 || blobHeaderSize+plen > len(b) {
-		return nil, fmt.Errorf("logfs: node blob for inode %d has bad length %d", ino, plen)
-	}
-	payload := b[blobHeaderSize : blobHeaderSize+plen]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[16:]) {
-		return nil, fmt.Errorf("logfs: node blob for inode %d failed checksum", ino)
-	}
-	return payload, nil
-}
-
-// writeNodeBlock persists n's metadata (and directory content) as one or
-// more node blocks at the node head, updating the NAT.
-func (fs *FS) writeNodeBlock(n *node) {
-	blob := sealBlob(n.ino, fs.encodeNode(n))
+// writeNodeBlock persists n's node blob (attributes, block map, directory
+// content) contiguously at the node head, updating the NAT.
+func (fs *FS) writeNodeBlock(n *blobfs.Node) {
+	blob, size := fs.Seal(n)
 	// Invalidate the old blob.
-	if old, ok := fs.nat[n.ino]; ok && old.first >= 0 {
-		for i := 0; i < old.count; i++ {
-			fs.invalidate(old.first + int64(i))
+	if old := fs.Table[n.Ino]; old.First >= 0 {
+		for i := 0; i < old.Count; i++ {
+			fs.invalidate(old.First + int64(i))
 		}
 	}
-	// Node blobs are written contiguously at the node head so cold reads
-	// can follow continuation blocks.
-	nBlocks := (len(blob) + BlockSize - 1) / BlockSize
-	padded := make([]byte, nBlocks*BlockSize)
-	copy(padded, blob)
+	nBlocks := len(blob) / BlockSize
 	first := fs.allocNodeRun(nBlocks)
-	fs.devCheck(fs.dev.WriteAt(padded, fs.blockAddr(first)))
+	fs.DevCheck(fs.Dev.WriteAt(blob, fs.BlockAddr(first)))
 	for i := 0; i < nBlocks; i++ {
-		fs.blockOwner[first+int64(i)] = owner{ino: n.ino, logical: -1}
+		fs.blockOwner[first+int64(i)] = owner{ino: n.Ino, logical: -1}
 	}
-	fs.stats.NodeWrites++
-	fs.nat[n.ino] = natEntry{first: first, count: nBlocks}
-	n.dirty = false
-	fs.env.Serialize(len(blob))
-}
-
-func (fs *FS) encodeNode(n *node) []byte {
-	e := make([]byte, 0, 256)
-	var t8 [8]byte
-	put := func(v int64) {
-		binary.BigEndian.PutUint64(t8[:], uint64(v))
-		e = append(e, t8[:]...)
-	}
-	flags := int64(0)
-	if n.dir {
-		flags = 1
-	}
-	put(flags)
-	put(n.size)
-	put(int64(n.nlink))
-	put(int64(n.mtime))
-	// Block map as run-length extents: logical, physical, count.
-	blks := make([]int64, 0, len(n.blocks))
-	for l := range n.blocks {
-		blks = append(blks, l)
-	}
-	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
-	type run struct{ l, p, c int64 }
-	var runs []run
-	for _, l := range blks {
-		p := n.blocks[l]
-		if len(runs) > 0 {
-			last := &runs[len(runs)-1]
-			if l == last.l+last.c && p == last.p+last.c {
-				last.c++
-				continue
-			}
-		}
-		runs = append(runs, run{l, p, 1})
-	}
-	put(int64(len(runs)))
-	for _, r := range runs {
-		put(r.l)
-		put(r.p)
-		put(r.c)
-	}
-	if n.dir {
-		put(int64(len(n.children)))
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			put(int64(len(name)))
-			e = append(e, name...)
-			c := n.children[name]
-			put(int64(c.ino))
-			if c.dir {
-				put(1)
-			} else {
-				put(0)
-			}
-		}
-	}
-	return e
-}
-
-// readNodeBlock loads, validates, and decodes a node from its contiguous
-// node blob. An entry torn by a crash — out-of-range location, bad magic,
-// wrong inode, or failed checksum — returns an error instead of garbage.
-func (fs *FS) readNodeBlock(ino Ino, ent natEntry) (rn *node, err error) {
-	total := fs.segments * SegmentBlocks
-	if ent.count <= 0 || ent.first < 0 || ent.first+int64(ent.count) > total {
-		return nil, fmt.Errorf("logfs: NAT entry for inode %d out of range (%d+%d)", ino, ent.first, ent.count)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			rn, err = nil, fmt.Errorf("logfs: node blob for inode %d malformed: %v", ino, r)
-		}
-	}()
-	fs.stats.NodeReads++
-	raw := make([]byte, ent.count*BlockSize)
-	// Explicit error return (not devCheck): the deferred recover above
-	// would otherwise swallow the abort and mislabel it "malformed".
-	if rerr := fs.dev.ReadAt(raw, fs.blockAddr(ent.first)); rerr != nil {
-		return nil, fmt.Errorf("logfs: node blob for inode %d: %w", ino, rerr)
-	}
-	buf, err := openBlob(ino, raw)
-	if err != nil {
-		return nil, err
-	}
-	n := &node{ino: ino, blocks: map[int64]int64{}}
-	pos := 0
-	get := func() int64 {
-		v := int64(binary.BigEndian.Uint64(buf[pos:]))
-		pos += 8
-		return v
-	}
-	getBytes := func(k int64) []byte {
-		b := buf[pos : pos+int(k)]
-		pos += int(k)
-		return b
-	}
-	flags := get()
-	n.dir = flags&1 != 0
-	n.size = get()
-	n.nlink = int(get())
-	n.mtime = time.Duration(get())
-	nb := get()
-	for i := int64(0); i < nb; i++ {
-		l := get()
-		p := get()
-		c := get()
-		if l < 0 || c <= 0 || p < 0 || p+c > total {
-			return nil, fmt.Errorf("logfs: inode %d block run (%d,%d,%d) out of range", ino, l, p, c)
-		}
-		for j := int64(0); j < c; j++ {
-			n.blocks[l+j] = p + j
-		}
-	}
-	if n.dir {
-		n.children = map[string]childRef{}
-		nc := get()
-		for i := int64(0); i < nc; i++ {
-			nameLen := get()
-			name := string(getBytes(nameLen))
-			cino := Ino(get())
-			cdir := get() == 1
-			n.children[name] = childRef{ino: cino, dir: cdir}
-		}
-	}
-	fs.env.Serialize(pos)
-	return n, nil
+	fs.Table[n.Ino] = blobfs.Loc{First: first, Count: nBlocks}
+	n.Dirty = false
+	fs.Env.Serialize(size)
 }

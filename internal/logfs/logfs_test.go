@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"betrfs/internal/blobfs"
 	"betrfs/internal/blockdev"
 	"betrfs/internal/sim"
 	"betrfs/internal/vfs"
@@ -55,15 +56,15 @@ func TestOverwriteUsesIPU(t *testing.T) {
 	f, _ := m.Create("f")
 	f.Write(make([]byte, 1<<20))
 	f.Fsync()
-	n := fs.node(Ino(2))
+	n := fs.Node(2)
 	before := map[int64]int64{}
-	for l, p := range n.blocks {
+	for l, p := range n.Blocks {
 		before[l] = p
 	}
 	// Overwrite existing blocks: addresses must not move (IPU).
 	f.WriteAt(bytes.Repeat([]byte{9}, 1<<20), 0)
 	f.Fsync()
-	for l, p := range n.blocks {
+	for l, p := range n.Blocks {
 		if before[l] != p {
 			t.Fatalf("overwrite relocated block %d (%d -> %d); IPU expected", l, before[l], p)
 		}
@@ -159,13 +160,13 @@ func TestNodeBlobsSpillAcrossBlocks(t *testing.T) {
 		f.Close()
 	}
 	m.Sync()
-	ino, _, err := fs.Lookup(rootIno, "big")
+	ino, _, err := fs.Lookup(blobfs.RootIno, "big")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ent := fs.nat[ino.(Ino)]
-	if ent.count < 2 {
-		t.Fatalf("2000-entry directory blob fits in %d block(s)?", ent.count)
+	ent := fs.Table[ino.(blobfs.Ino)]
+	if ent.Count < 2 {
+		t.Fatalf("2000-entry directory blob fits in %d block(s)?", ent.Count)
 	}
 	// And it must still decode after a cache drop.
 	fs.DropCaches()

@@ -2,11 +2,10 @@ package logfs
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
+	"betrfs/internal/blobfs"
 	"betrfs/internal/blockdev"
-	"betrfs/internal/ioerr"
 	"betrfs/internal/sim"
 )
 
@@ -21,84 +20,20 @@ func Recover(env *sim.Env, dev blockdev.Device) (*FS, error) {
 	if rerr := dev.ReadAt(sb, 0); rerr != nil {
 		return nil, fmt.Errorf("logfs: superblock unreadable: %w", rerr)
 	}
-	if binary.BigEndian.Uint32(sb) != 0xf2f5f2f5 {
+	if binary.BigEndian.Uint32(sb) != superMagic {
 		return nil, fmt.Errorf("logfs: no superblock")
 	}
-	fs.nextIno = Ino(binary.BigEndian.Uint64(sb[4:]))
-	// A torn superblock write can only inflate nextIno (the mixed
+	fs.NextIno = blobfs.Ino(binary.BigEndian.Uint64(sb[4:]))
+	// A torn superblock write can only inflate NextIno (the mixed
 	// big-endian value is never below the last durable one); clamp it to
 	// what the NAT region can address so the scan stays bounded.
-	if maxInos := Ino((fs.mainOff - fs.natOff) / natEntrySize); fs.nextIno > maxInos {
-		fs.nextIno = maxInos
+	if maxInos := blobfs.Ino((fs.mainOff - fs.natOff) / blobfs.LocSize); fs.NextIno > maxInos {
+		fs.NextIno = maxInos
 	}
-	fs.inodes = make(map[Ino]*node)
-	fs.nat = make(map[Ino]natEntry)
-
-	// Load the NAT.
-	per := Ino(BlockSize / natEntrySize)
-	buf := make([]byte, BlockSize)
-	for first := Ino(0); first < fs.nextIno; first += per {
-		if rerr := dev.ReadAt(buf, fs.natOff+int64(first)*natEntrySize); rerr != nil {
-			return nil, fmt.Errorf("logfs: NAT block for inode %d unreadable: %w", first, rerr)
-		}
-		for i := Ino(0); i < per && first+i < fs.nextIno; i++ {
-			off := int64(i) * natEntrySize
-			f := binary.BigEndian.Uint64(buf[off:])
-			if f == ^uint64(0) {
-				continue
-			}
-			fs.nat[first+i] = natEntry{first: int64(f), count: int(binary.BigEndian.Uint64(buf[off+8:]))}
-		}
+	if err := fs.Load(fs.natOff, fs.claim); err != nil {
+		return nil, err
 	}
-	// Rebuild segment state from every reachable node blob and block map.
-	// A NAT entry whose blob fails validation — torn by the crash, or
-	// pointing into space the crash never persisted — belonged to an
-	// un-checkpointed file; drop it rather than decode garbage.
-	for ino, ent := range fs.nat {
-		if ent.first < 0 {
-			continue
-		}
-		n, err := fs.readNodeBlock(ino, ent)
-		if err != nil {
-			// A media error is not a torn write: dropping the inode would
-			// silently discard durable data, so fail the mount instead.
-			if errors.Is(err, ioerr.ErrIO) {
-				return nil, fmt.Errorf("logfs: node blob for inode %d: %w", ino, err)
-			}
-			delete(fs.nat, ino)
-			fs.stats.DroppedNodes++
-			continue
-		}
-		fs.inodes[ino] = n
-		for i := 0; i < ent.count; i++ {
-			b := ent.first + int64(i)
-			fs.segValid[b/SegmentBlocks]++
-			fs.blockOwner[b] = owner{ino: ino, logical: -1}
-		}
-		for logical, b := range n.blocks {
-			fs.segValid[b/SegmentBlocks]++
-			fs.blockOwner[b] = owner{ino: ino, logical: logical}
-		}
-	}
-	if _, ok := fs.inodes[rootIno]; !ok {
-		root := &node{ino: rootIno, dir: true, nlink: 2, blocks: map[int64]int64{}, children: map[string]childRef{}, dirty: true}
-		fs.inodes[rootIno] = root
-		fs.nat[rootIno] = natEntry{first: -1}
-	}
-	// Prune dangling directory entries: a dirent whose target inode was
-	// dropped above (or never persisted) must not survive, or later
-	// lookups would fault on a missing node.
-	for _, n := range fs.inodes {
-		if !n.dir {
-			continue
-		}
-		for name, c := range n.children {
-			if _, ok := fs.inodes[c.ino]; !ok {
-				delete(n.children, name)
-				n.dirty = true
-			}
-		}
-	}
+	fs.Prune()
 	// Segments with any valid blocks are dirty; fully dead ones are free.
 	fs.freeSegs = 0
 	for s := int64(0); s < fs.segments; s++ {
@@ -110,4 +45,18 @@ func Recover(env *sim.Env, dev blockdev.Device) (*FS, error) {
 		}
 	}
 	return fs, nil
+}
+
+// claim counts a recovered inode's node blob and data blocks as valid in
+// their segments.
+func (fs *FS) claim(n *blobfs.Node, loc blobfs.Loc) {
+	for i := 0; i < loc.Count; i++ {
+		b := loc.First + int64(i)
+		fs.segValid[b/SegmentBlocks]++
+		fs.blockOwner[b] = owner{ino: n.Ino, logical: -1}
+	}
+	for logical, b := range n.Blocks {
+		fs.segValid[b/SegmentBlocks]++
+		fs.blockOwner[b] = owner{ino: n.Ino, logical: logical}
+	}
 }

@@ -4,176 +4,12 @@ import (
 	"encoding/binary"
 	"sort"
 
+	"betrfs/internal/blobfs"
 	"betrfs/internal/ioerr"
 	"betrfs/internal/vfs"
 )
 
-// vfs.FS implementation. Handles are inode numbers.
-
-// Root returns the root handle.
-func (fs *FS) Root() vfs.Handle { return rootIno }
-
-func (fs *FS) attrOf(n *node) vfs.Attr {
-	return vfs.Attr{Dir: n.dir, Size: n.size, Nlink: n.nlink, Mtime: n.mtime}
-}
-
-// Lookup resolves name in parent (node blob read on cold cache).
-func (fs *FS) Lookup(parent vfs.Handle, name string) (h vfs.Handle, a vfs.Attr, err error) {
-	defer ioerr.Guard(&err)
-	p := fs.node(parent.(Ino))
-	fs.env.Compare(len(name))
-	c, ok := p.children[name]
-	if !ok {
-		return nil, vfs.Attr{}, vfs.ErrNotExist
-	}
-	return c.ino, fs.attrOf(fs.node(c.ino)), nil
-}
-
-// Create allocates an inode; its node blob reaches the log at the next
-// fsync or checkpoint.
-func (fs *FS) Create(parent vfs.Handle, name string, dir bool) (h vfs.Handle, a vfs.Attr, err error) {
-	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
-		return nil, vfs.Attr{}, ferr
-	}
-	p := fs.node(parent.(Ino))
-	if _, ok := p.children[name]; ok {
-		return nil, vfs.Attr{}, vfs.ErrExist
-	}
-	ino := fs.nextIno
-	fs.nextIno++
-	n := &node{ino: ino, dir: dir, nlink: 1, mtime: fs.env.Now(), blocks: map[int64]int64{}, dirty: true, hot: true}
-	if dir {
-		n.nlink = 2
-		n.children = map[string]childRef{}
-	}
-	fs.inodes[ino] = n
-	fs.nat[ino] = natEntry{first: -1}
-	p.children[name] = childRef{ino: ino, dir: dir}
-	p.mtime = fs.env.Now()
-	p.dirty = true
-	return ino, fs.attrOf(n), nil
-}
-
-// Remove unlinks name, invalidating the child's blocks.
-func (fs *FS) Remove(parent vfs.Handle, name string, h vfs.Handle, dir bool) (err error) {
-	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
-		return ferr
-	}
-	p := fs.node(parent.(Ino))
-	c, ok := p.children[name]
-	if !ok {
-		return vfs.ErrNotExist
-	}
-	n := fs.node(c.ino)
-	if dir && len(n.children) > 0 {
-		return vfs.ErrNotEmpty
-	}
-	for _, b := range n.blocks {
-		fs.invalidate(b)
-	}
-	if ent, ok := fs.nat[c.ino]; ok && ent.first >= 0 {
-		for i := 0; i < ent.count; i++ {
-			fs.invalidate(ent.first + int64(i))
-		}
-	}
-	delete(fs.nat, c.ino)
-	delete(fs.inodes, c.ino)
-	delete(p.children, name)
-	p.mtime = fs.env.Now()
-	p.dirty = true
-	return nil
-}
-
-// Rename moves the entry (inode numbers are stable).
-func (fs *FS) Rename(oldParent vfs.Handle, oldName string, h vfs.Handle, newParent vfs.Handle, newName string) (nh vfs.Handle, err error) {
-	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
-		return nil, ferr
-	}
-	op := fs.node(oldParent.(Ino))
-	np := fs.node(newParent.(Ino))
-	c, ok := op.children[oldName]
-	if !ok {
-		return nil, vfs.ErrNotExist
-	}
-	delete(op.children, oldName)
-	np.children[newName] = c
-	op.dirty = true
-	np.dirty = true
-	op.mtime = fs.env.Now()
-	np.mtime = fs.env.Now()
-	return h, nil
-}
-
-// ReadDir lists children in sorted order (not Known: no opportunistic
-// inode instantiation).
-func (fs *FS) ReadDir(h vfs.Handle) (ents []vfs.DirEntry, err error) {
-	defer ioerr.Guard(&err)
-	n := fs.node(h.(Ino))
-	if !n.dir {
-		return nil, vfs.ErrNotDir
-	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]vfs.DirEntry, 0, len(names))
-	for _, name := range names {
-		c := n.children[name]
-		out = append(out, vfs.DirEntry{Name: name, Dir: c.dir})
-	}
-	return out, nil
-}
-
-// WriteAttr records metadata changes in the in-memory node (logged via its
-// node blob).
-func (fs *FS) WriteAttr(h vfs.Handle, a vfs.Attr) (err error) {
-	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
-		return ferr
-	}
-	n := fs.node(h.(Ino))
-	n.size = a.Size
-	n.mtime = a.Mtime
-	n.dirty = true
-	return nil
-}
-
-// ReadBlocks fills pages, merging log-contiguous runs into single reads.
-func (fs *FS) ReadBlocks(h vfs.Handle, blk int64, pages []*vfs.Page, seq bool) (err error) {
-	defer ioerr.Guard(&err)
-	n := fs.node(h.(Ino))
-	i := 0
-	for i < len(pages) {
-		phys, ok := n.blocks[blk+int64(i)]
-		if !ok {
-			for j := range pages[i].Data {
-				pages[i].Data[j] = 0
-			}
-			i++
-			continue
-		}
-		run := 1
-		for i+run < len(pages) {
-			np, ok := n.blocks[blk+int64(i+run)]
-			if !ok || np != phys+int64(run) {
-				break
-			}
-			run++
-		}
-		buf := make([]byte, run*BlockSize)
-		fs.devCheck(fs.dev.ReadAt(buf, fs.blockAddr(phys)))
-		for j := 0; j < run; j++ {
-			copy(pages[i+j].Data, buf[j*BlockSize:(j+1)*BlockSize])
-		}
-		fs.env.Memcpy(len(buf))
-		i += run
-	}
-	return nil
-}
+// vfs.FS operations beyond the shared core's. Handles are inode numbers.
 
 // WriteBlocks writes a run of pages. New data appends to the log
 // (out-of-place); overwrites of already-allocated blocks update in place —
@@ -181,14 +17,14 @@ func (fs *FS) ReadBlocks(h vfs.Handle, blk int64, pages []*vfs.Page, seq bool) (
 // avoid node-block and cleaning amplification.
 func (fs *FS) WriteBlocks(h vfs.Handle, blk int64, pgs []*vfs.Page, durable bool) (err error) {
 	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
+	if ferr := fs.WriteGate(); ferr != nil {
 		return ferr
 	}
-	n := fs.node(h.(Ino))
+	n := fs.Node(h.(blobfs.Ino))
 	// In-place-update path: every block already mapped.
 	allMapped := true
 	for i := range pgs {
-		if _, ok := n.blocks[blk+int64(i)]; !ok {
+		if _, ok := n.Blocks[blk+int64(i)]; !ok {
 			allMapped = false
 			break
 		}
@@ -196,23 +32,22 @@ func (fs *FS) WriteBlocks(h vfs.Handle, blk int64, pgs []*vfs.Page, durable bool
 	if allMapped {
 		i := 0
 		for i < len(pgs) {
-			phys := n.blocks[blk+int64(i)]
+			phys := n.Blocks[blk+int64(i)]
 			run := 1
-			for i+run < len(pgs) && n.blocks[blk+int64(i+run)] == phys+int64(run) {
+			for i+run < len(pgs) && n.Blocks[blk+int64(i+run)] == phys+int64(run) {
 				run++
 			}
 			buf := make([]byte, run*BlockSize)
 			for j := 0; j < run; j++ {
 				copy(buf[j*BlockSize:], pgs[i+j].Data)
 			}
-			fs.devCheck(fs.dev.WriteAt(buf, fs.blockAddr(phys)))
-			fs.stats.DataWrites++
+			fs.DevCheck(fs.Dev.WriteAt(buf, fs.BlockAddr(phys)))
 			i += run
 		}
 		return nil
 	}
 	head := headColdData
-	if _, ok := n.blocks[blk]; ok {
+	if _, ok := n.Blocks[blk]; ok {
 		head = headHotData // overwrite: hot data
 	}
 	i := 0
@@ -233,44 +68,17 @@ func (fs *FS) WriteBlocks(h vfs.Handle, blk int64, pgs []*vfs.Page, durable bool
 		buf := make([]byte, count*BlockSize)
 		for j := 0; j < count; j++ {
 			l := blk + int64(i+j)
-			if old, ok := n.blocks[l]; ok {
+			if old, ok := n.Blocks[l]; ok {
 				fs.invalidate(old)
 			}
 			copy(buf[j*BlockSize:], pgs[i+j].Data)
-			n.blocks[l] = first + int64(j)
-			fs.blockOwner[first+int64(j)] = owner{ino: n.ino, logical: l}
+			n.Blocks[l] = first + int64(j)
+			fs.blockOwner[first+int64(j)] = owner{ino: n.Ino, logical: l}
 		}
-		fs.devCheck(fs.dev.WriteAt(buf, fs.blockAddr(first)))
-		fs.stats.DataWrites++
+		fs.DevCheck(fs.Dev.WriteAt(buf, fs.BlockAddr(first)))
 		i += count
 	}
-	n.dirty = true
-	return nil
-}
-
-// WritePartial is unsupported (read-modify-write applies); calling it is
-// a programmer error, so the panic stays.
-func (fs *FS) WritePartial(h vfs.Handle, blk int64, off int, data []byte, durable bool) error {
-	panic("logfs: blind writes unsupported")
-}
-
-// SupportsBlindWrites reports false.
-func (fs *FS) SupportsBlindWrites() bool { return false }
-
-// TruncateBlocks invalidates blocks at or beyond fromBlk.
-func (fs *FS) TruncateBlocks(h vfs.Handle, fromBlk int64) (err error) {
-	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
-		return ferr
-	}
-	n := fs.node(h.(Ino))
-	for blk, b := range n.blocks {
-		if blk >= fromBlk {
-			fs.invalidate(b)
-			delete(n.blocks, blk)
-		}
-	}
-	n.dirty = true
+	n.Dirty = true
 	return nil
 }
 
@@ -280,29 +88,18 @@ func (fs *FS) TruncateBlocks(h vfs.Handle, fromBlk int64) (err error) {
 // replaced by direct NAT updates.
 func (fs *FS) Fsync(h vfs.Handle) (err error) {
 	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
+	if ferr := fs.WriteGate(); ferr != nil {
 		return ferr
 	}
-	fs.stats.Fsyncs++
-	// Write in inode order, not map order: blob placement in the log is
-	// order-dependent, so a map-ordered walk would put segments in a
-	// different state every run (see Checkpoint).
-	inos := make([]Ino, 0, len(fs.inodes))
-	for ino, n := range fs.inodes {
-		if n.dirty {
-			inos = append(inos, ino)
-		}
-	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-	written := map[int64]bool{fs.natAddr(h.(Ino)): true}
-	for _, ino := range inos {
-		fs.writeNodeBlock(fs.inodes[ino])
-		written[fs.natAddr(ino)] = true
+	written := map[int64]bool{fs.natAddr(h.(blobfs.Ino)): true}
+	for _, n := range fs.Dirty() {
+		fs.writeNodeBlock(n)
+		written[fs.natAddr(n.Ino)] = true
 	}
 	// Two-phase flush: node blobs must be durable before the NAT blocks
 	// that point at them, or a crash between the two could leave a durable
 	// NAT entry referencing a blob the device never persisted.
-	fs.devCheck(fs.dev.Flush())
+	fs.DevCheck(fs.Dev.Flush())
 	addrs := make([]int64, 0, len(written))
 	for addr := range written {
 		addrs = append(addrs, addr)
@@ -312,7 +109,7 @@ func (fs *FS) Fsync(h vfs.Handle) (err error) {
 		fs.writeNATBlockAt(addr)
 	}
 	fs.writeSuperOnly()
-	fs.devCheck(fs.dev.Flush())
+	fs.DevCheck(fs.Dev.Flush())
 	fs.releasePendingSegs()
 	return nil
 }
@@ -320,114 +117,57 @@ func (fs *FS) Fsync(h vfs.Handle) (err error) {
 // writeNATBlockAt persists one NAT block by device address.
 func (fs *FS) writeNATBlockAt(addr int64) {
 	buf := make([]byte, BlockSize)
-	fs.devCheck(fs.dev.ReadAt(buf, addr))
-	fs.fillNATBlock(buf, Ino((addr-fs.natOff)/natEntrySize))
-	fs.devCheck(fs.dev.WriteAt(buf, addr))
+	fs.DevCheck(fs.Dev.ReadAt(buf, addr))
+	fs.FillTable(buf, blobfs.Ino((addr-fs.natOff)/blobfs.LocSize))
+	fs.DevCheck(fs.Dev.WriteAt(buf, addr))
 }
 
-// Sync checkpoints the whole file system.
-func (fs *FS) Sync() (err error) {
-	defer ioerr.Guard(&err)
-	if ferr := fs.writeGate(); ferr != nil {
-		return ferr
-	}
-	fs.Checkpoint()
-	return nil
-}
-
-// Maintain runs periodic checkpoints and opportunistic cleaning. No error
-// return in the vfs.FS contract; failures latch the sticky abort.
+// Maintain runs periodic checkpoints. No error return in the vfs.FS
+// contract; failures latch the sticky abort.
 func (fs *FS) Maintain() {
 	var err error
 	defer ioerr.Guard(&err)
-	if fs.ioErr != nil {
-		return
-	}
-	if fs.env.Now()-fs.lastCheckpoint >= fs.CheckpointInterval {
-		fs.Checkpoint()
+	if fs.WriteGate() == nil && fs.Env.Now()-fs.lastCheckpoint >= checkpointInterval {
+		fs.checkpoint()
 	}
 }
 
-// DropCaches writes back dirty nodes and evicts the inode cache.
-func (fs *FS) DropCaches() {
-	var err error
-	defer ioerr.Guard(&err)
-	if fs.ioErr == nil {
-		fs.Checkpoint()
-	}
-	for ino := range fs.inodes {
-		if ino != rootIno {
-			delete(fs.inodes, ino)
-		}
-	}
-}
-
-// Checkpoint persists all dirty node blobs, the NAT, and the superblock.
-func (fs *FS) Checkpoint() {
-	fs.stats.Checkpoints++
-	inos := make([]Ino, 0, len(fs.inodes))
-	for ino, n := range fs.inodes {
-		if n.dirty {
-			inos = append(inos, ino)
-		}
-	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-	for _, ino := range inos {
-		fs.writeNodeBlock(fs.inodes[ino])
+// checkpoint persists all dirty node blobs, the NAT, and the superblock.
+func (fs *FS) checkpoint() {
+	for _, n := range fs.Dirty() {
+		fs.writeNodeBlock(n)
 	}
 	// Blob/NAT write barrier — see Fsync.
-	fs.devCheck(fs.dev.Flush())
+	fs.DevCheck(fs.Dev.Flush())
 	fs.writeNAT()
 	fs.releasePendingSegs()
-	fs.lastCheckpoint = fs.env.Now()
+	fs.lastCheckpoint = fs.Env.Now()
 }
 
 // --- NAT persistence ---------------------------------------------------------
 
-const natEntrySize = 16
+// superMagic opens the logfs superblock.
+const superMagic = 0xf2f5f2f5
 
-func (fs *FS) natAddr(ino Ino) int64 {
-	return fs.natOff + int64(ino)*natEntrySize/BlockSize*BlockSize
+func (fs *FS) natAddr(ino blobfs.Ino) int64 {
+	return fs.natOff + int64(ino)*blobfs.LocSize/BlockSize*BlockSize
 }
 
 // writeSuperOnly refreshes the superblock (magic + inode allocator state).
 func (fs *FS) writeSuperOnly() {
 	sb := make([]byte, BlockSize)
-	binary.BigEndian.PutUint32(sb, 0xf2f5f2f5)
-	binary.BigEndian.PutUint64(sb[4:], uint64(fs.nextIno))
-	fs.devCheck(fs.dev.WriteAt(sb, 0))
-}
-
-// fillNATBlock writes the in-memory entries for the block starting at
-// firstIno into buf.
-func (fs *FS) fillNATBlock(buf []byte, firstIno Ino) {
-	per := Ino(BlockSize / natEntrySize)
-	for i := Ino(0); i < per; i++ {
-		ino := firstIno + i
-		off := int64(i) * natEntrySize
-		ent, ok := fs.nat[ino]
-		if !ok {
-			binary.BigEndian.PutUint64(buf[off:], ^uint64(0))
-			binary.BigEndian.PutUint64(buf[off+8:], 0)
-			continue
-		}
-		binary.BigEndian.PutUint64(buf[off:], uint64(ent.first))
-		binary.BigEndian.PutUint64(buf[off+8:], uint64(ent.count))
-	}
+	binary.BigEndian.PutUint32(sb, superMagic)
+	binary.BigEndian.PutUint64(sb[4:], uint64(fs.NextIno))
+	fs.DevCheck(fs.Dev.WriteAt(sb, 0))
 }
 
 // writeNAT persists all NAT blocks covering allocated inodes, plus the
 // superblock, and flushes.
 func (fs *FS) writeNAT() {
-	per := Ino(BlockSize / natEntrySize)
-	buf := make([]byte, BlockSize)
-	for first := rootIno - rootIno; first < fs.nextIno; first += per {
-		fs.fillNATBlock(buf, first)
-		fs.devCheck(fs.dev.WriteAt(buf, fs.natOff+int64(first)*natEntrySize))
-	}
+	fs.WriteTable(fs.natOff)
 	fs.writeSuperOnly()
-	fs.devCheck(fs.dev.Flush())
-	fs.env.Serialize(int(fs.nextIno) * natEntrySize)
+	fs.DevCheck(fs.Dev.Flush())
+	fs.Env.Serialize(int(fs.NextIno) * blobfs.LocSize)
 }
 
 var _ vfs.FS = (*FS)(nil)
