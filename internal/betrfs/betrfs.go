@@ -83,10 +83,12 @@ type FS struct {
 	store *betree.Store
 
 	// pending tracks conditionally-logged creates not yet inserted, by
-	// path; oldest/newest link the same entries in creation order, which
-	// is the order of their log pins (see deferredCreate).
-	pending        map[string]*deferredCreate
-	oldest, newest *deferredCreate
+	// path; created links the same entries in creation order, which is the
+	// order of their log pins, and dirs links them again per parent
+	// directory (see deferredCreate).
+	pending map[string]*deferredCreate
+	created createQueue
+	dirs    map[string]createQueue
 	// nlink tracks per-directory child counts (RG); a directory's count
 	// is only authoritative once initialized (at its creation or by a
 	// full readdir), mirroring the paper's note that the cached values
@@ -138,46 +140,81 @@ func resolveFSMetrics(reg *metrics.Registry) fsMetrics {
 }
 
 // deferredCreate is one conditionally-logged create awaiting its tree
-// insert. The entries form a doubly linked queue in creation order. Creates
-// are serialized and each pins the record it just logged, so that is LSN
-// order: the head holds the oldest pin, the one log reclamation stops at.
-// Everything that walks all deferred creates walks the queue, never the
-// map, because the walk order reaches MSN assignment.
+// insert. Every entry sits on two doubly linked queues, both in creation
+// order. Creates are serialized and each pins the record it just logged,
+// so creation order is LSN order: the head of FS.created holds the oldest
+// pin, the one log reclamation stops at. Everything that walks all
+// deferred creates walks that queue, never the map, because the walk order
+// reaches MSN assignment. The second queue, FS.dirs[parent], holds only the
+// creates in one directory, so a listing or an emptiness check costs what
+// that directory holds, not what the whole mount has deferred.
 type deferredCreate struct {
-	path       string
-	attr       vfs.Attr
-	unpin      func()
-	prev, next *deferredCreate
+	path         string
+	parent, name string // path split once, when the create is deferred
+	attr         vfs.Attr
+	unpin        func()
+	created      createLink // FS.created
+	sibling      createLink // FS.dirs[parent]
 }
 
-// deferCreate appends a deferred create to the queue and the path index.
-func (fs *FS) deferCreate(dc *deferredCreate) {
-	fs.pending[dc.path] = dc
-	dc.prev = fs.newest
-	if fs.newest != nil {
-		fs.newest.next = dc
+// createLink is one entry's place on one of the two queues.
+type createLink struct{ prev, next *deferredCreate }
+
+// createQueue is an intrusive doubly linked queue of deferred creates,
+// threaded through the createLink that link selects in each entry.
+type createQueue struct{ oldest, newest *deferredCreate }
+
+func (q *createQueue) push(dc *deferredCreate, link func(*deferredCreate) *createLink) {
+	link(dc).prev = q.newest
+	if q.newest != nil {
+		link(q.newest).next = dc
 	} else {
-		fs.oldest = dc
+		q.oldest = dc
 	}
-	fs.newest = dc
+	q.newest = dc
 }
 
-// settleCreate drops a deferred create from the queue and the path index
-// and releases its log pin. The caller has put the inode in the tree, or is
-// removing it.
+func (q *createQueue) remove(dc *deferredCreate, link func(*deferredCreate) *createLink) {
+	l := link(dc)
+	if l.prev != nil {
+		link(l.prev).next = l.next
+	} else {
+		q.oldest = l.next
+	}
+	if l.next != nil {
+		link(l.next).prev = l.prev
+	} else {
+		q.newest = l.prev
+	}
+	*l = createLink{}
+}
+
+func createdLink(dc *deferredCreate) *createLink { return &dc.created }
+func siblingLink(dc *deferredCreate) *createLink { return &dc.sibling }
+
+// deferCreate appends a deferred create to both queues and the path index.
+func (fs *FS) deferCreate(dc *deferredCreate) {
+	dc.parent, dc.name = keys.ParentAndName(dc.path)
+	fs.pending[dc.path] = dc
+	fs.created.push(dc, createdLink)
+	q := fs.dirs[dc.parent]
+	q.push(dc, siblingLink)
+	fs.dirs[dc.parent] = q
+}
+
+// settleCreate drops a deferred create from both queues and the path index
+// and releases its log pin; a directory whose queue empties leaves the
+// index. The caller has put the inode in the tree, or is removing it.
 func (fs *FS) settleCreate(dc *deferredCreate) {
 	delete(fs.pending, dc.path)
-	if dc.prev != nil {
-		dc.prev.next = dc.next
+	fs.created.remove(dc, createdLink)
+	q := fs.dirs[dc.parent]
+	q.remove(dc, siblingLink)
+	if q.oldest == nil {
+		delete(fs.dirs, dc.parent)
 	} else {
-		fs.oldest = dc.next
+		fs.dirs[dc.parent] = q
 	}
-	if dc.next != nil {
-		dc.next.prev = dc.prev
-	} else {
-		fs.newest = dc.prev
-	}
-	dc.prev, dc.next = nil, nil
 	dc.unpin()
 }
 
@@ -186,8 +223,8 @@ func (fs *FS) settleCreate(dc *deferredCreate) {
 // the first failure is returned.
 func (fs *FS) flushAllPending() error {
 	var first error
-	for dc := fs.oldest; dc != nil; {
-		next := dc.next
+	for dc := fs.created.oldest; dc != nil; {
+		next := dc.created.next
 		if err := fs.flushDeferred(dc); err != nil && first == nil {
 			first = err
 		}
@@ -221,6 +258,7 @@ func New(env *sim.Env, alloc *kmem.Allocator, cfg Config, backend betree.Backend
 		cfg:          cfg,
 		store:        store,
 		pending:      make(map[string]*deferredCreate),
+		dirs:         make(map[string]createQueue),
 		nlink:        make(map[string]int),
 		nlinkKnown:   map[string]bool{"": true},
 		unloggedData: make(map[string]bool),
@@ -410,19 +448,20 @@ func (fs *FS) Remove(parent vfs.Handle, name string, h vfs.Handle, dir bool) err
 }
 
 // checkEmpty verifies a directory has no children, via the coherent nlink
-// counter (RG) or a Bε-tree range query (baseline).
+// counter (RG) or a Bε-tree range query (baseline). Either way the
+// deferred creates directly in the directory count too, and they are the
+// only ones that need looking at. A deferred create deeper down has a
+// parent that was created before it and is still there: its rmdir would
+// have failed here, and the VFS writes a directory's subtree back before
+// renaming it. So the directory has a direct child that is either deferred
+// too or already in the tree, where the nlink count or the range query
+// sees it.
 func (fs *FS) checkEmpty(path string) error {
 	if fs.cfg.NlinkChecks && fs.nlinkKnown[path] {
 		fs.stats.EmptyDirChecksByNlink++
 		fs.m.emptyNlink.Inc()
-		if fs.nlink[path] > 0 {
+		if fs.nlink[path] > 0 || fs.dirs[path].oldest != nil {
 			return vfs.ErrNotEmpty
-		}
-		// Deferred creates under the path also count.
-		for p := range fs.pending {
-			if keys.Clean(p) != path && isUnder(p, path) {
-				return vfs.ErrNotEmpty
-			}
 		}
 		return nil
 	}
@@ -436,13 +475,8 @@ func (fs *FS) checkEmpty(path string) error {
 	}); err != nil {
 		return err
 	}
-	if !empty {
+	if !empty || fs.dirs[path].oldest != nil {
 		return vfs.ErrNotEmpty
-	}
-	for p := range fs.pending {
-		if isUnder(p, path) {
-			return vfs.ErrNotEmpty
-		}
 	}
 	return nil
 }
@@ -590,16 +624,12 @@ func (fs *FS) ReadDir(h vfs.Handle) ([]vfs.DirEntry, error) {
 	}); err != nil {
 		return nil, err
 	}
-	// Merge deferred creates that have not reached the tree yet.
-	for dc := fs.oldest; dc != nil; dc = dc.next {
-		p := dc.path
-		parent, name := keys.ParentAndName(p)
-		if parent != path {
-			continue
-		}
-		e := vfs.DirEntry{Name: name, Dir: dc.attr.Dir}
+	// Merge the directory's deferred creates that have not reached the
+	// tree yet, in creation order.
+	for dc := fs.dirs[path].oldest; dc != nil; dc = dc.sibling.next {
+		e := vfs.DirEntry{Name: dc.name, Dir: dc.attr.Dir}
 		if fs.cfg.ReaddirInstantiates {
-			e.Handle = p
+			e.Handle = dc.path
 			e.Attr = dc.attr
 			e.Known = true
 		}
@@ -820,13 +850,13 @@ func (fs *FS) maybeCheckpoint() {
 // free half the region; younger creates keep their deferral. It runs
 // before the store is asked to checkpoint and outside its writer lock.
 func (fs *FS) relievePinnedLog() {
-	if fs.oldest == nil || !fs.store.LogPinsBlockReclaim() {
+	if fs.created.oldest == nil || !fs.store.LogPinsBlockReclaim() {
 		return
 	}
-	for fs.oldest != nil && !fs.store.LogHalfReclaimable() {
+	for fs.created.oldest != nil && !fs.store.LogHalfReclaimable() {
 		// Stop at a failed insert: its pin stays, so nothing behind it can
 		// help, and the error recurs on the operation that needs the space.
-		if fs.flushDeferred(fs.oldest) != nil {
+		if fs.flushDeferred(fs.created.oldest) != nil {
 			return
 		}
 		fs.m.createForced.Inc()

@@ -53,7 +53,7 @@ func TestLogPressureReleasesPins(t *testing.T) {
 			case <-time.After(2 * time.Minute):
 				t.Fatal("deadlock: the log-pressure hook re-entered the writer lock")
 			}
-			if len(fs.pending) != 0 || fs.oldest != nil {
+			if len(fs.pending) != 0 || fs.created.oldest != nil {
 				t.Fatal("log pressure did not flush pending creates")
 			}
 			if got := env.Metrics.Snapshot().Counters["betrfs.create.forced"]; got != 1 {
@@ -130,7 +130,7 @@ func TestCreatePastLogWrap(t *testing.T) {
 	if forced := c["betrfs.create.forced"]; forced == 0 || forced > deferred {
 		t.Errorf("betrfs.create.forced = %d of %d deferred creates", forced, deferred)
 	}
-	if len(fs.pending) != 0 || fs.oldest != nil || fs.newest != nil {
+	if len(fs.pending) != 0 || fs.created.oldest != nil || fs.created.newest != nil || len(fs.dirs) != 0 {
 		t.Errorf("%d creates still deferred after sync", len(fs.pending))
 	}
 	m.DropCaches()

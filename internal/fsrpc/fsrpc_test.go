@@ -2,6 +2,7 @@ package fsrpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -150,5 +151,49 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeRequest([]byte{0x77, 0, 0, 0, 0, 0, 0, 0, 0}); !errors.Is(err, ErrProto) {
 		t.Fatal("unknown op accepted")
+	}
+}
+
+// TestFramePartsEncodesInPlace: for every op of the §13.2 table, with
+// status OK and with an error status, the frame FrameParts builds is
+// len ‖ Encode() byte for byte, whether scratch is too small or large
+// enough, and Encode renders a 300-entry listing in one allocation instead
+// of growing its buffer by doubling.
+func TestFramePartsEncodesInPlace(t *testing.T) {
+	entries := make([]DirEnt, 300)
+	for i := range entries {
+		entries[i] = DirEnt{Name: fmt.Sprintf("entry-%03d", i), Dir: i%3 == 0}
+	}
+	for _, op := range Ops {
+		for _, st := range []Status{StatusOK, StatusIO} {
+			r := &Reply{
+				Op: op, Tag: 77, Status: st, Handle: 5,
+				Attr: Attr{Dir: true, Size: 4096, Nlink: 2, Mtime: 9},
+				N:    512, Data: []byte("payload"), Entries: entries,
+				Statfs: Statfs{BlockSize: 4096, SimTimeNs: 3, Degraded: true, Sessions: 2, OpsServed: 8},
+				Token:  "session-token", Lease: 1e9, Resumed: true, Size: 1 << 20,
+			}
+			if op == OpReaddir || op == OpShares {
+				if n := testing.AllocsPerRun(10, func() { r.Encode() }); n != 1 {
+					t.Errorf("%s/%s: Encode makes %v allocations, want 1", op, st, n)
+				}
+			}
+			payload := r.Encode()
+			want := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+			want = append(want, payload...)
+			for _, scratch := range [][]byte{nil, make([]byte, 0, 1<<14)} {
+				segs, _, err := r.FrameParts(scratch)
+				if err != nil {
+					t.Fatalf("%s/%s: FrameParts: %v", op, st, err)
+				}
+				var got []byte
+				for _, seg := range segs {
+					got = append(got, seg...)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s/%s (scratch cap %d): frame differs from len ‖ Encode()", op, st, cap(scratch))
+				}
+			}
+		}
 	}
 }

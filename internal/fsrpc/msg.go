@@ -3,6 +3,7 @@ package fsrpc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"betrfs/internal/vfs"
@@ -239,7 +240,22 @@ func (d *dec) attr() Attr {
 
 // Encode renders the reply payload.
 func (r *Reply) Encode() []byte {
-	e := &enc{buf: make([]byte, 0, 16+len(r.Data))}
+	return r.appendPayload(make([]byte, 0, r.sizeHint()))
+}
+
+// sizeHint is a payload capacity that holds the data and every entry, so
+// that a long listing is encoded without regrowing its buffer.
+func (r *Reply) sizeHint() int {
+	n := 16 + len(r.Data)
+	for _, ent := range r.Entries {
+		n += 3 + len(ent.Name)
+	}
+	return n
+}
+
+// appendPayload appends the reply payload to buf.
+func (r *Reply) appendPayload(buf []byte) []byte {
+	e := &enc{buf: buf}
 	e.u8(uint8(r.Op) | replyBit)
 	e.u64(r.Tag)
 	e.u8(uint8(r.Status))
@@ -297,8 +313,8 @@ func (r *Reply) Encode() []byte {
 // header built in scratch (reused when its capacity suffices) and the
 // second is r.Data itself, so a read payload travels device buffer →
 // socket with no intermediate copy. zerocopy reports how many payload
-// bytes were passed by reference. Every other reply encodes normally
-// into scratch as a single segment.
+// bytes were passed by reference. Every other reply encodes straight into
+// scratch behind the length prefix, as a single segment.
 func (r *Reply) FrameParts(scratch []byte) (segs [][]byte, zerocopy int, err error) {
 	if (r.Op == OpRead || r.Op == OpBread) && r.Status == StatusOK {
 		e := &enc{buf: append(scratch[:0], 0, 0, 0, 0)}
@@ -313,13 +329,12 @@ func (r *Reply) FrameParts(scratch []byte) (segs [][]byte, zerocopy int, err err
 		binary.BigEndian.PutUint32(e.buf[:4], uint32(payloadLen))
 		return [][]byte{e.buf, r.Data}, len(r.Data), nil
 	}
-	payload := r.Encode()
-	if len(payload) > MaxFrame {
-		return nil, 0, fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame %d", ErrProto, len(payload), MaxFrame)
+	buf := r.appendPayload(append(slices.Grow(scratch[:0], 4+r.sizeHint()), 0, 0, 0, 0))
+	n := len(buf) - 4
+	if n > MaxFrame {
+		return nil, 0, fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame %d", ErrProto, n, MaxFrame)
 	}
-	buf := append(scratch[:0], 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	buf = append(buf, payload...)
+	binary.BigEndian.PutUint32(buf, uint32(n))
 	return [][]byte{buf}, 0, nil
 }
 

@@ -37,7 +37,7 @@ const maxPendingReplies = 256
 // completion callback to run once the write attempt is over.
 type outReply struct {
 	segs     [][]byte
-	hdr      *[]byte // pooled scratch backing segs[0]
+	hdr      *[]byte // pooled scratch, holding segs[0]'s buffer
 	data     *[]byte // pooled READ buffer referenced by segs[1], if any
 	bytes    int64
 	zerocopy int64
@@ -55,7 +55,6 @@ func (o *outReply) finish(srv *Server, wrote bool) {
 		}
 	}
 	if o.hdr != nil {
-		*o.hdr = o.segs[0][:0] // keep any growth the encode caused
 		hdrBufPool.Put(o.hdr)
 	}
 	if o.data != nil {
@@ -333,6 +332,9 @@ func (s *session) sendReply(r *fsrpc.Reply, data *[]byte, done func()) {
 		o.finish(s.srv, false)
 		return
 	}
+	// Keep any growth the encode caused. This has to happen now: writing
+	// segs through net.Buffers consumes them in place, leaving segs[0] nil.
+	*hdr = segs[0][:0]
 	var total int64
 	for _, seg := range segs {
 		total += int64(len(seg))

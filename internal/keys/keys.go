@@ -31,10 +31,33 @@ const Sep = 0x00
 const RangeEnd = 0x01
 
 // Clean canonicalizes a slash-separated path: leading/trailing slashes and
-// empty components are dropped. The root directory is "".
+// empty components are dropped. The root directory is "". A path that is
+// already clean is returned as it is, without allocating.
 func Clean(path string) string {
-	parts := Split(path)
-	return strings.Join(parts, "/")
+	if isClean(path) {
+		return path
+	}
+	return strings.Join(Split(path), "/")
+}
+
+// isClean reports whether path has no leading or trailing slash, no empty
+// component and no "." component, so that Split would keep every
+// component and Join would rebuild path unchanged.
+func isClean(path string) bool {
+	start := 0
+	for i := 0; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
+			continue
+		}
+		switch path[start:i] {
+		case "":
+			return len(path) == 0
+		case ".":
+			return false
+		}
+		start = i + 1
+	}
+	return true
 }
 
 // Split returns the non-empty components of a slash-separated path.

@@ -32,6 +32,32 @@ func TestCleanNormalizes(t *testing.T) {
 	}
 }
 
+// FuzzClean checks Clean against its definition, Split joined by "/", and
+// that cleaning is idempotent. The seed corpus in testdata/fuzz holds the
+// root in both spellings, a doubled slash, "." components and a leading
+// and a trailing slash.
+func FuzzClean(f *testing.F) {
+	f.Fuzz(func(t *testing.T, p string) {
+		got := Clean(p)
+		if want := strings.Join(Split(p), "/"); got != want {
+			t.Fatalf("Clean(%q) = %q, want %q", p, got, want)
+		}
+		if again := Clean(got); again != got {
+			t.Fatalf("Clean(Clean(%q)) = %q, want %q", p, again, got)
+		}
+	})
+}
+
+// TestCleanOfCleanPathAllocatesNothing: the namespace code cleans every
+// path it is handed, and nearly all of them are clean already.
+func TestCleanOfCleanPathAllocatesNothing(t *testing.T) {
+	for _, p := range []string{"", "a", "a/b/c.txt", "usr/src/linux/fs/ext4/inode.c", "a/../b"} {
+		if n := testing.AllocsPerRun(100, func() { _ = Clean(p) }); n != 0 {
+			t.Errorf("Clean(%q) makes %v allocations, want 0", p, n)
+		}
+	}
+}
+
 func TestDFSOrder(t *testing.T) {
 	// Bytewise order of encoded keys must equal depth-first traversal
 	// order: a directory sorts immediately before its contents, and the
