@@ -14,8 +14,12 @@ GO ?= go
 
 check: vet build race benchmod scrub repair faults serve servebench netfaults aging shard bench-json
 
+# Static analysis, plus the formatting gate: any file gofmt would change
+# fails the target (gofmt -l lists it).
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

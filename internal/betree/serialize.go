@@ -89,10 +89,16 @@ func (e *nodeEncoder) bytes(b []byte) {
 }
 func (e *nodeEncoder) keyed(b []byte) { e.u16(uint16(len(b))); e.bytes(b) }
 
-// serializeNode encodes n, charging serialization and checksum CPU costs.
+// serializeNode encodes n into buf, charging serialization and checksum
+// CPU costs, and returns the image. buf is written from its start; when its
+// capacity is at least encodedSizeBound(cfg, n) the image is buf's own
+// memory, otherwise (nil, say) a buffer of that bound is allocated.
 // Returned bytes are 4 KiB-aligned in length.
-func serializeNode(env *sim.Env, cfg *Config, n *node) []byte {
-	e := &nodeEncoder{env: env, cfg: cfg, buf: make([]byte, 0, encodedSizeBound(cfg, n))}
+func serializeNode(env *sim.Env, cfg *Config, n *node, buf []byte) []byte {
+	if bound := encodedSizeBound(cfg, n); cap(buf) < bound {
+		buf = make([]byte, 0, bound)
+	}
+	e := &nodeEncoder{env: env, cfg: cfg, buf: buf[:0]}
 	// Header placeholder; patched at the end.
 	e.buf = append(e.buf, make([]byte, baseHeaderSize)...)
 	e.smallBytes += baseHeaderSize

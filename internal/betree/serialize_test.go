@@ -3,6 +3,7 @@ package betree
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -37,7 +38,7 @@ func TestLeafSerializeRoundTrip(t *testing.T) {
 	}
 	n := mkLeaf(entries, 4<<10)
 	n.basements[0].maxApplied = 42
-	data := serializeNode(env, &cfg, n)
+	data := serializeNode(env, &cfg, n, nil)
 	if len(data)%4096 != 0 {
 		t.Fatalf("serialized length %d not block aligned", len(data))
 	}
@@ -72,7 +73,7 @@ func TestLeafAlignedValuesRoundTrip(t *testing.T) {
 			entries = append(entries, entry{key: []byte(fmt.Sprintf("f%03d", i)), val: InlineValue(v)})
 		}
 		n := mkLeaf(entries, 128<<10)
-		data := serializeNode(env, &cfg, n)
+		data := serializeNode(env, &cfg, n, nil)
 		got, err := deserializeNode(env, &cfg, data)
 		if err != nil {
 			t.Fatalf("pgsh=%v: %v", pgsh, err)
@@ -106,7 +107,7 @@ func TestInteriorSerializeRoundTrip(t *testing.T) {
 	n.bufs[1].insert(&Msg{Type: MsgRangeDelete, MSN: msn, Key: []byte("p"), EndKey: []byte("q")})
 	n.bufs[2].insert(&Msg{Type: MsgUpdate, MSN: msn + 1, Key: []byte("u"), Off: 17, Val: InlineValue([]byte{9})})
 
-	data := serializeNode(env, &cfg, n)
+	data := serializeNode(env, &cfg, n, nil)
 	got, err := deserializeNode(env, &cfg, data)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestCorruptNodeDetected(t *testing.T) {
 	env := sim.NewEnv(1)
 	cfg := DefaultConfig()
 	n := mkLeaf([]entry{{key: []byte("k"), val: InlineValue([]byte("v"))}}, 4<<10)
-	data := serializeNode(env, &cfg, n)
+	data := serializeNode(env, &cfg, n, nil)
 	data[len(data)/2] ^= 0xff
 	if _, err := deserializeNode(env, &cfg, data); err == nil {
 		t.Fatal("corrupted node passed checksum verification")
@@ -146,7 +147,7 @@ func TestLeafShellPartialDecode(t *testing.T) {
 		entries = append(entries, entry{key: []byte(fmt.Sprintf("k%06d", i)), val: InlineValue(make([]byte, 100))})
 	}
 	n := mkLeaf(entries, 8<<10)
-	data := serializeNode(env, &cfg, n)
+	data := serializeNode(env, &cfg, n, nil)
 	shell, consumed, err := decodeLeafShell(data)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +191,7 @@ func TestSerializeRoundTripProperty(t *testing.T) {
 			entries = append(entries, entry{key: []byte(k), val: InlineValue(v)})
 		}
 		n := mkLeaf(entries, 2<<10)
-		got, err := deserializeNode(env, &cfg, serializeNode(env, &cfg, n))
+		got, err := deserializeNode(env, &cfg, serializeNode(env, &cfg, n, nil))
 		if err != nil {
 			return false
 		}
@@ -291,8 +292,8 @@ func TestLiftingShrinksNodes(t *testing.T) {
 	plain.Lifting = false
 	nl := mkLeaf(append([]entry{}, entries...), 8<<10)
 	np := mkLeaf(append([]entry{}, entries...), 8<<10)
-	dl := serializeNode(env, &lifted, nl)
-	dp := serializeNode(env, &plain, np)
+	dl := serializeNode(env, &lifted, nl, nil)
+	dp := serializeNode(env, &plain, np, nil)
 	if len(dl) >= len(dp) {
 		t.Fatalf("lifting did not shrink the node: %d >= %d", len(dl), len(dp))
 	}
@@ -318,7 +319,7 @@ func TestCompressionRoundTrip(t *testing.T) {
 	}
 	n := mkLeaf(entries, 16<<10)
 	cfg := DefaultConfig()
-	raw := serializeNode(env, &cfg, n)
+	raw := serializeNode(env, &cfg, n, nil)
 	comp := compressNode(env, raw)
 	if len(comp) >= len(raw) {
 		t.Fatalf("compression did not shrink a redundant node: %d >= %d", len(comp), len(raw))
@@ -355,7 +356,7 @@ func TestCompressedStoreEndToEnd(t *testing.T) {
 
 // TestDecodeDoesNotAliasImage decodes node images and basements, then
 // overwrites the bytes they were decoded from: the decoded nodes must not
-// change, because full-image read buffers are recycled (imagePool) and a
+// change, because full-image read buffers are recycled (imagePools) and a
 // basement's re-read reuses its buffer. It also checks encodedSizeBound.
 func TestDecodeDoesNotAliasImage(t *testing.T) {
 	env := sim.NewEnv(1)
@@ -380,7 +381,7 @@ func TestDecodeDoesNotAliasImage(t *testing.T) {
 	}
 
 	for _, n := range []*node{leaf, interior} {
-		img := serializeNode(env, &cfg, n)
+		img := serializeNode(env, &cfg, n, nil)
 		if bound := encodedSizeBound(&cfg, n); len(img) > bound || bound >= len(img)+2*blockAlign+8 {
 			t.Errorf("height %d: encodedSizeBound %d, image %d bytes", n.height, bound, len(img))
 		}
@@ -390,12 +391,12 @@ func TestDecodeDoesNotAliasImage(t *testing.T) {
 			t.Fatal(err)
 		}
 		overwrite(img)
-		if !bytes.Equal(serializeNode(env, &cfg, got), want) {
+		if !bytes.Equal(serializeNode(env, &cfg, got, nil), want) {
 			t.Errorf("height %d: decoded node changed when its image was overwritten", n.height)
 		}
 	}
 
-	img := serializeNode(env, &cfg, leaf)
+	img := serializeNode(env, &cfg, leaf, nil)
 	shell, _, err := decodeLeafShell(img)
 	if err != nil {
 		t.Fatal(err)
@@ -417,5 +418,43 @@ func TestDecodeDoesNotAliasImage(t *testing.T) {
 				t.Fatalf("basement %d entry %d changed when its buffers were overwritten", bi, i)
 			}
 		}
+	}
+}
+
+// TestPrepareNodeImageReusesPool is the image pool's allocation guard: with
+// a warm pool, serializing a node for write takes the buffer from the pool
+// instead of allocating an image, and a recycled buffer's stale bytes never
+// reach the image. A sync.Pool may drop what it is given (the race
+// detector drops a quarter of all puts on purpose), so the guard asks that
+// most calls, not all, allocate less than half an image.
+func TestPrepareNodeImageReusesPool(t *testing.T) {
+	_, s := testStore(t, nil)
+	var entries []entry
+	for i := 0; i < 200; i++ {
+		entries = append(entries, entry{key: []byte(fmt.Sprintf("f%04d", i)), val: InlineValue(bytes.Repeat([]byte{byte(i)}, 300))})
+	}
+	leaf := mkLeaf(entries, 16<<10)
+	want := serializeNode(s.env, &s.cfg, leaf, nil)
+	const calls = 100
+	reused := 0
+	var before, after runtime.MemStats
+	for i := 0; i < calls; i++ {
+		runtime.ReadMemStats(&before)
+		img := s.prepareNodeImage(s.Data(), leaf)
+		runtime.ReadMemStats(&after)
+		if after.TotalAlloc-before.TotalAlloc < uint64(len(want))/2 {
+			reused++
+		}
+		if !bytes.Equal(img.data, want) {
+			t.Fatal("image from a recycled buffer differs from a fresh one")
+		}
+		for i := range img.data {
+			img.data[i] = 0xa5 // what the next user of the buffer finds
+		}
+		s.alloc.FreeSized(img.buf)
+		putImage(img.img)
+	}
+	if reused < calls/2 {
+		t.Fatalf("only %d of %d calls took their image buffer from the pool", reused, calls)
 	}
 }

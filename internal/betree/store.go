@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -584,10 +585,12 @@ func (s *Store) replay(rec wal.Record) error {
 // --- node I/O -------------------------------------------------------------
 
 // nodeImage is a serialized node between the CPU half of a write
-// (prepareNodeImage) and the submission half (finishNodeWrite).
+// (prepareNodeImage) and the submission half (finishNodeWrite). img is the
+// pooled buffer data lives in, nil once data no longer does (compression).
 type nodeImage struct {
 	buf  *kmem.Buf
 	data []byte
+	img  *[]byte
 }
 
 // writeNode serializes and writes a dirty node copy-on-write, charging the
@@ -621,21 +624,26 @@ func (s *Store) prepareNodeImage(t *Tree, n *node) nodeImage {
 		buf = s.alloc.Alloc(64 << 10)
 		buf = s.alloc.GrowDoubling(buf, n.memSize()+512, 64<<10)
 	}
-	data := serializeNode(s.env, &s.cfg, n)
+	img := getImage(int64(encodedSizeBound(&s.cfg, n)))
+	data := serializeNode(s.env, &s.cfg, n, *img)
 	if s.cfg.Compression {
 		data = compressNode(s.env, data)
+		putImage(img)
+		img = nil
 	}
-	return nodeImage{buf: buf, data: data}
+	return nodeImage{buf: buf, data: data, img: img}
 }
 
 // inflightWrite is one submitted node-image write. The image and target
 // extent are retained so a failed write can be relocated to fresh space
-// and retried before the sticky write error latches.
+// and retried before the sticky write error latches; img (nil when data is
+// not pooled) goes back to the image pool once the write has succeeded.
 type inflightWrite struct {
 	t        *Tree
 	id       nodeID
 	ext      extent
 	data     []byte
+	img      *[]byte
 	wait     stor.Wait
 	attempts int
 }
@@ -654,7 +662,7 @@ func (s *Store) finishNodeWrite(t *Tree, n *node, img nodeImage) {
 	}
 	t.bt.place(n.id, ext)
 	s.inflight = append(s.inflight, &inflightWrite{
-		t: t, id: n.id, ext: ext, data: data,
+		t: t, id: n.id, ext: ext, data: data, img: img.img,
 		wait: t.f.SubmitWrite(data, ext.off),
 	})
 	if len(s.inflight) > 8 {
@@ -709,6 +717,10 @@ func (s *Store) completeWrite(w *inflightWrite) error {
 	}
 	if err == nil {
 		w.data = nil
+		if w.img != nil {
+			putImage(w.img)
+			w.img = nil
+		}
 	}
 	return err
 }
@@ -792,19 +804,30 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 	return s.decodeFull(t, ext, img)
 }
 
-// imagePool recycles full node-image read buffers (*[]byte). Reuse is safe
-// because decoding copies every key and value out of the image.
-var imagePool sync.Pool
+// imagePools recycles node-image buffers (*[]byte) for both directions:
+// full-image reads, whose reuse is safe because decoding copies every key
+// and value out of the image, and serialized writes, which the device
+// copies at submission and which come back once the write has succeeded.
+// As in §5's cache of common sizes, buffers come in power-of-two classes:
+// class c holds buffers of capacity 1<<c, so a request never meets a
+// pooled buffer too small for it.
+var imagePools [64]sync.Pool
 
-// getImage returns a buffer of n bytes, pooled when one large enough is
-// available. Its contents are stale: callers fill every byte.
+// getImage returns a buffer of n bytes from n's size class. Its contents
+// are stale: callers fill every byte.
 func getImage(n int64) *[]byte {
-	if p, _ := imagePool.Get().(*[]byte); p != nil && int64(cap(*p)) >= n {
+	c := bits.Len64(uint64(n - 1))
+	if p, _ := imagePools[c].Get().(*[]byte); p != nil {
 		*p = (*p)[:n]
 		return p
 	}
-	b := make([]byte, n)
+	b := make([]byte, n, 1<<c)
 	return &b
+}
+
+// putImage returns a buffer from getImage to its size class.
+func putImage(p *[]byte) {
+	imagePools[bits.Len64(uint64(cap(*p)))-1].Put(p)
 }
 
 // countNodeRead counts one node read of bytes off the device.
@@ -841,7 +864,7 @@ func (s *Store) decodeImage(data []byte) (*node, error) {
 // second read. Re-reads count in io.retry.corrupt; a second failure is
 // persistent corruption and surfaces ErrChecksum.
 func (s *Store) decodeFull(t *Tree, ext extent, img *[]byte) (*node, error) {
-	defer imagePool.Put(img)
+	defer putImage(img)
 	n, err := s.decodeImage(*img)
 	if err != nil && errors.Is(err, ErrChecksum) {
 		s.m.retryCorrupt.Inc()
@@ -937,7 +960,7 @@ func (s *Store) prefetch(t *Tree, id nodeID) {
 		// is discarded, so its error is irrelevant).
 		s.pendingMu.Unlock()
 		_ = wait()
-		imagePool.Put(img)
+		putImage(img)
 		return
 	}
 	s.pending[key] = &pendingRead{img: img, wait: wait}
@@ -1249,7 +1272,7 @@ func (s *Store) DropCleanCaches() (err error) {
 	s.pendingMu.Lock()
 	for k, pr := range s.pending {
 		_ = pr.wait() // prefetched data is being discarded
-		imagePool.Put(pr.img)
+		putImage(pr.img)
 		delete(s.pending, k)
 	}
 	s.pendingMu.Unlock()

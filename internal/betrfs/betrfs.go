@@ -683,14 +683,17 @@ func (fs *FS) flushDeferred(dc *deferredCreate) error {
 }
 
 // ReadBlocks queries the data index per block; sequential runs set the
-// tree's read-ahead hint (§3.2).
+// tree's read-ahead hint (§3.2). One key buffer serves the whole run: the
+// tree never keeps a query's key.
 func (fs *FS) ReadBlocks(h vfs.Handle, blk int64, pages []*vfs.Page, seq bool) error {
 	path := h.(string)
 	data := fs.store.Data()
 	data.SetSeqHint(seq)
 	defer data.SetSeqHint(false)
+	key := keys.DataKey(path, uint64(blk))
 	for i, pg := range pages {
-		v, ok, err := data.Get(keys.DataKey(path, uint64(blk+int64(i))))
+		keys.SetDataKeyBlock(key, uint64(blk+int64(i)))
+		v, ok, err := data.Get(key)
 		if err != nil {
 			// Checksum mismatch that survived the verified re-read, or a
 			// media error: surface it as EIO instead of serving zeros.

@@ -18,10 +18,10 @@ func TestShardMapLongestPrefix(t *testing.T) {
 		{"a/x", 1},
 		{"a/b", 2},
 		{"a/b/c/d", 2},
-		{"a/bc", 1},  // "a/b" must not match "a/bc"
-		{"ab", 0},    // "a" must not match "ab"
-		{"a/b2", 1},  // sibling of "a/b"
-		{"A", 0},     // case-sensitive
+		{"a/bc", 1}, // "a/b" must not match "a/bc"
+		{"ab", 0},   // "a" must not match "ab"
+		{"a/b2", 1}, // sibling of "a/b"
+		{"A", 0},    // case-sensitive
 	}
 	for _, c := range cases {
 		if got := m.Route(c.path); got != c.want {

@@ -15,8 +15,8 @@ import (
 // from reqs and push replies through send, controlling completion order
 // precisely — something a real server cannot script.
 type peer struct {
-	conn net.Conn
-	reqs chan *Request
+	conn  net.Conn
+	reqs  chan *Request
 	errCh chan error
 }
 

@@ -75,22 +75,21 @@ func Split(path string) []string {
 // Encode converts a slash-separated path into its key form. The root
 // encodes to an empty key.
 func Encode(path string) []byte {
-	parts := Split(path)
-	if len(parts) == 0 {
-		return []byte{}
-	}
-	n := len(parts) - 1
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]byte, 0, n)
-	for i, p := range parts {
-		if i > 0 {
-			out = append(out, Sep)
+	path = Clean(path)
+	return appendClean(make([]byte, 0, len(path)), path)
+}
+
+// appendClean appends the key form of the clean path to dst: a clean path
+// is its key with '/' in place of Sep.
+func appendClean(dst []byte, path string) []byte {
+	start := len(dst)
+	dst = append(dst, path...)
+	for i := start; i < len(dst); i++ {
+		if dst[i] == '/' {
+			dst[i] = Sep
 		}
-		out = append(out, p...)
 	}
-	return out
+	return dst
 }
 
 // Decode converts an encoded path key back to a slash-separated path.
@@ -102,23 +101,17 @@ func Decode(key []byte) string {
 func MetaKey(path string) []byte { return Encode(path) }
 
 // DataKey returns the data-index key for block blk of the file at path.
+// For a clean path it makes exactly one allocation, the key itself.
 func DataKey(path string, blk uint64) []byte {
-	p := Encode(path)
-	out := make([]byte, len(p)+1+8)
-	copy(out, p)
-	out[len(p)] = Sep
-	binary.BigEndian.PutUint64(out[len(p)+1:], blk)
-	return out
+	path = Clean(path)
+	key := appendClean(make([]byte, 0, len(path)+1+8), path)
+	return binary.BigEndian.AppendUint64(append(key, Sep), blk)
 }
 
-// DataKeyBlock extracts the block number from a data-index key for the
-// file at path. It panics if key does not belong to that file.
-func DataKeyBlock(path string, key []byte) uint64 {
-	p := Encode(path)
-	if len(key) != len(p)+9 || !bytes.HasPrefix(key, p) || key[len(p)] != Sep {
-		panic("keys: data key does not belong to path")
-	}
-	return binary.BigEndian.Uint64(key[len(p)+1:])
+// SetDataKeyBlock rewrites the block number of a data-index key in place,
+// so a run of blocks of one file can share one key buffer.
+func SetDataKeyBlock(key []byte, blk uint64) {
+	binary.BigEndian.PutUint64(key[len(key)-8:], blk)
 }
 
 // SubtreeRange returns the half-open key range [lo, hi) covering every

@@ -2,6 +2,7 @@ package keys
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
 	"strings"
 	"testing"
@@ -118,8 +119,8 @@ func TestFileDataRangeAndBlockOrder(t *testing.T) {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatalf("block keys out of order at %d", blk)
 		}
-		if got := DataKeyBlock("f", k); got != blk {
-			t.Fatalf("DataKeyBlock = %d, want %d", got, blk)
+		if want := binary.BigEndian.AppendUint64([]byte("f\x00"), blk); !bytes.Equal(k, want) {
+			t.Fatalf("DataKey(f, %d) = %x, want %x", blk, k, want)
 		}
 		prev = k
 	}
@@ -236,11 +237,18 @@ func TestSubtreeContiguityProperty(t *testing.T) {
 	}
 }
 
-func TestDataKeyBlockPanicsOnForeignKey(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	DataKeyBlock("a", DataKey("b", 0))
+// TestDataKeyAllocs guards the data path's key cost: a clean path's data
+// key is one allocation, and an unclean path encodes like its clean form.
+func TestDataKeyAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { DataKey("usr/src/linux/fs/ext4/inode.c", 7) }); n != 1 {
+		t.Fatalf("DataKey allocates %v times, want 1", n)
+	}
+	if got, want := DataKey("/a//b/./c/", 9), DataKey("a/b/c", 9); !bytes.Equal(got, want) {
+		t.Fatalf("DataKey of an unclean path = %x, want %x", got, want)
+	}
+	k := DataKey("a/b", 1)
+	SetDataKeyBlock(k, 1<<40)
+	if want := DataKey("a/b", 1<<40); !bytes.Equal(k, want) {
+		t.Fatalf("SetDataKeyBlock = %x, want %x", k, want)
+	}
 }

@@ -71,9 +71,9 @@ func (r remoteFS) WriteBurst(f any, offs []int64, chunks [][]byte) error {
 func (r remoteFS) ReadAt(f any, off int64, n int) ([]byte, error) {
 	return r.cli.Read(f.(uint64), off, n)
 }
-func (r remoteFS) Fsync(f any) error      { return r.cli.Fsync(f.(uint64)) }
+func (r remoteFS) Fsync(f any) error        { return r.cli.Fsync(f.(uint64)) }
 func (r remoteFS) Rename(o, n string) error { return r.cli.Rename(o, n) }
-func (r remoteFS) Unlink(p string) error  { return r.cli.Unlink(p) }
+func (r remoteFS) Unlink(p string) error    { return r.cli.Unlink(p) }
 
 // localFS drives the workload straight into a mount (the oracle).
 type localFS struct{ m *vfs.Mount }
@@ -102,9 +102,9 @@ func (l localFS) ReadAt(f any, off int64, n int) ([]byte, error) {
 	got, err := f.(*vfs.File).ReadAt(buf, off)
 	return buf[:got], err
 }
-func (l localFS) Fsync(f any) error      { return f.(*vfs.File).Fsync() }
+func (l localFS) Fsync(f any) error        { return f.(*vfs.File).Fsync() }
 func (l localFS) Rename(o, n string) error { return l.m.Rename(o, n) }
-func (l localFS) Unlink(p string) error  { return l.m.Remove(p) }
+func (l localFS) Unlink(p string) error    { return l.m.Remove(p) }
 
 // chunkData is the deterministic payload for client ci, file j, chunk k.
 func chunkData(ci, j, k, n int) []byte {
@@ -257,7 +257,7 @@ func tortureServer() (*bench.Instance, *fsserve.Server) {
 	in := bench.BuildConcurrent("betrfs-v0.6", 256, 2)
 	cfg := fsserve.DefaultConfig()
 	cfg.Workers = 2
-	cfg.QueueDepth = 1024 // no shedding: every acknowledged op must land
+	cfg.QueueDepth = 1024        // no shedding: every acknowledged op must land
 	cfg.SessionLease = time.Hour // long: the sweep tests cuts, not expiry
 	srv := fsserve.New(in.Env, in.Mount, cfg)
 	return in, srv

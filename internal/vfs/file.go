@@ -104,8 +104,7 @@ func (f *File) truncateLocked(size int64) error {
 		fromBlk := (size + PageSize - 1) / PageSize
 		for blk, pg := range f.ino.pages {
 			if blk >= fromBlk {
-				m.forgetPage(pg)
-				delete(f.ino.pages, blk)
+				m.dropPage(pg)
 			}
 		}
 		if err := m.fs.TruncateBlocks(f.ino.h, fromBlk); err != nil {
@@ -120,8 +119,7 @@ func (f *File) truncateLocked(size int64) error {
 			if !ok {
 				pg = m.newPage(f.ino, blk)
 				if err := m.fs.ReadBlocks(f.ino.h, blk, []*Page{pg}, false); err != nil {
-					m.forgetPage(pg)
-					delete(f.ino.pages, blk)
+					m.dropPage(pg)
 					return err
 				}
 			} else {
@@ -234,8 +232,7 @@ func (f *File) writeAtLocked(p []byte, off int64) (int, error) {
 			m.m.writeRMW.Inc()
 			pg = m.newPage(ino, blk)
 			if err := m.fs.ReadBlocks(ino.h, blk, []*Page{pg}, false); err != nil {
-				m.forgetPage(pg)
-				delete(ino.pages, blk)
+				m.dropPage(pg)
 				return f.finishWrite(written, pos, err)
 			}
 			m.stats.PagesRead++
@@ -325,6 +322,11 @@ func (f *File) readAtLocked(p []byte, off int64) (int, error) {
 		}
 		m.env.Memcpy(n)
 		copy(p[read:read+n], pg.Data[po:po+n])
+		if !ok {
+			// fillPages left the eviction its pages may cause to us, so
+			// the page just read could not be recycled before the copy.
+			m.evictClean()
+		}
 		read += n
 		pos += int64(n)
 	}
@@ -334,7 +336,10 @@ func (f *File) readAtLocked(p []byte, off int64) (int, error) {
 
 // fillPages reads block blk (plus read-ahead) from the FS and returns
 // blk's page. On a read failure every just-instantiated page is dropped
-// from the cache — a later retry must hit the FS again, not garbage.
+// from the cache — a later retry must hit the FS again, not garbage. The
+// new pages go onto the LRU but nothing is evicted yet: the caller copies
+// out of blk's page first and then runs evictClean, which evicts exactly
+// the pages page-by-page tracking would have, in the same order.
 func (m *Mount) fillPages(ino *inode, blk int64, seq bool, raPages int) (*Page, error) {
 	lastBlk := (ino.attr.Size + PageSize - 1) / PageSize
 	count := 1
@@ -348,7 +353,6 @@ func (m *Mount) fillPages(ino *inode, blk int64, seq bool, raPages int) (*Page, 
 		}
 	}
 	var pages []*Page
-	var blks []int64
 	for i := 0; i < count; i++ {
 		b := blk + int64(i)
 		if _, ok := ino.pages[b]; ok && i > 0 {
@@ -357,21 +361,18 @@ func (m *Mount) fillPages(ino *inode, blk int64, seq bool, raPages int) (*Page, 
 		if i > 0 {
 			m.env.Charge(m.env.Costs.PageCacheOp)
 		}
-		pg := m.newPage(ino, b)
-		pages = append(pages, pg)
-		blks = append(blks, b)
+		pages = append(pages, m.newPage(ino, b))
 	}
 	if err := m.fs.ReadBlocks(ino.h, blk, pages, seq); err != nil {
-		for i, pg := range pages {
-			m.forgetPage(pg)
-			delete(ino.pages, blks[i])
+		for _, pg := range pages {
+			m.dropPage(pg)
 		}
 		return nil, err
 	}
 	m.stats.PagesRead += int64(len(pages))
 	m.m.pageRead.Add(int64(len(pages)))
 	for _, pg := range pages {
-		m.trackClean(pg)
+		m.listClean(pg)
 	}
 	return pages[0], nil
 }

@@ -14,6 +14,7 @@ package vfs
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"betrfs/internal/ioerr"
@@ -91,24 +92,49 @@ type DirEntry struct {
 // Page is a page-cache page. FS implementations may pin pages (page
 // sharing, §6): while pinned the contents are immutable and the VFS
 // copies-on-write if the application writes again.
+//
+// A page's frame (the struct and its Data) has one atomic reference word:
+// 1 while the page cache holds the page, plus 2 per FS pin. Whichever side
+// lets go last — the cache dropping the page or the FS's final Release —
+// returns the frame to its mount's free list; a page built outside a mount
+// has no free list and is left to the garbage collector.
 type Page struct {
 	Data  []byte
 	Dirty bool
-	pins  int
+
+	ref    atomic.Int32
+	frames *framePool // nil for pages built outside a mount
 
 	ino *inode
 	blk int64
 	// dirtiedAt is when the page last transitioned clean->dirty, for
 	// dirty_expire-style write-back.
 	dirtiedAt time.Duration
+	// prev, next and list link the page into the mount's clean LRU or
+	// dirty list (list is nil while the page is on neither).
+	prev, next *Page
+	list       *pageList
 }
 
 // Pin marks the page immutable-by-VFS; Release undoes it.
-func (p *Page) Pin()     { p.pins++ }
-func (p *Page) Release() { p.pins-- }
+func (p *Page) Pin()     { p.ref.Add(2) }
+func (p *Page) Release() { p.unref(2) }
 
 // Pinned reports whether any FS-side reference holds the page.
-func (p *Page) Pinned() bool { return p.pins > 0 }
+func (p *Page) Pinned() bool { return p.ref.Load() >= 2 }
+
+// unref drops n from the reference word and frees the frame when nothing
+// holds it any more.
+func (p *Page) unref(n int32) {
+	switch r := p.ref.Add(-n); {
+	case r == 0:
+		if p.frames != nil {
+			p.frames.put(p)
+		}
+	case r < 0:
+		panic("vfs: page released more often than it was held")
+	}
+}
 
 // FS is the interface a concrete file system exposes to the VFS.
 type FS interface {

@@ -1,7 +1,6 @@
 package vfs
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sort"
@@ -96,11 +95,12 @@ type Mount struct {
 	root   *inode
 
 	// Page accounting: lru holds clean pages for eviction; dirty holds
-	// dirty pages in dirtying order for write-back.
-	lru        *list.List // of *Page
-	lruEl      map[*Page]*list.Element
-	dirty      *list.List // of *Page
-	dirtyEl    map[*Page]*list.Element
+	// dirty pages in dirtying order for write-back. frames recycles the
+	// page frames the cache and the FS have both let go of.
+	lru        pageList
+	dirty      pageList
+	frames     framePool
+	run        []*Page // writebackPage's run, reused across calls
 	cleanBytes int64
 	dirtyBytes int64
 
@@ -202,10 +202,7 @@ func NewMount(env *sim.Env, fs FS, cfg Config) *Mount {
 		cfg:         cfg,
 		dcache:      make(map[string]*dentry),
 		icache:      make(map[Handle]*inode),
-		lru:         list.New(),
-		lruEl:       make(map[*Page]*list.Element),
-		dirty:       list.New(),
-		dirtyEl:     make(map[*Page]*list.Element),
+		frames:      framePool{max: int(cfg.CacheBytes / PageSize)},
 		dirtyInodes: make(map[*inode]time.Duration),
 	}
 	m.m = resolveMountMetrics(env.Metrics)

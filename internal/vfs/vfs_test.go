@@ -3,6 +3,7 @@ package vfs
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -128,7 +129,8 @@ func (f *memFS) WriteBlocks(h Handle, blk int64, pgs []*Page, durable bool) erro
 	f.lastWriteRunLen = len(pgs)
 	n := f.nodes[h.(int)]
 	for i, pg := range pgs {
-		n.blocks[blk+int64(i)] = append([]byte{}, pg.Data...)
+		b := blk + int64(i)
+		n.blocks[b] = append(n.blocks[b][:0], pg.Data...)
 		f.blocksWritten++
 	}
 	return nil
@@ -396,5 +398,140 @@ func TestRenameDirInvalidatesDescendants(t *testing.T) {
 	}
 	if _, err := m.Stat("z/b/f"); err != nil {
 		t.Fatalf("new path unresolvable: %v", err)
+	}
+}
+
+// pinFS is memFS with page sharing: WriteBlocks pins every page it writes
+// and hands it to the test, which plays the tree's final Release.
+type pinFS struct {
+	*memFS
+	pinned chan *Page
+}
+
+func (f *pinFS) WriteBlocks(h Handle, blk int64, pgs []*Page, durable bool) error {
+	for _, pg := range pgs {
+		pg.Pin()
+		f.pinned <- pg
+	}
+	return f.memFS.WriteBlocks(h, blk, pgs, durable)
+}
+
+// TestCowCopiesBeforeDroppingHold releases the FS's pin of a written page
+// on another goroutine as soon as a partial overwrite has made the cache
+// let go of it. The copy-on-write must have read the old page before
+// dropping the cache's hold: afterwards the frame may be zeroed and reused
+// at any moment. Under -race a read after the drop is reported even when
+// the release happens to come late.
+func TestCowCopiesBeforeDroppingHold(t *testing.T) {
+	env := sim.NewEnv(1)
+	fs := &pinFS{memFS: newMemFS(env), pinned: make(chan *Page, 1)}
+	m := NewMount(env, fs, DefaultConfig())
+	f, _ := m.Create("f")
+	want := make([]byte, PageSize)
+	for i := 0; i < 200; i++ {
+		for j := range want {
+			want[j] = byte(i + j)
+		}
+		f.WriteAt(want, 0)
+		m.Writeback()
+		old := <-fs.pinned
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for old.ref.Load() != 2 { // only the pin is left
+				runtime.Gosched()
+			}
+			old.Release()
+		}()
+		want[7] = 0xee
+		f.WriteAt(want[7:8], 7) // copy-on-write of the pinned page
+		<-done
+		got := make([]byte, PageSize)
+		f.ReadAt(got, 0)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: the copied page lost the old contents", i)
+		}
+	}
+	if n := m.FramesOut(); n != 1 {
+		t.Fatalf("%d frames out, want the one cached page", n)
+	}
+}
+
+// TestPageRefWord checks the reference word: the frame comes back to the
+// free list, zeroed, only when both the cache and every pin have let go.
+func TestPageRefWord(t *testing.T) {
+	_, _, m := newTestMount(t, nil)
+	f, _ := m.Create("f")
+	f.Write(bytes.Repeat([]byte{9}, PageSize))
+	m.writebackAll(false)
+	pg := m.icache[2].pages[0]
+	pg.Pin()
+	pg.Pin()
+	if !pg.Pinned() {
+		t.Fatal("pinned page reports unpinned")
+	}
+	f.Truncate(0) // the cache lets go first
+	if n := m.FramesOut(); n != 1 || len(m.frames.free) != 0 {
+		t.Fatalf("frame freed while pinned: %d out, %d free", n, len(m.frames.free))
+	}
+	pg.Release()
+	if !pg.Pinned() || m.FramesOut() != 1 {
+		t.Fatal("one release of two pins freed the frame")
+	}
+	pg.Release()
+	if m.FramesOut() != 0 || len(m.frames.free) != 1 {
+		t.Fatalf("last release did not return the frame: %d out, %d free", m.FramesOut(), len(m.frames.free))
+	}
+	f.WriteAt([]byte{1}, 0)
+	if got := m.icache[2].pages[0]; got != pg || got.Data[1] != 0 {
+		t.Fatal("reused frame is not the freed one, or not zeroed")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing an unpinned page did not panic")
+		}
+	}()
+	pg.Release()
+}
+
+// TestPageOutsideMount checks that a page built outside a mount pins and
+// releases like any other but has no free list to return to.
+func TestPageOutsideMount(t *testing.T) {
+	pg := &Page{Data: make([]byte, PageSize)}
+	pg.Pin()
+	if !pg.Pinned() {
+		t.Fatal("pin not visible")
+	}
+	pg.Data[0] = 1
+	pg.Release()
+	if pg.Pinned() || pg.Data[0] != 1 {
+		t.Fatal("release of a page without a mount changed it")
+	}
+}
+
+// TestWriteEvictCycleAllocatesNoFrame is the allocation guard of the page
+// cache: on a warm mount, a full-page write, its write-back and the
+// eviction it causes reuse frames from the free list instead of allocating.
+func TestWriteEvictCycleAllocatesNoFrame(t *testing.T) {
+	_, fs, m := newTestMount(t, func(c *Config) {
+		c.CacheBytes = 4 * PageSize
+		c.MaintainInterval = time.Duration(1 << 62)
+	})
+	f, _ := m.Create("f")
+	page := bytes.Repeat([]byte{5}, PageSize)
+	blk := 0
+	cycle := func() {
+		f.WriteAt(page, int64(blk%8)*PageSize)
+		blk++
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	evictions, written := m.Stats().PageEvictions, fs.blocksWritten
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("write, write-back and eviction allocate %v times per cycle, want 0", n)
+	}
+	if m.Stats().PageEvictions == evictions || fs.blocksWritten == written {
+		t.Fatal("the cycle neither evicted nor wrote back")
 	}
 }

@@ -9,13 +9,13 @@ import "sort"
 // when BetrFS's conditional logging finally inserts deferred inode-create
 // messages into the tree (§3.3).
 
-// newPage allocates a page-cache page for (ino, blk), replacing any
-// existing entry.
+// newPage takes a frame from the mount's free list for (ino, blk),
+// replacing any existing entry. The cache holds the new page.
 func (m *Mount) newPage(ino *inode, blk int64) *Page {
 	if old, ok := ino.pages[blk]; ok {
-		m.forgetPage(old)
+		m.dropPage(old)
 	}
-	pg := &Page{Data: make([]byte, PageSize), ino: ino, blk: blk}
+	pg := m.frames.get(ino, blk)
 	ino.pages[blk] = pg
 	return pg
 }
@@ -24,7 +24,9 @@ func (m *Mount) newPage(ino *inode, blk int64) *Page {
 // reference to the current page (page sharing, §6), a fresh page replaces
 // it in the cache — copying the old contents unless the write fully
 // overwrites the block — and the pinned page remains immutable, owned by
-// the FS.
+// the FS. The cache's hold on the old page is dropped only after the copy:
+// the FS may release its last pin at any moment (from a background flush
+// in concurrent mode), and the frame must not be recycled mid-copy.
 func (m *Mount) cowIfPinned(ino *inode, blk int64, pg *Page, fullOverwrite bool) *Page {
 	if !pg.Pinned() {
 		m.touchPage(pg)
@@ -32,13 +34,13 @@ func (m *Mount) cowIfPinned(ino *inode, blk int64, pg *Page, fullOverwrite bool)
 	}
 	m.stats.CowCopies++
 	m.m.cowCopy.Inc()
-	m.forgetPage(pg)
-	npg := &Page{Data: make([]byte, PageSize), ino: ino, blk: blk}
+	npg := m.frames.get(ino, blk)
 	if !fullOverwrite {
 		m.env.Memcpy(PageSize)
 		copy(npg.Data, pg.Data)
 	}
 	m.env.ChargeAlloc(m.env.Costs.KmallocBase)
+	m.dropPage(pg)
 	ino.pages[blk] = npg
 	return npg
 }
@@ -48,57 +50,65 @@ func (m *Mount) dirtyPage(pg *Page) {
 	if pg.Dirty {
 		return
 	}
-	if el, ok := m.lruEl[pg]; ok {
-		m.lru.Remove(el)
-		delete(m.lruEl, pg)
+	if pg.list == &m.lru {
+		m.lru.remove(pg)
 		m.cleanBytes -= PageSize
 	}
 	pg.Dirty = true
 	pg.dirtiedAt = m.env.Now()
-	m.dirtyEl[pg] = m.dirty.PushBack(pg)
+	m.dirty.pushBack(pg)
 	m.dirtyBytes += PageSize
 }
 
 // trackClean registers a clean page for LRU eviction.
 func (m *Mount) trackClean(pg *Page) {
-	if pg.Dirty {
-		return
-	}
-	if _, ok := m.lruEl[pg]; ok {
-		return
-	}
-	m.lruEl[pg] = m.lru.PushFront(pg)
-	m.cleanBytes += PageSize
+	m.listClean(pg)
 	m.evictClean()
+}
+
+// listClean puts a clean page at the front of the LRU without evicting.
+func (m *Mount) listClean(pg *Page) {
+	if pg.Dirty || pg.list == &m.lru {
+		return
+	}
+	m.lru.pushFront(pg)
+	m.cleanBytes += PageSize
 }
 
 // touchPage refreshes LRU position.
 func (m *Mount) touchPage(pg *Page) {
-	if el, ok := m.lruEl[pg]; ok {
-		m.lru.MoveToFront(el)
+	if pg.list == &m.lru {
+		m.lru.moveToFront(pg)
 	}
 }
 
-// forgetPage removes a page from all accounting (deleted or replaced).
+// forgetPage takes a page off the LRU or the dirty list (a dirty page
+// becomes clean); the page stays in its inode's page map.
 func (m *Mount) forgetPage(pg *Page) {
-	if el, ok := m.lruEl[pg]; ok {
-		m.lru.Remove(el)
-		delete(m.lruEl, pg)
+	switch pg.list {
+	case &m.lru:
+		m.lru.remove(pg)
 		m.cleanBytes -= PageSize
-	}
-	if el, ok := m.dirtyEl[pg]; ok {
-		m.dirty.Remove(el)
-		delete(m.dirtyEl, pg)
+	case &m.dirty:
+		m.dirty.remove(pg)
 		m.dirtyBytes -= PageSize
 		pg.Dirty = false
 	}
 }
 
+// dropPage removes a page from the cache (evicted, truncated, deleted,
+// replaced, or a failed fill) and drops the cache's hold on its frame.
+// Callers make their last read of the page before dropping it.
+func (m *Mount) dropPage(pg *Page) {
+	m.forgetPage(pg)
+	delete(pg.ino.pages, pg.blk)
+	pg.unref(1)
+}
+
 // dropInodePages discards all of an inode's pages (file deleted).
 func (m *Mount) dropInodePages(ino *inode) {
-	for blk, pg := range ino.pages {
-		m.forgetPage(pg)
-		delete(ino.pages, blk)
+	for _, pg := range ino.pages {
+		m.dropPage(pg)
 	}
 }
 
@@ -121,7 +131,7 @@ func (m *Mount) writebackPage(pg *Page, durable bool) {
 		}
 		start--
 	}
-	var run []*Page
+	run := m.run[:0]
 	for b := start; len(run) < maxWritebackRun; b++ {
 		p, ok := ino.pages[b]
 		if !ok || !p.Dirty {
@@ -130,6 +140,8 @@ func (m *Mount) writebackPage(pg *Page, durable bool) {
 		run = append(run, p)
 	}
 	m.writebackRun(ino, start, run, durable)
+	clear(run)
+	m.run = run
 }
 
 // writebackRun writes one contiguous run of dirty pages. On failure the
@@ -200,25 +212,19 @@ func (m *Mount) balanceDirty() {
 		return
 	}
 	low := high / 2
-	for m.dirtyBytes > low {
-		el := m.dirty.Front()
-		if el == nil {
-			break
-		}
-		m.writebackPage(el.Value.(*Page), false)
+	for m.dirtyBytes > low && m.dirty.front != nil {
+		m.writebackPage(m.dirty.front, false)
 	}
 }
 
 // evictClean drops cold clean pages when the cache exceeds its budget.
 func (m *Mount) evictClean() {
 	for m.cleanBytes+m.dirtyBytes > m.cfg.CacheBytes {
-		el := m.lru.Back()
-		if el == nil {
+		pg := m.lru.back
+		if pg == nil {
 			return
 		}
-		pg := el.Value.(*Page)
-		m.forgetPage(pg)
-		delete(pg.ino.pages, pg.blk)
+		m.dropPage(pg)
 		m.stats.PageEvictions++
 		m.m.pageEvict.Inc()
 	}
@@ -235,8 +241,7 @@ func (m *Mount) maintain() {
 	m.lastMaintain = now
 	// Expired dirty pages (dirty_expire_centisecs): the dirty list is in
 	// dirtying order, so flush from the front while pages are past due.
-	for el := m.dirty.Front(); el != nil; el = m.dirty.Front() {
-		pg := el.Value.(*Page)
+	for pg := m.dirty.front; pg != nil; pg = m.dirty.front {
 		if now-pg.dirtiedAt < m.cfg.DirtyExpire {
 			break
 		}
@@ -266,8 +271,8 @@ func (m *Mount) sortedDirtyInodes() []*inode {
 
 // writebackAll flushes every dirty page and inode.
 func (m *Mount) writebackAll(durable bool) {
-	for m.dirty.Front() != nil {
-		m.writebackPage(m.dirty.Front().Value.(*Page), durable)
+	for m.dirty.front != nil {
+		m.writebackPage(m.dirty.front, durable)
 	}
 	for _, ino := range m.sortedDirtyInodes() {
 		m.writebackInodeAttr(ino)

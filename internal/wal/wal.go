@@ -270,20 +270,21 @@ func (l *Log) appendPad(n int) {
 	l.mPad.Add(int64(n))
 }
 
+// encode appends one record — header, payload, CRC — straight onto the
+// pending buffer.
 func (l *Log) encode(t RecordType, lsn uint64, payload []byte) {
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[0:], recMagic)
-	binary.BigEndian.PutUint32(hdr[4:], l.epoch)
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	binary.BigEndian.PutUint64(hdr[12:], lsn)
-	hdr[20] = byte(t)
-	rec := append(append(append([]byte{}, hdr[:]...), payload...), 0, 0, 0, 0)
-	crc := crc32.ChecksumIEEE(rec[:len(rec)-crcSize])
-	binary.BigEndian.PutUint32(rec[len(rec)-crcSize:], crc)
-	l.env.Serialize(len(rec))
-	l.env.Checksum(len(rec))
-	l.pending = append(l.pending, rec...)
-	l.head += int64(len(rec))
+	start := len(l.pending)
+	l.pending = binary.BigEndian.AppendUint32(l.pending, recMagic)
+	l.pending = binary.BigEndian.AppendUint32(l.pending, l.epoch)
+	l.pending = binary.BigEndian.AppendUint32(l.pending, uint32(len(payload)))
+	l.pending = binary.BigEndian.AppendUint64(l.pending, lsn)
+	l.pending = append(l.pending, byte(t))
+	l.pending = append(l.pending, payload...)
+	l.pending = binary.BigEndian.AppendUint32(l.pending, crc32.ChecksumIEEE(l.pending[start:]))
+	n := len(l.pending) - start
+	l.env.Serialize(n)
+	l.env.Checksum(n)
+	l.head += int64(n)
 }
 
 // WriteOut writes all pending records to the region without a
@@ -499,7 +500,8 @@ func (l *Log) hintFrom(n int) Hint {
 // write, stale data, or wrap past the end of the log); that is a normal
 // end-of-log, not an error. A device read error aborts the scan and is
 // returned alongside the records recovered so far — the caller decides
-// whether a partially unreadable log is fatal for the mount.
+// whether a partially unreadable log is fatal for the mount. A hint that
+// points outside the region is an error.
 func Recover(env *sim.Env, f stor.File, hint Hint) ([]Record, error) {
 	var mReplay *metrics.Counter
 	if env.Metrics != nil {
@@ -508,6 +510,9 @@ func Recover(env *sim.Env, f stor.File, hint Hint) ([]Record, error) {
 		mReplay = &metrics.Counter{}
 	}
 	capacity := f.Capacity()
+	if hint.Offset < 0 || hint.Offset >= capacity && capacity > 0 {
+		return nil, fmt.Errorf("wal: recovery hint offset %d outside the %d-byte log", hint.Offset, capacity)
+	}
 	var out []Record
 	pos := hint.Offset
 	want := hint.LSN

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"betrfs/internal/sim"
@@ -459,5 +461,40 @@ func BenchmarkReclaimPinned(b *testing.B) {
 	}
 	if b.N > 1 && freed == 0 {
 		b.Fatal("nothing was ever reclaimable")
+	}
+}
+
+// TestRecordLayout pins the record bytes encode writes: header (magic,
+// epoch, payload length, LSN, type), payload, then a CRC over both.
+func TestRecordLayout(t *testing.T) {
+	_, _, l := newLog(t, 1<<12)
+	if _, err := l.Append(7, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	want := binary.BigEndian.AppendUint32(nil, recMagic)
+	want = binary.BigEndian.AppendUint32(want, 1)
+	want = binary.BigEndian.AppendUint32(want, 3)
+	want = binary.BigEndian.AppendUint64(want, 1)
+	want = append(want, 7, 'a', 'b', 'c')
+	want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE(want))
+	if !bytes.Equal(l.pending, want) {
+		t.Fatalf("record bytes %x, want %x", l.pending, want)
+	}
+}
+
+// TestAppendAllocatesNothing is the log's allocation guard: once the
+// pending buffer has grown, Append builds records in place.
+func TestAppendAllocatesNothing(t *testing.T) {
+	_, _, l := newLog(t, 1<<20)
+	payload := bytes.Repeat([]byte{1}, 64)
+	for i := 0; i < 2000; i++ {
+		l.Append(1, payload)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	l.Reclaim(l.NextLSN())
+	if n := testing.AllocsPerRun(1000, func() { l.Append(1, payload) }); n != 0 {
+		t.Fatalf("Append allocates %v times per record, want 0", n)
 	}
 }
