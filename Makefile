@@ -10,9 +10,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race benchmod scrub repair faults bench-json serve servebench netfaults aging shard
+.PHONY: check vet build test race fuzz benchmod scrub repair faults bench-json serve servebench netfaults aging shard
 
-check: vet build race benchmod scrub repair faults serve servebench netfaults aging shard bench-json
+check: vet build race fuzz benchmod scrub repair faults serve servebench netfaults aging shard bench-json
 
 # Static analysis, plus the formatting gate: any file gofmt would change
 # fails the target (gofmt -l lists it).
@@ -35,6 +35,19 @@ test:
 # goldens. -count=1 keeps the test cache from skipping it.
 race:
 	$(GO) test -race -count=1 ./...
+
+# Native fuzzing: each target searches for new inputs for FUZZTIME, one
+# target per invocation (go test -fuzz takes one). `race` replays every
+# committed corpus; a crasher found here is written to the package's
+# testdata/fuzz/<target>/ directory, where it is committed with its fix.
+FUZZTIME ?= 10s
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNode$$' -fuzztime $(FUZZTIME) ./internal/blobfs
+	$(GO) test -run '^$$' -fuzz '^FuzzClean$$' -fuzztime $(FUZZTIME) ./internal/keys
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAttr$$' -fuzztime $(FUZZTIME) ./internal/betrfs
+	$(GO) test -run '^$$' -fuzz '^FuzzValidate$$' -fuzztime $(FUZZTIME) ./internal/bench
 
 # The benchmark module's own tests (about 5 s). The benchmark is a separate
 # Go module that `go test ./...` above never builds; it reaches into the

@@ -18,6 +18,7 @@ import (
 	"betrfs/internal/betree"
 	"betrfs/internal/blockdev"
 	"betrfs/internal/kmem"
+	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sfl"
 	"betrfs/internal/sim"
 	"betrfs/internal/systems"
@@ -299,14 +300,14 @@ func BenchmarkAblationLifting(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var written float64
 			for i := 0; i < b.N; i++ {
-				_, s := buildTree(b, func(c *betree.Config) { c.Lifting = lifting })
+				env, s := buildTree(b, func(c *betree.Config) { c.Lifting = lifting })
 				tr := s.Meta()
 				for f := 0; f < 30000; f++ {
 					key := fmt.Sprintf("usr/src/linux-3.11.10/drivers/net/e%05d.c", f)
 					tr.Put([]byte(key), make([]byte, 64), betree.LogAuto)
 				}
 				s.Checkpoint()
-				written += float64(s.Stats().BytesWritten) / 1e6
+				written += float64(metricstest.Counter(b, env.Metrics, "betree.bytes.written")) / 1e6
 			}
 			b.ReportMetric(written/float64(b.N), "node_MB_written")
 		})
@@ -333,7 +334,7 @@ func BenchmarkAblationCompression(b *testing.B) {
 				}
 				s.Checkpoint()
 				elapsed += (env.Now() - start).Seconds()
-				written += float64(s.Stats().BytesWritten) / 1e6
+				written += float64(metricstest.Counter(b, env.Metrics, "betree.bytes.written")) / 1e6
 			}
 			b.ReportMetric(elapsed/float64(b.N), "sim_s")
 			b.ReportMetric(written/float64(b.N), "node_MB_written")

@@ -38,11 +38,12 @@ func main() {
 	}
 	store.Checkpoint() // force the tree to disk so the I/O pattern is visible
 	insertTime := env.Now() - start
-	st := store.Stats()
+	nodes := env.Metrics.Counter("betree.node.write").Load()
+	written := env.Metrics.Counter("betree.bytes.written").Load()
 	fmt.Printf("%d random inserts in %v simulated (%.0f kop/s)\n",
 		n, insertTime, float64(n)/insertTime.Seconds()/1e3)
 	fmt.Printf("  device writes: %d nodes, %d MiB (avg write %d KiB — write optimization)\n",
-		st.NodesWritten, st.BytesWritten>>20, st.BytesWritten/maxi(st.NodesWritten, 1)>>10)
+		nodes, written>>20, written/max(nodes, 1)>>10)
 
 	// Point and range queries.
 	tr.Put([]byte("app/config/mode"), []byte("fast"), betree.LogAuto)
@@ -62,11 +63,4 @@ func main() {
 	tr.DeleteRange([]byte("user/"), []byte("user0"), betree.LogAuto)
 	fmt.Printf("range delete of %d keys took %v (one message)\n", count, env.Now()-start)
 	fmt.Printf("remaining user keys: %d\n", tr.Count([]byte("user/"), []byte("user0")))
-}
-
-func maxi(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -17,8 +17,8 @@ func main() {
 		r := workload.MailServer(in.Env, in.Mount, 10, 300, 10_000)
 		fmt.Printf("%-12s: %8.0f op/s over %d mail operations (%.2fs simulated)\n",
 			system, r.KOpsPerSec()*1000, r.Ops, r.Seconds())
-		vs := in.Mount.Stats()
+		reg := in.Env.Metrics
 		fmt.Printf("              fsyncs=%d pagesWritten=%d devWrites=%d\n",
-			vs.Fsyncs, vs.PagesWritten, in.Dev.Stats().Writes)
+			reg.Counter("vfs.fsync.count").Load(), reg.Counter("vfs.page.write").Load(), in.Dev.Stats().Writes)
 	}
 }

@@ -60,6 +60,7 @@ func main() {
 	st := dev.Stats()
 	fmt.Printf("device I/O: %d writes (%d KiB), %d reads (%d KiB), %d flushes\n",
 		st.Writes, st.BytesWritten>>10, st.Reads, st.BytesRead>>10, st.Flushes)
-	ts := fs.Store().Stats()
-	fmt.Printf("Bε-tree: %d nodes written, %d checkpoints\n", ts.NodesWritten, ts.Checkpoints)
+	reg := env.Metrics
+	fmt.Printf("Bε-tree: %d nodes written, %d checkpoints\n",
+		reg.Counter("betree.node.write").Load(), reg.Counter("betree.checkpoint.run").Load())
 }

@@ -16,7 +16,7 @@ import (
 
 // metricNameRE matches a backticked metric name in the docs: a known
 // layer prefix followed by dot-separated lower-case segments.
-var metricNameRE = regexp.MustCompile("`((?:betree|wal|sfl|southbound|blockdev|kmem|vfs|betrfs|flusher|io|scrub|ftl|fsrpc|fsserve|readcache)\\.[a-z0-9_.]+)`")
+var metricNameRE = regexp.MustCompile("`((?:betree|wal|sfl|southbound|blockdev|kmem|vfs|betrfs|logfs|flusher|io|scrub|ftl|fsrpc|fsserve|readcache)\\.[a-z0-9_.]+)`")
 
 // documentedMetrics extracts every metric name mentioned in the given
 // markdown files.
@@ -36,11 +36,11 @@ func documentedMetrics(t *testing.T, paths ...string) map[string]bool {
 }
 
 // registeredMetrics builds both betrfs stacks (the v0.6 SFL path and the
-// v0.4 southbound path) and unions their registries, which between them
-// construct every instrumented layer.
+// v0.4 southbound path) and f2fs (logfs) and unions their registries,
+// which between them construct every instrumented layer.
 func registeredMetrics() map[string]bool {
 	out := map[string]bool{}
-	for _, sys := range []string{"betrfs-v0.6", "betrfs-v0.4"} {
+	for _, sys := range []string{"betrfs-v0.6", "betrfs-v0.4", "f2fs"} {
 		in := Build(sys, 2048)
 		for _, n := range in.Env.Metrics.Names() {
 			out[n] = true

@@ -9,6 +9,7 @@ import (
 
 	"betrfs/internal/blockdev"
 	"betrfs/internal/kmem"
+	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sfl"
 	"betrfs/internal/sim"
 )
@@ -390,7 +391,7 @@ func TestLogReplayAfterCrashPastLogWrap(t *testing.T) {
 	if err := s.SyncLog(); err != nil {
 		t.Fatal(err)
 	}
-	if ck, live := s.Stats().Checkpoints, s.Log().LiveBytes(); ck != 2 || live < lay.LogBytes/4 {
+	if ck, live := metricstest.Counter(t, s.env.Metrics, "betree.checkpoint.run"), s.Log().LiveBytes(); ck != 2 || live < lay.LogBytes/4 {
 		t.Fatalf("setup: %d checkpoints, %d live log bytes; want 2 and over a quarter region", ck, live)
 	}
 	s.cache.dropAll()
@@ -455,7 +456,7 @@ func TestPacmanCoalescesDirectoryDeletes(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		tr.Put([]byte(fmt.Sprintf("zzz/key-%08d", i)), v(i, 64), LogAuto)
 	}
-	if s.Stats().PacmanDrops == 0 {
+	if metricstest.Counter(t, s.env.Metrics, "betree.pacman.drop") == 0 {
 		t.Fatal("PacMan never dropped a covered message")
 	}
 	if got := tr.Count([]byte("dir"), []byte("dis")); got != 0 {

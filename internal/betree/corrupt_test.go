@@ -8,6 +8,7 @@ import (
 
 	"betrfs/internal/blockdev"
 	"betrfs/internal/kmem"
+	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sfl"
 	"betrfs/internal/sim"
 )
@@ -255,7 +256,7 @@ func TestBasementChecksumOnPartialRead(t *testing.T) {
 	s.DropCleanCaches()
 	tr.SetSeqHint(false)
 
-	partialBefore := s.Stats().PartialReads
+	partialBefore := metricstest.Counter(t, s.env.Metrics, "betree.node.partialread")
 	var checksumErrs int
 	for i := 0; i < nkeys; i++ {
 		_, _, err := tr.Get(k(i))
@@ -266,7 +267,7 @@ func TestBasementChecksumOnPartialRead(t *testing.T) {
 			checksumErrs++
 		}
 	}
-	if s.Stats().PartialReads == partialBefore {
+	if metricstest.Counter(t, s.env.Metrics, "betree.node.partialread") == partialBefore {
 		t.Fatal("cold point queries never took the partial-read path")
 	}
 	if checksumErrs == 0 {
@@ -297,7 +298,7 @@ func TestAlignedValuePartialRead(t *testing.T) {
 	}
 	s.DropCleanCaches()
 	tr.SetSeqHint(false)
-	partialBefore := s.Stats().PartialReads
+	partialBefore := metricstest.Counter(t, s.env.Metrics, "betree.node.partialread")
 	for i := 0; i < nkeys; i += 17 {
 		val, ok, err := tr.Get(k(i))
 		if err != nil || !ok {
@@ -307,7 +308,7 @@ func TestAlignedValuePartialRead(t *testing.T) {
 			t.Fatalf("key %d: aligned value decoded wrong on partial read", i)
 		}
 	}
-	if s.Stats().PartialReads == partialBefore {
+	if metricstest.Counter(t, s.env.Metrics, "betree.node.partialread") == partialBefore {
 		t.Skip("no partial reads issued (aligned values spilled the shell past the header region)")
 	}
 }

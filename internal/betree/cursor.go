@@ -2,7 +2,6 @@ package betree
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"betrfs/internal/ioerr"
 	"betrfs/internal/keys"
@@ -31,7 +30,6 @@ func (t *Tree) Scan(lo, hi []byte, fn func(k, v []byte) bool) (err error) {
 	// The guard catches aborts raised below scanLeaf — e.g. a cache
 	// eviction whose inline write-back hits a device failure.
 	defer ioerr.Guard(&err)
-	atomic.AddInt64(&t.stats.Scans, 1)
 	t.store.m.queryScan.Inc()
 	cursor := lo
 	if cursor == nil {

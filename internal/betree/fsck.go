@@ -191,7 +191,7 @@ func (s *Store) verifyExtent(t *Tree, id nodeID, ext extent) error {
 	if rerr := t.f.SubmitRead(data, ext.off)(); rerr != nil {
 		return rerr // wraps ErrIO: a media error, not checksum corruption
 	}
-	s.stats.BytesRead += ext.len
+	s.m.scrubBytesRead.Add(ext.len)
 	raw, err := maybeDecompressNode(s.env, data)
 	if err != nil {
 		return err

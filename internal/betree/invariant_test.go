@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"betrfs/internal/keys"
+	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sim"
 )
 
@@ -195,10 +196,10 @@ func TestPrefetchHitsOnSequentialGets(t *testing.T) {
 			t.Fatalf("key %d missing", i)
 		}
 	}
-	if s.Stats().Prefetches == 0 {
+	if metricstest.Counter(t, s.env.Metrics, "betree.prefetch.issue") == 0 {
 		t.Fatal("sequential gets never prefetched")
 	}
-	if s.Stats().PrefetchHits == 0 {
+	if metricstest.Counter(t, s.env.Metrics, "betree.prefetch.hit") == 0 {
 		t.Fatal("prefetches never hit")
 	}
 }
@@ -215,9 +216,9 @@ func TestPartialReadsOnPointQueries(t *testing.T) {
 	}
 	s.DropCleanCaches()
 	tr.SetSeqHint(false)
-	before := s.Stats().PartialReads
+	before := metricstest.Counter(t, s.env.Metrics, "betree.node.partialread")
 	tr.Get(k(1234))
-	if s.Stats().PartialReads == before {
+	if metricstest.Counter(t, s.env.Metrics, "betree.node.partialread") == before {
 		t.Fatal("cold point query did not use a basement-granular read")
 	}
 }

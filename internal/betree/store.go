@@ -27,27 +27,6 @@ type Backend interface {
 	File(name string) stor.File
 }
 
-// StoreStats aggregates store-level counters. Fields are updated with
-// atomic adds; read them only after the operations of interest have
-// quiesced.
-type StoreStats struct {
-	NodesWritten   int64
-	NodesRead      int64
-	BasementsRead  int64
-	PartialReads   int64
-	BytesWritten   int64
-	BytesRead      int64
-	Checkpoints    int64
-	Prefetches     int64
-	PrefetchHits   int64
-	PacmanScans    int64
-	PacmanDrops    int64
-	ApplyOnQuery   int64
-	Flushes        int64
-	LeafSplits     int64
-	InternalSplits int64
-}
-
 // Store is the in-kernel write-optimized key-value store: two Bε-trees
 // (metadata and data indexes) sharing a node cache, a redo log, and a
 // checkpointing protocol (§2.2).
@@ -86,8 +65,7 @@ type Store struct {
 	// payload in the log; full durability then requires a checkpoint.
 	unloggedData bool
 
-	stats StoreStats
-	m     storeMetrics
+	m storeMetrics
 
 	// ioErr latches the first device write/flush failure seen anywhere in
 	// the store (including background pool tasks, whose panics never reach
@@ -159,6 +137,7 @@ type storeMetrics struct {
 	repairRun      *metrics.Counter
 	repairNode     *metrics.Counter
 	repairFail     *metrics.Counter
+	scrubBytesRead *metrics.Counter
 
 	discardCount    *metrics.Counter
 	discardBytes    *metrics.Counter
@@ -209,6 +188,7 @@ func resolveStoreMetrics(reg *metrics.Registry) storeMetrics {
 		repairRun:      reg.Counter("scrub.repair.run"),
 		repairNode:     reg.Counter("scrub.repair.node"),
 		repairFail:     reg.Counter("scrub.repair.fail"),
+		scrubBytesRead: reg.Counter("scrub.bytes.read"),
 
 		discardCount:    reg.Counter("betree.discard.count"),
 		discardBytes:    reg.Counter("betree.discard.bytes"),
@@ -455,9 +435,6 @@ func (s *Store) Meta() *Tree { return s.meta }
 // Data returns the data-index tree.
 func (s *Store) Data() *Tree { return s.data }
 
-// Stats returns store counters.
-func (s *Store) Stats() *StoreStats { return &s.stats }
-
 // Log exposes the redo log (conditional logging pins).
 func (s *Store) Log() *wal.Log { return s.log }
 
@@ -672,8 +649,6 @@ func (s *Store) finishNodeWrite(t *Tree, n *node, img nodeImage) {
 	}
 	s.alloc.FreeSized(img.buf)
 	n.dirty.Store(false)
-	atomic.AddInt64(&s.stats.NodesWritten, 1)
-	atomic.AddInt64(&s.stats.BytesWritten, int64(len(data)))
 	s.m.nodeWrite.Inc()
 	s.m.bytesWritten.Add(int64(len(data)))
 	s.env.Trace("betree", "node.write", t.name, int64(len(data)))
@@ -756,7 +731,6 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 				return nil, rerr
 			}
 		}
-		atomic.AddInt64(&s.stats.PrefetchHits, 1)
 		s.m.prefetchHit.Inc()
 		return s.decodeFull(t, ext, pr.img)
 	}
@@ -775,7 +749,6 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 		if !compressed && binary.BigEndian.Uint32(hdr[4:]) == nodeMagic && binary.BigEndian.Uint32(hdr[8:]) == 0 {
 			if basements, _, err := decodeLeafShell(hdr); err == nil {
 				n := &node{id: id, height: 0, basements: basements, pageBase: pageBase(hdr)}
-				atomic.AddInt64(&s.stats.PartialReads, 1)
 				s.m.nodePartial.Inc()
 				s.countNodeRead(n, hlen)
 				if err := s.loadBasement(t, n, ext, n.basementFor(s.env, partialKey)); err != nil {
@@ -832,7 +805,6 @@ func putImage(p *[]byte) {
 
 // countNodeRead counts one node read of bytes off the device.
 func (s *Store) countNodeRead(n *node, bytes int64) {
-	atomic.AddInt64(&s.stats.NodesRead, 1)
 	s.m.nodeRead.Inc()
 	s.countBytesRead(n, bytes)
 }
@@ -840,7 +812,6 @@ func (s *Store) countNodeRead(n *node, bytes int64) {
 // countBytesRead adds bytes read for node n to betree.bytes.read and to
 // its interior or leaf share.
 func (s *Store) countBytesRead(n *node, bytes int64) {
-	atomic.AddInt64(&s.stats.BytesRead, bytes)
 	s.m.bytesRead.Add(bytes)
 	if n.isLeaf() {
 		s.m.bytesReadLeaf.Add(bytes)
@@ -923,7 +894,6 @@ func (s *Store) loadBasement(t *Tree, n *node, ext extent, bi int) error {
 	if err != nil {
 		return fail(err)
 	}
-	atomic.AddInt64(&s.stats.BasementsRead, 1)
 	s.m.basementRead.Inc()
 	s.countBytesRead(n, int64(len(buf)))
 	s.cache.resize(t, n)
@@ -965,7 +935,6 @@ func (s *Store) prefetch(t *Tree, id nodeID) {
 	}
 	s.pending[key] = &pendingRead{img: img, wait: wait}
 	s.pendingMu.Unlock()
-	atomic.AddInt64(&s.stats.Prefetches, 1)
 	s.m.prefetchIssue.Inc()
 }
 
@@ -1115,7 +1084,6 @@ func (s *Store) checkpointLocked() {
 	s.log.Reclaim(checkpointLSN)
 	s.unloggedData = false
 	s.lastCheckpoint = s.env.Now()
-	atomic.AddInt64(&s.stats.Checkpoints, 1)
 	s.m.checkpoint.Inc()
 	s.env.Trace("betree", "checkpoint", "", int64(checkpointLSN))
 }

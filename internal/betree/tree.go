@@ -10,17 +10,6 @@ import (
 	"betrfs/internal/stor"
 )
 
-// TreeStats aggregates per-tree counters. Fields are updated with atomic
-// adds; read them only after the operations of interest have quiesced.
-type TreeStats struct {
-	Inserts      int64
-	Deletes      int64
-	RangeDeletes int64
-	Updates      int64
-	Gets         int64
-	Scans        int64
-}
-
 // Tree is one Bε-tree index (metadata or data) within a Store.
 //
 // rootID, nextNodeID, and bt (the block table) are structural state:
@@ -41,8 +30,6 @@ type Tree struct {
 	cacheSalt uint64
 	// flushQueued dedups background root-flush tasks (concurrent mode).
 	flushQueued atomic.Bool
-
-	stats TreeStats
 
 	// seqHint tracks the last point-queried key for the cooperative
 	// read-ahead hint (§3.2): the northbound detects sequential file
@@ -116,9 +103,6 @@ func (t *Tree) flushTrimQueue(gen uint64) {
 	}
 	t.trimq = t.trimq[i:]
 }
-
-// Stats returns per-tree counters.
-func (t *Tree) Stats() *TreeStats { return &t.stats }
 
 // SetSeqHint informs the tree that point queries are following a
 // sequential pattern, enabling basement/leaf read-ahead.
@@ -237,7 +221,6 @@ const (
 // operation durable for replay even when the in-memory insert aborted.
 func (t *Tree) Put(key, val []byte, d Durability) (err error) {
 	defer ioerr.Guard(&err)
-	atomic.AddInt64(&t.stats.Inserts, 1)
 	m := &Msg{Type: MsgInsert, Key: key, Val: InlineValue(val)}
 	t.logAndInsert(m, d)
 	return nil
@@ -248,7 +231,6 @@ func (t *Tree) Put(key, val []byte, d Durability) (err error) {
 // reproducing the v0.4 copy-on-ingest behaviour.
 func (t *Tree) PutRef(key []byte, ref PageRef, d Durability) (err error) {
 	defer ioerr.Guard(&err)
-	atomic.AddInt64(&t.stats.Inserts, 1)
 	var v Value
 	if t.store.cfg.PageSharing {
 		v = RefValue(ref)
@@ -267,7 +249,6 @@ func (t *Tree) PutRef(key []byte, ref PageRef, d Durability) (err error) {
 // off of key's value, without reading it first (§2.1).
 func (t *Tree) Update(key []byte, off int, data []byte, d Durability) (err error) {
 	defer ioerr.Guard(&err)
-	atomic.AddInt64(&t.stats.Updates, 1)
 	m := &Msg{Type: MsgUpdate, Key: key, Off: off, Val: InlineValue(data)}
 	t.logAndInsert(m, d)
 	return nil
@@ -276,7 +257,6 @@ func (t *Tree) Update(key []byte, off int, data []byte, d Durability) (err error
 // Delete removes key.
 func (t *Tree) Delete(key []byte, d Durability) (err error) {
 	defer ioerr.Guard(&err)
-	atomic.AddInt64(&t.stats.Deletes, 1)
 	m := &Msg{Type: MsgDelete, Key: key}
 	t.logAndInsert(m, d)
 	return nil
@@ -286,7 +266,6 @@ func (t *Tree) Delete(key []byte, d Durability) (err error) {
 // message (§2.1, §4).
 func (t *Tree) DeleteRange(lo, hi []byte, d Durability) (err error) {
 	defer ioerr.Guard(&err)
-	atomic.AddInt64(&t.stats.RangeDeletes, 1)
 	m := &Msg{Type: MsgRangeDelete, Key: lo, EndKey: hi}
 	t.logAndInsert(m, d)
 	return nil
@@ -387,7 +366,6 @@ func (t *Tree) flushDescend(n *node) {
 // flushToChild moves the entire buffer for child ci down one level.
 func (t *Tree) flushToChild(parent *node, ci int) {
 	s := t.store
-	atomic.AddInt64(&s.stats.Flushes, 1)
 	s.m.flushRun.Inc()
 	child := t.mustFetch(parent.children[ci], nil)
 	defer t.unpin(child)
@@ -510,7 +488,6 @@ func (t *Tree) applyToLeaf(n *node, m *Msg) {
 // when range deletes are adjacent-but-not-overlapping.
 func (t *Tree) pacman(n *node) {
 	s := t.store
-	atomic.AddInt64(&s.stats.PacmanScans, 1)
 	s.m.pacmanScan.Inc()
 	// A range delete counts once per buffer it was routed into, as it is
 	// compared once per copy.
@@ -586,7 +563,6 @@ func (t *Tree) pacman(n *node) {
 	}
 	for ci := range n.bufs {
 		dropped := n.bufs[ci].drop(func(m *Msg) bool { return eaten[m] })
-		atomic.AddInt64(&s.stats.PacmanDrops, int64(dropped))
 		s.m.pacmanDrop.Add(int64(dropped))
 	}
 	s.cache.resize(t, n)
@@ -622,7 +598,6 @@ func (t *Tree) splitChild(parent *node, ci int, child *node) {
 		if len(entries) < 2 {
 			return
 		}
-		atomic.AddInt64(&s.stats.LeafSplits, 1)
 		s.m.leafSplit.Inc()
 		// Split into halves no larger than NodeSize/2.
 		pieces := splitEntries(entries, s.cfg.NodeSize/2)
@@ -652,7 +627,6 @@ func (t *Tree) splitChild(parent *node, ci int, child *node) {
 	if len(child.children) < 2 {
 		return
 	}
-	atomic.AddInt64(&s.stats.InternalSplits, 1)
 	s.m.internalSplit.Inc()
 	mid := len(child.children) / 2
 	right := &node{
@@ -792,7 +766,6 @@ func (t *Tree) Get(key []byte) (val []byte, found bool, err error) {
 	// The guard also catches aborts raised below fetch — e.g. a cache
 	// eviction whose inline write-back hits a device failure.
 	defer ioerr.Guard(&err)
-	atomic.AddInt64(&t.stats.Gets, 1)
 	s := t.store
 	s.m.queryGet.Inc()
 	s.env.Charge(s.env.Costs.MessageOverhead)
@@ -951,7 +924,6 @@ func (t *Tree) applyOnQuery(path []pathEl, leaf *node, bi int, leafLo, leafHi []
 	if !legacy && len(pend) == 0 {
 		return
 	}
-	atomic.AddInt64(&s.stats.ApplyOnQuery, 1)
 	s.m.applyOnQuery.Inc()
 	b := leaf.basements[bi]
 	blo, bhi := basementRange(leaf, bi, leafLo, leafHi)

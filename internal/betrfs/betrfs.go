@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"betrfs/internal/betree"
+	"betrfs/internal/ioerr"
 	"betrfs/internal/keys"
 	"betrfs/internal/kmem"
 	"betrfs/internal/metrics"
@@ -99,8 +100,7 @@ type FS struct {
 	// logging since the last checkpoint; their fsync must checkpoint.
 	unloggedData map[string]bool
 
-	stats Stats
-	m     fsMetrics
+	m fsMetrics
 }
 
 // fsMetrics holds the northbound layer's pre-resolved metric handles
@@ -233,20 +233,6 @@ func (fs *FS) flushAllPending() error {
 	return first
 }
 
-// Stats counts northbound activity.
-type Stats struct {
-	MetaQueries           int64
-	DeferredCreates       int64
-	EmptyDirChecksByQuery int64
-	EmptyDirChecksByNlink int64
-	DirRangeDeletes       int64
-	RenamedKeys           int64
-	// CorruptReads counts data-index reads that failed — a checksum
-	// mismatch that survived the verified re-read, or a media error —
-	// and were surfaced to the VFS as an EIO-class error (DESIGN.md §10).
-	CorruptReads int64
-}
-
 // New opens a BetrFS instance over the given backend.
 func New(env *sim.Env, alloc *kmem.Allocator, cfg Config, backend betree.Backend) (*FS, error) {
 	store, err := betree.Open(env, alloc, cfg.Tree, backend)
@@ -296,13 +282,14 @@ func (fs *FS) writeGate() error {
 	return nil
 }
 
-// Stats returns counters.
-func (fs *FS) Stats() *Stats { return &fs.stats }
-
 // --- attribute encoding ------------------------------------------------------
 
+// attrSize is the length of an encoded attribute value: the directory
+// flag, size, link count and mtime.
+const attrSize = 21
+
 func encodeAttr(a vfs.Attr) []byte {
-	b := make([]byte, 21)
+	b := make([]byte, attrSize)
 	if a.Dir {
 		b[0] = 1
 	}
@@ -312,13 +299,19 @@ func encodeAttr(a vfs.Attr) []byte {
 	return b
 }
 
-func decodeAttr(b []byte) vfs.Attr {
+// decodeAttr inverts encodeAttr. A value of the wrong length or with a
+// flag byte other than 0 or 1 is damaged metadata: it fails with an
+// EIO-class error instead of panicking the caller.
+func decodeAttr(b []byte) (vfs.Attr, error) {
+	if len(b) != attrSize || b[0] > 1 {
+		return vfs.Attr{}, fmt.Errorf("betrfs: malformed attribute value (%d bytes): %w", len(b), ioerr.ErrIO)
+	}
 	return vfs.Attr{
 		Dir:   b[0] == 1,
 		Size:  int64(binary.BigEndian.Uint64(b[1:])),
 		Nlink: int(binary.BigEndian.Uint32(b[9:])),
 		Mtime: time.Duration(binary.BigEndian.Uint64(b[13:])),
-	}
+	}, nil
 }
 
 // --- vfs.FS implementation ----------------------------------------------------
@@ -333,7 +326,6 @@ func (fs *FS) Lookup(parent vfs.Handle, name string) (vfs.Handle, vfs.Attr, erro
 	if dc, ok := fs.pending[path]; ok {
 		return path, dc.attr, nil
 	}
-	fs.stats.MetaQueries++
 	fs.m.metaQuery.Inc()
 	v, ok, err := fs.store.Meta().Get(keys.MetaKey(path))
 	if err != nil {
@@ -342,7 +334,11 @@ func (fs *FS) Lookup(parent vfs.Handle, name string) (vfs.Handle, vfs.Attr, erro
 	if !ok {
 		return nil, vfs.Attr{}, vfs.ErrNotExist
 	}
-	return path, decodeAttr(v), nil
+	attr, err := decodeAttr(v)
+	if err != nil {
+		return nil, vfs.Attr{}, err
+	}
+	return path, attr, nil
 }
 
 // Create makes a file or directory. With conditional logging the insert is
@@ -364,7 +360,6 @@ func (fs *FS) Create(parent vfs.Handle, name string, dir bool) (vfs.Handle, vfs.
 			return nil, vfs.Attr{}, err
 		}
 		fs.deferCreate(&deferredCreate{path: path, attr: attr, unpin: fs.store.Log().Pin(lsn)})
-		fs.stats.DeferredCreates++
 		fs.m.createDeferred.Inc()
 		fs.env.Trace("betrfs", "create.deferred", path, 0)
 	} else {
@@ -422,7 +417,6 @@ func (fs *FS) Remove(parent vfs.Handle, name string, h vfs.Handle, dir bool) err
 			if err := fs.store.Data().DeleteRange(lo, hi, betree.LogAuto); err != nil {
 				return err
 			}
-			fs.stats.DirRangeDeletes++
 			fs.m.rangeDeleteDir.Inc()
 			fs.env.Trace("betrfs", "rangedelete.dir", path, 0)
 		}
@@ -458,14 +452,12 @@ func (fs *FS) Remove(parent vfs.Handle, name string, h vfs.Handle, dir bool) err
 // sees it.
 func (fs *FS) checkEmpty(path string) error {
 	if fs.cfg.NlinkChecks && fs.nlinkKnown[path] {
-		fs.stats.EmptyDirChecksByNlink++
 		fs.m.emptyNlink.Inc()
 		if fs.nlink[path] > 0 || fs.dirs[path].oldest != nil {
 			return vfs.ErrNotEmpty
 		}
 		return nil
 	}
-	fs.stats.EmptyDirChecksByQuery++
 	fs.m.emptyQuery.Inc()
 	lo, hi := keys.SubtreeRange(path)
 	empty := true
@@ -508,7 +500,10 @@ func (fs *FS) Rename(oldParent vfs.Handle, oldName string, h vfs.Handle, newPare
 	if !ok {
 		return nil, vfs.ErrNotExist
 	}
-	attr := decodeAttr(v)
+	attr, err := decodeAttr(v)
+	if err != nil {
+		return nil, err
+	}
 	if err := fs.store.Meta().Put(keys.MetaKey(newPath), v, betree.LogAuto); err != nil {
 		return nil, err
 	}
@@ -533,7 +528,6 @@ func (fs *FS) Rename(oldParent vfs.Handle, oldName string, h vfs.Handle, newPare
 				if err := t.Put(keys.RewritePrefix(e.k, oldEnc, newEnc), e.v, betree.LogAuto); err != nil {
 					return nil, err
 				}
-				fs.stats.RenamedKeys++
 				fs.m.renameKeys.Inc()
 			}
 			if err := t.DeleteRange(lo, hi, betree.LogAuto); err != nil {
@@ -575,7 +569,6 @@ func (fs *FS) Rename(oldParent vfs.Handle, oldName string, h vfs.Handle, newPare
 			if err := fs.store.Data().Put(keys.RewritePrefix(e.k, oldEnc, newEnc), e.v, betree.LogAuto); err != nil {
 				return nil, err
 			}
-			fs.stats.RenamedKeys++
 			fs.m.renameKeys.Inc()
 		}
 		if err := fs.store.Data().DeleteRange(lo, hi, betree.LogAuto); err != nil {
@@ -606,13 +599,18 @@ func (fs *FS) ReadDir(h vfs.Handle) ([]vfs.DirEntry, error) {
 	dirKey := keys.Encode(path)
 	lo, hi := keys.SubtreeRange(path)
 	var out []vfs.DirEntry
+	var attrErr error
 	if err := fs.store.Meta().Scan(lo, hi, func(k, v []byte) bool {
 		if !keys.IsDirectChild(dirKey, k) {
 			return true
 		}
 		childPath := keys.Decode(k)
 		_, name := keys.ParentAndName(childPath)
-		attr := decodeAttr(v)
+		attr, err := decodeAttr(v)
+		if err != nil {
+			attrErr = fmt.Errorf("%s: %w", childPath, err)
+			return false
+		}
 		e := vfs.DirEntry{Name: name, Dir: attr.Dir}
 		if fs.cfg.ReaddirInstantiates {
 			e.Handle = childPath
@@ -623,6 +621,9 @@ func (fs *FS) ReadDir(h vfs.Handle) ([]vfs.DirEntry, error) {
 		return true
 	}); err != nil {
 		return nil, err
+	}
+	if attrErr != nil {
+		return nil, attrErr
 	}
 	// Merge the directory's deferred creates that have not reached the
 	// tree yet, in creation order.
@@ -697,7 +698,6 @@ func (fs *FS) ReadBlocks(h vfs.Handle, blk int64, pages []*vfs.Page, seq bool) e
 		if err != nil {
 			// Checksum mismatch that survived the verified re-read, or a
 			// media error: surface it as EIO instead of serving zeros.
-			fs.stats.CorruptReads++
 			fs.m.readCorrupt.Inc()
 			fs.env.Trace("betrfs", "read.corrupt", path, blk+int64(i))
 			return fmt.Errorf("betrfs: read %s block %d: %w", path, blk+int64(i), err)

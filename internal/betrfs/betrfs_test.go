@@ -7,6 +7,7 @@ import (
 	"betrfs/internal/blockdev"
 	"betrfs/internal/keys"
 	"betrfs/internal/kmem"
+	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sfl"
 	"betrfs/internal/sim"
 	"betrfs/internal/vfs"
@@ -44,7 +45,7 @@ func newFSWithLog(t testing.TB, logBytes int64, mutate func(*Config)) (*sim.Env,
 }
 
 func TestConditionalLoggingDefersInsert(t *testing.T) {
-	_, fs := newFS(t, nil)
+	env, fs := newFS(t, nil)
 	h, _, err := fs.Create(fs.Root(), "deferred", false)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +54,7 @@ func TestConditionalLoggingDefersInsert(t *testing.T) {
 	if _, ok, _ := fs.store.Meta().Get(keys.MetaKey("deferred")); ok {
 		t.Fatal("conditional logging did not defer the insert")
 	}
-	if fs.Stats().DeferredCreates != 1 {
+	if metricstest.Counter(t, env.Metrics, "betrfs.create.deferred") != 1 {
 		t.Fatal("deferred create not counted")
 	}
 	// Lookup is still served (from the pending table).
@@ -104,16 +105,16 @@ func TestReaddirMergesPendingCreates(t *testing.T) {
 }
 
 func TestNlinkEmptyCheckAvoidsQueries(t *testing.T) {
-	_, fs := newFS(t, nil)
+	env, fs := newFS(t, nil)
 	d, _, _ := fs.Create(fs.Root(), "dir", true)
 	c, _, _ := fs.Create(d, "child", false)
 	if err := fs.Remove(fs.Root(), "dir", d, true); err != vfs.ErrNotEmpty {
 		t.Fatalf("rmdir of non-empty dir: %v", err)
 	}
-	if fs.Stats().EmptyDirChecksByNlink == 0 {
+	if metricstest.Counter(t, env.Metrics, "betrfs.emptycheck.nlink") == 0 {
 		t.Fatal("emptiness check did not use nlink")
 	}
-	if fs.Stats().EmptyDirChecksByQuery != 0 {
+	if metricstest.Counter(t, env.Metrics, "betrfs.emptycheck.query") != 0 {
 		t.Fatal("emptiness check fell back to a tree query despite nlink")
 	}
 	fs.Remove(d, "child", c, false)
@@ -123,37 +124,40 @@ func TestNlinkEmptyCheckAvoidsQueries(t *testing.T) {
 }
 
 func TestEmptyCheckByQueryWithoutRG(t *testing.T) {
-	_, fs := newFS(t, func(c *Config) { c.NlinkChecks = false })
+	env, fs := newFS(t, func(c *Config) { c.NlinkChecks = false })
 	d, _, _ := fs.Create(fs.Root(), "dir", true)
 	fs.WriteAttr(d, vfs.Attr{Dir: true, Nlink: 2})
 	if err := fs.Remove(fs.Root(), "dir", d, true); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Stats().EmptyDirChecksByQuery == 0 {
+	if metricstest.Counter(t, env.Metrics, "betrfs.emptycheck.query") == 0 {
 		t.Fatal("v0.4-style emptiness check should query the tree")
 	}
 }
 
 func TestRedundantDeletesFlag(t *testing.T) {
 	count := func(redundant bool) int64 {
-		_, fs := newFS(t, func(c *Config) { c.RedundantDeletes = redundant; c.ConditionalLogging = false })
+		env, fs := newFS(t, func(c *Config) { c.RedundantDeletes = redundant; c.ConditionalLogging = false })
 		h, _, _ := fs.Create(fs.Root(), "f", false)
-		before := fs.store.Meta().Stats().Deletes
+		before := metricstest.Counter(t, env.Metrics, "betree.msg.inject")
 		fs.Remove(fs.Root(), "f", h, false)
-		return fs.store.Meta().Stats().Deletes - before
+		return metricstest.Counter(t, env.Metrics, "betree.msg.inject") - before
 	}
-	if v04, v06 := count(true), count(false); v04 != v06+1 {
-		t.Fatalf("redundant delete flag: v0.4 sent %d deletes, v0.6 %d", v04, v06)
+	// v0.4's evict_inode hook sends the file's deletes a second time: one
+	// more point delete to the metadata index and one more range delete to
+	// the data index.
+	if v04, v06 := count(true), count(false); v04 != v06+2 {
+		t.Fatalf("redundant delete flag: v0.4 sent %d messages, v0.6 %d", v04, v06)
 	}
 }
 
 func TestDirRangeDeleteEmitted(t *testing.T) {
-	_, fs := newFS(t, nil)
+	env, fs := newFS(t, nil)
 	d, _, _ := fs.Create(fs.Root(), "dir", true)
 	if err := fs.Remove(fs.Root(), "dir", d, true); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Stats().DirRangeDeletes != 1 {
+	if metricstest.Counter(t, env.Metrics, "betrfs.rangedelete.dir") != 1 {
 		t.Fatal("rmdir did not emit the directory-wide range delete (RG)")
 	}
 }
@@ -176,8 +180,8 @@ func TestRenameMovesDataKeys(t *testing.T) {
 	if _, ok, _ := fs.store.Data().Get(keys.DataKey("old", 0)); ok {
 		t.Fatal("old data keys survived rename")
 	}
-	// A directory rename moves its descendants' keys in both indexes; the
-	// registry counter and the Stats field count each moved key once.
+	// A directory rename moves its descendants' keys in both indexes and
+	// counts each moved key once.
 	d, _, _ := fs.Create(fs.Root(), "dir", true)
 	c, _, _ := fs.Create(d, "child", false)
 	fs.WriteAttr(c, vfs.Attr{Nlink: 1})
@@ -185,8 +189,8 @@ func TestRenameMovesDataKeys(t *testing.T) {
 	if _, err := fs.Rename(fs.Root(), "dir", d, fs.Root(), "dir2"); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := env.Metrics.Snapshot().Counters["betrfs.rename.keys"], fs.Stats().RenamedKeys; got != want || want != 3 {
-		t.Fatalf("betrfs.rename.keys = %d, Stats().RenamedKeys = %d, want both 3", got, want)
+	if got := metricstest.Counter(t, env.Metrics, "betrfs.rename.keys"); got != 3 {
+		t.Fatalf("betrfs.rename.keys = %d, want 3", got)
 	}
 }
 
@@ -202,19 +206,20 @@ func TestBlindWritesReachTree(t *testing.T) {
 }
 
 func TestUnloggedDataForcesFsyncCheckpoint(t *testing.T) {
-	_, fs := newFS(t, nil)
+	env, fs := newFS(t, nil)
 	h, _, _ := fs.Create(fs.Root(), "bulk", false)
 	pg := &vfs.Page{Data: make([]byte, 4096)}
 	fs.WriteBlocks(h, 0, []*vfs.Page{pg}, false) // background: key-only logged
-	before := fs.store.Stats().Checkpoints
+	checkpoints := func() int64 { return metricstest.Counter(t, env.Metrics, "betree.checkpoint.run") }
+	before := checkpoints()
 	fs.Fsync(h)
-	if fs.store.Stats().Checkpoints != before+1 {
+	if checkpoints() != before+1 {
 		t.Fatal("fsync after unlogged bulk data must checkpoint")
 	}
 	// A second fsync with nothing unlogged is the cheap path.
-	before = fs.store.Stats().Checkpoints
+	before = checkpoints()
 	fs.Fsync(h)
-	if fs.store.Stats().Checkpoints != before {
+	if checkpoints() != before {
 		t.Fatal("clean fsync should not checkpoint")
 	}
 }
@@ -259,7 +264,7 @@ func TestManyFilesScanOrder(t *testing.T) {
 
 func TestAttrRoundTrip(t *testing.T) {
 	a := vfs.Attr{Dir: true, Size: 123456789, Nlink: 7, Mtime: 42}
-	if got := decodeAttr(encodeAttr(a)); got != a {
-		t.Fatalf("attr round trip: %+v != %+v", got, a)
+	if got, err := decodeAttr(encodeAttr(a)); err != nil || got != a {
+		t.Fatalf("attr round trip: %+v, %v; want %+v", got, err, a)
 	}
 }

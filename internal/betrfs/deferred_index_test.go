@@ -85,7 +85,11 @@ func filterReadDir(t *testing.T, fs *FS, path string) []vfs.DirEntry {
 	}
 	if err := fs.store.Meta().Scan(lo, hi, func(k, v []byte) bool {
 		if keys.IsDirectChild(dirKey, k) {
-			out = append(out, entry(keys.Decode(k), decodeAttr(v)))
+			a, err := decodeAttr(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, entry(keys.Decode(k), a))
 		}
 		return true
 	}); err != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"betrfs/internal/betree"
+	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sim"
 	"betrfs/internal/vfs"
 )
@@ -207,9 +208,9 @@ func BenchmarkCreatePastLogWrap(b *testing.B) {
 	var sim time.Duration
 	var checkpoints int64
 	for i := 0; i < b.N; i++ {
-		env, fs, _ := createPastLogWrap(b, 15000)
+		env, _, _ := createPastLogWrap(b, 15000)
 		sim += env.Now()
-		checkpoints += fs.store.Stats().Checkpoints
+		checkpoints += metricstest.Counter(b, env.Metrics, "betree.checkpoint.run")
 	}
 	b.ReportMetric(sim.Seconds()/float64(b.N), "sim-s/op")
 	b.ReportMetric(float64(checkpoints)/float64(b.N), "checkpoints/op")

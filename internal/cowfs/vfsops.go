@@ -216,7 +216,6 @@ func (fs *FS) writeUberblock() {
 const (
 	uberMagic    = 0xc0f5c0f5
 	uberSlotSize = BlockSize / 2
-	uberSize     = 4 + 8 + 4 + 8 + 4 // magic, nextIno, zilEpoch, generation, crc
 )
 
 func encodeUberblock(gen uint64, nextIno blobfs.Ino, zilEpoch uint32) []byte {

@@ -44,7 +44,6 @@ func (fs *FS) allocRun(goal int64, want int64) (int64, int64) {
 		for i := int64(0); i < run; i++ {
 			fs.bitSet(b + i)
 		}
-		fs.stats.AllocExtents++
 		return b, run
 	}
 }

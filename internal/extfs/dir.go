@@ -28,11 +28,9 @@ func (fs *FS) loadDir(x *xinode) {
 	}
 	data := make([]byte, x.size)
 	fs.readExtents(x, data, 0)
-	fs.stats.DirReads++
 	fs.env.Serialize(len(data))
 	if err := decodeDir(data, x.children); err != nil {
 		x.children = make(map[string]dirent)
-		fs.stats.DirRepairs++
 		fs.markInodeDirty(x)
 	}
 }
@@ -143,7 +141,6 @@ func (fs *FS) readExtents(x *xinode, p []byte, off int64) {
 			buf := make([]byte, ((bo+want)+BlockSize-1)/BlockSize*BlockSize)
 			fs.devCheck(fs.dev.ReadAt(buf, fs.blockAddr(phys)))
 			copy(p[pos:pos+want], buf[bo:])
-			fs.stats.DataReads++
 		}
 		pos += want
 	}
@@ -169,7 +166,6 @@ func (fs *FS) writeExtents(x *xinode, p []byte, off int64) {
 			run++
 		}
 		fs.devCheck(fs.dev.WriteAt(p[pos:pos+run*BlockSize], fs.blockAddr(phys)))
-		fs.stats.DataWrites++
 		pos += run * BlockSize
 	}
 }

@@ -98,21 +98,6 @@ type FS struct {
 	// mutating operation refuses with it, mirroring ext4's journal
 	// abort. Reads keep working.
 	ioErr error
-
-	stats Stats
-}
-
-// Stats counts extfs activity.
-type Stats struct {
-	InodeReads     int64
-	InodeWrites    int64
-	DirReads       int64
-	JournalCommits int64
-	DataReads      int64
-	DataWrites     int64
-	AllocExtents   int64
-	DroppedNodes   int64 // invalid inodes discarded during recovery
-	DirRepairs     int64 // malformed directory blobs reset during load
 }
 
 // xinode is the in-memory inode cache entry.
@@ -186,9 +171,6 @@ func New(env *sim.Env, dev blockdev.Device, prof Profile) *FS {
 
 // Profile returns the flavor.
 func (fs *FS) Profile() Profile { return fs.prof }
-
-// Stats returns counters.
-func (fs *FS) Stats() *Stats { return &fs.stats }
 
 func (fs *FS) markInodeDirty(x *xinode) {
 	x.dirty = true

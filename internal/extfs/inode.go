@@ -148,7 +148,6 @@ func (fs *FS) readInode(ino Ino) (rx *xinode, err error) {
 	if rerr := fs.dev.ReadAt(buf, fs.itableBlockAddr(ino)); rerr != nil {
 		return nil, fmt.Errorf("extfs: inode %d table block: %w", ino, rerr)
 	}
-	fs.stats.InodeReads++
 	off := (int64(ino) % inodesPerBlock) * inodeSize
 	b := buf[off : off+inodeSize]
 	fs.env.Serialize(inodeSize)
@@ -284,7 +283,6 @@ func (fs *FS) writebackMeta() {
 			copy(buf[(int64(ino)%inodesPerBlock)*inodeSize:], zero)
 		}
 		fs.devCheck(fs.dev.WriteAt(buf, addr))
-		fs.stats.InodeWrites++
 		delete(fs.itableDirty, blk)
 	}
 }

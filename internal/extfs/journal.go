@@ -95,7 +95,6 @@ func (fs *FS) logRec(t wal.RecordType, enc func(*recEncoder)) {
 func (fs *FS) commit() {
 	fs.devCheck(fs.jnl.log.Flush())
 	fs.applyPendingFrees()
-	fs.stats.JournalCommits++
 	fs.lastCommit = fs.env.Now()
 }
 

@@ -100,7 +100,6 @@ func (f *ExtFile) SubmitPWrite(p []byte, off int64) func() error {
 			}
 			c := fs.dev.SubmitWrite(p[pos:pos+run*BlockSize], fs.blockAddr(phys))
 			waits = append(waits, c)
-			fs.stats.DataWrites++
 			pos += run * BlockSize
 		}
 	}()

@@ -144,7 +144,6 @@ func Recover(env *sim.Env, dev blockdev.Device, prof Profile) (rfs *FS, err erro
 			x, err := fs.readInode(ino) // cached table block; accounting only
 			if err != nil {
 				fs.erased = append(fs.erased, ino)
-				fs.stats.DroppedNodes++
 				continue
 			}
 			fs.inodes[ino] = x

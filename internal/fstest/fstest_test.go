@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"betrfs/internal/blockdev"
+	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sim"
 	"betrfs/internal/systems"
 	"betrfs/internal/vfs"
@@ -406,31 +407,30 @@ func TestFsyncDurableAfterCrashBetrFS(t *testing.T) {
 
 func TestBlindWriteOnlyOnBetrFS(t *testing.T) {
 	env, m := build(t, "betrfs-v0.6")
-	_ = env
 	f, _ := m.Create("f")
 	f.Write(bytes.Repeat([]byte{1}, 4*vfs.PageSize))
 	m.DropCaches()
 	g, _ := m.Open("f")
-	before := m.Stats().BlindWrites
+	before := metricstest.Counter(t, env.Metrics, "vfs.write.blind")
 	g.WriteAt([]byte{5}, 100) // sub-page, uncached
-	if m.Stats().BlindWrites != before+1 {
+	if metricstest.Counter(t, env.Metrics, "vfs.write.blind") != before+1 {
 		t.Fatal("BetrFS sub-page write did not use the blind path")
 	}
 
-	_, m2 := build(t, "ext4")
+	env2, m2 := build(t, "ext4")
 	f2, _ := m2.Create("f")
 	f2.Write(bytes.Repeat([]byte{1}, 4*vfs.PageSize))
 	m2.DropCaches()
 	g2, _ := m2.Open("f")
-	before2 := m2.Stats().RMWReads
+	before2 := metricstest.Counter(t, env2.Metrics, "vfs.write.rmw")
 	g2.WriteAt([]byte{5}, 100)
-	if m2.Stats().RMWReads != before2+1 {
+	if metricstest.Counter(t, env2.Metrics, "vfs.write.rmw") != before2+1 {
 		t.Fatal("ext4 sub-page write did not read-modify-write")
 	}
 }
 
 func TestReaddirInstantiationOnlyBetrFSv06(t *testing.T) {
-	_, m := build(t, "betrfs-v0.6")
+	env, m := build(t, "betrfs-v0.6")
 	m.MkdirAll("d")
 	for i := 0; i < 20; i++ {
 		f, _ := m.Create(fmt.Sprintf("d/f%02d", i))
@@ -438,15 +438,14 @@ func TestReaddirInstantiationOnlyBetrFSv06(t *testing.T) {
 	}
 	m.DropCaches()
 	m.ReadDir("d")
-	before := m.Stats().FsLookups
+	before := metricstest.Counter(t, env.Metrics, "vfs.lookup.fs")
 	for i := 0; i < 20; i++ {
 		if _, err := m.Stat(fmt.Sprintf("d/f%02d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if m.Stats().FsLookups != before {
-		t.Fatalf("DC: lookups after readdir should all hit the dcache, %d FS lookups",
-			m.Stats().FsLookups-before)
+	if n := metricstest.Counter(t, env.Metrics, "vfs.lookup.fs"); n != before {
+		t.Fatalf("DC: lookups after readdir should all hit the dcache, %d FS lookups", n-before)
 	}
 }
 

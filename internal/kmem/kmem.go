@@ -34,19 +34,6 @@ const KmallocMax = 32 << 10
 // pageSize is the granularity of vmalloc mappings.
 const pageSize = 4096
 
-// Stats counts allocator activity and the simulated time it consumed.
-type Stats struct {
-	Kmallocs      int64
-	Vmallocs      int64
-	CacheHits     int64
-	CacheMisses   int64
-	Frees         int64
-	Reallocs      int64
-	ReallocCopies int64
-	BytesCopied   int64
-	Time          time.Duration
-}
-
 // Buf is an allocation handle. It carries the requested and usable sizes;
 // no real backing memory is attached.
 type Buf struct {
@@ -61,9 +48,9 @@ type Buf struct {
 }
 
 // Allocator models one machine's kernel allocator state. All methods are
-// safe for concurrent use: the mutex serializes the buffer-cache state and
-// statistics, so the background flusher and checkpoint pipeline can
-// allocate serialization buffers while foreground operations run
+// safe for concurrent use: the mutex serializes the buffer-cache state, so
+// the background flusher and checkpoint pipeline can allocate
+// serialization buffers while foreground operations run
 // (DESIGN.md §9). Charges commute, so single-goroutine runs are unchanged.
 type Allocator struct {
 	env         *sim.Env
@@ -72,7 +59,6 @@ type Allocator struct {
 	// cache maps size class -> number of cached regions available.
 	cache    map[int]int
 	cacheCap map[int]int
-	stats    Stats
 
 	mKmalloc     *metrics.Counter
 	mVmalloc     *metrics.Counter
@@ -129,14 +115,6 @@ func New(env *sim.Env, cooperative bool) *Allocator {
 // Cooperative reports whether the v0.6 interfaces are enabled.
 func (a *Allocator) Cooperative() bool { return a.cooperative }
 
-// Stats returns cumulative allocator statistics.
-func (a *Allocator) Stats() *Stats { return &a.stats }
-
-func (a *Allocator) charge(d time.Duration) {
-	a.env.ChargeAlloc(d)
-	a.stats.Time += d
-}
-
 // classFor returns the smallest cached size class that fits size, or 0.
 func (a *Allocator) classFor(size int) int {
 	best := 0
@@ -160,24 +138,20 @@ func (a *Allocator) Alloc(size int) *Buf {
 func (a *Allocator) alloc(size int) *Buf {
 	a.mAllocHist.Observe(int64(size))
 	if size <= KmallocMax {
-		a.stats.Kmallocs++
 		a.mKmalloc.Inc()
-		a.charge(a.env.Costs.KmallocBase)
+		a.env.ChargeAlloc(a.env.Costs.KmallocBase)
 		return &Buf{Size: size, Usable: size}
 	}
 	if c := a.classFor(size); c != 0 && a.cache[c] > 0 {
 		a.cache[c]--
-		a.stats.CacheHits++
 		a.mCacheHit.Inc()
-		a.charge(a.env.Costs.KmallocBase) // cache pop is cheap
+		a.env.ChargeAlloc(a.env.Costs.KmallocBase) // cache pop is cheap
 		return &Buf{Size: size, Usable: c, vmalloc: true, class: c}
 	}
-	a.stats.Vmallocs++
-	a.stats.CacheMisses++
 	a.mVmalloc.Inc()
 	a.mCacheMiss.Inc()
 	pages := (size + pageSize - 1) / pageSize
-	a.charge(a.env.Costs.VmallocBase + time.Duration(pages)*a.env.Costs.VmallocPerPage)
+	a.env.ChargeAlloc(a.env.Costs.VmallocBase + time.Duration(pages)*a.env.Costs.VmallocPerPage)
 	class := a.classFor(size)
 	usable := size
 	if class != 0 {
@@ -236,23 +210,22 @@ func (a *Allocator) free(b *Buf, sized bool) {
 	if b == nil {
 		return
 	}
-	a.stats.Frees++
 	a.mFree.Inc()
 	if !b.vmalloc {
-		a.charge(a.env.Costs.KmallocBase)
+		a.env.ChargeAlloc(a.env.Costs.KmallocBase)
 		return
 	}
 	if !sized {
-		a.charge(a.env.Costs.VfreeSizeLookup)
+		a.env.ChargeAlloc(a.env.Costs.VfreeSizeLookup)
 	}
 	if b.class != 0 && a.cache[b.class] < a.cacheCap[b.class] {
 		a.cache[b.class]++
-		a.charge(a.env.Costs.KmallocBase) // cache push
+		a.env.ChargeAlloc(a.env.Costs.KmallocBase) // cache push
 		return
 	}
 	// Real unmap: page-table teardown plus cross-CPU TLB shootdown.
 	pages := (b.Usable + pageSize - 1) / pageSize
-	a.charge(a.env.Costs.TLBShootdown + time.Duration(pages)*a.env.Costs.VmallocPerPage/2)
+	a.env.ChargeAlloc(a.env.Costs.TLBShootdown + time.Duration(pages)*a.env.Costs.VmallocPerPage/2)
 }
 
 // Realloc grows (or shrinks) b to newSize and returns the new handle.
@@ -267,7 +240,6 @@ func (a *Allocator) Realloc(b *Buf, newSize int, usedBytes int) *Buf {
 }
 
 func (a *Allocator) realloc(b *Buf, newSize int, usedBytes int) *Buf {
-	a.stats.Reallocs++
 	a.mRealloc.Inc()
 	if b == nil {
 		return a.alloc(newSize)
@@ -276,7 +248,6 @@ func (a *Allocator) realloc(b *Buf, newSize int, usedBytes int) *Buf {
 		b.Size = newSize
 		return b
 	}
-	a.stats.ReallocCopies++
 	a.mReallocCopy.Inc()
 	var nb *Buf
 	if a.cooperative {
@@ -285,7 +256,6 @@ func (a *Allocator) realloc(b *Buf, newSize int, usedBytes int) *Buf {
 		nb = a.alloc(newSize)
 	}
 	if usedBytes > 0 {
-		a.stats.BytesCopied += int64(usedBytes)
 		a.mBytesCopied.Add(int64(usedBytes))
 		a.env.Memcpy(usedBytes)
 	}

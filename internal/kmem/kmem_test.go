@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sim"
 )
 
@@ -15,8 +16,8 @@ func TestSmallAllocsUseKmalloc(t *testing.T) {
 		t.Fatal("1KiB allocation should be kmalloc")
 	}
 	a.Free(b)
-	if a.Stats().Kmallocs != 1 {
-		t.Fatalf("kmallocs=%d", a.Stats().Kmallocs)
+	if n := metricstest.Counter(t, env.Metrics, "kmem.alloc.kmalloc"); n != 1 {
+		t.Fatalf("kmallocs=%d", n)
 	}
 }
 
@@ -27,8 +28,8 @@ func TestLargeAllocsUseVmalloc(t *testing.T) {
 	if !b.vmalloc {
 		t.Fatal("1MiB allocation should be vmalloc")
 	}
-	if a.Stats().Vmallocs != 1 {
-		t.Fatalf("vmallocs=%d", a.Stats().Vmallocs)
+	if n := metricstest.Counter(t, env.Metrics, "kmem.alloc.vmalloc"); n != 1 {
+		t.Fatalf("vmallocs=%d", n)
 	}
 }
 
@@ -54,16 +55,16 @@ func TestLegacyCacheOnlyServes128K(t *testing.T) {
 	a := New(env, false)
 	b := a.Alloc(128 << 10)
 	a.Free(b)
-	if a.Stats().CacheMisses != 1 {
-		t.Fatalf("first alloc should miss, misses=%d", a.Stats().CacheMisses)
+	if n := metricstest.Counter(t, env.Metrics, "kmem.buffercache.miss"); n != 1 {
+		t.Fatalf("first alloc should miss, misses=%d", n)
 	}
 	b = a.Alloc(128 << 10)
-	if a.Stats().CacheHits != 1 {
-		t.Fatalf("second 128K alloc should hit cache, hits=%d", a.Stats().CacheHits)
+	if n := metricstest.Counter(t, env.Metrics, "kmem.buffercache.hit"); n != 1 {
+		t.Fatalf("second 128K alloc should hit cache, hits=%d", n)
 	}
 	a.Free(b)
 	c := a.Alloc(1 << 20)
-	if a.Stats().CacheHits != 1 {
+	if metricstest.Counter(t, env.Metrics, "kmem.buffercache.hit") != 1 {
 		t.Fatal("1MiB alloc must not hit the 128K-only legacy cache")
 	}
 	a.Free(c)
@@ -75,9 +76,9 @@ func TestCooperativeCacheCoversPowerOfTwo(t *testing.T) {
 	sizes := []int{64 << 10, 256 << 10, 1 << 20, 4 << 20}
 	for _, s := range sizes {
 		a.FreeSized(a.Alloc(s))
-		before := a.Stats().CacheHits
+		before := metricstest.Counter(t, env.Metrics, "kmem.buffercache.hit")
 		a.FreeSized(a.Alloc(s))
-		if a.Stats().CacheHits != before+1 {
+		if metricstest.Counter(t, env.Metrics, "kmem.buffercache.hit") != before+1 {
 			t.Fatalf("size %d did not hit cooperative cache", s)
 		}
 	}
@@ -119,7 +120,7 @@ func TestReallocWithinUsableIsFree(t *testing.T) {
 	if env.Now() != before {
 		t.Fatal("realloc within usable capacity should cost nothing")
 	}
-	if a.Stats().ReallocCopies != 0 {
+	if metricstest.Counter(t, env.Metrics, "kmem.realloc.copy") != 0 {
 		t.Fatal("realloc within usable capacity should not copy")
 	}
 }
@@ -132,16 +133,16 @@ func TestGrowDoublingLegacyCopiesRepeatedly(t *testing.T) {
 	if b.Usable < 4<<20 {
 		t.Fatalf("grown usable=%d", b.Usable)
 	}
-	if l.Stats().ReallocCopies < 5 {
-		t.Fatalf("legacy doubling should copy many times, got %d", l.Stats().ReallocCopies)
+	if n := metricstest.Counter(t, envL.Metrics, "kmem.realloc.copy"); n < 5 {
+		t.Fatalf("legacy doubling should copy many times, got %d", n)
 	}
 
 	envC := sim.NewEnv(1)
 	c := New(envC, true)
 	b2 := c.AllocUsable(64 << 10)
 	b2 = c.GrowDoubling(b2, 4<<20, 64<<10)
-	if c.Stats().ReallocCopies > 1 {
-		t.Fatalf("cooperative growth should copy at most once, got %d", c.Stats().ReallocCopies)
+	if n := metricstest.Counter(t, envC.Metrics, "kmem.realloc.copy"); n > 1 {
+		t.Fatalf("cooperative growth should copy at most once, got %d", n)
 	}
 	if envC.Now() >= envL.Now() {
 		t.Fatalf("cooperative growth (%v) not cheaper than legacy (%v)", envC.Now(), envL.Now())

@@ -25,6 +25,7 @@ import (
 	"betrfs/internal/blobfs"
 	"betrfs/internal/blockdev"
 	"betrfs/internal/ioerr"
+	"betrfs/internal/metrics"
 	"betrfs/internal/sim"
 )
 
@@ -83,17 +84,12 @@ type FS struct {
 	// allocations the cleaner itself performs.
 	cleaning bool
 
-	stats Stats
+	mCleaned *metrics.Counter // logfs.segment.cleaned
 }
 
 type owner struct {
 	ino     blobfs.Ino
 	logical int64 // -1 for a node block
-}
-
-// Stats counts logfs activity.
-type Stats struct {
-	CleanedSegs int64
 }
 
 // New formats a logfs over dev.
@@ -113,11 +109,13 @@ func New(env *sim.Env, dev blockdev.Device) *FS {
 	for h := logHead(0); h < numHeads; h++ {
 		fs.heads[h].seg = -1
 	}
+	reg := env.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
+	fs.mCleaned = reg.Counter("logfs.segment.cleaned")
 	return fs
 }
-
-// Stats returns counters.
-func (fs *FS) Stats() *Stats { return &fs.stats }
 
 // policy is logfs's side of the shared core: removal invalidates blocks,
 // a commit is a checkpoint, nothing is logged, and a blob read charges
@@ -258,7 +256,7 @@ func (fs *FS) maybeClean() {
 
 // cleanSegment migrates a victim's valid blocks to the active logs.
 func (fs *FS) cleanSegment(seg int64) {
-	fs.stats.CleanedSegs++
+	fs.mCleaned.Inc()
 	base := seg * SegmentBlocks
 	buf := make([]byte, BlockSize)
 	for i := int64(0); i < SegmentBlocks; i++ {

@@ -7,6 +7,7 @@ import (
 
 	"betrfs/internal/blobfs"
 	"betrfs/internal/blockdev"
+	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sim"
 	"betrfs/internal/vfs"
 )
@@ -97,7 +98,7 @@ func TestSegmentCleaningReclaimsSpace(t *testing.T) {
 	big, _ := m.Create("big")
 	big.Write(make([]byte, 40<<20))
 	big.Fsync()
-	if fs.Stats().CleanedSegs == 0 {
+	if metricstest.Counter(t, env.Metrics, "logfs.segment.cleaned") == 0 {
 		t.Fatal("segment cleaner never ran despite half-dead segments")
 	}
 	// All live data still readable.

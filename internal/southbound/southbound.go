@@ -61,8 +61,6 @@ type Backend struct {
 	stallThreshold int64
 	stallDelay     time.Duration
 
-	stats Stats
-
 	mReadCount      *metrics.Counter
 	mWriteCount     *metrics.Counter
 	mReadBytes      *metrics.Counter
@@ -76,13 +74,6 @@ type Backend struct {
 type pendingWrite struct {
 	wait  func() error
 	bytes int64
-}
-
-// Stats counts southbound activity.
-type Stats struct {
-	BytesCopied int64
-	Stalls      int64
-	Fsyncs      int64
 }
 
 // New builds the southbound backend, creating the four files on the lower
@@ -121,9 +112,6 @@ func New(env *sim.Env, lower *extfs.FS, lay Layout) *Backend {
 	return b
 }
 
-// Stats returns counters.
-func (b *Backend) Stats() *Stats { return &b.stats }
-
 // File returns the named file.
 func (b *Backend) File(name string) stor.File {
 	f, ok := b.files[name]
@@ -157,7 +145,6 @@ func (b *Backend) throttle() error {
 	if b.dirtyBytes <= b.stallThreshold {
 		return nil
 	}
-	b.stats.Stalls++
 	b.mStallCount.Inc()
 	b.env.Trace("southbound", "stall", "", b.dirtyBytes)
 	b.env.Charge(b.stallDelay)
@@ -175,7 +162,6 @@ type sbFile struct {
 // copy is charged on top of the device read.
 func (f *sbFile) ReadAt(p []byte, off int64) error {
 	f.b.env.Memcpy(len(p))
-	f.b.stats.BytesCopied += int64(len(p))
 	f.b.mReadCount.Inc()
 	f.b.mReadBytes.Add(int64(len(p)))
 	f.b.mBytesCopied.Add(int64(len(p)))
@@ -187,7 +173,6 @@ func (f *sbFile) ReadAt(p []byte, off int64) error {
 func (f *sbFile) WriteAt(p []byte, off int64) error {
 	b := f.b
 	b.env.Memcpy(len(p))
-	b.stats.BytesCopied += int64(len(p))
 	b.mWriteCount.Inc()
 	b.mWriteBytes.Add(int64(len(p)))
 	b.mBytesCopied.Add(int64(len(p)))
@@ -200,7 +185,6 @@ func (f *sbFile) WriteAt(p []byte, off int64) error {
 // SubmitRead starts an asynchronous read (still paying the cache copy).
 func (f *sbFile) SubmitRead(p []byte, off int64) stor.Wait {
 	f.b.env.Memcpy(len(p))
-	f.b.stats.BytesCopied += int64(len(p))
 	f.b.mReadCount.Inc()
 	f.b.mReadBytes.Add(int64(len(p)))
 	f.b.mBytesCopied.Add(int64(len(p)))
@@ -220,7 +204,6 @@ func (f *sbFile) SubmitWrite(p []byte, off int64) stor.Wait {
 func (f *sbFile) Flush() error {
 	b := f.b
 	derr := b.drainTo(0)
-	b.stats.Fsyncs++
 	b.mFlushCount.Inc()
 	if err := f.lf.Fsync(); err != nil {
 		return err

@@ -7,6 +7,7 @@ import (
 
 	"betrfs/internal/blockdev"
 	"betrfs/internal/extfs"
+	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sfl"
 	"betrfs/internal/sim"
 	"betrfs/internal/stor"
@@ -40,8 +41,8 @@ func TestStackingChargesCopies(t *testing.T) {
 	if env.Stats.Memcpy <= before {
 		t.Fatal("stacked write must pay the lower page-cache copy (§2.3)")
 	}
-	if b.Stats().BytesCopied < 1<<20 {
-		t.Fatalf("copied bytes %d", b.Stats().BytesCopied)
+	if n := metricstest.Counter(t, env.Metrics, "southbound.bytes.copied"); n < 1<<20 {
+		t.Fatalf("copied bytes %d", n)
 	}
 }
 
@@ -54,7 +55,7 @@ func TestWritebackStallsUnderPressure(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		f.WriteAt(buf, int64(i)<<20)
 	}
-	if b.Stats().Stalls == 0 {
+	if metricstest.Counter(t, env.Metrics, "southbound.stall.count") == 0 {
 		t.Fatal("no write-back stalls despite pressure")
 	}
 	// The stall time must dominate raw device time for this burst.
@@ -64,12 +65,12 @@ func TestWritebackStallsUnderPressure(t *testing.T) {
 }
 
 func TestFlushCommitsLowerJournal(t *testing.T) {
-	_, b := newBackend(t)
+	env, b := newBackend(t)
 	f := b.File("log")
 	f.WriteAt(make([]byte, 4096), 0)
-	before := b.Stats().Fsyncs
+	before := metricstest.Counter(t, env.Metrics, "southbound.flush.count")
 	f.Flush()
-	if b.Stats().Fsyncs != before+1 {
+	if metricstest.Counter(t, env.Metrics, "southbound.flush.count") != before+1 {
 		t.Fatal("flush did not fsync through the lower file system")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"betrfs/internal/blockdev"
 	"betrfs/internal/cowfs"
 	"betrfs/internal/logfs"
+	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sim"
 	"betrfs/internal/vfs"
 )
@@ -221,7 +222,7 @@ func TestBaselinePin(t *testing.T) {
 	for _, name := range []string{"f2fs", "btrfs", "zfs"} {
 		t.Run(name, func(t *testing.T) {
 			env, dev, st := runBaselineProgram(t, name)
-			if lfs, ok := st.FS.(*logfs.FS); ok && lfs.Stats().CleanedSegs == 0 {
+			if _, ok := st.FS.(*logfs.FS); ok && metricstest.Counter(t, env.Metrics, "logfs.segment.cleaned") == 0 {
 				t.Error("the program never made logfs clean a segment")
 			}
 			got := fmt.Sprintf("now=%d %+v", env.Now(), *dev.Stats())

@@ -47,7 +47,6 @@ func (m *Mount) openFileLocked(path string, create, trunc bool) (*File, error) {
 		if gerr := m.writeGate(); gerr != nil {
 			return nil, gerr
 		}
-		m.stats.Creates++
 		m.m.create.Inc()
 		m.env.Trace("vfs", "create", path, 0)
 		h, attr, cerr := m.fs.Create(parent.h, name, false)
@@ -154,22 +153,6 @@ func (f *File) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Seek sets the cursor (whence 0 = absolute, 1 = relative, 2 = from end)
-// and returns the new position.
-func (f *File) Seek(off int64, whence int) (int64, error) {
-	f.m.lock()
-	defer f.m.unlock()
-	switch whence {
-	case 1:
-		f.pos += off
-	case 2:
-		f.pos = f.ino.attr.Size + off
-	default:
-		f.pos = off
-	}
-	return f.pos, nil
-}
-
 // WriteAt writes p at offset off, through the page cache. Full-page
 // overwrites never read; sub-page writes to uncached blocks either use the
 // FS's blind-write path (WODs, §2.1) or fall back to read-modify-write.
@@ -189,7 +172,6 @@ func (f *File) writeAtLocked(p []byte, off int64) (int, error) {
 		return 0, err
 	}
 	ino := f.ino
-	m.stats.WriteBytes += int64(len(p))
 	m.m.bytesWrite.Add(int64(len(p)))
 	rest := p
 	pos := off
@@ -220,7 +202,6 @@ func (f *File) writeAtLocked(p []byte, off int64) (int, error) {
 		case m.fs.SupportsBlindWrites():
 			// Sub-page write to an uncached block: blind update, no
 			// page instantiated (§2.1 blind writes).
-			m.stats.BlindWrites++
 			m.m.writeBlind.Inc()
 			m.env.Memcpy(n)
 			if err := m.fs.WritePartial(ino.h, blk, po, chunk, false); err != nil {
@@ -228,14 +209,12 @@ func (f *File) writeAtLocked(p []byte, off int64) (int, error) {
 			}
 		default:
 			// Read-modify-write, the update-in-place path.
-			m.stats.RMWReads++
 			m.m.writeRMW.Inc()
 			pg = m.newPage(ino, blk)
 			if err := m.fs.ReadBlocks(ino.h, blk, []*Page{pg}, false); err != nil {
 				m.dropPage(pg)
 				return f.finishWrite(written, pos, err)
 			}
-			m.stats.PagesRead++
 			m.m.pageRead.Inc()
 			m.env.Memcpy(n)
 			copy(pg.Data[po:po+n], chunk)
@@ -369,7 +348,6 @@ func (m *Mount) fillPages(ino *inode, blk int64, seq bool, raPages int) (*Page, 
 		}
 		return nil, err
 	}
-	m.stats.PagesRead += int64(len(pages))
 	m.m.pageRead.Add(int64(len(pages)))
 	for _, pg := range pages {
 		m.listClean(pg)
@@ -392,7 +370,6 @@ func (f *File) Fsync() error {
 	defer f.m.unlock()
 	m := f.m
 	m.chargeSyscall()
-	m.stats.Fsyncs++
 	m.m.fsync.Inc()
 	opStart := m.env.Now()
 	defer func() { m.m.fsyncNs.Observe(int64(m.env.Now() - opStart)) }()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"betrfs/internal/blockdev"
+	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sim"
 	"betrfs/internal/systems"
 	"betrfs/internal/vfs"
@@ -140,12 +141,14 @@ func shadowProgram(m *vfs.Mount, seed int64, prefix string, ops int, drops bool)
 func TestFramesAliasing(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("single/seed%d", seed), func(t *testing.T) {
-			_, m := mountV06(t, uint64(seed), 0)
+			env, m := mountV06(t, uint64(seed), 0)
 			if err := shadowProgram(m, seed, "f", 1500, true); err != nil {
 				t.Fatal(err)
 			}
-			if st := m.Stats(); st.CowCopies == 0 || st.PageEvictions == 0 {
-				t.Fatalf("program never copied a pinned page (%d) or evicted one (%d)", st.CowCopies, st.PageEvictions)
+			cow := metricstest.Counter(t, env.Metrics, "vfs.page.cow")
+			evict := metricstest.Counter(t, env.Metrics, "vfs.page.evict")
+			if cow == 0 || evict == 0 {
+				t.Fatalf("program never copied a pinned page (%d) or evicted one (%d)", cow, evict)
 			}
 		})
 		t.Run(fmt.Sprintf("concurrent/seed%d", seed), func(t *testing.T) {
@@ -165,10 +168,10 @@ func TestFramesAliasing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if st := m.Stats(); st.CowCopies == 0 {
+			if metricstest.Counter(t, env.Metrics, "vfs.page.cow") == 0 {
 				t.Fatal("program never copied a pinned page")
 			}
-			if env.Metrics.Snapshot().Counters["flusher.flush.bg"] == 0 {
+			if metricstest.Counter(t, env.Metrics, "flusher.flush.bg") == 0 {
 				t.Fatal("no background flush ran: every Release stayed on the mount's goroutine")
 			}
 		})

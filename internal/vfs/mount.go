@@ -49,25 +49,6 @@ func DefaultConfig() Config {
 // readAheadMaxPages bounds the sequential read-ahead window.
 const readAheadMaxPages = 64
 
-// Stats counts VFS activity.
-type Stats struct {
-	Lookups       int64
-	DcacheHits    int64
-	FsLookups     int64
-	Creates       int64
-	Removes       int64
-	Renames       int64
-	ReadBytes     int64
-	WriteBytes    int64
-	PagesRead     int64
-	PagesWritten  int64
-	BlindWrites   int64
-	RMWReads      int64 // read-modify-write fills for sub-page writes
-	Fsyncs        int64
-	PageEvictions int64
-	CowCopies     int64
-}
-
 // inode is the VFS in-memory inode.
 type inode struct {
 	h          Handle
@@ -107,7 +88,6 @@ type Mount struct {
 	dirtyInodes map[*inode]time.Duration
 
 	lastMaintain time.Duration
-	stats        Stats
 	m            mountMetrics
 
 	// Write-back error state (DESIGN.md §10). wbErr latches the first
@@ -213,9 +193,6 @@ func NewMount(env *sim.Env, fs FS, cfg Config) *Mount {
 	return m
 }
 
-// Stats returns VFS counters.
-func (m *Mount) Stats() *Stats { return &m.stats }
-
 // Degraded returns the write failure that flipped the mount read-only,
 // or nil while the mount is healthy.
 func (m *Mount) Degraded() error {
@@ -273,12 +250,10 @@ func (m *Mount) FS() FS { return m.fs }
 // walk resolves path to an inode, charging dentry-cache costs per
 // component and falling back to FS lookups on misses.
 func (m *Mount) walk(path string) (*inode, error) {
-	m.stats.Lookups++
 	m.m.lookup.Inc()
 	path = keys.Clean(path)
 	if d, ok := m.dcache[path]; ok {
 		m.env.Charge(m.env.Costs.PathComponent)
-		m.stats.DcacheHits++
 		m.m.dcacheHit.Inc()
 		if d.neg {
 			return nil, ErrNotExist
@@ -301,7 +276,6 @@ func (m *Mount) walk(path string) (*inode, error) {
 			cur = d.ino
 			continue
 		}
-		m.stats.FsLookups++
 		m.m.fsLookup.Inc()
 		h, attr, err := m.fs.Lookup(cur.h, part)
 		if err != nil {
@@ -363,7 +337,6 @@ func (m *Mount) mkdirLocked(path string) error {
 	if _, err := m.walk(path); err == nil {
 		return ErrExist
 	}
-	m.stats.Creates++
 	m.m.create.Inc()
 	h, attr, err := m.fs.Create(parent.h, name, true)
 	if err != nil {
@@ -428,7 +401,6 @@ func (m *Mount) remove(path string, dir bool) error {
 	if err != nil {
 		return err
 	}
-	m.stats.Removes++
 	m.m.remove.Inc()
 	if err := m.fs.Remove(parent.h, name, ino.h, dir); err != nil {
 		return err
@@ -553,7 +525,6 @@ func (m *Mount) Rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	m.stats.Renames++
 	m.m.rename.Inc()
 	if ino.attr.Dir {
 		// Directory renames change descendant handles in path-indexed

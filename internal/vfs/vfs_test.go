@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sim"
 )
 
@@ -180,14 +181,14 @@ func TestDcacheAvoidsRepeatLookups(t *testing.T) {
 	m.MkdirAll("a/b")
 	f, _ := m.Create("a/b/c")
 	f.Close()
-	before := m.Stats().FsLookups
+	before := metricstest.Counter(t, m.env.Metrics, "vfs.lookup.fs")
 	for i := 0; i < 10; i++ {
 		if _, err := m.Stat("a/b/c"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if m.Stats().FsLookups != before {
-		t.Fatalf("dcache missed: %d extra FS lookups", m.Stats().FsLookups-before)
+	if n := metricstest.Counter(t, m.env.Metrics, "vfs.lookup.fs"); n != before {
+		t.Fatalf("dcache missed: %d extra FS lookups", n-before)
 	}
 	_ = fs
 }
@@ -195,9 +196,9 @@ func TestDcacheAvoidsRepeatLookups(t *testing.T) {
 func TestNegativeDentry(t *testing.T) {
 	_, _, m := newTestMount(t, nil)
 	m.Stat("ghost")
-	before := m.Stats().FsLookups
+	before := metricstest.Counter(t, m.env.Metrics, "vfs.lookup.fs")
 	m.Stat("ghost")
-	if m.Stats().FsLookups != before {
+	if metricstest.Counter(t, m.env.Metrics, "vfs.lookup.fs") != before {
 		t.Fatal("negative dentry not cached")
 	}
 	// Creating the file must invalidate the negative entry.
@@ -246,7 +247,7 @@ func TestCleanPageEviction(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		f.ReadAt(buf, int64(i)*PageSize)
 	}
-	if m.Stats().PageEvictions == 0 {
+	if metricstest.Counter(t, m.env.Metrics, "vfs.page.evict") == 0 {
 		t.Fatal("page cache never evicted despite tiny budget")
 	}
 }
@@ -279,9 +280,9 @@ func TestRMWFallback(t *testing.T) {
 	f.Fsync()
 	m.DropCaches()
 	g, _ := m.Open("f")
-	before := m.Stats().RMWReads
+	before := metricstest.Counter(t, m.env.Metrics, "vfs.write.rmw")
 	g.WriteAt([]byte{1}, 10)
-	if m.Stats().RMWReads != before+1 {
+	if metricstest.Counter(t, m.env.Metrics, "vfs.write.rmw") != before+1 {
 		t.Fatal("sub-page write without blind support should read-modify-write")
 	}
 }
@@ -320,8 +321,8 @@ func TestPinnedPageCopyOnWrite(t *testing.T) {
 	if pinned.Data[0] != old {
 		t.Fatal("write mutated a pinned page (CoW violated)")
 	}
-	if m.Stats().CowCopies != 1 {
-		t.Fatalf("CowCopies=%d, want 1", m.Stats().CowCopies)
+	if n := metricstest.Counter(t, m.env.Metrics, "vfs.page.cow"); n != 1 {
+		t.Fatalf("vfs.page.cow=%d, want 1", n)
 	}
 	_ = fs
 }
@@ -527,11 +528,11 @@ func TestWriteEvictCycleAllocatesNoFrame(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		cycle()
 	}
-	evictions, written := m.Stats().PageEvictions, fs.blocksWritten
+	evictions, written := metricstest.Counter(t, m.env.Metrics, "vfs.page.evict"), fs.blocksWritten
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("write, write-back and eviction allocate %v times per cycle, want 0", n)
 	}
-	if m.Stats().PageEvictions == evictions || fs.blocksWritten == written {
+	if metricstest.Counter(t, m.env.Metrics, "vfs.page.evict") == evictions || fs.blocksWritten == written {
 		t.Fatal("the cycle neither evicted nor wrote back")
 	}
 }

@@ -32,7 +32,6 @@ func (m *Mount) cowIfPinned(ino *inode, blk int64, pg *Page, fullOverwrite bool)
 		m.touchPage(pg)
 		return pg
 	}
-	m.stats.CowCopies++
 	m.m.cowCopy.Inc()
 	npg := m.frames.get(ino, blk)
 	if !fullOverwrite {
@@ -154,7 +153,6 @@ func (m *Mount) writebackRun(ino *inode, blk int64, run []*Page, durable bool) {
 		m.forgetPage(p)
 	}
 	err := m.fs.WriteBlocks(ino.h, blk, run, durable)
-	m.stats.PagesWritten += int64(len(run))
 	m.m.pageWrite.Add(int64(len(run)))
 	for _, p := range run {
 		m.trackClean(p)
@@ -225,7 +223,6 @@ func (m *Mount) evictClean() {
 			return
 		}
 		m.dropPage(pg)
-		m.stats.PageEvictions++
 		m.m.pageEvict.Inc()
 	}
 }

@@ -112,8 +112,6 @@ type Log struct {
 	// fsync-heavy workloads are sensitive to it.
 	SyncDelay time.Duration
 
-	stats Stats
-
 	// Pre-resolved registry instruments (see internal/metrics).
 	mAppend       *metrics.Counter
 	mFsync        *metrics.Counter
@@ -142,15 +140,6 @@ func (h *lsnHeap) Pop() any {
 	x := old[len(old)-1]
 	*h = old[:len(old)-1]
 	return x
-}
-
-// Stats counts log activity.
-type Stats struct {
-	Appends     int64
-	Flushes     int64
-	BytesLogged int64
-	PadBytes    int64
-	PinsBlocked int64 // reclaim attempts stopped early by pins
 }
 
 // New creates a log over region f starting empty at LSN 1. The epoch
@@ -184,9 +173,6 @@ func New(env *sim.Env, f stor.File, epoch uint32) *Log {
 
 // Epoch returns the log incarnation number.
 func (l *Log) Epoch() uint32 { return l.epoch }
-
-// Stats returns cumulative log statistics.
-func (l *Log) Stats() *Stats { return &l.stats }
 
 // NextLSN returns the LSN the next Append will receive.
 func (l *Log) NextLSN() uint64 {
@@ -241,7 +227,6 @@ func (l *Log) Append(t RecordType, payload []byte) (uint64, error) {
 		if rem < int64(headerSize+crcSize) {
 			l.pending = append(l.pending, make([]byte, rem)...)
 			l.head += rem
-			l.stats.PadBytes += rem
 			l.mPad.Add(rem)
 		} else {
 			l.appendPad(int(rem))
@@ -253,8 +238,6 @@ func (l *Log) Append(t RecordType, payload []byte) (uint64, error) {
 	l.nextLSN++
 	l.positions = append(l.positions, lsnPos{lsn: lsn, pos: l.head})
 	l.encode(t, lsn, payload)
-	l.stats.Appends++
-	l.stats.BytesLogged += need
 	l.mAppend.Inc()
 	l.mBytes.Add(need)
 	l.env.Trace("wal", "append", "", int64(lsn))
@@ -266,7 +249,6 @@ func (l *Log) Append(t RecordType, payload []byte) (uint64, error) {
 func (l *Log) appendPad(n int) {
 	payload := make([]byte, n-headerSize-crcSize)
 	l.encode(PadType, 0, payload)
-	l.stats.PadBytes += int64(n)
 	l.mPad.Add(int64(n))
 }
 
@@ -341,7 +323,6 @@ func (l *Log) Flush() error {
 	}
 	l.env.Charge(l.SyncDelay)
 	l.durable = l.nextLSN - 1
-	l.stats.Flushes++
 	l.mFsync.Inc()
 	l.env.Trace("wal", "fsync", "", int64(l.durable))
 	return nil
@@ -435,7 +416,6 @@ func (l *Log) Reclaim(upto uint64) Hint {
 	defer l.mu.Unlock()
 	n, tail, blocked := l.cut(upto)
 	if blocked {
-		l.stats.PinsBlocked++
 		l.mPinBlocked.Inc()
 	}
 	l.tail = tail

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sim"
 	"betrfs/internal/stor"
 )
@@ -172,7 +173,7 @@ func TestLogFull(t *testing.T) {
 }
 
 func TestPinBlocksReclaim(t *testing.T) {
-	_, _, l := newLog(t, 1<<20)
+	env, _, l := newLog(t, 1<<20)
 	lsn1, _ := l.Append(1, []byte("pinned"))
 	l.Append(1, []byte("later"))
 	l.Flush()
@@ -181,8 +182,8 @@ func TestPinBlocksReclaim(t *testing.T) {
 	if l.LiveBytes() == 0 {
 		t.Fatal("pin did not prevent reclamation")
 	}
-	if l.Stats().PinsBlocked != 1 {
-		t.Fatalf("PinsBlocked=%d", l.Stats().PinsBlocked)
+	if n := metricstest.Counter(t, env.Metrics, "wal.reclaim.pinblocked"); n != 1 {
+		t.Fatalf("wal.reclaim.pinblocked=%d", n)
 	}
 	unpin()
 	l.Reclaim(l.NextLSN())
@@ -346,7 +347,7 @@ func TestPinReclaimProperty(t *testing.T) {
 		release func()
 	}
 	for seed := uint64(1); seed <= 16; seed++ {
-		_, _, l := newLog(t, 32<<10)
+		env, _, l := newLog(t, 32<<10)
 		rnd := sim.NewRand(seed)
 		var live []pin
 		reclaims, blocked := 0, 0
@@ -389,7 +390,7 @@ func TestPinReclaimProperty(t *testing.T) {
 				want := l.Reclaimable()
 				peek := l.HintAfterReclaim(l.NextLSN())
 				before := l.LiveBytes()
-				was := l.Stats().PinsBlocked
+				was := metricstest.Counter(t, env.Metrics, "wal.reclaim.pinblocked")
 				hint := l.Reclaim(l.NextLSN())
 				if freed := before - l.LiveBytes(); freed != want {
 					t.Fatalf("seed %d step %d: Reclaimable said %d, Reclaim freed %d", seed, step, want, freed)
@@ -401,7 +402,7 @@ func TestPinReclaimProperty(t *testing.T) {
 					t.Fatalf("seed %d step %d: %d bytes reclaimable right after a full reclaim", seed, step, l.Reclaimable())
 				}
 				reclaims++
-				blocked += int(l.Stats().PinsBlocked - was)
+				blocked += int(metricstest.Counter(t, env.Metrics, "wal.reclaim.pinblocked") - was)
 			}
 			got, gok := l.minPinned()
 			ref, rok := scanMinPinned(l.pins)
