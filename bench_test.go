@@ -18,7 +18,6 @@ import (
 	"betrfs/internal/betree"
 	"betrfs/internal/blockdev"
 	"betrfs/internal/kmem"
-	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sfl"
 	"betrfs/internal/sim"
 	"betrfs/internal/systems"
@@ -283,61 +282,6 @@ func BenchmarkAblationHDD(b *testing.B) {
 				r := workload.RandomWrite(in.Env, in.Mount, (10<<30)/benchScale, 2048, 4096)
 				b.ReportMetric(r.MBps(), "rand4K_MB/s")
 			}
-		})
-	}
-}
-
-// BenchmarkAblationLifting isolates §2.2's trie-style key lifting: the
-// bytes a metadata-heavy checkpoint serializes and writes with and without
-// the common-prefix compression full-path keys enable.
-func BenchmarkAblationLifting(b *testing.B) {
-	for _, lifting := range []bool{false, true} {
-		lifting := lifting
-		name := "plain_keys"
-		if lifting {
-			name = "lifted_keys"
-		}
-		b.Run(name, func(b *testing.B) {
-			var written float64
-			for i := 0; i < b.N; i++ {
-				env, s := buildTree(b, func(c *betree.Config) { c.Lifting = lifting })
-				tr := s.Meta()
-				for f := 0; f < 30000; f++ {
-					key := fmt.Sprintf("usr/src/linux-3.11.10/drivers/net/e%05d.c", f)
-					tr.Put([]byte(key), make([]byte, 64), betree.LogAuto)
-				}
-				s.Checkpoint()
-				written += float64(metricstest.Counter(b, env.Metrics, "betree.bytes.written")) / 1e6
-			}
-			b.ReportMetric(written/float64(b.N), "node_MB_written")
-		})
-	}
-}
-
-// BenchmarkAblationCompression shows why the paper disables node
-// compression on SSDs (§2.2): bytes shrink but the CPU cost delays I/O.
-func BenchmarkAblationCompression(b *testing.B) {
-	for _, comp := range []bool{false, true} {
-		comp := comp
-		name := "uncompressed"
-		if comp {
-			name = "compressed"
-		}
-		b.Run(name, func(b *testing.B) {
-			var elapsed, written float64
-			for i := 0; i < b.N; i++ {
-				env, s := buildTree(b, func(c *betree.Config) { c.Compression = comp })
-				tr := s.Data()
-				start := env.Now()
-				for f := 0; f < 20000; f++ {
-					tr.Put([]byte(fmt.Sprintf("f%06d", f)), make([]byte, 4096), betree.LogAuto)
-				}
-				s.Checkpoint()
-				elapsed += (env.Now() - start).Seconds()
-				written += float64(metricstest.Counter(b, env.Metrics, "betree.bytes.written")) / 1e6
-			}
-			b.ReportMetric(elapsed/float64(b.N), "sim_s")
-			b.ReportMetric(written/float64(b.N), "node_MB_written")
 		})
 	}
 }

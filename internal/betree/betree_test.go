@@ -171,7 +171,7 @@ func TestScanSeeksWithinBasement(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tr.Put(k(i), v(i, 8), LogNone)
 	}
-	root := tr.mustFetch(tr.rootID, nil)
+	root := tr.mustFetch(tr.rootID)
 	leaf, basements := root.isLeaf(), len(root.basements)
 	tr.unpin(root)
 	if !leaf || basements != 1 {

@@ -52,7 +52,7 @@ func (t *Tree) injectRoot(m *Msg) (size, limit int) {
 	s := t.store
 	s.lockShared()
 	defer s.unlockShared()
-	root := t.mustFetch(t.rootID, nil)
+	root := t.mustFetch(t.rootID)
 	defer t.unpin(root)
 	s.latchExcl(root)
 	defer s.unlatchExcl(root)
@@ -84,7 +84,7 @@ func (t *Tree) flushRootExcl() {
 // lock. A no-op if a previous flush already relieved the pressure.
 func (t *Tree) flushRootLocked() {
 	s := t.store
-	root := t.mustFetch(t.rootID, nil)
+	root := t.mustFetch(t.rootID)
 	defer t.unpin(root)
 	if root.isLeaf() {
 		if root.leafBytes() > s.cfg.NodeSize {

@@ -33,16 +33,6 @@ type Config struct {
 	// every range message against every other message with no effect
 	// unless ranges strictly overlap.
 	CoalesceRangeDeletes bool
-	// Lifting enables trie-style key compression at serialization
-	// (§2.2): the longest common prefix of a basement's keys is stored
-	// once, shrinking on-disk nodes and the bytes the serializer and
-	// checksummer touch. Full-path keys make this very effective.
-	Lifting bool
-	// Compression models the node compression early BetrFS versions
-	// used; the paper disables it because the computational cost can
-	// delay I/Os for little benefit on an SSD (§2.2), so it defaults
-	// off and exists for the ablation.
-	Compression bool
 
 	// Concurrent enables the reader/writer locking protocol of
 	// DESIGN.md §9: point queries and scans run concurrently with
@@ -82,8 +72,6 @@ func DefaultConfig() Config {
 		PageSharing:          true,
 		ReadAhead:            true,
 		CoalesceRangeDeletes: true,
-		Lifting:              true,
-		Compression:          false,
 		RelocateAttempts:     2,
 	}
 }

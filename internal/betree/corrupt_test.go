@@ -2,8 +2,11 @@ package betree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"betrfs/internal/blockdev"
@@ -142,6 +145,56 @@ func TestCorruptionSurfacesErrChecksum(t *testing.T) {
 	}
 	if corrupt != 1 {
 		t.Fatalf("scrub flagged %d nodes, want exactly the 1 corrupted", corrupt)
+	}
+}
+
+// TestCompressionFramedLeafIsCorrupt writes the framing of the deleted
+// node-compression format (magic 0xc0dec0de, a zero compressed length and
+// a raw length of 0xfffffff0) over the first 12 bytes of a leaf's extent.
+// Nodes have one format, so Scrub and a cold Get must both report the
+// image as corrupt, and neither may size a buffer from the bogus length.
+func TestCompressionFramedLeafIsCorrupt(t *testing.T) {
+	// With the collector off, a buffer sized from the bogus length is
+	// counted but never reused, so it is never zeroed and stays untouched.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	_, dev, backend, s := corruptStore(t, nil)
+	for i := 0; i < 3000; i++ {
+		s.Data().Put(k(i), v(i, 128), LogAuto)
+	}
+	s.DropCleanCaches()
+	victim := largestLeaf(t, s)
+	leaf, err := s.readNode(s.data, nodeID(victim.ID), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := leafEntries(leaf)[0].key
+	var frame [12]byte
+	binary.BigEndian.PutUint32(frame[0:], 0xc0dec0de)
+	binary.BigEndian.PutUint32(frame[8:], 0xfffffff0)
+	if err := dev.WriteAt(frame[:], devOffset(backend, "data", victim.Off)); err != nil {
+		t.Fatal(err)
+	}
+	s.DropCleanCaches()
+
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	var scrubErr error
+	for _, r := range s.Scrub() {
+		if r.Tree == victim.Tree && r.ID == victim.ID {
+			scrubErr = r.Err
+		}
+	}
+	_, _, getErr := s.Data().Get(key)
+	runtime.ReadMemStats(&ms)
+	if !errors.Is(scrubErr, ErrChecksum) {
+		t.Errorf("scrub of the framed leaf: %v, want ErrChecksum", scrubErr)
+	}
+	if !errors.Is(getErr, ErrChecksum) {
+		t.Errorf("cold get from the framed leaf: %v, want ErrChecksum", getErr)
+	}
+	if grew := ms.TotalAlloc - before; grew >= 64<<20 {
+		t.Errorf("scrub and get allocated %d MiB", grew>>20)
 	}
 }
 

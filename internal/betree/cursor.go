@@ -1,8 +1,6 @@
 package betree
 
 import (
-	"sort"
-
 	"betrfs/internal/ioerr"
 	"betrfs/internal/keys"
 )
@@ -57,60 +55,19 @@ func (t *Tree) scanLeaf(cursor, hi []byte, fn func(k, v []byte) bool) ([]byte, b
 	s := t.store
 	s.lockShared()
 	defer s.unlockShared()
-	var path []pathEl
-	var llo, lhi []byte
-	n, err := t.fetch(t.rootID, nil)
+	d, err := t.descend(cursor, false)
 	if err != nil {
 		return nil, false, err
 	}
-	if n.isLeaf() {
-		s.latchExcl(n)
-	} else {
-		s.latchShared(n)
-	}
-	defer func() {
-		for _, pe := range path {
-			s.unlatchShared(pe.n)
-			t.unpin(pe.n)
-		}
-		if n.isLeaf() {
-			s.unlatchExcl(n)
-		} else {
-			s.unlatchShared(n)
-		}
-		t.unpin(n)
-	}()
-	for !n.isLeaf() {
-		ci := n.childFor(s.env, cursor)
-		child, err := t.fetch(n.children[ci], nil)
-		if err != nil {
-			return nil, false, err
-		}
-		if child.isLeaf() {
-			s.latchExcl(child)
-		} else {
-			s.latchShared(child)
-		}
-		llo, lhi = n.childRange(ci, llo, lhi)
-		path = append(path, pathEl{n, ci})
-		n = child
-	}
+	defer t.release(&d)
+	n, llo, lhi := d.leaf, d.lo, d.hi
 	// Prefetch the next leaf while this one is consumed.
-	if s.cfg.ReadAhead {
-		for i := len(path) - 1; i >= 0; i-- {
-			pe := path[i]
-			if pe.ci+1 < len(pe.n.children) {
-				s.prefetch(t, pe.n.children[pe.ci+1])
-				break
-			}
-		}
-	}
+	t.prefetchNextLeaf(d.path)
 
 	// Materialize the basements overlapping [cursor, hi) against the
 	// path's pending messages; basements outside the requested range are
 	// left untouched (and unread, for partially loaded leaves).
 	for bi := range n.basements {
-		b := n.basements[bi]
 		blo, bhi := basementRange(n, bi, llo, lhi)
 		if keys.Compare(bhi, cursor) <= 0 {
 			continue // entirely below the scan start
@@ -121,19 +78,9 @@ func (t *Tree) scanLeaf(cursor, hi []byte, fn func(k, v []byte) bool) ([]byte, b
 		if err := t.ensureBasement(n, bi); err != nil {
 			return nil, false, err
 		}
-		var msgs []*Msg
-		for _, pe := range path {
-			msgs = pe.n.bufs[pe.ci].collectRange(s.env, blo, bhi, b.maxApplied, msgs)
+		if t.materialize(&d, bi, blo, bhi) > 0 {
+			s.cache.resize(t, n)
 		}
-		if len(msgs) == 0 {
-			continue
-		}
-		sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].MSN < msgs[j].MSN })
-		for _, m := range msgs {
-			// Messages stay live in ancestor buffers, so apply clones.
-			n.applyToBasement(s.env, bi, cloneForSharedApply(s.env, clipToBasement(m, blo, bhi)), false)
-		}
-		s.cache.resize(t, n)
 	}
 
 	// Yield entries within [cursor, hi).

@@ -172,7 +172,7 @@ func TestColdGetAllocatesWhatItReads(t *testing.T) {
 	if err := s.DropCleanCaches(); err != nil {
 		t.Fatal(err)
 	}
-	root := tr.mustFetch(tr.rootID, nil)
+	root := tr.mustFetch(tr.rootID)
 	tr.unpin(root)
 	if root.height != 1 {
 		t.Fatalf("root height %d, want 1", root.height)
@@ -197,7 +197,7 @@ func TestColdGetAllocatesWhatItReads(t *testing.T) {
 		if err := s.DropCleanCaches(); err != nil {
 			t.Fatal(err)
 		}
-		tr.unpin(tr.mustFetch(tr.rootID, nil))
+		tr.unpin(tr.mustFetch(tr.rootID))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, ok, err := tr.Get(key); err != nil || !ok {

@@ -2,7 +2,6 @@ package betree
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"betrfs/internal/ioerr"
@@ -31,8 +30,21 @@ func (r ScrubReport) Unreadable() bool { return errors.Is(r.Err, ioerr.ErrIO) }
 // leaves, the shell and per-basement CRCs exercised via full
 // deserialization. It bypasses the node cache so that each report reflects
 // the bytes actually on disk right now. One report is returned per node,
-// in (tree, node ID) order.
+// in (tree, node ID) order. It takes the store's mutator and structure
+// locks, so it can scrub a live concurrent-mode store (the vfs Mount.Scrub
+// hook); in deterministic mode the locks are no-ops.
 func (s *Store) Scrub() []ScrubReport {
+	if s.concurrent {
+		s.writerMu.Lock()
+		defer s.writerMu.Unlock()
+	}
+	s.lockExcl()
+	defer s.unlockExcl()
+	return s.scrub()
+}
+
+// scrub is Scrub for a caller that holds both locks.
+func (s *Store) scrub() []ScrubReport {
 	var reports []ScrubReport
 	for _, t := range []*Tree{s.meta, s.data} {
 		ids := make([]nodeID, 0, len(t.bt.entries))
@@ -48,19 +60,6 @@ func (s *Store) Scrub() []ScrubReport {
 		}
 	}
 	return reports
-}
-
-// ScrubOnline is Scrub under the store's mutator and structure locks, for
-// scrubbing a live concurrent-mode store (the vfs Mount.Scrub hook). In
-// deterministic mode the locks are no-ops and it is identical to Scrub.
-func (s *Store) ScrubOnline() []ScrubReport {
-	if s.concurrent {
-		s.writerMu.Lock()
-		defer s.writerMu.Unlock()
-	}
-	s.lockExcl()
-	defer s.unlockExcl()
-	return s.Scrub()
 }
 
 // RepairStats summarizes one ScrubRepair pass.
@@ -87,7 +86,7 @@ func (s *Store) ScrubRepair() (st RepairStats, err error) {
 	}
 	s.m.repairRun.Inc()
 	s.lockExcl()
-	reports := s.Scrub()
+	reports := s.scrub()
 	for _, rep := range reports {
 		st.Checked++
 		if rep.Err == nil {
@@ -129,7 +128,7 @@ func (s *Store) repairNode(t *Tree, id nodeID) bool {
 	img := make([]byte, ext.len)
 	if rerr := t.f.SubmitRead(img, ext.off)(); rerr == nil {
 		s.m.retryCorrupt.Inc()
-		if n, derr := s.decodeImage(img); derr == nil && n.id == id {
+		if _, derr := s.decodeImage(img, id); derr == nil {
 			data = img
 		}
 	}
@@ -192,16 +191,6 @@ func (s *Store) verifyExtent(t *Tree, id nodeID, ext extent) error {
 		return rerr // wraps ErrIO: a media error, not checksum corruption
 	}
 	s.m.scrubBytesRead.Add(ext.len)
-	raw, err := maybeDecompressNode(s.env, data)
-	if err != nil {
-		return err
-	}
-	n, err := deserializeNode(s.env, &s.cfg, raw)
-	if err != nil {
-		return err
-	}
-	if n.id != id {
-		return fmt.Errorf("node header claims id %d, block table says %d: %w", n.id, id, ErrChecksum)
-	}
-	return nil
+	_, err := s.decodeImage(data, id)
+	return err
 }

@@ -46,7 +46,7 @@ func writeBackHalfLoadedLeaf(t *testing.T, mutate func(*Config)) (*Store, *node,
 	if err := s.DropCleanCaches(); err != nil {
 		t.Fatal(err)
 	}
-	root := tr.mustFetch(tr.rootID, nil)
+	root := tr.mustFetch(tr.rootID)
 	height := root.height
 	tr.unpin(root)
 	if height != 1 {

@@ -27,7 +27,7 @@ func checkInvariants(t *testing.T, tr *Tree) {
 	defer checkCacheCharges(t, tr.store.cache)
 	var walk func(id nodeID, lo, hi []byte, wantHeight int)
 	walk = func(id nodeID, lo, hi []byte, wantHeight int) {
-		n := tr.mustFetch(id, nil)
+		n := tr.mustFetch(id)
 		defer tr.unpin(n)
 		if wantHeight >= 0 && n.height != wantHeight {
 			t.Fatalf("node %d height %d, want %d", id, n.height, wantHeight)
@@ -77,7 +77,7 @@ func checkInvariants(t *testing.T, tr *Tree) {
 			walk(n.children[ci], clo, chi, n.height-1)
 		}
 	}
-	root := tr.mustFetch(tr.rootID, nil)
+	root := tr.mustFetch(tr.rootID)
 	h := root.height
 	tr.unpin(root)
 	walk(tr.rootID, nil, nil, h)

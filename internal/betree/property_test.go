@@ -198,7 +198,7 @@ func TestRandomScansAgainstModel(t *testing.T) {
 				}
 			}
 			rootShape := func() (leaf bool, basements, entries, pending int) {
-				root := tr.mustFetch(tr.rootID, nil)
+				root := tr.mustFetch(tr.rootID)
 				defer tr.unpin(root)
 				if !root.isLeaf() {
 					return false, 0, 0, root.bufferBytes()
@@ -226,9 +226,9 @@ func TestRandomScansAgainstModel(t *testing.T) {
 				tr.Put([]byte(k), v, LogNone)
 				md.put(k, v)
 			}
-			root := tr.mustFetch(tr.rootID, nil)
+			root := tr.mustFetch(tr.rootID)
 			for _, id := range root.children {
-				c := tr.mustFetch(id, nil)
+				c := tr.mustFetch(id)
 				if !c.isLeaf() || len(c.basements) != 1 {
 					t.Fatalf("want single-basement leaves under the root, got height %d with %d basements",
 						c.height, len(c.basements))

@@ -56,8 +56,6 @@ const (
 )
 
 type nodeEncoder struct {
-	env *sim.Env
-	cfg *Config
 	buf []byte
 	// smallBytes counts bytes that required CPU serialization work;
 	// aligned page payloads are excluded under page sharing.
@@ -98,7 +96,7 @@ func serializeNode(env *sim.Env, cfg *Config, n *node, buf []byte) []byte {
 	if bound := encodedSizeBound(cfg, n); cap(buf) < bound {
 		buf = make([]byte, 0, bound)
 	}
-	e := &nodeEncoder{env: env, cfg: cfg, buf: buf[:0]}
+	e := &nodeEncoder{buf: buf[:0]}
 	// Header placeholder; patched at the end.
 	e.buf = append(e.buf, make([]byte, baseHeaderSize)...)
 	e.smallBytes += baseHeaderSize
@@ -153,17 +151,10 @@ func serializeNode(env *sim.Env, cfg *Config, n *node, buf []byte) []byte {
 			start := len(e.buf)
 			pstart := pageBytes
 			e.u32(uint32(len(b.entries)))
-			lift := 0
-			if cfg.Lifting && len(b.entries) > 1 {
-				lift = keylen.CommonPrefix(b.entries[0].key, b.entries[len(b.entries)-1].key)
-			}
-			var prefix []byte
-			if lift > 0 {
-				prefix = b.entries[0].key[:lift]
-			}
+			prefix := b.prefix()
 			e.keyed(prefix)
 			for i := range b.entries {
-				e.keyed(b.entries[i].key[lift:])
+				e.keyed(b.entries[i].key[len(prefix):])
 				encValue(b.entries[i].val)
 			}
 			locs[bi] = bloc{smallOff: start, smallLen: len(e.buf) - start, pageOff: pstart, pageLen: pageBytes - pstart}
@@ -263,10 +254,7 @@ func encodedSizeBound(cfg *Config, n *node) int {
 	}
 	size := baseHeaderSize + 4 + 2*blockAlign
 	for _, b := range n.basements {
-		lift := 0
-		if cfg.Lifting && len(b.entries) > 1 {
-			lift = keylen.CommonPrefix(b.entries[0].key, b.entries[len(b.entries)-1].key)
-		}
+		lift := len(b.prefix())
 		size += dirSlotSize + 2 + len(b.lowKey()) + 4 + 2 + lift
 		for _, en := range b.entries {
 			size += 2 + len(en.key) - lift + value(en.val)
@@ -349,7 +337,7 @@ func (d *nodeDecoder) value(pages []byte, pageBase int) Value {
 
 // deserializeNode decodes a full node image, charging CPU costs and
 // verifying the header checksum.
-func deserializeNode(env *sim.Env, cfg *Config, data []byte) (*node, error) {
+func deserializeNode(env *sim.Env, data []byte) (*node, error) {
 	if len(data) < baseHeaderSize {
 		return nil, fmt.Errorf("betree: short node: %w", ErrChecksum)
 	}
@@ -443,38 +431,25 @@ func decodeInterior(n *node, data []byte, count int) (read int, err error) {
 // returning unloaded basements and the number of directory bytes consumed
 // (partial-read support, §2.2). The shell checksum is verified before the
 // directory is trusted: a torn or corrupted header region surfaces
-// ErrChecksum instead of garbage basement extents. A shell extending past
-// the provided bytes returns a plain error so callers can fall back to a
-// full read.
+// ErrChecksum instead of garbage basement extents. Callers have checked
+// the magic and the leaf height.
 func decodeLeafShell(data []byte) (bs []*basement, consumed int, err error) {
 	defer func() {
 		if recover() != nil {
 			bs, consumed, err = nil, 0, fmt.Errorf("betree: truncated leaf directory: %w", ErrChecksum)
 		}
 	}()
-	if len(data) < baseHeaderSize {
-		return nil, 0, fmt.Errorf("betree: short leaf shell: %w", ErrChecksum)
-	}
-	if binary.BigEndian.Uint32(data[4:]) != nodeMagic {
-		return nil, 0, fmt.Errorf("betree: bad node magic: %w", ErrChecksum)
-	}
-	if binary.BigEndian.Uint32(data[8:]) != 0 {
-		return nil, 0, fmt.Errorf("betree: leaf shell on interior node")
-	}
 	shellEnd := int(binary.BigEndian.Uint32(data[32:]))
-	if shellEnd < baseHeaderSize {
-		return nil, 0, fmt.Errorf("betree: bad shell end %d: %w", shellEnd, ErrChecksum)
-	}
-	if shellEnd > len(data) {
-		// Not necessarily corrupt: the directory may simply exceed the
-		// header-region read. The caller falls back to a full read, whose
-		// whole-image checksum decides.
-		return nil, 0, fmt.Errorf("betree: leaf shell exceeds %d bytes", len(data))
+	count := int(binary.BigEndian.Uint32(data[28:]))
+	if shellEnd < baseHeaderSize || shellEnd > len(data) || count > (shellEnd-baseHeaderSize)/dirSlotSize {
+		// A directory past the bytes given is not necessarily corrupt: it
+		// may exceed the header-region read, and a partial read falls back
+		// to a full read on any error, whose whole-image checksum decides.
+		return nil, 0, fmt.Errorf("betree: %d-basement leaf shell ends at %d of %d bytes: %w", count, shellEnd, len(data), ErrChecksum)
 	}
 	if shellCRC(data, shellEnd) != binary.BigEndian.Uint32(data[36:]) {
 		return nil, 0, fmt.Errorf("betree: leaf shell: %w", ErrChecksum)
 	}
-	count := int(binary.BigEndian.Uint32(data[28:]))
 	basements := make([]*basement, count)
 	d := &nodeDecoder{data: data, pos: baseHeaderSize}
 	for i := 0; i < count; i++ {
@@ -539,12 +514,15 @@ func decodeBasement(small, pages []byte, b *basement, pb int) (err error) {
 	d := &nodeDecoder{data: small}
 	nEntries := int(d.u32())
 	prefix := d.keyed()
-	b.entries = make([]entry, 0, nEntries)
+	b.entries = make([]entry, 0, min(nEntries, len(small)/7)) // an entry takes at least 7 bytes
 	for i := 0; i < nEntries; i++ {
 		suffix := d.keyed()
 		k := suffix
 		if len(prefix) > 0 {
 			k = append(append(make([]byte, 0, len(prefix)+len(suffix)), prefix...), suffix...)
+		}
+		if i > 0 && keylen.Compare(b.entries[i-1].key, k) >= 0 {
+			return fmt.Errorf("betree: basement at %d: entry %d out of order: %w", b.diskOff, i, ErrChecksum)
 		}
 		v := d.value(pages, pb-b.pageOff)
 		b.entries = append(b.entries, entry{key: k, val: v})
@@ -552,6 +530,16 @@ func decodeBasement(small, pages []byte, b *basement, pb int) (err error) {
 	b.loaded = true
 	b.bytes = b.entryBytes()
 	return nil
+}
+
+// prefix returns the leading key bytes all of b's entries share, which
+// serialization stores once and strips from every key (§2.2 lifting).
+func (b *basement) prefix() []byte {
+	if len(b.entries) < 2 {
+		return nil
+	}
+	first := b.entries[0].key
+	return first[:keylen.CommonPrefix(first, b.entries[len(b.entries)-1].key)]
 }
 
 func smallSpan(bs []*basement) int {

@@ -42,7 +42,7 @@ func TestLeafSerializeRoundTrip(t *testing.T) {
 	if len(data)%4096 != 0 {
 		t.Fatalf("serialized length %d not block aligned", len(data))
 	}
-	got, err := deserializeNode(env, &cfg, data)
+	got, err := deserializeNode(env, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestLeafAlignedValuesRoundTrip(t *testing.T) {
 		}
 		n := mkLeaf(entries, 128<<10)
 		data := serializeNode(env, &cfg, n, nil)
-		got, err := deserializeNode(env, &cfg, data)
+		got, err := deserializeNode(env, data)
 		if err != nil {
 			t.Fatalf("pgsh=%v: %v", pgsh, err)
 		}
@@ -108,7 +108,7 @@ func TestInteriorSerializeRoundTrip(t *testing.T) {
 	n.bufs[2].insert(&Msg{Type: MsgUpdate, MSN: msn + 1, Key: []byte("u"), Off: 17, Val: InlineValue([]byte{9})})
 
 	data := serializeNode(env, &cfg, n, nil)
-	got, err := deserializeNode(env, &cfg, data)
+	got, err := deserializeNode(env, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestCorruptNodeDetected(t *testing.T) {
 	n := mkLeaf([]entry{{key: []byte("k"), val: InlineValue([]byte("v"))}}, 4<<10)
 	data := serializeNode(env, &cfg, n, nil)
 	data[len(data)/2] ^= 0xff
-	if _, err := deserializeNode(env, &cfg, data); err == nil {
+	if _, err := deserializeNode(env, data); err == nil {
 		t.Fatal("corrupted node passed checksum verification")
 	}
 }
@@ -191,7 +191,7 @@ func TestSerializeRoundTripProperty(t *testing.T) {
 			entries = append(entries, entry{key: []byte(k), val: InlineValue(v)})
 		}
 		n := mkLeaf(entries, 2<<10)
-		got, err := deserializeNode(env, &cfg, serializeNode(env, &cfg, n, nil))
+		got, err := deserializeNode(env, serializeNode(env, &cfg, n, nil))
 		if err != nil {
 			return false
 		}
@@ -277,80 +277,32 @@ func TestBlockTableSerializeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLiftingShrinksNodes checks §2.2 lifting: a leaf of full-path keys
+// serializes to fewer bytes than its full keys and values alone take, and
+// the lifted keys round trip.
 func TestLiftingShrinksNodes(t *testing.T) {
 	env := sim.NewEnv(1)
+	cfg := DefaultConfig()
 	var entries []entry
+	full := 0
 	for i := 0; i < 400; i++ {
 		entries = append(entries, entry{
 			key: []byte(fmt.Sprintf("usr/src/linux/fs/ext4/inode%04d.c", i)),
 			val: InlineValue(make([]byte, 20)),
 		})
+		full += len(entries[i].key) + entries[i].val.Len()
 	}
-	lifted := DefaultConfig()
-	lifted.Lifting = true
-	plain := DefaultConfig()
-	plain.Lifting = false
-	nl := mkLeaf(append([]entry{}, entries...), 8<<10)
-	np := mkLeaf(append([]entry{}, entries...), 8<<10)
-	dl := serializeNode(env, &lifted, nl, nil)
-	dp := serializeNode(env, &plain, np, nil)
-	if len(dl) >= len(dp) {
-		t.Fatalf("lifting did not shrink the node: %d >= %d", len(dl), len(dp))
+	dl := serializeNode(env, &cfg, mkLeaf(entries, 8<<10), nil)
+	if len(dl) >= full {
+		t.Fatalf("lifted image is %d bytes, not below its %d bytes of full keys and values", len(dl), full)
 	}
-	// And it must round trip.
-	got, err := deserializeNode(env, &lifted, dl)
+	got, err := deserializeNode(env, dl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ge := leafEntries(got)
 	if len(ge) != len(entries) || !bytes.Equal(ge[7].key, []byte("usr/src/linux/fs/ext4/inode0007.c")) {
 		t.Fatal("lifted keys did not round trip")
-	}
-}
-
-func TestCompressionRoundTrip(t *testing.T) {
-	env := sim.NewEnv(1)
-	var entries []entry
-	for i := 0; i < 200; i++ {
-		entries = append(entries, entry{
-			key: []byte(fmt.Sprintf("k%05d", i)),
-			val: InlineValue(bytes.Repeat([]byte{byte(i % 7)}, 512)),
-		})
-	}
-	n := mkLeaf(entries, 16<<10)
-	cfg := DefaultConfig()
-	raw := serializeNode(env, &cfg, n, nil)
-	comp := compressNode(env, raw)
-	if len(comp) >= len(raw) {
-		t.Fatalf("compression did not shrink a redundant node: %d >= %d", len(comp), len(raw))
-	}
-	back, err := maybeDecompressNode(env, comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, raw) {
-		t.Fatal("decompression mismatch")
-	}
-	// Plain images pass through.
-	same, err := maybeDecompressNode(env, raw)
-	if err != nil || !bytes.Equal(same, raw) {
-		t.Fatal("plain image did not pass through")
-	}
-}
-
-func TestCompressedStoreEndToEnd(t *testing.T) {
-	_, s := testStore(t, func(c *Config) { c.Compression = true })
-	tr := s.Meta()
-	for i := 0; i < 3000; i++ {
-		tr.Put(k(i), v(i, 64), LogAuto)
-	}
-	s.Checkpoint()
-	s.DropCleanCaches()
-	for i := 0; i < 3000; i += 111 {
-		got, ok, _ := tr.Get(k(i))
-		if !ok || !bytes.Equal(got, v(i, 64)) {
-			t.Fatalf("key %d lost under compression", i)
-		}
 	}
 }
 
@@ -386,7 +338,7 @@ func TestDecodeDoesNotAliasImage(t *testing.T) {
 			t.Errorf("height %d: encodedSizeBound %d, image %d bytes", n.height, bound, len(img))
 		}
 		want := append([]byte(nil), img...)
-		got, err := deserializeNode(env, &cfg, img)
+		got, err := deserializeNode(env, img)
 		if err != nil {
 			t.Fatal(err)
 		}

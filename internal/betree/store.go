@@ -294,6 +294,16 @@ func (s *Store) unlatchExcl(n *node) {
 	n.latch.Unlock()
 }
 
+// latchWalk latches a node on a query or scan descent: a leaf exclusive
+// (the walk materializes its basements), an interior node shared.
+func (s *Store) latchWalk(n *node) {
+	if n.isLeaf() {
+		s.latchExcl(n)
+	} else {
+		s.latchShared(n)
+	}
+}
+
 type pendingRead struct {
 	img  *[]byte // from imagePool
 	wait stor.Wait
@@ -563,7 +573,7 @@ func (s *Store) replay(rec wal.Record) error {
 
 // nodeImage is a serialized node between the CPU half of a write
 // (prepareNodeImage) and the submission half (finishNodeWrite). img is the
-// pooled buffer data lives in, nil once data no longer does (compression).
+// pooled buffer data lives in.
 type nodeImage struct {
 	buf  *kmem.Buf
 	data []byte
@@ -586,8 +596,8 @@ func (s *Store) writeNode(t *Tree, n *node) {
 	s.finishNodeWrite(t, n, s.prepareNodeImage(t, n))
 }
 
-// prepareNodeImage is the CPU half: allocate the serialization buffer,
-// serialize, compress. It touches no structural store state, so the
+// prepareNodeImage is the CPU half: allocate the serialization buffer and
+// serialize. It touches no structural store state, so the
 // checkpoint pipeline may run several concurrently (the allocator and the
 // clock are both safe for concurrent use, and their charges commute).
 func (s *Store) prepareNodeImage(t *Tree, n *node) nodeImage {
@@ -602,13 +612,7 @@ func (s *Store) prepareNodeImage(t *Tree, n *node) nodeImage {
 		buf = s.alloc.GrowDoubling(buf, n.memSize()+512, 64<<10)
 	}
 	img := getImage(int64(encodedSizeBound(&s.cfg, n)))
-	data := serializeNode(s.env, &s.cfg, n, *img)
-	if s.cfg.Compression {
-		data = compressNode(s.env, data)
-		putImage(img)
-		img = nil
-	}
-	return nodeImage{buf: buf, data: data, img: img}
+	return nodeImage{buf: buf, data: serializeNode(s.env, &s.cfg, n, *img), img: img}
 }
 
 // inflightWrite is one submitted node-image write. The image and target
@@ -732,7 +736,7 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 			}
 		}
 		s.m.prefetchHit.Inc()
-		return s.decodeFull(t, ext, pr.img)
+		return s.decodeFull(t, id, ext, pr.img)
 	}
 
 	if partialKey != nil {
@@ -745,8 +749,7 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 		if rerr := t.f.SubmitRead(hdr, ext.off)(); rerr != nil {
 			return nil, rerr
 		}
-		compressed := s.cfg.Compression && binary.BigEndian.Uint32(hdr) == compressedMagic
-		if !compressed && binary.BigEndian.Uint32(hdr[4:]) == nodeMagic && binary.BigEndian.Uint32(hdr[8:]) == 0 {
+		if binary.BigEndian.Uint32(hdr[4:]) == nodeMagic && binary.BigEndian.Uint32(hdr[8:]) == 0 {
 			if basements, _, err := decodeLeafShell(hdr); err == nil {
 				n := &node{id: id, height: 0, basements: basements, pageBase: pageBase(hdr)}
 				s.m.nodePartial.Inc()
@@ -757,9 +760,9 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 				return n, nil
 			}
 		}
-		// Compressed nodes cannot be partially read, and a shell that did
-		// not fit in the header region (or failed its checksum) leaves the
-		// decision to the whole-image checksum: read the remainder.
+		// A shell that did not fit in the header region (or failed its
+		// checksum) leaves the decision to the whole-image checksum: read
+		// the remainder.
 		img := getImage(ext.len)
 		copy(*img, hdr)
 		if ext.len > hlen {
@@ -767,14 +770,14 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 				return nil, rerr
 			}
 		}
-		return s.decodeFull(t, ext, img)
+		return s.decodeFull(t, id, ext, img)
 	}
 
 	img := getImage(ext.len)
 	if rerr := t.f.SubmitRead(*img, ext.off)(); rerr != nil {
 		return nil, rerr
 	}
-	return s.decodeFull(t, ext, img)
+	return s.decodeFull(t, id, ext, img)
 }
 
 // imagePools recycles node-image buffers (*[]byte) for both directions:
@@ -820,13 +823,15 @@ func (s *Store) countBytesRead(n *node, bytes int64) {
 	}
 }
 
-// decodeImage decompresses and deserializes a full node image.
-func (s *Store) decodeImage(data []byte) (*node, error) {
-	raw, err := maybeDecompressNode(s.env, data)
-	if err != nil {
-		return nil, err
+// decodeImage deserializes the full image of node id and checks that its
+// header names that node. Every full-image read decodes through it:
+// fetches (decodeFull), scrubs (verifyExtent) and repairs (repairNode).
+func (s *Store) decodeImage(data []byte, id nodeID) (*node, error) {
+	n, err := deserializeNode(s.env, data)
+	if err == nil && n.id != id {
+		return nil, fmt.Errorf("node header claims id %d, block table says %d: %w", n.id, id, ErrChecksum)
 	}
-	return deserializeNode(s.env, &s.cfg, raw)
+	return n, err
 }
 
 // decodeFull decodes the full node image in img, counts the read and
@@ -834,15 +839,15 @@ func (s *Store) decodeImage(data []byte) (*node, error) {
 // a bit flip picked up in transfer (not on the medium) yields a clean
 // second read. Re-reads count in io.retry.corrupt; a second failure is
 // persistent corruption and surfaces ErrChecksum.
-func (s *Store) decodeFull(t *Tree, ext extent, img *[]byte) (*node, error) {
+func (s *Store) decodeFull(t *Tree, id nodeID, ext extent, img *[]byte) (*node, error) {
 	defer putImage(img)
-	n, err := s.decodeImage(*img)
+	n, err := s.decodeImage(*img, id)
 	if err != nil && errors.Is(err, ErrChecksum) {
 		s.m.retryCorrupt.Inc()
 		if rerr := t.f.SubmitRead(*img, ext.off)(); rerr != nil {
 			return nil, rerr
 		}
-		n, err = s.decodeImage(*img)
+		n, err = s.decodeImage(*img, id)
 	}
 	if err != nil {
 		return nil, err
@@ -1089,7 +1094,7 @@ func (s *Store) checkpointLocked() {
 }
 
 // writeDirtyNodes writes back every dirty cached node of tree t. With
-// more than one flusher worker the CPU half (serialize, compress,
+// more than one flusher worker the CPU half (serialize and
 // checksum) fans out across the pool and the submission half runs on this
 // goroutine in sweep order; with one worker (deterministic mode) it is
 // the historical sequential loop.

@@ -138,13 +138,7 @@ func (t *Tree) fetch(id nodeID, partialKey []byte) (*node, error) {
 	if n, ok := s.cache.lookup(t, id, true); ok {
 		return n, nil
 	}
-	var n *node
-	var err error
-	if partialKey != nil && !t.seqHint.Load() {
-		n, err = s.readNode(t, id, partialKey)
-	} else {
-		n, err = s.readNode(t, id, nil)
-	}
+	n, err := s.readNode(t, id, partialKey)
 	if err != nil {
 		return nil, err
 	}
@@ -154,8 +148,8 @@ func (t *Tree) fetch(id nodeID, partialKey []byte) (*node, error) {
 // mustFetch is fetch for write paths, where an unreadable node aborts the
 // whole operation: the error is raised to the public-API guard, so the
 // mutation surfaces it instead of crashing the process.
-func (t *Tree) mustFetch(id nodeID, partialKey []byte) *node {
-	n, err := t.fetch(id, partialKey)
+func (t *Tree) mustFetch(id nodeID) *node {
+	n, err := t.fetch(id, nil)
 	ioerr.Check(err)
 	return n
 }
@@ -307,7 +301,7 @@ func (t *Tree) insertMsg(m *Msg) {
 		t.insertMsgConcurrent(m)
 		return
 	}
-	root := t.mustFetch(t.rootID, nil)
+	root := t.mustFetch(t.rootID)
 	defer t.unpin(root)
 	if root.isLeaf() {
 		t.applyToLeaf(root, m)
@@ -367,7 +361,7 @@ func (t *Tree) flushDescend(n *node) {
 func (t *Tree) flushToChild(parent *node, ci int) {
 	s := t.store
 	s.m.flushRun.Inc()
-	child := t.mustFetch(parent.children[ci], nil)
+	child := t.mustFetch(parent.children[ci])
 	defer t.unpin(child)
 	msgs := parent.bufs[ci].takeAll(s.alloc)
 	s.m.msgFlush.Add(int64(len(msgs)))
@@ -748,6 +742,63 @@ type pathEl struct {
 	ci int
 }
 
+// descent is one root-to-leaf walk held by a query or a scan: every node
+// pinned, the interior nodes latched shared and the leaf exclusive (the
+// walk materializes its basements), and the leaf's key range from the
+// descent pivots.
+type descent struct {
+	path   []pathEl
+	leaf   *node
+	lo, hi []byte
+}
+
+// descend walks from the root to the leaf covering key under the caller's
+// structure lock. partial allows a basement-granular read of the leaf,
+// except under a sequential hint, where whole leaves bring the upcoming
+// basements along. On an error it releases everything taken so far;
+// otherwise the caller releases the walk when done.
+func (t *Tree) descend(key []byte, partial bool) (d descent, err error) {
+	s := t.store
+	n, err := t.fetch(t.rootID, nil)
+	if err != nil {
+		return d, err
+	}
+	s.latchWalk(n)
+	d.leaf = n
+	for !n.isLeaf() {
+		ci := n.childFor(s.env, key)
+		var pk []byte
+		if partial && n.height == 1 && !t.seqHint.Load() {
+			pk = key // child is a leaf: basement-granular read allowed
+		}
+		child, err := t.fetch(n.children[ci], pk)
+		if err != nil {
+			t.release(&d)
+			return descent{}, err
+		}
+		s.latchWalk(child)
+		d.lo, d.hi = n.childRange(ci, d.lo, d.hi)
+		d.path = append(d.path, pathEl{n, ci})
+		d.leaf, n = child, child
+	}
+	return d, nil
+}
+
+// release unlatches and unpins a walk, top-down.
+func (t *Tree) release(d *descent) {
+	s := t.store
+	for _, pe := range d.path {
+		s.unlatchShared(pe.n)
+		t.unpin(pe.n)
+	}
+	if d.leaf.isLeaf() {
+		s.unlatchExcl(d.leaf)
+	} else {
+		s.unlatchShared(d.leaf)
+	}
+	t.unpin(d.leaf)
+}
+
 // Get returns the newest value for key, or ok=false. The query walks one
 // root-to-leaf path, gathering pending messages and applying them to the
 // leaf entry in MSN order (§2.1), and then runs the configured
@@ -776,49 +827,12 @@ func (t *Tree) Get(key []byte) (val []byte, found bool, err error) {
 		s.lockShared()
 		defer s.unlockShared()
 	}
-
-	var path []pathEl
-	var lo, hi []byte
-	n, err := t.fetch(t.rootID, nil)
+	d, err := t.descend(key, true)
 	if err != nil {
 		return nil, false, err
 	}
-	if n.isLeaf() {
-		s.latchExcl(n)
-	} else {
-		s.latchShared(n)
-	}
-	defer func() {
-		for _, pe := range path {
-			s.unlatchShared(pe.n)
-			t.unpin(pe.n)
-		}
-		if n.isLeaf() {
-			s.unlatchExcl(n)
-		} else {
-			s.unlatchShared(n)
-		}
-		t.unpin(n)
-	}()
-	for !n.isLeaf() {
-		ci := n.childFor(s.env, key)
-		var pk []byte
-		if n.height == 1 {
-			pk = key // child is a leaf: basement-granular read allowed
-		}
-		child, err := t.fetch(n.children[ci], pk)
-		if err != nil {
-			return nil, false, err
-		}
-		if child.isLeaf() {
-			s.latchExcl(child)
-		} else {
-			s.latchShared(child)
-		}
-		lo, hi = n.childRange(ci, lo, hi)
-		path = append(path, pathEl{n, ci})
-		n = child
-	}
+	defer t.release(&d)
+	n := d.leaf
 	bi := n.basementFor(s.env, key)
 	if err := t.ensureBasement(n, bi); err != nil {
 		return nil, false, err
@@ -829,7 +843,7 @@ func (t *Tree) Get(key []byte) (val []byte, found bool, err error) {
 	// shared latches exclude root injects, and the exclusive leaf latch
 	// pins b.maxApplied, so the collected set is consistent.
 	var pend []*Msg
-	for _, pe := range path {
+	for _, pe := range d.path {
 		pend = pe.n.bufs[pe.ci].collect(s.env, key, b.maxApplied, pend)
 	}
 	sort.SliceStable(pend, func(i, j int) bool { return pend[i].MSN < pend[j].MSN })
@@ -846,12 +860,12 @@ func (t *Tree) Get(key []byte) (val []byte, found bool, err error) {
 	}
 
 	// Apply-on-query (§4).
-	t.applyOnQuery(path, n, bi, lo, hi, pend)
+	t.applyOnQuery(&d, bi, pend)
 
 	// Read-ahead (§3.2): on sequential hints, prefetch upcoming
 	// basements (or the next leaf when at the last basement).
 	if t.seqHint.Load() && s.cfg.ReadAhead {
-		t.prefetchAfter(path, n, bi)
+		t.prefetchAfter(&d, bi)
 	}
 	return val, found, nil
 }
@@ -918,21 +932,20 @@ func currentValue(s *Store, b *basement, key []byte, pend []*Msg) ([]byte, bool)
 //
 // v0.6: act only when pending messages affected this query's outcome, and
 // then only for the queried key's basement.
-func (t *Tree) applyOnQuery(path []pathEl, leaf *node, bi int, leafLo, leafHi []byte, pend []*Msg) {
+func (t *Tree) applyOnQuery(d *descent, bi int, pend []*Msg) {
 	s := t.store
 	legacy := s.cfg.LegacyApplyOnQuery
 	if !legacy && len(pend) == 0 {
 		return
 	}
 	s.m.applyOnQuery.Inc()
-	b := leaf.basements[bi]
-	blo, bhi := basementRange(leaf, bi, leafLo, leafHi)
+	leaf := d.leaf
 
 	if leaf.dirty.Load() && legacy {
 		// Flush everything targeting the whole leaf out of the path.
-		llo, lhi := boundsOrSentinels(leafLo, leafHi)
+		llo, lhi := boundsOrSentinels(d.lo, d.hi)
 		var moved []*Msg
-		for _, pe := range path {
+		for _, pe := range d.path {
 			moved = append(moved, pe.n.bufs[pe.ci].removeOverlapping(s.env, llo, lhi)...)
 			t.markDirty(pe.n)
 		}
@@ -953,25 +966,35 @@ func (t *Tree) applyOnQuery(path []pathEl, leaf *node, bi int, leafLo, leafHi []
 	// but the action is basement-wide either way, because applying bumps
 	// the basement's maxApplied watermark and every message at or below
 	// it must then be reflected in the basement.
-	var msgs []*Msg
-	for _, pe := range path {
-		msgs = pe.n.bufs[pe.ci].collectRange(s.env, blo, bhi, b.maxApplied, msgs)
-	}
-	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].MSN < msgs[j].MSN })
-	pushed := int64(0)
-	for _, m := range msgs {
-		if !b.loaded {
-			break
-		}
-		// Messages stay live in ancestor buffers, so apply clones.
-		leaf.applyToBasement(s.env, bi, cloneForSharedApply(s.env, clipToBasement(m, blo, bhi)), false)
-		pushed++
-	}
+	blo, bhi := basementRange(leaf, bi, d.lo, d.hi)
+	pushed := t.materialize(d, bi, blo, bhi)
 	s.m.msgPushed.Add(pushed)
 	if pushed > 0 {
 		s.env.Trace("betree", "msg.pushed", "", pushed)
 	}
 	s.cache.resize(t, leaf)
+}
+
+// materialize applies the path's pending messages for basement bi's range
+// [blo, bhi) above its maxApplied watermark to the resident basement in MSN
+// order, leaving the ancestors untouched, and returns how many it applied.
+// Get's apply-on-query and Scan both bring a basement up to date this way.
+func (t *Tree) materialize(d *descent, bi int, blo, bhi []byte) int64 {
+	s := t.store
+	b := d.leaf.basements[bi]
+	var msgs []*Msg
+	for _, pe := range d.path {
+		msgs = pe.n.bufs[pe.ci].collectRange(s.env, blo, bhi, b.maxApplied, msgs)
+	}
+	if len(msgs) == 0 {
+		return 0
+	}
+	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].MSN < msgs[j].MSN })
+	for _, m := range msgs {
+		// Messages stay live in ancestor buffers, so apply clones.
+		d.leaf.applyToBasement(s.env, bi, cloneForSharedApply(s.env, clipToBasement(m, blo, bhi)), false)
+	}
+	return int64(len(msgs))
 }
 
 // basementRange returns the key range a basement spans within its leaf,
@@ -1010,8 +1033,8 @@ var maxKeySentinel = []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 // upcoming basements arrive with the whole-leaf read, and the next leaf is
 // prefetched as soon as the scan enters a leaf, so its device read fully
 // overlaps the CPU work of consuming the current one.
-func (t *Tree) prefetchAfter(path []pathEl, leaf *node, bi int) {
-	s := t.store
+func (t *Tree) prefetchAfter(d *descent, bi int) {
+	leaf := d.leaf
 	if bi+2 < len(leaf.basements) {
 		for b := bi + 1; b <= bi+2; b++ {
 			if !leaf.basements[b].loaded {
@@ -1023,12 +1046,17 @@ func (t *Tree) prefetchAfter(path []pathEl, leaf *node, bi int) {
 			}
 		}
 	}
-	// Prefetch the next leaf via the deepest ancestor with a right
-	// sibling pointer (prefetch dedups against cache and pending reads).
+	t.prefetchNextLeaf(d.path)
+}
+
+// prefetchNextLeaf prefetches the leaf after a walk's via the deepest
+// ancestor with a right sibling pointer (prefetch dedups against cache and
+// pending reads, and does nothing without read-ahead).
+func (t *Tree) prefetchNextLeaf(path []pathEl) {
 	for i := len(path) - 1; i >= 0; i-- {
 		pe := path[i]
 		if pe.ci+1 < len(pe.n.children) {
-			s.prefetch(t, pe.n.children[pe.ci+1])
+			t.store.prefetch(t, pe.n.children[pe.ci+1])
 			return
 		}
 	}

@@ -881,7 +881,7 @@ func (fs *FS) Scrub(repair bool) (vfs.ScrubStats, error) {
 		}, err
 	}
 	var st vfs.ScrubStats
-	for _, rep := range fs.store.ScrubOnline() {
+	for _, rep := range fs.store.Scrub() {
 		st.Checked++
 		if rep.Err != nil {
 			st.Bad++
