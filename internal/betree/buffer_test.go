@@ -261,7 +261,7 @@ func TestDecodeRejectsUnsortedBuffer(t *testing.T) {
 		n.bufs[1].insert(&Msg{Type: MsgRangeDelete, MSN: 6, Key: []byte("n"), EndKey: []byte("o")})
 		return n
 	}
-	if _, err := deserializeNode(env, serializeNode(env, &cfg, build(), nil)); err != nil {
+	if _, err := deserializeNode(env, serializeNode(env, &cfg, build(), nil), nil); err != nil {
 		t.Fatalf("well-ordered image: %v", err)
 	}
 	for name, craft := range map[string]func(n *node){
@@ -272,7 +272,7 @@ func TestDecodeRejectsUnsortedBuffer(t *testing.T) {
 	} {
 		n := build()
 		craft(n)
-		_, err := deserializeNode(env, serializeNode(env, &cfg, n, nil))
+		_, err := deserializeNode(env, serializeNode(env, &cfg, n, nil), nil)
 		if !errors.Is(err, ErrChecksum) {
 			t.Errorf("%s: decode returned %v, want ErrChecksum", name, err)
 		}

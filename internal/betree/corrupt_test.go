@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -44,12 +45,7 @@ func corruptStore(t testing.TB, mutate func(*Config)) (*sim.Env, *blockdev.Dev, 
 // devOffset translates a tree-file-relative extent offset to a device
 // offset using the SFL's static layout.
 func devOffset(backend *sfl.SFL, tree string, off int64) int64 {
-	l := backend.Layout()
-	base := l.SuperBytes + l.LogBytes // "meta" file base
-	if tree == "data" {
-		base += l.MetaBytes
-	}
-	return base + off
+	return backend.DevOffset(tree, off)
 }
 
 // largestLeaf returns the scrub report of the biggest data-tree leaf —
@@ -247,8 +243,8 @@ func TestScanSurfacesCorruption(t *testing.T) {
 }
 
 // TestBasementChecksumOnPartialRead first flips one bit in transfer, once:
-// the basement checksum catches it and the re-read, into the same buffer
-// of just the basement's size, returns the right value. It then corrupts
+// the basement checksum catches it and the re-read, into the same pooled
+// image of the basement's size class, returns the right value. It then corrupts
 // bytes beyond the header region of a large leaf on the medium, so the
 // shell still verifies and the damage is only visible to the per-basement
 // checksums used by basement-granular partial reads.
@@ -283,8 +279,8 @@ func TestBasementChecksumOnPartialRead(t *testing.T) {
 		if off != victim.Off+int64(b.diskOff) {
 			return
 		}
-		if cap(p) != b.diskLen+b.pageLen {
-			t.Errorf("basement read into a %d-byte buffer, want %d", cap(p), b.diskLen+b.pageLen)
+		if want := 1 << bits.Len(uint(b.diskLen+b.pageLen-1)); cap(p) != want {
+			t.Errorf("basement read into a %d-byte buffer, want the %d-byte image class", cap(p), want)
 		}
 		bufs = append(bufs, &p[0])
 		if len(bufs) == 1 {

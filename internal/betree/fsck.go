@@ -128,7 +128,7 @@ func (s *Store) repairNode(t *Tree, id nodeID) bool {
 	img := make([]byte, ext.len)
 	if rerr := t.f.SubmitRead(img, ext.off)(); rerr == nil {
 		s.m.retryCorrupt.Inc()
-		if _, derr := s.decodeImage(img, id); derr == nil {
+		if _, derr := s.decodeImage(img, id, nil); derr == nil {
 			data = img
 		}
 	}
@@ -191,6 +191,6 @@ func (s *Store) verifyExtent(t *Tree, id nodeID, ext extent) error {
 		return rerr // wraps ErrIO: a media error, not checksum corruption
 	}
 	s.m.scrubBytesRead.Add(ext.len)
-	_, err := s.decodeImage(data, id)
+	_, err := s.decodeImage(data, id, nil)
 	return err
 }

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"betrfs/internal/sim"
 )
@@ -33,7 +35,7 @@ func FuzzDeserializeNode(f *testing.F) {
 }
 
 func checkDecodes(t *testing.T, env *sim.Env, img []byte) {
-	n, err := deserializeNode(env, img)
+	n, err := deserializeNode(env, img, nil)
 	if err != nil {
 		if !errors.Is(err, ErrChecksum) {
 			t.Fatalf("decode error does not wrap ErrChecksum: %v", err)
@@ -41,12 +43,139 @@ func checkDecodes(t *testing.T, env *sim.Env, img []byte) {
 		return
 	}
 	cfg := DefaultConfig()
-	back, err := deserializeNode(env, serializeNode(env, &cfg, n, nil))
+	back, err := deserializeNode(env, serializeNode(env, &cfg, n, nil), nil)
 	if err != nil {
 		t.Fatalf("re-serialized node does not decode: %v", err)
 	}
 	if got, want := nodeContents(back), nodeContents(n); !bytes.Equal(got, want) {
 		t.Fatalf("round trip changed the node:\n got  %q\n want %q", got, want)
+	}
+}
+
+// FuzzDecodeBasement feeds arbitrary leaf images to the partial-read
+// decoder, each as given and resealed (see FuzzDeserializeNode): the
+// shell is decoded from the header region, and each basement from its
+// small section and page range in a pooled image, as loadBasement does.
+// Every basement must give an error wrapping ErrChecksum and leave no
+// entry and no borrow behind, or entries that serialize and decode back
+// unchanged, each value borrowing the image until released. Decoding may
+// allocate only the entries and the key bytes it returns, never space
+// sized from a count the section does not hold. The seed corpus in
+// testdata/fuzz holds a leaf with lifted keys, aligned page values and
+// several basements, a one-basement leaf of empty and tiny values, a
+// basement whose entry count exceeds its entries, one whose keys are out
+// of order, and a truncated image.
+func FuzzDecodeBasement(f *testing.F) {
+	env := sim.NewEnv(1)
+	f.Fuzz(func(t *testing.T, img []byte) {
+		checkBasements(t, env, img)
+		checkBasements(t, env, reseal(img))
+	})
+}
+
+func checkBasements(t *testing.T, env *sim.Env, img []byte) {
+	isChecksum := func(what string, err error) {
+		if !errors.Is(err, ErrChecksum) {
+			t.Fatalf("%s: error does not wrap ErrChecksum: %v", what, err)
+		}
+	}
+	shell, _, err := decodeLeafShell(img[:min(len(img), headerRegion)])
+	if err != nil {
+		isChecksum("shell", err)
+		return
+	}
+	for bi, b := range shell {
+		if err := b.checkSpan(int64(len(img))); err != nil {
+			isChecksum("span", err)
+			continue
+		}
+		im := getImage(int64(b.diskLen + b.pageLen))
+		copy(im.b, img[b.diskOff:b.diskOff+b.diskLen])
+		copy(im.b[b.diskLen:], img[b.pageOff:b.pageOff+b.pageLen])
+		// decode decodes b afresh, returning the bytes and objects it
+		// allocated.
+		decode := func() (err error, bytes, objects uint64) {
+			b.loaded, b.entries = false, nil
+			im.refs.Store(0)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = decodeBasement(im.b[:b.diskLen], im.b[b.diskLen:], b, pageBase(img), im)
+			runtime.ReadMemStats(&after)
+			return err, after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+		}
+		// What a decode may allocate: the entries and their keys, in at
+		// most two objects, each rounded up to a size class or to pages.
+		overAllocates := func(bytes, objects uint64) bool {
+			keyBytes := 0
+			for _, e := range b.entries {
+				keyBytes += len(e.key)
+			}
+			justified := uint64(cap(b.entries))*uint64(unsafe.Sizeof(entry{})) + uint64(keyBytes)
+			return bytes > justified+justified/8+2*8192 || objects > 2
+		}
+		err, bytes, objects := decode()
+		// The fuzzing engine's own goroutines may allocate between the two
+		// readings; a decode that over-allocates does so every time.
+		for try := 0; err == nil && overAllocates(bytes, objects) && try < 3; try++ {
+			err, bytes, objects = decode()
+		}
+		if err != nil {
+			isChecksum(fmt.Sprintf("basement %d", bi), err)
+			if b.loaded || b.entries != nil || im.refs.Load() != 0 {
+				t.Fatalf("basement %d: failed decode left %d entries and %d borrows", bi, len(b.entries), im.refs.Load())
+			}
+			putImage(im)
+			continue
+		}
+		if overAllocates(bytes, objects) {
+			t.Fatalf("basement %d: decoding %d entries allocated %d bytes in %d objects", bi, len(b.entries), bytes, objects)
+		}
+		if cap(b.entries) != len(b.entries) {
+			t.Fatalf("basement %d: %d entries in a slice of %d", bi, len(b.entries), cap(b.entries))
+		}
+		checkBasementRoundTrip(t, env, b)
+		borrowed := int32(0)
+		for _, e := range b.entries {
+			if e.val.Len() > 0 {
+				borrowed++
+			}
+		}
+		if im.refs.Load() != borrowed {
+			t.Fatalf("basement %d: %d borrows for %d non-empty values", bi, im.refs.Load(), borrowed)
+		}
+		(&Store{}).keep(im)
+		for _, e := range b.entries {
+			e.val.Release()
+		}
+		if !im.pooled.Load() {
+			t.Fatalf("basement %d: image not back in the pool after every value was released", bi)
+		}
+	}
+}
+
+// checkBasementRoundTrip serializes a decoded basement as a one-basement
+// leaf and decodes it back through the same partial-read path.
+func checkBasementRoundTrip(t *testing.T, env *sim.Env, b *basement) {
+	cfg := DefaultConfig()
+	data := serializeNode(env, &cfg, &node{basements: []*basement{b}}, nil)
+	shell, _, err := decodeLeafShell(data[:min(len(data), headerRegion)])
+	if err != nil {
+		t.Fatalf("re-serialized shell does not decode: %v", err)
+	}
+	back := shell[0]
+	if err := decodeBasement(data[back.diskOff:back.diskOff+back.diskLen], data[back.pageOff:back.pageOff+back.pageLen], back, pageBase(data), nil); err != nil {
+		t.Fatalf("re-serialized basement does not decode: %v", err)
+	}
+	render := func(b *basement) []byte {
+		var out bytes.Buffer
+		fmt.Fprintf(&out, "%q@%d;", b.lowKey(), b.maxApplied)
+		for _, e := range b.entries {
+			fmt.Fprintf(&out, "%q=%q;", e.key, e.val.Bytes())
+		}
+		return out.Bytes()
+	}
+	if got, want := render(back), render(b); !bytes.Equal(got, want) {
+		t.Fatalf("round trip changed the basement:\n got  %q\n want %q", got, want)
 	}
 }
 

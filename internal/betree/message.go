@@ -57,49 +57,44 @@ func (t MsgType) String() string {
 type PageRef interface {
 	// Data returns the page contents. The tree treats them as immutable.
 	Data() []byte
-	// Len returns the page length without materializing it.
-	Len() int
 	// Release drops the tree's reference, re-enabling in-place writes.
 	Release()
 }
 
-// Value is a message or entry payload: either inline bytes or a PageRef.
+// Value is a message or entry payload. Its bytes are its own (inline), a
+// PageRef's page (insertByRef), or part of the node image it was decoded
+// from, borrowed instead of copied (DESIGN.md §5.6). hold is what the
+// value lets go of on Release: the PageRef, or its borrow of the image.
 type Value struct {
-	inline []byte
-	ref    PageRef
+	data []byte
+	hold interface{ Release() }
 }
 
 // InlineValue wraps a byte slice as a value. The tree takes ownership of
 // the slice.
-func InlineValue(b []byte) Value { return Value{inline: b} }
+func InlineValue(b []byte) Value { return Value{data: b} }
 
 // RefValue wraps a page reference as a value (insertByRef).
-func RefValue(r PageRef) Value { return Value{ref: r} }
+func RefValue(r PageRef) Value { return Value{data: r.Data(), hold: r} }
 
-// IsRef reports whether the value is held by reference.
-func (v Value) IsRef() bool { return v.ref != nil }
+// IsRef reports whether the value is held by reference. A value borrowed
+// from a node image is inline to the simulation.
+func (v Value) IsRef() bool {
+	_, ok := v.hold.(PageRef)
+	return ok
+}
 
 // Len returns the value size in bytes.
-func (v Value) Len() int {
-	if v.ref != nil {
-		return v.ref.Len()
-	}
-	return len(v.inline)
-}
+func (v Value) Len() int { return len(v.data) }
 
-// Bytes materializes the value contents. For references this does not
-// copy; callers must not mutate the result.
-func (v Value) Bytes() []byte {
-	if v.ref != nil {
-		return v.ref.Data()
-	}
-	return v.inline
-}
+// Bytes returns the value contents without copying; callers must not
+// mutate the result.
+func (v Value) Bytes() []byte { return v.data }
 
-// Release drops any page reference held by the value.
+// Release drops the page reference or image borrow the value holds.
 func (v Value) Release() {
-	if v.ref != nil {
-		v.ref.Release()
+	if v.hold != nil {
+		v.hold.Release()
 	}
 }
 

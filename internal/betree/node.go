@@ -253,6 +253,9 @@ func (n *node) applyToBasement(env *sim.Env, bi int, m *Msg, withCopies bool) bo
 		b.entries = append(b.entries[:i], b.entries[i+1:]...)
 		return true
 	case MsgUpdate:
+		// The patch is consumed here: its bytes are copied into the
+		// value, and the message's own payload is released.
+		defer m.Val.Release()
 		i, found := b.find(env, m.Key)
 		patch := m.Val.Bytes()
 		if !found {
@@ -265,23 +268,21 @@ func (n *node) applyToBasement(env *sim.Env, bi int, m *Msg, withCopies bool) bo
 			b.maxApplied = m.MSN - 1 // let the insert pass the guard
 			return n.applyToBasement(env, bi, ins, withCopies)
 		}
-		old := b.entries[i].val
-		oldLen := old.Len()
-		need := m.Off + len(patch)
-		v := old.Bytes()
-		if need > len(v) {
-			nv := make([]byte, need)
-			copy(nv, v)
-			v = nv
-		} else if old.IsRef() {
-			// Patching a shared page: copy-on-write the value.
-			v = append([]byte{}, v...)
+		val := b.entries[i].val
+		oldLen := val.Len()
+		if need := m.Off + len(patch); need > oldLen || val.IsRef() {
+			// A grown value, or a shared page (copy-on-write), gets a
+			// private copy. Otherwise the patch lands in place, and a
+			// value borrowed from a node image keeps its borrow.
+			v := make([]byte, max(need, oldLen))
+			copy(v, val.Bytes())
+			val.Release()
+			val = InlineValue(v)
 		}
 		env.Memcpy(len(patch))
-		copy(v[m.Off:], patch)
-		b.bytes += len(v) - oldLen
-		old.Release()
-		b.entries[i].val = InlineValue(v)
+		copy(val.data[m.Off:], patch)
+		b.bytes += val.Len() - oldLen
+		b.entries[i].val = val
 		return true
 	case MsgRangeDelete:
 		lo := sort.Search(len(b.entries), func(i int) bool {
@@ -322,8 +323,8 @@ func cloneForSharedApply(env *sim.Env, m *Msg) *Msg {
 	return &c
 }
 
-// releaseRefs drops all page references held by the node, used when the
-// node is discarded from the cache.
+// releaseRefs drops all page references and image borrows held by the
+// node, used when the node is discarded from the cache.
 func (n *node) releaseRefs() {
 	for i := range n.bufs {
 		for _, m := range n.bufs[i].points { // range deletes carry no value

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	keylen "betrfs/internal/keys"
 	"betrfs/internal/sim"
@@ -291,9 +292,21 @@ func patchHeader(buf []byte, n *node, headerEnd, count int) {
 	binary.BigEndian.PutUint32(buf[28:], uint32(count))
 }
 
+// nodeDecoder reads a node image. Keys are copied into one arena per node
+// or basement; values borrow the image (value).
 type nodeDecoder struct {
 	data []byte
 	pos  int
+	// keys is the arena decoded keys are carved from, sized by a first
+	// pass over the entries so that decoding allocates it once.
+	keys []byte
+	// img is the pooled image data lives in, and borrowed counts the
+	// values that borrow it; the decode's caller credits them to img.refs
+	// once the decode succeeds. With img nil, values alias data without a
+	// borrow, and the caller keeps data unchanged for as long as the node
+	// lives.
+	img      *image
+	borrowed int32
 }
 
 func (d *nodeDecoder) u8() uint8 { v := d.data[d.pos]; d.pos++; return v }
@@ -312,32 +325,79 @@ func (d *nodeDecoder) u64() uint64 {
 	d.pos += 8
 	return v
 }
-func (d *nodeDecoder) keyed() []byte {
-	n := int(d.u16())
-	b := append([]byte{}, d.data[d.pos:d.pos+n]...)
+
+// take returns the next n bytes of the image, in place.
+func (d *nodeDecoder) take(n int) []byte {
+	b := d.data[d.pos : d.pos+n : d.pos+n]
 	d.pos += n
 	return b
 }
 
-// value decodes one encoded value. An aligned value's payload is read
-// from pages at pageBase plus its recorded offset: for a full image, pages
-// is the image and pageBase the header's page-section base; for a
-// basement, pages is its page range and pageBase is shifted to match.
-func (d *nodeDecoder) value(pages []byte, pageBase int) Value {
+// keyed decodes a length-prefixed key into the arena.
+func (d *nodeDecoder) keyed() []byte { return d.key(nil, d.take(int(d.u16()))) }
+
+// key appends prefix and suffix to the arena as one key. The full-slice
+// expression caps the key at its length, so appending to one key
+// reallocates instead of overwriting the next.
+func (d *nodeDecoder) key(prefix, suffix []byte) []byte {
+	start := len(d.keys)
+	d.keys = append(append(d.keys, prefix...), suffix...)
+	return d.keys[start:len(d.keys):len(d.keys)]
+}
+
+// skipKeyed steps over a length-prefixed key, returning its length.
+func (d *nodeDecoder) skipKeyed() int {
+	n := int(d.u16())
+	d.take(n)
+	return n
+}
+
+// skipValue steps over one encoded value (see value).
+func (d *nodeDecoder) skipValue() {
 	aligned := d.u8() == 1
 	n := int(d.u32())
 	if aligned {
-		off := pageBase + int(d.u32())
-		return InlineValue(append([]byte{}, pages[off:off+n]...))
+		d.u32()
+	} else {
+		d.take(n)
 	}
-	v := append([]byte{}, d.data[d.pos:d.pos+n]...)
-	d.pos += n
-	return InlineValue(v)
+}
+
+// value decodes one encoded value, borrowing its bytes from the image
+// rather than copying them. An aligned value's payload is read from pages
+// at pageBase plus its recorded offset: for a full image, pages is the
+// image and pageBase the header's page-section base; for a basement,
+// pages is its page range and pageBase is shifted to match. Values are
+// capped at their length like keys. An empty value borrows nothing.
+func (d *nodeDecoder) value(pages []byte, pageBase int) Value {
+	aligned := d.u8() == 1
+	n := int(d.u32())
+	var b []byte
+	if aligned {
+		off := pageBase + int(d.u32())
+		b = pages[off : off+n : off+n]
+	} else {
+		b = d.take(n)
+	}
+	if n == 0 || d.img == nil {
+		return InlineValue(b)
+	}
+	d.borrowed++
+	return Value{data: b, hold: d.img}
+}
+
+// lend credits the decode's borrows to its image.
+func (d *nodeDecoder) lend() {
+	if d.borrowed > 0 {
+		d.img.refs.Add(d.borrowed)
+	}
 }
 
 // deserializeNode decodes a full node image, charging CPU costs and
-// verifying the header checksum.
-func deserializeNode(env *sim.Env, data []byte) (*node, error) {
+// verifying the header checksum. The node's values borrow img, the pooled
+// image data lives in (nil: they alias data unaccounted). On an error the
+// image may carry borrows of the discarded node, which the caller voids.
+func deserializeNode(env *sim.Env, data []byte, img *image) (*node, error) {
 	if len(data) < baseHeaderSize {
 		return nil, fmt.Errorf("betree: short node: %w", ErrChecksum)
 	}
@@ -369,14 +429,14 @@ func deserializeNode(env *sim.Env, data []byte) (*node, error) {
 			if err := b.checkSpan(int64(len(data))); err != nil {
 				return nil, err
 			}
-			if err := decodeBasement(data[b.diskOff:b.diskOff+b.diskLen], data[b.pageOff:b.pageOff+b.pageLen], b, n.pageBase); err != nil {
+			if err := decodeBasement(data[b.diskOff:b.diskOff+b.diskLen], data[b.pageOff:b.pageOff+b.pageLen], b, n.pageBase, img); err != nil {
 				return nil, err
 			}
 		}
 		env.Serialize(smallSpan(n.basements))
 		return n, nil
 	}
-	read, err := decodeInterior(n, data, count)
+	read, err := decodeInterior(n, data, count, img)
 	if err != nil {
 		return nil, err
 	}
@@ -385,45 +445,82 @@ func deserializeNode(env *sim.Env, data []byte) (*node, error) {
 }
 
 // decodeInterior decodes an interior node's pivots, children and message
-// buffers from a checksum-verified image, returning the bytes it read. An
-// image that beat its checksum but is malformed — a count or length
-// running past the image, an unknown message type, a buffer out of index
-// order — surfaces ErrChecksum instead of a panic or a misordered index.
-func decodeInterior(n *node, data []byte, count int) (read int, err error) {
+// buffers from a checksum-verified image, returning the bytes it read.
+// The messages come from one slab and their keys from one arena, each
+// sized by a first pass over the buffers. An image that beat its checksum
+// but is malformed — a count or length running past the image, an unknown
+// message type, a delete carrying a value, a buffer out of index order —
+// surfaces ErrChecksum instead of a panic or a misordered index.
+func decodeInterior(n *node, data []byte, count int, img *image) (read int, err error) {
 	defer func() {
 		if recover() != nil {
 			read, err = 0, fmt.Errorf("betree: truncated interior node: %w", ErrChecksum)
 		}
 	}()
-	d := &nodeDecoder{data: data, pos: baseHeaderSize}
+	d := &nodeDecoder{data: data, pos: baseHeaderSize, img: img}
 	if got := int(d.u32()); got != count || count < 1 || count > len(data)/12 {
 		return 0, fmt.Errorf("betree: bad child count %d: %w", count, ErrChecksum)
 	}
+	// First pass: count the messages and key bytes. It panics on a
+	// truncated image before anything is sized from its counts.
+	msgs, keyBytes := 0, 0
+	w := *d
 	for i := 0; i < count-1; i++ {
-		n.pivots = append(n.pivots, d.keyed())
+		keyBytes += w.skipKeyed()
 	}
-	for i := 0; i < count; i++ {
-		n.children = append(n.children, nodeID(d.u64()))
+	w.take(8 * count)
+	for ci := 0; ci < count; ci++ {
+		k := int(w.u32())
+		for i := 0; i < k; i++ {
+			w.take(9)
+			keyBytes += w.skipKeyed() + w.skipKeyed()
+			w.u32()
+			w.skipValue()
+		}
+		msgs += k
+	}
+
+	d.keys = make([]byte, 0, keyBytes)
+	n.pivots = make([][]byte, count-1)
+	for i := range n.pivots {
+		n.pivots[i] = d.keyed()
+	}
+	n.children = make([]nodeID, count)
+	for i := range n.children {
+		n.children[i] = nodeID(d.u64())
 	}
 	n.bufs = make([]buffer, count)
-	for ci := 0; ci < count; ci++ {
-		msgs := int(d.u32())
-		for i := 0; i < msgs; i++ {
-			m := &Msg{}
+	slab := make([]Msg, msgs)
+	index := make([]*Msg, msgs)
+	pb := pageBase(data)
+	for ci := range n.bufs {
+		k := int(d.u32())
+		b := &n.bufs[ci]
+		// Point messages index into this buffer's share of the slab's
+		// pointers, capped so an insert cannot spill into the next share.
+		b.points = index[:0:k]
+		index = index[k:]
+		for i := 0; i < k; i++ {
+			m := &slab[0]
+			slab = slab[1:]
 			m.Type = MsgType(d.u8())
 			m.MSN = MSN(d.u64())
 			m.Key = d.keyed()
 			m.EndKey = d.keyed()
 			m.Off = int(d.u32())
-			m.Val = d.value(data, pageBase(data))
+			m.Val = d.value(data, pb)
 			if m.Type < MsgInsert || m.Type > MsgRangeDelete {
 				return 0, fmt.Errorf("betree: node %d: message type %d: %w", n.id, m.Type, ErrChecksum)
 			}
-			if !n.bufs[ci].appendDecoded(m) {
+			if (m.Type == MsgDelete || m.Type == MsgRangeDelete) && m.Val.Len() > 0 {
+				return 0, fmt.Errorf("betree: node %d: %v message with a value: %w", n.id, m.Type, ErrChecksum)
+			}
+			if !b.appendDecoded(m) {
 				return 0, fmt.Errorf("betree: node %d: buffer %d out of index order: %w", n.id, ci, ErrChecksum)
 			}
 		}
 	}
+	d.lend()
 	return d.pos, nil
 }
 
@@ -432,7 +529,8 @@ func decodeInterior(n *node, data []byte, count int) (read int, err error) {
 // (partial-read support, §2.2). The shell checksum is verified before the
 // directory is trusted: a torn or corrupted header region surfaces
 // ErrChecksum instead of garbage basement extents. Callers have checked
-// the magic and the leaf height.
+// the magic and the leaf height. The basements come from one slab and
+// their first keys from one arena; nothing aliases data.
 func decodeLeafShell(data []byte) (bs []*basement, consumed int, err error) {
 	defer func() {
 		if recover() != nil {
@@ -450,10 +548,11 @@ func decodeLeafShell(data []byte) (bs []*basement, consumed int, err error) {
 	if shellCRC(data, shellEnd) != binary.BigEndian.Uint32(data[36:]) {
 		return nil, 0, fmt.Errorf("betree: leaf shell: %w", ErrChecksum)
 	}
+	slab := make([]basement, count)
 	basements := make([]*basement, count)
 	d := &nodeDecoder{data: data, pos: baseHeaderSize}
-	for i := 0; i < count; i++ {
-		b := &basement{}
+	for i := range slab {
+		b := &slab[i]
 		b.diskOff = int(d.u32())
 		b.diskLen = int(d.u32())
 		b.pageOff = int(d.u32())
@@ -463,8 +562,13 @@ func decodeLeafShell(data []byte) (bs []*basement, consumed int, err error) {
 		b.crc = d.u32()
 		basements[i] = b
 	}
-	for i := 0; i < count; i++ {
-		basements[i].firstKey = d.keyed()
+	keyBytes := 0
+	for w, i := *d, 0; i < count; i++ {
+		keyBytes += w.skipKeyed()
+	}
+	d.keys = make([]byte, 0, keyBytes)
+	for _, b := range basements {
+		b.firstKey = d.keyed()
 	}
 	return basements, d.pos, nil
 }
@@ -493,15 +597,20 @@ func (b *basement) checkSpan(total int64) error {
 // node offset b.pageOff). pb is the node's page-section base offset, taken
 // from the checksum-verified header. The basement's directory checksum is
 // verified over both pieces before decoding, so a basement-granular read
-// of a torn or corrupted node surfaces ErrChecksum. Every key and value is
-// copied out: the caller may reuse both buffers.
-func decodeBasement(small, pages []byte, b *basement, pb int) (err error) {
+// of a torn or corrupted node surfaces ErrChecksum. Keys are copied into
+// one arena; values borrow small and pages, which lie in img (see
+// nodeDecoder), and are credited to it only when the whole basement
+// decodes. A failed decode leaves b unloaded and holding no entries.
+func decodeBasement(small, pages []byte, b *basement, pb int, img *image) (err error) {
 	if b.loaded {
 		return nil
 	}
 	defer func() {
 		if recover() != nil {
 			err = fmt.Errorf("betree: truncated basement: %w", ErrChecksum)
+		}
+		if err != nil {
+			b.entries = nil
 		}
 	}()
 	crc := crc32.ChecksumIEEE(small)
@@ -511,22 +620,29 @@ func decodeBasement(small, pages []byte, b *basement, pb int) (err error) {
 	if crc != b.crc {
 		return fmt.Errorf("betree: basement at %d: %w", b.diskOff, ErrChecksum)
 	}
-	d := &nodeDecoder{data: small}
+	d := &nodeDecoder{data: small, img: img}
 	nEntries := int(d.u32())
-	prefix := d.keyed()
-	b.entries = make([]entry, 0, min(nEntries, len(small)/7)) // an entry takes at least 7 bytes
-	for i := 0; i < nEntries; i++ {
-		suffix := d.keyed()
-		k := suffix
-		if len(prefix) > 0 {
-			k = append(append(make([]byte, 0, len(prefix)+len(suffix)), prefix...), suffix...)
+	prefix := d.take(int(d.u16()))
+	// First pass: the key bytes the entries decode to. It panics on a
+	// count the section cannot hold before anything is sized from it.
+	suffixes := 0
+	for w, i := *d, 0; i < nEntries; i++ {
+		suffixes += w.skipKeyed()
+		w.skipValue()
+	}
+	d.keys = make([]byte, 0, nEntries*len(prefix)+suffixes)
+	b.entries = make([]entry, nEntries)
+	for i := range b.entries {
+		k := d.key(prefix, d.take(int(d.u16())))
+		if len(k) > math.MaxUint16 {
+			return fmt.Errorf("betree: basement at %d: entry %d has a %d-byte key: %w", b.diskOff, i, len(k), ErrChecksum)
 		}
 		if i > 0 && keylen.Compare(b.entries[i-1].key, k) >= 0 {
 			return fmt.Errorf("betree: basement at %d: entry %d out of order: %w", b.diskOff, i, ErrChecksum)
 		}
-		v := d.value(pages, pb-b.pageOff)
-		b.entries = append(b.entries, entry{key: k, val: v})
+		b.entries[i] = entry{key: k, val: d.value(pages, pb-b.pageOff)}
 	}
+	d.lend()
 	b.loaded = true
 	b.bytes = b.entryBytes()
 	return nil

@@ -42,7 +42,7 @@ func TestLeafSerializeRoundTrip(t *testing.T) {
 	if len(data)%4096 != 0 {
 		t.Fatalf("serialized length %d not block aligned", len(data))
 	}
-	got, err := deserializeNode(env, data)
+	got, err := deserializeNode(env, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestLeafAlignedValuesRoundTrip(t *testing.T) {
 		}
 		n := mkLeaf(entries, 128<<10)
 		data := serializeNode(env, &cfg, n, nil)
-		got, err := deserializeNode(env, data)
+		got, err := deserializeNode(env, data, nil)
 		if err != nil {
 			t.Fatalf("pgsh=%v: %v", pgsh, err)
 		}
@@ -108,7 +108,7 @@ func TestInteriorSerializeRoundTrip(t *testing.T) {
 	n.bufs[2].insert(&Msg{Type: MsgUpdate, MSN: msn + 1, Key: []byte("u"), Off: 17, Val: InlineValue([]byte{9})})
 
 	data := serializeNode(env, &cfg, n, nil)
-	got, err := deserializeNode(env, data)
+	got, err := deserializeNode(env, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestCorruptNodeDetected(t *testing.T) {
 	n := mkLeaf([]entry{{key: []byte("k"), val: InlineValue([]byte("v"))}}, 4<<10)
 	data := serializeNode(env, &cfg, n, nil)
 	data[len(data)/2] ^= 0xff
-	if _, err := deserializeNode(env, data); err == nil {
+	if _, err := deserializeNode(env, data, nil); err == nil {
 		t.Fatal("corrupted node passed checksum verification")
 	}
 }
@@ -161,7 +161,7 @@ func TestLeafShellPartialDecode(t *testing.T) {
 	// Load just one basement and verify its entries.
 	bi := len(shell) / 2
 	b := shell[bi]
-	if err := decodeBasement(data[b.diskOff:b.diskOff+b.diskLen], data[b.pageOff:b.pageOff+b.pageLen], b, pageBase(data)); err != nil {
+	if err := decodeBasement(data[b.diskOff:b.diskOff+b.diskLen], data[b.pageOff:b.pageOff+b.pageLen], b, pageBase(data), nil); err != nil {
 		t.Fatal(err)
 	}
 	want := n.basements[bi].entries
@@ -191,7 +191,7 @@ func TestSerializeRoundTripProperty(t *testing.T) {
 			entries = append(entries, entry{key: []byte(k), val: InlineValue(v)})
 		}
 		n := mkLeaf(entries, 2<<10)
-		got, err := deserializeNode(env, serializeNode(env, &cfg, n, nil))
+		got, err := deserializeNode(env, serializeNode(env, &cfg, n, nil), nil)
 		if err != nil {
 			return false
 		}
@@ -296,7 +296,7 @@ func TestLiftingShrinksNodes(t *testing.T) {
 	if len(dl) >= full {
 		t.Fatalf("lifted image is %d bytes, not below its %d bytes of full keys and values", len(dl), full)
 	}
-	got, err := deserializeNode(env, dl)
+	got, err := deserializeNode(env, dl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +306,13 @@ func TestLiftingShrinksNodes(t *testing.T) {
 	}
 }
 
-// TestDecodeDoesNotAliasImage decodes node images and basements, then
-// overwrites the bytes they were decoded from: the decoded nodes must not
-// change, because full-image read buffers are recycled (imagePools) and a
-// basement's re-read reuses its buffer. It also checks encodedSizeBound.
-func TestDecodeDoesNotAliasImage(t *testing.T) {
+// TestBorrowedImageNotRecycled decodes node images, and the basements of
+// a leaf image, from pooled images. Every value borrows its bytes from the
+// image; the image stays out of the pool while any value is held and goes
+// back when the last is released; and overwriting it after that changes
+// no live node, whose keys live in their own arena. It also checks
+// encodedSizeBound.
+func TestBorrowedImageNotRecycled(t *testing.T) {
 	env := sim.NewEnv(1)
 	cfg := DefaultConfig() // page sharing and lifting on
 	var entries []entry
@@ -324,53 +326,127 @@ func TestDecodeDoesNotAliasImage(t *testing.T) {
 	leaf := mkLeaf(entries, 16<<10)
 	interior := &node{id: 9, height: 1, children: []nodeID{10, 11}, pivots: [][]byte{[]byte("k020")}, bufs: make([]buffer, 2)}
 	for i := 0; i < 40; i++ {
-		interior.bufs[i/20].insert(&Msg{Type: MsgInsert, MSN: MSN(i + 1), Key: []byte(fmt.Sprintf("k%03d", i)), Val: InlineValue(bytes.Repeat([]byte{byte(i)}, 100*i))})
+		interior.bufs[i/20].insert(&Msg{Type: MsgInsert, MSN: MSN(i + 1), Key: []byte(fmt.Sprintf("k%03d", i)), Val: InlineValue(bytes.Repeat([]byte{byte(i + 1)}, 100*i+1))})
 	}
-	overwrite := func(b []byte) {
+	s := &Store{} // for keep and ImagesOut
+	flip := func(b []byte) {
 		for i := range b {
-			b[i] = 0xa5
+			b[i] ^= 0xff
 		}
+	}
+	// drain checks one decode from im whose values are vals and whose
+	// keys render as keys(), releasing the values one by one.
+	drain := func(what string, im *image, vals []Value, keys func() string) {
+		t.Helper()
+		if got := im.refs.Load(); got != int32(len(vals)) || s.ImagesOut() != 1 {
+			t.Fatalf("%s: %d borrows for %d values, %d images out", what, got, len(vals), s.ImagesOut())
+		}
+		want := make([][]byte, len(vals))
+		for i, v := range vals {
+			want[i] = append([]byte(nil), v.Bytes()...)
+		}
+		flip(im.b)
+		for i, v := range vals {
+			if bytes.Equal(v.Bytes(), want[i]) {
+				t.Fatalf("%s: value %d did not change with its image: it was copied, not borrowed", what, i)
+			}
+		}
+		flip(im.b)
+		wantKeys := keys()
+		for i, v := range vals {
+			if im.pooled.Load() {
+				t.Fatalf("%s: image back in the pool with %d of %d values held", what, len(vals)-i, len(vals))
+			}
+			v.Release()
+		}
+		if !im.pooled.Load() || s.ImagesOut() != 0 {
+			t.Fatalf("%s: image not back in the pool after its last value was released", what)
+		}
+		for i := range im.b {
+			im.b[i] = 0xa5
+		}
+		if keys() != wantKeys {
+			t.Fatalf("%s: overwriting the recycled image changed the node", what)
+		}
+	}
+	pooled := func(data []byte) *image {
+		im := getImage(int64(len(data)))
+		copy(im.b, data)
+		return im
 	}
 
 	for _, n := range []*node{leaf, interior} {
-		img := serializeNode(env, &cfg, n, nil)
-		if bound := encodedSizeBound(&cfg, n); len(img) > bound || bound >= len(img)+2*blockAlign+8 {
-			t.Errorf("height %d: encodedSizeBound %d, image %d bytes", n.height, bound, len(img))
+		data := serializeNode(env, &cfg, n, nil)
+		if bound := encodedSizeBound(&cfg, n); len(data) > bound || bound >= len(data)+2*blockAlign+8 {
+			t.Errorf("height %d: encodedSizeBound %d, image %d bytes", n.height, bound, len(data))
 		}
-		want := append([]byte(nil), img...)
-		got, err := deserializeNode(env, img)
+		im := pooled(data)
+		got, err := deserializeNode(env, im.b, im)
 		if err != nil {
 			t.Fatal(err)
 		}
-		overwrite(img)
-		if !bytes.Equal(serializeNode(env, &cfg, got, nil), want) {
-			t.Errorf("height %d: decoded node changed when its image was overwritten", n.height)
-		}
+		s.keep(im)
+		drain(fmt.Sprintf("height %d", n.height), im, nodeValues(got), func() string { return nodeKeys(got) })
 	}
 
-	img := serializeNode(env, &cfg, leaf, nil)
-	shell, _, err := decodeLeafShell(img)
+	data := serializeNode(env, &cfg, leaf, nil)
+	shell, _, err := decodeLeafShell(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for bi, b := range shell {
-		small := append([]byte(nil), img[b.diskOff:b.diskOff+b.diskLen]...)
-		pages := append([]byte(nil), img[b.pageOff:b.pageOff+b.pageLen]...)
-		if err := decodeBasement(small, pages, b, pageBase(img)); err != nil {
+		im := pooled(append(append([]byte(nil), data[b.diskOff:b.diskOff+b.diskLen]...), data[b.pageOff:b.pageOff+b.pageLen]...))
+		if err := decodeBasement(im.b[:b.diskLen], im.b[b.diskLen:], b, pageBase(data), im); err != nil {
 			t.Fatal(err)
 		}
-		overwrite(small)
-		overwrite(pages)
+		s.keep(im)
 		want := leaf.basements[bi].entries
 		if len(b.entries) != len(want) {
 			t.Fatalf("basement %d: %d entries, want %d", bi, len(b.entries), len(want))
 		}
+		var vals []Value
 		for i := range want {
 			if !bytes.Equal(b.entries[i].key, want[i].key) || !bytes.Equal(b.entries[i].val.Bytes(), want[i].val.Bytes()) {
-				t.Fatalf("basement %d entry %d changed when its buffers were overwritten", bi, i)
+				t.Fatalf("basement %d entry %d did not decode to what was encoded", bi, i)
 			}
+			vals = append(vals, b.entries[i].val)
+		}
+		leafOf := &node{basements: []*basement{b}}
+		drain(fmt.Sprintf("basement %d", bi), im, vals, func() string { return nodeKeys(leafOf) })
+	}
+}
+
+// nodeValues returns every value a node holds: its leaf entries' and its
+// buffered messages'.
+func nodeValues(n *node) []Value {
+	var vals []Value
+	for _, e := range leafEntries(n) {
+		vals = append(vals, e.val)
+	}
+	for ci := range n.bufs {
+		for _, m := range n.bufs[ci].points {
+			vals = append(vals, m.Val)
 		}
 	}
+	return vals
+}
+
+// nodeKeys renders everything of a node but its values.
+func nodeKeys(n *node) string {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "h%d id%d %q %v;", n.height, n.id, n.pivots, n.children)
+	for _, bm := range n.basements {
+		fmt.Fprintf(&b, "[%q]", bm.firstKey)
+		for _, e := range bm.entries {
+			fmt.Fprintf(&b, "%q;", e.key)
+		}
+	}
+	for ci := range n.bufs {
+		for _, m := range n.bufs[ci].points {
+			fmt.Fprintf(&b, "%d:%d/%d %q@%d;", ci, m.Type, m.MSN, m.Key, m.Off)
+		}
+	}
+	return b.String()
 }
 
 // TestPrepareNodeImageReusesPool is the image pool's allocation guard: with

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,6 +97,8 @@ type Store struct {
 	pendingMu sync.Mutex
 	// wbQueued dedups background writeback requests.
 	wbQueued atomic.Bool
+	// imagesOut counts the node images decoded values borrow (ImagesOut).
+	imagesOut atomic.Int64
 }
 
 // storeMetrics holds the store's registry instruments, resolved once at
@@ -305,7 +306,7 @@ func (s *Store) latchWalk(n *node) {
 }
 
 type pendingRead struct {
-	img  *[]byte // from imagePool
+	img  *image
 	wait stor.Wait
 }
 
@@ -577,7 +578,7 @@ func (s *Store) replay(rec wal.Record) error {
 type nodeImage struct {
 	buf  *kmem.Buf
 	data []byte
-	img  *[]byte
+	img  *image
 }
 
 // writeNode serializes and writes a dirty node copy-on-write, charging the
@@ -612,7 +613,7 @@ func (s *Store) prepareNodeImage(t *Tree, n *node) nodeImage {
 		buf = s.alloc.GrowDoubling(buf, n.memSize()+512, 64<<10)
 	}
 	img := getImage(int64(encodedSizeBound(&s.cfg, n)))
-	return nodeImage{buf: buf, data: serializeNode(s.env, &s.cfg, n, *img), img: img}
+	return nodeImage{buf: buf, data: serializeNode(s.env, &s.cfg, n, img.b), img: img}
 }
 
 // inflightWrite is one submitted node-image write. The image and target
@@ -624,7 +625,7 @@ type inflightWrite struct {
 	id       nodeID
 	ext      extent
 	data     []byte
-	img      *[]byte
+	img      *image
 	wait     stor.Wait
 	attempts int
 }
@@ -731,7 +732,8 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 		// failed prefetch read falls back to a fresh synchronous read
 		// (decodeFull re-reads on checksum failure too).
 		if werr := pr.wait(); werr != nil {
-			if rerr := t.f.SubmitRead(*pr.img, ext.off)(); rerr != nil {
+			if rerr := t.f.SubmitRead(pr.img.b, ext.off)(); rerr != nil {
+				putImage(pr.img)
 				return nil, rerr
 			}
 		}
@@ -745,13 +747,16 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 		if hlen > ext.len {
 			hlen = ext.len
 		}
-		hdr := make([]byte, hlen)
-		if rerr := t.f.SubmitRead(hdr, ext.off)(); rerr != nil {
+		// The shell copies what it keeps (its first keys), so the header
+		// buffer goes back to the pool before this returns.
+		hdr := getImage(hlen)
+		defer putImage(hdr)
+		if rerr := t.f.SubmitRead(hdr.b, ext.off)(); rerr != nil {
 			return nil, rerr
 		}
-		if binary.BigEndian.Uint32(hdr[4:]) == nodeMagic && binary.BigEndian.Uint32(hdr[8:]) == 0 {
-			if basements, _, err := decodeLeafShell(hdr); err == nil {
-				n := &node{id: id, height: 0, basements: basements, pageBase: pageBase(hdr)}
+		if binary.BigEndian.Uint32(hdr.b[4:]) == nodeMagic && binary.BigEndian.Uint32(hdr.b[8:]) == 0 {
+			if basements, _, err := decodeLeafShell(hdr.b); err == nil {
+				n := &node{id: id, height: 0, basements: basements, pageBase: pageBase(hdr.b)}
 				s.m.nodePartial.Inc()
 				s.countNodeRead(n, hlen)
 				if err := s.loadBasement(t, n, ext, n.basementFor(s.env, partialKey)); err != nil {
@@ -764,9 +769,10 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 		// checksum) leaves the decision to the whole-image checksum: read
 		// the remainder.
 		img := getImage(ext.len)
-		copy(*img, hdr)
+		copy(img.b, hdr.b)
 		if ext.len > hlen {
-			if rerr := t.f.SubmitRead((*img)[hlen:], ext.off+hlen)(); rerr != nil {
+			if rerr := t.f.SubmitRead(img.b[hlen:], ext.off+hlen)(); rerr != nil {
+				putImage(img)
 				return nil, rerr
 			}
 		}
@@ -774,36 +780,11 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 	}
 
 	img := getImage(ext.len)
-	if rerr := t.f.SubmitRead(*img, ext.off)(); rerr != nil {
+	if rerr := t.f.SubmitRead(img.b, ext.off)(); rerr != nil {
+		putImage(img)
 		return nil, rerr
 	}
 	return s.decodeFull(t, id, ext, img)
-}
-
-// imagePools recycles node-image buffers (*[]byte) for both directions:
-// full-image reads, whose reuse is safe because decoding copies every key
-// and value out of the image, and serialized writes, which the device
-// copies at submission and which come back once the write has succeeded.
-// As in §5's cache of common sizes, buffers come in power-of-two classes:
-// class c holds buffers of capacity 1<<c, so a request never meets a
-// pooled buffer too small for it.
-var imagePools [64]sync.Pool
-
-// getImage returns a buffer of n bytes from n's size class. Its contents
-// are stale: callers fill every byte.
-func getImage(n int64) *[]byte {
-	c := bits.Len64(uint64(n - 1))
-	if p, _ := imagePools[c].Get().(*[]byte); p != nil {
-		*p = (*p)[:n]
-		return p
-	}
-	b := make([]byte, n, 1<<c)
-	return &b
-}
-
-// putImage returns a buffer from getImage to its size class.
-func putImage(p *[]byte) {
-	imagePools[bits.Len64(uint64(cap(*p)))-1].Put(p)
 }
 
 // countNodeRead counts one node read of bytes off the device.
@@ -825,42 +806,49 @@ func (s *Store) countBytesRead(n *node, bytes int64) {
 
 // decodeImage deserializes the full image of node id and checks that its
 // header names that node. Every full-image read decodes through it:
-// fetches (decodeFull), scrubs (verifyExtent) and repairs (repairNode).
-func (s *Store) decodeImage(data []byte, id nodeID) (*node, error) {
-	n, err := deserializeNode(s.env, data)
+// fetches (decodeFull), whose values borrow from img, and scrubs
+// (verifyExtent) and repairs (repairNode), which pass a nil img.
+func (s *Store) decodeImage(data []byte, id nodeID, img *image) (*node, error) {
+	n, err := deserializeNode(s.env, data, img)
 	if err == nil && n.id != id {
 		return nil, fmt.Errorf("node header claims id %d, block table says %d: %w", n.id, id, ErrChecksum)
 	}
 	return n, err
 }
 
-// decodeFull decodes the full node image in img, counts the read and
-// returns img to imagePool. A checksum failure re-reads the extent once:
+// decodeFull decodes the full node image in img and counts the read. The
+// node's values borrow img, which goes back to the pool when the last of
+// them is released (keep). A checksum failure re-reads the extent once:
 // a bit flip picked up in transfer (not on the medium) yields a clean
 // second read. Re-reads count in io.retry.corrupt; a second failure is
 // persistent corruption and surfaces ErrChecksum.
-func (s *Store) decodeFull(t *Tree, id nodeID, ext extent, img *[]byte) (*node, error) {
-	defer putImage(img)
-	n, err := s.decodeImage(*img, id)
+func (s *Store) decodeFull(t *Tree, id nodeID, ext extent, img *image) (*node, error) {
+	n, err := s.decodeImage(img.b, id, img)
 	if err != nil && errors.Is(err, ErrChecksum) {
 		s.m.retryCorrupt.Inc()
-		if rerr := t.f.SubmitRead(*img, ext.off)(); rerr != nil {
+		// A failed decode's node never escapes, so none of the borrows
+		// its basements took are live.
+		img.refs.Store(0)
+		if rerr := t.f.SubmitRead(img.b, ext.off)(); rerr != nil {
+			putImage(img)
 			return nil, rerr
 		}
-		n, err = s.decodeImage(*img, id)
+		n, err = s.decodeImage(img.b, id, img)
 	}
 	if err != nil {
+		putImage(img)
 		return nil, err
 	}
+	s.keep(img)
 	s.countNodeRead(n, ext.len)
 	return n, nil
 }
 
 // loadBasement materializes basement bi of cached leaf n with a partial
-// disk read: its small section and its page range, read into one buffer
-// of exactly their size. The basement's directory checksum is verified,
-// and a failure is re-read once into the same buffer (see decodeFull)
-// before being reported as corruption.
+// disk read: its small section and its page range, read into one pooled
+// image that the basement's values then borrow. The basement's directory
+// checksum is verified, and a failure is re-read once into the same
+// buffer (see decodeFull) before being reported as corruption.
 func (s *Store) loadBasement(t *Tree, n *node, ext extent, bi int) error {
 	b := n.basements[bi]
 	if b.loaded {
@@ -872,8 +860,8 @@ func (s *Store) loadBasement(t *Tree, n *node, ext extent, bi int) error {
 	if err := b.checkSpan(ext.len); err != nil {
 		return fail(err)
 	}
-	buf := make([]byte, b.diskLen+b.pageLen)
-	small, pages := buf[:b.diskLen], buf[b.diskLen:]
+	img := getImage(int64(b.diskLen + b.pageLen))
+	small, pages := img.b[:b.diskLen], img.b[b.diskLen:]
 	readRanges := func() error {
 		if rerr := t.f.SubmitRead(small, ext.off+int64(b.diskOff))(); rerr != nil {
 			return rerr
@@ -884,23 +872,27 @@ func (s *Store) loadBasement(t *Tree, n *node, ext extent, bi int) error {
 		return nil
 	}
 	if rerr := readRanges(); rerr != nil {
+		putImage(img)
 		return fail(rerr)
 	}
 	s.env.Checksum(b.diskLen + b.pageLen)
 	s.env.Serialize(b.diskLen)
-	err := decodeBasement(small, pages, b, n.pageBase)
+	err := decodeBasement(small, pages, b, n.pageBase, img)
 	if err != nil && errors.Is(err, ErrChecksum) {
 		s.m.retryCorrupt.Inc()
 		if rerr := readRanges(); rerr != nil {
+			putImage(img)
 			return fail(rerr)
 		}
-		err = decodeBasement(small, pages, b, n.pageBase)
+		err = decodeBasement(small, pages, b, n.pageBase, img)
 	}
 	if err != nil {
+		putImage(img)
 		return fail(err)
 	}
+	s.keep(img)
 	s.m.basementRead.Inc()
-	s.countBytesRead(n, int64(len(buf)))
+	s.countBytesRead(n, int64(len(img.b)))
 	s.cache.resize(t, n)
 	return nil
 }
@@ -927,7 +919,7 @@ func (s *Store) prefetch(t *Tree, id nodeID) {
 		return
 	}
 	img := getImage(ext.len)
-	wait := t.f.SubmitRead(*img, ext.off)
+	wait := t.f.SubmitRead(img.b, ext.off)
 	s.pendingMu.Lock()
 	if _, raced := s.pending[key]; raced {
 		// Another goroutine issued the same prefetch between our check
@@ -1131,36 +1123,35 @@ const (
 	superSlotSize = 4 << 20
 )
 
+// writeSuperblock writes the next generation's superblock: magic,
+// generation and payload length, the payload (next MSN, the log hint, and
+// each tree's root, next node id and block table), and a crc over all of
+// it. The blob is sized from the two block tables and built in one buffer.
 func (s *Store) writeSuperblock(hint wal.Hint) {
-	payload := make([]byte, 0, 1<<20)
-	var t8 [8]byte
-	put64 := func(v uint64) {
-		binary.BigEndian.PutUint64(t8[:], v)
-		payload = append(payload, t8[:]...)
-	}
-	put64(uint64(s.nextMSN))
-	put64(uint64(hint.Offset))
-	put64(hint.LSN)
-	put64(uint64(hint.Epoch))
-	for _, t := range []*Tree{s.meta, s.data} {
-		put64(uint64(t.rootID))
-		put64(uint64(t.nextNodeID))
-		bt := t.bt.serialize()
-		put64(uint64(len(bt)))
-		payload = append(payload, bt...)
+	trees := [2]*Tree{s.meta, s.data}
+	var tables [2][]byte
+	plen := 4 * 8
+	for i, t := range trees {
+		tables[i] = t.bt.serialize()
+		plen += 3*8 + len(tables[i])
 	}
 	s.generation++
-	blob := make([]byte, 0, len(payload)+24)
-	var t4 [4]byte
-	binary.BigEndian.PutUint32(t4[:], superMagic)
-	blob = append(blob, t4[:]...)
-	binary.BigEndian.PutUint64(t8[:], s.generation)
-	blob = append(blob, t8[:]...)
-	binary.BigEndian.PutUint32(t4[:], uint32(len(payload)))
-	blob = append(blob, t4[:]...)
-	blob = append(blob, payload...)
-	binary.BigEndian.PutUint32(t4[:], crc32.ChecksumIEEE(blob))
-	blob = append(blob, t4[:]...)
+	be := binary.BigEndian
+	blob := make([]byte, 0, 16+plen+4)
+	blob = be.AppendUint32(blob, superMagic)
+	blob = be.AppendUint64(blob, s.generation)
+	blob = be.AppendUint32(blob, uint32(plen))
+	blob = be.AppendUint64(blob, uint64(s.nextMSN))
+	blob = be.AppendUint64(blob, uint64(hint.Offset))
+	blob = be.AppendUint64(blob, hint.LSN)
+	blob = be.AppendUint64(blob, uint64(hint.Epoch))
+	for i, t := range trees {
+		blob = be.AppendUint64(blob, uint64(t.rootID))
+		blob = be.AppendUint64(blob, uint64(t.nextNodeID))
+		blob = be.AppendUint64(blob, uint64(len(tables[i])))
+		blob = append(blob, tables[i]...)
+	}
+	blob = be.AppendUint32(blob, crc32.ChecksumIEEE(blob))
 	if len(blob) > superSlotSize {
 		panic("betree: superblock exceeds slot")
 	}

@@ -504,7 +504,9 @@ func (fs *FS) Rename(oldParent vfs.Handle, oldName string, h vfs.Handle, newPare
 	if err != nil {
 		return nil, err
 	}
-	if err := fs.store.Meta().Put(keys.MetaKey(newPath), v, betree.LogAuto); err != nil {
+	// A Get result is valid only until the next tree call, and Put keeps
+	// the slice it is given: the new entry gets a copy.
+	if err := fs.store.Meta().Put(keys.MetaKey(newPath), append([]byte(nil), v...), betree.LogAuto); err != nil {
 		return nil, err
 	}
 	if err := fs.store.Meta().Delete(keys.MetaKey(oldPath), betree.LogAuto); err != nil {
@@ -723,7 +725,6 @@ type pageRef struct {
 }
 
 func (r pageRef) Data() []byte { return r.pg.Data }
-func (r pageRef) Len() int     { return len(r.pg.Data) }
 func (r pageRef) Release()     { r.pg.Release() }
 
 // WriteBlocks inserts the pages into the data index, one message each —

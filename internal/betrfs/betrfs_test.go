@@ -268,3 +268,51 @@ func TestAttrRoundTrip(t *testing.T) {
 		t.Fatalf("attr round trip: %+v, %v; want %+v", got, err, a)
 	}
 }
+
+// TestRenameKeepsAttrPastItsImage renames a file whose attribute was just
+// read from disk, so the value Get returned borrowed the metadata leaf's
+// node image. It then supersedes the other value borrowing that image,
+// which returns the image to the pool, and has a second mount read a
+// metadata leaf of the same size, which takes the image from there: the
+// renamed file must keep the attribute it had.
+func TestRenameKeepsAttrPastItsImage(t *testing.T) {
+	mount := func(size int64, names ...string) (*FS, []vfs.Handle) {
+		_, fs := newFS(t, nil)
+		var hs []vfs.Handle
+		for i, name := range names {
+			h, _, err := fs.Create(fs.Root(), name, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteAttr(h, vfs.Attr{Size: size + int64(i), Nlink: 1, Mtime: 777}); err != nil {
+				t.Fatal(err)
+			}
+			// A small data value, so the data leaf read during the rename
+			// stays borrowed and only the metadata leaf's image goes back.
+			if err := fs.WritePartial(h, 0, 0, []byte(name), false); err != nil {
+				t.Fatal(err)
+			}
+			hs = append(hs, h)
+		}
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		fs.DropCaches()
+		return fs, hs
+	}
+	other, _ := mount(5000, "x", "y")
+	fs, hs := mount(1000, "a", "c")
+	want := vfs.Attr{Size: 1000, Nlink: 1, Mtime: 777}
+	if _, err := fs.Rename(fs.Root(), "a", hs[0], fs.Root(), "b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteAttr(hs[1], vfs.Attr{Size: 1, Nlink: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := other.Lookup(other.Root(), "y"); err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := fs.Lookup(fs.Root(), "b"); err != nil || got != want {
+		t.Fatalf("renamed file: attr %+v, err %v; want %+v", got, err, want)
+	}
+}

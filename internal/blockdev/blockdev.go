@@ -162,8 +162,13 @@ func (p Profile) Scale(factor int64) Profile {
 
 const chunkSize = 64 << 10
 
+// maxSpareChunks bounds the discarded chunks a Dev keeps for reuse (24 MiB).
+const maxSpareChunks = 384
+
 // Dev is the standard simulated device. Storage is sparse: chunks are
-// allocated on first write and unwritten regions read as zeros.
+// allocated on first write and unwritten regions read as zeros. A chunk a
+// discard drops whole goes onto a bounded spare list, and the next chunk
+// a write allocates comes from there (DESIGN.md §5.6).
 //
 // Submission entry points are serialized by a mutex, modeling the single
 // hardware queue the timing model already assumes: concurrent submitters
@@ -178,6 +183,7 @@ type Dev struct {
 	stats   Stats
 
 	chunks map[int64][]byte
+	spare  [][]byte
 
 	busyUntil time.Duration
 	readEnd   int64 // next sequential read offset
@@ -280,12 +286,26 @@ func (d *Dev) copyIn(p []byte, off int64) {
 		}
 		c, ok := d.chunks[ci]
 		if !ok {
-			c = make([]byte, chunkSize)
+			c = d.newChunk(int(co), want)
 			d.chunks[ci] = c
 		}
 		copy(c[co:], p[n:n+want])
 		n += want
 	}
+}
+
+// newChunk returns a chunk for a write of n bytes at offset co in it: a
+// spare one with every byte outside the write zeroed, else a fresh one.
+func (d *Dev) newChunk(co, n int) []byte {
+	k := len(d.spare)
+	if k == 0 {
+		return make([]byte, chunkSize)
+	}
+	c := d.spare[k-1]
+	d.spare = d.spare[:k-1]
+	clear(c[:co])
+	clear(c[co+n:])
+	return c
 }
 
 // drainCache destages the write cache to flash during device-idle time.
@@ -463,8 +483,9 @@ func (d *Dev) Discard(off, length int64) error {
 	return nil
 }
 
-// zeroRange zeroes [off, off+n) in place, deleting chunks the range fully
-// covers so discarded space costs no memory.
+// zeroRange zeroes [off, off+n) in place, dropping chunks the range fully
+// covers so discarded space costs no memory beyond the bounded spare list
+// they go to.
 func (d *Dev) zeroRange(off, n int64) {
 	for n > 0 {
 		ci := off / chunkSize
@@ -473,12 +494,14 @@ func (d *Dev) zeroRange(off, n int64) {
 		if max := chunkSize - co; want > max {
 			want = max
 		}
-		if co == 0 && want == chunkSize {
+		c, ok := d.chunks[ci]
+		if ok && co == 0 && want == chunkSize {
 			delete(d.chunks, ci)
-		} else if c, ok := d.chunks[ci]; ok {
-			for i := co; i < co+want; i++ {
-				c[i] = 0
+			if len(d.spare) < maxSpareChunks {
+				d.spare = append(d.spare, c)
 			}
+		} else if ok {
+			clear(c[co : co+want])
 		}
 		off += want
 		n -= want

@@ -459,3 +459,117 @@ func TestInjectReadFault(t *testing.T) {
 		t.Fatalf("ReadFaults bumped after clear: %d", d.Stats().ReadFaults)
 	}
 }
+
+// dirtySpare writes chunks full chunks of 0xee from chunk first on and
+// discards them, leaving them on the spare list with stale bytes.
+func dirtySpare(t *testing.T, d *Dev, first, chunks int64) {
+	t.Helper()
+	d.WriteAt(bytes.Repeat([]byte{0xee}, int(chunks*chunkSize)), first*chunkSize)
+	spare := len(d.spare)
+	if err := d.Discard(first*chunkSize, chunks*chunkSize); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(d.spare) - spare; got != int(min(chunks, maxSpareChunks-int64(spare))) {
+		t.Fatalf("discarding %d whole chunks added %d spares", chunks, got)
+	}
+}
+
+// checkBytes fails unless got holds want in [lo, hi) and zeros elsewhere.
+func checkBytes(t *testing.T, got []byte, lo, hi int, want byte) {
+	t.Helper()
+	for i, b := range got {
+		w := byte(0)
+		if i >= lo && i < hi {
+			w = want
+		}
+		if b != w {
+			t.Fatalf("byte %d = %#x, want %#x", i, b, w)
+		}
+	}
+}
+
+// TestSpareChunkPartialWrite writes a few bytes into chunks that come off
+// the spare list: every byte the write does not cover reads as zero, not
+// as the discarded data.
+func TestSpareChunkPartialWrite(t *testing.T) {
+	_, d := newSSD(t)
+	dirtySpare(t, d, 0, 3)
+	// One write straddling two fresh chunks, then one in a third.
+	d.WriteAt(bytes.Repeat([]byte{0x5a}, 200), 10*chunkSize-100)
+	d.WriteAt([]byte{0x7b}, 20*chunkSize+chunkSize/2)
+	if len(d.spare) != 0 {
+		t.Fatalf("%d spares left, want all 3 reused", len(d.spare))
+	}
+	got := make([]byte, 2*chunkSize)
+	d.ReadAt(got, 9*chunkSize)
+	checkBytes(t, got, chunkSize-100, chunkSize+100, 0x5a)
+	got = got[:chunkSize]
+	d.ReadAt(got, 20*chunkSize)
+	checkBytes(t, got, chunkSize/2, chunkSize/2+1, 0x7b)
+	// The discarded range itself reads as zeros.
+	d.ReadAt(got, 0)
+	checkBytes(t, got, 0, 0, 0)
+}
+
+// TestSpareChunkCrashRevert runs discards and reused spare chunks under
+// crash tracking: a tracked discard is reverted by a crash, and a tracked
+// write into a spare chunk reverts to the zeros it replaced.
+func TestSpareChunkCrashRevert(t *testing.T) {
+	_, d := newSSD(t)
+	dirtySpare(t, d, 0, 2)
+	keep := bytes.Repeat([]byte{0x11}, chunkSize)
+	d.WriteAt(keep, 4*chunkSize) // takes a spare
+	d.Flush()
+	d.EnableCrashTracking()
+	if err := d.Discard(4*chunkSize, chunkSize); err != nil {
+		t.Fatal(err)
+	}
+	d.WriteAt(bytes.Repeat([]byte{0x22}, 300), 8*chunkSize+5) // takes a spare
+	got := make([]byte, chunkSize)
+	d.ReadAt(got, 4*chunkSize)
+	checkBytes(t, got, 0, 0, 0)
+	d.Crash(0)
+	d.ReadAt(got, 4*chunkSize)
+	if !bytes.Equal(got, keep) {
+		t.Fatal("crash did not revert the unflushed discard")
+	}
+	d.ReadAt(got, 8*chunkSize)
+	checkBytes(t, got, 0, 0, 0)
+}
+
+// TestSpareChunkReadFault injects a read fault over part of a reused
+// spare chunk: the fault zeroes only what reads return, and clearing it
+// shows the stored bytes intact.
+func TestSpareChunkReadFault(t *testing.T) {
+	_, d := newSSD(t)
+	dirtySpare(t, d, 0, 1)
+	d.WriteAt(bytes.Repeat([]byte{0x33}, 8192), 6*chunkSize)
+	d.InjectReadFault(6*chunkSize+4096, 4096)
+	got := make([]byte, chunkSize)
+	d.ReadAt(got, 6*chunkSize)
+	checkBytes(t, got, 0, 4096, 0x33)
+	if d.Stats().ReadFaults != 1 {
+		t.Fatalf("ReadFaults = %d, want 1", d.Stats().ReadFaults)
+	}
+	d.ClearReadFaults()
+	d.ReadAt(got, 6*chunkSize)
+	checkBytes(t, got, 0, 8192, 0x33)
+}
+
+// TestSpareListBound discards more whole chunks than the spare list
+// keeps: the list stops at its bound, and partial discards add nothing.
+func TestSpareListBound(t *testing.T) {
+	_, d := newSSD(t)
+	dirtySpare(t, d, 0, maxSpareChunks+16)
+	if len(d.spare) != maxSpareChunks {
+		t.Fatalf("%d spare chunks, want the bound %d", len(d.spare), maxSpareChunks)
+	}
+	d.spare = d.spare[:0]
+	d.WriteAt(bytes.Repeat([]byte{0x44}, 2*chunkSize), 1000*chunkSize)
+	if err := d.Discard(1000*chunkSize+1, 2*chunkSize-2); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.spare) != 0 {
+		t.Fatalf("a discard covering no whole chunk made %d spares", len(d.spare))
+	}
+}

@@ -62,8 +62,7 @@ func runDefectTrial(t *testing.T, spec CrashSpec) {
 	if victim.Len == 0 {
 		t.Fatal("no durable data node to inject under")
 	}
-	lay := backend.Layout()
-	badOff := lay.SuperBytes + lay.LogBytes + lay.MetaBytes + victim.Off
+	badOff := backend.DevOffset("data", victim.Off)
 	fdev.AddBadRange(badOff, victim.Len)
 	rst, err := st.ScrubRepair()
 	if err != nil {

@@ -305,13 +305,8 @@ func TestScrubClassifiesMediaVsChecksum(t *testing.T) {
 	}
 	// Node extents are offsets into the tree's SFL file; translate to
 	// device offsets via the static layout.
-	lay := sys.SFL.Layout()
 	devOff := func(rep betree.ScrubReport) int64 {
-		base := lay.SuperBytes + lay.LogBytes
-		if rep.Tree == "data" {
-			base += lay.MetaBytes
-		}
-		return base + rep.Off
+		return sys.SFL.DevOffset(rep.Tree, rep.Off)
 	}
 	flipped, dead := clean[0], clean[1]
 	sys.Dev.CorruptFlip(devOff(flipped)+flipped.Len/2, 4, 99)

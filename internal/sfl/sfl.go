@@ -24,7 +24,8 @@ import (
 
 // Layout describes the static disk partitioning (Table 2 of the paper:
 // 8 MB superblock, 2 GiB log, and the remainder split between the metadata
-// and data indexes roughly 1:9).
+// and data indexes roughly 1:9). The regions lie in this order, each
+// starting on the first RegionAlign boundary after the previous one ends.
 type Layout struct {
 	SuperBytes int64
 	LogBytes   int64
@@ -32,12 +33,33 @@ type Layout struct {
 	DataBytes  int64
 }
 
+// RegionAlign is the boundary every region starts on: the FTL's erase
+// block (ftl.DefaultConfig, 64 pages of 4 KiB). A region that started
+// mid-block would make every block-aligned node write and trim in it
+// straddle one more flash page and storage chunk than its size needs.
+const RegionAlign = 256 << 10
+
+// bases returns each region's device offset, in the order super, log,
+// meta, data.
+func (l Layout) bases() [4]int64 {
+	var b [4]int64
+	end := int64(0)
+	for i, size := range [4]int64{l.SuperBytes, l.LogBytes, l.MetaBytes, l.DataBytes} {
+		b[i] = (end + RegionAlign - 1) &^ (RegionAlign - 1)
+		end = b[i] + size
+	}
+	return b
+}
+
 // ErrDeviceTooSmall reports a device that cannot hold the minimum layout.
 var ErrDeviceTooSmall = errors.New("sfl: device too small for layout")
 
 // DefaultLayout computes the Table 2 proportions for a device of the given
-// capacity. Devices too small for even the fixed regions yield a zero
-// DataBytes layout that New rejects with ErrDeviceTooSmall.
+// capacity. The data region ends at the device's end and gives up the
+// padding that aligns the regions (RegionAlign), so the sizes of the other
+// three, and with them the log's wrap points, are those of the unaligned
+// proportions. Devices too small for even the fixed regions yield a
+// DataBytes of zero or less that New rejects with ErrDeviceTooSmall.
 func DefaultLayout(capacity int64) Layout {
 	l := Layout{
 		SuperBytes: 8 << 20,
@@ -51,7 +73,7 @@ func DefaultLayout(capacity int64) Layout {
 		return l // New reports ErrDeviceTooSmall
 	}
 	l.MetaBytes = rest / 10
-	l.DataBytes = rest - l.MetaBytes
+	l.DataBytes = capacity - l.bases()[3]
 	return l
 }
 
@@ -78,8 +100,8 @@ func New(env *sim.Env, dev blockdev.Device, layout Layout) (*SFL, error) {
 	if layout.DataBytes <= 0 {
 		return nil, ErrDeviceTooSmall
 	}
-	total := layout.SuperBytes + layout.LogBytes + layout.MetaBytes + layout.DataBytes
-	if total > dev.Size() {
+	bases := layout.bases()
+	if total := bases[3] + layout.DataBytes; total > dev.Size() {
 		return nil, fmt.Errorf("sfl: layout (%d) exceeds device (%d): %w", total, dev.Size(), ErrDeviceTooSmall)
 	}
 	s := &SFL{env: env, dev: dev, files: make(map[string]*file), layout: layout}
@@ -94,8 +116,7 @@ func New(env *sim.Env, dev blockdev.Device, layout Layout) (*SFL, error) {
 	s.mFlushCount = reg.Counter("sfl.flush.count")
 	s.mDiscardCount = reg.Counter("sfl.discard.count")
 	s.mDiscardBytes = reg.Counter("sfl.discard.bytes")
-	off := int64(0)
-	for _, f := range []struct {
+	for i, f := range []struct {
 		name string
 		size int64
 	}{
@@ -104,8 +125,7 @@ func New(env *sim.Env, dev blockdev.Device, layout Layout) (*SFL, error) {
 		{"meta", layout.MetaBytes},
 		{"data", layout.DataBytes},
 	} {
-		s.files[f.name] = &file{sfl: s, name: f.name, base: off, size: f.size}
-		off += f.size
+		s.files[f.name] = &file{sfl: s, name: f.name, base: bases[i], size: f.size}
 	}
 	return s, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"betrfs/internal/blockdev"
+	"betrfs/internal/ftl"
 	"betrfs/internal/sim"
 )
 
@@ -31,6 +32,39 @@ func TestLayoutProportions(t *testing.T) {
 	}
 	if lay.DataBytes < lay.MetaBytes*5 {
 		t.Fatal("data region should dominate (Table 2 proportions)")
+	}
+}
+
+// TestRegionsAlignToEraseBlocks checks the default layout on the paper's
+// 250 GiB disk and at every scale from 1/64 to 1/4096: each region starts
+// on an FTL erase-block boundary, super, log and meta keep their Table 2
+// sizes (so the log wraps where it did before the padding), and the data
+// region ends inside the device.
+func TestRegionsAlignToEraseBlocks(t *testing.T) {
+	if fc := ftl.DefaultConfig(); RegionAlign != fc.PageSize*fc.PagesPerBlock {
+		t.Fatalf("RegionAlign %d, FTL erase block %d", RegionAlign, fc.PageSize*fc.PagesPerBlock)
+	}
+	for _, scale := range []int64{1, 64, 128, 256, 512, 1024, 2048, 4096} {
+		env := sim.NewEnv(1)
+		dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(scale))
+		capacity := dev.Size()
+		lay := DefaultLayout(capacity)
+		logBytes := max(capacity/125, 4<<20)
+		if lay.SuperBytes != 8<<20 || lay.LogBytes != logBytes || lay.MetaBytes != (capacity-lay.SuperBytes-logBytes)/10 {
+			t.Fatalf("1/%d: layout %+v moved super, log or meta", scale, lay)
+		}
+		s, err := New(env, dev, lay)
+		if err != nil {
+			t.Fatalf("1/%d: %v", scale, err)
+		}
+		for _, name := range s.Names() {
+			if off := s.DevOffset(name, 0); off%RegionAlign != 0 {
+				t.Errorf("1/%d: %s starts at %d, not on a %d-byte erase block", scale, name, off, RegionAlign)
+			}
+		}
+		if end := s.DevOffset("data", lay.DataBytes); end != capacity {
+			t.Errorf("1/%d: data region ends at %d of %d", scale, end, capacity)
+		}
 	}
 }
 

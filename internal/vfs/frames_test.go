@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"betrfs/internal/betrfs"
 	"betrfs/internal/blockdev"
 	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sim"
@@ -28,7 +29,8 @@ const cachePages = 64
 // whose buffers flush. workers > 0 gives the concurrent mount with that
 // many background flushers: a flush that supersedes a pinned page's value
 // makes the final Release of that page off the mount's goroutine.
-func mountV06(t *testing.T, seed uint64, workers int) (*sim.Env, *vfs.Mount) {
+// nodeCache is the node cache's budget (8 MiB when zero).
+func mountV06(t *testing.T, seed uint64, workers int, nodeCache int64) (*sim.Env, *vfs.Mount) {
 	t.Helper()
 	sys, err := systems.Lookup("betrfs-v0.6")
 	if err != nil {
@@ -37,7 +39,10 @@ func mountV06(t *testing.T, seed uint64, workers int) (*sim.Env, *vfs.Mount) {
 	sys.Betr.Tree.NodeSize = 256 << 10
 	sys.Betr.Tree.BasementSize = 32 << 10
 	env := sim.NewEnv(seed)
-	sz := systems.Sizes{NodeCache: 8 << 20, PageCache: cachePages * vfs.PageSize}
+	if nodeCache == 0 {
+		nodeCache = 8 << 20
+	}
+	sz := systems.Sizes{NodeCache: nodeCache, PageCache: cachePages * vfs.PageSize}
 	if workers > 0 {
 		env.Pool.SetWorkers(workers)
 		sz.Concurrent = true
@@ -136,43 +141,91 @@ func shadowProgram(m *vfs.Mount, seed int64, prefix string, ops int, drops bool)
 	return nil
 }
 
+// coldNodes is a node-cache budget below one node's size: descents decode
+// their nodes afresh, so node images are borrowed and come back to the
+// pool all the time.
+const coldNodes = 64 << 10
+
 // TestFramesAliasing runs the shadow program on the single-goroutine mount
-// and, with two clients, on the concurrent mount.
+// and, with two clients, on the concurrent mount, each with the default
+// node cache and with coldNodes. Meant for -race too, where a value read
+// after its frame or node image went back shows as a data race.
 func TestFramesAliasing(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		t.Run(fmt.Sprintf("single/seed%d", seed), func(t *testing.T) {
-			env, m := mountV06(t, uint64(seed), 0)
-			if err := shadowProgram(m, seed, "f", 1500, true); err != nil {
-				t.Fatal(err)
-			}
-			cow := metricstest.Counter(t, env.Metrics, "vfs.page.cow")
-			evict := metricstest.Counter(t, env.Metrics, "vfs.page.evict")
-			if cow == 0 || evict == 0 {
-				t.Fatalf("program never copied a pinned page (%d) or evicted one (%d)", cow, evict)
-			}
-		})
-		t.Run(fmt.Sprintf("concurrent/seed%d", seed), func(t *testing.T) {
-			env, m := mountV06(t, uint64(seed), 3)
-			var wg sync.WaitGroup
-			errs := make([]error, 2)
-			for c := range errs {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					errs[c] = shadowProgram(m, seed*10+int64(c), fmt.Sprintf("c%d-", c), 1000, c == 0)
-				}()
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					t.Fatal(err)
+	for _, nodeCache := range []int64{0, coldNodes} {
+		name := ""
+		// checkCold fails unless the node cache evicted, so that the
+		// program's reads decoded nodes from disk.
+		checkCold := func(t *testing.T, env *sim.Env) {}
+		if nodeCache == coldNodes {
+			name = "coldnodes/"
+			checkCold = func(t *testing.T, env *sim.Env) {
+				if metricstest.Counter(t, env.Metrics, "betree.cache.evict") == 0 {
+					t.Fatal("the node cache never evicted")
 				}
 			}
-			if metricstest.Counter(t, env.Metrics, "vfs.page.cow") == 0 {
-				t.Fatal("program never copied a pinned page")
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%ssingle/seed%d", name, seed), func(t *testing.T) {
+				env, m := mountV06(t, uint64(seed), 0, nodeCache)
+				if err := shadowProgram(m, seed, "f", 1500, true); err != nil {
+					t.Fatal(err)
+				}
+				cow := metricstest.Counter(t, env.Metrics, "vfs.page.cow")
+				evict := metricstest.Counter(t, env.Metrics, "vfs.page.evict")
+				if cow == 0 || evict == 0 {
+					t.Fatalf("program never copied a pinned page (%d) or evicted one (%d)", cow, evict)
+				}
+				checkCold(t, env)
+			})
+			t.Run(fmt.Sprintf("%sconcurrent/seed%d", name, seed), func(t *testing.T) {
+				env, m := mountV06(t, uint64(seed), 3, nodeCache)
+				var wg sync.WaitGroup
+				errs := make([]error, 2)
+				for c := range errs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs[c] = shadowProgram(m, seed*10+int64(c), fmt.Sprintf("c%d-", c), 1000, c == 0)
+					}()
+				}
+				wg.Wait()
+				for _, err := range errs {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if metricstest.Counter(t, env.Metrics, "vfs.page.cow") == 0 {
+					t.Fatal("program never copied a pinned page")
+				}
+				if metricstest.Counter(t, env.Metrics, "flusher.flush.bg") == 0 {
+					t.Fatal("no background flush ran: every Release stayed on the mount's goroutine")
+				}
+				checkCold(t, env)
+			})
+		}
+	}
+}
+
+// TestImagesComeBack runs the shadow program on a v0.6 mount, in
+// deterministic and in concurrent mode; once Sync and DropCaches have
+// emptied the node cache, no decoded value borrows a node image any more.
+func TestImagesComeBack(t *testing.T) {
+	for _, workers := range []int{0, 3} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			_, m := mountV06(t, 5, workers, 0)
+			if err := shadowProgram(m, 5, "f", 600, true); err != nil {
+				t.Fatal(err)
 			}
-			if metricstest.Counter(t, env.Metrics, "flusher.flush.bg") == 0 {
-				t.Fatal("no background flush ran: every Release stayed on the mount's goroutine")
+			store := m.FS().(*betrfs.FS).Store()
+			if store.ImagesOut() == 0 {
+				t.Fatal("no node image borrowed before the drop")
+			}
+			if err := m.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			m.DropCaches()
+			if n := store.ImagesOut(); n != 0 {
+				t.Fatalf("%d node images still borrowed", n)
 			}
 		})
 	}
@@ -182,7 +235,7 @@ func TestFramesAliasing(t *testing.T) {
 // mount; once Sync and DropCaches have made the cache and the tree let go
 // of every page, every frame handed out must have come back.
 func TestFramesComeBack(t *testing.T) {
-	_, m := mountV06(t, 7, 0)
+	_, m := mountV06(t, 7, 0, 0)
 	if err := shadowProgram(m, 7, "f", 600, false); err != nil {
 		t.Fatal(err)
 	}
