@@ -50,6 +50,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzValidate$$' -fuzztime $(FUZZTIME) ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzDeserializeNode$$' -fuzztime $(FUZZTIME) ./internal/betree
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBasement$$' -fuzztime $(FUZZTIME) ./internal/betree
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadBlockTable$$' -fuzztime $(FUZZTIME) ./internal/betree
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadSuperblock$$' -fuzztime $(FUZZTIME) ./internal/betree
 
 # The benchmark module's own tests (about 5 s). The benchmark is a separate
 # Go module that `go test ./...` above never builds; it reaches into the

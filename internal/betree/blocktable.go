@@ -244,14 +244,18 @@ func (bt *blockTable) serialize() []byte {
 }
 
 // loadBlockTable reconstructs a table from its serialized form, rebuilding
-// the free list from the gaps between allocated extents.
+// the free list from the gaps between allocated extents. The bytes come
+// from the device, so nothing in them is trusted: a count the data cannot
+// hold, an extent that is empty, negative or past the capacity, a node
+// mapped twice, an overlap, or trailing bytes is an error, never a panic
+// or a table that loses or invents space.
 func loadBlockTable(capacity int64, data []byte) (*blockTable, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("betree: truncated block table")
 	}
 	n := binary.BigEndian.Uint64(data)
 	data = data[8:]
-	if uint64(len(data)) < n*24 {
+	if n > uint64(len(data)/24) {
 		return nil, fmt.Errorf("betree: truncated block table entries")
 	}
 	bt := &blockTable{
@@ -259,42 +263,42 @@ func loadBlockTable(capacity int64, data []byte) (*blockTable, error) {
 		entries:      make(map[nodeID]extent, n),
 		checkpointed: make(map[nodeID]bool, n),
 	}
-	type pair struct {
-		id nodeID
-		e  extent
-	}
-	pairs := make([]pair, 0, n)
+	used := make([]extent, 0, n)
 	for i := uint64(0); i < n; i++ {
 		id := nodeID(binary.BigEndian.Uint64(data))
-		off := int64(binary.BigEndian.Uint64(data[8:]))
-		ln := int64(binary.BigEndian.Uint64(data[16:]))
+		e, err := loadExtent(capacity, data[8:])
+		if err != nil {
+			return nil, err
+		}
 		data = data[24:]
-		pairs = append(pairs, pair{id: id, e: extent{off: off, len: ln}})
-	}
-	for _, p := range pairs {
-		bt.entries[p.id] = p.e
-		bt.checkpointed[p.id] = true
+		if _, dup := bt.entries[id]; dup {
+			return nil, fmt.Errorf("betree: node %d mapped twice in block table", id)
+		}
+		bt.entries[id] = e
+		bt.checkpointed[id] = true
+		used = append(used, e)
 	}
 	// Defect section (absent in pre-defect-list superblocks).
-	if len(data) >= 8 {
-		dn := binary.BigEndian.Uint64(data)
-		data = data[8:]
-		if uint64(len(data)) < dn*16 {
+	if len(data) > 0 {
+		if len(data) < 8 {
 			return nil, fmt.Errorf("betree: truncated block table defect list")
 		}
-		for i := uint64(0); i < dn; i++ {
-			off := int64(binary.BigEndian.Uint64(data))
-			ln := int64(binary.BigEndian.Uint64(data[8:]))
-			data = data[16:]
-			bt.defects = append(bt.defects, extent{off: off, len: ln})
+		dn := binary.BigEndian.Uint64(data)
+		data = data[8:]
+		if dn != uint64(len(data)/16) || len(data)%16 != 0 {
+			return nil, fmt.Errorf("betree: block table defect list of %d extents in %d bytes", dn, len(data))
+		}
+		bt.defects = make([]extent, 0, dn)
+		for ; len(data) > 0; data = data[16:] {
+			e, err := loadExtent(capacity, data)
+			if err != nil {
+				return nil, err
+			}
+			bt.defects = append(bt.defects, e)
 		}
 	}
 	// Rebuild the free list from the gaps between allocated extents and
 	// grown defects; neither may overlap anything else.
-	used := make([]extent, 0, len(pairs)+len(bt.defects))
-	for _, p := range pairs {
-		used = append(used, p.e)
-	}
 	used = append(used, bt.defects...)
 	sort.Slice(used, func(i, j int) bool { return used[i].off < used[j].off })
 	pos := int64(0)
@@ -312,4 +316,14 @@ func loadBlockTable(capacity int64, data []byte) (*blockTable, error) {
 	}
 	sort.Slice(bt.defects, func(i, j int) bool { return bt.defects[i].off < bt.defects[j].off })
 	return bt, nil
+}
+
+// loadExtent decodes one serialized extent (offset, length), which must
+// be non-empty and lie inside [0, capacity).
+func loadExtent(capacity int64, data []byte) (extent, error) {
+	e := extent{off: int64(binary.BigEndian.Uint64(data)), len: int64(binary.BigEndian.Uint64(data[8:]))}
+	if e.off < 0 || e.len <= 0 || e.off > capacity-e.len {
+		return extent{}, fmt.Errorf("betree: block table extent [%d, +%d) outside [0, %d)", e.off, e.len, capacity)
+	}
+	return e, nil
 }

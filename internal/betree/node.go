@@ -250,7 +250,7 @@ func (n *node) applyToBasement(env *sim.Env, bi int, m *Msg, withCopies bool) bo
 		}
 		b.bytes -= len(b.entries[i].key) + b.entries[i].val.Len() + entryOverhead
 		b.entries[i].val.Release()
-		b.entries = append(b.entries[:i], b.entries[i+1:]...)
+		b.entries = cutEntries(b.entries, i, i+1)
 		return true
 	case MsgUpdate:
 		// The patch is consumed here: its bytes are copied into the
@@ -300,11 +300,28 @@ func (n *node) applyToBasement(env *sim.Env, bi int, m *Msg, withCopies bool) bo
 			b.bytes -= len(b.entries[i].key) + b.entries[i].val.Len() + entryOverhead
 			b.entries[i].val.Release()
 		}
-		b.entries = append(b.entries[:lo], b.entries[hi:]...)
+		b.entries = cutEntries(b.entries, lo, hi)
 		return true
 	default:
 		panic("betree: unknown message type")
 	}
+}
+
+// cutEntries removes es[lo:hi] by shifting whichever side of the gap is
+// shorter: the prefix moves up and the slice is resliced from the front,
+// or the suffix moves down. A delete near either end of a large basement
+// thus moves a few entries rather than the whole basement. Every slot the
+// cut vacates is zeroed, so no deleted key or image borrow stays reachable
+// through the backing array.
+func cutEntries(es []entry, lo, hi int) []entry {
+	if lo < len(es)-hi {
+		copy(es[hi-lo:hi], es[:lo])
+		clear(es[:hi-lo])
+		return es[hi-lo:]
+	}
+	copy(es[lo:], es[hi:])
+	clear(es[len(es)-(hi-lo):])
+	return es[:len(es)-(hi-lo)]
 }
 
 // cloneForSharedApply returns a message safe to apply to a leaf while the

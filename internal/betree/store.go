@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1114,114 +1113,6 @@ func (s *Store) writeDirtyNodes(t *Tree) {
 	for i, n := range dirty {
 		s.finishNodeWrite(t, n, imgs[i])
 	}
-}
-
-// --- superblock -------------------------------------------------------------
-
-const (
-	superMagic    = 0x5bee7f5b
-	superSlotSize = 4 << 20
-)
-
-// writeSuperblock writes the next generation's superblock: magic,
-// generation and payload length, the payload (next MSN, the log hint, and
-// each tree's root, next node id and block table), and a crc over all of
-// it. The blob is sized from the two block tables and built in one buffer.
-func (s *Store) writeSuperblock(hint wal.Hint) {
-	trees := [2]*Tree{s.meta, s.data}
-	var tables [2][]byte
-	plen := 4 * 8
-	for i, t := range trees {
-		tables[i] = t.bt.serialize()
-		plen += 3*8 + len(tables[i])
-	}
-	s.generation++
-	be := binary.BigEndian
-	blob := make([]byte, 0, 16+plen+4)
-	blob = be.AppendUint32(blob, superMagic)
-	blob = be.AppendUint64(blob, s.generation)
-	blob = be.AppendUint32(blob, uint32(plen))
-	blob = be.AppendUint64(blob, uint64(s.nextMSN))
-	blob = be.AppendUint64(blob, uint64(hint.Offset))
-	blob = be.AppendUint64(blob, hint.LSN)
-	blob = be.AppendUint64(blob, uint64(hint.Epoch))
-	for i, t := range trees {
-		blob = be.AppendUint64(blob, uint64(t.rootID))
-		blob = be.AppendUint64(blob, uint64(t.nextNodeID))
-		blob = be.AppendUint64(blob, uint64(len(tables[i])))
-		blob = append(blob, tables[i]...)
-	}
-	blob = be.AppendUint32(blob, crc32.ChecksumIEEE(blob))
-	if len(blob) > superSlotSize {
-		panic("betree: superblock exceeds slot")
-	}
-	s.env.Serialize(len(blob))
-	s.env.Checksum(len(blob))
-	slot := int64(s.generation%2) * superSlotSize
-	s.devCheck(s.superF.WriteAt(blob, slot))
-	s.devCheck(s.superF.Flush())
-}
-
-// readSuperblock returns the newest valid superblock generation. A device
-// read error fails the mount rather than counting the slot invalid: an
-// unreadable slot may hold the newer generation, and "no superblock" would
-// make Open format a fresh store over existing data.
-func (s *Store) readSuperblock() (gen uint64, payload []byte, ok bool, err error) {
-	for slot := int64(0); slot < 2; slot++ {
-		hdr := make([]byte, 16)
-		if rerr := s.superF.ReadAt(hdr, slot*superSlotSize); rerr != nil {
-			return 0, nil, false, rerr
-		}
-		if binary.BigEndian.Uint32(hdr) != superMagic {
-			continue
-		}
-		g := binary.BigEndian.Uint64(hdr[4:])
-		plen := int(binary.BigEndian.Uint32(hdr[12:]))
-		if plen > superSlotSize {
-			continue
-		}
-		blob := make([]byte, 16+plen+4)
-		if rerr := s.superF.ReadAt(blob, slot*superSlotSize); rerr != nil {
-			return 0, nil, false, rerr
-		}
-		s.env.Checksum(len(blob))
-		if crc32.ChecksumIEEE(blob[:16+plen]) != binary.BigEndian.Uint32(blob[16+plen:]) {
-			continue
-		}
-		if !ok || g > gen {
-			gen = g
-			payload = blob[16 : 16+plen]
-			ok = true
-		}
-	}
-	return gen, payload, ok, nil
-}
-
-func (s *Store) loadSuperblock(payload []byte) (wal.Hint, error) {
-	if len(payload) < 24 {
-		return wal.Hint{}, fmt.Errorf("betree: short superblock")
-	}
-	get64 := func() uint64 {
-		v := binary.BigEndian.Uint64(payload)
-		payload = payload[8:]
-		return v
-	}
-	s.nextMSN = MSN(get64())
-	hint := wal.Hint{Offset: int64(get64()), LSN: get64()}
-	hint.Epoch = uint32(get64())
-	for _, t := range []*Tree{s.meta, s.data} {
-		t.rootID = nodeID(get64())
-		t.nextNodeID = nodeID(get64())
-		btLen := int(get64())
-		bt, err := loadBlockTable(t.f.Capacity(), payload[:btLen])
-		if err != nil {
-			return wal.Hint{}, err
-		}
-		payload = payload[btLen:]
-		t.bt = bt
-		bt.onFree = t.discardFreed
-	}
-	return hint, nil
 }
 
 // DropCleanCaches checkpoints and then empties the node cache and pending

@@ -231,6 +231,80 @@ func TestImagesComeBack(t *testing.T) {
 	}
 }
 
+// TestImagesComeBackAfterDeletes fills two directories on a v0.6 mount,
+// reads them back cold so leaf values borrow their node images, then
+// unlinks one directory's files in name order (each a delete at the front
+// of what is left) and removes the other with one range delete, in
+// deterministic and in concurrent mode. Once Sync and DropCaches have
+// emptied the node cache, no node image may still be borrowed: a basement
+// cut that left a deleted value reachable would keep its image out.
+func TestImagesComeBackAfterDeletes(t *testing.T) {
+	for _, workers := range []int{0, 3} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			env, m := mountV06(t, 9, workers, 0)
+			const files = 300
+			data := bytes.Repeat([]byte("betrfs"), 900)
+			for _, dir := range []string{"d0", "d1"} {
+				if err := m.Mkdir(dir); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < files; i++ {
+					f, err := m.Create(fmt.Sprintf("%s/f%04d", dir, i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := f.Write(data[:1000+i*10]); err != nil {
+						t.Fatal(err)
+					}
+					f.Close()
+				}
+			}
+			if err := m.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			m.DropCaches()
+			buf := make([]byte, len(data))
+			for _, dir := range []string{"d0", "d1"} {
+				for i := 0; i < files; i++ {
+					f, err := m.Open(fmt.Sprintf("%s/f%04d", dir, i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n, err := f.ReadAt(buf, 0); n != 1000+i*10 || !bytes.Equal(buf[:n], data[:n]) {
+						t.Fatalf("%s/f%04d: read %d bytes (%v)", dir, i, n, err)
+					}
+					f.Close()
+				}
+			}
+			store := m.FS().(*betrfs.FS).Store()
+			if store.ImagesOut() == 0 {
+				t.Fatal("no node image borrowed after the cold reads")
+			}
+			for i := 0; i < files; i++ {
+				if err := m.Remove(fmt.Sprintf("d0/f%04d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.RemoveAll("d1"); err != nil {
+				t.Fatal(err)
+			}
+			if metricstest.Counter(t, env.Metrics, "betrfs.rangedelete.dir") == 0 {
+				t.Fatal("removing d1 issued no range delete")
+			}
+			if ents, err := m.ReadDir("d0"); err != nil || len(ents) != 0 {
+				t.Fatalf("d0 lists %d entries (%v) after every unlink", len(ents), err)
+			}
+			if err := m.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			m.DropCaches()
+			if n := store.ImagesOut(); n != 0 {
+				t.Fatalf("%d node images still borrowed", n)
+			}
+		})
+	}
+}
+
 // TestFramesComeBack writes, overwrites and truncates files on a v0.6
 // mount; once Sync and DropCaches have made the cache and the tree let go
 // of every page, every frame handed out must have come back.
