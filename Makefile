@@ -52,6 +52,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBasement$$' -fuzztime $(FUZZTIME) ./internal/betree
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadBlockTable$$' -fuzztime $(FUZZTIME) ./internal/betree
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSuperblock$$' -fuzztime $(FUZZTIME) ./internal/betree
+	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/betree
+	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/extfs
+	$(GO) test -run '^$$' -fuzz '^FuzzReadInode$$' -fuzztime $(FUZZTIME) ./internal/extfs
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDir$$' -fuzztime $(FUZZTIME) ./internal/extfs
+	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/cowfs
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/fsrpc
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReply$$' -fuzztime $(FUZZTIME) ./internal/fsrpc
 
 # The benchmark module's own tests (about 5 s). The benchmark is a separate
 # Go module that `go test ./...` above never builds; it reaches into the

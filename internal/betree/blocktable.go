@@ -1,10 +1,10 @@
 package betree
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
+	"betrfs/internal/codec"
 	"betrfs/internal/ioerr"
 )
 
@@ -213,34 +213,26 @@ func (bt *blockTable) serialize() []byte {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]byte, 0, 16+24*len(ids)+16*len(bt.defects))
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], uint64(len(ids)))
-	out = append(out, tmp[:]...)
+	e := codec.Encoder{Buf: make([]byte, 0, 16+24*len(ids)+16*len(bt.defects))}
+	e.U64(uint64(len(ids)))
 	for _, id := range ids {
-		e := bt.entries[id]
-		binary.BigEndian.PutUint64(tmp[:], uint64(id))
-		out = append(out, tmp[:]...)
-		binary.BigEndian.PutUint64(tmp[:], uint64(e.off))
-		out = append(out, tmp[:]...)
-		binary.BigEndian.PutUint64(tmp[:], uint64(e.len))
-		out = append(out, tmp[:]...)
+		x := bt.entries[id]
+		e.U64(uint64(id))
+		e.I64(x.off)
+		e.I64(x.len)
 	}
 	// The defect section is appended only when non-empty: the loader
 	// treats it as optional, and omitting it keeps a defect-free table
 	// byte-identical to the pre-defect-list format (golden benchmark
 	// cells checksum the superblock bytes' length).
 	if len(bt.defects) > 0 {
-		binary.BigEndian.PutUint64(tmp[:], uint64(len(bt.defects)))
-		out = append(out, tmp[:]...)
-		for _, d := range bt.defects {
-			binary.BigEndian.PutUint64(tmp[:], uint64(d.off))
-			out = append(out, tmp[:]...)
-			binary.BigEndian.PutUint64(tmp[:], uint64(d.len))
-			out = append(out, tmp[:]...)
+		e.U64(uint64(len(bt.defects)))
+		for _, x := range bt.defects {
+			e.I64(x.off)
+			e.I64(x.len)
 		}
 	}
-	return out
+	return e.Buf
 }
 
 // loadBlockTable reconstructs a table from its serialized form, rebuilding
@@ -250,12 +242,9 @@ func (bt *blockTable) serialize() []byte {
 // mapped twice, an overlap, or trailing bytes is an error, never a panic
 // or a table that loses or invents space.
 func loadBlockTable(capacity int64, data []byte) (*blockTable, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("betree: truncated block table")
-	}
-	n := binary.BigEndian.Uint64(data)
-	data = data[8:]
-	if n > uint64(len(data)/24) {
+	d := codec.NewDecoder(data)
+	n := d.U64()
+	if d.Err() != nil || n > uint64(d.Len()/24) {
 		return nil, fmt.Errorf("betree: truncated block table entries")
 	}
 	bt := &blockTable{
@@ -265,12 +254,11 @@ func loadBlockTable(capacity int64, data []byte) (*blockTable, error) {
 	}
 	used := make([]extent, 0, n)
 	for i := uint64(0); i < n; i++ {
-		id := nodeID(binary.BigEndian.Uint64(data))
-		e, err := loadExtent(capacity, data[8:])
+		id := nodeID(d.U64())
+		e, err := loadExtent(capacity, &d)
 		if err != nil {
 			return nil, err
 		}
-		data = data[24:]
 		if _, dup := bt.entries[id]; dup {
 			return nil, fmt.Errorf("betree: node %d mapped twice in block table", id)
 		}
@@ -279,18 +267,14 @@ func loadBlockTable(capacity int64, data []byte) (*blockTable, error) {
 		used = append(used, e)
 	}
 	// Defect section (absent in pre-defect-list superblocks).
-	if len(data) > 0 {
-		if len(data) < 8 {
-			return nil, fmt.Errorf("betree: truncated block table defect list")
-		}
-		dn := binary.BigEndian.Uint64(data)
-		data = data[8:]
-		if dn != uint64(len(data)/16) || len(data)%16 != 0 {
-			return nil, fmt.Errorf("betree: block table defect list of %d extents in %d bytes", dn, len(data))
+	if d.Len() > 0 {
+		dn := d.U64()
+		if d.Err() != nil || dn != uint64(d.Len()/16) || d.Len()%16 != 0 {
+			return nil, fmt.Errorf("betree: block table defect list of %d extents in %d bytes", dn, d.Len())
 		}
 		bt.defects = make([]extent, 0, dn)
-		for ; len(data) > 0; data = data[16:] {
-			e, err := loadExtent(capacity, data)
+		for d.Len() > 0 {
+			e, err := loadExtent(capacity, &d)
 			if err != nil {
 				return nil, err
 			}
@@ -319,9 +303,10 @@ func loadBlockTable(capacity int64, data []byte) (*blockTable, error) {
 }
 
 // loadExtent decodes one serialized extent (offset, length), which must
-// be non-empty and lie inside [0, capacity).
-func loadExtent(capacity int64, data []byte) (extent, error) {
-	e := extent{off: int64(binary.BigEndian.Uint64(data)), len: int64(binary.BigEndian.Uint64(data[8:]))}
+// be non-empty and lie inside [0, capacity). The caller has checked that
+// the decoder holds its 16 bytes.
+func loadExtent(capacity int64, d *codec.Decoder) (extent, error) {
+	e := extent{off: d.I64(), len: d.I64()}
 	if e.off < 0 || e.len <= 0 || e.off > capacity-e.len {
 		return extent{}, fmt.Errorf("betree: block table extent [%d, +%d) outside [0, %d)", e.off, e.len, capacity)
 	}

@@ -1,6 +1,7 @@
 package betree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"betrfs/internal/codec"
 	"betrfs/internal/ioerr"
 	"betrfs/internal/kmem"
 	"betrfs/internal/metrics"
@@ -459,37 +461,8 @@ func (s *Store) nextMsn() MSN {
 const opRecord wal.RecordType = 1
 
 func (s *Store) logOp(t *Tree, m *Msg, withPayload bool) uint64 {
-	treeTag := byte(0)
-	if t == s.data {
-		treeTag = 1
-	}
-	var payload []byte
-	vlen := 0
-	if m.Type == MsgInsert || m.Type == MsgUpdate {
-		vlen = m.Val.Len()
-		if withPayload {
-			payload = m.Val.Bytes()
-		}
-	}
-	rec := make([]byte, 0, 20+len(m.Key)+len(m.EndKey)+len(payload))
-	rec = append(rec, treeTag, byte(m.Type))
-	var t16 [2]byte
-	var t32 [4]byte
-	binary.BigEndian.PutUint16(t16[:], uint16(len(m.Key)))
-	rec = append(rec, t16[:]...)
-	rec = append(rec, m.Key...)
-	binary.BigEndian.PutUint16(t16[:], uint16(len(m.EndKey)))
-	rec = append(rec, t16[:]...)
-	rec = append(rec, m.EndKey...)
-	binary.BigEndian.PutUint32(t32[:], uint32(m.Off))
-	rec = append(rec, t32[:]...)
-	binary.BigEndian.PutUint32(t32[:], uint32(vlen))
-	rec = append(rec, t32[:]...)
-	if withPayload {
-		rec = append(rec, 1)
-		rec = append(rec, payload...)
-	} else {
-		rec = append(rec, 0)
+	rec := encodeLogRecord(t == s.data, m, withPayload)
+	if !withPayload {
 		s.unloggedData = true
 	}
 	lsn, err := s.log.Append(opRecord, rec)
@@ -525,45 +498,95 @@ func (s *Store) releaseLogPins() {
 	s.OnLogPressure()
 }
 
+// encodeLogRecord renders one logical operation as a redo-log record: the
+// tree (0 meta, 1 data), the message type, the key and end key behind
+// 16-bit lengths, the update offset and the value length as 32-bit words,
+// and whether the value bytes follow (they end the record).
+func encodeLogRecord(data bool, m *Msg, withPayload bool) []byte {
+	var payload []byte
+	vlen := 0
+	if m.Type == MsgInsert || m.Type == MsgUpdate {
+		vlen = m.Val.Len()
+		if withPayload {
+			payload = m.Val.Bytes()
+		}
+	}
+	e := codec.Encoder{Buf: make([]byte, 0, 20+len(m.Key)+len(m.EndKey)+len(payload))}
+	e.Bool(data)
+	e.U8(uint8(m.Type))
+	e.U16(uint16(len(m.Key)))
+	e.Bytes(m.Key)
+	e.U16(uint16(len(m.EndKey)))
+	e.Bytes(m.EndKey)
+	e.U32(uint32(m.Off))
+	e.U32(uint32(vlen))
+	e.Bool(withPayload)
+	e.Bytes(payload)
+	return e.Buf
+}
+
+// decodeLogRecord inverts encodeLogRecord; logged reports whether the
+// record carried its value. The record passed the log's CRC, but one a
+// buggy or foreign writer produced must still be an error wrapping
+// ErrChecksum, never a panic: every field is read before any is used, an
+// unknown tree or message type, a value length on a message that has no
+// value, and a record not consumed exactly are all errors.
+func decodeLogRecord(p []byte) (data bool, m *Msg, logged bool, err error) {
+	d := codec.NewDecoder(p)
+	data = d.Bool()
+	mt := MsgType(d.U8())
+	key := d.Take(int(d.U16()))
+	endKey := d.Take(int(d.U16()))
+	off := int(d.U32())
+	vlen := int(d.U32())
+	logged = d.Bool()
+	var payload []byte
+	if logged {
+		payload = d.Take(vlen)
+	}
+	if err := d.Done(); err != nil {
+		return false, nil, false, fmt.Errorf("betree: log record: %w: %w", ErrChecksum, err)
+	}
+	hasValue := mt == MsgInsert || mt == MsgUpdate
+	known := hasValue || mt == MsgDelete || mt == MsgRangeDelete
+	if !known || !hasValue && vlen != 0 {
+		return false, nil, false, fmt.Errorf("betree: log record: %w: %v with a %d-byte value", ErrChecksum, mt, vlen)
+	}
+	m = &Msg{Type: mt, Key: bytes.Clone(key), EndKey: bytes.Clone(endKey), Off: off}
+	if hasValue && logged {
+		m.Val = InlineValue(bytes.Clone(payload))
+	}
+	return data, m, logged, nil
+}
+
+// replay applies one redo-log record. A malformed record, or one of a
+// type the store never writes, fails recovery with an error wrapping
+// ErrChecksum before any of it is applied.
 func (s *Store) replay(rec wal.Record) error {
 	if rec.Type != opRecord {
+		return fmt.Errorf("betree: log record of type %d: %w", rec.Type, ErrChecksum)
+	}
+	data, m, logged, err := decodeLogRecord(rec.Payload)
+	if err != nil {
+		return err
+	}
+	if m.Type == MsgUpdate && m.Off+m.Val.Len() > s.cfg.NodeSize {
+		// A blind update materializes its value up to the patched end,
+		// which must fit in a node.
+		return fmt.Errorf("betree: log record: %w: update of [%d, +%d) exceeds a %d-byte node",
+			ErrChecksum, m.Off, m.Val.Len(), s.cfg.NodeSize)
+	}
+	// Every record takes an MSN, a skipped one too.
+	m.MSN = s.nextMsn()
+	if (m.Type == MsgInsert || m.Type == MsgUpdate) && !logged {
+		// Bulk value never payload-logged: its durability was
+		// checkpoint-based, so the checkpointed tree already has
+		// the newest durable version. Skip.
 		return nil
 	}
-	p := rec.Payload
-	if len(p) < 2 {
-		return fmt.Errorf("betree: short log record")
-	}
 	t := s.meta
-	if p[0] == 1 {
+	if data {
 		t = s.data
-	}
-	mt := MsgType(p[1])
-	p = p[2:]
-	klen := int(binary.BigEndian.Uint16(p))
-	key := append([]byte{}, p[2:2+klen]...)
-	p = p[2+klen:]
-	eklen := int(binary.BigEndian.Uint16(p))
-	ekey := append([]byte{}, p[2:2+eklen]...)
-	p = p[2+eklen:]
-	off := int(binary.BigEndian.Uint32(p))
-	p = p[4:]
-	vlen := int(binary.BigEndian.Uint32(p))
-	p = p[4:]
-	hasPayload := p[0] == 1
-	p = p[1:]
-	m := &Msg{Type: mt, MSN: s.nextMsn(), Key: key, EndKey: ekey, Off: off}
-	switch mt {
-	case MsgInsert, MsgUpdate:
-		if !hasPayload {
-			// Bulk value never payload-logged: its durability was
-			// checkpoint-based, so the checkpointed tree already has
-			// the newest durable version. Skip.
-			return nil
-		}
-		if len(p) < vlen {
-			return fmt.Errorf("betree: short log payload")
-		}
-		m.Val = InlineValue(append([]byte{}, p[:vlen]...))
 	}
 	t.insertMsg(m)
 	return nil

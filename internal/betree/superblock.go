@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"betrfs/internal/codec"
 	"betrfs/internal/wal"
 )
 
@@ -41,36 +42,34 @@ func (sb *superblock) encode(gen uint64) []byte {
 		tables[i] = st.bt.serialize()
 		plen += 3*8 + len(tables[i])
 	}
-	be := binary.BigEndian
-	blob := make([]byte, 0, superHdrSize+plen+4)
-	blob = be.AppendUint32(blob, superMagic)
-	blob = be.AppendUint64(blob, gen)
-	blob = be.AppendUint32(blob, uint32(plen))
-	blob = be.AppendUint64(blob, uint64(sb.nextMSN))
-	blob = be.AppendUint64(blob, uint64(sb.hint.Offset))
-	blob = be.AppendUint64(blob, sb.hint.LSN)
-	blob = be.AppendUint64(blob, uint64(sb.hint.Epoch))
+	e := codec.Encoder{Buf: make([]byte, 0, superHdrSize+plen+4)}
+	e.U32(superMagic)
+	e.U64(gen)
+	e.U32(uint32(plen))
+	e.U64(uint64(sb.nextMSN))
+	e.I64(sb.hint.Offset)
+	e.U64(sb.hint.LSN)
+	e.U64(uint64(sb.hint.Epoch))
 	for i, st := range sb.trees {
-		blob = be.AppendUint64(blob, uint64(st.root))
-		blob = be.AppendUint64(blob, uint64(st.next))
-		blob = be.AppendUint64(blob, uint64(len(tables[i])))
-		blob = append(blob, tables[i]...)
+		e.U64(uint64(st.root))
+		e.U64(uint64(st.next))
+		e.U64(uint64(len(tables[i])))
+		e.Bytes(tables[i])
 	}
-	return be.AppendUint32(blob, crc32.ChecksumIEEE(blob))
+	e.U32(crc32.ChecksumIEEE(e.Buf))
+	return e.Buf
 }
 
 // superHeader checks a slot header: the magic, and a payload length
 // whose slot image (header, payload, crc) fits the slot. ok is false for a
 // slot that holds no valid superblock.
 func superHeader(hdr []byte) (gen uint64, plen int, ok bool) {
-	if binary.BigEndian.Uint32(hdr) != superMagic {
+	d := codec.NewDecoder(hdr)
+	magic, gen, plen := d.U32(), d.U64(), int(d.U32())
+	if d.Err() != nil || magic != superMagic || superHdrSize+plen+4 > superSlotSize {
 		return 0, 0, false
 	}
-	plen = int(binary.BigEndian.Uint32(hdr[12:]))
-	if superHdrSize+plen+4 > superSlotSize {
-		return 0, 0, false
-	}
-	return binary.BigEndian.Uint64(hdr[4:]), plen, true
+	return gen, plen, true
 }
 
 // decodeSuperblock parses a superblock payload whose trees live in files of
@@ -81,31 +80,20 @@ func superHeader(hdr []byte) (gen uint64, plen int, ok bool) {
 // and each next node id must lie above every mapped one.
 func decodeSuperblock(payload []byte, capacity [2]int64) (superblock, error) {
 	var sb superblock
-	if len(payload) < 4*8 {
-		return sb, fmt.Errorf("betree: short superblock (%d bytes)", len(payload))
-	}
-	get64 := func() uint64 {
-		v := binary.BigEndian.Uint64(payload)
-		payload = payload[8:]
-		return v
-	}
-	sb.nextMSN = MSN(get64())
-	sb.hint = wal.Hint{Offset: int64(get64()), LSN: get64(), Epoch: uint32(get64())}
+	d := codec.NewDecoder(payload)
+	sb.nextMSN = MSN(d.U64())
+	sb.hint = wal.Hint{Offset: d.I64(), LSN: d.U64(), Epoch: uint32(d.U64())}
 	for i := range sb.trees {
 		st := &sb.trees[i]
-		if len(payload) < 3*8 {
-			return sb, fmt.Errorf("betree: superblock truncated at tree %d", i)
+		st.root, st.next = nodeID(d.U64()), nodeID(d.U64())
+		table := d.Take(int(d.U64()))
+		if err := d.Err(); err != nil {
+			return sb, fmt.Errorf("betree: superblock truncated at tree %d: %w", i, err)
 		}
-		st.root, st.next = nodeID(get64()), nodeID(get64())
-		btLen := get64()
-		if btLen > uint64(len(payload)) {
-			return sb, fmt.Errorf("betree: superblock block table of %d bytes in %d", btLen, len(payload))
-		}
-		bt, err := loadBlockTable(capacity[i], payload[:btLen])
+		bt, err := loadBlockTable(capacity[i], table)
 		if err != nil {
 			return sb, err
 		}
-		payload = payload[btLen:]
 		if _, ok := bt.entries[st.root]; !ok {
 			return sb, fmt.Errorf("betree: superblock root %d not in its block table", st.root)
 		}
@@ -116,8 +104,8 @@ func decodeSuperblock(payload []byte, capacity [2]int64) (superblock, error) {
 		}
 		st.bt = bt
 	}
-	if len(payload) != 0 {
-		return sb, fmt.Errorf("betree: %d trailing superblock bytes", len(payload))
+	if err := d.Done(); err != nil {
+		return sb, fmt.Errorf("betree: superblock: %w", err)
 	}
 	return sb, nil
 }

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"betrfs/internal/betree"
+	"betrfs/internal/codec"
 	"betrfs/internal/ioerr"
 	"betrfs/internal/keys"
 	"betrfs/internal/kmem"
@@ -288,6 +289,10 @@ func (fs *FS) writeGate() error {
 // flag, size, link count and mtime.
 const attrSize = 21
 
+// encodeAttr writes the fields decodeAttr reads at fixed offsets rather
+// than through a codec.Encoder, whose buffer always escapes to the heap:
+// this way a deferred create's value, which the log copies, stays on the
+// stack.
 func encodeAttr(a vfs.Attr) []byte {
 	b := make([]byte, attrSize)
 	if a.Dir {
@@ -303,15 +308,12 @@ func encodeAttr(a vfs.Attr) []byte {
 // flag byte other than 0 or 1 is damaged metadata: it fails with an
 // EIO-class error instead of panicking the caller.
 func decodeAttr(b []byte) (vfs.Attr, error) {
-	if len(b) != attrSize || b[0] > 1 {
-		return vfs.Attr{}, fmt.Errorf("betrfs: malformed attribute value (%d bytes): %w", len(b), ioerr.ErrIO)
+	d := codec.NewDecoder(b)
+	a := vfs.Attr{Dir: d.Bool(), Size: d.I64(), Nlink: int(d.U32()), Mtime: time.Duration(d.I64())}
+	if err := d.Done(); err != nil {
+		return vfs.Attr{}, fmt.Errorf("betrfs: attribute value: %w: %w", ioerr.ErrIO, err)
 	}
-	return vfs.Attr{
-		Dir:   b[0] == 1,
-		Size:  int64(binary.BigEndian.Uint64(b[1:])),
-		Nlink: int(binary.BigEndian.Uint32(b[9:])),
-		Mtime: time.Duration(binary.BigEndian.Uint64(b[13:])),
-	}, nil
+	return a, nil
 }
 
 // --- vfs.FS implementation ----------------------------------------------------

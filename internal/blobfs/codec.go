@@ -7,6 +7,8 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"betrfs/internal/codec"
 )
 
 // A blob is one inode's node, sealed behind a self-validating header so
@@ -54,18 +56,17 @@ func openBlob(magic uint32, ino Ino, b []byte) ([]byte, error) {
 
 // encodeNode encodes n's attributes, its block map as runs of logical,
 // physical and count in logical order, and a directory's entries in name
-// order, all as big-endian 64-bit words.
+// order, all as big-endian 64-bit words (codec fields).
 func encodeNode(n *Node) []byte {
-	e := make([]byte, 0, 256)
-	put := func(v int64) { e = binary.BigEndian.AppendUint64(e, uint64(v)) }
+	e := codec.Encoder{Buf: make([]byte, 0, 256)}
 	flags := int64(0)
 	if n.Dir {
 		flags = 1
 	}
-	put(flags)
-	put(n.Size)
-	put(int64(n.Nlink))
-	put(int64(n.Mtime))
+	e.I64(flags)
+	e.I64(n.Size)
+	e.I64(int64(n.Nlink))
+	e.I64(int64(n.Mtime))
 	blks := make([]int64, 0, len(n.Blocks))
 	for l := range n.Blocks {
 		blks = append(blks, l)
@@ -84,49 +85,32 @@ func encodeNode(n *Node) []byte {
 		}
 		runs = append(runs, run{l, p, 1})
 	}
-	put(int64(len(runs)))
+	e.I64(int64(len(runs)))
 	for _, r := range runs {
-		put(r.l)
-		put(r.p)
-		put(r.c)
+		e.I64(r.l)
+		e.I64(r.p)
+		e.I64(r.c)
 	}
 	if n.Dir {
-		put(int64(len(n.Children)))
+		e.I64(int64(len(n.Children)))
 		names := make([]string, 0, len(n.Children))
 		for name := range n.Children {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			put(int64(len(name)))
-			e = append(e, name...)
+			e.I64(int64(len(name)))
+			e.String(name)
 			c := n.Children[name]
-			put(int64(c.Ino))
+			e.I64(int64(c.Ino))
 			if c.Dir {
-				put(1)
+				e.I64(1)
 			} else {
-				put(0)
+				e.I64(0)
 			}
 		}
 	}
-	return e
-}
-
-// decoder reads big-endian words; reading past the end yields zeros and
-// marks the input short.
-type decoder struct {
-	b     []byte
-	short bool
-}
-
-func (d *decoder) i64() int64 {
-	if len(d.b) < 8 {
-		d.b, d.short = nil, true
-		return 0
-	}
-	v := int64(binary.BigEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
+	return e.Buf
 }
 
 // decodeNode decodes a payload encodeNode wrote. Every count and length is
@@ -135,19 +119,19 @@ func (d *decoder) i64() int64 {
 // a damaged payload is an error in time and memory bounded by its size and
 // the area's, never a panic.
 func decodeNode(ino Ino, b []byte, areaBlocks int64) (*Node, error) {
-	d := &decoder{b: b}
-	flags, size, nlink, mtime := d.i64(), d.i64(), d.i64(), d.i64()
+	d := codec.NewDecoder(b)
+	flags, size, nlink, mtime := d.I64(), d.I64(), d.I64(), d.I64()
 	if flags != 0 && flags != 1 {
 		return nil, fmt.Errorf("inode %d has bad flags %#x", ino, flags)
 	}
 	n := &Node{Ino: ino, Dir: flags == 1, Size: size, Nlink: int(nlink), Mtime: time.Duration(mtime), Blocks: map[int64]int64{}}
-	runs := d.i64()
-	if runs < 0 || runs > int64(len(d.b)/24) {
+	runs := d.I64()
+	if runs < 0 || runs > int64(d.Len()/24) {
 		return nil, fmt.Errorf("inode %d has bad run count %d", ino, runs)
 	}
 	var mapped, next int64 // blocks mapped so far; the least logical block the next run may start at
 	for i := int64(0); i < runs; i++ {
-		l, p, c := d.i64(), d.i64(), d.i64()
+		l, p, c := d.I64(), d.I64(), d.I64()
 		if l < next || c <= 0 || l > math.MaxInt64-c || p < 0 || p > areaBlocks || c > areaBlocks-p || c > areaBlocks-mapped {
 			return nil, fmt.Errorf("inode %d block run (%d,%d,%d) out of range", ino, l, p, c)
 		}
@@ -157,23 +141,18 @@ func decodeNode(ino Ino, b []byte, areaBlocks int64) (*Node, error) {
 		mapped, next = mapped+c, l+c
 	}
 	if n.Dir {
-		count := d.i64()
-		if count < 0 || count > int64(len(d.b)/24) {
+		count := d.I64()
+		if count < 0 || count > int64(d.Len()/24) {
 			return nil, fmt.Errorf("inode %d has bad entry count %d", ino, count)
 		}
 		n.Children = make(map[string]Child, count)
-		for i := int64(0); i < count; i++ {
-			nameLen := d.i64()
-			if nameLen < 0 || nameLen > int64(len(d.b)) {
-				return nil, fmt.Errorf("inode %d has bad name length %d", ino, nameLen)
-			}
-			name := string(d.b[:nameLen])
-			d.b = d.b[nameLen:]
-			n.Children[name] = Child{Ino: Ino(d.i64()), Dir: d.i64() == 1}
+		for i := int64(0); i < count && d.Err() == nil; i++ {
+			name := string(d.Take(int(d.I64())))
+			n.Children[name] = Child{Ino: Ino(d.I64()), Dir: d.I64() == 1}
 		}
 	}
-	if d.short || len(d.b) != 0 {
-		return nil, fmt.Errorf("inode %d payload has bad length %d", ino, len(b))
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("inode %d payload of %d bytes: %w", ino, len(b), err)
 	}
 	return n, nil
 }

@@ -102,11 +102,7 @@ func (fs *FS) WriteBlocks(h vfs.Handle, blk int64, pgs []*vfs.Page, durable bool
 		if durable {
 			// fsync path: the ZIL logs the write intents with payload.
 			for j := int64(0); j < run; j++ {
-				e := zilEnc{byte(zilWrite)}
-				e.i64(int64(n.Ino))
-				e.i64(blk + int64(i) + j)
-				e.bytes(pgs[i+int(j)].Data)
-				fs.logZil(e)
+				fs.logZil(zilWriteRecord(n.Ino, blk+int64(i)+j, pgs[i+int(j)].Data))
 			}
 		}
 		i += int(run)

@@ -1,12 +1,12 @@
 package cowfs
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
 	"betrfs/internal/blobfs"
 	"betrfs/internal/blockdev"
+	"betrfs/internal/codec"
 	"betrfs/internal/ioerr"
 	"betrfs/internal/sim"
 	"betrfs/internal/wal"
@@ -26,55 +26,63 @@ const (
 	zilAttr
 )
 
-// zilEnc builds one intent-log record: an op byte, then big-endian
-// 64-bit integers, length-prefixed strings and bytes, and one-byte bools.
-type zilEnc []byte
+// A record is an op byte and then codec fields: big-endian 64-bit
+// integers, strings and byte strings behind a 64-bit length, and one-byte
+// bools.
 
-func (e *zilEnc) i64(v int64)    { *e = binary.BigEndian.AppendUint64(*e, uint64(v)) }
-func (e *zilEnc) str(s string)   { e.i64(int64(len(s))); *e = append(*e, s...) }
-func (e *zilEnc) bytes(p []byte) { e.i64(int64(len(p))); *e = append(*e, p...) }
-func (e *zilEnc) bool(v bool) {
-	if v {
-		*e = append(*e, 1)
-	} else {
-		*e = append(*e, 0)
-	}
+func putStr(e *codec.Encoder, s string) {
+	e.I64(int64(len(s)))
+	e.String(s)
 }
 
+func getStr(d *codec.Decoder) string { return string(d.Take(int(d.I64()))) }
+
 // zilRecord encodes a namespace mutation the core applied.
-func zilRecord(op blobfs.Op) zilEnc {
-	var e zilEnc
+func zilRecord(op blobfs.Op) []byte {
+	var e codec.Encoder
 	switch op.Kind {
 	case blobfs.OpCreate:
-		e = zilEnc{byte(zilCreate)}
-		e.i64(int64(op.Parent))
-		e.str(op.Name)
-		e.i64(int64(op.Ino))
-		e.bool(op.Dir)
+		e.U8(uint8(zilCreate))
+		e.I64(int64(op.Parent))
+		putStr(&e, op.Name)
+		e.I64(int64(op.Ino))
+		e.Bool(op.Dir)
 	case blobfs.OpRemove:
-		e = zilEnc{byte(zilRemove)}
-		e.i64(int64(op.Parent))
-		e.str(op.Name)
-		e.i64(int64(op.Ino))
+		e.U8(uint8(zilRemove))
+		e.I64(int64(op.Parent))
+		putStr(&e, op.Name)
+		e.I64(int64(op.Ino))
 	case blobfs.OpRename:
-		e = zilEnc{byte(zilRename)}
-		e.i64(int64(op.Parent))
-		e.str(op.Name)
-		e.i64(int64(op.NewParent))
-		e.str(op.NewName)
-		e.i64(int64(op.Ino))
+		e.U8(uint8(zilRename))
+		e.I64(int64(op.Parent))
+		putStr(&e, op.Name)
+		e.I64(int64(op.NewParent))
+		putStr(&e, op.NewName)
+		e.I64(int64(op.Ino))
 	case blobfs.OpAttr:
-		e = zilEnc{byte(zilAttr)}
-		e.i64(int64(op.Ino))
-		e.i64(op.Size)
-		e.i64(int64(op.Mtime))
+		e.U8(uint8(zilAttr))
+		e.I64(int64(op.Ino))
+		e.I64(op.Size)
+		e.I64(int64(op.Mtime))
 	}
-	return e
+	return e.Buf
+}
+
+// zilWriteRecord encodes a write intent: the inode, the logical block and
+// the block's data.
+func zilWriteRecord(ino blobfs.Ino, blk int64, data []byte) []byte {
+	e := codec.Encoder{Buf: make([]byte, 0, 25+len(data))}
+	e.U8(uint8(zilWrite))
+	e.I64(int64(ino))
+	e.I64(blk)
+	e.I64(int64(len(data)))
+	e.Bytes(data)
+	return e.Buf
 }
 
 // logZil appends a record. It runs after the mutation it records, since a
 // full log commits a txg, which must see the mutation.
-func (fs *FS) logZil(rec zilEnc) {
+func (fs *FS) logZil(rec []byte) {
 	if _, err := fs.zil.Append(wal.RecordType(1), rec); err == wal.ErrLogFull {
 		fs.txgCommit()
 		if _, err2 := fs.zil.Append(wal.RecordType(1), rec); err2 != nil {
@@ -85,28 +93,6 @@ func (fs *FS) logZil(rec zilEnc) {
 	} else if err != nil {
 		ioerr.Check(err)
 	}
-}
-
-type zilDec struct{ b []byte }
-
-func (d *zilDec) op() zilOp { o := zilOp(d.b[0]); d.b = d.b[1:]; return o }
-func (d *zilDec) i64() int64 {
-	v := int64(binary.BigEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-func (d *zilDec) str() string {
-	n := d.i64()
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-func (d *zilDec) bool() bool { v := d.b[0] == 1; d.b = d.b[1:]; return v }
-func (d *zilDec) bytes() []byte {
-	n := d.i64()
-	p := append([]byte{}, d.b[:n]...)
-	d.b = d.b[n:]
-	return p
 }
 
 // Recover mounts an existing cowfs from its uberblock, inode map, and
@@ -139,9 +125,7 @@ func Recover(env *sim.Env, dev blockdev.Device, prof Profile) (rfs *FS, err erro
 		zilEpoch = 1
 	}
 	// A corrupted nextIno cannot be trusted to bound the imap scan.
-	if maxInos := blobfs.Ino(fs.imapLen / 2 / blobfs.LocSize); fs.NextIno > maxInos {
-		fs.NextIno = maxInos
-	}
+	fs.NextIno = min(fs.NextIno, fs.maxInos())
 	if err := fs.Load(fs.imapSlotBase(fs.generation), fs.claim); err != nil {
 		return nil, err
 	}
@@ -153,7 +137,9 @@ func Recover(env *sim.Env, dev blockdev.Device, prof Profile) (rfs *FS, err erro
 		return nil, fmt.Errorf("cowfs: intent log unreadable: %w", rerr)
 	}
 	for _, rec := range recs {
-		fs.replayZil(rec.Payload)
+		if err := fs.replayZil(rec.Payload); err != nil {
+			return nil, fmt.Errorf("cowfs: intent log record %d: %w", rec.LSN, err)
+		}
 	}
 	fs.zil = wal.New(env, blockdev.Region(dev, fs.zilOff, fs.zilLen), zilEpoch+1)
 	// Prune the entries whose inode was dropped and not resurrected by
@@ -162,6 +148,10 @@ func Recover(env *sim.Env, dev blockdev.Device, prof Profile) (rfs *FS, err erro
 	fs.txgCommit()
 	return fs, nil
 }
+
+// maxInos is the inode map's capacity: one past the largest inode number
+// a map slot has room for.
+func (fs *FS) maxInos() blobfs.Ino { return blobfs.Ino(fs.imapLen / 2 / blobfs.LocSize) }
 
 // claim marks a recovered inode's blob and data blocks allocated.
 func (fs *FS) claim(n *blobfs.Node, loc blobfs.Loc) {
@@ -173,23 +163,60 @@ func (fs *FS) claim(n *blobfs.Node, loc blobfs.Loc) {
 	}
 }
 
-// replayZil applies one intent-log record. Records referencing inodes
-// that did not survive recovery (dropped blobs) are skipped rather than
-// left to panic — the oracle treats the files they describe as volatile.
-func (fs *FS) replayZil(payload []byte) {
-	d := &zilDec{b: payload}
-	switch d.op() {
+// replayZil applies one intent-log record. All of its fields are decoded
+// and checked before any is applied: a record that is short, has trailing
+// bytes or an unknown op, creates an inode outside the inode map, writes a
+// block that is not one or names a file as a parent is an EIO-class error. Records referencing
+// inodes that did not survive recovery (dropped blobs) are skipped — the
+// oracle treats the files they describe as volatile.
+func (fs *FS) replayZil(payload []byte) error {
+	d := codec.NewDecoder(payload)
+	var (
+		pino, npino, ino blobfs.Ino
+		name, newName    string
+		dir              bool
+		size, mtime, blk int64
+		data             []byte
+	)
+	kind := zilOp(d.U8())
+	switch kind {
 	case zilCreate:
-		pino := blobfs.Ino(d.i64())
-		name := d.str()
-		ino := blobfs.Ino(d.i64())
-		dir := d.bool()
+		pino, name, ino, dir = blobfs.Ino(d.I64()), getStr(&d), blobfs.Ino(d.I64()), d.Bool()
+	case zilRemove:
+		pino, name, ino = blobfs.Ino(d.I64()), getStr(&d), blobfs.Ino(d.I64())
+	case zilRename:
+		pino, name, npino, newName, ino = blobfs.Ino(d.I64()), getStr(&d), blobfs.Ino(d.I64()), getStr(&d), blobfs.Ino(d.I64())
+	case zilAttr:
+		ino, size, mtime = blobfs.Ino(d.I64()), d.I64(), d.I64()
+	case zilWrite:
+		ino, blk, data = blobfs.Ino(d.I64()), d.I64(), d.Take(int(d.I64()))
+	}
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("%w: %w", ioerr.ErrIO, err)
+	}
+	switch {
+	case kind < zilCreate || kind > zilAttr:
+		return fmt.Errorf("unknown op %d: %w", kind, ioerr.ErrIO)
+	case kind == zilCreate && (ino < blobfs.RootIno || ino >= fs.maxInos()):
+		return fmt.Errorf("create of inode %d outside the inode map: %w", ino, ioerr.ErrIO)
+	case kind == zilWrite && (blk < 0 || len(data) > BlockSize):
+		return fmt.Errorf("write of %d bytes to block %d: %w", len(data), blk, ioerr.ErrIO)
+	}
+	if kind == zilCreate || kind == zilRemove || kind == zilRename {
+		for _, i := range [...]blobfs.Ino{pino, npino} {
+			if n, ok := fs.Inodes[i]; ok && !n.Dir {
+				return fmt.Errorf("parent inode %d is not a directory: %w", i, ioerr.ErrIO)
+			}
+		}
+	}
+	switch kind {
+	case zilCreate:
 		p, ok := fs.Inodes[pino]
 		if !ok {
-			return
+			return nil
 		}
 		if _, ok := p.Children[name]; ok {
-			return
+			return nil
 		}
 		fs.Inodes[ino] = blobfs.NewNode(ino, dir, 0)
 		fs.Table[ino] = blobfs.Loc{First: -1}
@@ -199,48 +226,36 @@ func (fs *FS) replayZil(payload []byte) {
 			fs.NextIno = ino + 1
 		}
 	case zilRemove:
-		pino := blobfs.Ino(d.i64())
-		name := d.str()
 		p, ok := fs.Inodes[pino]
 		if !ok {
-			return
+			return nil
 		}
 		delete(p.Children, name)
 		p.Dirty = true
 	case zilRename:
-		opino := blobfs.Ino(d.i64())
-		oldName := d.str()
-		npino := blobfs.Ino(d.i64())
-		newName := d.str()
-		op, okOld := fs.Inodes[opino]
-		np, okNew := fs.Inodes[npino]
-		if !okOld || !okNew {
-			return
+		from, okFrom := fs.Inodes[pino]
+		to, okTo := fs.Inodes[npino]
+		if !okFrom || !okTo {
+			return nil
 		}
-		if c, ok := op.Children[oldName]; ok {
-			delete(op.Children, oldName)
-			np.Children[newName] = c
-			op.Dirty = true
-			np.Dirty = true
+		if c, ok := from.Children[name]; ok {
+			delete(from.Children, name)
+			to.Children[newName] = c
+			from.Dirty = true
+			to.Dirty = true
 		}
 	case zilAttr:
-		ino := blobfs.Ino(d.i64())
-		size := d.i64()
-		mtime := d.i64()
 		n, ok := fs.Inodes[ino]
 		if !ok {
-			return
+			return nil
 		}
 		n.Size = size
 		n.Mtime = time.Duration(mtime)
 		n.Dirty = true
 	case zilWrite:
-		ino := blobfs.Ino(d.i64())
-		blk := d.i64()
-		data := d.bytes()
 		n, ok := fs.Inodes[ino]
 		if !ok {
-			return
+			return nil
 		}
 		if old, ok := n.Blocks[blk]; ok {
 			fs.deferFree(old)
@@ -257,4 +272,5 @@ func (fs *FS) replayZil(payload []byte) {
 		}
 		n.Dirty = true
 	}
+	return nil
 }

@@ -1,9 +1,10 @@
 package extfs
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"betrfs/internal/codec"
 )
 
 // Directory content is stored in the directory inode's data blocks as a
@@ -35,44 +36,33 @@ func (fs *FS) loadDir(x *xinode) {
 	}
 }
 
-func decodeDir(data []byte, out map[string]dirent) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("extfs: malformed directory blob: %v", r)
+// A directory blob is, in codec fields, the entry count and then each
+// entry's name behind a 16-bit length, inode number and directory flag.
+
+func decodeDir(data []byte, out map[string]dirent) error {
+	d := codec.NewDecoder(data)
+	for n := d.U32(); n > 0 && d.Err() == nil; n-- {
+		name := d.Take(int(d.U16()))
+		ino := Ino(d.I64())
+		dir := d.U8() == 1
+		if d.Err() != nil {
+			break
 		}
-	}()
-	if len(data) < 4 {
-		return fmt.Errorf("extfs: directory blob too short")
+		if len(name) == 0 || ino < rootIno {
+			return fmt.Errorf("extfs: directory entry %q with inode %d", name, ino)
+		}
+		out[string(name)] = dirent{ino: ino, dir: dir}
 	}
-	n := int(binary.BigEndian.Uint32(data))
-	pos := 4
-	for i := 0; i < n; i++ {
-		if pos+2 > len(data) {
-			return fmt.Errorf("extfs: directory blob truncated")
-		}
-		nameLen := int(binary.BigEndian.Uint16(data[pos:]))
-		pos += 2
-		if nameLen <= 0 || pos+nameLen+9 > len(data) {
-			return fmt.Errorf("extfs: directory entry out of range")
-		}
-		name := string(data[pos : pos+nameLen])
-		pos += nameLen
-		ino := Ino(binary.BigEndian.Uint64(data[pos:]))
-		pos += 8
-		dir := data[pos] == 1
-		pos++
-		if ino < rootIno {
-			return fmt.Errorf("extfs: directory entry with invalid inode %d", ino)
-		}
-		out[name] = dirent{ino: ino, dir: dir}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("extfs: malformed directory blob: %w", err)
 	}
 	return nil
 }
 
-// writeDir persists a directory's content into its data blocks.
-func (fs *FS) writeDir(x *xinode) {
-	names := make([]string, 0, len(x.children))
-	for name := range x.children {
+// encodeDir encodes a directory's entries in name order.
+func encodeDir(children map[string]dirent) []byte {
+	names := make([]string, 0, len(children))
+	for name := range children {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -80,24 +70,24 @@ func (fs *FS) writeDir(x *xinode) {
 	for _, name := range names {
 		size += 2 + len(name) + 9
 	}
-	data := make([]byte, size)
-	binary.BigEndian.PutUint32(data, uint32(len(names)))
-	pos := 4
+	e := codec.Encoder{Buf: make([]byte, 0, size)}
+	e.U32(uint32(len(names)))
 	for _, name := range names {
-		binary.BigEndian.PutUint16(data[pos:], uint16(len(name)))
-		pos += 2
-		copy(data[pos:], name)
-		pos += len(name)
-		d := x.children[name]
-		binary.BigEndian.PutUint64(data[pos:], uint64(d.ino))
-		pos += 8
-		if d.dir {
-			data[pos] = 1
-		}
-		pos++
+		d := children[name]
+		e.U16(uint16(len(name)))
+		e.String(name)
+		e.I64(int64(d.ino))
+		e.Bool(d.dir)
 	}
+	return e.Buf
+}
+
+// writeDir persists a directory's content into its data blocks.
+func (fs *FS) writeDir(x *xinode) {
+	data := encodeDir(x.children)
 	fs.env.Serialize(len(data))
 	// Resize the directory file and write the blocks.
+	size := len(data)
 	newBlocks := int64((size + BlockSize - 1) / BlockSize)
 	oldBlocks := int64((x.size + BlockSize - 1) / BlockSize)
 	if newBlocks < oldBlocks {

@@ -6,33 +6,52 @@ import (
 	"hash/crc32"
 	"sort"
 	"time"
+
+	"betrfs/internal/codec"
 )
 
-// Inode table: fixed 512-byte on-disk inodes, eight per block. Up to 24
+// Inode table: fixed 512-byte on-disk inodes, eight per block. Up to 19
 // extents are stored inline; larger files chain overflow blocks from the
 // data area (a flattened extent tree).
+//
+// An inode is, in codec fields: the used flag, the directory flag, size,
+// link count, mtime, allocation group, extent count, the first overflow
+// block (zero when there is none) and up to 19 inline extents, then zero
+// padding and a CRC over the rest in its last 4 bytes, so fsck and
+// recovery can tell a durable inode from a torn or corrupted one. An
+// overflow block is its successor (all ones ends the chain), its extent
+// count and its extents, then padding and the same trailing CRC. An extent
+// is its logical block, physical block and block count.
 
 const (
 	inodeSize      = 512
 	inodesPerBlock = BlockSize / inodeSize
-	// 19 inline extents fill bytes 38..494 of the 512-byte inode; the
-	// last 4 bytes hold a CRC over the rest so fsck and recovery can
-	// tell a durable inode from a torn or corrupted one.
-	inlineExtents = 19
-	inodeCRCOff   = inodeSize - 4
+	inlineExtents  = 19
 	// overflow block: next pointer (8) + count (4) + extents (24 B
 	// each) + trailing CRC (4).
 	overflowExtents = (BlockSize - 12 - 4) / 24
-	blockCRCOff     = BlockSize - 4
 )
 
-// sealBlock stamps the trailing CRC an overflow block carries.
-func sealBlock(buf []byte) {
-	binary.BigEndian.PutUint32(buf[blockCRCOff:], crc32.ChecksumIEEE(buf[:blockCRCOff]))
+// seal zero-pads b to size-4 bytes and appends their CRC.
+func seal(b []byte, size int) []byte {
+	b = append(b, make([]byte, size-4-len(b))...)
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-func blockSealed(buf []byte) bool {
-	return crc32.ChecksumIEEE(buf[:blockCRCOff]) == binary.BigEndian.Uint32(buf[blockCRCOff:])
+// sealed reports whether b's last 4 bytes are the CRC of the rest.
+func sealed(b []byte) bool {
+	end := len(b) - 4
+	return crc32.ChecksumIEEE(b[:end]) == binary.BigEndian.Uint32(b[end:])
+}
+
+func putExtent(e *codec.Encoder, x extent) {
+	e.I64(x.logical)
+	e.I64(x.phys)
+	e.I64(x.count)
+}
+
+func getExtent(d *codec.Decoder) extent {
+	return extent{logical: d.I64(), phys: d.I64(), count: d.I64()}
 }
 
 // maxInodes is the inode table's capacity: one past the largest inode
@@ -55,95 +74,74 @@ func (fs *FS) itableBlockAddr(ino Ino) int64 {
 // encodeInode serializes x into a 512-byte blob (plus overflow blocks for
 // long extent lists, which are written separately).
 func (fs *FS) encodeInode(x *xinode) []byte {
-	b := make([]byte, inodeSize)
-	b[0] = 1 // used
-	if x.dir {
-		b[1] = 1
-	}
-	binary.BigEndian.PutUint64(b[2:], uint64(x.size))
-	binary.BigEndian.PutUint32(b[10:], uint32(x.nlink))
-	binary.BigEndian.PutUint64(b[14:], uint64(x.mtime))
-	binary.BigEndian.PutUint32(b[22:], uint32(x.group))
 	n := len(x.extents)
-	binary.BigEndian.PutUint32(b[26:], uint32(n))
-	inline := n
-	if inline > inlineExtents {
-		inline = inlineExtents
-	}
-	off := 38
-	for i := 0; i < inline; i++ {
-		e := x.extents[i]
-		binary.BigEndian.PutUint64(b[off:], uint64(e.logical))
-		binary.BigEndian.PutUint64(b[off+8:], uint64(e.phys))
-		binary.BigEndian.PutUint64(b[off+16:], uint64(e.count))
-		off += 24
-	}
+	first := int64(0)
 	if n > inlineExtents {
-		// Overflow chain pointer written at [30:38] by writeOverflow.
-		ovb := fs.writeOverflow(x, x.extents[inlineExtents:])
-		binary.BigEndian.PutUint64(b[30:], uint64(ovb))
+		first = fs.writeOverflow(x, x.extents[inlineExtents:])
 	}
-	binary.BigEndian.PutUint32(b[inodeCRCOff:], crc32.ChecksumIEEE(b[:inodeCRCOff]))
-	return b
+	e := codec.Encoder{Buf: make([]byte, 0, inodeSize)}
+	e.U8(1) // used
+	e.Bool(x.dir)
+	e.I64(x.size)
+	e.U32(uint32(x.nlink))
+	e.I64(int64(x.mtime))
+	e.U32(uint32(x.group))
+	e.U32(uint32(n))
+	e.I64(first)
+	for _, ext := range x.extents[:min(n, inlineExtents)] {
+		putExtent(&e, ext)
+	}
+	return seal(e.Buf, inodeSize)
+}
+
+// overflowBlock encodes one sealed overflow block.
+func overflowBlock(next int64, exts []extent) []byte {
+	e := codec.Encoder{Buf: make([]byte, 0, BlockSize)}
+	e.I64(next)
+	e.U32(uint32(len(exts)))
+	for _, ext := range exts {
+		putExtent(&e, ext)
+	}
+	return seal(e.Buf, BlockSize)
 }
 
 // writeOverflow persists an extent-overflow chain and returns the first
-// block number. Any previous chain blocks are recycled first.
+// block number. Any previous chain blocks are recycled first. Each block
+// is written once its successor is allocated.
 func (fs *FS) writeOverflow(x *xinode, exts []extent) int64 {
 	for _, b := range x.overflow {
 		fs.deferFree(b)
 	}
 	x.overflow = x.overflow[:0]
-	first := int64(-1)
-	var prevBuf []byte
+	var prev []extent // the extents of the block awaiting its successor
 	var prevAddr int64
 	for len(exts) > 0 {
-		n := len(exts)
-		if n > overflowExtents {
-			n = overflowExtents
-		}
+		n := min(len(exts), overflowExtents)
 		blk, _ := fs.allocRun(fs.groupGoal(x), 1)
-		buf := make([]byte, BlockSize)
-		binary.BigEndian.PutUint64(buf[0:], ^uint64(0)) // next: none yet
-		binary.BigEndian.PutUint32(buf[8:], uint32(n))
-		off := 12
-		for i := 0; i < n; i++ {
-			binary.BigEndian.PutUint64(buf[off:], uint64(exts[i].logical))
-			binary.BigEndian.PutUint64(buf[off+8:], uint64(exts[i].phys))
-			binary.BigEndian.PutUint64(buf[off+16:], uint64(exts[i].count))
-			off += 24
-		}
-		if first < 0 {
-			first = blk
-		}
 		x.overflow = append(x.overflow, blk)
-		if prevBuf != nil {
-			binary.BigEndian.PutUint64(prevBuf[0:], uint64(blk))
-			sealBlock(prevBuf)
-			fs.devCheck(fs.dev.WriteAt(prevBuf, prevAddr))
+		if prev != nil {
+			fs.devCheck(fs.dev.WriteAt(overflowBlock(blk, prev), prevAddr))
 		}
-		prevBuf = buf
-		prevAddr = fs.blockAddr(blk)
+		prev, prevAddr = exts[:n], fs.blockAddr(blk)
 		exts = exts[n:]
 	}
-	if prevBuf != nil {
-		sealBlock(prevBuf)
-		fs.devCheck(fs.dev.WriteAt(prevBuf, prevAddr))
+	if prev != nil {
+		fs.devCheck(fs.dev.WriteAt(overflowBlock(-1, prev), prevAddr))
 	}
 	fs.env.Serialize(BlockSize)
-	return first
+	return x.overflow[0]
 }
 
 // readInode loads ino from the inode table (cold-cache path). A torn or
 // corrupted on-disk inode — bad CRC, out-of-range extents, a broken
 // overflow chain — comes back as an error so recovery can drop it
-// instead of decoding garbage.
-func (fs *FS) readInode(ino Ino) (rx *xinode, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rx, err = nil, fmt.Errorf("extfs: malformed inode %d: %v", ino, r)
-		}
-	}()
+// instead of decoding garbage. An overflow chain must visit each block
+// once and hold no more extents than the inode counts, so the number of
+// blocks read is bounded by the data area, not by the count.
+func (fs *FS) readInode(ino Ino) (*xinode, error) {
+	if ino < rootIno || ino >= fs.maxInodes() {
+		return nil, fmt.Errorf("extfs: inode %d outside the inode table", ino)
+	}
 	buf := make([]byte, BlockSize)
 	if rerr := fs.dev.ReadAt(buf, fs.itableBlockAddr(ino)); rerr != nil {
 		return nil, fmt.Errorf("extfs: inode %d table block: %w", ino, rerr)
@@ -154,75 +152,60 @@ func (fs *FS) readInode(ino Ino) (rx *xinode, err error) {
 	if b[0] != 1 {
 		return nil, fmt.Errorf("extfs: reading unused inode %d", ino)
 	}
-	if crc32.ChecksumIEEE(b[:inodeCRCOff]) != binary.BigEndian.Uint32(b[inodeCRCOff:]) {
+	if !sealed(b) {
 		return nil, fmt.Errorf("extfs: inode %d checksum mismatch", ino)
 	}
-	x := &xinode{ino: ino}
-	x.dir = b[1] == 1
-	x.size = int64(binary.BigEndian.Uint64(b[2:]))
-	x.nlink = int(binary.BigEndian.Uint32(b[10:]))
-	x.mtime = time.Duration(binary.BigEndian.Uint64(b[14:]))
-	x.group = int(binary.BigEndian.Uint32(b[22:]))
-	n := int(binary.BigEndian.Uint32(b[26:]))
-	if n < 0 {
-		return nil, fmt.Errorf("extfs: inode %d extent count %d", ino, n)
+	d := codec.NewDecoder(b[1:])
+	x := &xinode{ino: ino, dir: d.U8() == 1, size: d.I64(), nlink: int(d.U32()), mtime: time.Duration(d.I64()), group: int(d.U32())}
+	n := int(d.U32())
+	next := d.I64()
+	for i := 0; i < min(n, inlineExtents); i++ {
+		x.extents = append(x.extents, getExtent(&d))
 	}
-	inline := n
-	if inline > inlineExtents {
-		inline = inlineExtents
-	}
-	eoff := 38
-	for i := 0; i < inline; i++ {
-		x.extents = append(x.extents, extent{
-			logical: int64(binary.BigEndian.Uint64(b[eoff:])),
-			phys:    int64(binary.BigEndian.Uint64(b[eoff+8:])),
-			count:   int64(binary.BigEndian.Uint64(b[eoff+16:])),
-		})
-		eoff += 24
-	}
-	if n > inlineExtents {
-		next := int64(binary.BigEndian.Uint64(b[30:]))
-		remaining := n - inlineExtents
-		for next >= 0 && uint64(next) != ^uint64(0) && remaining > 0 {
-			if next >= fs.lay.dataBlocks {
-				return nil, fmt.Errorf("extfs: inode %d overflow block %d out of range", ino, next)
-			}
-			x.overflow = append(x.overflow, next)
-			ob := make([]byte, BlockSize)
-			if rerr := fs.dev.ReadAt(ob, fs.blockAddr(next)); rerr != nil {
-				return nil, fmt.Errorf("extfs: inode %d overflow block %d: %w", ino, next, rerr)
-			}
-			fs.env.Serialize(BlockSize)
-			if !blockSealed(ob) {
-				return nil, fmt.Errorf("extfs: inode %d overflow block %d checksum mismatch", ino, next)
-			}
-			cnt := int(binary.BigEndian.Uint32(ob[8:]))
-			if cnt <= 0 || cnt > overflowExtents {
-				return nil, fmt.Errorf("extfs: inode %d overflow block %d holds %d extents", ino, next, cnt)
-			}
-			ooff := 12
-			for i := 0; i < cnt; i++ {
-				x.extents = append(x.extents, extent{
-					logical: int64(binary.BigEndian.Uint64(ob[ooff:])),
-					phys:    int64(binary.BigEndian.Uint64(ob[ooff+8:])),
-					count:   int64(binary.BigEndian.Uint64(ob[ooff+16:])),
-				})
-				ooff += 24
-			}
-			remaining -= cnt
-			nv := binary.BigEndian.Uint64(ob[0:])
-			if nv == ^uint64(0) {
-				break
-			}
-			next = int64(nv)
+	var visited map[int64]bool
+	for remaining := n - inlineExtents; remaining > 0 && next >= 0; {
+		if next >= fs.lay.dataBlocks {
+			return nil, fmt.Errorf("extfs: inode %d overflow block %d out of range", ino, next)
 		}
+		if visited[next] {
+			return nil, fmt.Errorf("extfs: inode %d overflow chain revisits block %d", ino, next)
+		}
+		if visited == nil {
+			visited = make(map[int64]bool)
+		}
+		visited[next] = true
+		x.overflow = append(x.overflow, next)
+		ob := make([]byte, BlockSize)
+		if rerr := fs.dev.ReadAt(ob, fs.blockAddr(next)); rerr != nil {
+			return nil, fmt.Errorf("extfs: inode %d overflow block %d: %w", ino, next, rerr)
+		}
+		fs.env.Serialize(BlockSize)
+		if !sealed(ob) {
+			return nil, fmt.Errorf("extfs: inode %d overflow block %d checksum mismatch", ino, next)
+		}
+		od := codec.NewDecoder(ob)
+		succ, cnt := od.I64(), int(od.U32())
+		if cnt <= 0 || cnt > overflowExtents || cnt > remaining {
+			return nil, fmt.Errorf("extfs: inode %d overflow block %d holds %d extents, %d expected at most", ino, next, cnt, remaining)
+		}
+		for i := 0; i < cnt; i++ {
+			x.extents = append(x.extents, getExtent(&od))
+		}
+		remaining -= cnt
+		next = succ
 	}
 	for _, e := range x.extents {
-		if e.count <= 0 || e.phys < 0 || e.phys+e.count > fs.lay.dataBlocks || e.logical < 0 {
+		if !fs.extentInRange(e) {
 			return nil, fmt.Errorf("extfs: inode %d extent out of range: logical=%d phys=%d count=%d", ino, e.logical, e.phys, e.count)
 		}
 	}
 	return x, nil
+}
+
+// extentInRange reports whether e maps a non-empty run of non-negative
+// logical blocks into the data area, with no sum that can wrap.
+func (fs *FS) extentInRange(e extent) bool {
+	return e.count > 0 && e.phys >= 0 && e.count <= fs.lay.dataBlocks-e.phys && e.logical >= 0
 }
 
 // writebackMeta writes all dirty inode-table blocks (and dirty directory

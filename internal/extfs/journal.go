@@ -1,10 +1,10 @@
 package extfs
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"betrfs/internal/blockdev"
+	"betrfs/internal/codec"
 	"betrfs/internal/ioerr"
 	"betrfs/internal/sim"
 	"betrfs/internal/wal"
@@ -34,53 +34,25 @@ func newJournal(env *sim.Env, dev blockdev.Device, off, length int64) *journal {
 	return &journal{log: wal.New(env, blockdev.Region(dev, off, length), 1)}
 }
 
-type recEncoder struct{ b []byte }
+// A journal record's fields are codec fields: big-endian 64-bit integers,
+// strings behind a 64-bit length, and one-byte flags.
 
-func (e *recEncoder) i64(v int64) {
-	var t [8]byte
-	binary.BigEndian.PutUint64(t[:], uint64(v))
-	e.b = append(e.b, t[:]...)
-}
-func (e *recEncoder) str(s string) {
-	e.i64(int64(len(s)))
-	e.b = append(e.b, s...)
-}
-func (e *recEncoder) flag(v bool) {
-	if v {
-		e.b = append(e.b, 1)
-	} else {
-		e.b = append(e.b, 0)
-	}
+func putStr(e *codec.Encoder, s string) {
+	e.I64(int64(len(s)))
+	e.String(s)
 }
 
-type recDecoder struct{ b []byte }
+func getStr(d *codec.Decoder) string { return string(d.Take(int(d.I64()))) }
 
-func (d *recDecoder) i64() int64 {
-	v := int64(binary.BigEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-func (d *recDecoder) str() string {
-	n := d.i64()
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-func (d *recDecoder) flag() bool {
-	v := d.b[0] == 1
-	d.b = d.b[1:]
-	return v
-}
-
-func (fs *FS) logRec(t wal.RecordType, enc func(*recEncoder)) {
-	e := &recEncoder{}
-	enc(e)
-	if _, err := fs.jnl.log.Append(t, e.b); err == wal.ErrLogFull {
+func (fs *FS) logRec(t wal.RecordType, enc func(*codec.Encoder)) {
+	var e codec.Encoder
+	enc(&e)
+	if _, err := fs.jnl.log.Append(t, e.Buf); err == wal.ErrLogFull {
 		fs.writebackMeta()
 		fs.devCheck(fs.jnl.log.Flush())
 		fs.applyPendingFrees()
 		fs.jnl.log.Reclaim(fs.jnl.log.NextLSN())
-		if _, err2 := fs.jnl.log.Append(t, e.b); err2 != nil {
+		if _, err2 := fs.jnl.log.Append(t, e.Buf); err2 != nil {
 			// Still full after a checkpoint: the journal region cannot
 			// hold the record — a space problem, not a bug.
 			ioerr.Check(fmt.Errorf("extfs: journal full after checkpoint: %w", ioerr.ErrNoSpace))

@@ -177,7 +177,9 @@ func Recover(env *sim.Env, dev blockdev.Device, prof Profile) (rfs *FS, err erro
 		return nil, fmt.Errorf("extfs: journal unreadable: %w", rerr)
 	}
 	for _, rec := range recs {
-		fs.replayRecord(rec)
+		if err := fs.replayRecord(rec); err != nil {
+			return nil, err
+		}
 	}
 	fs.jnl.log = wal.New(env, region, hint.Epoch+1)
 	// Prune dangling directory entries — children whose inode was

@@ -1,8 +1,10 @@
 package extfs
 
 import (
+	"fmt"
 	"sort"
 
+	"betrfs/internal/codec"
 	"betrfs/internal/ioerr"
 	"betrfs/internal/vfs"
 	"betrfs/internal/wal"
@@ -72,11 +74,11 @@ func (fs *FS) Create(parent vfs.Handle, name string, dir bool) (h vfs.Handle, a 
 	p.children[name] = dirent{ino: ino, dir: dir}
 	p.mtime = fs.env.Now()
 	fs.markInodeDirty(p)
-	fs.logRec(recCreate, func(e *recEncoder) {
-		e.i64(int64(p.ino))
-		e.str(name)
-		e.i64(int64(ino))
-		e.flag(dir)
+	fs.logRec(recCreate, func(e *codec.Encoder) {
+		e.I64(int64(p.ino))
+		putStr(e, name)
+		e.I64(int64(ino))
+		e.Bool(dir)
 	})
 	return ino, fs.attrOf(x), nil
 }
@@ -109,11 +111,11 @@ func (fs *FS) Remove(parent vfs.Handle, name string, h vfs.Handle, dir bool) (er
 	}
 	delete(fs.inodes, d.ino)
 	fs.eraseInode(d.ino)
-	fs.logRec(recRemove, func(e *recEncoder) {
-		e.i64(int64(p.ino))
-		e.str(name)
-		e.i64(int64(d.ino))
-		e.flag(dir)
+	fs.logRec(recRemove, func(e *codec.Encoder) {
+		e.I64(int64(p.ino))
+		putStr(e, name)
+		e.I64(int64(d.ino))
+		e.Bool(dir)
 	})
 	return nil
 }
@@ -139,12 +141,12 @@ func (fs *FS) Rename(oldParent vfs.Handle, oldName string, h vfs.Handle, newPare
 	np.mtime = fs.env.Now()
 	fs.markInodeDirty(op)
 	fs.markInodeDirty(np)
-	fs.logRec(recRename, func(e *recEncoder) {
-		e.i64(int64(op.ino))
-		e.str(oldName)
-		e.i64(int64(np.ino))
-		e.str(newName)
-		e.i64(int64(d.ino))
+	fs.logRec(recRename, func(e *codec.Encoder) {
+		e.I64(int64(op.ino))
+		putStr(e, oldName)
+		e.I64(int64(np.ino))
+		putStr(e, newName)
+		e.I64(int64(d.ino))
 	})
 	return h, nil
 }
@@ -186,11 +188,11 @@ func (fs *FS) WriteAttr(h vfs.Handle, a vfs.Attr) (err error) {
 	x.size = a.Size
 	x.mtime = a.Mtime
 	fs.markInodeDirty(x)
-	fs.logRec(recAttr, func(e *recEncoder) {
-		e.i64(int64(x.ino))
-		e.i64(a.Size)
-		e.i64(int64(a.Nlink))
-		e.i64(int64(a.Mtime))
+	fs.logRec(recAttr, func(e *codec.Encoder) {
+		e.I64(int64(x.ino))
+		e.I64(a.Size)
+		e.I64(int64(a.Nlink))
+		e.I64(int64(a.Mtime))
 	})
 	return nil
 }
@@ -228,21 +230,21 @@ func (fs *FS) WriteBlocks(h vfs.Handle, blk int64, pgs []*vfs.Page, durable bool
 	// Journal any extents added by the allocation.
 	for i := before; i <= len(x.extents)-1; i++ {
 		e := x.extents[i]
-		fs.logRec(recExtentAdd, func(enc *recEncoder) {
-			enc.i64(int64(x.ino))
-			enc.i64(e.logical)
-			enc.i64(e.phys)
-			enc.i64(e.count)
+		fs.logRec(recExtentAdd, func(enc *codec.Encoder) {
+			enc.I64(int64(x.ino))
+			enc.I64(e.logical)
+			enc.I64(e.phys)
+			enc.I64(e.count)
 		})
 	}
 	if before > 0 && len(x.extents) >= before {
 		// The pre-existing last extent may have grown by merging.
 		e := x.extents[before-1]
-		fs.logRec(recExtentAdd, func(enc *recEncoder) {
-			enc.i64(int64(x.ino))
-			enc.i64(e.logical)
-			enc.i64(e.phys)
-			enc.i64(e.count)
+		fs.logRec(recExtentAdd, func(enc *codec.Encoder) {
+			enc.I64(int64(x.ino))
+			enc.I64(e.logical)
+			enc.I64(e.phys)
+			enc.I64(e.count)
 		})
 	}
 	// Ordered mode: the data is in place now; the journal transaction
@@ -269,9 +271,9 @@ func (fs *FS) TruncateBlocks(h vfs.Handle, fromBlk int64) (err error) {
 	}
 	x := fs.inode(h.(Ino))
 	fs.freeBlocksFrom(x, fromBlk)
-	fs.logRec(recTruncate, func(e *recEncoder) {
-		e.i64(int64(x.ino))
-		e.i64(fromBlk)
+	fs.logRec(recTruncate, func(e *codec.Encoder) {
+		e.I64(int64(x.ino))
+		e.I64(fromBlk)
 	})
 	return nil
 }
@@ -301,20 +303,59 @@ func (fs *FS) Sync() (err error) {
 	return nil
 }
 
-// replayRecord applies one journal record during recovery. Records
-// referencing inodes that did not survive the fsck pass are skipped
-// rather than left to panic.
-func (fs *FS) replayRecord(rec wal.Record) {
-	d := &recDecoder{b: rec.Payload}
+// replayRecord applies one journal record during recovery. All of a
+// record's fields are decoded and checked before any is applied: a record
+// that is short, has trailing bytes, has an unknown type, names an inode
+// outside the inode table, a negative size or block, or a file as a parent
+// fails recovery with an EIO-class error. Records referencing inodes that
+// did not survive the fsck pass are skipped.
+func (fs *FS) replayRecord(rec wal.Record) error {
+	d := codec.NewDecoder(rec.Payload)
+	var (
+		name, newName                 string
+		dir                           bool
+		size, nlink, mtime            int64
+		logical, phys, count, fromBlk int64
+	)
+	// An inode field a record type lacks stays rootIno, which is in range.
+	pino, npino, ino := rootIno, rootIno, rootIno
+	switch rec.Type {
+	case recCreate, recRemove:
+		pino, name, ino, dir = Ino(d.I64()), getStr(&d), Ino(d.I64()), d.Bool()
+	case recRename:
+		pino, name, npino, newName, ino = Ino(d.I64()), getStr(&d), Ino(d.I64()), getStr(&d), Ino(d.I64())
+	case recAttr:
+		ino, size, nlink, mtime = Ino(d.I64()), d.I64(), d.I64(), d.I64()
+	case recExtentAdd:
+		ino, logical, phys, count = Ino(d.I64()), d.I64(), d.I64(), d.I64()
+	case recTruncate:
+		ino, fromBlk = Ino(d.I64()), d.I64()
+	default:
+		return fmt.Errorf("extfs: journal record %d of unknown type %d: %w", rec.LSN, rec.Type, ioerr.ErrIO)
+	}
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("extfs: journal record %d: %w: %w", rec.LSN, ioerr.ErrIO, err)
+	}
+	for _, i := range [...]Ino{pino, npino, ino} {
+		if i < rootIno || i >= fs.maxInodes() {
+			return fmt.Errorf("extfs: journal record %d names inode %d outside the table: %w", rec.LSN, i, ioerr.ErrIO)
+		}
+	}
+	if size < 0 || fromBlk < 0 {
+		return fmt.Errorf("extfs: journal record %d has size %d, first block %d: %w", rec.LSN, size, fromBlk, ioerr.ErrIO)
+	}
+	if rec.Type == recCreate || rec.Type == recRemove || rec.Type == recRename {
+		for _, i := range [...]Ino{pino, npino} {
+			if x, ok := fs.inodeIfPresent(i); ok && !x.dir {
+				return fmt.Errorf("extfs: journal record %d names file %d as a parent: %w", rec.LSN, i, ioerr.ErrIO)
+			}
+		}
+	}
 	switch rec.Type {
 	case recCreate:
-		pino := Ino(d.i64())
-		name := d.str()
-		ino := Ino(d.i64())
-		dir := d.flag()
 		p, ok := fs.inodeIfPresent(pino)
 		if !ok {
-			return
+			return nil
 		}
 		fs.loadDir(p)
 		p.children[name] = dirent{ino: ino, dir: dir}
@@ -333,12 +374,9 @@ func (fs *FS) replayRecord(rec wal.Record) {
 			fs.nextIno = ino + 1
 		}
 	case recRemove:
-		pino := Ino(d.i64())
-		name := d.str()
-		ino := Ino(d.i64())
 		p, ok := fs.inodeIfPresent(pino)
 		if !ok {
-			return
+			return nil
 		}
 		fs.loadDir(p)
 		delete(p.children, name)
@@ -349,63 +387,50 @@ func (fs *FS) replayRecord(rec wal.Record) {
 		}
 		fs.eraseInode(ino)
 	case recRename:
-		opino := Ino(d.i64())
-		oldName := d.str()
-		npino := Ino(d.i64())
-		newName := d.str()
-		ino := Ino(d.i64())
-		op, okOld := fs.inodeIfPresent(opino)
+		op, okOld := fs.inodeIfPresent(pino)
 		np, okNew := fs.inodeIfPresent(npino)
 		if !okOld || !okNew {
-			return
+			return nil
 		}
 		fs.loadDir(op)
 		fs.loadDir(np)
-		if ent, ok := op.children[oldName]; ok && ent.ino == ino {
-			delete(op.children, oldName)
+		if ent, ok := op.children[name]; ok && ent.ino == ino {
+			delete(op.children, name)
 			np.children[newName] = ent
 			fs.markInodeDirty(op)
 			fs.markInodeDirty(np)
 		}
 	case recAttr:
-		ino := Ino(d.i64())
-		size := d.i64()
-		nlink := d.i64()
-		mtime := d.i64()
 		x, ok := fs.inodeIfPresent(ino)
 		if !ok {
-			return
+			return nil
 		}
 		x.size = size
 		x.nlink = int(nlink)
 		x.mtime = timeDuration(mtime)
 		fs.markInodeDirty(x)
 	case recExtentAdd:
-		ino := Ino(d.i64())
-		logical := d.i64()
-		phys := d.i64()
-		count := d.i64()
 		x, ok := fs.inodeIfPresent(ino)
 		if !ok {
-			return
+			return nil
 		}
-		if count <= 0 || phys < 0 || phys+count > fs.lay.dataBlocks || logical < 0 {
-			return
+		e := extent{logical: logical, phys: phys, count: count}
+		if !fs.extentInRange(e) {
+			return nil
 		}
 		if x.physFor(logical) < 0 {
-			fs.appendExtent(x, extent{logical: logical, phys: phys, count: count})
+			fs.appendExtent(x, e)
 			for i := int64(0); i < count; i++ {
 				fs.bitSet(phys + i)
 			}
 			fs.markInodeDirty(x)
 		}
 	case recTruncate:
-		ino := Ino(d.i64())
-		fromBlk := d.i64()
 		x, ok := fs.inodeIfPresent(ino)
 		if !ok {
-			return
+			return nil
 		}
 		fs.freeBlocksFrom(x, fromBlk)
 	}
+	return nil
 }

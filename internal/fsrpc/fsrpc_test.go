@@ -152,6 +152,21 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeRequest([]byte{0x77, 0, 0, 0, 0, 0, 0, 0, 0}); !errors.Is(err, ErrProto) {
 		t.Fatal("unknown op accepted")
 	}
+	// Length and count fields of 2^32-1, and a directory flag of 2.
+	binary.BigEndian.PutUint32(payload[25:], 1<<32-1)
+	if _, err := DecodeRequest(payload); !errors.Is(err, ErrProto) {
+		t.Fatalf("WRITE data length 2^32-1 = %v, want EPROTO", err)
+	}
+	rd := (&Reply{Op: OpReaddir, Entries: []DirEnt{{Name: "x"}}}).Encode()
+	binary.BigEndian.PutUint32(rd[10:], 1<<32-1)
+	if _, err := DecodeReply(rd); !errors.Is(err, ErrProto) {
+		t.Fatalf("READDIR count 2^32-1 = %v, want EPROTO", err)
+	}
+	ga := (&Reply{Op: OpGetattr}).Encode()
+	ga[10] = 2
+	if _, err := DecodeReply(ga); !errors.Is(err, ErrProto) {
+		t.Fatalf("directory flag 2 = %v, want EPROTO", err)
+	}
 }
 
 // TestFramePartsEncodesInPlace: for every op of the §13.2 table, with

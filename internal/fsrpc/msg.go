@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"betrfs/internal/codec"
 	"betrfs/internal/vfs"
 )
 
@@ -91,119 +92,93 @@ type Request struct {
 
 // Encode renders the request payload.
 func (q *Request) Encode() []byte {
-	e := &enc{buf: make([]byte, 0, 16+len(q.Path)+len(q.Path2)+len(q.Data))}
-	e.u8(uint8(q.Op))
-	e.u64(q.Tag)
+	e := &codec.Encoder{Buf: make([]byte, 0, 16+len(q.Path)+len(q.Path2)+len(q.Data))}
+	e.U8(uint8(q.Op))
+	e.U64(q.Tag)
 	switch q.Op {
 	case OpLookup:
-		e.str(q.Path)
-		e.u8(q.Flags)
-	case OpGetattr, OpReaddir:
-		e.str(q.Path)
+		putStr(e, q.Path)
+		e.U8(q.Flags)
+	case OpGetattr, OpReaddir, OpBopen, OpAttach:
+		putStr(e, q.Path)
 	case OpMkdir, OpUnlink, OpRmdir, OpCreate:
-		e.str(q.Path)
-		e.u64(q.Seq)
+		putStr(e, q.Path)
+		e.U64(q.Seq)
 	case OpRename:
-		e.str(q.Path)
-		e.str(q.Path2)
-		e.u64(q.Seq)
-	case OpRead:
-		e.u64(q.Handle)
-		e.i64(q.Off)
-		e.u32(q.N)
-	case OpWrite:
-		e.u64(q.Handle)
-		e.i64(q.Off)
-		e.bytes(q.Data)
-		e.u64(q.Seq)
-	case OpFsync:
-		e.u64(q.Handle)
+		putStr(e, q.Path)
+		putStr(e, q.Path2)
+		e.U64(q.Seq)
+	case OpRead, OpBread:
+		e.U64(q.Handle)
+		e.I64(q.Off)
+		e.U32(q.N)
+	case OpWrite, OpBwrite:
+		e.U64(q.Handle)
+		e.I64(q.Off)
+		putBytes(e, q.Data)
+		if q.Op == OpWrite {
+			e.U64(q.Seq)
+		}
+	case OpFsync, OpBflush:
+		e.U64(q.Handle)
 	case OpStatfs, OpPing, OpShares:
 	case OpHello:
-		e.str(q.Token)
-	case OpBopen, OpAttach:
-		e.str(q.Path)
-	case OpBread:
-		e.u64(q.Handle)
-		e.i64(q.Off)
-		e.u32(q.N)
-	case OpBwrite:
-		e.u64(q.Handle)
-		e.i64(q.Off)
-		e.bytes(q.Data)
-	case OpBflush:
-		e.u64(q.Handle)
+		putStr(e, q.Token)
 	case OpBdiscard:
-		e.u64(q.Handle)
-		e.i64(q.Off)
-		e.i64(q.Len)
+		e.U64(q.Handle)
+		e.I64(q.Off)
+		e.I64(q.Len)
 	}
-	return e.buf
+	return e.Buf
 }
 
 // DecodeRequest parses a request payload.
 func DecodeRequest(payload []byte) (*Request, error) {
-	d := &dec{buf: payload}
-	q := &Request{Op: Op(d.u8()), Tag: d.u64()}
+	d := codec.NewDecoder(payload)
+	q := &Request{Op: Op(d.U8()), Tag: d.U64()}
 	switch q.Op {
 	case OpLookup:
-		q.Path = d.str()
-		q.Flags = d.u8()
-	case OpGetattr, OpReaddir:
-		q.Path = d.str()
+		q.Path = getStr(&d)
+		q.Flags = d.U8()
+	case OpGetattr, OpReaddir, OpBopen, OpAttach:
+		q.Path = getStr(&d)
 	case OpMkdir, OpUnlink, OpRmdir, OpCreate:
-		q.Path = d.str()
-		q.Seq = d.u64()
+		q.Path = getStr(&d)
+		q.Seq = d.U64()
 	case OpRename:
-		q.Path = d.str()
-		q.Path2 = d.str()
-		q.Seq = d.u64()
-	case OpRead:
-		q.Handle = d.u64()
-		q.Off = d.i64()
-		q.N = d.u32()
+		q.Path = getStr(&d)
+		q.Path2 = getStr(&d)
+		q.Seq = d.U64()
+	case OpRead, OpBread:
+		q.Handle = d.U64()
+		q.Off = d.I64()
+		q.N = d.U32()
 		if q.N > MaxData {
-			return nil, fmt.Errorf("%w: READ of %d bytes exceeds MaxData %d", ErrProto, q.N, MaxData)
+			return nil, fmt.Errorf("%w: %v of %d bytes exceeds MaxData %d", ErrProto, q.Op, q.N, MaxData)
 		}
-	case OpWrite:
-		q.Handle = d.u64()
-		q.Off = d.i64()
-		q.Data = d.bytes()
+	case OpWrite, OpBwrite:
+		q.Handle = d.U64()
+		q.Off = d.I64()
+		q.Data = getBytes(&d)
 		if len(q.Data) > MaxData {
-			return nil, fmt.Errorf("%w: WRITE of %d bytes exceeds MaxData %d", ErrProto, len(q.Data), MaxData)
+			return nil, fmt.Errorf("%w: %v of %d bytes exceeds MaxData %d", ErrProto, q.Op, len(q.Data), MaxData)
 		}
-		q.Seq = d.u64()
-	case OpFsync:
-		q.Handle = d.u64()
+		if q.Op == OpWrite {
+			q.Seq = d.U64()
+		}
+	case OpFsync, OpBflush:
+		q.Handle = d.U64()
 	case OpStatfs, OpPing, OpShares:
 	case OpHello:
-		q.Token = d.str()
-	case OpBopen, OpAttach:
-		q.Path = d.str()
-	case OpBread:
-		q.Handle = d.u64()
-		q.Off = d.i64()
-		q.N = d.u32()
-		if q.N > MaxData {
-			return nil, fmt.Errorf("%w: BREAD of %d bytes exceeds MaxData %d", ErrProto, q.N, MaxData)
-		}
-	case OpBwrite:
-		q.Handle = d.u64()
-		q.Off = d.i64()
-		q.Data = d.bytes()
-		if len(q.Data) > MaxData {
-			return nil, fmt.Errorf("%w: BWRITE of %d bytes exceeds MaxData %d", ErrProto, len(q.Data), MaxData)
-		}
-	case OpBflush:
-		q.Handle = d.u64()
+		q.Token = getStr(&d)
 	case OpBdiscard:
-		q.Handle = d.u64()
-		q.Off = d.i64()
-		q.Len = d.i64()
+		q.Handle = d.U64()
+		q.Off = d.I64()
+		q.Len = d.I64()
 	default:
 		return nil, fmt.Errorf("%w: unknown op %d", ErrProto, uint8(q.Op))
 	}
-	if err := d.done(); err != nil {
+	if err := done(&d); err != nil {
 		return nil, err
 	}
 	return q, nil
@@ -227,15 +202,15 @@ type Reply struct {
 	Size    int64  // BOPEN: capacity of the opened block share in bytes
 }
 
-func (e *enc) attr(a Attr) {
-	e.bool(a.Dir)
-	e.i64(a.Size)
-	e.u32(uint32(a.Nlink))
-	e.i64(int64(a.Mtime))
+func putAttr(e *codec.Encoder, a Attr) {
+	e.Bool(a.Dir)
+	e.I64(a.Size)
+	e.U32(uint32(a.Nlink))
+	e.I64(int64(a.Mtime))
 }
 
-func (d *dec) attr() Attr {
-	return Attr{Dir: d.bool(), Size: d.i64(), Nlink: int(d.u32()), Mtime: time.Duration(d.i64())}
+func getAttr(d *codec.Decoder) Attr {
+	return Attr{Dir: d.Bool(), Size: d.I64(), Nlink: int(d.U32()), Mtime: time.Duration(d.I64())}
 }
 
 // Encode renders the reply payload.
@@ -255,55 +230,45 @@ func (r *Reply) sizeHint() int {
 
 // appendPayload appends the reply payload to buf.
 func (r *Reply) appendPayload(buf []byte) []byte {
-	e := &enc{buf: buf}
-	e.u8(uint8(r.Op) | replyBit)
-	e.u64(r.Tag)
-	e.u8(uint8(r.Status))
+	e := &codec.Encoder{Buf: buf}
+	e.U8(uint8(r.Op) | replyBit)
+	e.U64(r.Tag)
+	e.U8(uint8(r.Status))
 	if r.Status != StatusOK {
-		return e.buf
+		return e.Buf
 	}
 	switch r.Op {
 	case OpLookup, OpCreate:
-		e.u64(r.Handle)
-		e.attr(r.Attr)
+		e.U64(r.Handle)
+		putAttr(e, r.Attr)
 	case OpGetattr:
-		e.attr(r.Attr)
-	case OpRead:
-		e.bytes(r.Data)
-	case OpWrite:
-		e.u32(r.N)
-	case OpReaddir:
-		e.u32(uint32(len(r.Entries)))
+		putAttr(e, r.Attr)
+	case OpRead, OpBread:
+		putBytes(e, r.Data)
+	case OpWrite, OpBwrite:
+		e.U32(r.N)
+	case OpReaddir, OpShares:
+		e.U32(uint32(len(r.Entries)))
 		for _, ent := range r.Entries {
-			e.str(ent.Name)
-			e.bool(ent.Dir)
+			putStr(e, ent.Name)
+			e.Bool(ent.Dir)
 		}
 	case OpStatfs:
-		e.i64(r.Statfs.BlockSize)
-		e.i64(r.Statfs.SimTimeNs)
-		e.bool(r.Statfs.Degraded)
-		e.i64(r.Statfs.Sessions)
-		e.i64(r.Statfs.OpsServed)
+		e.I64(r.Statfs.BlockSize)
+		e.I64(r.Statfs.SimTimeNs)
+		e.Bool(r.Statfs.Degraded)
+		e.I64(r.Statfs.Sessions)
+		e.I64(r.Statfs.OpsServed)
 	case OpHello:
-		e.str(r.Token)
-		e.i64(r.Lease)
-		e.bool(r.Resumed)
+		putStr(e, r.Token)
+		e.I64(r.Lease)
+		e.Bool(r.Resumed)
 	case OpBopen:
-		e.u64(r.Handle)
-		e.i64(r.Size)
-	case OpBread:
-		e.bytes(r.Data)
-	case OpBwrite:
-		e.u32(r.N)
-	case OpShares:
-		e.u32(uint32(len(r.Entries)))
-		for _, ent := range r.Entries {
-			e.str(ent.Name)
-			e.bool(ent.Dir)
-		}
+		e.U64(r.Handle)
+		e.I64(r.Size)
 	case OpMkdir, OpUnlink, OpRmdir, OpRename, OpFsync, OpPing, OpBflush, OpBdiscard, OpAttach:
 	}
-	return e.buf
+	return e.Buf
 }
 
 // FrameParts renders the reply as a complete wire frame (length prefix
@@ -317,17 +282,17 @@ func (r *Reply) appendPayload(buf []byte) []byte {
 // scratch behind the length prefix, as a single segment.
 func (r *Reply) FrameParts(scratch []byte) (segs [][]byte, zerocopy int, err error) {
 	if (r.Op == OpRead || r.Op == OpBread) && r.Status == StatusOK {
-		e := &enc{buf: append(scratch[:0], 0, 0, 0, 0)}
-		e.u8(uint8(r.Op) | replyBit)
-		e.u64(r.Tag)
-		e.u8(uint8(r.Status))
-		e.u32(uint32(len(r.Data)))
-		payloadLen := len(e.buf) - 4 + len(r.Data)
+		e := &codec.Encoder{Buf: append(scratch[:0], 0, 0, 0, 0)}
+		e.U8(uint8(r.Op) | replyBit)
+		e.U64(r.Tag)
+		e.U8(uint8(r.Status))
+		e.U32(uint32(len(r.Data)))
+		payloadLen := len(e.Buf) - 4 + len(r.Data)
 		if payloadLen > MaxFrame {
 			return nil, 0, fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame %d", ErrProto, payloadLen, MaxFrame)
 		}
-		binary.BigEndian.PutUint32(e.buf[:4], uint32(payloadLen))
-		return [][]byte{e.buf, r.Data}, len(r.Data), nil
+		binary.BigEndian.PutUint32(e.Buf[:4], uint32(payloadLen))
+		return [][]byte{e.Buf, r.Data}, len(r.Data), nil
 	}
 	buf := r.appendPayload(append(slices.Grow(scratch[:0], 4+r.sizeHint()), 0, 0, 0, 0))
 	n := len(buf) - 4
@@ -340,68 +305,58 @@ func (r *Reply) FrameParts(scratch []byte) (segs [][]byte, zerocopy int, err err
 
 // DecodeReply parses a reply payload.
 func DecodeReply(payload []byte) (*Reply, error) {
-	d := &dec{buf: payload}
-	opByte := d.u8()
+	d := codec.NewDecoder(payload)
+	opByte := d.U8()
 	if opByte&replyBit == 0 {
 		return nil, fmt.Errorf("%w: reply bit missing", ErrProto)
 	}
-	r := &Reply{Op: Op(opByte &^ replyBit), Tag: d.u64(), Status: Status(d.u8())}
+	r := &Reply{Op: Op(opByte &^ replyBit), Tag: d.U64(), Status: Status(d.U8())}
 	if r.Status != StatusOK {
-		if err := d.done(); err != nil {
+		if err := done(&d); err != nil {
 			return nil, err
 		}
 		return r, nil
 	}
 	switch r.Op {
 	case OpLookup, OpCreate:
-		r.Handle = d.u64()
-		r.Attr = d.attr()
+		r.Handle = d.U64()
+		r.Attr = getAttr(&d)
 	case OpGetattr:
-		r.Attr = d.attr()
-	case OpRead:
-		r.Data = d.bytes()
-	case OpWrite:
-		r.N = d.u32()
-	case OpReaddir:
-		n := int(d.u32())
-		if n > MaxFrame/3 {
-			return nil, fmt.Errorf("%w: READDIR entry count %d implausible", ErrProto, n)
+		r.Attr = getAttr(&d)
+	case OpRead, OpBread:
+		r.Data = getBytes(&d)
+	case OpWrite, OpBwrite:
+		r.N = d.U32()
+	case OpReaddir, OpShares:
+		// An entry is at least 3 bytes, so a count the rest of the
+		// payload cannot hold is refused before anything is allocated.
+		n := int(d.U32())
+		if n > d.Len()/3 {
+			return nil, fmt.Errorf("%w: %v entry count %d in %d bytes", ErrProto, r.Op, n, d.Len())
 		}
-		for i := 0; i < n && d.err == nil; i++ {
-			r.Entries = append(r.Entries, DirEnt{Name: d.str(), Dir: d.bool()})
+		for i := 0; i < n && d.Err() == nil; i++ {
+			r.Entries = append(r.Entries, DirEnt{Name: getStr(&d), Dir: d.Bool()})
 		}
 	case OpStatfs:
 		r.Statfs = Statfs{
-			BlockSize: d.i64(),
-			SimTimeNs: d.i64(),
-			Degraded:  d.bool(),
-			Sessions:  d.i64(),
-			OpsServed: d.i64(),
+			BlockSize: d.I64(),
+			SimTimeNs: d.I64(),
+			Degraded:  d.Bool(),
+			Sessions:  d.I64(),
+			OpsServed: d.I64(),
 		}
 	case OpHello:
-		r.Token = d.str()
-		r.Lease = d.i64()
-		r.Resumed = d.bool()
+		r.Token = getStr(&d)
+		r.Lease = d.I64()
+		r.Resumed = d.Bool()
 	case OpBopen:
-		r.Handle = d.u64()
-		r.Size = d.i64()
-	case OpBread:
-		r.Data = d.bytes()
-	case OpBwrite:
-		r.N = d.u32()
-	case OpShares:
-		n := int(d.u32())
-		if n > MaxFrame/3 {
-			return nil, fmt.Errorf("%w: SHARES entry count %d implausible", ErrProto, n)
-		}
-		for i := 0; i < n && d.err == nil; i++ {
-			r.Entries = append(r.Entries, DirEnt{Name: d.str(), Dir: d.bool()})
-		}
+		r.Handle = d.U64()
+		r.Size = d.I64()
 	case OpMkdir, OpUnlink, OpRmdir, OpRename, OpFsync, OpPing, OpBflush, OpBdiscard, OpAttach:
 	default:
 		return nil, fmt.Errorf("%w: unknown reply op %d", ErrProto, uint8(r.Op))
 	}
-	if err := d.done(); err != nil {
+	if err := done(&d); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -1,9 +1,12 @@
 package fsrpc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"betrfs/internal/codec"
 )
 
 // WriteFrame writes one length-prefixed frame to w.
@@ -39,125 +42,32 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// enc is an append-only payload encoder.
-type enc struct {
-	buf []byte
-}
+// The payload fields are codec fields; strings carry a 16-bit length and
+// byte strings a 32-bit one.
 
-func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *enc) u16(v uint16) { e.buf = binary.BigEndian.AppendUint16(e.buf, v) }
-func (e *enc) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
-func (e *enc) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-func (e *enc) str(s string) {
+func putStr(e *codec.Encoder, s string) {
 	if len(s) > 0xffff {
 		s = s[:0xffff]
 	}
-	e.u16(uint16(len(s)))
-	e.buf = append(e.buf, s...)
+	e.U16(uint16(len(s)))
+	e.String(s)
 }
 
-func (e *enc) bytes(b []byte) {
-	e.u32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
+func putBytes(e *codec.Encoder, b []byte) {
+	e.U32(uint32(len(b)))
+	e.Bytes(b)
 }
 
-// dec is a cursor-based payload decoder; the first malformed field latches
-// err and every later read returns zero values, so decode paths need only
-// one error check at the end.
-type dec struct {
-	buf []byte
-	off int
-	err error
-}
+func getStr(d *codec.Decoder) string { return string(d.Take(int(d.U16()))) }
 
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated payload at offset %d", ErrProto, d.off)
+// getBytes returns a copy: the payload buffer is not the caller's to keep.
+func getBytes(d *codec.Decoder) []byte { return bytes.Clone(d.Take(int(d.U32()))) }
+
+// done returns the decoder's error, with trailing bytes counted as one,
+// as a protocol error.
+func done(d *codec.Decoder) error {
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("%w: %w", ErrProto, err)
 	}
-}
-
-func (d *dec) take(n int) []byte {
-	if d.err != nil || n < 0 || d.off+n > len(d.buf) {
-		d.fail()
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *dec) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *dec) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (d *dec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *dec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *dec) i64() int64 { return int64(d.u64()) }
-
-func (d *dec) bool() bool { return d.u8() != 0 }
-
-func (d *dec) str() string {
-	n := int(d.u16())
-	b := d.take(n)
-	return string(b)
-}
-
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	if n > MaxFrame {
-		d.fail()
-		return nil
-	}
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
-
-// done returns the accumulated decode error, also failing if trailing
-// bytes remain (every payload must be consumed exactly).
-func (d *dec) done() error {
-	if d.err == nil && d.off != len(d.buf) {
-		return fmt.Errorf("%w: %d trailing bytes in payload", ErrProto, len(d.buf)-d.off)
-	}
-	return d.err
+	return nil
 }

@@ -200,6 +200,25 @@ func TestFramesAliasing(t *testing.T) {
 				if metricstest.Counter(t, env.Metrics, "flusher.flush.bg") == 0 {
 					t.Fatal("no background flush ran: every Release stayed on the mount's goroutine")
 				}
+				// During the program a sweep evicts only nodes the flushers
+				// have cleaned, so whether it evicts at all is a race with
+				// write-back. The cold phase does not race: with every node
+				// clean and the node cache emptied, reading the files back
+				// decodes their nodes through a budget far below their size.
+				m.DropCaches()
+				buf := make([]byte, 41*vfs.PageSize)
+				for c := range errs {
+					for i := 0; i < 3; i++ {
+						f, err := m.Open(fmt.Sprintf("c%d-%d", c, i))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := f.ReadAt(buf, 0); err != nil {
+							t.Fatal(err)
+						}
+						f.Close()
+					}
+				}
 				checkCold(t, env)
 			})
 		}
