@@ -56,9 +56,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/extfs
 	$(GO) test -run '^$$' -fuzz '^FuzzReadInode$$' -fuzztime $(FUZZTIME) ./internal/extfs
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDir$$' -fuzztime $(FUZZTIME) ./internal/extfs
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSuper$$' -fuzztime $(FUZZTIME) ./internal/extfs
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/cowfs
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeUberblock$$' -fuzztime $(FUZZTIME) ./internal/cowfs
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/fsrpc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReply$$' -fuzztime $(FUZZTIME) ./internal/fsrpc
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime $(FUZZTIME) ./internal/fsrpc
 
 # The benchmark module's own tests (about 5 s). The benchmark is a separate
 # Go module that `go test ./...` above never builds; it reaches into the

@@ -126,6 +126,7 @@ type Core struct {
 	magic      uint32 // the file system's blob magic
 	areaOff    int64  // device offset of area block 0
 	areaBlocks int64  // blocks in the area that blobs and data live in
+	maxInos    Ino    // the inode map's capacity: Create hands out numbers below it
 	pol        Policy
 	// ioErr is the sticky abort (§10): once a blob, table or data write
 	// fails, durable state cannot be trusted, so mutations are refused
@@ -134,10 +135,11 @@ type Core struct {
 }
 
 // New returns a core holding only the root directory. Blobs and data live
-// in an area of areaBlocks blocks starting at device offset areaOff.
-func New(name string, magic uint32, env *sim.Env, dev blockdev.Device, areaOff, areaBlocks int64, pol Policy) Core {
+// in an area of areaBlocks blocks starting at device offset areaOff, and
+// the inode map locates inode numbers below maxInos.
+func New(name string, magic uint32, env *sim.Env, dev blockdev.Device, areaOff, areaBlocks int64, maxInos Ino, pol Policy) Core {
 	c := Core{Env: env, Dev: dev, Inodes: map[Ino]*Node{}, Table: map[Ino]Loc{}, NextIno: RootIno + 1,
-		name: name, magic: magic, areaOff: areaOff, areaBlocks: areaBlocks, pol: pol}
+		name: name, magic: magic, areaOff: areaOff, areaBlocks: areaBlocks, maxInos: maxInos, pol: pol}
 	c.addRoot()
 	return c
 }
@@ -147,6 +149,10 @@ func (c *Core) addRoot() {
 	c.Inodes[RootIno] = NewNode(RootIno, true, 0)
 	c.Table[RootIno] = Loc{First: -1}
 }
+
+// MaxInos is the inode map's capacity: one past the largest inode number
+// it has room for.
+func (c *Core) MaxInos() Ino { return c.maxInos }
 
 // BlockAddr converts an area block to a device offset.
 func (c *Core) BlockAddr(b int64) int64 { return c.areaOff + b*BlockSize }
@@ -330,6 +336,8 @@ func (c *Core) Lookup(parent vfs.Handle, name string) (h vfs.Handle, a vfs.Attr,
 }
 
 // Create allocates an inode; its blob is written at the next commit.
+// Inode numbers are not reused, so once they reach the inode map's
+// capacity every Create fails with ENOSPC.
 func (c *Core) Create(parent vfs.Handle, name string, dir bool) (h vfs.Handle, a vfs.Attr, err error) {
 	defer ioerr.Guard(&err)
 	if c.ioErr != nil {
@@ -338,6 +346,9 @@ func (c *Core) Create(parent vfs.Handle, name string, dir bool) (h vfs.Handle, a
 	p := c.Node(parent.(Ino))
 	if _, ok := p.Children[name]; ok {
 		return nil, vfs.Attr{}, vfs.ErrExist
+	}
+	if c.NextIno >= c.maxInos {
+		return nil, vfs.Attr{}, fmt.Errorf("%s: inode map full at %d inodes: %w", c.name, c.maxInos, vfs.ErrNoSpace)
 	}
 	ino := c.NextIno
 	c.NextIno++

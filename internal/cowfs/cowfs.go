@@ -93,7 +93,10 @@ func New(env *sim.Env, dev blockdev.Device, prof Profile) *FS {
 	fs.dataBlocks = (capacity - dataOff) / BlockSize
 	fs.bitmap = make([]uint64, (fs.dataBlocks+63)/64)
 	fs.zil = wal.New(env, blockdev.Region(dev, fs.zilOff, fs.zilLen), 1)
-	fs.Core = blobfs.New("cowfs", blobMagic, env, dev, dataOff, fs.dataBlocks, policy{fs})
+	// An inode map slot holds one location per inode (half the map: the
+	// two slots alternate by generation).
+	maxInos := blobfs.Ino(fs.imapLen / 2 / blobfs.LocSize)
+	fs.Core = blobfs.New("cowfs", blobMagic, env, dev, dataOff, fs.dataBlocks, maxInos, policy{fs})
 	return fs
 }
 

@@ -2,6 +2,7 @@ package cowfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -169,5 +170,85 @@ func TestTxgCommitPersistsNamespace(t *testing.T) {
 	ents, _ := m2.ReadDir("")
 	if len(ents) != 50 {
 		t.Fatalf("recovered %d directories, want 50", len(ents))
+	}
+}
+
+// TestCreatePastInodeMapIsNoSpace churns creates and removes past the
+// inode map's capacity on a 1/2048 SSD, then syncs a file and recovers.
+// Create must never hand out a number the map cannot locate: the synced
+// file reads back intact, or its Create failed with ENOSPC. A file synced
+// before the churn must survive too.
+func TestCreatePastInodeMapIsNoSpace(t *testing.T) {
+	for _, prof := range []Profile{BtrfsProfile(), ZFSProfile()} {
+		t.Run(prof.Name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(2048))
+			fs := New(env, dev, prof)
+			m := vfs.NewMount(env, fs, vfs.DefaultConfig())
+			m.Sync() // first txg: an uberblock exists
+			want := map[string]string{}
+			writeSynced(t, m, want, "early", "synced before the churn")
+			churn(t, m, int(fs.MaxInos())+8)
+			writeSynced(t, m, want, "late", "synced after the churn")
+			fs2, err := Recover(env, dev, prof)
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			checkFiles(t, vfs.NewMount(env, fs2, vfs.DefaultConfig()), want)
+		})
+	}
+}
+
+// churn creates and removes one file n times, stopping at ENOSPC.
+func churn(t *testing.T, m *vfs.Mount, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		f, err := m.Create("churn")
+		if errors.Is(err, vfs.ErrNoSpace) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("create %d: %v", i, err)
+		}
+		f.Close()
+		if err := m.Remove("churn"); err != nil {
+			t.Fatalf("remove %d: %v", i, err)
+		}
+	}
+}
+
+// writeSynced creates name holding data and fsyncs it, recording it in
+// want; a Create that fails with ENOSPC records nothing.
+func writeSynced(t *testing.T, m *vfs.Mount, want map[string]string, name, data string) {
+	t.Helper()
+	f, err := m.Create(name)
+	if errors.Is(err, vfs.ErrNoSpace) {
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte(data)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Fsync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	want[name] = data
+}
+
+func checkFiles(t *testing.T, m *vfs.Mount, want map[string]string) {
+	t.Helper()
+	for name, data := range want {
+		f, err := m.Open(name)
+		if err != nil {
+			t.Fatalf("%s lost: %v", name, err)
+		}
+		buf := make([]byte, len(data)+1)
+		n, _ := f.ReadAt(buf, 0)
+		if string(buf[:n]) != data {
+			t.Fatalf("%s reads back %q, want %q", name, buf[:n], data)
+		}
 	}
 }

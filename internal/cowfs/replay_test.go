@@ -147,3 +147,41 @@ func FuzzReplay(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeUberblock feeds an arbitrary uberblock slot to
+// decodeUberblock. No input may panic, and one that decodes must encode
+// back to the same uberblock bytes. The seed corpus in testdata/fuzz
+// holds a valid slot, the same slot with a flipped CRC bit, a slot with
+// the wrong magic, and a slot cut short of its CRC.
+func FuzzDecodeUberblock(f *testing.F) {
+	f.Fuzz(func(t *testing.T, slot []byte) {
+		gen, nextIno, epoch, ok := decodeUberblock(slot)
+		if !ok {
+			return
+		}
+		if back := encodeUberblock(gen, nextIno, epoch); !bytes.Equal(back[:uberLen], slot[:uberLen]) {
+			t.Fatalf("uberblock encodes back as %x, want %x", back[:uberLen], slot[:uberLen])
+		}
+	})
+}
+
+// TestUberblockRoundTrip: an uberblock slot decodes to what was encoded,
+// and a torn one (bad CRC, wrong magic, cut short) does not decode.
+func TestUberblockRoundTrip(t *testing.T) {
+	b := encodeUberblock(9, 42, 3)
+	if len(b) != uberSlotSize {
+		t.Fatalf("slot is %d bytes, want %d", len(b), uberSlotSize)
+	}
+	if g, n, e, ok := decodeUberblock(b); !ok || g != 9 || n != 42 || e != 3 {
+		t.Fatalf("decodeUberblock = %d, %d, %d, %v", g, n, e, ok)
+	}
+	for name, bad := range map[string][]byte{
+		"crc":   append(bytes.Clone(b[:uberLen-1]), b[uberLen-1]^1),
+		"magic": append([]byte{0}, b[1:]...),
+		"cut":   b[:uberLen-1],
+	} {
+		if _, _, _, ok := decodeUberblock(bad); ok {
+			t.Errorf("%s: torn uberblock decoded", name)
+		}
+	}
+}

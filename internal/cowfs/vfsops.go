@@ -1,12 +1,12 @@
 package cowfs
 
 import (
-	"encoding/binary"
 	"hash/crc32"
 	"sort"
 
 	"betrfs/internal/blobfs"
 	"betrfs/internal/blockdev"
+	"betrfs/internal/codec"
 	"betrfs/internal/ioerr"
 	"betrfs/internal/vfs"
 	"betrfs/internal/wal"
@@ -212,24 +212,28 @@ func (fs *FS) writeUberblock() {
 const (
 	uberMagic    = 0xc0f5c0f5
 	uberSlotSize = BlockSize / 2
+	uberLen      = 28 // the encoded uberblock, CRC included; the rest of the slot is zero
 )
 
 func encodeUberblock(gen uint64, nextIno blobfs.Ino, zilEpoch uint32) []byte {
-	sb := make([]byte, uberSlotSize)
-	binary.BigEndian.PutUint32(sb, uberMagic)
-	binary.BigEndian.PutUint64(sb[4:], uint64(nextIno))
-	binary.BigEndian.PutUint32(sb[12:], zilEpoch)
-	binary.BigEndian.PutUint64(sb[16:], gen)
-	binary.BigEndian.PutUint32(sb[24:], crc32.ChecksumIEEE(sb[:24]))
-	return sb
+	e := codec.Encoder{Buf: make([]byte, 0, uberSlotSize)}
+	e.U32(uberMagic)
+	e.U64(uint64(nextIno))
+	e.U32(zilEpoch)
+	e.U64(gen)
+	e.U32(crc32.ChecksumIEEE(e.Buf))
+	return e.Buf[:uberSlotSize]
 }
 
 func decodeUberblock(sb []byte) (gen uint64, nextIno blobfs.Ino, zilEpoch uint32, ok bool) {
-	if binary.BigEndian.Uint32(sb) != uberMagic {
+	d := codec.NewDecoder(sb)
+	magic := d.U32()
+	nextIno = blobfs.Ino(d.U64())
+	zilEpoch = d.U32()
+	gen = d.U64()
+	sum := d.U32()
+	if d.Err() != nil || magic != uberMagic || crc32.ChecksumIEEE(sb[:uberLen-4]) != sum {
 		return 0, 0, 0, false
 	}
-	if crc32.ChecksumIEEE(sb[:24]) != binary.BigEndian.Uint32(sb[24:]) {
-		return 0, 0, 0, false
-	}
-	return binary.BigEndian.Uint64(sb[16:]), blobfs.Ino(binary.BigEndian.Uint64(sb[4:])), binary.BigEndian.Uint32(sb[12:]), true
+	return gen, nextIno, zilEpoch, true
 }

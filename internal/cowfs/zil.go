@@ -125,7 +125,7 @@ func Recover(env *sim.Env, dev blockdev.Device, prof Profile) (rfs *FS, err erro
 		zilEpoch = 1
 	}
 	// A corrupted nextIno cannot be trusted to bound the imap scan.
-	fs.NextIno = min(fs.NextIno, fs.maxInos())
+	fs.NextIno = min(fs.NextIno, fs.MaxInos())
 	if err := fs.Load(fs.imapSlotBase(fs.generation), fs.claim); err != nil {
 		return nil, err
 	}
@@ -148,10 +148,6 @@ func Recover(env *sim.Env, dev blockdev.Device, prof Profile) (rfs *FS, err erro
 	fs.txgCommit()
 	return fs, nil
 }
-
-// maxInos is the inode map's capacity: one past the largest inode number
-// a map slot has room for.
-func (fs *FS) maxInos() blobfs.Ino { return blobfs.Ino(fs.imapLen / 2 / blobfs.LocSize) }
 
 // claim marks a recovered inode's blob and data blocks allocated.
 func (fs *FS) claim(n *blobfs.Node, loc blobfs.Loc) {
@@ -197,7 +193,7 @@ func (fs *FS) replayZil(payload []byte) error {
 	switch {
 	case kind < zilCreate || kind > zilAttr:
 		return fmt.Errorf("unknown op %d: %w", kind, ioerr.ErrIO)
-	case kind == zilCreate && (ino < blobfs.RootIno || ino >= fs.maxInos()):
+	case kind == zilCreate && (ino < blobfs.RootIno || ino >= fs.MaxInos()):
 		return fmt.Errorf("create of inode %d outside the inode map: %w", ino, ioerr.ErrIO)
 	case kind == zilWrite && (blk < 0 || len(data) > BlockSize):
 		return fmt.Errorf("write of %d bytes to block %d: %w", len(data), blk, ioerr.ErrIO)

@@ -1,13 +1,13 @@
 package extfs
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"sort"
 	"time"
 
 	"betrfs/internal/blockdev"
+	"betrfs/internal/codec"
 	"betrfs/internal/ioerr"
 	"betrfs/internal/sim"
 	"betrfs/internal/wal"
@@ -47,18 +47,42 @@ const superSlotSize = BlockSize / 2
 
 // writeSuper persists the superblock (journal hint + allocator state).
 func (fs *FS) writeSuper() {
-	hint := fs.jnl.log.Hint()
 	fs.superGen++
-	b := make([]byte, superSlotSize)
-	binary.BigEndian.PutUint32(b[0:], superMagic)
-	binary.BigEndian.PutUint64(b[4:], uint64(fs.nextIno))
-	binary.BigEndian.PutUint64(b[12:], uint64(hint.Offset))
-	binary.BigEndian.PutUint64(b[20:], hint.LSN)
-	binary.BigEndian.PutUint32(b[28:], hint.Epoch)
-	binary.BigEndian.PutUint64(b[32:], fs.superGen)
-	binary.BigEndian.PutUint32(b[40:], crc32.ChecksumIEEE(b[:40]))
+	b := encodeSuper(fs.nextIno, fs.jnl.log.Hint(), fs.superGen)
 	fs.devCheck(fs.dev.WriteAt(b, int64(fs.superGen%2)*superSlotSize))
 	fs.devCheck(fs.dev.Flush())
+}
+
+// superLen is the encoded superblock's length, CRC included; the rest of
+// its slot is zero.
+const superLen = 44
+
+// encodeSuper renders one superblock slot.
+func encodeSuper(nextIno Ino, hint wal.Hint, gen uint64) []byte {
+	e := codec.Encoder{Buf: make([]byte, 0, superSlotSize)}
+	e.U32(superMagic)
+	e.U64(uint64(nextIno))
+	e.I64(hint.Offset)
+	e.U64(hint.LSN)
+	e.U32(hint.Epoch)
+	e.U64(gen)
+	e.U32(crc32.ChecksumIEEE(e.Buf))
+	return e.Buf[:superSlotSize]
+}
+
+// decodeSuper parses one superblock slot; ok is false unless it holds a
+// superblock whose CRC matches.
+func decodeSuper(b []byte) (nextIno Ino, hint wal.Hint, gen uint64, ok bool) {
+	d := codec.NewDecoder(b)
+	magic := d.U32()
+	nextIno = Ino(d.U64())
+	hint = wal.Hint{Offset: d.I64(), LSN: d.U64(), Epoch: d.U32()}
+	gen = d.U64()
+	sum := d.U32()
+	if d.Err() != nil || magic != superMagic || crc32.ChecksumIEEE(b[:superLen-4]) != sum {
+		return 0, wal.Hint{}, 0, false
+	}
+	return nextIno, hint, gen, true
 }
 
 // readSuper picks the newest superblock slot that passes its CRC.
@@ -69,25 +93,11 @@ func readSuper(dev blockdev.Device) (nextIno Ino, hint wal.Hint, gen uint64, err
 	}
 	found := false
 	for slot := 0; slot < 2; slot++ {
-		b := sb[slot*superSlotSize : (slot+1)*superSlotSize]
-		if binary.BigEndian.Uint32(b[0:]) != superMagic {
+		n, h, g, ok := decodeSuper(sb[slot*superSlotSize : (slot+1)*superSlotSize])
+		if !ok || (found && g <= gen) {
 			continue
 		}
-		if crc32.ChecksumIEEE(b[:40]) != binary.BigEndian.Uint32(b[40:]) {
-			continue
-		}
-		g := binary.BigEndian.Uint64(b[32:])
-		if found && g <= gen {
-			continue
-		}
-		gen = g
-		nextIno = Ino(binary.BigEndian.Uint64(b[4:]))
-		hint = wal.Hint{
-			Offset: int64(binary.BigEndian.Uint64(b[12:])),
-			LSN:    binary.BigEndian.Uint64(b[20:]),
-			Epoch:  binary.BigEndian.Uint32(b[28:]),
-		}
-		found = true
+		nextIno, hint, gen, found = n, h, g, true
 	}
 	if !found {
 		return 0, wal.Hint{}, 0, fmt.Errorf("extfs: no valid superblock")

@@ -1,6 +1,7 @@
 package extfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"maps"
@@ -264,4 +265,43 @@ func FuzzDecodeDir(f *testing.F) {
 			t.Fatalf("round trip changed the directory:\n got  %v\n want %v", back, got)
 		}
 	})
+}
+
+// FuzzDecodeSuper feeds an arbitrary superblock slot to decodeSuper. No
+// input may panic, and one that decodes must encode back to the same
+// superblock bytes. The seed corpus in testdata/fuzz holds a valid slot,
+// the same slot with a flipped CRC bit, a slot with the wrong magic, and
+// a slot cut short of its CRC.
+func FuzzDecodeSuper(f *testing.F) {
+	f.Fuzz(func(t *testing.T, slot []byte) {
+		nextIno, hint, gen, ok := decodeSuper(slot)
+		if !ok {
+			return
+		}
+		if back := encodeSuper(nextIno, hint, gen); !bytes.Equal(back[:superLen], slot[:superLen]) {
+			t.Fatalf("superblock encodes back as %x, want %x", back[:superLen], slot[:superLen])
+		}
+	})
+}
+
+// TestSuperRoundTrip: a superblock slot decodes to what was encoded, and
+// a torn one (bad CRC, wrong magic, cut short) does not decode.
+func TestSuperRoundTrip(t *testing.T) {
+	hint := wal.Hint{Offset: 1 << 20, LSN: 77, Epoch: 3}
+	b := encodeSuper(42, hint, 9)
+	if len(b) != superSlotSize {
+		t.Fatalf("slot is %d bytes, want %d", len(b), superSlotSize)
+	}
+	if n, h, g, ok := decodeSuper(b); !ok || n != 42 || h != hint || g != 9 {
+		t.Fatalf("decodeSuper = %d, %+v, %d, %v", n, h, g, ok)
+	}
+	for name, bad := range map[string][]byte{
+		"crc":   append(bytes.Clone(b[:superLen-1]), b[superLen-1]^1),
+		"magic": append([]byte{0}, b[1:]...),
+		"cut":   b[:superLen-1],
+	} {
+		if _, _, _, ok := decodeSuper(bad); ok {
+			t.Errorf("%s: torn superblock decoded", name)
+		}
+	}
 }

@@ -57,7 +57,8 @@ type Client struct {
 	opts   Options
 	m      *clientMetrics
 
-	wmu sync.Mutex // serializes frame writes (wire order = Go order)
+	wmu  sync.Mutex // serializes frame writes (wire order = Go order)
+	wbuf []byte     // frame encoding buffer, reused under wmu
 
 	mu      sync.Mutex
 	rw      io.ReadWriteCloser
@@ -122,7 +123,7 @@ func NewClientOpts(rw io.ReadWriteCloser, o Options) *Client {
 		pending: make(map[uint64]*Call),
 		orphans: make(map[uint64]struct{}),
 	}
-	go c.reader(0, rw)
+	go c.reader(0, NewFrameReader(rw))
 	return c
 }
 
@@ -187,7 +188,7 @@ func (c *Client) Reset(rw io.ReadWriteCloser) {
 		_ = old.Close()
 	}
 	c.failAll(calls, fmt.Errorf("%w: reset", ErrPoisoned))
-	go c.reader(gen, rw)
+	go c.reader(gen, NewFrameReader(rw))
 }
 
 // failAll delivers err to every call and releases its window slot.
@@ -238,11 +239,11 @@ func (c *Client) poison(gen uint64, err error) {
 }
 
 // reader is the dispatch loop for one transport generation: it reads
-// reply frames and completes the matching in-flight call, in whatever
-// order the server pipelines them.
-func (c *Client) reader(gen uint64, rw io.ReadWriteCloser) {
+// reply frames through the transport's frame reader and completes the
+// matching in-flight call, in whatever order the server pipelines them.
+func (c *Client) reader(gen uint64, fr *FrameReader) {
 	for {
-		payload, err := ReadFrame(rw)
+		payload, err := fr.Next()
 		if err != nil {
 			c.poison(gen, fmt.Errorf("%w: recv: %w", ErrPoisoned, err))
 			return
@@ -336,12 +337,26 @@ func (c *Client) Go(ctx context.Context, q *Request) *Call {
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err := WriteFrame(rw, q.Encode())
+	err := c.sendLocked(rw, q)
 	c.wmu.Unlock()
 	if err != nil {
 		c.poison(gen, fmt.Errorf("%w: send: %w", ErrPoisoned, err))
 	}
 	return call
+}
+
+// sendLocked writes q to rw as one frame in one Write, encoded in the
+// client's reusable buffer. The caller holds wmu.
+func (c *Client) sendLocked(rw io.Writer, q *Request) error {
+	frame, err := q.appendFrame(c.wbuf[:0])
+	if err != nil {
+		return err
+	}
+	if cap(frame) <= frameKeep {
+		c.wbuf = frame
+	}
+	_, err = rw.Write(frame)
+	return err
 }
 
 // abandon detaches call after its context expired: the tag moves to the

@@ -25,8 +25,9 @@ func newPeer(t *testing.T) (*Client, *peer) {
 	cliEnd, srvEnd := net.Pipe()
 	p := &peer{conn: srvEnd, reqs: make(chan *Request, 64), errCh: make(chan error, 1)}
 	go func() {
+		fr := NewFrameReader(srvEnd)
 		for {
-			payload, err := ReadFrame(srvEnd)
+			payload, err := fr.Next()
 			if err != nil {
 				p.errCh <- err
 				close(p.reqs)
@@ -123,8 +124,9 @@ func TestWindowSaturationBlocks(t *testing.T) {
 	defer cli.Close()
 	p := &peer{conn: srvEnd, reqs: make(chan *Request, 64), errCh: make(chan error, 1)}
 	go func() {
+		fr := NewFrameReader(srvEnd)
 		for {
-			payload, err := ReadFrame(srvEnd)
+			payload, err := fr.Next()
 			if err != nil {
 				close(p.reqs)
 				return
@@ -243,8 +245,9 @@ func TestResetRestartsCleanly(t *testing.T) {
 	cliEnd2, srvEnd2 := net.Pipe()
 	p2 := &peer{conn: srvEnd2, reqs: make(chan *Request, 64), errCh: make(chan error, 1)}
 	go func() {
+		fr := NewFrameReader(srvEnd2)
 		for {
-			payload, err := ReadFrame(srvEnd2)
+			payload, err := fr.Next()
 			if err != nil {
 				close(p2.reqs)
 				return
@@ -317,8 +320,9 @@ func TestFramePartsByteEquivalence(t *testing.T) {
 // echoServe answers every decoded request with an empty OK reply until
 // the transport dies — a minimal live server for churn tests.
 func echoServe(conn net.Conn) {
+	fr := NewFrameReader(conn)
 	for {
-		payload, err := ReadFrame(conn)
+		payload, err := fr.Next()
 		if err != nil {
 			return
 		}

@@ -132,7 +132,7 @@ func TestFrameLimits(t *testing.T) {
 	// A hostile length prefix must not allocate or block.
 	buf.Reset()
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrProto) {
+	if _, err := NewFrameReader(&buf).Next(); !errors.Is(err, ErrProto) {
 		t.Fatalf("hostile length prefix = %v, want EPROTO", err)
 	}
 }

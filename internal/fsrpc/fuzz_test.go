@@ -2,7 +2,9 @@ package fsrpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"runtime"
 	"testing"
 )
@@ -73,6 +75,56 @@ func FuzzDecodeReply(f *testing.F) {
 		}
 		if back := r.Encode(); !bytes.Equal(back, payload) {
 			t.Fatalf("%v reply encodes back as %q, want %q", r.Op, back, payload)
+		}
+	})
+}
+
+// FuzzFrameReader feeds an arbitrary byte stream to a FrameReader. The
+// frames it yields must be exactly the stream's frames, in order, and the
+// stream must end in io.EOF at a frame boundary or in an error wrapping
+// ErrProto (an oversized length prefix) or io.ErrUnexpectedEOF (a cut
+// frame). Allocation stays within a constant of the stream's length
+// whatever its length prefixes claim: the payload buffer grows only as
+// payload bytes arrive. The seed corpus holds whole frames, an empty
+// frame, a cut header, a cut payload, a prefix one past MaxFrame and a
+// bare prefix claiming MaxFrame.
+func FuzzFrameReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		justified := uint64(8*len(stream) + frameReadSize + frameStep + 16<<10)
+		var (
+			off, frames int
+			mismatch    bool
+			err         error
+		)
+		read := func() {
+			off, frames, mismatch = 0, 0, false
+			fr := NewFrameReader(bytes.NewReader(stream))
+			for {
+				var p []byte
+				if p, err = fr.Next(); err != nil {
+					return
+				}
+				// A payload is valid until the next Next: check it now.
+				n := int(binary.BigEndian.Uint32(stream[off:]))
+				if len(p) != n || !bytes.Equal(p, stream[off+4:off+4+n]) {
+					mismatch = true
+					return
+				}
+				off += 4 + n
+				frames++
+			}
+		}
+		if n := allocated(justified, read); n > justified {
+			t.Fatalf("reading %d bytes allocated %d", len(stream), n)
+		}
+		if mismatch {
+			t.Fatalf("frame %d at byte %d differs from the stream's bytes", frames, off)
+		}
+		if err != io.EOF && !errors.Is(err, ErrProto) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("stream ended in %v, want io.EOF, ErrProto or io.ErrUnexpectedEOF", err)
+		}
+		if err == io.EOF && off != len(stream) {
+			t.Fatalf("clean end after %d of %d bytes", off, len(stream))
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package fsrpc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -92,7 +91,28 @@ type Request struct {
 
 // Encode renders the request payload.
 func (q *Request) Encode() []byte {
-	e := &codec.Encoder{Buf: make([]byte, 0, 16+len(q.Path)+len(q.Path2)+len(q.Data))}
+	return q.appendPayload(make([]byte, 0, q.sizeHint()))
+}
+
+// sizeHint is a payload capacity that holds every field.
+func (q *Request) sizeHint() int {
+	return 16 + len(q.Path) + len(q.Path2) + len(q.Data)
+}
+
+// appendFrame appends q to buf as one complete wire frame, length prefix
+// included, so that the frame leaves in one Write.
+func (q *Request) appendFrame(buf []byte) ([]byte, error) {
+	start := len(buf)
+	buf = q.appendPayload(append(slices.Grow(buf, 4+q.sizeHint()), 0, 0, 0, 0))
+	if err := putLen(buf[start:], len(buf)-start-4); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// appendPayload appends the request payload to buf.
+func (q *Request) appendPayload(buf []byte) []byte {
+	e := &codec.Encoder{Buf: buf}
 	e.U8(uint8(q.Op))
 	e.U64(q.Tag)
 	switch q.Op {
@@ -271,36 +291,43 @@ func (r *Reply) appendPayload(buf []byte) []byte {
 	return e.Buf
 }
 
-// FrameParts renders the reply as a complete wire frame (length prefix
-// included) split into scatter-gather segments, byte-identical to
-// WriteFrame(w, r.Encode()). For a successful READ or BREAD the data
-// bytes are referenced, not copied: the first segment is the 18-byte
-// header built in scratch (reused when its capacity suffices) and the
-// second is r.Data itself, so a read payload travels device buffer →
-// socket with no intermediate copy. zerocopy reports how many payload
-// bytes were passed by reference. Every other reply encodes straight into
-// scratch behind the length prefix, as a single segment.
-func (r *Reply) FrameParts(scratch []byte) (segs [][]byte, zerocopy int, err error) {
+// Frame renders the reply as one complete wire frame (length prefix
+// included) in at most two parts, byte-identical to WriteFrame(w,
+// r.Encode()). For a successful READ or BREAD, head is the 18-byte frame
+// header built in scratch (reused when its capacity suffices) and body is
+// r.Data itself, so a read payload travels device buffer → socket with no
+// intermediate copy. Every other reply encodes straight into scratch
+// behind the length prefix: head is the whole frame and body is nil.
+func (r *Reply) Frame(scratch []byte) (head, body []byte, err error) {
 	if (r.Op == OpRead || r.Op == OpBread) && r.Status == StatusOK {
 		e := &codec.Encoder{Buf: append(scratch[:0], 0, 0, 0, 0)}
 		e.U8(uint8(r.Op) | replyBit)
 		e.U64(r.Tag)
 		e.U8(uint8(r.Status))
 		e.U32(uint32(len(r.Data)))
-		payloadLen := len(e.Buf) - 4 + len(r.Data)
-		if payloadLen > MaxFrame {
-			return nil, 0, fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame %d", ErrProto, payloadLen, MaxFrame)
+		if err := putLen(e.Buf, len(e.Buf)-4+len(r.Data)); err != nil {
+			return nil, nil, err
 		}
-		binary.BigEndian.PutUint32(e.Buf[:4], uint32(payloadLen))
-		return [][]byte{e.Buf, r.Data}, len(r.Data), nil
+		return e.Buf, r.Data, nil
 	}
 	buf := r.appendPayload(append(slices.Grow(scratch[:0], 4+r.sizeHint()), 0, 0, 0, 0))
-	n := len(buf) - 4
-	if n > MaxFrame {
-		return nil, 0, fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame %d", ErrProto, n, MaxFrame)
+	if err := putLen(buf, len(buf)-4); err != nil {
+		return nil, nil, err
 	}
-	binary.BigEndian.PutUint32(buf, uint32(n))
-	return [][]byte{buf}, 0, nil
+	return buf, nil, nil
+}
+
+// FrameParts is Frame as a scatter-gather segment list; zerocopy reports
+// how many payload bytes were passed by reference.
+func (r *Reply) FrameParts(scratch []byte) (segs [][]byte, zerocopy int, err error) {
+	head, body, err := r.Frame(scratch)
+	if err != nil {
+		return nil, 0, err
+	}
+	if body == nil {
+		return [][]byte{head}, 0, nil
+	}
+	return [][]byte{head, body}, len(body), nil
 }
 
 // DecodeReply parses a reply payload.

@@ -228,12 +228,15 @@ func (c *Client) resume(rgen uint64, rw io.ReadWriteCloser, attempts int) (done 
 	c.mu.Unlock()
 
 	// Raw synchronous handshake: no reader is running for this transport
-	// yet, so write the frame and read the one reply in line.
+	// yet, so write the frame and read the one reply in line. The reader
+	// started below takes over the same frame reader, and with it any
+	// reply bytes that arrived behind the handshake's.
+	fr := NewFrameReader(rw)
 	handshake := func(tag uint64, tok string) (*Reply, error) {
 		if werr := WriteFrame(rw, (&Request{Op: OpHello, Tag: tag, Token: tok}).Encode()); werr != nil {
 			return nil, werr
 		}
-		payload, rerr := ReadFrame(rw)
+		payload, rerr := fr.Next()
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -304,7 +307,7 @@ func (c *Client) resume(rgen uint64, rw io.ReadWriteCloser, attempts int) (done 
 	if ch != nil {
 		close(ch)
 	}
-	go c.reader(rgen, rw)
+	go c.reader(rgen, fr)
 
 	if staleSession {
 		c.wmu.Unlock()
@@ -316,7 +319,7 @@ func (c *Client) resume(rgen uint64, rw io.ReadWriteCloser, attempts int) (done 
 		var werr error
 		for _, call := range replay {
 			c.m.replayCall.Inc()
-			if werr = WriteFrame(rw, call.Req.Encode()); werr != nil {
+			if werr = c.sendLocked(rw, call.Req); werr != nil {
 				break
 			}
 		}

@@ -37,7 +37,7 @@ func TestSupersededResumeClosesDialedConn(t *testing.T) {
 		go func() {
 			// Scripted resume peer: accept the HELLO but hold the reply
 			// until the test has superseded the generation.
-			payload, err := ReadFrame(srvEnd)
+			payload, err := NewFrameReader(srvEnd).Next()
 			if err != nil {
 				return
 			}

@@ -1,6 +1,7 @@
 package fsrpc
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -9,37 +10,89 @@ import (
 	"betrfs/internal/codec"
 )
 
-// WriteFrame writes one length-prefixed frame to w.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame %d", ErrProto, len(payload), MaxFrame)
+// Frame reading buffers. A FrameReader reads the transport through
+// frameReadSize bytes of buffer, so a burst of small pipelined frames costs
+// one read. Its payload buffer grows only once the bytes read fill it, by
+// frameStep or by doubling, whichever is more, and one grown past
+// frameKeep is dropped before the next frame rather than kept for the life
+// of the connection.
+const (
+	frameReadSize = 16 << 10
+	frameStep     = 64 << 10
+	frameKeep     = 2 * MaxData
+)
+
+// putLen writes the length prefix of a frame whose payload is n bytes
+// into prefix[:4], refusing a payload over MaxFrame.
+func putLen(prefix []byte, n int) error {
+	if n > MaxFrame {
+		return fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame %d", ErrProto, n, MaxFrame)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(prefix, uint32(n))
+	return nil
+}
+
+// WriteFrame writes payload to w as one length-prefixed frame, in one
+// Write.
+func WriteFrame(w io.Writer, payload []byte) error {
+	frame := append(make([]byte, 4, 4+len(payload)), payload...)
+	if err := putLen(frame, len(payload)); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err := w.Write(frame)
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame from r. An oversized length
-// prefix is a protocol error (the connection should be torn down — the
-// stream cannot be resynchronized).
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// FrameReader reads length-prefixed frames from one transport through one
+// buffered reader and one reusable payload buffer. A payload returned by
+// Next is valid until the next call to Next; DecodeRequest and DecodeReply
+// copy every field they keep, so what they return outlives it. A transport
+// has exactly one FrameReader: a second one would lose the bytes the first
+// has buffered.
+type FrameReader struct {
+	br  *bufio.Reader
+	hdr [4]byte
+	buf []byte
+}
+
+// NewFrameReader returns the frame reader of transport r.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{br: bufio.NewReaderSize(r, frameReadSize)}
+}
+
+// Next reads the next frame's payload. The stream ending between frames is
+// io.EOF and inside one io.ErrUnexpectedEOF. An oversized length prefix
+// is a protocol error wrapping ErrProto: the stream cannot be
+// resynchronized, and the connection should be torn down. The payload
+// buffer grows only as payload bytes arrive, so a length prefix alone
+// never costs more than frameStep of memory.
+func (fr *FrameReader) Next() ([]byte, error) {
+	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: frame length %d exceeds MaxFrame %d", ErrProto, n, MaxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	if cap(fr.buf) > frameKeep {
+		fr.buf = nil
 	}
-	return payload, nil
+	buf := fr.buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), len(buf)+min(n-len(buf), max(len(buf), frameStep)))
+			copy(grown, buf)
+			buf, fr.buf = grown, grown
+		}
+		m, err := io.ReadFull(fr.br, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			return nil, io.ErrUnexpectedEOF
+		} else if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // The payload fields are codec fields; strings carry a 16-bit length and
@@ -58,9 +111,10 @@ func putBytes(e *codec.Encoder, b []byte) {
 	e.Bytes(b)
 }
 
+// getStr and getBytes return copies: the payload is the frame reader's
+// buffer, overwritten by the next frame.
 func getStr(d *codec.Decoder) string { return string(d.Take(int(d.U16()))) }
 
-// getBytes returns a copy: the payload buffer is not the caller's to keep.
 func getBytes(d *codec.Decoder) []byte { return bytes.Clone(d.Take(int(d.U32()))) }
 
 // done returns the decoder's error, with trailing bytes counted as one,

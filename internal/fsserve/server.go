@@ -281,8 +281,9 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 		sess.close()
 	}()
 
+	fr := fsrpc.NewFrameReader(rw)
 	for {
-		payload, err := fsrpc.ReadFrame(rw)
+		payload, err := fr.Next()
 		if err != nil {
 			if err == io.EOF || errors.Is(err, io.ErrClosedPipe) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return nil

@@ -175,3 +175,44 @@ func TestSessionsAreIndependent(t *testing.T) {
 		t.Fatalf("cross-session read = %q, %v", got, err)
 	}
 }
+
+// TestFramesSharingAWriteAreAllServed: the session reads its transport
+// through one buffered frame reader, so frames that arrive together in
+// one write, and a frame split across two, are each served once. The
+// burst is pipelined, so the mount is a concurrent one.
+func TestFramesSharingAWriteAreAllServed(t *testing.T) {
+	_, srv := pipelinedServer(t)
+	c := dialRaw(t, srv)
+	reqs := []*fsrpc.Request{
+		{Op: fsrpc.OpMkdir, Tag: 1, Path: "d"},
+		{Op: fsrpc.OpStatfs, Tag: 2},
+		{Op: fsrpc.OpGetattr, Tag: 3, Path: ""},
+		{Op: fsrpc.OpPing, Tag: 4},
+		{Op: fsrpc.OpReaddir, Tag: 5, Path: ""},
+	}
+	var burst bytes.Buffer
+	for _, q := range reqs {
+		if err := fsrpc.WriteFrame(&burst, q.Encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Everything but the last frame's final byte in one write, then that
+	// byte on its own. The pipe is synchronous and the server replies as
+	// it reads, so the writes run beside the reads.
+	b := burst.Bytes()
+	go func() {
+		for _, part := range [][]byte{b[:len(b)-1], b[len(b)-1:]} {
+			if _, err := c.rw.Write(part); err != nil {
+				return
+			}
+		}
+	}()
+	seen := map[uint64]bool{}
+	for range reqs {
+		r := c.recv()
+		if r.Status != fsrpc.StatusOK || seen[r.Tag] || r.Tag < 1 || r.Tag > uint64(len(reqs)) || r.Op != reqs[r.Tag-1].Op {
+			t.Fatalf("reply %s tag %d status %s (seen %v)", r.Op, r.Tag, r.Status, seen)
+		}
+		seen[r.Tag] = true
+	}
+}

@@ -32,16 +32,23 @@ var hdrBufPool = sync.Pool{New: func() any {
 // queue is full, so a client that stops reading backpressures the server.
 const maxPendingReplies = 256
 
-// outReply is one reply staged for the session writer: pre-framed
-// scatter-gather segments plus the pooled buffers behind them and the
-// completion callback to run once the write attempt is over.
+// outReply is one reply staged for the session writer: its frame (see
+// fsrpc.Reply.Frame) plus the pooled buffers behind it and the completion
+// callback to run once the write attempt is over.
 type outReply struct {
-	segs     [][]byte
-	hdr      *[]byte // pooled scratch, holding segs[0]'s buffer
-	data     *[]byte // pooled READ buffer referenced by segs[1], if any
-	bytes    int64
-	zerocopy int64
-	done     func() // inflight/gauge accounting; runs exactly once
+	head []byte  // the frame, or a READ frame's header
+	body []byte  // a READ frame's data, by reference; nil otherwise
+	hdr  *[]byte // pooled scratch, holding head's buffer
+	data *[]byte // pooled READ buffer body points into, if any
+	done func()  // inflight/gauge accounting; runs exactly once
+}
+
+// appendSegs appends o's frame segments to segs.
+func (o *outReply) appendSegs(segs net.Buffers) net.Buffers {
+	if o.body == nil {
+		return append(segs, o.head)
+	}
+	return append(segs, o.head, o.body)
 }
 
 // finish releases o's pooled buffers and runs its completion callback.
@@ -49,9 +56,9 @@ type outReply struct {
 // accounting is skipped for replies dropped on a broken connection).
 func (o *outReply) finish(srv *Server, wrote bool) {
 	if wrote {
-		srv.m.respBytes.Add(o.bytes)
-		if o.zerocopy > 0 {
-			srv.m.zerocopyBytes.Add(o.zerocopy)
+		srv.m.respBytes.Add(int64(len(o.head) + len(o.body)))
+		if len(o.body) > 0 {
+			srv.m.zerocopyBytes.Add(int64(len(o.body)))
 		}
 	}
 	if o.hdr != nil {
@@ -74,7 +81,8 @@ func (o *outReply) finish(srv *Server, wrote bool) {
 // fsserve.zerocopy.bytes) and appended to the session's pending queue;
 // the writer goroutine drains the whole queue in one net.Buffers flush
 // (fsserve.batch.replies observes the batch size), so N pipelined
-// completions cost one syscall-shaped write instead of N.
+// completions cost one syscall-shaped write instead of N. The segment
+// list of that flush is the session's own, reused from flush to flush.
 //
 // Handles are per-session open-file descriptions. The protocol has no
 // RELEASE op; instead the table is a bounded cache — beyond
@@ -90,7 +98,9 @@ type session struct {
 	wcond      *sync.Cond // pending gained replies, or closing
 	wspace     *sync.Cond // writer drained pending / finished a write
 	pending    []outReply
-	writing    bool // writer is mid-flush on a taken batch
+	writing    bool        // writer is mid-flush on a taken batch
+	segs       net.Buffers // segments of the flush in progress; owned by whoever set writing
+	wv         net.Buffers // segs as the flush consumes it
 	wclosed    bool
 	broken     bool // transport write failed; later replies are dropped
 	writerDone chan struct{}
@@ -323,7 +333,7 @@ func (s *session) bget(id uint64) (blockdev.Device, bool) {
 // after the write attempt.
 func (s *session) sendReply(r *fsrpc.Reply, data *[]byte, done func()) {
 	hdr := hdrBufPool.Get().(*[]byte)
-	segs, zc, err := r.FrameParts((*hdr)[:0])
+	head, body, err := r.Frame((*hdr)[:0])
 	if err != nil {
 		// Unencodable reply (cannot happen for server-built replies, which
 		// are bounded by MaxData); drop it but keep the accounting sound.
@@ -332,14 +342,9 @@ func (s *session) sendReply(r *fsrpc.Reply, data *[]byte, done func()) {
 		o.finish(s.srv, false)
 		return
 	}
-	// Keep any growth the encode caused. This has to happen now: writing
-	// segs through net.Buffers consumes them in place, leaving segs[0] nil.
-	*hdr = segs[0][:0]
-	var total int64
-	for _, seg := range segs {
-		total += int64(len(seg))
-	}
-	o := outReply{segs: segs, hdr: hdr, data: data, bytes: total, zerocopy: int64(zc), done: done}
+	// Keep any growth the encode caused.
+	*hdr = head[:0]
+	o := outReply{head: head, body: body, hdr: hdr, data: data, done: done}
 
 	s.wmu.Lock()
 	if len(s.pending) == 0 && !s.writing && !s.wclosed && !s.broken {
@@ -350,8 +355,8 @@ func (s *session) sendReply(r *fsrpc.Reply, data *[]byte, done func()) {
 		// anything staged meanwhile is flushed by the writer afterwards.
 		s.writing = true
 		s.wmu.Unlock()
-		bufs := net.Buffers(o.segs)
-		_, err := bufs.WriteTo(s.rw)
+		s.segs = o.appendSegs(s.segs[:0])
+		err := s.writeSegs()
 		s.wmu.Lock()
 		s.writing = false
 		if err != nil {
@@ -404,11 +409,11 @@ func (s *session) writer() {
 		s.wmu.Unlock()
 
 		if !broken {
-			var bufs net.Buffers
-			for _, o := range batch {
-				bufs = append(bufs, o.segs...)
+			s.segs = s.segs[:0]
+			for i := range batch {
+				s.segs = batch[i].appendSegs(s.segs)
 			}
-			if _, err := bufs.WriteTo(s.rw); err != nil {
+			if err := s.writeSegs(); err != nil {
 				broken = true
 			} else {
 				s.srv.m.batchReplies.Observe(int64(len(batch)))
@@ -428,6 +433,16 @@ func (s *session) writer() {
 			batch[i] = outReply{}
 		}
 	}
+}
+
+// writeSegs writes s.segs to the transport in one vectored write. The
+// caller holds the writing flag. The write consumes the list it is given,
+// so it is given a copy of the header: s.segs keeps its array for the next
+// flush.
+func (s *session) writeSegs() error {
+	s.wv = s.segs
+	_, err := s.wv.WriteTo(s.rw)
+	return err
 }
 
 // flush waits until every staged reply has been pushed through (or the

@@ -23,6 +23,7 @@ import (
 type rawConn struct {
 	t  *testing.T
 	rw net.Conn
+	fr *fsrpc.FrameReader
 }
 
 func dialRaw(t *testing.T, srv *fsserve.Server) *rawConn {
@@ -30,7 +31,7 @@ func dialRaw(t *testing.T, srv *fsserve.Server) *rawConn {
 	cliEnd, srvEnd := net.Pipe()
 	go srv.ServeConn(srvEnd)
 	t.Cleanup(func() { cliEnd.Close() })
-	return &rawConn{t: t, rw: cliEnd}
+	return &rawConn{t: t, rw: cliEnd, fr: fsrpc.NewFrameReader(cliEnd)}
 }
 
 func (c *rawConn) send(q *fsrpc.Request) {
@@ -43,7 +44,7 @@ func (c *rawConn) send(q *fsrpc.Request) {
 func (c *rawConn) recv() *fsrpc.Reply {
 	c.t.Helper()
 	c.rw.SetReadDeadline(time.Now().Add(10 * time.Second))
-	payload, err := fsrpc.ReadFrame(c.rw)
+	payload, err := c.fr.Next()
 	if err != nil {
 		c.t.Fatalf("recv: %v", err)
 	}

@@ -102,7 +102,8 @@ func New(env *sim.Env, dev blockdev.Device) *FS {
 		blockOwner: make(map[int64]owner),
 	}
 	fs.segments = (capacity - fs.mainOff) / (SegmentBlocks * BlockSize)
-	fs.Core = blobfs.New("logfs", blobMagic, env, dev, fs.mainOff, fs.segments*SegmentBlocks, policy{fs})
+	maxInos := blobfs.Ino(natLen / blobfs.LocSize)
+	fs.Core = blobfs.New("logfs", blobMagic, env, dev, fs.mainOff, fs.segments*SegmentBlocks, maxInos, policy{fs})
 	fs.segValid = make([]int, fs.segments)
 	fs.segState = make([]byte, fs.segments)
 	fs.freeSegs = fs.segments

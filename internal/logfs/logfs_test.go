@@ -2,6 +2,7 @@ package logfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -175,4 +176,67 @@ func TestNodeBlobsSpillAcrossBlocks(t *testing.T) {
 	if len(ents) != 2000 {
 		t.Fatalf("decoded %d entries, want 2000", len(ents))
 	}
+}
+
+// TestCreatePastNATIsNoSpace churns creates and removes past the NAT's
+// capacity on a 1/2048 SSD, then syncs a file and recovers. Create must
+// never hand out a number the NAT cannot locate: the synced file reads
+// back intact, or its Create failed with ENOSPC. A file synced before the
+// churn must survive too.
+func TestCreatePastNATIsNoSpace(t *testing.T) {
+	env, dev, fs, m := newMount(t, 2048)
+	m.Sync()
+	want := map[string]string{}
+	writeSynced(t, m, want, "early", "synced before the churn")
+	for i := 0; i < int(fs.MaxInos())+8; i++ {
+		f, err := m.Create("churn")
+		if errors.Is(err, vfs.ErrNoSpace) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("create %d: %v", i, err)
+		}
+		f.Close()
+		if err := m.Remove("churn"); err != nil {
+			t.Fatalf("remove %d: %v", i, err)
+		}
+	}
+	writeSynced(t, m, want, "late", "synced after the churn")
+	fs2, err := Recover(env, dev)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	m2 := vfs.NewMount(env, fs2, vfs.DefaultConfig())
+	for name, data := range want {
+		f, err := m2.Open(name)
+		if err != nil {
+			t.Fatalf("%s lost: %v", name, err)
+		}
+		buf := make([]byte, len(data)+1)
+		n, _ := f.ReadAt(buf, 0)
+		if string(buf[:n]) != data {
+			t.Fatalf("%s reads back %q, want %q", name, buf[:n], data)
+		}
+	}
+}
+
+// writeSynced creates name holding data and fsyncs it, recording it in
+// want; a Create that fails with ENOSPC records nothing.
+func writeSynced(t *testing.T, m *vfs.Mount, want map[string]string, name, data string) {
+	t.Helper()
+	f, err := m.Create(name)
+	if errors.Is(err, vfs.ErrNoSpace) {
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte(data)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Fsync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	want[name] = data
 }

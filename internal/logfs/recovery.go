@@ -27,9 +27,7 @@ func Recover(env *sim.Env, dev blockdev.Device) (*FS, error) {
 	// A torn superblock write can only inflate NextIno (the mixed
 	// big-endian value is never below the last durable one); clamp it to
 	// what the NAT region can address so the scan stays bounded.
-	if maxInos := blobfs.Ino((fs.mainOff - fs.natOff) / blobfs.LocSize); fs.NextIno > maxInos {
-		fs.NextIno = maxInos
-	}
+	fs.NextIno = min(fs.NextIno, fs.MaxInos())
 	if err := fs.Load(fs.natOff, fs.claim); err != nil {
 		return nil, err
 	}
