@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fuzz benchmod scrub repair faults bench-json serve servebench netfaults aging shard
+.PHONY: check vet build test race fuzz benchmod scrub repair faults bench-json serve servebench netfaults aging shard loc
 
 check: vet build race fuzz benchmod scrub repair faults serve servebench netfaults aging shard bench-json
 
@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzValidate$$' -fuzztime $(FUZZTIME) ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzDeserializeNode$$' -fuzztime $(FUZZTIME) ./internal/betree
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBasement$$' -fuzztime $(FUZZTIME) ./internal/betree
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeLeafShell$$' -fuzztime $(FUZZTIME) ./internal/betree
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadBlockTable$$' -fuzztime $(FUZZTIME) ./internal/betree
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSuperblock$$' -fuzztime $(FUZZTIME) ./internal/betree
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/betree
@@ -158,3 +159,11 @@ bench-json:
 	$(GO) run ./cmd/betrbench -table 1 -scale 512 \
 		-systems ext4,betrfs-v0.4,betrfs-v0.6 -o BENCH_micro.json > /dev/null
 	$(GO) run ./cmd/betrbench -validate BENCH_micro.json
+
+# Non-test Go lines per package and in total, without the benchmark
+# module: the count ROADMAP.md's simplification pass reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { p = $$2; sub("/[^/]*$$", "", p); sub("^[.]/?", "", p); \
+			if (p == "") p = "."; n[p] += $$1; sum += $$1 } \
+		END { for (p in n) printf "%6d %s\n", n[p], p | "sort -k2"; close("sort -k2"); printf "%6d total\n", sum }'

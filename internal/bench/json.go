@@ -277,16 +277,17 @@ func Validate(data []byte) (*Doc, error) {
 	if d.Name == "" {
 		return nil, fmt.Errorf("bench json: empty name")
 	}
-	if d.Kind != "micro" && d.Kind != "apps" && d.Kind != "serve" && d.Kind != "aging" && d.Kind != "shard" {
+	known := false
+	for _, k := range docKinds {
+		known = known || d.Kind == k.kind
+		if k.section != nil && k.section(&d) != (d.Kind == k.kind) {
+			return nil, fmt.Errorf("bench json: kind %q document: every kind %q document has a %s section, and no other", d.Kind, k.kind, k.kind)
+		}
+	}
+	if !known {
 		return nil, fmt.Errorf("bench json: kind %q, want \"micro\", \"apps\", \"serve\", \"aging\", or \"shard\"", d.Kind)
 	}
-	if d.Kind == "serve" && d.Serve == nil {
-		return nil, fmt.Errorf("bench json: kind \"serve\" requires a serve section")
-	}
 	if d.Serve != nil {
-		if d.Kind != "serve" {
-			return nil, fmt.Errorf("bench json: serve section on kind %q document", d.Kind)
-		}
 		if d.Serve.Clients < 1 || d.Serve.Workers < 1 {
 			return nil, fmt.Errorf("bench json: serve section clients %d / workers %d, want >= 1", d.Serve.Clients, d.Serve.Workers)
 		}
@@ -297,25 +298,13 @@ func Validate(data []byte) (*Doc, error) {
 			return nil, fmt.Errorf("bench json: deterministic serve document cannot carry a pipelined pass (streams %d)", d.Serve.Streams)
 		}
 	}
-	if d.Kind == "aging" && d.Aging == nil {
-		return nil, fmt.Errorf("bench json: kind \"aging\" requires an aging section")
-	}
 	if d.Aging != nil {
-		if d.Kind != "aging" {
-			return nil, fmt.Errorf("bench json: aging section on kind %q document", d.Kind)
-		}
 		if d.Aging.FileBytes < 1 || d.Aging.WorkingSet < 1 || d.Aging.WriteMultiple <= 0 {
 			return nil, fmt.Errorf("bench json: aging section file_bytes %d / working_set %d / write_multiple %g, want positive",
 				d.Aging.FileBytes, d.Aging.WorkingSet, d.Aging.WriteMultiple)
 		}
 	}
-	if d.Kind == "shard" && d.Shard == nil {
-		return nil, fmt.Errorf("bench json: kind \"shard\" requires a shard section")
-	}
 	if d.Shard != nil {
-		if d.Kind != "shard" {
-			return nil, fmt.Errorf("bench json: shard section on kind %q document", d.Kind)
-		}
 		if d.Shard.Shards < 1 || d.Shard.Shards != len(d.Systems) {
 			return nil, fmt.Errorf("bench json: shard section shards %d, want one per system row (%d)", d.Shard.Shards, len(d.Systems))
 		}
@@ -423,6 +412,20 @@ func Validate(data []byte) (*Doc, error) {
 		return nil, fmt.Errorf("bench json: document does not round-trip the schema (field order, formatting, or extraneous content differs from the canonical encoding)")
 	}
 	return &d, nil
+}
+
+// docKinds lists every document kind with the section only it carries
+// (nil: none): Validate requires a kind's section and refuses it on any
+// other kind.
+var docKinds = []struct {
+	kind    string
+	section func(*Doc) bool
+}{
+	{"micro", nil},
+	{"apps", nil},
+	{"serve", func(d *Doc) bool { return d.Serve != nil }},
+	{"aging", func(d *Doc) bool { return d.Aging != nil }},
+	{"shard", func(d *Doc) bool { return d.Shard != nil }},
 }
 
 // requiredMetrics lists the metric families a row must carry, so tooling

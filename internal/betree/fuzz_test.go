@@ -79,7 +79,7 @@ func checkBasements(t *testing.T, env *sim.Env, img []byte) {
 			t.Fatalf("%s: error does not wrap ErrChecksum: %v", what, err)
 		}
 	}
-	shell, _, err := decodeLeafShell(img[:min(len(img), headerRegion)])
+	shell, err := decodeLeafShell(img[:min(len(img), headerRegion)])
 	if err != nil {
 		isChecksum("shell", err)
 		return
@@ -153,12 +153,52 @@ func checkBasements(t *testing.T, env *sim.Env, img []byte) {
 	}
 }
 
+// FuzzDecodeLeafShell feeds header regions of leaf images to the shell
+// decoder, as a partial leaf read does (at most the first headerRegion
+// bytes), each as given and resealed (see FuzzDeserializeNode; a region
+// shorter than its image gets the shell and basement checksums that fit).
+// Every input must give an error wrapping ErrChecksum, or at most one
+// basement per directory slot the region holds, each with its small
+// section and page range inside the header's total length. The seed
+// corpus in testdata/fuzz holds a many-basement leaf's header region cut
+// at its shell end, inside its first keys, inside its directory and
+// inside its header, and two resealed regions that must fail: a basement
+// span past the total, and a first key running past the shell end.
+func FuzzDecodeLeafShell(f *testing.F) {
+	f.Fuzz(func(t *testing.T, img []byte) {
+		checkShell(t, img)
+		checkShell(t, reseal(img))
+	})
+}
+
+func checkShell(t *testing.T, img []byte) {
+	hdr := img[:min(len(img), headerRegion)]
+	shell, err := decodeLeafShell(hdr)
+	if err != nil {
+		if !errors.Is(err, ErrChecksum) {
+			t.Fatalf("shell: error does not wrap ErrChecksum: %v", err)
+		}
+		return
+	}
+	if slots := (len(hdr) - baseHeaderSize) / dirSlotSize; len(shell) > slots {
+		t.Fatalf("%d basements from a %d-byte region of %d directory slots", len(shell), len(hdr), slots)
+	}
+	total := int64(binary.BigEndian.Uint32(hdr[20:]))
+	for bi, b := range shell {
+		small, pages := int64(b.diskOff)+int64(b.diskLen), int64(b.pageOff)+int64(b.pageLen)
+		if b.diskOff < baseHeaderSize || b.diskLen < 0 || small > total || b.pageOff < 0 || b.pageLen < 0 || pages > total {
+			t.Fatalf("basement %d: small section [%d,+%d) page range [%d,+%d) in a %d-byte image",
+				bi, b.diskOff, b.diskLen, b.pageOff, b.pageLen, total)
+		}
+	}
+}
+
 // checkBasementRoundTrip serializes a decoded basement as a one-basement
 // leaf and decodes it back through the same partial-read path.
 func checkBasementRoundTrip(t *testing.T, env *sim.Env, b *basement) {
 	cfg := DefaultConfig()
 	data := serializeNode(env, &cfg, &node{basements: []*basement{b}}, nil)
-	shell, _, err := decodeLeafShell(data[:min(len(data), headerRegion)])
+	shell, err := decodeLeafShell(data[:min(len(data), headerRegion)])
 	if err != nil {
 		t.Fatalf("re-serialized shell does not decode: %v", err)
 	}
@@ -200,20 +240,22 @@ func nodeContents(n *node) []byte {
 }
 
 // reseal returns a copy of img with its checksums recomputed where the
-// header's lengths allow, in the order serializeNode writes them: each
-// basement's over its small section and page range, the shell's, then the
-// whole image's.
+// header's lengths and img's own length allow, in the order serializeNode
+// writes them: each basement's over its small section and page range, the
+// shell's, then the whole image's. A header region (a prefix of its image)
+// gets the shell and basement checksums that fit in it.
 func reseal(img []byte) []byte {
 	img = append([]byte(nil), img...)
 	u32 := func(off int) int { return int(binary.BigEndian.Uint32(img[off:])) }
-	if len(img) < baseHeaderSize || u32(20) < baseHeaderSize || u32(20) > len(img) {
+	if len(img) < baseHeaderSize || u32(20) < baseHeaderSize {
 		return img
 	}
 	total, shellEnd, dirEnd := u32(20), u32(32), baseHeaderSize+u32(28)*dirSlotSize
-	if u32(8) == 0 && shellEnd >= baseHeaderSize && shellEnd <= total {
+	have := min(total, len(img))
+	if u32(8) == 0 && shellEnd >= baseHeaderSize && shellEnd <= have {
 		for slot := baseHeaderSize; slot < dirEnd && slot+dirSlotSize <= shellEnd; slot += dirSlotSize {
 			off, n, poff, pn := u32(slot), u32(slot+4), u32(slot+8), u32(slot+12)
-			if off+n > total || poff+pn > total {
+			if off+n > have || poff+pn > have {
 				continue
 			}
 			crc := crc32.ChecksumIEEE(img[off : off+n])
@@ -224,6 +266,8 @@ func reseal(img []byte) []byte {
 		}
 		binary.BigEndian.PutUint32(img[36:], shellCRC(img, shellEnd))
 	}
-	binary.BigEndian.PutUint32(img[0:], crc32.ChecksumIEEE(img[4:total]))
+	if total <= len(img) {
+		binary.BigEndian.PutUint32(img[0:], crc32.ChecksumIEEE(img[4:total]))
+	}
 	return img
 }

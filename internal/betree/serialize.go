@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 
+	"betrfs/internal/codec"
 	keylen "betrfs/internal/keys"
 	"betrfs/internal/sim"
 )
@@ -56,37 +57,15 @@ const (
 	alignedValueMin = 2048
 )
 
-type nodeEncoder struct {
-	buf []byte
-	// smallBytes counts bytes that required CPU serialization work;
-	// aligned page payloads are excluded under page sharing.
-	smallBytes int
-}
-
-func (e *nodeEncoder) u8(v uint8) { e.buf = append(e.buf, v); e.smallBytes++ }
-func (e *nodeEncoder) u16(v uint16) {
-	var t [2]byte
-	binary.BigEndian.PutUint16(t[:], v)
-	e.buf = append(e.buf, t[:]...)
-	e.smallBytes += 2
-}
-func (e *nodeEncoder) u32(v uint32) {
-	var t [4]byte
-	binary.BigEndian.PutUint32(t[:], v)
-	e.buf = append(e.buf, t[:]...)
-	e.smallBytes += 4
-}
-func (e *nodeEncoder) u64(v uint64) {
-	var t [8]byte
-	binary.BigEndian.PutUint64(t[:], v)
-	e.buf = append(e.buf, t[:]...)
-	e.smallBytes += 8
-}
-func (e *nodeEncoder) bytes(b []byte) {
-	e.buf = append(e.buf, b...)
-	e.smallBytes += len(b)
-}
-func (e *nodeEncoder) keyed(b []byte) { e.u16(uint16(len(b))); e.bytes(b) }
+// Minimum encoded sizes, which bound every count read from an image by
+// the bytes left to hold its items: a value is a flag byte and a 4-byte
+// length, a basement entry a 2-byte key length and a value, and a buffered
+// message a type byte, an MSN, two key lengths, an offset and a value.
+const (
+	minValueSize = 1 + 4
+	minEntrySize = 2 + minValueSize
+	minMsgSize   = 1 + 8 + 2 + 2 + 4 + minValueSize
+)
 
 // serializeNode encodes n into buf, charging serialization and checksum
 // CPU costs, and returns the image. buf is written from its start; when its
@@ -97,150 +76,129 @@ func serializeNode(env *sim.Env, cfg *Config, n *node, buf []byte) []byte {
 	if bound := encodedSizeBound(cfg, n); cap(buf) < bound {
 		buf = make([]byte, 0, bound)
 	}
-	e := &nodeEncoder{buf: buf[:0]}
 	// Header placeholder; patched at the end.
-	e.buf = append(e.buf, make([]byte, baseHeaderSize)...)
-	e.smallBytes += baseHeaderSize
+	e := codec.Encoder{Buf: append(buf[:0], make([]byte, baseHeaderSize)...)}
+	keyed := func(b []byte) { e.U16(uint16(len(b))); e.Bytes(b) }
 
 	var pages [][]byte // aligned payloads appended at the tail
 	pageBytes := 0
-	addPage := func(v Value) (off uint32) {
-		b := v.Bytes()
-		pages = append(pages, b)
-		off = uint32(pageBytes)
-		pageBytes += (len(b) + blockAlign - 1) &^ (blockAlign - 1)
-		return off
-	}
-	useAligned := func(v Value) bool {
-		return cfg.PageSharing && v.Len() >= alignedValueMin
-	}
 	encValue := func(v Value) {
-		if useAligned(v) {
-			e.u8(1)
-			e.u32(uint32(v.Len()))
-			e.u32(addPage(v))
-		} else {
-			e.u8(0)
-			e.u32(uint32(v.Len()))
-			e.bytes(v.Bytes())
+		aligned := cfg.PageSharing && v.Len() >= alignedValueMin
+		e.Bool(aligned)
+		e.U32(uint32(v.Len()))
+		if !aligned {
+			e.Bytes(v.Bytes())
+			return
 		}
+		e.U32(uint32(pageBytes))
+		pages = append(pages, v.Bytes())
+		pageBytes += (v.Len() + blockAlign - 1) &^ (blockAlign - 1)
 	}
 
-	shellEnd := baseHeaderSize
+	// A leaf's basement directory, patched once the page section is laid
+	// out: each basement's small section and page range (offset from the
+	// page-section base).
+	type bloc struct{ smallOff, smallLen, pageOff, pageLen int }
+	var locs []bloc
+	shellEnd, count := baseHeaderSize, len(n.children)
 	if n.isLeaf() {
 		// Basement directory placeholder: fixed-size slots, then
 		// variable first keys after the slots.
-		dirStart := len(e.buf)
 		for _, b := range n.basements {
 			if !b.loaded {
 				panic("betree: serializing leaf with unloaded basement")
 			}
-			_ = b
-			e.buf = append(e.buf, make([]byte, dirSlotSize)...)
-			e.smallBytes += dirSlotSize
+			e.Buf = append(e.Buf, make([]byte, dirSlotSize)...)
 		}
 		for _, b := range n.basements {
-			e.keyed(b.lowKey())
+			keyed(b.lowKey())
 		}
-		shellEnd = len(e.buf)
+		shellEnd, count = len(e.Buf), len(n.basements)
 		// Basement small sections. With lifting (§2.2), the longest
 		// common prefix of a basement's keys is stored once and
 		// stripped from every key — very effective for full-path keys.
-		type bloc struct{ smallOff, smallLen, pageOff, pageLen int }
-		locs := make([]bloc, len(n.basements))
+		locs = make([]bloc, len(n.basements))
 		for bi, b := range n.basements {
-			start := len(e.buf)
-			pstart := pageBytes
-			e.u32(uint32(len(b.entries)))
+			start, pstart := len(e.Buf), pageBytes
+			e.U32(uint32(len(b.entries)))
 			prefix := b.prefix()
-			e.keyed(prefix)
+			keyed(prefix)
 			for i := range b.entries {
-				e.keyed(b.entries[i].key[len(prefix):])
+				keyed(b.entries[i].key[len(prefix):])
 				encValue(b.entries[i].val)
 			}
-			locs[bi] = bloc{smallOff: start, smallLen: len(e.buf) - start, pageOff: pstart, pageLen: pageBytes - pstart}
+			locs[bi] = bloc{smallOff: start, smallLen: len(e.Buf) - start, pageOff: pstart, pageLen: pageBytes - pstart}
 		}
-		// Page section begins at the next aligned boundary.
-		pageBase := (len(e.buf) + blockAlign - 1) &^ (blockAlign - 1)
-		e.buf = append(e.buf, make([]byte, pageBase-len(e.buf))...)
-		for _, p := range pages {
-			e.buf = append(e.buf, p...)
-			if pad := (blockAlign - len(p)%blockAlign) % blockAlign; pad > 0 {
-				e.buf = append(e.buf, make([]byte, pad)...)
-			}
-		}
-		// Patch the directory, including each basement's checksum over
-		// its small section and page range (verified by basement-granular
-		// partial reads).
-		for bi := range n.basements {
-			slot := dirStart + bi*dirSlotSize
-			loc := locs[bi]
-			binary.BigEndian.PutUint32(e.buf[slot:], uint32(loc.smallOff))
-			binary.BigEndian.PutUint32(e.buf[slot+4:], uint32(loc.smallLen))
-			binary.BigEndian.PutUint32(e.buf[slot+8:], uint32(pageBase+loc.pageOff))
-			binary.BigEndian.PutUint32(e.buf[slot+12:], uint32(loc.pageLen))
-			binary.BigEndian.PutUint64(e.buf[slot+16:], uint64(n.basements[bi].maxApplied))
-			binary.BigEndian.PutUint32(e.buf[slot+24:], uint32(len(n.basements[bi].entries)))
-			crc := crc32.ChecksumIEEE(e.buf[loc.smallOff : loc.smallOff+loc.smallLen])
-			if loc.pageLen > 0 {
-				crc = crc32.Update(crc, crc32.IEEETable, e.buf[pageBase+loc.pageOff:pageBase+loc.pageOff+loc.pageLen])
-			}
-			binary.BigEndian.PutUint32(e.buf[slot+28:], crc)
-		}
-		patchHeader(e.buf, n, pageBase, len(n.basements))
 	} else {
-		e.u32(uint32(len(n.children)))
+		e.U32(uint32(len(n.children)))
 		for _, p := range n.pivots {
-			e.keyed(p)
+			keyed(p)
 		}
 		for _, c := range n.children {
-			e.u64(uint64(c))
+			e.U64(uint64(c))
 		}
 		// Each buffer is stored in index order, point messages first, so
 		// decoding rebuilds the index in one pass.
 		for ci := range n.bufs {
 			b := &n.bufs[ci]
-			e.u32(uint32(b.len()))
+			e.U32(uint32(b.len()))
 			for _, list := range [2][]*Msg{b.points, b.ranges} {
 				for _, m := range list {
-					e.u8(uint8(m.Type))
-					e.u64(uint64(m.MSN))
-					e.keyed(m.Key)
-					e.keyed(m.EndKey)
-					e.u32(uint32(m.Off))
+					e.U8(uint8(m.Type))
+					e.U64(uint64(m.MSN))
+					keyed(m.Key)
+					keyed(m.EndKey)
+					e.U32(uint32(m.Off))
 					encValue(m.Val)
 				}
 			}
 		}
-		// Page section for by-ref message values.
-		pageBase := (len(e.buf) + blockAlign - 1) &^ (blockAlign - 1)
-		e.buf = append(e.buf, make([]byte, pageBase-len(e.buf))...)
-		for _, p := range pages {
-			e.buf = append(e.buf, p...)
-			if pad := (blockAlign - len(p)%blockAlign) % blockAlign; pad > 0 {
-				e.buf = append(e.buf, make([]byte, pad)...)
-			}
+	}
+	// Everything so far took CPU serialization work; the aligned page
+	// payloads below do not (page sharing writes them by reference).
+	small := len(e.Buf)
+
+	// The page section begins at the next aligned boundary, and each
+	// payload is padded to whole blocks, so the image ends aligned.
+	buf = e.Buf
+	pageBase := (len(buf) + blockAlign - 1) &^ (blockAlign - 1)
+	buf = append(buf, make([]byte, pageBase-len(buf))...)
+	for _, p := range pages {
+		buf = append(buf, p...)
+		buf = append(buf, make([]byte, (blockAlign-len(p)%blockAlign)%blockAlign)...)
+	}
+	// Patch the directory, including each basement's checksum over its
+	// small section and page range (verified by basement-granular partial
+	// reads).
+	for bi, loc := range locs {
+		slot := baseHeaderSize + bi*dirSlotSize
+		binary.BigEndian.PutUint32(buf[slot:], uint32(loc.smallOff))
+		binary.BigEndian.PutUint32(buf[slot+4:], uint32(loc.smallLen))
+		binary.BigEndian.PutUint32(buf[slot+8:], uint32(pageBase+loc.pageOff))
+		binary.BigEndian.PutUint32(buf[slot+12:], uint32(loc.pageLen))
+		binary.BigEndian.PutUint64(buf[slot+16:], uint64(n.basements[bi].maxApplied))
+		binary.BigEndian.PutUint32(buf[slot+24:], uint32(len(n.basements[bi].entries)))
+		crc := crc32.ChecksumIEEE(buf[loc.smallOff : loc.smallOff+loc.smallLen])
+		if loc.pageLen > 0 {
+			crc = crc32.Update(crc, crc32.IEEETable, buf[pageBase+loc.pageOff:pageBase+loc.pageOff+loc.pageLen])
 		}
-		patchHeader(e.buf, n, pageBase, len(n.children))
+		binary.BigEndian.PutUint32(buf[slot+28:], crc)
 	}
+	patchHeader(buf, n, pageBase, count)
 
-	// Align total length, then patch the length-dependent header fields
-	// and checksums: the shell crc covers the header (minus the two crc
-	// fields) and the directory + first keys, so it must be computed
-	// after the total length and shell end are in place; the whole-image
-	// crc goes last, covering everything after itself.
-	if pad := (blockAlign - len(e.buf)%blockAlign) % blockAlign; pad > 0 {
-		e.buf = append(e.buf, make([]byte, pad)...)
-	}
-	binary.BigEndian.PutUint32(e.buf[20:], uint32(len(e.buf)))
-	binary.BigEndian.PutUint32(e.buf[32:], uint32(shellEnd))
-	binary.BigEndian.PutUint32(e.buf[36:], shellCRC(e.buf, shellEnd))
-	crc := crc32.ChecksumIEEE(e.buf[4:])
-	binary.BigEndian.PutUint32(e.buf[0:], crc)
+	// Patch the length-dependent header fields and checksums: the shell
+	// crc covers the header (minus the two crc fields) and the directory +
+	// first keys, so it must be computed after the total length and shell
+	// end are in place; the whole-image crc goes last, covering everything
+	// after itself.
+	binary.BigEndian.PutUint32(buf[20:], uint32(len(buf)))
+	binary.BigEndian.PutUint32(buf[32:], uint32(shellEnd))
+	binary.BigEndian.PutUint32(buf[36:], shellCRC(buf, shellEnd))
+	binary.BigEndian.PutUint32(buf[0:], crc32.ChecksumIEEE(buf[4:]))
 
-	env.Serialize(e.smallBytes)
-	env.Checksum(len(e.buf))
-	return e.buf
+	env.Serialize(small)
+	env.Checksum(len(buf))
+	return buf
 }
 
 // encodedSizeBound bounds serializeNode's output for n from above, so the
@@ -292,11 +250,12 @@ func patchHeader(buf []byte, n *node, headerEnd, count int) {
 	binary.BigEndian.PutUint32(buf[28:], uint32(count))
 }
 
-// nodeDecoder reads a node image. Keys are copied into one arena per node
-// or basement; values borrow the image (value).
+// nodeDecoder reads a node image through a bounds-checked codec.Decoder,
+// whose first failed read latches an error that each decode checks and
+// reports as ErrChecksum. Keys are copied into one arena per node or
+// basement; values borrow the image (value).
 type nodeDecoder struct {
-	data []byte
-	pos  int
+	codec.Decoder
 	// keys is the arena decoded keys are carved from, sized by a first
 	// pass over the entries so that decoding allocates it once.
 	keys []byte
@@ -309,32 +268,8 @@ type nodeDecoder struct {
 	borrowed int32
 }
 
-func (d *nodeDecoder) u8() uint8 { v := d.data[d.pos]; d.pos++; return v }
-func (d *nodeDecoder) u16() uint16 {
-	v := binary.BigEndian.Uint16(d.data[d.pos:])
-	d.pos += 2
-	return v
-}
-func (d *nodeDecoder) u32() uint32 {
-	v := binary.BigEndian.Uint32(d.data[d.pos:])
-	d.pos += 4
-	return v
-}
-func (d *nodeDecoder) u64() uint64 {
-	v := binary.BigEndian.Uint64(d.data[d.pos:])
-	d.pos += 8
-	return v
-}
-
-// take returns the next n bytes of the image, in place.
-func (d *nodeDecoder) take(n int) []byte {
-	b := d.data[d.pos : d.pos+n : d.pos+n]
-	d.pos += n
-	return b
-}
-
 // keyed decodes a length-prefixed key into the arena.
-func (d *nodeDecoder) keyed() []byte { return d.key(nil, d.take(int(d.u16()))) }
+func (d *nodeDecoder) keyed() []byte { return d.key(nil, d.Take(int(d.U16()))) }
 
 // key appends prefix and suffix to the arena as one key. The full-slice
 // expression caps the key at its length, so appending to one key
@@ -347,19 +282,19 @@ func (d *nodeDecoder) key(prefix, suffix []byte) []byte {
 
 // skipKeyed steps over a length-prefixed key, returning its length.
 func (d *nodeDecoder) skipKeyed() int {
-	n := int(d.u16())
-	d.take(n)
+	n := int(d.U16())
+	d.Take(n)
 	return n
 }
 
 // skipValue steps over one encoded value (see value).
 func (d *nodeDecoder) skipValue() {
-	aligned := d.u8() == 1
-	n := int(d.u32())
+	aligned := d.Bool()
+	n := int(d.U32())
 	if aligned {
-		d.u32()
+		d.U32()
 	} else {
-		d.take(n)
+		d.Take(n)
 	}
 }
 
@@ -367,23 +302,27 @@ func (d *nodeDecoder) skipValue() {
 // rather than copying them. An aligned value's payload is read from pages
 // at pageBase plus its recorded offset: for a full image, pages is the
 // image and pageBase the header's page-section base; for a basement,
-// pages is its page range and pageBase is shifted to match. Values are
-// capped at their length like keys. An empty value borrows nothing.
-func (d *nodeDecoder) value(pages []byte, pageBase int) Value {
-	aligned := d.u8() == 1
-	n := int(d.u32())
+// pages is its page range and pageBase is shifted to match. A payload
+// outside pages is ErrChecksum. Values are capped at their length like
+// keys. An empty value borrows nothing.
+func (d *nodeDecoder) value(pages []byte, pageBase int) (Value, error) {
+	aligned := d.Bool()
+	n := int(d.U32())
 	var b []byte
 	if aligned {
-		off := pageBase + int(d.u32())
+		off := pageBase + int(d.U32())
+		if off < 0 || off > len(pages) || n > len(pages)-off {
+			return Value{}, fmt.Errorf("betree: %d-byte aligned value at %d of a %d-byte page range: %w", n, off, len(pages), ErrChecksum)
+		}
 		b = pages[off : off+n : off+n]
 	} else {
-		b = d.take(n)
+		b = d.Take(n)
 	}
 	if n == 0 || d.img == nil {
-		return InlineValue(b)
+		return InlineValue(b), nil
 	}
 	d.borrowed++
-	return Value{data: b, hold: d.img}
+	return Value{data: b, hold: d.img}, nil
 }
 
 // lend credits the decode's borrows to its image.
@@ -419,16 +358,15 @@ func deserializeNode(env *sim.Env, data []byte, img *image) (*node, error) {
 	}
 	count := int(binary.BigEndian.Uint32(data[28:]))
 	if n.height == 0 {
-		shell, _, err := decodeLeafShell(data)
+		// The shell checks every basement's span against the header's
+		// total, which is len(data).
+		shell, err := decodeLeafShell(data)
 		if err != nil {
 			return nil, err
 		}
 		n.basements = shell
 		n.pageBase = pageBase(data)
 		for _, b := range n.basements {
-			if err := b.checkSpan(int64(len(data))); err != nil {
-				return nil, err
-			}
 			if err := decodeBasement(data[b.diskOff:b.diskOff+b.diskLen], data[b.pageOff:b.pageOff+b.pageLen], b, n.pageBase, img); err != nil {
 				return nil, err
 			}
@@ -450,34 +388,38 @@ func deserializeNode(env *sim.Env, data []byte, img *image) (*node, error) {
 // sized by a first pass over the buffers. An image that beat its checksum
 // but is malformed — a count or length running past the image, an unknown
 // message type, a delete carrying a value, a buffer out of index order —
-// surfaces ErrChecksum instead of a panic or a misordered index.
+// surfaces ErrChecksum instead of a misordered index.
 func decodeInterior(n *node, data []byte, count int, img *image) (read int, err error) {
-	defer func() {
-		if recover() != nil {
-			read, err = 0, fmt.Errorf("betree: truncated interior node: %w", ErrChecksum)
-		}
-	}()
-	d := &nodeDecoder{data: data, pos: baseHeaderSize, img: img}
-	if got := int(d.u32()); got != count || count < 1 || count > len(data)/12 {
+	d := &nodeDecoder{Decoder: codec.NewDecoder(data), img: img}
+	d.Take(baseHeaderSize)
+	// A child costs at least its 8-byte ID and its buffer's 4-byte
+	// message count.
+	if got := int(d.U32()); got != count || count < 1 || count > d.Len()/12 {
 		return 0, fmt.Errorf("betree: bad child count %d: %w", count, ErrChecksum)
 	}
-	// First pass: count the messages and key bytes. It panics on a
-	// truncated image before anything is sized from its counts.
+	// First pass: count the messages and key bytes. Nothing is sized from
+	// its counts unless every read it made was in bounds.
 	msgs, keyBytes := 0, 0
 	w := *d
 	for i := 0; i < count-1; i++ {
 		keyBytes += w.skipKeyed()
 	}
-	w.take(8 * count)
+	w.Take(8 * count)
 	for ci := 0; ci < count; ci++ {
-		k := int(w.u32())
+		k := int(w.U32())
+		if k > w.Len()/minMsgSize {
+			return 0, fmt.Errorf("betree: node %d: buffer %d of %d messages in %d bytes: %w", n.id, ci, k, w.Len(), ErrChecksum)
+		}
 		for i := 0; i < k; i++ {
-			w.take(9)
+			w.Take(9)
 			keyBytes += w.skipKeyed() + w.skipKeyed()
-			w.u32()
+			w.U32()
 			w.skipValue()
 		}
 		msgs += k
+	}
+	if err := w.Err(); err != nil {
+		return 0, fmt.Errorf("betree: node %d: interior image: %w: %w", n.id, ErrChecksum, err)
 	}
 
 	d.keys = make([]byte, 0, keyBytes)
@@ -487,14 +429,14 @@ func decodeInterior(n *node, data []byte, count int, img *image) (read int, err 
 	}
 	n.children = make([]nodeID, count)
 	for i := range n.children {
-		n.children[i] = nodeID(d.u64())
+		n.children[i] = nodeID(d.U64())
 	}
 	n.bufs = make([]buffer, count)
 	slab := make([]Msg, msgs)
 	index := make([]*Msg, msgs)
 	pb := pageBase(data)
 	for ci := range n.bufs {
-		k := int(d.u32())
+		k := int(d.U32())
 		b := &n.bufs[ci]
 		// Point messages index into this buffer's share of the slab's
 		// pointers, capped so an insert cannot spill into the next share.
@@ -503,12 +445,14 @@ func decodeInterior(n *node, data []byte, count int, img *image) (read int, err 
 		for i := 0; i < k; i++ {
 			m := &slab[0]
 			slab = slab[1:]
-			m.Type = MsgType(d.u8())
-			m.MSN = MSN(d.u64())
+			m.Type = MsgType(d.U8())
+			m.MSN = MSN(d.U64())
 			m.Key = d.keyed()
 			m.EndKey = d.keyed()
-			m.Off = int(d.u32())
-			m.Val = d.value(data, pb)
+			m.Off = int(d.U32())
+			if m.Val, err = d.value(data, pb); err != nil {
+				return 0, err
+			}
 			if m.Type < MsgInsert || m.Type > MsgRangeDelete {
 				return 0, fmt.Errorf("betree: node %d: message type %d: %w", n.id, m.Type, ErrChecksum)
 			}
@@ -520,57 +464,68 @@ func decodeInterior(n *node, data []byte, count int, img *image) (read int, err 
 			}
 		}
 	}
+	if err := d.Err(); err != nil {
+		return 0, fmt.Errorf("betree: node %d: interior image: %w: %w", n.id, ErrChecksum, err)
+	}
 	d.lend()
-	return d.pos, nil
+	return len(data) - d.Len(), nil
 }
 
 // decodeLeafShell parses the header + basement directory of a leaf image,
-// returning unloaded basements and the number of directory bytes consumed
-// (partial-read support, §2.2). The shell checksum is verified before the
-// directory is trusted: a torn or corrupted header region surfaces
-// ErrChecksum instead of garbage basement extents. Callers have checked
-// the magic and the leaf height. The basements come from one slab and
+// returning unloaded basements (partial-read support, §2.2). The shell checksum is verified before the
+// directory is trusted, and every basement's small section and page range
+// must lie inside the header's total length: a torn or corrupted header
+// region surfaces ErrChecksum instead of garbage basement extents, and so
+// does a region that is not a leaf's. The basements come from one slab and
 // their first keys from one arena; nothing aliases data.
-func decodeLeafShell(data []byte) (bs []*basement, consumed int, err error) {
-	defer func() {
-		if recover() != nil {
-			bs, consumed, err = nil, 0, fmt.Errorf("betree: truncated leaf directory: %w", ErrChecksum)
-		}
-	}()
+func decodeLeafShell(data []byte) ([]*basement, error) {
+	if len(data) < baseHeaderSize || binary.BigEndian.Uint32(data[4:]) != nodeMagic || binary.BigEndian.Uint32(data[8:]) != 0 {
+		return nil, fmt.Errorf("betree: %d bytes with no leaf header: %w", len(data), ErrChecksum)
+	}
 	shellEnd := int(binary.BigEndian.Uint32(data[32:]))
 	count := int(binary.BigEndian.Uint32(data[28:]))
 	if shellEnd < baseHeaderSize || shellEnd > len(data) || count > (shellEnd-baseHeaderSize)/dirSlotSize {
 		// A directory past the bytes given is not necessarily corrupt: it
 		// may exceed the header-region read, and a partial read falls back
 		// to a full read on any error, whose whole-image checksum decides.
-		return nil, 0, fmt.Errorf("betree: %d-basement leaf shell ends at %d of %d bytes: %w", count, shellEnd, len(data), ErrChecksum)
+		return nil, fmt.Errorf("betree: %d-basement leaf shell ends at %d of %d bytes: %w", count, shellEnd, len(data), ErrChecksum)
 	}
 	if shellCRC(data, shellEnd) != binary.BigEndian.Uint32(data[36:]) {
-		return nil, 0, fmt.Errorf("betree: leaf shell: %w", ErrChecksum)
+		return nil, fmt.Errorf("betree: leaf shell: %w", ErrChecksum)
 	}
+	total := int64(binary.BigEndian.Uint32(data[20:]))
 	slab := make([]basement, count)
 	basements := make([]*basement, count)
-	d := &nodeDecoder{data: data, pos: baseHeaderSize}
+	// The first keys are read from the checksummed shell only.
+	d := &nodeDecoder{Decoder: codec.NewDecoder(data[:shellEnd])}
+	d.Take(baseHeaderSize)
 	for i := range slab {
 		b := &slab[i]
-		b.diskOff = int(d.u32())
-		b.diskLen = int(d.u32())
-		b.pageOff = int(d.u32())
-		b.pageLen = int(d.u32())
-		b.maxApplied = MSN(d.u64())
-		d.u32() // entry count, informational
-		b.crc = d.u32()
+		b.diskOff = int(d.U32())
+		b.diskLen = int(d.U32())
+		b.pageOff = int(d.U32())
+		b.pageLen = int(d.U32())
+		b.maxApplied = MSN(d.U64())
+		d.U32() // entry count, informational
+		b.crc = d.U32()
+		if err := b.checkSpan(total); err != nil {
+			return nil, err
+		}
 		basements[i] = b
 	}
 	keyBytes := 0
-	for w, i := *d, 0; i < count; i++ {
+	w := *d
+	for i := 0; i < count; i++ {
 		keyBytes += w.skipKeyed()
+	}
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("betree: leaf shell first keys: %w: %w", ErrChecksum, err)
 	}
 	d.keys = make([]byte, 0, keyBytes)
 	for _, b := range basements {
 		b.firstKey = d.keyed()
 	}
-	return basements, d.pos, nil
+	return basements, nil
 }
 
 // pageBase extracts the page-section base offset from a node image header.
@@ -579,9 +534,9 @@ func pageBase(data []byte) int {
 }
 
 // checkSpan reports ErrChecksum unless b's small section and page range
-// lie inside a node image of total bytes. The offsets come from a
-// checksum-verified directory, so only a bug or a corrupt image that beat
-// its checksum fails here; the check keeps such an image from panicking.
+// lie inside a node image of total bytes. The shell checks each span
+// against its header's total; a partial read checks again against the
+// extent it reads from.
 func (b *basement) checkSpan(total int64) error {
 	if b.diskOff < baseHeaderSize || b.diskLen < 4 || int64(b.diskOff)+int64(b.diskLen) > total {
 		return fmt.Errorf("betree: basement small section out of bounds: %w", ErrChecksum)
@@ -606,9 +561,6 @@ func decodeBasement(small, pages []byte, b *basement, pb int, img *image) (err e
 		return nil
 	}
 	defer func() {
-		if recover() != nil {
-			err = fmt.Errorf("betree: truncated basement: %w", ErrChecksum)
-		}
 		if err != nil {
 			b.entries = nil
 		}
@@ -620,27 +572,41 @@ func decodeBasement(small, pages []byte, b *basement, pb int, img *image) (err e
 	if crc != b.crc {
 		return fmt.Errorf("betree: basement at %d: %w", b.diskOff, ErrChecksum)
 	}
-	d := &nodeDecoder{data: small, img: img}
-	nEntries := int(d.u32())
-	prefix := d.take(int(d.u16()))
-	// First pass: the key bytes the entries decode to. It panics on a
-	// count the section cannot hold before anything is sized from it.
+	d := &nodeDecoder{Decoder: codec.NewDecoder(small), img: img}
+	nEntries := int(d.U32())
+	prefix := d.Take(int(d.U16()))
+	if nEntries > d.Len()/minEntrySize {
+		return fmt.Errorf("betree: basement at %d: %d entries in %d bytes: %w", b.diskOff, nEntries, d.Len(), ErrChecksum)
+	}
+	// First pass: the key bytes the entries decode to. Nothing is sized
+	// from them unless every read it made was in bounds.
 	suffixes := 0
-	for w, i := *d, 0; i < nEntries; i++ {
+	w := *d
+	for i := 0; i < nEntries; i++ {
 		suffixes += w.skipKeyed()
 		w.skipValue()
+	}
+	if err := w.Err(); err != nil {
+		return fmt.Errorf("betree: basement at %d: %w: %w", b.diskOff, ErrChecksum, err)
 	}
 	d.keys = make([]byte, 0, nEntries*len(prefix)+suffixes)
 	b.entries = make([]entry, nEntries)
 	for i := range b.entries {
-		k := d.key(prefix, d.take(int(d.u16())))
+		k := d.key(prefix, d.Take(int(d.U16())))
 		if len(k) > math.MaxUint16 {
 			return fmt.Errorf("betree: basement at %d: entry %d has a %d-byte key: %w", b.diskOff, i, len(k), ErrChecksum)
 		}
 		if i > 0 && keylen.Compare(b.entries[i-1].key, k) >= 0 {
 			return fmt.Errorf("betree: basement at %d: entry %d out of order: %w", b.diskOff, i, ErrChecksum)
 		}
-		b.entries[i] = entry{key: k, val: d.value(pages, pb-b.pageOff)}
+		v, err := d.value(pages, pb-b.pageOff)
+		if err != nil {
+			return fmt.Errorf("betree: basement at %d: entry %d: %w", b.diskOff, i, err)
+		}
+		b.entries[i] = entry{key: k, val: v}
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("betree: basement at %d: %w: %w", b.diskOff, ErrChecksum, err)
 	}
 	d.lend()
 	b.loaded = true

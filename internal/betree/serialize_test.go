@@ -2,11 +2,15 @@ package betree
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"betrfs/internal/sim"
 )
@@ -148,12 +152,12 @@ func TestLeafShellPartialDecode(t *testing.T) {
 	}
 	n := mkLeaf(entries, 8<<10)
 	data := serializeNode(env, &cfg, n, nil)
-	shell, consumed, err := decodeLeafShell(data)
+	shell, err := decodeLeafShell(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if consumed > headerRegion {
-		t.Skipf("directory larger than header region (%d)", consumed)
+	if shellEnd := binary.BigEndian.Uint32(data[32:]); shellEnd > headerRegion {
+		t.Skipf("directory larger than header region (%d)", shellEnd)
 	}
 	if len(shell) != len(n.basements) {
 		t.Fatalf("shell has %d basements, want %d", len(shell), len(n.basements))
@@ -168,6 +172,56 @@ func TestLeafShellPartialDecode(t *testing.T) {
 	got := shell[bi].entries
 	if len(got) != len(want) || !bytes.Equal(got[0].key, want[0].key) {
 		t.Fatal("partial basement decode mismatch")
+	}
+}
+
+// TestHugeCountsFailFast reseals leaf and interior images whose counts
+// claim 2^32-1 items. Each must fail with ErrChecksum at once, allocating
+// less than the image's own size: no count bounds a loop or sizes an
+// allocation before it is checked against the bytes left to hold it.
+func TestHugeCountsFailFast(t *testing.T) {
+	env := sim.NewEnv(1)
+	cfg := DefaultConfig()
+	var entries []entry
+	for i := 0; i < 40; i++ {
+		entries = append(entries, entry{key: []byte(fmt.Sprintf("d/f%03d", i)), val: InlineValue([]byte("value"))})
+	}
+	leaf := serializeNode(env, &cfg, mkLeaf(entries, 4<<10), nil)
+	in := &node{id: 9, height: 1, children: []nodeID{10}, bufs: make([]buffer, 1)}
+	for i := 0; i < 40; i++ {
+		in.bufs[0].insert(&Msg{Type: MsgInsert, MSN: MSN(i + 1), Key: []byte(fmt.Sprintf("k%03d", i)), Val: InlineValue([]byte("v"))})
+	}
+	interior := serializeNode(env, &cfg, in, nil)
+	for _, c := range []struct {
+		name string
+		img  []byte
+		offs []int // where the count is stored
+	}{
+		{"leaf basement count", leaf, []int{28}},
+		{"basement entry count", leaf, []int{int(binary.BigEndian.Uint32(leaf[baseHeaderSize:]))}},
+		{"interior child count", interior, []int{28, baseHeaderSize}},
+		{"interior message count", interior, []int{baseHeaderSize + 4 + 8}},
+	} {
+		img := append([]byte(nil), c.img...)
+		for _, off := range c.offs {
+			binary.BigEndian.PutUint32(img[off:], math.MaxUint32)
+		}
+		img = reseal(img)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		_, err := deserializeNode(env, img, nil)
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrChecksum) {
+			t.Errorf("%s: got %v, want ErrChecksum", c.name, err)
+		}
+		if took > time.Second {
+			t.Errorf("%s: decode took %v", c.name, took)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(len(img)) {
+			t.Errorf("%s: decoding a %d-byte image allocated %d bytes", c.name, len(img), alloc)
+		}
 	}
 }
 
@@ -390,7 +444,7 @@ func TestBorrowedImageNotRecycled(t *testing.T) {
 	}
 
 	data := serializeNode(env, &cfg, leaf, nil)
-	shell, _, err := decodeLeafShell(data)
+	shell, err := decodeLeafShell(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package betree
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -776,20 +775,18 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 		if rerr := t.f.SubmitRead(hdr.b, ext.off)(); rerr != nil {
 			return nil, rerr
 		}
-		if binary.BigEndian.Uint32(hdr.b[4:]) == nodeMagic && binary.BigEndian.Uint32(hdr.b[8:]) == 0 {
-			if basements, _, err := decodeLeafShell(hdr.b); err == nil {
-				n := &node{id: id, height: 0, basements: basements, pageBase: pageBase(hdr.b)}
-				s.m.nodePartial.Inc()
-				s.countNodeRead(n, hlen)
-				if err := s.loadBasement(t, n, ext, n.basementFor(s.env, partialKey)); err != nil {
-					return nil, err
-				}
-				return n, nil
+		if basements, err := decodeLeafShell(hdr.b); err == nil {
+			n := &node{id: id, height: 0, basements: basements, pageBase: pageBase(hdr.b)}
+			s.m.nodePartial.Inc()
+			s.countNodeRead(n, hlen)
+			if err := s.loadBasement(t, n, ext, n.basementFor(s.env, partialKey)); err != nil {
+				return nil, err
 			}
+			return n, nil
 		}
-		// A shell that did not fit in the header region (or failed its
-		// checksum) leaves the decision to the whole-image checksum: read
-		// the remainder.
+		// A region that is not a leaf's, or a shell that did not fit in it
+		// (or failed its checksum), leaves the decision to the whole-image
+		// checksum: read the remainder.
 		img := getImage(ext.len)
 		copy(img.b, hdr.b)
 		if ext.len > hlen {

@@ -133,7 +133,7 @@ func checkSameTable(t *testing.T, got, want *blockTable) {
 }
 
 // TestCraftedLoaderSeedsRejected requires every bad- seed of the two loader
-// fuzz targets to be rejected with an error.
+// fuzz targets and of the leaf-shell target to be rejected with an error.
 func TestCraftedLoaderSeedsRejected(t *testing.T) {
 	load := map[string]func([]byte) error{
 		"FuzzLoadBlockTable": func(b []byte) error {
@@ -142,6 +142,10 @@ func TestCraftedLoaderSeedsRejected(t *testing.T) {
 		},
 		"FuzzLoadSuperblock": func(b []byte) error {
 			_, err := decodeSuperblock(b, [2]int64{fuzzCapacity, fuzzCapacity})
+			return err
+		},
+		"FuzzDecodeLeafShell": func(b []byte) error {
+			_, err := decodeLeafShell(b)
 			return err
 		},
 	}

@@ -1,13 +1,16 @@
 // Package codec is the one big-endian record format shared by the redo
-// logs, the metadata blobs and the wire protocol: an append-only Encoder,
-// and a cursor Decoder whose first out-of-bounds read latches an error, so
-// a decode path reads every field and checks once at the end.
+// logs, the metadata blobs, the Bε-tree node image and the wire protocol:
+// an append-only Encoder, and a cursor Decoder whose first out-of-bounds
+// read latches an error, so a decode path reads every field and checks
+// once at the end.
 //
 // The Decoder checks every read against the bytes left, with no addition
 // that can wrap, so a length field of any width taken from untrusted bytes
-// is an error, never a panic or an allocation larger than the input. The
-// Bε-tree node image (betree/serialize.go), keys and the wal record header
-// keep their own fixed-layout code.
+// is an error, never a panic or an allocation larger than the input. A
+// count that bounds a loop is the caller's to check against Len, since
+// reads after a failure are no-ops that still cost a call each. The node
+// image's fixed header and directory slots (betree/serialize.go), keys and
+// the wal record header keep their own fixed-layout code.
 package codec
 
 import (

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 )
@@ -293,29 +294,33 @@ func (c *Client) reader(gen uint64, fr *FrameReader) {
 // per-class ordering guarantees key off (DESIGN.md §13.5).
 func (c *Client) Go(ctx context.Context, q *Request) *Call {
 	call := &Call{Req: q, done: make(chan *Call, 1)}
+	fail := func(err error) *Call {
+		call.Err = err
+		call.done <- call
+		return call
+	}
+	// A request no server would accept fails alone: nothing is written,
+	// so the stream stays usable.
+	if err := q.checkSize(); err != nil {
+		return fail(err)
+	}
 	c.mu.Lock()
 	dead := c.dead
 	c.mu.Unlock()
 	if dead != nil {
-		call.Err = dead
-		call.done <- call
-		return call
+		return fail(dead)
 	}
 	select {
 	case c.window <- struct{}{}:
 	case <-ctx.Done():
-		call.Err = ctx.Err()
-		call.done <- call
-		return call
+		return fail(ctx.Err())
 	}
 	c.mu.Lock()
 	if c.dead != nil {
 		err := c.dead
 		c.mu.Unlock()
 		<-c.window
-		call.Err = err
-		call.done <- call
-		return call
+		return fail(err)
 	}
 	if q.Seq == 0 && c.token != "" && q.Op.Mutating() {
 		c.seq++
@@ -452,12 +457,13 @@ func (c *Client) Create(path string) (handle uint64, attr Attr, err error) {
 	return r.Handle, r.Attr, nil
 }
 
+// sizeN is a transfer size as a request's N: a negative or oversized n
+// becomes one that checkSize refuses.
+func sizeN(n int) uint32 { return uint32(min(uint(n), math.MaxUint32)) }
+
 // Read reads up to n bytes at off from handle.
 func (c *Client) Read(handle uint64, off int64, n int) ([]byte, error) {
-	if n < 0 || n > MaxData {
-		return nil, fmt.Errorf("%w: read size %d out of range", ErrProto, n)
-	}
-	r, err := c.call(&Request{Op: OpRead, Handle: handle, Off: off, N: uint32(n)})
+	r, err := c.call(&Request{Op: OpRead, Handle: handle, Off: off, N: sizeN(n)})
 	if err != nil {
 		return nil, err
 	}
@@ -466,9 +472,6 @@ func (c *Client) Read(handle uint64, off int64, n int) ([]byte, error) {
 
 // Write writes data at off through handle, returning bytes written.
 func (c *Client) Write(handle uint64, off int64, data []byte) (int, error) {
-	if len(data) > MaxData {
-		return 0, fmt.Errorf("%w: write size %d exceeds MaxData", ErrProto, len(data))
-	}
 	r, err := c.call(&Request{Op: OpWrite, Handle: handle, Off: off, Data: data})
 	if err != nil {
 		return 0, err
@@ -537,10 +540,7 @@ func (c *Client) Bopen(share string) (handle uint64, size int64, err error) {
 
 // Bread reads n bytes at absolute device offset off from a block handle.
 func (c *Client) Bread(handle uint64, off int64, n int) ([]byte, error) {
-	if n < 0 || n > MaxData {
-		return nil, fmt.Errorf("%w: bread size %d out of range", ErrProto, n)
-	}
-	r, err := c.call(&Request{Op: OpBread, Handle: handle, Off: off, N: uint32(n)})
+	r, err := c.call(&Request{Op: OpBread, Handle: handle, Off: off, N: sizeN(n)})
 	if err != nil {
 		return nil, err
 	}
@@ -551,9 +551,6 @@ func (c *Client) Bread(handle uint64, off int64, n int) ([]byte, error) {
 // handle, returning bytes written. Idempotent: re-applying the same
 // BWRITE yields the same device state (§14).
 func (c *Client) Bwrite(handle uint64, off int64, data []byte) (int, error) {
-	if len(data) > MaxData {
-		return 0, fmt.Errorf("%w: bwrite size %d exceeds MaxData", ErrProto, len(data))
-	}
 	r, err := c.call(&Request{Op: OpBwrite, Handle: handle, Off: off, Data: data})
 	if err != nil {
 		return 0, err

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -420,5 +421,58 @@ func TestCloseRacesRedialLoop(t *testing.T) {
 	}
 	if _, err := cli.Getattr("x"); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("call after Close = %v, want ErrPoisoned", err)
+	}
+}
+
+// TestUnframeableRequestFailsAlone: a request no server accepts — a READ
+// or BREAD of more than MaxData bytes, a WRITE or BWRITE carrying more —
+// fails only its own call, with ErrProto, before it takes a window slot,
+// a sequence number or a tag. Nothing is written, so the next call on the
+// same transport succeeds, and a client with redial armed dials nothing.
+func TestUnframeableRequestFailsAlone(t *testing.T) {
+	serve := func(conn net.Conn) {
+		echoServe(conn)
+		conn.Close()
+	}
+	bad := []*Request{
+		{Op: OpBwrite, Handle: 1, Data: make([]byte, MaxData+1)},
+		{Op: OpWrite, Handle: 1, Data: make([]byte, MaxFrame)},
+		{Op: OpRead, Handle: 1, N: MaxData + 1},
+		{Op: OpBread, Handle: 1, N: 1<<32 - 1},
+	}
+	for _, redial := range []bool{false, true} {
+		cliEnd, srvEnd := net.Pipe()
+		go serve(srvEnd)
+		cli := NewClientOpts(cliEnd, Options{Window: 1})
+		var dials atomic.Int32
+		if redial {
+			err := cli.EnableRedial(func() (io.ReadWriteCloser, error) {
+				dials.Add(1)
+				ce, se := net.Pipe()
+				go serve(se)
+				return ce, nil
+			}, RedialPolicy{Sleep: func(time.Duration) {}})
+			if err != nil {
+				t.Fatalf("enable redial: %v", err)
+			}
+		}
+		for _, q := range bad {
+			call := wait(t, cli.Go(context.Background(), q))
+			if !errors.Is(call.Err, ErrProto) || errors.Is(call.Err, ErrPoisoned) {
+				t.Fatalf("redial %v: %s of %d/%d bytes: %v, want ErrProto alone", redial, q.Op, len(q.Data), q.N, call.Err)
+			}
+			if q.Tag != 0 || q.Seq != 0 {
+				t.Fatalf("redial %v: refused %s took tag %d, seq %d", redial, q.Op, q.Tag, q.Seq)
+			}
+			// The window holds one call: a slot the refused call kept
+			// would block this one.
+			if _, err := cli.Getattr("x"); err != nil {
+				t.Fatalf("redial %v: call after a refused %s: %v", redial, q.Op, err)
+			}
+		}
+		if n := dials.Load(); n != 0 {
+			t.Fatalf("redial %v: %d dials", redial, n)
+		}
+		cli.Close()
 	}
 }

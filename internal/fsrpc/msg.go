@@ -173,16 +173,10 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		q.Handle = d.U64()
 		q.Off = d.I64()
 		q.N = d.U32()
-		if q.N > MaxData {
-			return nil, fmt.Errorf("%w: %v of %d bytes exceeds MaxData %d", ErrProto, q.Op, q.N, MaxData)
-		}
 	case OpWrite, OpBwrite:
 		q.Handle = d.U64()
 		q.Off = d.I64()
 		q.Data = getBytes(&d)
-		if len(q.Data) > MaxData {
-			return nil, fmt.Errorf("%w: %v of %d bytes exceeds MaxData %d", ErrProto, q.Op, len(q.Data), MaxData)
-		}
 		if q.Op == OpWrite {
 			q.Seq = d.U64()
 		}
@@ -198,10 +192,30 @@ func DecodeRequest(payload []byte) (*Request, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown op %d", ErrProto, uint8(q.Op))
 	}
+	if err := q.checkSize(); err != nil {
+		return nil, err
+	}
 	if err := done(&d); err != nil {
 		return nil, err
 	}
 	return q, nil
+}
+
+// checkSize refuses a READ or BREAD of more than MaxData bytes and a WRITE
+// or BWRITE carrying more, with ErrProto. A server refuses such a request
+// on arrival; a client refuses it before sending, failing only that call.
+func (q *Request) checkSize() error {
+	n := 0
+	switch q.Op {
+	case OpRead, OpBread:
+		n = int(q.N)
+	case OpWrite, OpBwrite:
+		n = len(q.Data)
+	}
+	if n > MaxData {
+		return fmt.Errorf("%w: %v of %d bytes exceeds MaxData %d", ErrProto, q.Op, n, MaxData)
+	}
+	return nil
 }
 
 // Reply is one decoded server reply. Body fields are meaningful only when

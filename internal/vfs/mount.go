@@ -18,14 +18,6 @@ import (
 type Config struct {
 	// CacheBytes bounds the page cache.
 	CacheBytes int64
-	// DirtyRatio is the fraction of CacheBytes at which writers are
-	// throttled into write-back (vm.dirty_ratio).
-	DirtyRatio float64
-	// DirtyExpire is how long a page or inode may stay dirty before
-	// background write-back picks it up (dirty_expire_centisecs).
-	DirtyExpire time.Duration
-	// MaintainInterval is how often operation paths run background work.
-	MaintainInterval time.Duration
 	// Concurrent serializes every public Mount and File entry point
 	// behind one mount-wide lock so multiple client goroutines can share
 	// a mount (the betrbench -clients mode). The default (false) takes
@@ -38,13 +30,20 @@ type Config struct {
 
 // DefaultConfig returns the standard VFS configuration.
 func DefaultConfig() Config {
-	return Config{
-		CacheBytes:       1 << 30,
-		DirtyRatio:       0.20,
-		DirtyExpire:      30 * time.Second,
-		MaintainInterval: time.Second,
-	}
+	return Config{CacheBytes: 1 << 30}
 }
+
+// Write-back timing; the ratio and the expiry are Linux's defaults.
+const (
+	// dirtyRatio is the fraction of CacheBytes at which writers are
+	// throttled into write-back (vm.dirty_ratio).
+	dirtyRatio = 0.20
+	// dirtyExpire is how long a page or inode may stay dirty before
+	// background write-back picks it up (dirty_expire_centisecs).
+	dirtyExpire = 30 * time.Second
+	// maintainInterval is how often operation paths run background work.
+	maintainInterval = time.Second
+)
 
 // readAheadMaxPages bounds the sequential read-ahead window.
 const readAheadMaxPages = 64

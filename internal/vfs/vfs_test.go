@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"betrfs/internal/metrics/metricstest"
 	"betrfs/internal/sim"
@@ -227,10 +226,7 @@ func TestWritebackCoalescesRuns(t *testing.T) {
 }
 
 func TestDirtyWatermarkThrottlesWriters(t *testing.T) {
-	_, fs, m := newTestMount(t, func(c *Config) {
-		c.CacheBytes = 1 << 20
-		c.DirtyRatio = 0.25 // 256KiB watermark
-	})
+	_, fs, m := newTestMount(t, func(c *Config) { c.CacheBytes = 1 << 20 }) // a 205 KiB watermark
 	f, _ := m.Create("f")
 	f.Write(make([]byte, 2<<20)) // far beyond the watermark
 	if fs.blocksWritten == 0 {
@@ -288,17 +284,14 @@ func TestRMWFallback(t *testing.T) {
 }
 
 func TestInodeWritebackOnExpiry(t *testing.T) {
-	env, fs, m := newTestMount(t, func(c *Config) {
-		c.DirtyExpire = 10 * time.Second
-		c.MaintainInterval = time.Second
-	})
+	env, fs, m := newTestMount(t, nil)
 	f, _ := m.Create("f")
 	f.Write([]byte("x"))
 	f.Close()
 	if fs.attrWrites != 0 {
 		t.Fatal("inode written back too eagerly")
 	}
-	env.Charge(30 * time.Second)
+	env.Charge(dirtyExpire + maintainInterval)
 	m.Stat("f") // any op triggers maintain
 	if fs.attrWrites == 0 {
 		t.Fatal("expired dirty inode never written back")
@@ -514,10 +507,10 @@ func TestPageOutsideMount(t *testing.T) {
 // cache: on a warm mount, a full-page write, its write-back and the
 // eviction it causes reuse frames from the free list instead of allocating.
 func TestWriteEvictCycleAllocatesNoFrame(t *testing.T) {
-	_, fs, m := newTestMount(t, func(c *Config) {
-		c.CacheBytes = 4 * PageSize
-		c.MaintainInterval = time.Duration(1 << 62)
-	})
+	_, fs, m := newTestMount(t, func(c *Config) { c.CacheBytes = 4 * PageSize })
+	// No background work in the measured cycle: maintain runs only once
+	// maintainInterval has passed since this.
+	m.lastMaintain = 1 << 62
 	f, _ := m.Create("f")
 	page := bytes.Repeat([]byte{5}, PageSize)
 	blk := 0

@@ -3,7 +3,7 @@ package vfs
 import "sort"
 
 // Page-cache accounting and write-back: dirty pages age out after
-// DirtyExpire or are flushed when writers cross the dirty watermark
+// dirtyExpire or are flushed when writers cross the dirty watermark
 // (balance_dirty_pages); clean pages are evicted LRU under memory
 // pressure. Dirty inodes are written back alongside their pages, which is
 // when BetrFS's conditional logging finally inserts deferred inode-create
@@ -205,7 +205,7 @@ func (m *Mount) writebackInodeAttr(ino *inode) {
 // dirty pages are written back until the count drops to half the
 // watermark.
 func (m *Mount) balanceDirty() {
-	high := int64(float64(m.cfg.CacheBytes) * m.cfg.DirtyRatio)
+	high := int64(float64(m.cfg.CacheBytes) * dirtyRatio)
 	if m.dirtyBytes <= high {
 		return
 	}
@@ -232,20 +232,20 @@ func (m *Mount) evictClean() {
 // tick (checkpoint timers, segment cleaning, txg commits).
 func (m *Mount) maintain() {
 	now := m.env.Now()
-	if now-m.lastMaintain < m.cfg.MaintainInterval {
+	if now-m.lastMaintain < maintainInterval {
 		return
 	}
 	m.lastMaintain = now
 	// Expired dirty pages (dirty_expire_centisecs): the dirty list is in
 	// dirtying order, so flush from the front while pages are past due.
 	for pg := m.dirty.front; pg != nil; pg = m.dirty.front {
-		if now-pg.dirtiedAt < m.cfg.DirtyExpire {
+		if now-pg.dirtiedAt < dirtyExpire {
 			break
 		}
 		m.writebackPage(pg, false)
 	}
 	for _, ino := range m.sortedDirtyInodes() {
-		if now-m.dirtyInodes[ino] >= m.cfg.DirtyExpire {
+		if now-m.dirtyInodes[ino] >= dirtyExpire {
 			m.writebackInodePages(ino, false)
 			m.writebackInodeAttr(ino)
 		}
