@@ -127,10 +127,12 @@ servebench:
 # the seeded multi-client torture sweep (mid-frame connection cuts vs a
 # fault-free oracle, byte-for-byte) and the exactly-once replay tests
 # (DRC hits over re-execution, handle survival, typed lease expiry,
-# bounded redial give-up, PING keepalive) — all only meaningful under
-# the race detector.
+# bounded redial give-up, PING keepalive), and the recycled-call tests
+# (the client's call pool across poison, Reset, redial with replay and
+# CallTimeout expiry) — all only meaningful under the race detector, and
+# run at one, two and eight cores so that the pool is shared across Ps.
 netfaults:
-	$(GO) test -race -count=1 ./internal/nettest/
+	$(GO) test -race -count=1 -cpu 1,2,8 ./internal/nettest/
 
 # FTL aging rung (DESIGN.md §12; its discard, FTL and pinned
 # write-amplification tests are in `race`): a fast two-system aging run

@@ -41,8 +41,9 @@ func section13(t *testing.T) string {
 // TestWireSpecMatchesCode diffs the DESIGN.md §13 protocol specification
 // against the implementation in both directions: every opcode-table row
 // must name a real op with the right code and mnemonic, every op the code
-// defines must have a row, the §13.3 status values must match, and the
-// §13.7 metric table must agree with the live registry (kind included).
+// defines must have a row, the §13.3 status list must name every code the
+// code defines and no other, and the §13.7 metric table must agree with the
+// live registry (kind included).
 func TestWireSpecMatchesCode(t *testing.T) {
 	spec := section13(t)
 
@@ -85,10 +86,18 @@ func TestWireSpecMatchesCode(t *testing.T) {
 	if len(statuses) < 14 {
 		t.Errorf("§13.3 lists %d status codes, want >= 14", len(statuses))
 	}
+	documentedStatuses := map[fsrpc.Status]bool{}
 	for _, s := range statuses {
 		code, _ := strconv.Atoi(s[1])
+		documentedStatuses[fsrpc.Status(code)] = true
 		if got := fsrpc.Status(code).String(); got != s[2] {
 			t.Errorf("§13.3: status %d is %s in code, %s in the spec", code, got, s[2])
+		}
+	}
+	// Codes are dense from 0; String names an undefined one "status<n>".
+	for s := fsrpc.StatusOK; !strings.HasPrefix(s.String(), "status"); s++ {
+		if !documentedStatuses[s] {
+			t.Errorf("status %d (%s) is missing from the §13.3 list", uint8(s), s)
 		}
 	}
 

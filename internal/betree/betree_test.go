@@ -2,6 +2,7 @@ package betree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/bits"
 	"testing"
@@ -534,5 +535,53 @@ func TestWriteOptimization(t *testing.T) {
 	if betreeTime*2 > rawTime {
 		t.Fatalf("Bε-tree random inserts (%v) not much faster than raw random writes (%v)",
 			betreeTime, rawTime)
+	}
+}
+
+// TestOverlongKeyIsRefused: a key longer than its 16-bit encoded length
+// holds is refused before anything reaches the log or the tree, by every
+// mutator. Stored, it would be cut in the node image, and the node that
+// held it would fail its checksum on the next read.
+func TestOverlongKeyIsRefused(t *testing.T) {
+	env, s := testStore(t, nil)
+	tr := s.Meta()
+	if err := tr.Put([]byte("a"), []byte("1"), LogAuto); err != nil {
+		t.Fatal(err)
+	}
+	long := bytes.Repeat([]byte("k"), MaxKeyLen+1)
+	logged := env.Metrics.Counter("wal.append.count").Load()
+	if logged == 0 {
+		t.Fatal("wal.append.count did not count the first put")
+	}
+	for what, err := range map[string]error{
+		"put":          tr.Put(long, []byte("v"), LogAuto),
+		"update":       tr.Update(long, 0, []byte("v"), LogAuto),
+		"delete":       tr.Delete(long, LogAuto),
+		"delete range": tr.DeleteRange([]byte("a"), long, LogAuto),
+		"log insert": func() error {
+			_, err := tr.LogInsertOnly(long, []byte("v"))
+			return err
+		}(),
+	} {
+		if !errors.Is(err, ErrKeyTooLong) {
+			t.Errorf("%s of a %d-byte key: %v, want ErrKeyTooLong", what, len(long), err)
+		}
+	}
+	if n := env.Metrics.Counter("wal.append.count").Load(); n != logged {
+		t.Errorf("refused keys appended %d log records", n-logged)
+	}
+	if err := tr.Put(long[:MaxKeyLen], []byte("v"), LogAuto); err != nil {
+		t.Fatalf("put of a %d-byte key: %v", MaxKeyLen, err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DropCleanCaches(); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range [][]byte{[]byte("a"), long[:MaxKeyLen]} {
+		if _, ok, err := tr.Get(key); !ok || err != nil {
+			t.Fatalf("get of a %d-byte key after sync and drop: %v, %v", len(key), ok, err)
+		}
 	}
 }

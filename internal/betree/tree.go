@@ -1,6 +1,7 @@
 package betree
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -209,6 +210,24 @@ const (
 	LogNone
 )
 
+// MaxKeyLen is the longest key the tree stores: the node image and the
+// redo log carry a key's length in 16 bits.
+const MaxKeyLen = 0xffff
+
+// ErrKeyTooLong refuses a key longer than MaxKeyLen, before anything is
+// logged: a key cut to its encoded length would make the node that holds
+// it, and with it every key under that node, unreadable.
+var ErrKeyTooLong = errors.New("betree: key too long")
+
+// checkKeys refuses a message whose key or end key is longer than
+// MaxKeyLen.
+func checkKeys(m *Msg) error {
+	if n := max(len(m.Key), len(m.EndKey)); n > MaxKeyLen {
+		return fmt.Errorf("%w: %d bytes, at most %d", ErrKeyTooLong, n, MaxKeyLen)
+	}
+	return nil
+}
+
 // Put inserts or replaces key with an inline value. Like every mutator it
 // returns an error when the device fails mid-operation (wrapping ErrIO,
 // ErrNoSpace, or ErrChecksum); the logged record, if any, keeps the
@@ -225,6 +244,10 @@ func (t *Tree) Put(key, val []byte, d Durability) (err error) {
 // reproducing the v0.4 copy-on-ingest behaviour.
 func (t *Tree) PutRef(key []byte, ref PageRef, d Durability) (err error) {
 	defer ioerr.Guard(&err)
+	if err := checkKeys(&Msg{Key: key}); err != nil {
+		ref.Release()
+		return err
+	}
 	var v Value
 	if t.store.cfg.PageSharing {
 		v = RefValue(ref)
@@ -271,6 +294,7 @@ func (t *Tree) DeleteRange(lo, hi []byte, d Durability) (err error) {
 // order all agree (otherwise a later-MSN message could reach a leaf first
 // and its maxApplied watermark would silently swallow the earlier one).
 func (t *Tree) logAndInsert(m *Msg, d Durability) {
+	ioerr.Check(checkKeys(m))
 	s := t.store
 	if s.concurrent {
 		s.writerMu.Lock()
@@ -1078,5 +1102,6 @@ func (t *Tree) LogInsertOnly(key, val []byte) (lsn uint64, err error) {
 		defer s.writerMu.Unlock()
 	}
 	m := &Msg{Type: MsgInsert, Key: key, Val: InlineValue(val)}
+	ioerr.Check(checkKeys(m))
 	return s.logOp(t, m, true), nil
 }

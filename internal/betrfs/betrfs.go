@@ -101,6 +101,13 @@ type FS struct {
 	// logging since the last checkpoint; their fsync must checkpoint.
 	unloggedData map[string]bool
 
+	// ReadDir's scratch, reused from listing to listing: the entries, and
+	// the child paths of those found in the tree, back to back, with where
+	// each one ends.
+	listing      []vfs.DirEntry
+	listingPaths []byte
+	listingEnds  []int
+
 	m fsMetrics
 }
 
@@ -151,7 +158,8 @@ func resolveFSMetrics(reg *metrics.Registry) fsMetrics {
 // that directory holds, not what the whole mount has deferred.
 type deferredCreate struct {
 	path         string
-	parent, name string // path split once, when the create is deferred
+	handle       vfs.Handle // path, boxed once for every lookup and listing
+	parent, name string     // path split once, when the create is deferred
 	attr         vfs.Attr
 	unpin        func()
 	created      createLink // FS.created
@@ -326,7 +334,7 @@ func (fs *FS) Root() vfs.Handle { return "" }
 func (fs *FS) Lookup(parent vfs.Handle, name string) (vfs.Handle, vfs.Attr, error) {
 	path := keys.Join(parent.(string), name)
 	if dc, ok := fs.pending[path]; ok {
-		return path, dc.attr, nil
+		return dc.handle, dc.attr, nil
 	}
 	fs.m.metaQuery.Inc()
 	v, ok, err := fs.store.Meta().Get(keys.MetaKey(path))
@@ -351,6 +359,7 @@ func (fs *FS) Create(parent vfs.Handle, name string, dir bool) (vfs.Handle, vfs.
 		return nil, vfs.Attr{}, err
 	}
 	path := keys.Join(parent.(string), name)
+	h := vfs.Handle(path)
 	fs.m.create.Inc()
 	attr := vfs.Attr{Dir: dir, Nlink: 1, Mtime: fs.env.Now()}
 	if dir {
@@ -361,7 +370,7 @@ func (fs *FS) Create(parent vfs.Handle, name string, dir bool) (vfs.Handle, vfs.
 		if err != nil {
 			return nil, vfs.Attr{}, err
 		}
-		fs.deferCreate(&deferredCreate{path: path, attr: attr, unpin: fs.store.Log().Pin(lsn)})
+		fs.deferCreate(&deferredCreate{path: path, handle: h, attr: attr, unpin: fs.store.Log().Pin(lsn)})
 		fs.m.createDeferred.Inc()
 		fs.env.Trace("betrfs", "create.deferred", path, 0)
 	} else {
@@ -379,7 +388,7 @@ func (fs *FS) Create(parent vfs.Handle, name string, dir bool) (vfs.Handle, vfs.
 		}
 	}
 	fs.maybeCheckpoint()
-	return path, attr, nil
+	return h, attr, nil
 }
 
 // Remove unlinks a file (single range delete over its blocks plus a point
@@ -602,26 +611,37 @@ func (fs *FS) ReadDir(h vfs.Handle) ([]vfs.DirEntry, error) {
 	path := h.(string)
 	dirKey := keys.Encode(path)
 	lo, hi := keys.SubtreeRange(path)
-	var out []vfs.DirEntry
+	// A direct child's key is dirKey, Sep and its name, so its path is
+	// path, '/' and the name. The paths are built back to back and copied
+	// into one string once the scan is over: every handle is a substring
+	// of it, and every name a substring of its handle.
+	prefix := len(path) + 1
+	if path == "" {
+		prefix = 0
+	}
+	ents, paths, ends := fs.listing[:0], fs.listingPaths[:0], fs.listingEnds[:0]
 	var attrErr error
 	if err := fs.store.Meta().Scan(lo, hi, func(k, v []byte) bool {
 		if !keys.IsDirectChild(dirKey, k) {
 			return true
 		}
-		childPath := keys.Decode(k)
-		_, name := keys.ParentAndName(childPath)
 		attr, err := decodeAttr(v)
 		if err != nil {
-			attrErr = fmt.Errorf("%s: %w", childPath, err)
+			attrErr = fmt.Errorf("%s: %w", keys.Decode(k), err)
 			return false
 		}
-		e := vfs.DirEntry{Name: name, Dir: attr.Dir}
+		paths = append(paths, path...)
+		if prefix > 0 {
+			paths = append(paths, '/')
+		}
+		paths = append(paths, k[prefix:]...)
+		ends = append(ends, len(paths))
+		e := vfs.DirEntry{Dir: attr.Dir}
 		if fs.cfg.ReaddirInstantiates {
-			e.Handle = childPath
 			e.Attr = attr
 			e.Known = true
 		}
-		out = append(out, e)
+		ents = append(ents, e)
 		return true
 	}); err != nil {
 		return nil, err
@@ -629,17 +649,30 @@ func (fs *FS) ReadDir(h vfs.Handle) ([]vfs.DirEntry, error) {
 	if attrErr != nil {
 		return nil, attrErr
 	}
+	all := string(paths)
+	start := 0
+	for i, end := range ends {
+		child := all[start:end]
+		ents[i].Name = child[prefix:]
+		if ents[i].Known {
+			ents[i].Handle = child
+		}
+		start = end
+	}
 	// Merge the directory's deferred creates that have not reached the
 	// tree yet, in creation order.
 	for dc := fs.dirs[path].oldest; dc != nil; dc = dc.sibling.next {
 		e := vfs.DirEntry{Name: dc.name, Dir: dc.attr.Dir}
 		if fs.cfg.ReaddirInstantiates {
-			e.Handle = dc.path
+			e.Handle = dc.handle
 			e.Attr = dc.attr
 			e.Known = true
 		}
-		out = append(out, e)
+		ents = append(ents, e)
 	}
+	out := append([]vfs.DirEntry(nil), ents...)
+	clear(ents)
+	fs.listing, fs.listingPaths, fs.listingEnds = ents, paths, ends
 	// A full listing initializes the coherent child count (RG).
 	if fs.cfg.NlinkChecks {
 		fs.nlink[path] = len(out)

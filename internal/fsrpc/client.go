@@ -29,13 +29,24 @@ const DefaultWindow = 32
 
 // Call is one in-flight request issued with Go. When the call completes
 // (reply received, transport poisoned, or Reset), Reply/Err are set and
-// the call is delivered on its done channel exactly once.
+// the call is delivered on its done channel exactly once. The caller of Go
+// or Do owns the Call and what it points to; the client keeps no reference
+// once the call is delivered.
 type Call struct {
 	Req   *Request
 	Reply *Reply // nil on transport errors
 	Err   error  // nil on success; Status.Err() on status errors
 	done  chan *Call
+
+	req Request // a synchronous call's request; Req points here
+	rep Reply   // the decoded reply; Reply points here once it arrives
 }
+
+// callPool recycles the synchronous methods' calls, each with its done
+// channel, request and reply, so a served call allocates none of them.
+// A call goes back only after its delivery, when no client table (pending,
+// replay) holds it any more; an abandoned call is left to the collector.
+var callPool = sync.Pool{New: func() any { return &Call{done: make(chan *Call, 1)} }}
 
 // Done returns the completion channel; the call itself is sent on it
 // exactly once, after Reply and Err are set.
@@ -242,15 +253,19 @@ func (c *Client) poison(gen uint64, err error) {
 // reader is the dispatch loop for one transport generation: it reads
 // reply frames through the transport's frame reader and completes the
 // matching in-flight call, in whatever order the server pipelines them.
+//
+// Each reply is decoded into one Reply the loop owns and then copied into
+// the call it matches: a reply decoded straight into its call would be
+// written while the call still sits in the pending table.
 func (c *Client) reader(gen uint64, fr *FrameReader) {
+	var r Reply
 	for {
 		payload, err := fr.Next()
 		if err != nil {
 			c.poison(gen, fmt.Errorf("%w: recv: %w", ErrPoisoned, err))
 			return
 		}
-		r, err := DecodeReply(payload)
-		if err != nil {
+		if err := r.Decode(payload); err != nil {
 			c.poison(gen, fmt.Errorf("%w: %w", ErrPoisoned, err))
 			return
 		}
@@ -275,7 +290,8 @@ func (c *Client) reader(gen uint64, fr *FrameReader) {
 		}
 		delete(c.pending, r.Tag)
 		c.mu.Unlock()
-		call.Reply = r
+		call.rep = r
+		call.Reply = &call.rep
 		if r.Status != StatusOK {
 			call.Err = r.Status.Err()
 		}
@@ -294,33 +310,44 @@ func (c *Client) reader(gen uint64, fr *FrameReader) {
 // per-class ordering guarantees key off (DESIGN.md §13.5).
 func (c *Client) Go(ctx context.Context, q *Request) *Call {
 	call := &Call{Req: q, done: make(chan *Call, 1)}
-	fail := func(err error) *Call {
+	c.start(ctx, call)
+	return call
+}
+
+// start issues call.Req as Go describes; the call is delivered on its done
+// channel.
+func (c *Client) start(ctx context.Context, call *Call) {
+	q := call.Req
+	fail := func(err error) {
 		call.Err = err
 		call.done <- call
-		return call
 	}
 	// A request no server would accept fails alone: nothing is written,
 	// so the stream stays usable.
 	if err := q.checkSize(); err != nil {
-		return fail(err)
+		fail(err)
+		return
 	}
 	c.mu.Lock()
 	dead := c.dead
 	c.mu.Unlock()
 	if dead != nil {
-		return fail(dead)
+		fail(dead)
+		return
 	}
 	select {
 	case c.window <- struct{}{}:
 	case <-ctx.Done():
-		return fail(ctx.Err())
+		fail(ctx.Err())
+		return
 	}
 	c.mu.Lock()
 	if c.dead != nil {
 		err := c.dead
 		c.mu.Unlock()
 		<-c.window
-		return fail(err)
+		fail(err)
+		return
 	}
 	if q.Seq == 0 && c.token != "" && q.Op.Mutating() {
 		c.seq++
@@ -332,7 +359,7 @@ func (c *Client) Go(ctx context.Context, q *Request) *Call {
 		// after the fate-unknown calls when the session resumes.
 		c.replay = append(c.replay, call)
 		c.mu.Unlock()
-		return call
+		return
 	}
 	c.tag++
 	q.Tag = c.tag
@@ -347,7 +374,6 @@ func (c *Client) Go(ctx context.Context, q *Request) *Call {
 	if err != nil {
 		c.poison(gen, fmt.Errorf("%w: send: %w", ErrPoisoned, err))
 	}
-	return call
 }
 
 // sendLocked writes q to rw as one frame in one Write, encoded in the
@@ -396,65 +422,82 @@ func (c *Client) abandon(call *Call) bool {
 // same fate-unknown caveat as a poisoned call (DESIGN.md §13.6).
 func (c *Client) Do(ctx context.Context, q *Request) (*Reply, error) {
 	call := c.Go(ctx, q)
+	c.await(ctx, call)
+	return call.Reply, call.Err
+}
+
+// await waits for call's delivery under ctx. On ctx expiry the call is
+// abandoned with ctx's error, and await reports true: the call then sits in
+// no client table, but its reply may still arrive and be discarded.
+func (c *Client) await(ctx context.Context, call *Call) (abandoned bool) {
 	select {
 	case <-call.done:
-		return call.Reply, call.Err
+		return false
 	case <-ctx.Done():
 		if c.abandon(call) {
 			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 				c.m.deadlineExpired.Inc()
 			}
-			return nil, ctx.Err()
+			call.Err = ctx.Err()
+			return true
 		}
 		<-call.done // completion raced the context; prefer the result
-		return call.Reply, call.Err
+		return false
 	}
 }
 
 // call is the synchronous form every convenience method uses, bounded by
-// Options.CallTimeout when one is configured.
-func (c *Client) call(q *Request) (*Reply, error) {
+// Options.CallTimeout when one is configured. It runs q on a recycled Call
+// and returns a copy of the reply, the zero Reply with any error; what the
+// copy points to (READ data, READDIR entries) is the caller's.
+func (c *Client) call(q Request) (Reply, error) {
+	call := callPool.Get().(*Call)
+	call.req = q
+	call.Req = &call.req
+	ctx := context.Background()
 	if t := c.opts.CallTimeout; t > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), t)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
-		return c.Do(ctx, q)
 	}
-	call := c.Go(context.Background(), q)
-	<-call.done
-	return call.Reply, call.Err
+	c.start(ctx, call)
+	if c.await(ctx, call) {
+		return Reply{}, call.Err
+	}
+	r, err := call.rep, call.Err
+	if len(call.done) != 0 {
+		panic("fsrpc: call delivered twice")
+	}
+	*call = Call{done: call.done}
+	callPool.Put(call)
+	if err != nil {
+		return Reply{}, err
+	}
+	return r, nil
 }
 
 // Lookup resolves path. When open is true and the target is a regular
 // file, the server opens it in this session and returns the handle.
 func (c *Client) Lookup(path string, open bool) (handle uint64, attr Attr, err error) {
-	q := &Request{Op: OpLookup, Path: path}
+	q := Request{Op: OpLookup, Path: path}
 	if open {
 		q.Flags = LookupOpen
 	}
 	r, err := c.call(q)
-	if err != nil {
-		return 0, Attr{}, err
-	}
-	return r.Handle, r.Attr, nil
+	return r.Handle, r.Attr, err
 }
 
 // Getattr stats path.
 func (c *Client) Getattr(path string) (Attr, error) {
-	r, err := c.call(&Request{Op: OpGetattr, Path: path})
-	if err != nil {
-		return Attr{}, err
-	}
-	return r.Attr, nil
+	r, err := c.call(Request{Op: OpGetattr, Path: path})
+	return r.Attr, err
 }
 
 // Create creates (or truncates) a file and opens it, returning the
 // session handle and initial attributes.
 func (c *Client) Create(path string) (handle uint64, attr Attr, err error) {
-	r, err := c.call(&Request{Op: OpCreate, Path: path})
-	if err != nil {
-		return 0, Attr{}, err
-	}
-	return r.Handle, r.Attr, nil
+	r, err := c.call(Request{Op: OpCreate, Path: path})
+	return r.Handle, r.Attr, err
 }
 
 // sizeN is a transfer size as a request's N: a negative or oversized n
@@ -463,111 +506,90 @@ func sizeN(n int) uint32 { return uint32(min(uint(n), math.MaxUint32)) }
 
 // Read reads up to n bytes at off from handle.
 func (c *Client) Read(handle uint64, off int64, n int) ([]byte, error) {
-	r, err := c.call(&Request{Op: OpRead, Handle: handle, Off: off, N: sizeN(n)})
-	if err != nil {
-		return nil, err
-	}
-	return r.Data, nil
+	r, err := c.call(Request{Op: OpRead, Handle: handle, Off: off, N: sizeN(n)})
+	return r.Data, err
 }
 
 // Write writes data at off through handle, returning bytes written.
 func (c *Client) Write(handle uint64, off int64, data []byte) (int, error) {
-	r, err := c.call(&Request{Op: OpWrite, Handle: handle, Off: off, Data: data})
-	if err != nil {
-		return 0, err
-	}
-	return int(r.N), nil
+	r, err := c.call(Request{Op: OpWrite, Handle: handle, Off: off, Data: data})
+	return int(r.N), err
 }
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(path string) error {
-	_, err := c.call(&Request{Op: OpMkdir, Path: path})
+	_, err := c.call(Request{Op: OpMkdir, Path: path})
 	return err
 }
 
 // Unlink removes a file.
 func (c *Client) Unlink(path string) error {
-	_, err := c.call(&Request{Op: OpUnlink, Path: path})
+	_, err := c.call(Request{Op: OpUnlink, Path: path})
 	return err
 }
 
 // Rmdir removes an empty directory.
 func (c *Client) Rmdir(path string) error {
-	_, err := c.call(&Request{Op: OpRmdir, Path: path})
+	_, err := c.call(Request{Op: OpRmdir, Path: path})
 	return err
 }
 
 // Rename moves oldPath to newPath.
 func (c *Client) Rename(oldPath, newPath string) error {
-	_, err := c.call(&Request{Op: OpRename, Path: oldPath, Path2: newPath})
+	_, err := c.call(Request{Op: OpRename, Path: oldPath, Path2: newPath})
 	return err
 }
 
-// Readdir lists a directory.
+// Readdir lists a directory. The names share one string.
 func (c *Client) Readdir(path string) ([]DirEnt, error) {
-	r, err := c.call(&Request{Op: OpReaddir, Path: path})
-	if err != nil {
-		return nil, err
-	}
-	return r.Entries, nil
+	r, err := c.call(Request{Op: OpReaddir, Path: path})
+	return r.Entries, err
 }
 
 // Fsync makes handle's data and metadata durable.
 func (c *Client) Fsync(handle uint64) error {
-	_, err := c.call(&Request{Op: OpFsync, Handle: handle})
+	_, err := c.call(Request{Op: OpFsync, Handle: handle})
 	return err
 }
 
 // Statfs returns service-level file-system information.
 func (c *Client) Statfs() (Statfs, error) {
-	r, err := c.call(&Request{Op: OpStatfs})
-	if err != nil {
-		return Statfs{}, err
-	}
-	return r.Statfs, nil
+	r, err := c.call(Request{Op: OpStatfs})
+	return r.Statfs, err
 }
 
 // Bopen opens the named block share on the server's registry (DESIGN.md
 // §14), returning the session-scoped block handle and the share's
 // capacity in bytes. Block handles do not survive a session resume.
 func (c *Client) Bopen(share string) (handle uint64, size int64, err error) {
-	r, err := c.call(&Request{Op: OpBopen, Path: share})
-	if err != nil {
-		return 0, 0, err
-	}
-	return r.Handle, r.Size, nil
+	r, err := c.call(Request{Op: OpBopen, Path: share})
+	return r.Handle, r.Size, err
 }
 
 // Bread reads n bytes at absolute device offset off from a block handle.
 func (c *Client) Bread(handle uint64, off int64, n int) ([]byte, error) {
-	r, err := c.call(&Request{Op: OpBread, Handle: handle, Off: off, N: sizeN(n)})
-	if err != nil {
-		return nil, err
-	}
-	return r.Data, nil
+	r, err := c.call(Request{Op: OpBread, Handle: handle, Off: off, N: sizeN(n)})
+	return r.Data, err
 }
 
 // Bwrite writes data at absolute device offset off through a block
 // handle, returning bytes written. Idempotent: re-applying the same
 // BWRITE yields the same device state (§14).
 func (c *Client) Bwrite(handle uint64, off int64, data []byte) (int, error) {
-	r, err := c.call(&Request{Op: OpBwrite, Handle: handle, Off: off, Data: data})
-	if err != nil {
-		return 0, err
-	}
-	return int(r.N), nil
+	r, err := c.call(Request{Op: OpBwrite, Handle: handle, Off: off, Data: data})
+	return int(r.N), err
 }
 
 // Bflush drains the block share's queue and volatile write cache.
 func (c *Client) Bflush(handle uint64) error {
-	_, err := c.call(&Request{Op: OpBflush, Handle: handle})
+	_, err := c.call(Request{Op: OpBflush, Handle: handle})
 	return err
 }
 
 // Bdiscard forwards a TRIM hint for [off, off+length) through a block
 // handle.
 func (c *Client) Bdiscard(handle uint64, off, length int64) error {
-	_, err := c.call(&Request{Op: OpBdiscard, Handle: handle, Off: off, Len: length})
+	_, err := c.call(Request{Op: OpBdiscard, Handle: handle, Off: off, Len: length})
 	return err
 }
 
@@ -575,16 +597,13 @@ func (c *Client) Bdiscard(handle uint64, off, length int64) error {
 // on the server's registry (§14). Handles opened before the attach keep
 // working against the files they already name.
 func (c *Client) Attach(share string) error {
-	_, err := c.call(&Request{Op: OpAttach, Path: share})
+	_, err := c.call(Request{Op: OpAttach, Path: share})
 	return err
 }
 
 // Shares lists the server registry's shares: mount shares as directory
 // entries (Dir true), block shares as file entries (Dir false).
 func (c *Client) Shares() ([]DirEnt, error) {
-	r, err := c.call(&Request{Op: OpShares})
-	if err != nil {
-		return nil, err
-	}
-	return r.Entries, nil
+	r, err := c.call(Request{Op: OpShares})
+	return r.Entries, err
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -470,6 +471,62 @@ func TestUnframeableRequestFailsAlone(t *testing.T) {
 				t.Fatalf("redial %v: call after a refused %s: %v", redial, q.Op, err)
 			}
 		}
+		if n := dials.Load(); n != 0 {
+			t.Fatalf("redial %v: %d dials", redial, n)
+		}
+		cli.Close()
+	}
+}
+
+// TestOverlongStringFailsAlone: a path, second path or token longer than a
+// wire string holds is refused like an oversized transfer, instead of
+// being cut to its first 65 535 bytes and acting on another name. An
+// UNLINK of a 70 002-byte path fails with ErrProto alone, through Go and
+// through Unlink, with and without redial, and the next call works with
+// zero dials.
+func TestOverlongStringFailsAlone(t *testing.T) {
+	long := strings.Repeat("a/", 35000) + "zz"
+	serve := func(conn net.Conn) {
+		echoServe(conn)
+		conn.Close()
+	}
+	for _, redial := range []bool{false, true} {
+		cliEnd, srvEnd := net.Pipe()
+		go serve(srvEnd)
+		cli := NewClientOpts(cliEnd, Options{Window: 1})
+		var dials atomic.Int32
+		if redial {
+			err := cli.EnableRedial(func() (io.ReadWriteCloser, error) {
+				dials.Add(1)
+				ce, se := net.Pipe()
+				go serve(se)
+				return ce, nil
+			}, RedialPolicy{Sleep: func(time.Duration) {}})
+			if err != nil {
+				t.Fatalf("enable redial: %v", err)
+			}
+		}
+		refused := func(how string, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrProto) || errors.Is(err, ErrPoisoned) {
+				t.Fatalf("redial %v: %s of a %d-byte path: %v, want ErrProto alone", redial, how, len(long), err)
+			}
+			if _, err := cli.Getattr("x"); err != nil {
+				t.Fatalf("redial %v: call after a refused %s: %v", redial, how, err)
+			}
+		}
+		for _, q := range []*Request{
+			{Op: OpUnlink, Path: long},
+			{Op: OpRename, Path: "x", Path2: long},
+			{Op: OpHello, Token: long},
+		} {
+			call := wait(t, cli.Go(context.Background(), q))
+			refused(q.Op.String(), call.Err)
+			if q.Tag != 0 || q.Seq != 0 {
+				t.Fatalf("redial %v: refused %s took tag %d, seq %d", redial, q.Op, q.Tag, q.Seq)
+			}
+		}
+		refused("Unlink", cli.Unlink(long))
 		if n := dials.Load(); n != 0 {
 			t.Fatalf("redial %v: %d dials", redial, n)
 		}

@@ -182,6 +182,7 @@ const (
 	StatusProto
 	StatusStale
 	StatusRetired
+	StatusNameTooLong
 )
 
 // Client-visible sentinel errors for the service-level statuses that have
@@ -244,6 +245,8 @@ func (s Status) String() string {
 		return "ESTALE"
 	case StatusRetired:
 		return "ERETIRED"
+	case StatusNameTooLong:
+		return "ENAMETOOLONG"
 	default:
 		return fmt.Sprintf("status%d", uint8(s))
 	}
@@ -267,6 +270,8 @@ func StatusOf(err error) Status {
 		return StatusIsDir
 	case errors.Is(err, vfs.ErrNotEmpty):
 		return StatusNotEmpty
+	case errors.Is(err, vfs.ErrNameTooLong):
+		return StatusNameTooLong
 	case errors.Is(err, ioerr.ErrReadOnly):
 		return StatusReadOnly
 	case errors.Is(err, ioerr.ErrNoSpace):
@@ -325,6 +330,8 @@ func (s Status) Err() error {
 		return ErrStaleSession
 	case StatusRetired:
 		return ErrSeqRetired
+	case StatusNameTooLong:
+		return vfs.ErrNameTooLong
 	default:
 		return fmt.Errorf("fsrpc: %s", s)
 	}

@@ -92,7 +92,7 @@ func TestReplyRoundTrip(t *testing.T) {
 // property that makes wire error classification identical to direct
 // vfs.Mount classification.
 func TestStatusErrRoundTrip(t *testing.T) {
-	for s := StatusOK; s <= StatusRetired; s++ {
+	for s := StatusOK; s <= StatusNameTooLong; s++ {
 		if got := StatusOf(s.Err()); got != s {
 			t.Errorf("StatusOf(%s.Err()) = %s, want %s", s, got, s)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -27,13 +28,51 @@ func allocated(limit uint64, decode func()) uint64 {
 	return got
 }
 
+// usedRequest and usedReply are destinations that last held another
+// frame, with every field set, for the decode-into property: decoding a
+// payload into one must give what decoding it into a zero value gives, and
+// keep none of its slices.
+func usedRequest() *Request {
+	return &Request{Op: OpRename, Tag: 9, Seq: 8, Path: "old", Path2: "new", Handle: 7,
+		Off: 6, N: 5, Data: []byte("data"), Flags: 1, Token: "token", Len: 4}
+}
+
+func usedReply() *Reply {
+	return &Reply{Op: OpReaddir, Tag: 9, Status: StatusIO, Handle: 8, Attr: Attr{Dir: true, Size: 7, Nlink: 6, Mtime: 5},
+		N: 4, Data: []byte("data"), Entries: []DirEnt{{Name: "e", Dir: true}}, Statfs: Statfs{BlockSize: 3, Sessions: 2},
+		Token: "token", Lease: 1, Resumed: true, Size: 1}
+}
+
+// sameDecode checks the decode-into property for one payload: dst, a
+// destination that held another frame, decodes it exactly as zero did.
+// kept names a slice dst still shares with the frame it held, if any.
+func sameDecode[T any](t *testing.T, zero, dst *T, zeroErr, dstErr error, kept string) {
+	t.Helper()
+	if (zeroErr == nil) != (dstErr == nil) || zeroErr != nil && zeroErr.Error() != dstErr.Error() {
+		t.Fatalf("decoding into a used destination: %v; into a zero one: %v", dstErr, zeroErr)
+	}
+	if zeroErr == nil && !reflect.DeepEqual(zero, dst) {
+		t.Fatalf("decoding into a used destination gives %+v; into a zero one %+v", dst, zero)
+	}
+	if kept != "" {
+		t.Fatalf("the decoded message shares its destination's old %s", kept)
+	}
+}
+
+// sameArray reports whether a and b are non-empty and start at the same
+// element.
+func sameArray[E any](a, b []E) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
 // FuzzDecodeRequest feeds arbitrary payloads to DecodeRequest. Every
 // payload must give an error wrapping ErrProto, or a request that encodes
 // back to the same bytes, and decoding may allocate only what the
-// payload's own length justifies, whatever its length fields claim. The
-// seed corpus in testdata/fuzz holds requests of every field kind, a
-// truncated WRITE, one with a trailing byte, one whose data length is
-// 2^32-1, and an unknown op.
+// payload's own length justifies, whatever its length fields claim.
+// Decoding into a Request that held another frame gives the same result
+// as decoding into a zero one. The seed corpus in testdata/fuzz holds
+// requests of every field kind, a truncated WRITE, one with a trailing
+// byte, one whose data length is 2^32-1, and an unknown op.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var q *Request
@@ -42,6 +81,14 @@ func FuzzDecodeRequest(f *testing.F) {
 		if n := allocated(justified, func() { q, err = DecodeRequest(payload) }); n > justified {
 			t.Fatalf("decoding %d bytes allocated %d", len(payload), n)
 		}
+		used := usedRequest()
+		old := used.Data
+		usedErr := used.Decode(payload)
+		kept := ""
+		if sameArray(old, used.Data) {
+			kept = "Data"
+		}
+		sameDecode(t, q, used, err, usedErr, kept)
 		if err != nil {
 			if !errors.Is(err, ErrProto) {
 				t.Fatalf("decode error %v does not wrap ErrProto", err)
@@ -56,7 +103,8 @@ func FuzzDecodeRequest(f *testing.F) {
 
 // FuzzDecodeReply is FuzzDecodeRequest for DecodeReply. A listing may
 // allocate a slice entry per 3-byte entry, so the allowance is larger.
-// The seed corpus holds replies of every field kind, an error reply, a
+// The seed corpus holds replies of every field kind, an error reply,
+// READDIRs with no entries, with an empty name and with a 255-byte name, a
 // READDIR whose entry count is 2^32-1, an attribute whose directory flag
 // is 2, and a payload without the reply bit.
 func FuzzDecodeReply(f *testing.F) {
@@ -67,6 +115,16 @@ func FuzzDecodeReply(f *testing.F) {
 		if n := allocated(justified, func() { r, err = DecodeReply(payload) }); n > justified {
 			t.Fatalf("decoding %d bytes allocated %d", len(payload), n)
 		}
+		used := usedReply()
+		oldData, oldEnts := used.Data, used.Entries
+		usedErr := used.Decode(payload)
+		kept := ""
+		if sameArray(oldData, used.Data) {
+			kept = "Data"
+		} else if sameArray(oldEnts, used.Entries) {
+			kept = "Entries"
+		}
+		sameDecode(t, r, used, err, usedErr, kept)
 		if err != nil {
 			if !errors.Is(err, ErrProto) {
 				t.Fatalf("decode error %v does not wrap ErrProto", err)

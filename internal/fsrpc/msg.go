@@ -152,10 +152,21 @@ func (q *Request) appendPayload(buf []byte) []byte {
 	return e.Buf
 }
 
-// DecodeRequest parses a request payload.
+// DecodeRequest parses a request payload into a new Request.
 func DecodeRequest(payload []byte) (*Request, error) {
+	q := new(Request)
+	if err := q.Decode(payload); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// Decode parses a request payload into q, overwriting every field: nothing
+// q held before survives, and the strings and data it keeps are copies, so
+// q outlives the payload.
+func (q *Request) Decode(payload []byte) error {
 	d := codec.NewDecoder(payload)
-	q := &Request{Op: Op(d.U8()), Tag: d.U64()}
+	*q = Request{Op: Op(d.U8()), Tag: d.U64()}
 	switch q.Op {
 	case OpLookup:
 		q.Path = getStr(&d)
@@ -190,20 +201,18 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		q.Off = d.I64()
 		q.Len = d.I64()
 	default:
-		return nil, fmt.Errorf("%w: unknown op %d", ErrProto, uint8(q.Op))
+		return fmt.Errorf("%w: unknown op %d", ErrProto, uint8(q.Op))
 	}
 	if err := q.checkSize(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := done(&d); err != nil {
-		return nil, err
-	}
-	return q, nil
+	return done(&d)
 }
 
-// checkSize refuses a READ or BREAD of more than MaxData bytes and a WRITE
-// or BWRITE carrying more, with ErrProto. A server refuses such a request
-// on arrival; a client refuses it before sending, failing only that call.
+// checkSize refuses, with ErrProto, a READ or BREAD of more than MaxData
+// bytes, a WRITE or BWRITE carrying more, and a Path, Path2 or Token longer
+// than a wire string holds. A server refuses such a request on arrival; a
+// client refuses it before sending, failing only that call.
 func (q *Request) checkSize() error {
 	n := 0
 	switch q.Op {
@@ -214,6 +223,11 @@ func (q *Request) checkSize() error {
 	}
 	if n > MaxData {
 		return fmt.Errorf("%w: %v of %d bytes exceeds MaxData %d", ErrProto, q.Op, n, MaxData)
+	}
+	for _, s := range [...]string{q.Path, q.Path2, q.Token} {
+		if len(s) > maxStr {
+			return fmt.Errorf("%w: %v string of %d bytes exceeds %d", ErrProto, q.Op, len(s), maxStr)
+		}
 	}
 	return nil
 }
@@ -344,19 +358,28 @@ func (r *Reply) FrameParts(scratch []byte) (segs [][]byte, zerocopy int, err err
 	return [][]byte{head, body}, len(body), nil
 }
 
-// DecodeReply parses a reply payload.
+// DecodeReply parses a reply payload into a new Reply.
 func DecodeReply(payload []byte) (*Reply, error) {
+	r := new(Reply)
+	if err := r.Decode(payload); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Decode parses a reply payload into r, overwriting every field: nothing r
+// held before survives, and what it keeps is copied, so r outlives the
+// payload. The names of a READDIR or SHARES reply are substrings of one
+// string, copied once per reply.
+func (r *Reply) Decode(payload []byte) error {
 	d := codec.NewDecoder(payload)
 	opByte := d.U8()
+	*r = Reply{Op: Op(opByte &^ replyBit), Tag: d.U64(), Status: Status(d.U8())}
 	if opByte&replyBit == 0 {
-		return nil, fmt.Errorf("%w: reply bit missing", ErrProto)
+		return fmt.Errorf("%w: reply bit missing", ErrProto)
 	}
-	r := &Reply{Op: Op(opByte &^ replyBit), Tag: d.U64(), Status: Status(d.U8())}
 	if r.Status != StatusOK {
-		if err := done(&d); err != nil {
-			return nil, err
-		}
-		return r, nil
+		return done(&d)
 	}
 	switch r.Op {
 	case OpLookup, OpCreate:
@@ -373,10 +396,14 @@ func DecodeReply(payload []byte) (*Reply, error) {
 		// payload cannot hold is refused before anything is allocated.
 		n := int(d.U32())
 		if n > d.Len()/3 {
-			return nil, fmt.Errorf("%w: %v entry count %d in %d bytes", ErrProto, r.Op, n, d.Len())
+			return fmt.Errorf("%w: %v entry count %d in %d bytes", ErrProto, r.Op, n, d.Len())
 		}
-		for i := 0; i < n && d.Err() == nil; i++ {
-			r.Entries = append(r.Entries, DirEnt{Name: getStr(&d), Dir: d.Bool()})
+		if n > 0 {
+			ents, err := getEntries(&d, n)
+			if err != nil {
+				return err
+			}
+			r.Entries = ents
 		}
 	case OpStatfs:
 		r.Statfs = Statfs{
@@ -395,10 +422,29 @@ func DecodeReply(payload []byte) (*Reply, error) {
 		r.Size = d.I64()
 	case OpMkdir, OpUnlink, OpRmdir, OpRename, OpFsync, OpPing, OpBflush, OpBdiscard, OpAttach:
 	default:
-		return nil, fmt.Errorf("%w: unknown reply op %d", ErrProto, uint8(r.Op))
+		return fmt.Errorf("%w: unknown reply op %d", ErrProto, uint8(r.Op))
 	}
-	if err := done(&d); err != nil {
+	return done(&d)
+}
+
+// getEntries reads the n entries that end the payload. The entry bytes are
+// copied into one string and each name is a substring of it, so a listing
+// costs two allocations however long it is.
+func getEntries(d *codec.Decoder, n int) ([]DirEnt, error) {
+	raw := d.Take(d.Len())
+	all := string(raw)
+	ed := codec.NewDecoder(raw)
+	ents := make([]DirEnt, n)
+	for i := range ents {
+		l := int(ed.U16())
+		off := len(raw) - ed.Len()
+		if ed.Take(l); ed.Err() != nil {
+			break
+		}
+		ents[i] = DirEnt{Name: all[off : off+l], Dir: ed.Bool()}
+	}
+	if err := done(&ed); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return ents, nil
 }

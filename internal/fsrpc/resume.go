@@ -76,7 +76,7 @@ func resolveClientMetrics(reg *metrics.Registry) *clientMetrics {
 // (DESIGN.md §13.9). Idempotent: calling it on a client that already holds
 // a session asks the server for a fresh one.
 func (c *Client) Hello() error {
-	r, err := c.call(&Request{Op: OpHello})
+	r, err := c.call(Request{Op: OpHello})
 	if err != nil {
 		return err
 	}
@@ -91,7 +91,7 @@ func (c *Client) Hello() error {
 // Ping is the keepalive no-op: it round-trips through the server's fast
 // path, renewing the session lease without touching the file system.
 func (c *Client) Ping() error {
-	_, err := c.call(&Request{Op: OpPing})
+	_, err := c.call(Request{Op: OpPing})
 	return err
 }
 
@@ -212,7 +212,10 @@ func (c *Client) redialLoop(rgen uint64, cause error) {
 // transport and, on success, installs it: replay calls get fresh tags in
 // their original issue order, the reader restarts, and the replay frames
 // are written before any new call can reach the wire (the write lock is
-// held across the whole install). done=false means the handshake failed
+// held across the whole install). The frames are encoded while the calls
+// are entered in the pending table, under the client lock: once it is
+// released a call can be delivered (a reply, or a Close failing it) and
+// recycled by its caller, so nothing reads a call after that. done=false means the handshake failed
 // and the caller should back off and retry (the caller closes rw);
 // done=true means this generation is finished — resumed, superseded
 // (resume closes rw itself, since it was never installed), or (stale
@@ -292,13 +295,23 @@ func (c *Client) resume(rgen uint64, rw io.ReadWriteCloser, attempts int) (done 
 	c.rw = rw
 	c.tag = 2 // tags 1/2 were consumed by the handshake on this transport
 	c.dead = nil
+	var frames []byte
+	var ends []int // where each replayed frame ends in frames
+	var ferr error
 	if staleSession {
 		c.seq = 0
 	} else {
+		frames = c.wbuf[:0]
 		for _, call := range replay {
 			c.tag++
 			call.Req.Tag = c.tag
 			c.pending[call.Req.Tag] = call
+			if ferr == nil {
+				var f []byte
+				if f, ferr = call.Req.appendFrame(frames); ferr == nil {
+					frames, ends = f, append(ends, len(f))
+				}
+			}
 		}
 	}
 	ch := c.resuming
@@ -317,11 +330,19 @@ func (c *Client) resume(rgen uint64, rw io.ReadWriteCloser, attempts int) (done 
 		c.failAll(replay, fmt.Errorf("%w: %w: in-flight effects unknown", ErrPoisoned, ErrStaleSession))
 	} else {
 		var werr error
-		for _, call := range replay {
+		start := 0
+		for _, end := range ends {
 			c.m.replayCall.Inc()
-			if werr = c.sendLocked(rw, call.Req); werr != nil {
+			if _, werr = rw.Write(frames[start:end]); werr != nil {
 				break
 			}
+			start = end
+		}
+		if werr == nil {
+			werr = ferr
+		}
+		if cap(frames) <= frameKeep {
+			c.wbuf = frames
 		}
 		c.wmu.Unlock()
 		if werr != nil {

@@ -45,8 +45,8 @@ func WriteFrame(w io.Writer, payload []byte) error {
 
 // FrameReader reads length-prefixed frames from one transport through one
 // buffered reader and one reusable payload buffer. A payload returned by
-// Next is valid until the next call to Next; DecodeRequest and DecodeReply
-// copy every field they keep, so what they return outlives it. A transport
+// Next is valid until the next call to Next; the decoders copy every field
+// they keep, so what they decode outlives it. A transport
 // has exactly one FrameReader: a second one would lose the bytes the first
 // has buffered.
 type FrameReader struct {
@@ -98,10 +98,15 @@ func (fr *FrameReader) Next() ([]byte, error) {
 // The payload fields are codec fields; strings carry a 16-bit length and
 // byte strings a 32-bit one.
 
+// maxStr is the longest string a 16-bit length holds.
+const maxStr = 0xffff
+
+// putStr appends s behind its length, cut to maxStr. A request's strings
+// are checked against maxStr before they are encoded (checkSize); a
+// reply's are file names, which the mount bounds to NAME_MAX, share names
+// and session tokens.
 func putStr(e *codec.Encoder, s string) {
-	if len(s) > 0xffff {
-		s = s[:0xffff]
-	}
+	s = s[:min(len(s), maxStr)]
 	e.U16(uint16(len(s)))
 	e.String(s)
 }

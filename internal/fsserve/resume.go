@@ -222,9 +222,10 @@ func (s *Server) now() time.Time {
 // down), this connection's anonymous state is discarded, and the handle
 // table and duplicate-reply cache carry on. An unknown or lease-expired
 // token fails with ESTALE and leaves the connection's current state
-// untouched, so the client can HELLO("") for a fresh session.
-func (s *Server) hello(sess *session, q *fsrpc.Request) *fsrpc.Reply {
-	rep := &fsrpc.Reply{Op: q.Op, Tag: q.Tag, Lease: int64(s.cfg.SessionLease)}
+// untouched, so the client can HELLO("") for a fresh session. The reply is
+// built in rep.
+func (s *Server) hello(sess *session, q *fsrpc.Request, rep *fsrpc.Reply) {
+	*rep = fsrpc.Reply{Op: q.Op, Tag: q.Tag, Lease: int64(s.cfg.SessionLease)}
 	now := s.now()
 
 	if q.Token == "" {
@@ -260,7 +261,7 @@ func (s *Server) hello(sess *session, q *fsrpc.Request) *fsrpc.Reply {
 			discarded.closeHandles()
 		}
 		sess.touch(now)
-		return rep
+		return
 	}
 
 	s.mu.Lock()
@@ -274,11 +275,13 @@ func (s *Server) hello(sess *session, q *fsrpc.Request) *fsrpc.Reply {
 		s.mu.Unlock()
 		st.closeHandles()
 		s.m.sessExpire.Inc()
-		return &fsrpc.Reply{Op: q.Op, Tag: q.Tag, Status: fsrpc.StatusStale}
+		*rep = fsrpc.Reply{Op: q.Op, Tag: q.Tag, Status: fsrpc.StatusStale}
+		return
 	}
 	if !ok {
 		s.mu.Unlock()
-		return &fsrpc.Reply{Op: q.Op, Tag: q.Tag, Status: fsrpc.StatusStale}
+		*rep = fsrpc.Reply{Op: q.Op, Tag: q.Tag, Status: fsrpc.StatusStale}
+		return
 	}
 	stale := st.cur
 	if stale == sess {
@@ -307,7 +310,6 @@ func (s *Server) hello(sess *session, q *fsrpc.Request) *fsrpc.Reply {
 	s.m.sessResume.Inc()
 	rep.Token = st.tok()
 	rep.Resumed = true
-	return rep
 }
 
 // detach clears the state's connection attachment if sess still holds it.

@@ -177,10 +177,13 @@ const (
 )
 
 // task is one admitted request awaiting a worker, plus its position in
-// the session's ordering chain (DESIGN.md §13.5) when the op has one.
+// the session's ordering chain (DESIGN.md §13.5) when the op has one. It
+// holds its own copy of the request, since the session reader decodes the
+// next frame into the one it reuses, and the reply the worker builds.
 type task struct {
 	sess     *session
-	req      *fsrpc.Request
+	req      fsrpc.Request
+	rep      fsrpc.Reply
 	enqueued time.Time
 
 	chainKeys [2]uint64
@@ -217,6 +220,10 @@ type Server struct {
 	tokenSeq uint64
 
 	janitorStop chan struct{} // closes at Shutdown; nil without a lease
+
+	// replied is every reply's completion, run once its frame is written
+	// or dropped: built once, so that no reply allocates one.
+	replied func()
 }
 
 // New starts a server over mount with cfg.Workers request workers. The
@@ -237,6 +244,10 @@ func New(env *sim.Env, mount *vfs.Mount, cfg Config) *Server {
 		gate:     make(chan struct{}, runtime.GOMAXPROCS(0)),
 		sessions: make(map[*session]struct{}),
 		named:    make(map[string]*sessState),
+	}
+	s.replied = func() {
+		s.m.inflight.Add(-1)
+		s.inflight.Done()
 	}
 	s.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -281,7 +292,12 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 		sess.close()
 	}()
 
+	// req is decoded into frame after frame. A direct op runs and is
+	// replied to before the next frame is read, so its request and reply
+	// (sess.rep) are valid until then; an admitted one is copied into its
+	// task.
 	fr := fsrpc.NewFrameReader(rw)
+	var req fsrpc.Request
 	for {
 		payload, err := fr.Next()
 		if err != nil {
@@ -295,11 +311,11 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 		}
 		s.m.reqCount.Inc()
 		s.m.reqBytes.Add(int64(len(payload)))
-		req, err := fsrpc.DecodeRequest(payload)
-		if err != nil {
+		if err := req.Decode(payload); err != nil {
 			// The stream cannot be resynchronized after a malformed
 			// frame; reply EPROTO best-effort and tear down.
-			sess.sendReply(&fsrpc.Reply{Op: 0, Tag: 0, Status: fsrpc.StatusProto}, nil, nil)
+			sess.rep = fsrpc.Reply{Status: fsrpc.StatusProto}
+			sess.sendReply(&sess.rep, nil, nil)
 			sess.flush()
 			return err
 		}
@@ -307,14 +323,15 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 			sess.touch(s.now())
 		}
 		var st fsrpc.Status
-		if _, n := chainKeys(req); n == 0 {
-			st = s.serveDirect(sess, req)
+		if _, n := chainKeys(&req); n == 0 {
+			st = s.serveDirect(sess, &req)
 		} else if st = s.admit(&task{sess: sess, req: req, enqueued: time.Now()}); st == fsrpc.StatusBusy {
 			s.m.queueShed.Inc()
 		}
 		if st != fsrpc.StatusOK {
 			s.m.statusErr.Inc()
-			sess.sendReply(&fsrpc.Reply{Op: req.Op, Tag: req.Tag, Status: st}, nil, nil)
+			sess.rep = fsrpc.Reply{Op: req.Op, Tag: req.Tag, Status: st}
+			sess.sendReply(&sess.rep, nil, nil)
 		}
 	}
 }
@@ -348,7 +365,8 @@ func (s *Server) serveDirect(sess *session, req *fsrpc.Request) fsrpc.Status {
 	s.mu.Unlock()
 	s.m.inflight.Add(1)
 	s.m.pipeDepth.Observe(sess.outstanding.Add(1))
-	rep, data := s.execute(sess, req)
+	rep := &sess.rep
+	data := s.execute(sess, req, rep)
 	if rep.Status != fsrpc.StatusOK {
 		s.m.statusErr.Inc()
 	}
@@ -358,10 +376,7 @@ func (s *Server) serveDirect(sess *session, req *fsrpc.Request) fsrpc.Status {
 	// counter would race the writer goroutine (nondeterministic
 	// fsrpc.pipeline.depth histograms on deterministic workloads).
 	sess.outstanding.Add(-1)
-	sess.sendReply(rep, data, func() {
-		s.m.inflight.Add(-1)
-		s.inflight.Done()
-	})
+	sess.sendReply(rep, data, s.replied)
 	return fsrpc.StatusOK
 }
 
@@ -415,29 +430,25 @@ func (s *Server) worker() {
 				<-t.prev[i]
 			}
 		}
-		var rep *fsrpc.Reply
 		var data *[]byte
 		if s.cfg.QueueWait > 0 && time.Since(t.enqueued) > s.cfg.QueueWait {
 			// The request outlived its queue-wait budget; shed it
 			// unexecuted rather than burn capacity on a reply the client
 			// has given up on.
 			s.m.deadline.Inc()
-			rep = &fsrpc.Reply{Op: t.req.Op, Tag: t.req.Tag, Status: fsrpc.StatusBusy}
+			t.rep = fsrpc.Reply{Op: t.req.Op, Tag: t.req.Tag, Status: fsrpc.StatusBusy}
 		} else {
-			rep, data = s.execute(t.sess, t.req)
+			data = s.execute(t.sess, &t.req, &t.rep)
 		}
 		t.sess.finishChain(t)
-		if rep.Status != fsrpc.StatusOK {
+		if t.rep.Status != fsrpc.StatusOK {
 			s.m.statusErr.Inc()
 		}
 		sess := t.sess
 		// Decrement before the write for the same reason as serveDirect:
 		// the next synchronous request must never sample a stale depth.
 		sess.outstanding.Add(-1)
-		sess.sendReply(rep, data, func() {
-			s.m.inflight.Add(-1)
-			s.inflight.Done()
-		})
+		sess.sendReply(&t.rep, data, s.replied)
 	}
 }
 
@@ -504,49 +515,51 @@ func (s *Server) Shutdown() {
 // execution if it is still in flight on another worker — instead of being
 // applied twice; a sequence evicted past the cache horizon is refused
 // with ERETIRED. Unsequenced requests (anonymous sessions, read-class
-// ops) execute directly.
-func (s *Server) execute(sess *session, q *fsrpc.Request) (rep *fsrpc.Reply, data *[]byte) {
+// ops) execute directly. The reply is built in rep.
+func (s *Server) execute(sess *session, q *fsrpc.Request, rep *fsrpc.Reply) (data *[]byte) {
 	if q.Seq == 0 || !q.Op.Mutating() {
-		return s.executeOp(sess, q)
+		return s.executeOp(sess, q, rep)
 	}
 	st := sess.state()
 	if st.tok() == "" {
 		// Sequenced request on an anonymous session: nothing to dedup
 		// against; execute like a legacy request.
-		return s.executeOp(sess, q)
+		return s.executeOp(sess, q, rep)
 	}
 	verdict, cached, entry := st.drc.begin(q.Seq)
 	switch verdict {
 	case drcHit:
 		s.m.drcHit.Inc()
-		cp := *cached
-		cp.Op, cp.Tag = q.Op, q.Tag
-		return &cp, nil
+		*rep = *cached
+		rep.Op, rep.Tag = q.Op, q.Tag
+		return nil
 	case drcRetired:
-		return &fsrpc.Reply{Op: q.Op, Tag: q.Tag, Status: fsrpc.StatusRetired}, nil
+		*rep = fsrpc.Reply{Op: q.Op, Tag: q.Tag, Status: fsrpc.StatusRetired}
+		return nil
 	}
-	rep, data = s.executeOp(sess, q)
+	data = s.executeOp(sess, q, rep)
 	s.m.drcMiss.Inc()
 	if n := st.drc.commit(q.Seq, entry, rep); n > 0 {
 		s.m.drcEvict.Add(n)
 	}
-	return rep, data
+	return data
 }
 
-// executeOp runs one request against the mount and builds its reply. A
-// panic from the FS stack (a programmer invariant, never a hardware
-// fault — those arrive as errors) is converted to an EIO reply and
-// counted, so one broken op cannot wedge every client of the server.
+// executeOp runs one request against the mount and builds its reply in
+// rep, overwriting all of it. A panic from the FS stack (a programmer
+// invariant, never a hardware fault — those arrive as errors) is converted
+// to an EIO reply and counted, so one broken op cannot wedge every client
+// of the server.
 //
 // data is the pooled buffer a successful READ reply's Data references;
 // the caller must route it to sendReply so it returns to the pool after
 // the frame is written. Nil for every other reply.
-func (s *Server) executeOp(sess *session, q *fsrpc.Request) (rep *fsrpc.Reply, data *[]byte) {
-	rep = &fsrpc.Reply{Op: q.Op, Tag: q.Tag}
+func (s *Server) executeOp(sess *session, q *fsrpc.Request, rep *fsrpc.Reply) (data *[]byte) {
+	*rep = fsrpc.Reply{Op: q.Op, Tag: q.Tag}
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.opPanic.Inc()
-			rep = &fsrpc.Reply{Op: q.Op, Tag: q.Tag, Status: fsrpc.StatusIO}
+			*rep = fsrpc.Reply{Op: q.Op, Tag: q.Tag, Status: fsrpc.StatusIO}
 			data = nil
 		}
 	}()
@@ -562,13 +575,13 @@ func (s *Server) executeOp(sess *session, q *fsrpc.Request) (rep *fsrpc.Reply, d
 	start := s.env.Now()
 	defer func() { s.m.opNs.Observe(int64(s.env.Now() - start)) }()
 
-	fail := func(err error) (*fsrpc.Reply, *[]byte) {
+	fail := func(err error) *[]byte {
 		rep.Status = fsrpc.StatusOf(err)
-		return rep, nil
+		return nil
 	}
-	invalid := func() (*fsrpc.Reply, *[]byte) {
+	invalid := func() *[]byte {
 		rep.Status = fsrpc.StatusInval
-		return rep, nil
+		return nil
 	}
 	mnt := sess.mount()
 	if mnt == nil && fileClassOp(q.Op) {
@@ -753,13 +766,13 @@ func (s *Server) executeOp(sess *session, q *fsrpc.Request) (rep *fsrpc.Reply, d
 			}
 		}
 	case fsrpc.OpHello:
-		rep = s.hello(sess, q)
+		s.hello(sess, q, rep)
 	case fsrpc.OpPing:
 		// Keepalive no-op: the lease was renewed at arrival.
 	default:
 		return fail(fsrpc.ErrProto)
 	}
-	return rep, data
+	return data
 }
 
 // fileClassOp reports whether op operates on the session's attached

@@ -94,6 +94,11 @@ type session struct {
 	srv *Server
 	rw  io.ReadWriteCloser
 
+	// rep is the session reader's reply, reused frame to frame: a direct
+	// op's reply, and a refusal or shed; sendReply has framed it by the
+	// time the reader reads on.
+	rep fsrpc.Reply
+
 	wmu        sync.Mutex
 	wcond      *sync.Cond // pending gained replies, or closing
 	wspace     *sync.Cond // writer drained pending / finished a write
@@ -231,7 +236,7 @@ func chainKeys(q *fsrpc.Request) (keys [2]uint64, n int) {
 // both tails; every wait edge points at an earlier-admitted task, so the
 // wait graph cannot cycle.
 func (s *session) link(t *task) {
-	keys, n := chainKeys(t.req)
+	keys, n := chainKeys(&t.req)
 	if n == 0 {
 		return
 	}

@@ -85,29 +85,31 @@ func (c *FaultConn) Write(p []byte) (int, error) {
 
 // Read delivers at most the remaining budget; when the budget is spent
 // the connection dies and the (possibly partial) bytes already read are
-// still returned, so the peer sees a stream that just stops.
+// still returned, so the peer sees a stream that just stops. A Write that
+// overlaps the Read may spend the budget first; the budget then stops at
+// 0, never below (which would mean unlimited), and the next call dies.
 func (c *FaultConn) Read(p []byte) (int, error) {
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
 		return 0, ErrInjected
 	}
-	max := len(p)
+	room := len(p)
 	limited := false
-	if c.budget >= 0 && int64(max) >= c.budget {
-		max = int(c.budget)
+	if c.budget >= 0 && int64(room) >= c.budget {
+		room = int(c.budget)
 		limited = true
 	}
 	c.mu.Unlock()
 
-	if max == 0 {
+	if room == 0 {
 		c.kill()
 		return 0, ErrInjected
 	}
-	n, err := c.inner.Read(p[:max])
+	n, err := c.inner.Read(p[:room])
 	c.mu.Lock()
 	if c.budget >= 0 {
-		c.budget -= int64(n)
+		c.budget = max(c.budget-int64(n), 0)
 	}
 	spent := limited && c.budget == 0
 	c.mu.Unlock()

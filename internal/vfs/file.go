@@ -37,6 +37,11 @@ func (m *Mount) openFileLocked(path string, create, trunc bool) (*File, error) {
 	m.chargeSyscall()
 	defer m.maintain()
 	path = keys.Clean(path)
+	if create {
+		if err := checkName(path); err != nil {
+			return nil, err
+		}
+	}
 	ino, err := m.walk(path)
 	if err == ErrNotExist && create {
 		parentPath, name := keys.ParentAndName(path)

@@ -23,6 +23,13 @@ import (
 // PageSize is the VFS page and file-block size.
 const PageSize = 4096
 
+// The longest name a mount creates, in bytes: one path component
+// (NAME_MAX) and a whole path (PATH_MAX), as on Linux.
+const (
+	NameMax = 255
+	PathMax = 4096
+)
+
 // Common error values. They mirror the POSIX errors the workloads expect.
 var (
 	ErrNotExist = errors.New("vfs: no such file or directory")
@@ -30,6 +37,9 @@ var (
 	ErrNotDir   = errors.New("vfs: not a directory")
 	ErrIsDir    = errors.New("vfs: is a directory")
 	ErrNotEmpty = errors.New("vfs: directory not empty")
+	// ErrNameTooLong is ENAMETOOLONG: a create, mkdir or rename named a
+	// component longer than NameMax or a path longer than PathMax.
+	ErrNameTooLong = errors.New("vfs: file name too long")
 	// ErrNotSupported is EOPNOTSUPP: the mounted FS does not implement the
 	// requested optional interface (e.g. Scrubber on the simulated
 	// baselines).

@@ -73,6 +73,9 @@ type Mount struct {
 	dcache map[string]*dentry
 	icache map[Handle]*inode
 	root   *inode
+	// childBuf is where readDirLocked builds each child's path to look it
+	// up in the dcache; a child path is allocated only when inserted.
+	childBuf []byte
 
 	// Page accounting: lru holds clean pages for eviction; dirty holds
 	// dirty pages in dirtying order for write-back. frames recycles the
@@ -290,6 +293,24 @@ func (m *Mount) walk(path string) (*inode, error) {
 	return cur, nil
 }
 
+// checkName refuses a clean path that a create, mkdir or rename may not
+// name: one longer than PathMax, or with a component longer than NameMax.
+func checkName(path string) error {
+	if len(path) > PathMax {
+		return ErrNameTooLong
+	}
+	start := 0
+	for i := 0; i <= len(path); i++ {
+		if i == len(path) || path[i] == '/' {
+			if i-start > NameMax {
+				return ErrNameTooLong
+			}
+			start = i + 1
+		}
+	}
+	return nil
+}
+
 // internInode returns the cached inode for h, creating it if needed.
 func (m *Mount) internInode(h Handle, path string, attr Attr) *inode {
 	if ino, ok := m.icache[h]; ok {
@@ -325,6 +346,9 @@ func (m *Mount) mkdirLocked(path string) error {
 		return err
 	}
 	path = keys.Clean(path)
+	if err := checkName(path); err != nil {
+		return err
+	}
 	parentPath, name := keys.ParentAndName(path)
 	if name == "" {
 		return ErrExist
@@ -480,10 +504,15 @@ func (m *Mount) readDirLocked(path string) ([]DirEntry, error) {
 		if !e.Known {
 			continue
 		}
-		childPath := keys.Join(path, e.Name)
-		if _, ok := m.dcache[childPath]; ok {
+		buf := append(m.childBuf[:0], path...)
+		if path != "" {
+			buf = append(buf, '/')
+		}
+		m.childBuf = append(buf, e.Name...)
+		if _, ok := m.dcache[string(m.childBuf)]; ok {
 			continue
 		}
+		childPath := string(m.childBuf)
 		child := m.internInode(e.Handle, childPath, e.Attr)
 		m.dcache[childPath] = &dentry{ino: child}
 		m.env.Charge(m.env.Costs.PathComponent) // dcache insert
@@ -502,6 +531,9 @@ func (m *Mount) Rename(oldPath, newPath string) error {
 	}
 	oldPath = keys.Clean(oldPath)
 	newPath = keys.Clean(newPath)
+	if err := checkName(newPath); err != nil {
+		return err
+	}
 	ino, err := m.walk(oldPath)
 	if err != nil {
 		return err
