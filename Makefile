@@ -103,9 +103,10 @@ repair:
 # propagation, ENOSPC semantics, the seeded multi-client storm on a
 # single concurrent mount across every file system, and the multi-seed
 # FaultPlan sweep under -clients (TestSeededFaultPlanSweep) — under the
-# race detector (the multi-client sweeps are only meaningful with it).
+# race detector (the multi-client sweeps are only meaningful with it), at
+# one, two and eight cores like netfaults.
 faults:
-	$(GO) test -race -count=1 ./internal/faulttest/
+	$(GO) test -race -count=1 -cpu 1,2,8 ./internal/faulttest/
 
 # Network file-service layer (DESIGN.md §11; its conformance,
 # backpressure and drain tests are in `race`): a deterministic serve-mode
@@ -124,8 +125,8 @@ servebench:
 	rm -f BENCH_serve_pipe.json
 
 # Wire-level fault injection and session resumption (DESIGN.md §13.9):
-# the seeded multi-client torture sweep (mid-frame connection cuts vs a
-# fault-free oracle, byte-for-byte) and the exactly-once replay tests
+# the seeded multi-client torture sweep (mid-frame connection cuts, the
+# served mount checked byte-for-byte against the programs' model) and the exactly-once replay tests
 # (DRC hits over re-execution, handle survival, typed lease expiry,
 # bounded redial give-up, PING keepalive), and the recycled-call tests
 # (the client's call pool across poison, Reset, redial with replay and
@@ -162,10 +163,13 @@ bench-json:
 		-systems ext4,betrfs-v0.4,betrfs-v0.6 -o BENCH_micro.json > /dev/null
 	$(GO) run ./cmd/betrbench -validate BENCH_micro.json
 
-# Non-test Go lines per package and in total, without the benchmark
-# module: the count ROADMAP.md's simplification pass reports.
+# Go lines per package and in total, without the benchmark module: the
+# first column counts non-test files (the count ROADMAP.md's
+# simplification pass reports), the second _test.go files.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec wc -l {} + | \
-		awk '$$2 != "total" { p = $$2; sub("/[^/]*$$", "", p); sub("^[.]/?", "", p); \
-			if (p == "") p = "."; n[p] += $$1; sum += $$1 } \
-		END { for (p in n) printf "%6d %s\n", n[p], p | "sort -k2"; close("sort -k2"); printf "%6d total\n", sum }'
+	@find . -name '*.go' ! -path './benchmark/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { p = $$2; t = p ~ /_test[.]go$$/; sub("/[^/]*$$", "", p); sub("^[.]/?", "", p); \
+			if (p == "") p = "."; pkg[p] = 1; n[p, t] += $$1; sum[t] += $$1 } \
+		END { print "  code   test package"; \
+			for (p in pkg) printf "%6d %6d %s\n", n[p, 0], n[p, 1], p | "sort -k3"; close("sort -k3"); \
+			printf "%6d %6d total\n", sum[0], sum[1] }'

@@ -76,9 +76,6 @@ type Stats struct {
 	RandWrites   int64
 	SeqReads     int64
 	RandReads    int64
-	// ReadFaults counts reads that overlapped an injected unreadable
-	// range (see Dev.InjectReadFault).
-	ReadFaults int64
 	// Discards / BytesDiscarded count TRIM commands and the bytes they
 	// covered.
 	Discards       int64
@@ -193,10 +190,9 @@ type Dev struct {
 	cacheDirty   int64
 	cacheUpdated time.Duration
 
-	// Crash- and fault-injection support (see crash.go).
+	// Crash-injection support (see crash.go).
 	trackUnflushed bool
 	unflushed      []writeRecord
-	readFaults     []faultRange
 
 	mReadCount    *metrics.Counter
 	mWriteCount   *metrics.Counter
@@ -358,9 +354,6 @@ func (d *Dev) SubmitRead(p []byte, off int64) Completion {
 	d.mReadBytes.Add(int64(len(p)))
 	d.mReadSize.Observe(int64(len(p)))
 	d.copyOut(p, off)
-	if len(d.readFaults) > 0 {
-		d.applyReadFaults(p, off)
-	}
 	return Completion{At: d.busyUntil}
 }
 

@@ -433,33 +433,6 @@ func TestCorruptZeroAndFlip(t *testing.T) {
 	}
 }
 
-func TestInjectReadFault(t *testing.T) {
-	_, d := newSSD(t)
-	d.WriteAt(bytes.Repeat([]byte{0xcc}, 8192), 0)
-	d.InjectReadFault(4096, 4096)
-	got := make([]byte, 8192)
-	d.ReadAt(got, 0)
-	if got[0] != 0xcc {
-		t.Fatal("healthy sector affected by fault")
-	}
-	for i := 4096; i < 8192; i++ {
-		if got[i] != 0 {
-			t.Fatalf("faulted byte %d = %#x, want 0", i, got[i])
-		}
-	}
-	if d.Stats().ReadFaults != 1 {
-		t.Fatalf("ReadFaults = %d, want 1", d.Stats().ReadFaults)
-	}
-	d.ClearReadFaults()
-	d.ReadAt(got, 0)
-	if got[4096] != 0xcc {
-		t.Fatal("cleared fault still zeroing reads")
-	}
-	if d.Stats().ReadFaults != 1 {
-		t.Fatalf("ReadFaults bumped after clear: %d", d.Stats().ReadFaults)
-	}
-}
-
 // dirtySpare writes chunks full chunks of 0xee from chunk first on and
 // discards them, leaving them on the spare list with stale bytes.
 func dirtySpare(t *testing.T, d *Dev, first, chunks int64) {
@@ -535,25 +508,6 @@ func TestSpareChunkCrashRevert(t *testing.T) {
 	}
 	d.ReadAt(got, 8*chunkSize)
 	checkBytes(t, got, 0, 0, 0)
-}
-
-// TestSpareChunkReadFault injects a read fault over part of a reused
-// spare chunk: the fault zeroes only what reads return, and clearing it
-// shows the stored bytes intact.
-func TestSpareChunkReadFault(t *testing.T) {
-	_, d := newSSD(t)
-	dirtySpare(t, d, 0, 1)
-	d.WriteAt(bytes.Repeat([]byte{0x33}, 8192), 6*chunkSize)
-	d.InjectReadFault(6*chunkSize+4096, 4096)
-	got := make([]byte, chunkSize)
-	d.ReadAt(got, 6*chunkSize)
-	checkBytes(t, got, 0, 4096, 0x33)
-	if d.Stats().ReadFaults != 1 {
-		t.Fatalf("ReadFaults = %d, want 1", d.Stats().ReadFaults)
-	}
-	d.ClearReadFaults()
-	d.ReadAt(got, 6*chunkSize)
-	checkBytes(t, got, 0, 8192, 0x33)
 }
 
 // TestSpareListBound discards more whole chunks than the spare list

@@ -17,11 +17,10 @@ package blockdev
 //
 // Separately, the corruption injectors (CorruptZero, CorruptFlip) mutate
 // stored bytes directly, modeling bit-rot and latent sector errors that a
-// flush cannot prevent, and InjectReadFault registers ranges whose reads
-// return zeroed bytes plus a ReadFaults stats counter — a silent-loss
-// variant kept for checksum-layer tests. For faults that surface as real
-// I/O errors (EIO at the mount API), wrap the device in a FaultDev (see
-// fault.go), which drives the error returns the Device interface carries.
+// flush cannot prevent. For faults that surface as I/O errors (EIO at the
+// mount API) — bad sectors, transient failures, write death — wrap the
+// device in a FaultDev (see fault.go), which drives the error returns the
+// Device interface carries.
 //
 // Post-crash semantics (auto re-arm): every crash entry point clears the
 // unflushed log but leaves tracking ENABLED, with the post-crash state as
@@ -33,11 +32,6 @@ type writeRecord struct {
 	off int64
 	old []byte // pre-image (contents before the write)
 	new []byte // post-image (the written bytes)
-}
-
-type faultRange struct {
-	off int64
-	n   int64
 }
 
 // EnableCrashTracking starts recording pre- and post-images of unflushed
@@ -179,50 +173,4 @@ func (d *Dev) CorruptFlip(off, n int64, seed uint64) {
 		buf[i] ^= 1 << ((x * 2685821657736338717) >> 61)
 	}
 	d.copyIn(buf, off)
-}
-
-// InjectReadFault registers [off, off+n) as an unreadable range: reads
-// overlapping it have the overlapped bytes zeroed and bump the ReadFaults
-// counter. This models an unrecoverable read error (URE) that the device
-// silently papers over, so detection is the checksum layer's job; use
-// FaultDev bad ranges instead when the device should report the error.
-func (d *Dev) InjectReadFault(off, n int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.checkRange(int(n), off, "read-fault")
-	d.readFaults = append(d.readFaults, faultRange{off: off, n: n})
-}
-
-// ClearReadFaults removes all injected read faults (the sectors were
-// rewritten / remapped).
-func (d *Dev) ClearReadFaults() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.readFaults = nil
-}
-
-// applyReadFaults zeroes the portions of p overlapping injected fault
-// ranges, counting one fault per affected read.
-func (d *Dev) applyReadFaults(p []byte, off int64) {
-	hit := false
-	for _, f := range d.readFaults {
-		lo := f.off
-		if off > lo {
-			lo = off
-		}
-		hi := f.off + f.n
-		if end := off + int64(len(p)); end < hi {
-			hi = end
-		}
-		if lo >= hi {
-			continue
-		}
-		hit = true
-		for i := lo; i < hi; i++ {
-			p[i-off] = 0
-		}
-	}
-	if hit {
-		d.stats.ReadFaults++
-	}
 }

@@ -29,6 +29,17 @@ func prefixSpecsFor(n, budget int) []CrashSpec {
 	return out
 }
 
+// tornSpecs tears every stride-th write boundary below n at 1/4 and 3/4.
+func tornSpecs(n, stride int) []CrashSpec {
+	var out []CrashSpec
+	for k := 0; k < n; k += stride {
+		for _, num := range []int{1, 3} {
+			out = append(out, CrashSpec{Kind: CrashTorn, Keep: k, TornNum: num, TornDen: 4})
+		}
+	}
+	return out
+}
+
 func workloadFor(t *testing.T) []Step {
 	n := 10
 	if testing.Short() {
@@ -37,70 +48,43 @@ func workloadFor(t *testing.T) []Step {
 	return StandardWorkload(7, n)
 }
 
-func TestPrefixCrashSweep(t *testing.T) {
-	steps := workloadFor(t)
-	for _, sys := range Systems() {
-		sys := sys
+// sweepEach sweeps steps on each system at the specs specsFor gives for
+// the program's unflushed-write count there.
+func sweepEach(t *testing.T, systems []System, steps []Step, specsFor func(n int) []CrashSpec) {
+	for _, sys := range systems {
 		t.Run(sys.Name, func(t *testing.T) {
-			n := ProbeUnflushed(sys, steps)
-			budget := 40
-			if testing.Short() {
-				budget = 12
-			}
-			report(t, Sweep(sys, steps, prefixSpecsFor(n, budget)))
+			report(t, Sweep(sys, steps, specsFor(ProbeUnflushed(sys, steps))))
 		})
 	}
+}
+
+func TestPrefixCrashSweep(t *testing.T) {
+	budget := 40
+	if testing.Short() {
+		budget = 12
+	}
+	sweepEach(t, Systems(), workloadFor(t), func(n int) []CrashSpec { return prefixSpecsFor(n, budget) })
 }
 
 func TestTornCrashSweep(t *testing.T) {
-	steps := workloadFor(t)
-	for _, sys := range Systems() {
-		sys := sys
-		t.Run(sys.Name, func(t *testing.T) {
-			n := ProbeUnflushed(sys, steps)
-			// Tear every writeStride-th boundary at 1/4 and 3/4.
-			var keeps []int
-			stride := n/10 + 1
-			for k := 0; k < n; k += stride {
-				keeps = append(keeps, k)
-			}
-			var specs []CrashSpec
-			for _, k := range keeps {
-				for _, num := range []int{1, 3} {
-					specs = append(specs, CrashSpec{Kind: CrashTorn, Keep: k, TornNum: num, TornDen: 4})
-				}
-			}
-			report(t, Sweep(sys, steps, specs))
-		})
-	}
+	sweepEach(t, Systems(), workloadFor(t), func(n int) []CrashSpec { return tornSpecs(n, n/10+1) })
 }
 
 func TestSubsetCrashSweep(t *testing.T) {
-	steps := workloadFor(t)
 	trials := 12
 	if testing.Short() {
 		trials = 4
 	}
-	for _, sys := range Systems() {
-		sys := sys
-		t.Run(sys.Name, func(t *testing.T) {
-			specs := SubsetSpecs(trials, 101, 50)
-			specs = append(specs, SubsetSpecs(trials/2, 900, 85)...)
-			report(t, Sweep(sys, steps, specs))
-		})
-	}
+	specs := append(SubsetSpecs(trials, 101, 50), SubsetSpecs(trials/2, 900, 85)...)
+	sweepEach(t, Systems(), workloadFor(t), func(int) []CrashSpec { return specs })
 }
 
 // TestCleanSyncSurvives pins the oracle's easy direction: crashing with
 // nothing unflushed (workload ends in Sync) must preserve everything.
 func TestCleanSyncSurvives(t *testing.T) {
-	steps := append(workloadFor(t), Step{Op: OpSync})
-	for _, sys := range Systems() {
-		sys := sys
-		t.Run(sys.Name, func(t *testing.T) {
-			report(t, Sweep(sys, steps, []CrashSpec{{Kind: CrashPrefix, Keep: 0}}))
-		})
-	}
+	sweepEach(t, Systems(), append(workloadFor(t), Step{Op: OpSync}), func(int) []CrashSpec {
+		return []CrashSpec{{Kind: CrashPrefix, Keep: 0}}
+	})
 }
 
 func TestStoreCrashSweep(t *testing.T) {
@@ -119,7 +103,7 @@ func TestStoreCrashSweep(t *testing.T) {
 
 	var specs []CrashSpec
 	specs = append(specs, prefixSpecsFor(64, 24)...)
-	specs = append(specs, TornSpecs(8, []int{1, 3}, 4)...)
+	specs = append(specs, tornSpecs(8, 1)...)
 	specs = append(specs, SubsetSpecs(8, 55, 50)...)
 	trials := 0
 	for _, spec := range specs {

@@ -101,7 +101,7 @@ type wrapRun struct {
 	env *sim.Env
 	raw *blockdev.Dev
 	dev *cutDev
-	mo  *model
+	mo  *Model
 }
 
 // runUntilCut runs steps on a fresh stack until command cutAt would reach
@@ -113,16 +113,17 @@ func runUntilCut(t *testing.T, steps []Step, cutAt int, afterStep func(i int, r 
 	t.Helper()
 	env := sim.NewEnv(1)
 	raw := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))
-	r := &wrapRun{env: env, raw: raw, dev: &cutDev{Device: raw, cutAt: -1}, mo: newModel()}
+	r := &wrapRun{env: env, raw: raw, dev: &cutDev{Device: raw, cutAt: -1}, mo: NewModel()}
 	fs, err := newWrapBetrfs(env, r.dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := vfs.NewMount(env, fs, crashMount())
+	target := MountTarget(vfs.NewMount(env, fs, crashMount()))
 	raw.EnableCrashTracking()
 	r.dev.ops, r.dev.cutAt = 0, cutAt
-	for i, s := range steps {
-		cut := false
+	for i, n := 0, 0; i < len(steps); i += n {
+		n = runLen(steps[i:])
+		run, cut := steps[i:i+n], false
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
@@ -132,10 +133,12 @@ func runUntilCut(t *testing.T, steps []Step, cutAt int, afterStep func(i int, r 
 					cut = true
 				}
 			}()
-			applyStep(m, s)
+			if err := r.mo.do(target, run); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
 		}()
-		if !cut || s.Op != OpSync {
-			r.mo.apply(s)
+		if !cut || run[0].Op != OpSync {
+			r.mo.record(run...)
 		}
 		if cut {
 			return r

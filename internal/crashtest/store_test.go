@@ -2,6 +2,7 @@ package crashtest
 
 import (
 	"fmt"
+	"maps"
 
 	"betrfs/internal/betree"
 	"betrfs/internal/betrfs"
@@ -63,7 +64,7 @@ func RunStoreTrial(ops []StoreOp, spec CrashSpec) []Violation {
 	// index covered by the last Sync.
 	keys := map[string]bool{}
 	cur := map[string]string{}
-	states := []map[string]string{copyState(cur)}
+	states := []map[string]string{maps.Clone(cur)}
 	floor := 0
 	for _, op := range ops {
 		if op.Sync {
@@ -74,7 +75,7 @@ func RunStoreTrial(ops []StoreOp, spec CrashSpec) []Violation {
 		st.Meta().Put([]byte(op.Key), []byte(op.Val), betree.LogAuto)
 		cur[op.Key] = op.Val
 		keys[op.Key] = true
-		states = append(states, copyState(cur))
+		states = append(states, maps.Clone(cur))
 	}
 	// Background log writeback: put the unsynced log tail on the device
 	// (without a barrier) so the crash has something to tear.
@@ -112,7 +113,7 @@ func RunStoreTrial(ops []StoreOp, spec CrashSpec) []Violation {
 	}
 
 	for j := floor; j < len(states); j++ {
-		if statesEqual(states[j], recovered, keys) {
+		if maps.Equal(states[j], recovered) {
 			return nil
 		}
 	}
@@ -120,23 +121,4 @@ func RunStoreTrial(ops []StoreOp, spec CrashSpec) []Violation {
 		System: name, Spec: spec.String(),
 		Detail: fmt.Sprintf("recovered state matches no op prefix in [%d,%d]", floor, len(states)-1),
 	}}
-}
-
-func copyState(m map[string]string) map[string]string {
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func statesEqual(want, got map[string]string, keys map[string]bool) bool {
-	for k := range keys {
-		wv, wok := want[k]
-		gv, gok := got[k]
-		if wok != gok || wv != gv {
-			return false
-		}
-	}
-	return true
 }

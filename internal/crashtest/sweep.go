@@ -86,18 +86,6 @@ func PrefixSpecs(n int) []CrashSpec {
 	return out
 }
 
-// TornSpecs enumerates torn-write crash points: each write boundary
-// 0..n-1, torn at each of the given fractions (numerator over denom).
-func TornSpecs(n int, fracNums []int, fracDen int) []CrashSpec {
-	var out []CrashSpec
-	for k := 0; k < n; k++ {
-		for _, num := range fracNums {
-			out = append(out, CrashSpec{Kind: CrashTorn, Keep: k, TornNum: num, TornDen: fracDen})
-		}
-	}
-	return out
-}
-
 // SubsetSpecs samples count seeded-random reordered-persistence crashes.
 func SubsetSpecs(count int, baseSeed uint64, keepPct int) []CrashSpec {
 	out := make([]CrashSpec, 0, count)
@@ -129,26 +117,12 @@ func ProbeUnflushed(sys System, steps []Step) int {
 	return dev.UnflushedWrites()
 }
 
-// RunTrial formats sys on a fresh device, applies the workload, crashes
-// at spec, recovers, and checks the oracle. Each trial rebuilds from
-// scratch so crash points are independent.
-func RunTrial(sys System, steps []Step, spec CrashSpec) []Violation {
-	env, dev, mo := run(sys, steps)
-	spec.apply(dev)
-	return recoverAndCheck(sys.Name, spec.String(), mo, func() (*vfs.Mount, error) {
-		st, err := sys.recover(env, dev)
-		if err != nil {
-			return nil, err
-		}
-		return st.Mount, nil
-	})
-}
-
-// run formats sys on a fresh crash-tracked device and applies the workload
-// to it and to a model. It then pushes dirty state to the device without a
+// run formats sys on a fresh crash-tracked device and runs the program on
+// it and on a model. It then pushes dirty state to the device without a
 // flush — dirty pages to the FS, and BetrFS's log tail to the device — so
 // the crash cuts an in-flight writeback stream rather than an empty one.
-func run(sys System, steps []Step) (*sim.Env, *blockdev.Dev, *model) {
+// Nothing is durable but what the program's own syncs made so.
+func run(sys System, steps []Step) (*sim.Env, *blockdev.Dev, *Model) {
 	env := sim.NewEnv(1)
 	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))
 	gate := &flushGate{Device: dev}
@@ -157,11 +131,14 @@ func run(sys System, steps []Step) (*sim.Env, *blockdev.Dev, *model) {
 		panic(fmt.Sprintf("crashtest: %s build: %v", sys.Name, err))
 	}
 	dev.EnableCrashTracking()
-	mo := newModel()
-	for _, s := range steps {
-		gate.held = gate.held || s.Op == OpSyncInFlight
-		applyStep(st.Mount, s)
-		mo.apply(s)
+	mo, t := NewModel(), MountTarget(st.Mount)
+	for i, n := 0, 0; i < len(steps); i += n {
+		n = runLen(steps[i:])
+		gate.held = gate.held || steps[i].Op == OpSyncInFlight
+		if err := mo.do(t, steps[i:i+n]); err != nil {
+			panic(fmt.Sprintf("crashtest: %s step %d: %v", sys.Name, i, err))
+		}
+		mo.record(steps[i : i+n]...)
 	}
 	st.Mount.Writeback()
 	if b, ok := st.FS.(*betrfs.FS); ok {
@@ -173,7 +150,7 @@ func run(sys System, steps []Step) (*sim.Env, *blockdev.Dev, *model) {
 // recoverAndCheck re-mounts a crashed device through remount and checks the
 // survivor against the model. Recovery and traversal of a crashed image
 // must never panic; a panic is reported as a violation like any other.
-func recoverAndCheck(system, spec string, mo *model, remount func() (*vfs.Mount, error)) []Violation {
+func recoverAndCheck(system, spec string, mo *Model, remount func() (*vfs.Mount, error)) []Violation {
 	var m2 *vfs.Mount
 	if err := guard(func() {
 		var rerr error
@@ -197,69 +174,24 @@ type Outcome struct {
 	Violations []Violation
 }
 
-// Sweep runs every spec as an independent trial.
+// Sweep runs every spec as an independent trial: it formats sys on a
+// fresh device, runs the program, crashes at spec, recovers, and checks
+// the model. Each trial rebuilds from scratch, so crash points are
+// independent.
 func Sweep(sys System, steps []Step, specs []CrashSpec) Outcome {
 	out := Outcome{Trials: len(specs)}
 	for _, spec := range specs {
-		out.Violations = append(out.Violations, RunTrial(sys, steps, spec)...)
+		env, dev, mo := run(sys, steps)
+		spec.apply(dev)
+		out.Violations = append(out.Violations, recoverAndCheck(sys.Name, spec.String(), mo, func() (*vfs.Mount, error) {
+			st, err := sys.recover(env, dev)
+			if err != nil {
+				return nil, err
+			}
+			return st.Mount, nil
+		})...)
 	}
 	return out
-}
-
-// RemoveHeavyWorkload builds the discard-stress workload: a durable
-// population, then rounds of interleaved remove-and-replace churn each
-// sealed with a full sync, then an unsynced mutation tail. Every sync
-// boundary is a checkpoint that frees the removed files' space, so by
-// the later rounds the file systems are issuing discards for space freed
-// one or two checkpoints earlier — a crash cut anywhere in the write
-// stream lands between some free and its deferred discard, which is
-// exactly the window where premature trimming would zero extents an
-// older superblock generation still references. Removed names are never
-// reused (replacements get fresh names), matching the workload rule the
-// oracle assumes everywhere else.
-func RemoveHeavyWorkload(seed uint64, nFiles, rounds int) []Step {
-	rnd := sim.NewRand(seed)
-	var steps []Step
-	steps = append(steps, Step{Op: OpMkdir, Path: "d"})
-	data := func(n int) []byte {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte(1 + rnd.Intn(255))
-		}
-		return b
-	}
-	var live []string
-	next := 0
-	create := func(n int) {
-		p := fmt.Sprintf("d/f%03d", next)
-		next++
-		steps = append(steps, Step{Op: OpWrite, Path: p, Data: data(n)})
-		live = append(live, p)
-	}
-	for i := 0; i < nFiles; i++ {
-		create(512 + rnd.Intn(4096))
-	}
-	steps = append(steps, Step{Op: OpSync})
-	remove := func() {
-		j := rnd.Intn(len(live))
-		steps = append(steps, Step{Op: OpRemove, Path: live[j]})
-		live = append(live[:j], live[j+1:]...)
-	}
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < nFiles/2; i++ {
-			remove()
-			create(512 + rnd.Intn(4096))
-		}
-		steps = append(steps, Step{Op: OpSync})
-	}
-	// Unsynced tail: removes and new files whose fate the crash decides.
-	for i := 0; i < nFiles/2; i++ {
-		remove()
-		if i%2 == 0 {
-			create(256 + rnd.Intn(2048))
-		}
-	}
-	return steps
 }
 
 // StandardWorkload builds the deterministic mixed workload used by the

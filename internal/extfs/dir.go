@@ -22,18 +22,20 @@ func (fs *FS) loadDir(x *xinode) {
 	if x.childrenLoaded {
 		return
 	}
-	x.children = make(map[string]dirent)
-	x.childrenLoaded = true
-	if x.size == 0 {
-		return
+	children := make(map[string]dirent)
+	if x.size > 0 {
+		// A failed read aborts here, before the directory counts as
+		// loaded: the next lookup reads it again instead of finding it
+		// empty.
+		data := make([]byte, x.size)
+		fs.readExtents(x, data, 0)
+		fs.env.Serialize(len(data))
+		if err := decodeDir(data, children); err != nil {
+			children = make(map[string]dirent)
+			fs.markInodeDirty(x)
+		}
 	}
-	data := make([]byte, x.size)
-	fs.readExtents(x, data, 0)
-	fs.env.Serialize(len(data))
-	if err := decodeDir(data, x.children); err != nil {
-		x.children = make(map[string]dirent)
-		fs.markInodeDirty(x)
-	}
+	x.children, x.childrenLoaded = children, true
 }
 
 // A directory blob is, in codec fields, the entry count and then each

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"betrfs/internal/blockdev"
+	"betrfs/internal/ioerr"
 	"betrfs/internal/sim"
 	"betrfs/internal/vfs"
 )
@@ -402,4 +403,58 @@ func TestInodeTableFullIsENOSPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after Recover", vfs.NewMount(env, fs2, vfs.DefaultConfig()))
+}
+
+// failingReads fails every read while fail is set.
+type failingReads struct {
+	blockdev.Device
+	fail bool
+}
+
+func (d *failingReads) ReadAt(p []byte, off int64) error {
+	if d.fail {
+		return &ioerr.DeviceError{Op: "read", Off: off, Len: len(p)}
+	}
+	return d.Device.ReadAt(p, off)
+}
+
+func (d *failingReads) SubmitRead(p []byte, off int64) blockdev.Completion {
+	c := d.Device.SubmitRead(p, off)
+	if d.fail {
+		c.Err = &ioerr.DeviceError{Op: "read", Off: off, Len: len(p)}
+	}
+	return c
+}
+
+// TestDirReadErrorIsNotAnEmptyDir: a directory whose blocks fail to read
+// reports EIO, and once the device reads again its entries are all there —
+// the failed read must not leave the directory loaded and empty.
+func TestDirReadErrorIsNotAnEmptyDir(t *testing.T) {
+	env := sim.NewEnv(1)
+	dev := &failingReads{Device: blockdev.New(env, blockdev.SamsungEVO860().Scale(64))}
+	m := vfs.NewMount(env, New(env, dev, Ext4Profile()), vfs.DefaultConfig())
+	if err := m.MkdirAll("d"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		f, err := m.Create(fmt.Sprintf("d/f%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	m.DropCaches()
+	dev.fail = true
+	if _, err := m.Stat("d/f0"); !errors.Is(err, vfs.ErrIO) {
+		t.Fatalf("stat through a failing read = %v, want EIO", err)
+	}
+	dev.fail = false
+	for i := 0; i < 3; i++ {
+		if _, err := m.Stat(fmt.Sprintf("d/f%d", i)); err != nil {
+			t.Fatalf("d/f%d after the device recovered: %v", i, err)
+		}
+	}
 }

@@ -1,6 +1,6 @@
 // Package faulttest mounts the catalogue's file systems (internal/systems)
-// over an injected-fault device stack and drives deterministic workloads
-// through them, checking the end-to-end error contract (DESIGN.md §10): faults
+// over an injected-fault device stack and runs crashtest programs on them,
+// checking the end-to-end error contract (DESIGN.md §10): faults
 // surface as errno-style errors at the mount API, never as panics;
 // transient faults are absorbed by bounded retry; persistent write
 // failure degrades the mount to read-only while reads keep serving
@@ -20,6 +20,7 @@ import (
 	"betrfs/internal/betree"
 	"betrfs/internal/betrfs"
 	"betrfs/internal/blockdev"
+	"betrfs/internal/crashtest"
 	"betrfs/internal/sfl"
 	"betrfs/internal/sim"
 	"betrfs/internal/systems"
@@ -99,9 +100,8 @@ func buildWith(name string, seed uint64, scale int64, plan blockdev.FaultPlan, p
 	return s, nil
 }
 
-// FileContent returns the deterministic payload for file index i: every
-// read-back check in the sweeps verifies against it.
-func FileContent(i, size int) []byte {
+// content is the payload of file i.
+func content(i, size int) []byte {
 	p := make([]byte, size)
 	for j := range p {
 		p[j] = byte(i*131 + j*7 + 1)
@@ -109,90 +109,35 @@ func FileContent(i, size int) []byte {
 	return p
 }
 
-// Workload drives a deterministic mixed workload — directory tree,
-// file creates, writes, fsyncs, renames, removes, a final sync — and
-// returns the first error a fault surfaced (nil when retries absorbed
-// everything). Panics are never part of the contract; they propagate to
-// the caller as test failures. The surviving files and their sizes are
-// returned for read-back verification.
-func Workload(m *vfs.Mount, seed uint64, files int) (map[string]int, error) {
+// Program is the fault sweeps' workload: a directory tree, files of
+// 512 B to 12.5 KiB with every fourth fsynced as it is written, every
+// fifth then moved into work/sub, every seventh of the others removed,
+// and a closing sync.
+func Program(seed uint64, files int) []crashtest.Step {
 	rnd := sim.NewRand(seed)
-	live := map[string]int{}
-	if err := m.MkdirAll("work/sub"); err != nil {
-		return live, fmt.Errorf("mkdir: %w", err)
-	}
+	steps := []crashtest.Step{{Op: crashtest.OpMkdir, Path: "work/sub"}}
 	for i := 0; i < files; i++ {
 		path := fmt.Sprintf("work/f%04d", i)
-		f, err := m.Create(path)
-		if err != nil {
-			return live, fmt.Errorf("create %s: %w", path, err)
-		}
-		size := 512 + rnd.Intn(3*4096)
-		if _, err := f.Write(FileContent(i, size)); err != nil {
-			return live, fmt.Errorf("write %s: %w", path, err)
-		}
+		steps = append(steps, crashtest.Step{Op: crashtest.OpWrite, Path: path, Data: content(i, 512+rnd.Intn(3*4096))})
 		if i%4 == 0 {
-			if err := f.Fsync(); err != nil {
-				return live, fmt.Errorf("fsync %s: %w", path, err)
-			}
+			steps = append(steps, crashtest.Step{Op: crashtest.OpFsync, Path: path})
 		}
-		f.Close()
-		live[path] = size
 	}
-	// Rename a slice of the files into the subdirectory.
 	for i := 0; i < files; i += 5 {
-		old := fmt.Sprintf("work/f%04d", i)
-		nw := fmt.Sprintf("work/sub/f%04d", i)
-		if err := m.Rename(old, nw); err != nil {
-			return live, fmt.Errorf("rename %s: %w", old, err)
-		}
-		live[nw] = live[old]
-		delete(live, old)
+		steps = append(steps, crashtest.Step{Op: crashtest.OpRename, Path: fmt.Sprintf("work/f%04d", i), To: fmt.Sprintf("work/sub/f%04d", i)})
 	}
-	// Remove another slice.
 	for i := 1; i < files; i += 7 {
-		path := fmt.Sprintf("work/f%04d", i)
-		if _, ok := live[path]; !ok {
-			continue
+		if i%5 != 0 {
+			steps = append(steps, crashtest.Step{Op: crashtest.OpRemove, Path: fmt.Sprintf("work/f%04d", i)})
 		}
-		if err := m.Remove(path); err != nil {
-			return live, fmt.Errorf("remove %s: %w", path, err)
-		}
-		delete(live, path)
 	}
-	if err := m.Sync(); err != nil {
-		return live, fmt.Errorf("sync: %w", err)
-	}
-	return live, nil
+	return append(steps, crashtest.Step{Op: crashtest.OpSync})
 }
 
-// VerifyFiles reads every surviving workload file back and checks its
-// bytes against FileContent. It returns the first mismatch or read error.
-func VerifyFiles(m *vfs.Mount, live map[string]int) error {
-	for path, size := range live {
-		var idx int
-		if _, err := fmt.Sscanf(path[len(path)-4:], "%d", &idx); err != nil {
-			return fmt.Errorf("bad workload path %s: %w", path, err)
-		}
-		f, err := m.Open(path)
-		if err != nil {
-			return fmt.Errorf("open %s: %w", path, err)
-		}
-		buf := make([]byte, size)
-		n, err := f.ReadAt(buf, 0)
-		if err != nil {
-			return fmt.Errorf("read %s: %w", path, err)
-		}
-		if n != size {
-			return fmt.Errorf("read %s: got %d bytes, want %d", path, n, size)
-		}
-		want := FileContent(idx, size)
-		for j := range buf {
-			if buf[j] != want[j] {
-				return fmt.Errorf("%s: byte %d = %#x, want %#x", path, j, buf[j], want[j])
-			}
-		}
-		f.Close()
-	}
-	return nil
+// Run runs Program(seed, files) on the system's mount and returns the
+// model to check the mount against. The error is the first step's the
+// mount failed.
+func (s *System) Run(seed uint64, files int) (*crashtest.Model, error) {
+	mo := crashtest.NewModel()
+	return mo, mo.Run(crashtest.MountTarget(s.Mount), Program(seed, files))
 }

@@ -8,9 +8,23 @@ import (
 
 	"betrfs/internal/betree"
 	"betrfs/internal/blockdev"
+	"betrfs/internal/crashtest"
 	"betrfs/internal/systems"
 	"betrfs/internal/vfs"
 )
+
+// allEIO reports whether err, and every error it joins, is EIO-class.
+func allEIO(err error) bool {
+	if j, ok := err.(interface{ Unwrap() []error }); ok {
+		for _, e := range j.Unwrap() {
+			if !allEIO(e) {
+				return false
+			}
+		}
+		return true
+	}
+	return errors.Is(err, vfs.ErrIO)
+}
 
 // TestTransientFaultsAbsorbedByRetry injects seeded transient read and
 // write faults under every system and checks the whole-stack contract:
@@ -38,17 +52,17 @@ func TestTransientFaultsAbsorbedByRetry(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build under transient faults: %v", err)
 			}
-			live, werr := Workload(sys.Mount, 7, 200)
+			mo, werr := sys.Run(7, 200)
 			if werr != nil {
 				t.Fatalf("workload error despite retry: %v", werr)
 			}
-			if err := VerifyFiles(sys.Mount, live); err != nil {
+			if err := mo.Check(sys.Mount); err != nil {
 				t.Fatal(err)
 			}
-			// Cold read-back: dropping the caches forces the verify pass
-			// onto the device, exercising the read-retry path too.
+			// Cold read-back: dropping the caches forces the check onto
+			// the device, exercising the read-retry path too.
 			sys.Mount.DropCaches()
-			if err := VerifyFiles(sys.Mount, live); err != nil {
+			if err := mo.Check(sys.Mount); err != nil {
 				t.Fatalf("cold read-back under transient faults: %v", err)
 			}
 			if inj := sys.Counter("io.fault.read") + sys.Counter("io.fault.write"); inj == 0 {
@@ -81,7 +95,7 @@ func TestTransientFaultsAbsorbedByRetry(t *testing.T) {
 // (the worn-out-SSD failure mode) and checks graceful degradation: the
 // failure surfaces as an EIO-class error at fsync/sync, the mount flips
 // read-only (EROFS on mutations), and every file written before the
-// failure still reads back correct data.
+// failure, and the one written after it, still reads back correct data.
 func TestPersistentWriteFailureDegradesMount(t *testing.T) {
 	for _, name := range systems.Core {
 		t.Run(name, func(t *testing.T) {
@@ -90,27 +104,24 @@ func TestPersistentWriteFailureDegradesMount(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := sys.Mount
-			live, werr := Workload(m, 11, 40)
+			mo, werr := sys.Run(11, 40)
 			if werr != nil {
 				t.Fatalf("fault-free workload failed: %v", werr)
 			}
-			if err := VerifyFiles(m, live); err != nil {
+			if err := mo.Check(m); err != nil {
 				t.Fatal(err)
 			}
 
 			sys.Fault.FailWritesNow()
-			f, err := m.Create("work/after-death")
-			if err != nil {
+			// A blind-write path may fail the write itself; either way the
+			// error must be EIO-class, and the page cache keeps the bytes.
+			serr := mo.Run(crashtest.MountTarget(m), []crashtest.Step{
+				{Op: crashtest.OpWrite, Path: "work/after-death", Data: content(999, 8192)},
+				{Op: crashtest.OpFsync, Path: "work/after-death"},
+			})
+			if _, err := m.Stat("work/after-death"); err != nil {
 				t.Fatalf("create before degradation detected: %v", err)
 			}
-			if _, err := f.Write(FileContent(999, 8192)); err != nil {
-				// A blind-write path may hit the device immediately; that
-				// error is acceptable as long as it is EIO-class.
-				if !errors.Is(err, vfs.ErrIO) {
-					t.Fatalf("write after media death = %v, want EIO-class", err)
-				}
-			}
-			serr := f.Fsync()
 			if serr == nil {
 				serr = m.Sync()
 			}
@@ -132,8 +143,8 @@ func TestPersistentWriteFailureDegradesMount(t *testing.T) {
 			if err := m.Remove("work/f0002"); err != nil && !errors.Is(err, vfs.ErrReadOnly) && !errors.Is(err, vfs.ErrNotExist) {
 				t.Fatalf("remove on degraded mount = %v, want EROFS", err)
 			}
-			// Reads must keep serving correct pre-failure data.
-			if err := VerifyFiles(m, live); err != nil {
+			// Reads must keep serving correct data.
+			if err := mo.Check(m); err != nil {
 				t.Fatalf("reads after degradation: %v", err)
 			}
 			if got := sys.Counter("vfs.remount.ro"); got != 1 {
@@ -152,7 +163,7 @@ func TestBitFlipsRecoveredByReread(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build under bit flips: %v", err)
 	}
-	live, werr := Workload(sys.Mount, 5, 200)
+	mo, werr := sys.Run(5, 200)
 	if werr != nil {
 		t.Fatalf("workload under bit flips: %v", werr)
 	}
@@ -162,15 +173,26 @@ func TestBitFlipsRecoveredByReread(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Per-file cold read-back: the whole dataset packs into a handful of
-	// Bε-tree nodes, so one verify pass is only a couple of device reads.
-	// Dropping the caches before every file re-reads those nodes each
-	// time, giving the flip probability hundreds of commands to land on —
-	// every one through the checksum-verified node read path.
-	for path, size := range live {
-		sys.Mount.DropCaches()
-		if err := VerifyFiles(sys.Mount, map[string]int{path: size}); err != nil {
-			t.Fatalf("cold read-back of %s under bit flips: %v", path, err)
+	// Bε-tree nodes, so one check is only a couple of device reads.
+	// Dropping the caches before reading each name the program wrote
+	// re-reads those nodes each time, giving the flip probability hundreds
+	// of commands to land on — every one through the checksum-verified
+	// node read path. A name the program moved or removed must be absent.
+	target := crashtest.MountTarget(sys.Mount)
+	for _, s := range Program(5, 200) {
+		read := crashtest.Step{Op: crashtest.OpRead, Path: s.Path}
+		if s.Op == crashtest.OpRename {
+			read.Path = s.To
+		} else if s.Op != crashtest.OpWrite {
+			continue
 		}
+		sys.Mount.DropCaches()
+		if err := mo.Run(target, []crashtest.Step{read}); err != nil {
+			t.Fatalf("cold read-back under bit flips: %v", err)
+		}
+	}
+	if err := mo.Check(sys.Mount); err != nil {
+		t.Fatal(err)
 	}
 	if sys.Counter("io.fault.bitflip") == 0 {
 		t.Fatal("plan injected no bit flips; test is vacuous")
@@ -182,7 +204,8 @@ func TestBitFlipsRecoveredByReread(t *testing.T) {
 
 // TestBadSectorReadsSurfaceEIO grows a media defect over the whole device
 // after a synced population and checks that cold reads surface EIO-class
-// errors (not panics, not silent zeros) while the mount stays mounted.
+// errors (not panics, not silent zeros) while the mount stays mounted:
+// every failure the check reports wraps EIO.
 func TestBadSectorReadsSurfaceEIO(t *testing.T) {
 	for _, name := range []string{"ext4", "betrfs-v0.6"} {
 		t.Run(name, func(t *testing.T) {
@@ -190,7 +213,7 @@ func TestBadSectorReadsSurfaceEIO(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			live, werr := Workload(sys.Mount, 13, 30)
+			mo, werr := sys.Run(13, 30)
 			if werr != nil {
 				t.Fatalf("fault-free workload failed: %v", werr)
 			}
@@ -199,11 +222,11 @@ func TestBadSectorReadsSurfaceEIO(t *testing.T) {
 			}
 			sys.Mount.DropCaches()
 			sys.Fault.AddBadRange(0, sys.Dev.Size())
-			verr := VerifyFiles(sys.Mount, live)
+			verr := mo.Check(sys.Mount)
 			if verr == nil {
 				t.Fatal("cold reads from fully-bad media reported no error")
 			}
-			if !errors.Is(verr, vfs.ErrIO) {
+			if !allEIO(verr) {
 				t.Fatalf("read from bad media = %v, want EIO-class", verr)
 			}
 		})
@@ -285,7 +308,7 @@ func TestScrubClassifiesMediaVsChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, werr := Workload(sys.Mount, 17, 40); werr != nil {
+	if _, werr := sys.Run(17, 40); werr != nil {
 		t.Fatal(werr)
 	}
 	if err := sys.Mount.Sync(); err != nil {

@@ -2,11 +2,11 @@ package faulttest
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"betrfs/internal/betree"
 	"betrfs/internal/blockdev"
+	"betrfs/internal/crashtest"
 	"betrfs/internal/systems"
 	"betrfs/internal/vfs"
 )
@@ -14,13 +14,13 @@ import (
 // populateCheckpointed builds a v0.6 system, runs a synced workload, and
 // checkpoints the store so every node is durable and scrub-visible. The
 // clean scrub reports are returned for targeted fault injection.
-func populateCheckpointed(t *testing.T, seed uint64, files int, tune func(*betree.Config)) (*System, map[string]int, []betree.ScrubReport) {
+func populateCheckpointed(t *testing.T, seed uint64, files int, tune func(*betree.Config)) (*System, *crashtest.Model, []betree.ScrubReport) {
 	t.Helper()
 	sys, err := buildWith("betrfs-v0.6", seed, DefaultScale, blockdev.FaultPlan{Seed: seed}, blockdev.DefaultRetryPolicy(), 0, tune)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, werr := Workload(sys.Mount, seed^0x5eed, files)
+	mo, werr := sys.Run(seed^0x5eed, files)
 	if werr != nil {
 		t.Fatalf("fault-free workload failed: %v", werr)
 	}
@@ -36,7 +36,7 @@ func populateCheckpointed(t *testing.T, seed uint64, files int, tune func(*betre
 			t.Fatalf("pre-injection scrub dirty: %s node %d: %v", rep.Tree, rep.ID, rep.Err)
 		}
 	}
-	return sys, live, clean
+	return sys, mo, clean
 }
 
 // TestScrubRepairRelocatesBadSector is the end-to-end self-healing demo
@@ -47,7 +47,7 @@ func populateCheckpointed(t *testing.T, seed uint64, files int, tune func(*betre
 // mount never degrades, and a follow-up scrub comes back clean — the
 // betrfsck exit-0 condition.
 func TestScrubRepairRelocatesBadSector(t *testing.T) {
-	sys, live, clean := populateCheckpointed(t, 21, 40, nil)
+	sys, mo, clean := populateCheckpointed(t, 21, 40, nil)
 	m := sys.Mount
 
 	// Grow the defect under a data-tree extent: file bytes live there, so
@@ -89,7 +89,7 @@ func TestScrubRepairRelocatesBadSector(t *testing.T) {
 
 	// Cold read-back must now come off the relocated extents.
 	m.DropCaches()
-	if err := VerifyFiles(m, live); err != nil {
+	if err := mo.Check(m); err != nil {
 		t.Fatalf("cold read-back after repair: %v", err)
 	}
 	// Follow-up scrub clean: the betrfsck -repair exit-0 condition.
@@ -105,7 +105,7 @@ func TestScrubRepairRelocatesBadSector(t *testing.T) {
 // historical behaviour — the scrub reports the node unreadable (the
 // betrfsck exit-3 condition) and cold reads surface EIO.
 func TestBadSectorWithoutRepairStaysBroken(t *testing.T) {
-	sys, live, clean := populateCheckpointed(t, 21, 40, nil)
+	sys, mo, clean := populateCheckpointed(t, 21, 40, nil)
 
 	var target betree.ScrubReport
 	for _, rep := range clean {
@@ -129,11 +129,11 @@ func TestBadSectorWithoutRepairStaysBroken(t *testing.T) {
 		t.Fatal("scrub without repair found no unreadable node; injection missed")
 	}
 	sys.Mount.DropCaches()
-	verr := VerifyFiles(sys.Mount, live)
+	verr := mo.Check(sys.Mount)
 	if verr == nil {
 		t.Fatal("cold reads through a grown defect reported no error without repair")
 	}
-	if !errors.Is(verr, vfs.ErrIO) {
+	if !allEIO(verr) {
 		t.Fatalf("cold read through defect = %v, want EIO-class", verr)
 	}
 }
@@ -160,7 +160,7 @@ func writeBig(m *vfs.Mount, path string, size int) error {
 		return err
 	}
 	defer f.Close()
-	if _, err := f.Write(FileContent(77, size)); err != nil {
+	if _, err := f.Write(content(77, size)); err != nil {
 		return err
 	}
 	return f.Fsync()
@@ -213,7 +213,7 @@ func TestWritePathRelocationAbsorbsGrownDefect(t *testing.T) {
 	if _, err := f.ReadAt(buf, 0); err != nil {
 		t.Fatalf("cold read of relocated file: %v", err)
 	}
-	want := FileContent(77, bigSize)
+	want := content(77, bigSize)
 	for i := range buf {
 		if buf[i] != want[i] {
 			t.Fatalf("relocated file byte %d = %#x, want %#x", i, buf[i], want[i])
@@ -269,7 +269,7 @@ func TestScrubHookAcrossSystems(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, werr := Workload(sys.Mount, 31, 20); werr != nil {
+			if _, werr := sys.Run(31, 20); werr != nil {
 				t.Fatal(werr)
 			}
 			if err := sys.Mount.Sync(); err != nil {
@@ -309,15 +309,11 @@ func TestScrubHookAcrossSystems(t *testing.T) {
 // sweep (run under -race by `make faults`): several client goroutines
 // hammer one concurrently-configured mount while a transient fault plan
 // fires underneath, with periodic online scrub-repair passes mixed in.
-// Goroutine interleaving makes exact state nondeterministic, so the
-// sweep asserts the error contract: errno-class errors only, no panics,
-// no data loss among fsynced survivors, and no spurious degradation
-// when every fault is retry-coverable.
+// Goroutine interleaving makes exact state nondeterministic, but each
+// client's files are its own, so the storm asserts the error contract and
+// the exact model: no errors, no panics, every file intact, and no
+// spurious degradation when every fault is retry-coverable.
 func TestConcurrentClientsUnderFaultPlan(t *testing.T) {
-	const (
-		clients   = 4
-		opsPerCli = 40
-	)
 	plan := blockdev.FaultPlan{
 		Seed:                 51,
 		TransientReadProb:    0.03,
@@ -332,93 +328,16 @@ func TestConcurrentClientsUnderFaultPlan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build under fault plan: %v", err)
 			}
-			m := sys.Mount
-
-			type survivor struct {
-				path string
-				idx  int
-				size int
-			}
-			okFiles := make([][]survivor, clients)
-			badErr := make([]error, clients)
-			done := make(chan int, clients)
-			for c := 0; c < clients; c++ {
-				go func(c int) {
-					defer func() { done <- c }()
-					dir := fmt.Sprintf("cli%d", c)
-					if err := m.MkdirAll(dir); err != nil && !wireErrOK(err) {
-						badErr[c] = fmt.Errorf("mkdir %s: %w", dir, err)
-						return
-					}
-					for i := 0; i < opsPerCli; i++ {
-						path := fmt.Sprintf("%s/f%04d", dir, i)
-						f, err := m.Create(path)
-						if err != nil {
-							if !wireErrOK(err) {
-								badErr[c] = fmt.Errorf("create %s: %w", path, err)
-								return
-							}
-							continue
-						}
-						size := 512 + (c*opsPerCli+i)*37%4096
-						_, werr := f.Write(FileContent(i, size))
-						serr := f.Fsync()
-						f.Close()
-						if !wireErrOK(werr) || !wireErrOK(serr) {
-							badErr[c] = fmt.Errorf("write/fsync %s: %v / %v", path, werr, serr)
-							return
-						}
-						if werr == nil && serr == nil {
-							okFiles[c] = append(okFiles[c], survivor{path, i, size})
-						}
-						// Mix online scrub passes into the storm: the repair
-						// path must coexist with concurrent writers.
-						if sys.Betr != nil && i%16 == 8 {
-							if _, err := m.Scrub(true); err != nil && !wireErrOK(err) {
-								badErr[c] = fmt.Errorf("online scrub: %w", err)
-								return
-							}
-						}
-					}
-				}(c)
-			}
-			for i := 0; i < clients; i++ {
-				<-done
-			}
-			for c, err := range badErr {
-				if err != nil {
-					t.Fatalf("client %d broke the error contract: %v", c, err)
+			// Mix online scrub passes into the storm: the repair path must
+			// coexist with concurrent writers.
+			var scrub func() error
+			if sys.Betr != nil {
+				scrub = func() error {
+					_, err := sys.Mount.Scrub(true)
+					return err
 				}
 			}
-			if inj := sys.Counter("io.fault.read") + sys.Counter("io.fault.write"); inj == 0 {
-				t.Fatal("plan injected no faults; sweep is vacuous")
-			}
-			if errs := sys.Counter("io.error.read") + sys.Counter("io.error.write") + sys.Counter("io.error.flush"); errs != 0 {
-				t.Fatalf("%d commands exhausted retries under a retry-coverable plan", errs)
-			}
-			if err := m.Degraded(); err != nil {
-				t.Fatalf("mount degraded under transient-only faults: %v", err)
-			}
-			// Every fsynced survivor reads back intact.
-			for c := range okFiles {
-				for _, s := range okFiles[c] {
-					f, err := m.Open(s.path)
-					if err != nil {
-						t.Fatalf("open fsynced survivor %s: %v", s.path, err)
-					}
-					buf := make([]byte, s.size)
-					if _, err := f.ReadAt(buf, 0); err != nil {
-						t.Fatalf("read fsynced survivor %s: %v", s.path, err)
-					}
-					want := FileContent(s.idx, s.size)
-					for j := range buf {
-						if buf[j] != want[j] {
-							t.Fatalf("%s byte %d = %#x, want %#x", s.path, j, buf[j], want[j])
-						}
-					}
-					f.Close()
-				}
-			}
+			storm(t, sys, 40, scrub)
 		})
 	}
 }

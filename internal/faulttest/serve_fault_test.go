@@ -75,7 +75,7 @@ func TestServerWriteDeathUnderConcurrentClients(t *testing.T) {
 			if err != nil {
 				t.Fatalf("pre create: %v", err)
 			}
-			if _, err := pre.Write(h, 0, FileContent(7, keepSize)); err != nil {
+			if _, err := pre.Write(h, 0, content(7, keepSize)); err != nil {
 				t.Fatalf("pre write: %v", err)
 			}
 			if err := pre.Fsync(h); err != nil {
@@ -116,7 +116,7 @@ func TestServerWriteDeathUnderConcurrentClients(t *testing.T) {
 						if err != nil {
 							continue
 						}
-						if _, err := cli.Write(fh, 0, FileContent(i, 2048)); !wireErrOK(err) {
+						if _, err := cli.Write(fh, 0, content(i, 2048)); !wireErrOK(err) {
 							badErr[c] = fmt.Errorf("write %s: %w", path, err)
 							return
 						}
@@ -165,7 +165,7 @@ func TestServerWriteDeathUnderConcurrentClients(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read pre/keep after degradation: %v", err)
 			}
-			if !bytes.Equal(got, FileContent(7, keepSize)) {
+			if !bytes.Equal(got, content(7, keepSize)) {
 				t.Fatal("pre-fault bytes corrupted when read through degraded server")
 			}
 		})

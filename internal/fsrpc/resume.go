@@ -320,6 +320,9 @@ func (c *Client) resume(rgen uint64, rw io.ReadWriteCloser, attempts int) (done 
 	if ch != nil {
 		close(ch)
 	}
+	// Counted before the reader can deliver a replayed call, so a caller
+	// whose call completed across the cut also sees the redial.
+	c.m.redialSuccess.Inc()
 	go c.reader(rgen, fr)
 
 	if staleSession {
@@ -351,7 +354,6 @@ func (c *Client) resume(rgen uint64, rw io.ReadWriteCloser, attempts int) (done 
 			c.poison(rgen, fmt.Errorf("%w: send during replay: %w", ErrPoisoned, werr))
 		}
 	}
-	c.m.redialSuccess.Inc()
 	if c.policy.OnReconnect != nil {
 		c.policy.OnReconnect(attempts, !staleSession)
 	}

@@ -265,7 +265,10 @@ func TestWireConformance(t *testing.T) {
 			p.both(t, "mkdir d", func(d confDriver) fsrpc.Status { return d.mkdir("d") })
 			p.both(t, "mkdir d again", func(d confDriver) fsrpc.Status { return d.mkdir("d") })
 			p.bothAttr(t, "create d/f", func(d confDriver) (fsrpc.Attr, fsrpc.Status) { return d.create("d/f", "hf") })
-			payload := faulttest.FileContent(3, 6000)
+			payload := make([]byte, 6000)
+			for j := range payload {
+				payload[j] = byte(j*7 + 1)
+			}
 			p.both(t, "write d/f", func(d confDriver) fsrpc.Status {
 				n, st := d.write("hf", 0, payload)
 				if st == fsrpc.StatusOK && n != len(payload) {

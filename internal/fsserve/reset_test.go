@@ -2,6 +2,7 @@ package fsserve_test
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 
@@ -90,6 +91,57 @@ func TestClientPoisonedAndReset(t *testing.T) {
 	}
 	if _, err := cli.Write(h2, 0, []byte("again")); err != nil {
 		t.Fatalf("write after reset: %v", err)
+	}
+}
+
+// TestStaleHandleNamesNothing: handle numbers are server-wide, so a handle
+// kept across a Reset names no file of the new session even once that
+// session has opened files of its own. A READ and a WRITE through it get
+// EBADF, and the WRITE lands nowhere.
+func TestStaleHandleNamesNothing(t *testing.T) {
+	in := bench.Build("betrfs-v0.6", 256)
+	srv := fsserve.New(in.Env, in.Mount, fsserve.DefaultConfig())
+	defer srv.Shutdown()
+	cli := dial(t, srv)
+	stale, _, err := cli.Create("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Write(stale, 0, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+
+	cliEnd, srvEnd := net.Pipe()
+	go srv.ServeConn(srvEnd)
+	cli.Reset(cliEnd)
+	var live []uint64
+	for i := 0; i < 3; i++ {
+		h, _, err := cli.Create(fmt.Sprintf("new%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cli.Write(h, 0, []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, h)
+	}
+	if _, err := cli.Read(stale, 0, 4); !errors.Is(err, fsrpc.ErrBadHandle) {
+		t.Fatalf("READ through a handle of the last session = %v, want EBADF", err)
+	}
+	if _, err := cli.Write(stale, 0, []byte("XXXX")); !errors.Is(err, fsrpc.ErrBadHandle) {
+		t.Fatalf("WRITE through a handle of the last session = %v, want EBADF", err)
+	}
+	for i, h := range live {
+		if got, err := cli.Read(h, 0, 8); err != nil || string(got) != "new" {
+			t.Fatalf("new%d after the stale WRITE = %q, %v; want \"new\"", i, got, err)
+		}
+	}
+	h, _, err := cli.Lookup("old", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cli.Read(h, 0, 8); err != nil || string(got) != "old" {
+		t.Fatalf("old after the stale WRITE = %q, %v; want \"old\"", got, err)
 	}
 }
 

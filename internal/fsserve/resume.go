@@ -20,7 +20,6 @@ import (
 type sessState struct {
 	hmu     sync.Mutex
 	token   string // empty: anonymous, discarded at connection close
-	nextID  uint64
 	handles map[uint64]*vfs.File
 	order   []uint64 // insertion order, for FIFO eviction
 
@@ -44,13 +43,10 @@ func newSessState(drcEntries int) *sessState {
 	}
 }
 
-// put registers f and returns its handle, evicting the oldest handle
-// beyond max.
-func (st *sessState) put(f *vfs.File, max int) uint64 {
+// put registers f under handle id, evicting the oldest handle beyond max.
+func (st *sessState) put(id uint64, f *vfs.File, max int) {
 	st.hmu.Lock()
 	defer st.hmu.Unlock()
-	st.nextID++
-	id := st.nextID
 	st.handles[id] = f
 	st.order = append(st.order, id)
 	if len(st.handles) > max {
@@ -61,7 +57,6 @@ func (st *sessState) put(f *vfs.File, max int) uint64 {
 			delete(st.handles, victim)
 		}
 	}
-	return id
 }
 
 // get resolves a handle.

@@ -36,6 +36,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"betrfs/internal/blockdev"
@@ -218,6 +219,10 @@ type Server struct {
 	sessions map[*session]struct{}
 	named    map[string]*sessState // resumable sessions by token (§13.9)
 	tokenSeq uint64
+
+	// handleSeq numbers every file and block handle the server hands out,
+	// so a handle kept from another session names nothing here (§13.6).
+	handleSeq atomic.Uint64
 
 	janitorStop chan struct{} // closes at Shutdown; nil without a lease
 

@@ -139,7 +139,6 @@ type session struct {
 	// ops are idempotent at absolute offsets), so the client simply
 	// re-BOPENs after a reconnect.
 	bmu   sync.Mutex
-	bnext uint64
 	bdevs map[uint64]blockdev.Device
 }
 
@@ -290,7 +289,9 @@ func (s *session) finishChain(t *task) {
 // put registers f and returns its handle, evicting the oldest handle if
 // the table is full.
 func (s *session) put(f *vfs.File) uint64 {
-	return s.state().put(f, s.srv.cfg.MaxHandles)
+	id := s.srv.handleSeq.Add(1)
+	s.state().put(id, f, s.srv.cfg.MaxHandles)
+	return id
 }
 
 // get resolves a handle.
@@ -310,8 +311,7 @@ func (s *session) bput(dev blockdev.Device) uint64 {
 	if s.bdevs == nil {
 		s.bdevs = make(map[uint64]blockdev.Device)
 	}
-	s.bnext++
-	id := s.bnext
+	id := s.srv.handleSeq.Add(1)
 	s.bdevs[id] = dev
 	if len(s.bdevs) > s.srv.cfg.MaxHandles {
 		oldest := id

@@ -2,10 +2,10 @@
 // the fsrpc/fsserve transport, mirroring what blockdev.FaultDev does for
 // the block layer: a seeded schedule decides exactly how many bytes each
 // connection may carry before the link dies mid-stream. The torture tests
-// in this package drive multi-client workloads through the injector and
-// compare the surviving file-system state byte-for-byte against a
-// fault-free oracle run, proving the session-resume and duplicate-reply
-// machinery (DESIGN.md §13.9) end to end.
+// in this package run crashtest programs from several clients through the
+// injector and check the served mount against the programs' model byte
+// for byte, proving the session-resume and duplicate-reply machinery
+// (DESIGN.md §13.9) end to end.
 package nettest
 
 import (

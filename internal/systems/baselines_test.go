@@ -29,9 +29,9 @@ const (
 // baseline ends the program with. The run is single-threaded and charges
 // costs in a fixed order, so any drift is a behaviour change.
 var goldenBaselines = map[string]string{
-	"f2fs":  "now=692528725 {Reads:6960 Writes:6804 Flushes:246 BytesRead:35966976 BytesWritten:56713216 BusyTime:560.553018ms SeqWrites:6313 RandWrites:491 SeqReads:6658 RandReads:302 ReadFaults:0 Discards:15 BytesDiscarded:31457280}",
-	"btrfs": "now=394776432 {Reads:729 Writes:2542 Flushes:263 BytesRead:10465280 BytesWritten:46629251 BusyTime:236.196455ms SeqWrites:2215 RandWrites:327 SeqReads:550 RandReads:179 ReadFaults:0 Discards:269 BytesDiscarded:21458944}",
-	"zfs":   "now=367495954 {Reads:736 Writes:1138 Flushes:263 BytesRead:10530816 BytesWritten:47417283 BusyTime:208.694417ms SeqWrites:800 RandWrites:338 SeqReads:555 RandReads:181 ReadFaults:0 Discards:259 BytesDiscarded:22114304}",
+	"f2fs":  "now=692528725 {Reads:6960 Writes:6804 Flushes:246 BytesRead:35966976 BytesWritten:56713216 BusyTime:560.553018ms SeqWrites:6313 RandWrites:491 SeqReads:6658 RandReads:302 Discards:15 BytesDiscarded:31457280}",
+	"btrfs": "now=394776432 {Reads:729 Writes:2542 Flushes:263 BytesRead:10465280 BytesWritten:46629251 BusyTime:236.196455ms SeqWrites:2215 RandWrites:327 SeqReads:550 RandReads:179 Discards:269 BytesDiscarded:21458944}",
+	"zfs":   "now=367495954 {Reads:736 Writes:1138 Flushes:263 BytesRead:10530816 BytesWritten:47417283 BusyTime:208.694417ms SeqWrites:800 RandWrites:338 SeqReads:555 RandReads:181 Discards:259 BytesDiscarded:22114304}",
 }
 
 // program drives a mount and keeps the bytes every file should hold.
