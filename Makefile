@@ -137,12 +137,15 @@ netfaults:
 
 # FTL aging rung (DESIGN.md §12; its discard, FTL and pinned
 # write-amplification tests are in `race`): a fast two-system aging run
-# whose schema-v3 JSON must validate.
+# whose schema-v3 JSON must validate, then the bench package with every
+# row of EXPERIMENTS.md's aging table regenerated (TestAgingTableDrift;
+# without BETRFS_DRIFT=all it regenerates only the betrfs-v0.6 row).
 aging:
 	$(GO) run ./cmd/betrbench -aging -scale 4096 -systems f2fs,btrfs \
 		-o BENCH_aging_smoke.json > /dev/null
 	$(GO) run ./cmd/betrbench -validate BENCH_aging_smoke.json
 	rm -f BENCH_aging_smoke.json
+	BETRFS_DRIFT=all $(GO) test -count=1 ./internal/bench
 
 # Scale-out sharded service (DESIGN.md §14; its remote-device
 # equivalence, read-cache, block-range, shard-map, conformance and pinned

@@ -8,8 +8,9 @@ import (
 
 // goldenMicro2048 pins every Table 1 cell at scale 2048 to the exact
 // float64 the deterministic simulation must produce. The single-worker
-// deterministic mode takes no locks and charges costs in a fixed order,
-// so ANY drift here is a real behavior change — there is no tolerance.
+// deterministic mode runs on one goroutine and charges costs in a fixed
+// order (its locks charge nothing), so ANY drift here is a real behavior
+// change — there is no tolerance.
 // Regenerate with: go run ./cmd/betrbench -table 1 -scale 2048 -systems
 // betrfs-v0.4,betrfs-v0.6 -json (and update this table in the same
 // commit, explaining the change).

@@ -25,10 +25,11 @@ type cacheKey struct {
 // eviction order — and therefore every golden benchmark number — does not
 // depend on the shard hash.
 //
-// Dirty-node writeback on eviction has two policies:
-//   - inline (deterministic mode): the evicting caller writes the node
-//     back synchronously via writeNode;
-//   - deferred (concurrent mode): dirty nodes are never evicted by
+// Dirty-node writeback on eviction has two policies, picked with the
+// shard count by Config.Concurrent:
+//   - inline (one shard): the evicting caller writes the node back
+//     synchronously via writeNode;
+//   - deferred (eight shards): dirty nodes are never evicted by
 //     readers — they are skipped like pinned nodes and onDirtyPressure is
 //     invoked so the store can schedule a background writeback on the
 //     flusher pool. Readers therefore never touch the block table or the
@@ -218,10 +219,11 @@ func (c *nodeCache) evictShard(sh *cacheShard, target int64) (dirtySkipped bool,
 					el = prev
 					continue
 				}
-				// Inline write-back exists only in deterministic mode, where
-				// this goroutine is the store's only one. The shard lock is
-				// dropped across it: writing a leaf back first loads its
-				// missing basements, which resizes this entry through resize.
+				// Inline write-back exists only in the deterministic store's
+				// single-stripe cache, whose goroutine is the store's only
+				// one. The shard lock is dropped across it: writing a leaf
+				// back first loads its missing basements, which resizes this
+				// entry through resize.
 				sh.mu.Unlock()
 				werr := c.tryWriteNode(ce.key.tree, ce.node)
 				sh.mu.Lock()

@@ -202,55 +202,54 @@ func TestConcurrentCheckpointDurability(t *testing.T) {
 	}
 }
 
-// TestDeterministicModeTakesNoLocks pins the zero-cost contract of the
-// default mode: with Concurrent off, the lock helpers never touch their
-// counters, so the deterministic path is provably lock-free (and golden
-// cells cannot be perturbed by the concurrency layer).
-func TestDeterministicModeTakesNoLocks(t *testing.T) {
-	env, s := testStore(t, nil)
-	tr := s.Meta()
-	for i := 0; i < 500; i++ {
-		tr.Put(k(i), v(i, 40), LogAuto)
-	}
-	for i := 0; i < 500; i += 7 {
-		if _, ok, _ := tr.Get(k(i)); !ok {
-			t.Fatalf("key %d missing", i)
-		}
-	}
-	tr.Scan(nil, nil, func(_, _ []byte) bool { return true })
-	s.Checkpoint()
-	snap := env.Metrics.Snapshot()
-	for _, name := range []string{
-		"betree.lock.store.shared", "betree.lock.store.excl",
-		"betree.lock.node.shared", "betree.lock.node.excl",
-		"flusher.writeback.bg", "flusher.flush.bg",
+// TestEveryModeTakesLocks pins the single locking protocol: a
+// deterministic store and a concurrent one run the same workload through
+// the same store locks and node latches, so the lock counters move in
+// both. Background work is decided by the flusher pool alone: with at
+// most one worker no flush or write-back ever leaves the caller's
+// goroutine, whatever Config.Concurrent says.
+func TestEveryModeTakesLocks(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		store func(t *testing.T) (*sim.Env, *Store)
+		bg    bool // background counters may move
+	}{
+		{"deterministic", func(t *testing.T) (*sim.Env, *Store) { return testStore(t, nil) }, false},
+		{"concurrent/1worker", func(t *testing.T) (*sim.Env, *Store) { return concurrentStore(t, 1) }, false},
+		{"concurrent/2workers", func(t *testing.T) (*sim.Env, *Store) { return concurrentStore(t, 2) }, true},
 	} {
-		if n := snap.Counters[name]; n != 0 {
-			t.Errorf("deterministic mode incremented %s to %d", name, n)
-		}
-	}
-}
-
-// TestConcurrentModeTakesLocks is the positive control for the test
-// above: in concurrent mode the same workload must actually exercise the
-// locking protocol.
-func TestConcurrentModeTakesLocks(t *testing.T) {
-	env, s := concurrentStore(t, 2)
-	tr := s.Data()
-	for i := 0; i < 500; i++ {
-		tr.Put(k(i), v(i, 40), LogAuto)
-	}
-	for i := 0; i < 500; i += 7 {
-		if _, ok, _ := tr.Get(k(i)); !ok {
-			t.Fatalf("key %d missing", i)
-		}
-	}
-	s.Checkpoint()
-	snap := env.Metrics.Snapshot()
-	if snap.Counters["betree.lock.store.shared"] == 0 {
-		t.Error("concurrent mode never took the shared structure lock")
-	}
-	if snap.Counters["betree.lock.node.excl"] == 0 {
-		t.Error("concurrent mode never latched a node exclusively")
+		t.Run(tc.name, func(t *testing.T) {
+			env, s := tc.store(t)
+			tr := s.Data()
+			// Enough keys to split the root, so descents latch an
+			// interior node shared.
+			for i := 0; i < 3000; i++ {
+				tr.Put(k(i), v(i, 40), LogAuto)
+			}
+			for i := 0; i < 3000; i += 7 {
+				if _, ok, _ := tr.Get(k(i)); !ok {
+					t.Fatalf("key %d missing", i)
+				}
+			}
+			tr.Scan(nil, nil, func(_, _ []byte) bool { return true })
+			s.Checkpoint()
+			snap := env.Metrics.Snapshot()
+			for _, name := range []string{
+				"betree.lock.store.shared", "betree.lock.store.excl",
+				"betree.lock.node.shared", "betree.lock.node.excl",
+			} {
+				if snap.Counters[name] == 0 {
+					t.Errorf("%s never moved", name)
+				}
+			}
+			if tc.bg {
+				return
+			}
+			for _, name := range []string{"flusher.writeback.bg", "flusher.flush.bg"} {
+				if n := snap.Counters[name]; n != 0 {
+					t.Errorf("%s = %d with one pool worker", name, n)
+				}
+			}
+		})
 	}
 }

@@ -34,16 +34,15 @@ type Config struct {
 	// unless ranges strictly overlap.
 	CoalesceRangeDeletes bool
 
-	// Concurrent enables the reader/writer locking protocol of
-	// DESIGN.md §9: point queries and scans run concurrently with
-	// injects, readers defer dirty writeback to the background flusher,
-	// and the node cache is split into eight lock stripes. Off (the
-	// default), the store assumes single-goroutine use, keeps one cache
-	// shard (one global eviction order) and the historical deterministic
-	// behaviour bit-for-bit, which is what the golden benchmark cells are
-	// pinned against. Concurrent mode requires LegacyApplyOnQuery to be
-	// off for shared-mode reads; with the v0.4 policy reads serialize
-	// (they restructure the tree).
+	// Concurrent readies the store for client goroutines (DESIGN.md §9).
+	// Every store runs the same locking protocol; this picks only the
+	// node cache's shape — eight lock stripes whose readers defer dirty
+	// write-back to the background flusher, instead of one stripe (one
+	// global eviction order, the golden cells') that writes back inline
+	// — and makes Get return a private copy of the value. Whether work
+	// runs in the background is up to the sim pool's worker count.
+	// Shared-mode reads need LegacyApplyOnQuery off; with the v0.4 policy
+	// reads serialize (they restructure the tree).
 	Concurrent bool
 
 	// RelocateAttempts bounds write-path relocation (DESIGN.md §10.6):

@@ -31,13 +31,10 @@ func (r ScrubReport) Unreadable() bool { return errors.Is(r.Err, ioerr.ErrIO) }
 // deserialization. It bypasses the node cache so that each report reflects
 // the bytes actually on disk right now. One report is returned per node,
 // in (tree, node ID) order. It takes the store's mutator and structure
-// locks, so it can scrub a live concurrent-mode store (the vfs Mount.Scrub
-// hook); in deterministic mode the locks are no-ops.
+// locks, so it can scrub a live store (the vfs Mount.Scrub hook).
 func (s *Store) Scrub() []ScrubReport {
-	if s.concurrent {
-		s.writerMu.Lock()
-		defer s.writerMu.Unlock()
-	}
+	s.writerMu.Lock()
+	defer s.writerMu.Unlock()
 	s.lockExcl()
 	defer s.unlockExcl()
 	return s.scrub()
@@ -80,10 +77,8 @@ type RepairStats struct {
 // Unrepairable; a follow-up fsck still reports them.
 func (s *Store) ScrubRepair() (st RepairStats, err error) {
 	defer ioerr.Guard(&err)
-	if s.concurrent {
-		s.writerMu.Lock()
-		defer s.writerMu.Unlock()
-	}
+	s.writerMu.Lock()
+	defer s.writerMu.Unlock()
 	s.m.repairRun.Inc()
 	s.lockExcl()
 	reports := s.scrub()

@@ -76,12 +76,6 @@ type Store struct {
 
 	// --- concurrency state (DESIGN.md §9) -------------------------------
 	//
-	// concurrent mirrors cfg.Concurrent. When false — the deterministic
-	// single-goroutine mode every golden benchmark runs in — none of the
-	// locks below is ever touched: the gated helpers (lockShared etc.)
-	// return immediately, so the deterministic execution is the
-	// historical lock-free code path, instruction for instruction.
-	concurrent bool
 	// treeMu is the structure lock: held shared by queries and scans,
 	// exclusively by root flushes, splits, checkpoints, and background
 	// writeback. Structural tree state (rootID, pivots/children arrays,
@@ -206,36 +200,25 @@ func resolveStoreMetrics(reg *metrics.Registry) storeMetrics {
 
 // --- locking protocol -------------------------------------------------------
 //
-// Every lock operation in the betree package funnels through the gated
-// helpers below. In deterministic mode (cfg.Concurrent off) they are
-// no-ops, so single-goroutine runs take zero locks and match the
-// historical execution exactly. The betree.lock.* counters therefore read
-// zero in deterministic mode and count acquisitions in concurrent mode.
+// Every lock operation in the betree package funnels through the helpers
+// below, which count each acquisition in betree.lock.*. Every store takes
+// them, whatever cfg.Concurrent says, so the deterministic runs behind the
+// golden cells execute the protocol a served store does; a lock charges
+// no simulated time.
 
 // lockShared takes the structure lock shared (queries, scans).
 func (s *Store) lockShared() {
-	if !s.concurrent {
-		return
-	}
 	s.treeMu.RLock()
 	s.m.lockStoreShared.Inc()
 }
 
-func (s *Store) unlockShared() {
-	if !s.concurrent {
-		return
-	}
-	s.treeMu.RUnlock()
-}
+func (s *Store) unlockShared() { s.treeMu.RUnlock() }
 
 // lockExcl takes the structure lock exclusively (flush, split,
 // checkpoint, writeback). Background pool tasks must use tryLockExcl
 // instead: a task blocking here could deadlock a checkpoint that drains
 // the pool while holding the lock.
 func (s *Store) lockExcl() {
-	if !s.concurrent {
-		return
-	}
 	s.treeMu.Lock()
 	s.m.lockStoreExcl.Inc()
 }
@@ -243,9 +226,6 @@ func (s *Store) lockExcl() {
 // tryLockExcl is the non-blocking lockExcl for pool tasks; the work is
 // re-triggerable, so a failed acquisition just drops it.
 func (s *Store) tryLockExcl() bool {
-	if !s.concurrent {
-		return true
-	}
 	if !s.treeMu.TryLock() {
 		return false
 	}
@@ -253,47 +233,26 @@ func (s *Store) tryLockExcl() bool {
 	return true
 }
 
-func (s *Store) unlockExcl() {
-	if !s.concurrent {
-		return
-	}
-	s.treeMu.Unlock()
-}
+func (s *Store) unlockExcl() { s.treeMu.Unlock() }
 
 // latchShared read-latches one node (descent through interior nodes).
 // Latches are acquired strictly top-down and only while the structure
 // lock is held, shared or exclusive.
 func (s *Store) latchShared(n *node) {
-	if !s.concurrent {
-		return
-	}
 	n.latch.RLock()
 	s.m.lockNodeShared.Inc()
 }
 
-func (s *Store) unlatchShared(n *node) {
-	if !s.concurrent {
-		return
-	}
-	n.latch.RUnlock()
-}
+func (s *Store) unlatchShared(n *node) { n.latch.RUnlock() }
 
 // latchExcl write-latches one node (buffer appends at the root, leaf
 // mutation by queries and scans).
 func (s *Store) latchExcl(n *node) {
-	if !s.concurrent {
-		return
-	}
 	n.latch.Lock()
 	s.m.lockNodeExcl.Inc()
 }
 
-func (s *Store) unlatchExcl(n *node) {
-	if !s.concurrent {
-		return
-	}
-	n.latch.Unlock()
-}
+func (s *Store) unlatchExcl(n *node) { n.latch.Unlock() }
 
 // latchWalk latches a node on a query or scan descent: a leaf exclusive
 // (the walk materializes its basements), an interior node shared.
@@ -356,7 +315,9 @@ func Open(env *sim.Env, alloc *kmem.Allocator, cfg Config, backend Backend) (*St
 		reg = metrics.NewRegistry()
 	}
 	s.m = resolveStoreMetrics(reg)
-	s.concurrent = cfg.Concurrent
+	// The cache's shape is all Concurrent picks here: eight lock stripes
+	// with dirty write-back deferred to the flusher, or one stripe whose
+	// evictions write back inline (DESIGN.md §9).
 	shards := 1
 	if cfg.Concurrent {
 		shards = 8
@@ -467,8 +428,8 @@ func (s *Store) logOp(t *Tree, m *Msg, withPayload bool) uint64 {
 	lsn, err := s.log.Append(opRecord, rec)
 	if err == wal.ErrLogFull {
 		s.releaseLogPins()
-		// checkpointLocked, not Checkpoint: in concurrent mode the caller
-		// already holds writerMu (logAndInsert / LogInsertOnly).
+		// checkpointLocked, not Checkpoint: the caller already holds
+		// writerMu (logAndInsert / LogInsertOnly).
 		s.checkpointLocked()
 		lsn, err = s.log.Append(opRecord, rec)
 	}
@@ -482,18 +443,16 @@ func (s *Store) logOp(t *Tree, m *Msg, withPayload bool) uint64 {
 }
 
 // releaseLogPins runs the OnLogPressure hook for a mutator that found the
-// log full. The caller holds writerMu in concurrent mode and the hook
-// inserts through the public mutators, which take it, so it is dropped
-// around the call: the blocked operation has been assigned neither an LSN
-// nor an MSN yet, so whatever the hook inserts simply orders before it.
+// log full. The caller holds writerMu and the hook inserts through the
+// public mutators, which take it, so it is dropped around the call: the
+// blocked operation has been assigned neither an LSN nor an MSN yet, so
+// whatever the hook inserts simply orders before it.
 func (s *Store) releaseLogPins() {
 	if s.OnLogPressure == nil {
 		return
 	}
-	if s.concurrent {
-		s.writerMu.Unlock()
-		defer s.writerMu.Lock()
-	}
+	s.writerMu.Unlock()
+	defer s.writerMu.Lock()
 	s.OnLogPressure()
 }
 
@@ -982,10 +941,8 @@ func (s *Store) SyncLog() (err error) {
 // entered the tree without payload logging, a checkpoint persists it.
 func (s *Store) Sync() (err error) {
 	defer ioerr.Guard(&err)
-	if s.concurrent {
-		s.writerMu.Lock()
-		defer s.writerMu.Unlock()
-	}
+	s.writerMu.Lock()
+	defer s.writerMu.Unlock()
 	s.devCheck(s.log.Flush())
 	if s.unloggedData {
 		s.checkpointLocked()
@@ -1032,10 +989,8 @@ func (s *Store) LogHalfReclaimable() bool {
 // northbound calls it on its operation paths.
 func (s *Store) MaybeCheckpoint() (err error) {
 	defer ioerr.Guard(&err)
-	if s.concurrent {
-		s.writerMu.Lock()
-		defer s.writerMu.Unlock()
-	}
+	s.writerMu.Lock()
+	defer s.writerMu.Unlock()
 	if s.env.Now()-s.lastCheckpoint >= s.cfg.CheckpointPeriod ||
 		(s.logUnderPressure() && s.checkpointFrees(4)) {
 		s.checkpointLocked()
@@ -1048,22 +1003,20 @@ func (s *Store) MaybeCheckpoint() (err error) {
 // (§2.2 crash consistency).
 func (s *Store) Checkpoint() (err error) {
 	defer ioerr.Guard(&err)
-	if s.concurrent {
-		s.writerMu.Lock()
-		defer s.writerMu.Unlock()
-	}
+	s.writerMu.Lock()
+	defer s.writerMu.Unlock()
 	s.checkpointLocked()
 	return nil
 }
 
-// checkpointLocked is the checkpoint body. Concurrent-mode callers hold
-// writerMu (no mutator is mid-flight). It drains the flusher pool BEFORE
-// taking the structure lock: pool tasks only TryLock and drop on failure,
-// so the drain cannot deadlock, and afterwards no background task can be
-// holding store state while we write the superblock.
+// checkpointLocked is the checkpoint body. Callers hold writerMu (no
+// mutator is mid-flight). It drains the flusher pool BEFORE taking the
+// structure lock: pool tasks only TryLock and drop on failure, so the
+// drain cannot deadlock, and afterwards no background task can be holding
+// store state while we write the superblock.
 func (s *Store) checkpointLocked() {
-	if s.concurrent && s.env.Pool != nil {
-		s.env.Pool.Drain()
+	if pool := s.asyncPool(); pool != nil {
+		pool.Drain()
 	}
 	// A write failure latched on a background path (pool writeback, whose
 	// panics reach no caller) resurfaces at the next checkpoint, so the
@@ -1107,12 +1060,11 @@ func (s *Store) checkpointLocked() {
 // writeDirtyNodes writes back every dirty cached node of tree t. With
 // more than one flusher worker the CPU half (serialize and
 // checksum) fans out across the pool and the submission half runs on this
-// goroutine in sweep order; with one worker (deterministic mode) it is
-// the historical sequential loop.
+// goroutine in sweep order; with one worker it is a sequential loop.
 func (s *Store) writeDirtyNodes(t *Tree) {
 	dirty := s.cache.dirtyNodes(t)
-	pool := s.env.Pool
-	if !s.concurrent || pool == nil || pool.Workers() <= 1 || len(dirty) <= 1 {
+	pool := s.asyncPool()
+	if pool == nil || len(dirty) <= 1 {
 		for _, n := range dirty {
 			s.writeNode(t, n)
 		}
@@ -1139,10 +1091,8 @@ func (s *Store) writeDirtyNodes(t *Tree) {
 // prefetches — the cold-cache state benchmarks start from.
 func (s *Store) DropCleanCaches() (err error) {
 	defer ioerr.Guard(&err)
-	if s.concurrent {
-		s.writerMu.Lock()
-		defer s.writerMu.Unlock()
-	}
+	s.writerMu.Lock()
+	defer s.writerMu.Unlock()
 	s.checkpointLocked()
 	s.pendingMu.Lock()
 	for k, pr := range s.pending {

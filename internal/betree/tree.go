@@ -14,9 +14,8 @@ import (
 // Tree is one Bε-tree index (metadata or data) within a Store.
 //
 // rootID, nextNodeID, and bt (the block table) are structural state:
-// they change only under the store's exclusive structure lock (or in
-// deterministic single-goroutine mode, where no locks are taken at all —
-// see DESIGN.md §9).
+// they change only under the store's exclusive structure lock (DESIGN.md
+// §9).
 type Tree struct {
 	store *Store
 	name  string
@@ -29,7 +28,7 @@ type Tree struct {
 	// cacheSalt separates this tree's node IDs from its sibling's in the
 	// shared sharded cache hash (cache.go).
 	cacheSalt uint64
-	// flushQueued dedups background root-flush tasks (concurrent mode).
+	// flushQueued dedups background root-flush tasks.
 	flushQueued atomic.Bool
 
 	// seqHint tracks the last point-queried key for the cooperative
@@ -289,17 +288,15 @@ func (t *Tree) DeleteRange(lo, hi []byte, d Durability) (err error) {
 }
 
 // logAndInsert is the single mutating entry point: it assigns the MSN and
-// routes the message into the tree, under the store's writer lock in
-// concurrent mode so that WAL record order, MSN order, and tree insertion
-// order all agree (otherwise a later-MSN message could reach a leaf first
-// and its maxApplied watermark would silently swallow the earlier one).
+// routes the message into the tree under the store's writer lock, so that
+// WAL record order, MSN order, and tree insertion order all agree
+// (otherwise a later-MSN message could reach a leaf first and its
+// maxApplied watermark would silently swallow the earlier one).
 func (t *Tree) logAndInsert(m *Msg, d Durability) {
 	ioerr.Check(checkKeys(m))
 	s := t.store
-	if s.concurrent {
-		s.writerMu.Lock()
-		defer s.writerMu.Unlock()
-	}
+	s.writerMu.Lock()
+	defer s.writerMu.Unlock()
 	if d != LogNone {
 		withPayload := true
 		if m.Type == MsgInsert || m.Type == MsgUpdate {
@@ -313,39 +310,99 @@ func (t *Tree) logAndInsert(m *Msg, d Durability) {
 	t.insertMsg(m)
 }
 
-// insertMsg routes a message into the root, flushing and splitting as
-// needed. The deterministic path below is the historical inline code;
-// concurrent mode forks to the latched fast path in concurrent.go.
+// insertMsg routes a message into the root (injectRoot) and relieves the
+// root once it outgrows a node. Mutators are serialized (logAndInsert
+// holds writerMu; replay runs alone), so arrival order at the root is MSN
+// order. The relief runs inline, under the exclusive structure lock, when
+// the pool has no background workers or the root is past twice the limit;
+// otherwise it is queued on the flusher pool and the writer returns (see
+// concurrent.go).
 func (t *Tree) insertMsg(m *Msg) {
 	s := t.store
 	s.m.msgInject.Inc()
 	s.env.Trace("betree", "msg.inject", string(m.Key), int64(m.MSN))
 	s.env.Charge(s.env.Costs.MessageOverhead)
-	if s.concurrent {
-		t.insertMsgConcurrent(m)
+	root, size := t.injectRoot(m)
+	defer t.unpin(root)
+	limit := s.cfg.NodeSize
+	if size <= limit {
 		return
 	}
-	root := t.mustFetch(t.rootID)
-	defer t.unpin(root)
+	if size <= 2*limit && s.asyncPool() != nil {
+		t.scheduleBackgroundFlush()
+		return
+	}
+	// Blocking on the exclusive lock is safe: this goroutine holds only
+	// writerMu, readers drain on their own, and pool tasks never block on
+	// the structure lock.
+	t.flushRootExcl(root)
+}
+
+// injectRoot appends m at the root under the shared structure lock and
+// root latch, and returns the root still pinned for the caller to relieve
+// and unpin, with the size the limit applies to. Defers release every lock
+// (and the pin) if a device-failure abort unwinds from deep inside the
+// apply.
+func (t *Tree) injectRoot(m *Msg) (root *node, size int) {
+	s := t.store
+	s.lockShared()
+	defer s.unlockShared()
+	root = t.mustFetch(t.rootID)
+	injected := false
+	defer func() {
+		if !injected {
+			t.unpin(root)
+		}
+	}()
+	s.latchExcl(root)
+	defer s.unlatchExcl(root)
 	if root.isLeaf() {
 		t.applyToLeaf(root, m)
-		t.markDirty(root)
+		size = root.leafBytes()
+	} else {
+		ci := root.childFor(s.env, m.Key)
+		root.bufs[ci].add(s.env, s.alloc, m)
+		if m.Type == MsgRangeDelete {
+			t.routeRangeMsg(root, m, ci)
+		}
+		size = root.bufferBytes()
+	}
+	t.markDirty(root)
+	injected = true
+	return root, size
+}
+
+// flushRootExcl runs flushRootLocked under the exclusive structure lock,
+// deferring the unlock so an abort cannot leak it.
+func (t *Tree) flushRootExcl(root *node) {
+	s := t.store
+	s.lockExcl()
+	defer s.unlockExcl()
+	t.flushRootLocked(root)
+}
+
+// flushRootLocked relieves root pressure: flush descend, then split if
+// the root itself is oversized. root is the caller's pinned root, or nil
+// to fetch it; a pinned node that a background split has since replaced as
+// root is not used. Caller holds the exclusive structure lock. A no-op if
+// a previous flush already relieved the pressure.
+func (t *Tree) flushRootLocked(root *node) {
+	s := t.store
+	if root == nil || root.id != t.rootID {
+		root = t.mustFetch(t.rootID)
+		defer t.unpin(root)
+	}
+	if root.isLeaf() {
 		if root.leafBytes() > s.cfg.NodeSize {
 			t.splitRoot(root)
 		}
 		return
 	}
-	ci := root.childFor(s.env, m.Key)
-	root.bufs[ci].add(s.env, s.alloc, m)
-	if m.Type == MsgRangeDelete {
-		t.routeRangeMsg(root, m, ci)
-	}
-	t.markDirty(root)
 	if root.bufferBytes() > s.cfg.NodeSize {
 		t.flushDescend(root)
-		if len(root.children) > s.cfg.Fanout {
-			t.splitRoot(root)
-		}
+	}
+	if len(root.children) > s.cfg.Fanout {
+		t.splitRoot(root)
 	}
 }
 
@@ -829,14 +886,13 @@ func (t *Tree) release(d *descent) {
 // apply-on-query policy (§4). A corrupted node or basement on the path
 // surfaces an error wrapping ErrChecksum instead of garbage or a panic.
 //
-// Locking (concurrent mode, DESIGN.md §9): the query holds the store's
-// shared structure lock for its whole duration, latches interior path
-// nodes shared and the leaf exclusive (acquired top-down, held until the
-// end so apply-on-query and read-ahead see a stable path), and runs
-// concurrently with other queries, scans, and root injects into other
-// nodes. The legacy v0.4 apply-on-query policy restructures ancestor
-// buffers on reads, so it takes the exclusive structure lock instead.
-// Deterministic mode takes no locks and is the historical code path.
+// Locking (DESIGN.md §9): the query holds the store's shared structure
+// lock for its whole duration, latches interior path nodes shared and the
+// leaf exclusive (acquired top-down, held until the end so apply-on-query
+// and read-ahead see a stable path), and runs concurrently with other
+// queries, scans, and root injects into other nodes. The legacy v0.4
+// apply-on-query policy restructures ancestor buffers on reads, so it
+// takes the exclusive structure lock instead.
 func (t *Tree) Get(key []byte) (val []byte, found bool, err error) {
 	// The guard also catches aborts raised below fetch — e.g. a cache
 	// eviction whose inline write-back hits a device failure.
@@ -874,12 +930,13 @@ func (t *Tree) Get(key []byte) (val []byte, found bool, err error) {
 
 	// Compute the query result.
 	val, found = currentValue(s, b, key, pend)
-	if s.concurrent && found {
+	if s.cfg.Concurrent && found {
 		// The value may point into basement-owned memory that a later
 		// apply-on-query (ours or another reader's) can mutate once the
 		// leaf latch drops; hand the caller a private copy. Host-side
-		// only — no simulated charge, so deterministic results are
-		// untouched.
+		// only — no simulated charge. A deterministic store's caller uses
+		// the value before its next call into the tree, so it skips the
+		// copy and its allocation.
 		val = append([]byte(nil), val...)
 	}
 
@@ -1097,10 +1154,8 @@ func (t *Tree) String() string {
 func (t *Tree) LogInsertOnly(key, val []byte) (lsn uint64, err error) {
 	defer ioerr.Guard(&err)
 	s := t.store
-	if s.concurrent {
-		s.writerMu.Lock()
-		defer s.writerMu.Unlock()
-	}
+	s.writerMu.Lock()
+	defer s.writerMu.Unlock()
 	m := &Msg{Type: MsgInsert, Key: key, Val: InlineValue(val)}
 	ioerr.Check(checkKeys(m))
 	return s.logOp(t, m, true), nil

@@ -60,10 +60,10 @@ type faultKey struct {
 
 // FaultDev wraps a Device and injects the faults described by a FaultPlan.
 // Faults are deterministic: a fixed seed and command sequence reproduce the
-// same failures, which is what makes fault sweeps debuggable. A failed
-// write may or may not have reached the medium (torn behavior), exactly as
-// on real hardware; callers must treat the target range as undefined until
-// a later write succeeds.
+// same failures, which is what makes fault sweeps debuggable. A write's
+// fault is decided before the write reaches the medium, so a write
+// reported as failed lands no byte and takes no device time: a caller that
+// drops a failed write loses it, and a data check can see the loss.
 type FaultDev struct {
 	env  *sim.Env
 	dev  Device
@@ -183,30 +183,35 @@ func (d *FaultDev) SubmitRead(p []byte, off int64) Completion {
 	return c
 }
 
-// SubmitWrite starts a write, possibly injecting a fault.
+// SubmitWrite starts a write, possibly injecting a fault. The fault is
+// decided first: a failed write never reaches the medium.
 func (d *FaultDev) SubmitWrite(p []byte, off int64) Completion {
-	c := d.dev.SubmitWrite(p, off)
-	if c.Err != nil {
-		return c
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	var err error
 	switch {
 	case d.dead || d.badRange(off, len(p)):
 		d.mFaultWrite.Inc()
-		c.Err = &ioerr.DeviceError{Op: "write", Off: off, Len: len(p), Transient: false}
+		err = &ioerr.DeviceError{Op: "write", Off: off, Len: len(p), Transient: false}
 	case d.transientRoll('w', off, d.plan.TransientWriteProb):
 		d.mFaultWrite.Inc()
-		c.Err = &ioerr.DeviceError{Op: "write", Off: off, Len: len(p), Transient: true}
-	default:
+		err = &ioerr.DeviceError{Op: "write", Off: off, Len: len(p), Transient: true}
+	}
+	var spike time.Duration
+	if d.plan.LatencySpikeProb > 0 && d.rng.Float64() < d.plan.LatencySpikeProb {
+		d.mSpike.Inc()
+		spike = d.plan.LatencySpike
+	}
+	if err != nil {
+		return Completion{At: d.env.Now() + spike, Err: err}
+	}
+	c := d.dev.SubmitWrite(p, off)
+	c.At += spike
+	if c.Err == nil {
 		d.writes++
 		if d.plan.FailWritesAfter > 0 && d.writes >= d.plan.FailWritesAfter {
 			d.dead = true
 		}
-	}
-	if d.plan.LatencySpikeProb > 0 && d.rng.Float64() < d.plan.LatencySpikeProb {
-		d.mSpike.Inc()
-		c.At += d.plan.LatencySpike
 	}
 	return c
 }
