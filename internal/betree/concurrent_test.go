@@ -202,54 +202,68 @@ func TestConcurrentCheckpointDurability(t *testing.T) {
 	}
 }
 
-// TestEveryModeTakesLocks pins the single locking protocol: a
-// deterministic store and a concurrent one run the same workload through
-// the same store locks and node latches, so the lock counters move in
-// both. Background work is decided by the flusher pool alone: with at
-// most one worker no flush or write-back ever leaves the caller's
-// goroutine, whatever Config.Concurrent says.
-func TestEveryModeTakesLocks(t *testing.T) {
+// TestDeterministicModeTakesLocks pins the single locking protocol from
+// the deterministic side: a default store runs the workload through the
+// same store locks and node latches a served store takes, so the lock
+// counters move, and with the default one-worker (inline) pool no flush
+// or write-back ever leaves the caller's goroutine.
+func TestDeterministicModeTakesLocks(t *testing.T) {
+	env, s := testStore(t, nil)
+	checkLockProtocol(t, env, s, false)
+}
+
+// TestConcurrentModeTakesLocks is the concurrent side of the test above.
+// Background work is decided by the flusher pool alone: with one worker
+// the concurrent store keeps every flush and write-back inline too.
+func TestConcurrentModeTakesLocks(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		store func(t *testing.T) (*sim.Env, *Store)
-		bg    bool // background counters may move
+		name    string
+		workers int
+		bg      bool // background counters may move
 	}{
-		{"deterministic", func(t *testing.T) (*sim.Env, *Store) { return testStore(t, nil) }, false},
-		{"concurrent/1worker", func(t *testing.T) (*sim.Env, *Store) { return concurrentStore(t, 1) }, false},
-		{"concurrent/2workers", func(t *testing.T) (*sim.Env, *Store) { return concurrentStore(t, 2) }, true},
+		{"1worker", 1, false},
+		{"2workers", 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			env, s := tc.store(t)
-			tr := s.Data()
-			// Enough keys to split the root, so descents latch an
-			// interior node shared.
-			for i := 0; i < 3000; i++ {
-				tr.Put(k(i), v(i, 40), LogAuto)
-			}
-			for i := 0; i < 3000; i += 7 {
-				if _, ok, _ := tr.Get(k(i)); !ok {
-					t.Fatalf("key %d missing", i)
-				}
-			}
-			tr.Scan(nil, nil, func(_, _ []byte) bool { return true })
-			s.Checkpoint()
-			snap := env.Metrics.Snapshot()
-			for _, name := range []string{
-				"betree.lock.store.shared", "betree.lock.store.excl",
-				"betree.lock.node.shared", "betree.lock.node.excl",
-			} {
-				if snap.Counters[name] == 0 {
-					t.Errorf("%s never moved", name)
-				}
-			}
-			if tc.bg {
-				return
-			}
-			for _, name := range []string{"flusher.writeback.bg", "flusher.flush.bg"} {
-				if n := snap.Counters[name]; n != 0 {
-					t.Errorf("%s = %d with one pool worker", name, n)
-				}
-			}
+			env, s := concurrentStore(t, tc.workers)
+			checkLockProtocol(t, env, s, tc.bg)
 		})
+	}
+}
+
+// checkLockProtocol runs one workload on s and checks that all four
+// lock counters moved and, unless bg, that no flush or write-back ran in
+// the background.
+func checkLockProtocol(t *testing.T, env *sim.Env, s *Store, bg bool) {
+	t.Helper()
+	tr := s.Data()
+	// Enough keys to split the root, so descents latch an interior node
+	// shared.
+	for i := 0; i < 3000; i++ {
+		tr.Put(k(i), v(i, 40), LogAuto)
+	}
+	for i := 0; i < 3000; i += 7 {
+		if _, ok, _ := tr.Get(k(i)); !ok {
+			t.Fatalf("key %d missing", i)
+		}
+	}
+	tr.Scan(nil, nil, func(_, _ []byte) bool { return true })
+	s.Checkpoint()
+	snap := env.Metrics.Snapshot()
+	for _, name := range []string{
+		"betree.lock.store.shared", "betree.lock.store.excl",
+		"betree.lock.node.shared", "betree.lock.node.excl",
+	} {
+		if snap.Counters[name] == 0 {
+			t.Errorf("%s never moved", name)
+		}
+	}
+	if bg {
+		return
+	}
+	for _, name := range []string{"flusher.writeback.bg", "flusher.flush.bg"} {
+		if n := snap.Counters[name]; n != 0 {
+			t.Errorf("%s = %d with at most one pool worker", name, n)
+		}
 	}
 }
