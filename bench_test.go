@@ -36,7 +36,7 @@ func BenchmarkTable1(b *testing.B) {
 		system := system
 		b.Run(system, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := bench.RunMicro(system, benchScale)
+				r, _ := bench.RunMicroCollect(system, benchScale)
 				b.ReportMetric(r.SeqRead, "seqread_MB/s")
 				b.ReportMetric(r.SeqWrite, "seqwrite_MB/s")
 				b.ReportMetric(r.Rand4K, "rand4K_MB/s")
@@ -57,7 +57,7 @@ func BenchmarkTable3(b *testing.B) {
 		system := system
 		b.Run(system, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := bench.RunMicro(system, benchScale)
+				r, _ := bench.RunMicroCollect(system, benchScale)
 				b.ReportMetric(r.SeqWrite, "seqwrite_MB/s")
 				b.ReportMetric(r.Rand4K, "rand4K_MB/s")
 				b.ReportMetric(r.TokuBench, "tokubench_kop/s")
@@ -74,7 +74,7 @@ func BenchmarkFigure2(b *testing.B) {
 		system := system
 		b.Run(system, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := bench.RunApps(system, benchScale)
+				r, _ := bench.RunAppsCollect(system, benchScale)
 				b.ReportMetric(r.Tar, "tar_s")
 				b.ReportMetric(r.Untar, "untar_s")
 				b.ReportMetric(r.GitClone, "gitclone_s")

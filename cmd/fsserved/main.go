@@ -151,10 +151,10 @@ func parseShares(shares string) [][2]string {
 // registry.
 func buildRegistry(in *bench.Instance, scale int64, shares [][2]string, blockShares string) *registry.Registry {
 	reg := registry.New()
-	reg.AddMount("fs", in.Env, in.Mount)
+	reg.AddMount("fs", in.Mount)
 	for _, sh := range shares {
 		extra := bench.Build(sh[1], scale)
-		reg.AddMount(sh[0], extra.Env, extra.Mount)
+		reg.AddMount(sh[0], extra.Mount)
 	}
 	if blockShares != "" {
 		for _, name := range strings.Split(blockShares, ",") {
@@ -164,7 +164,7 @@ func buildRegistry(in *bench.Instance, scale int64, shares [][2]string, blockSha
 				os.Exit(2)
 			}
 			dev := blockdev.New(in.Env, blockdev.SamsungEVO860().Scale(scale))
-			reg.AddDevice(name, in.Env, ftl.New(in.Env, dev, ftl.DefaultConfig()))
+			reg.AddDevice(name, ftl.New(in.Env, dev, ftl.DefaultConfig()))
 		}
 	}
 	return reg

@@ -1,17 +1,18 @@
 // Command mkbetrfs formats a BetrFS file system on a simulated device and
 // prints the resulting layout — the simulation's analog of the mkfs step
-// in the paper's artifact.
+// in the paper's artifact. It builds the catalogue's stack for the chosen
+// version, so v0.4 runs over ext4 through the southbound layer, as its
+// Table 3 row does, and v0.6 over the SFL.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
 
-	"betrfs/internal/betrfs"
 	"betrfs/internal/blockdev"
-	"betrfs/internal/kmem"
-	"betrfs/internal/sfl"
 	"betrfs/internal/sim"
+	"betrfs/internal/systems"
 )
 
 func main() {
@@ -19,37 +20,37 @@ func main() {
 	version := flag.String("version", "v0.6", "betrfs version preset: v0.4 or v0.6")
 	flag.Parse()
 
+	sys, err := systems.Lookup("betrfs-" + *version)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mkbetrfs:", err)
+		os.Exit(2)
+	}
 	env := sim.NewEnv(1)
-	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(*scale))
-	layout := sfl.DefaultLayout(dev.Size())
-	backend, err := sfl.New(env, dev, layout)
+	dev := blockdev.New(env, sys.Device().Scale(*scale))
+	st, err := sys.New(env, dev, systems.Sizes{})
 	if err != nil {
 		fmt.Println("format failed:", err)
 		return
 	}
-
-	cfg := betrfs.V06Config()
-	if *version == "v0.4" {
-		cfg = betrfs.V04Config()
-	}
-	fs, err := betrfs.New(env, kmem.New(env, cfg.CooperativeMem), cfg, backend)
-	if err != nil {
-		fmt.Println("format failed:", err)
-		return
-	}
-	if err := fs.Sync(); err != nil {
+	if err := st.FS.Sync(); err != nil {
 		fmt.Println("sync failed:", err)
 		return
 	}
 
 	fmt.Printf("formatted BetrFS %s on %d MiB simulated SSD\n\n", *version, dev.Size()>>20)
-	fmt.Printf("%-12s %14s\n", "region", "size")
-	fmt.Printf("%-12s %11d KiB\n", "SuperBlock", layout.SuperBytes>>10)
-	fmt.Printf("%-12s %11d KiB\n", "Log", layout.LogBytes>>10)
-	fmt.Printf("%-12s %11d KiB\n", "Meta Index", layout.MetaBytes>>10)
-	fmt.Printf("%-12s %11d KiB\n", "Data Index", layout.DataBytes>>10)
+	if st.SFL != nil {
+		layout := st.SFL.Layout()
+		fmt.Printf("%-12s %14s\n", "region", "size")
+		fmt.Printf("%-12s %11d KiB\n", "SuperBlock", layout.SuperBytes>>10)
+		fmt.Printf("%-12s %11d KiB\n", "Log", layout.LogBytes>>10)
+		fmt.Printf("%-12s %11d KiB\n", "Meta Index", layout.MetaBytes>>10)
+		fmt.Printf("%-12s %11d KiB\n", "Data Index", layout.DataBytes>>10)
+	} else {
+		fmt.Println("southbound: the tree's files live in an ext4 file system on the device")
+	}
+	cfg := sys.Betr.Tree
 	fmt.Printf("\ntree config: node=%d KiB basement=%d KiB fanout=%d cache=%d MiB\n",
-		cfg.Tree.NodeSize>>10, cfg.Tree.BasementSize>>10, cfg.Tree.Fanout, cfg.Tree.CacheBytes>>20)
+		cfg.NodeSize>>10, cfg.BasementSize>>10, cfg.Fanout, cfg.CacheBytes>>20)
 	fmt.Printf("format I/O: %d writes, %d KiB\n",
 		dev.Stats().Writes, dev.Stats().BytesWritten>>10)
 }

@@ -11,6 +11,7 @@ import (
 	"betrfs/internal/blockstore/readcache"
 	"betrfs/internal/fsrpc"
 	"betrfs/internal/fsserve"
+	"betrfs/internal/metrics"
 	"betrfs/internal/sim"
 )
 
@@ -42,9 +43,7 @@ func registeredMetrics() map[string]bool {
 	out := map[string]bool{}
 	for _, sys := range []string{"betrfs-v0.6", "betrfs-v0.4", "f2fs"} {
 		in := Build(sys, 2048)
-		for _, n := range in.Env.Metrics.Names() {
-			out[n] = true
-		}
+		addNames(out, in.Env.Metrics.Snapshot())
 	}
 	// The fault-injection stack registers its io.* counters only when the
 	// wrappers are constructed (benchmarks never build them); stack one
@@ -55,9 +54,7 @@ func registeredMetrics() map[string]bool {
 	// The sharded file node's read cache (§14.4) registers its counters at
 	// construction; stand one up over the scratch device.
 	readcache.New(env, dev)
-	for _, n := range env.Metrics.Names() {
-		out[n] = true
-	}
+	addNames(out, env.Metrics.Snapshot())
 	// The serve path's fsrpc.*/fsserve.* instruments register at server
 	// construction (§13.7); stand one up over a scratch mount. The
 	// client-side resilience counters register at client construction
@@ -67,10 +64,21 @@ func registeredMetrics() map[string]bool {
 	end, peer := net.Pipe()
 	peer.Close()
 	fsrpc.NewClientOpts(end, fsrpc.Options{Metrics: in.Env.Metrics}).Close()
-	for _, n := range in.Env.Metrics.Names() {
+	addNames(out, in.Env.Metrics.Snapshot())
+	return out
+}
+
+// addNames adds the name of every instrument in snap to out.
+func addNames(out map[string]bool, snap metrics.Snapshot) {
+	for n := range snap.Counters {
 		out[n] = true
 	}
-	return out
+	for n := range snap.Gauges {
+		out[n] = true
+	}
+	for n := range snap.Histograms {
+		out[n] = true
+	}
 }
 
 func sortedKeys(m map[string]bool) []string {

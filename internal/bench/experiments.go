@@ -56,16 +56,11 @@ type MicroResults struct {
 	Find      float64 // s
 }
 
-// RunMicro runs the full Table 3 row for one system. Each benchmark runs
-// on a fresh instance, as the artifact's scripts do.
-func RunMicro(system string, scale int64) MicroResults {
-	out, _ := RunMicroCollect(system, scale)
-	return out
-}
-
-// RunMicroCollect runs RunMicro and additionally returns the system's
-// metric counters, merged across the fresh instances the individual
-// benchmarks run on (each Build gets its own sim.Env and registry).
+// RunMicroCollect runs the full Table 3 row for one system and returns
+// it with the system's metric counters, merged across the fresh instances
+// the individual benchmarks run on. Each benchmark runs on a fresh
+// instance, as the artifact's scripts do (each Build gets its own sim.Env
+// and registry).
 func RunMicroCollect(system string, scale int64) (MicroResults, metrics.Snapshot) {
 	p := Scaled(scale)
 	out := MicroResults{System: system}
@@ -137,14 +132,9 @@ type AppResults struct {
 	Webproxy     float64 // kop/s
 }
 
-// RunApps runs the Figure 2 application benchmarks for one system.
-func RunApps(system string, scale int64) AppResults {
-	out, _ := RunAppsCollect(system, scale)
-	return out
-}
-
-// RunAppsCollect runs RunApps and additionally returns the system's metric
-// counters merged across the per-benchmark instances.
+// RunAppsCollect runs the Figure 2 application benchmarks for one system
+// and returns them with the system's metric counters, merged across the
+// per-benchmark instances.
 func RunAppsCollect(system string, scale int64) (AppResults, metrics.Snapshot) {
 	p := Scaled(scale)
 	out := AppResults{System: system}

@@ -124,19 +124,6 @@ func (bt *blockTable) place(id nodeID, e extent) {
 	bt.entries[id] = e
 }
 
-// remove drops node id from the table (node deleted by a merge).
-func (bt *blockTable) remove(id nodeID) {
-	if old, ok := bt.entries[id]; ok {
-		if bt.checkpointed[id] {
-			bt.deferred = append(bt.deferred, old)
-		} else {
-			bt.release(old)
-		}
-		delete(bt.entries, id)
-		delete(bt.checkpointed, id)
-	}
-}
-
 // retire adds an extent to the grown-defect list, keeping it sorted by
 // offset. Retired space is never freed: the media under it is bad.
 func (bt *blockTable) retire(e extent) {
@@ -194,15 +181,6 @@ func (bt *blockTable) checkpointCommitted() {
 	for id := range bt.entries {
 		bt.checkpointed[id] = true
 	}
-}
-
-// usedBytes reports allocated space, for df-style accounting.
-func (bt *blockTable) usedBytes() int64 {
-	free := int64(0)
-	for _, f := range bt.free {
-		free += f.len
-	}
-	return bt.capacity - free
 }
 
 // serialize encodes the mapping plus the grown-defect list (used at

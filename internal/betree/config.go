@@ -44,15 +44,14 @@ type Config struct {
 	// Shared-mode reads need LegacyApplyOnQuery off; with the v0.4 policy
 	// reads serialize (they restructure the tree).
 	Concurrent bool
-
-	// RelocateAttempts bounds write-path relocation (DESIGN.md §10.6):
-	// when a node-image write fails with a non-transient device error,
-	// the store retires the extent to the grown-defect list and retries
-	// the write at freshly allocated space up to this many times before
-	// latching the sticky write error (errors=remount-ro). Zero disables
-	// relocation entirely, restoring the pre-defect-list behaviour.
-	RelocateAttempts int
 }
+
+// relocateAttempts bounds write-path relocation (DESIGN.md §10.6): when a
+// node-image write fails with a non-transient device error, the store
+// retires the extent to the grown-defect list and retries the write at
+// freshly allocated space up to this many times before latching the
+// sticky write error (errors=remount-ro).
+const relocateAttempts = 2
 
 // logPayloadMax is the largest value payload recorded in the redo log;
 // larger values (file data pages) are logged by key only and made durable
@@ -71,7 +70,6 @@ func DefaultConfig() Config {
 		PageSharing:          true,
 		ReadAhead:            true,
 		CoalesceRangeDeletes: true,
-		RelocateAttempts:     2,
 	}
 }
 

@@ -159,7 +159,7 @@ func (s *Store) repairNode(t *Tree, id nodeID) bool {
 	s.m.defectBytes.Add(ext.len)
 	s.env.Trace("betree", "node.repair", t.name, ext.off)
 	// completeWrite handles the new extent itself landing on bad media
-	// (cascading relocation, bounded by cfg.RelocateAttempts).
+	// (cascading relocation, bounded by relocateAttempts).
 	w := &inflightWrite{t: t, id: id, ext: ne, data: data, wait: t.f.SubmitWrite(data, ne.off)}
 	if werr := s.completeWrite(w); werr != nil {
 		return false

@@ -130,7 +130,7 @@ func TestBlockTableDefectOverlapRejected(t *testing.T) {
 // relocStore builds a store over a fault device so tests can grow media
 // defects under specific extents. Node geometry is shrunk so a few
 // thousand keys spread across many nodes.
-func relocStore(t *testing.T, mutate func(*Config)) (*sim.Env, *blockdev.FaultDev, *sfl.SFL, *Store) {
+func relocStore(t *testing.T) (*sim.Env, *blockdev.FaultDev, *sfl.SFL, *Store) {
 	t.Helper()
 	env := sim.NewEnv(1)
 	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))
@@ -144,9 +144,6 @@ func relocStore(t *testing.T, mutate func(*Config)) (*sim.Env, *blockdev.FaultDe
 	cfg.BasementSize = 4 << 10
 	cfg.Fanout = 8
 	cfg.CacheBytes = 8 << 20
-	if mutate != nil {
-		mutate(&cfg)
-	}
 	s, err := Open(env, kmem.New(env, true), cfg, backend)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -173,7 +170,7 @@ func dataFileTail(s *Store) int64 {
 // succeeds, no EROFS latch trips, and every key survives a cold scrub
 // and read-back.
 func TestWritePathRelocationDeterministic(t *testing.T) {
-	env, fdev, backend, s := relocStore(t, nil)
+	env, fdev, backend, s := relocStore(t)
 	const nkeys = 3000
 	for i := 0; i < nkeys; i++ {
 		s.Data().Put(k(i), v(i, 128), LogAuto)
@@ -218,11 +215,12 @@ func TestWritePathRelocationDeterministic(t *testing.T) {
 	}
 }
 
-// TestWritePathRelocationDisabled is the negative control: with
-// RelocateAttempts=0 the same grown defect surfaces the historical EIO
-// and latches the store read-only.
-func TestWritePathRelocationDisabled(t *testing.T) {
-	env, fdev, backend, s := relocStore(t, func(c *Config) { c.RelocateAttempts = 0 })
+// TestWritePathRelocationExhausted grows a defect over the whole data
+// file, so every relocation lands on bad media too: the first failed node
+// write is relocated relocateAttempts times, each attempt fails, and the
+// checkpoint surfaces EIO and latches the store read-only.
+func TestWritePathRelocationExhausted(t *testing.T) {
+	env, fdev, backend, s := relocStore(t)
 	const nkeys = 3000
 	for i := 0; i < nkeys; i++ {
 		s.Data().Put(k(i), v(i, 128), LogAuto)
@@ -230,30 +228,23 @@ func TestWritePathRelocationDisabled(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	tail := dataFileTail(s)
-	fdev.AddBadRange(devOffset(backend, "data", tail), 4096)
+	fdev.AddBadRange(devOffset(backend, "data", 0), backend.Layout().DataBytes)
 
-	var gotErr error
-	for i := nkeys; i < 2*nkeys && gotErr == nil; i++ {
+	for i := nkeys; i < 2*nkeys; i++ {
 		s.Data().Put(k(i), v(i, 128), LogAuto)
-		if i%500 == 0 {
-			gotErr = s.Checkpoint()
-		}
 	}
-	if gotErr == nil {
-		gotErr = s.Checkpoint()
+	err := s.Checkpoint()
+	if err == nil {
+		t.Fatal("checkpoint over a data file of bad media succeeded")
 	}
-	if gotErr == nil {
-		t.Fatal("checkpoint over a grown defect succeeded with relocation disabled")
+	if !errors.Is(err, ioerr.ErrIO) {
+		t.Fatalf("checkpoint error = %v, want EIO-class", err)
 	}
-	if !errors.Is(gotErr, ioerr.ErrIO) {
-		t.Fatalf("checkpoint error = %v, want EIO-class", gotErr)
+	if !errors.Is(s.IOErr(), ioerr.ErrIO) {
+		t.Fatalf("store latch = %v, want EIO-class", s.IOErr())
 	}
-	if s.IOErr() == nil {
-		t.Fatal("store did not latch read-only with relocation disabled")
-	}
-	if got := env.Metrics.Counter("io.defect.relocate.write").Load(); got != 0 {
-		t.Fatalf("io.defect.relocate.write = %d with relocation disabled", got)
+	if got := env.Metrics.Counter("io.defect.relocate.write").Load(); got == 0 || got != relocateAttempts {
+		t.Fatalf("io.defect.relocate.write = %d, want relocateAttempts = %d > 0: one node, every attempt failed", got, relocateAttempts)
 	}
 }
 
@@ -262,7 +253,7 @@ func TestWritePathRelocationDisabled(t *testing.T) {
 // cache copy: the repair succeeds, the old extent retires, and cold
 // reads come back clean.
 func TestScrubRepairUsesCacheCopy(t *testing.T) {
-	env, fdev, backend, s := relocStore(t, nil)
+	env, fdev, backend, s := relocStore(t)
 	const nkeys = 3000
 	for i := 0; i < nkeys; i++ {
 		s.Data().Put(k(i), v(i, 128), LogAuto)
@@ -301,7 +292,7 @@ func TestScrubRepairUsesCacheCopy(t *testing.T) {
 // copy, repair must report the node unrepairable — never fabricate data
 // — and the store must stay mounted.
 func TestScrubRepairUnrepairable(t *testing.T) {
-	_, fdev, backend, s := relocStore(t, nil)
+	_, fdev, backend, s := relocStore(t)
 	const nkeys = 3000
 	for i := 0; i < nkeys; i++ {
 		s.Data().Put(k(i), v(i, 128), LogAuto)

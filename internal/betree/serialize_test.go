@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -296,8 +297,10 @@ func TestBlockTableCoWProtection(t *testing.T) {
 	if len(bt.deferred) != 1 {
 		t.Fatalf("deferred=%d, want 1", len(bt.deferred))
 	}
-	if bt.usedBytes() < 8192 {
-		t.Fatal("old extent freed before checkpoint commit")
+	for _, f := range bt.free {
+		if f.off <= e1.off && e1.off < f.off+f.len {
+			t.Fatal("old extent freed before checkpoint commit")
+		}
 	}
 	bt.checkpointCommitted()
 	if len(bt.deferred) != 0 {
@@ -326,8 +329,8 @@ func TestBlockTableSerializeRoundTrip(t *testing.T) {
 			t.Fatalf("node %d extent mismatch", i)
 		}
 	}
-	if got.usedBytes() != bt.usedBytes() {
-		t.Fatalf("used bytes %d != %d (free list rebuild)", got.usedBytes(), bt.usedBytes())
+	if !reflect.DeepEqual(got.free, bt.free) {
+		t.Fatalf("free list %v != %v (free list rebuild)", got.free, bt.free)
 	}
 }
 

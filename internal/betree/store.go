@@ -398,9 +398,6 @@ func (s *Store) recoverFromLog(hint wal.Hint) (err error) {
 	return s.Checkpoint()
 }
 
-// Env returns the simulation environment.
-func (s *Store) Env() *sim.Env { return s.env }
-
 // Meta returns the metadata-index tree.
 func (s *Store) Meta() *Tree { return s.meta }
 
@@ -642,7 +639,7 @@ func (s *Store) finishNodeWrite(t *Tree, n *node, img nodeImage) {
 // completeWrite waits for one node write and, on a device write error,
 // runs write-path relocation (DESIGN.md §10.6): the failed extent is
 // retired to the grown-defect list and the same image is rewritten at
-// freshly allocated space, up to cfg.RelocateAttempts times. The final
+// freshly allocated space, up to relocateAttempts times. The final
 // error — device failure that outlasted the attempt bound, or allocator
 // exhaustion during relocation — is returned for the caller to latch,
 // preserving the historical errors=remount-ro degradation. Runs under
@@ -654,8 +651,8 @@ func (s *Store) completeWrite(w *inflightWrite) error {
 		if !errors.As(err, &de) || de.Op != "write" || de.Transient {
 			break // not a media write error (or still transient after RetryDev)
 		}
-		if w.attempts >= s.cfg.RelocateAttempts {
-			break // relocation disabled or attempt bound exhausted
+		if w.attempts >= relocateAttempts {
+			break // attempt bound exhausted
 		}
 		if cur, ok := w.t.bt.lookup(w.id); !ok || cur != w.ext {
 			// The node was rewritten or deleted while this write was in

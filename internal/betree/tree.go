@@ -56,9 +56,6 @@ func newTree(s *Store, name string, f stor.File) *Tree {
 	}
 }
 
-// Name returns the index name ("meta" or "data").
-func (t *Tree) Name() string { return t.name }
-
 // trimCand is a freed extent queued for TRIM once enough superblock
 // generations have passed that no durable tree can reference it.
 type trimCand struct {

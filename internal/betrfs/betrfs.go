@@ -36,15 +36,12 @@ import (
 // live in the embedded betree.Config.
 type Config struct {
 	Tree betree.Config
-	// DirRangeDelete issues a directory-wide range delete on rmdir so
-	// PacMan can coalesce the per-file deletes beneath it (RG, §4).
-	DirRangeDelete bool
-	// NlinkChecks maintains in-memory child counts so rmdir's emptiness
-	// check avoids a Bε-tree query (RG, §4).
-	NlinkChecks bool
-	// RedundantDeletes reproduces the v0.4 bug of sending the file
-	// delete message from both the unlink and evict_inode hooks (§4).
-	RedundantDeletes bool
+	// RangeMessages is RG (§4): rmdir issues a directory-wide range
+	// delete so PacMan can coalesce the per-file deletes beneath it,
+	// in-memory child counts let rmdir's emptiness check skip a Bε-tree
+	// query, and unlink sends its delete messages once. Without it, as in
+	// v0.4, the unlink and evict_inode hooks both send them.
+	RangeMessages bool
 	// ReaddirInstantiates returns child handles and attributes from
 	// readdir so the VFS can populate its caches (DC, §4).
 	ReaddirInstantiates bool
@@ -61,8 +58,7 @@ type Config struct {
 // tree heuristics, none of the paper's optimizations.
 func V04Config() Config {
 	return Config{
-		Tree:             betree.V04Config(),
-		RedundantDeletes: true,
+		Tree: betree.V04Config(),
 	}
 }
 
@@ -70,8 +66,7 @@ func V04Config() Config {
 func V06Config() Config {
 	return Config{
 		Tree:                betree.DefaultConfig(),
-		DirRangeDelete:      true,
-		NlinkChecks:         true,
+		RangeMessages:       true,
 		ReaddirInstantiates: true,
 		ConditionalLogging:  true,
 		CooperativeMem:      true,
@@ -378,7 +373,7 @@ func (fs *FS) Create(parent vfs.Handle, name string, dir bool) (vfs.Handle, vfs.
 			return nil, vfs.Attr{}, err
 		}
 	}
-	if fs.cfg.NlinkChecks {
+	if fs.cfg.RangeMessages {
 		if fs.nlinkKnown[parent.(string)] {
 			fs.nlink[parent.(string)]++
 		}
@@ -411,14 +406,14 @@ func (fs *FS) Remove(parent vfs.Handle, name string, h vfs.Handle, dir bool) err
 	if err := fs.store.Meta().Delete(keys.MetaKey(path), betree.LogAuto); err != nil {
 		return err
 	}
-	if fs.cfg.RedundantDeletes {
+	if !fs.cfg.RangeMessages {
 		// v0.4: a second delete message from the evict_inode hook.
 		if err := fs.store.Meta().Delete(keys.MetaKey(path), betree.LogAuto); err != nil {
 			return err
 		}
 	}
 	if dir {
-		if fs.cfg.DirRangeDelete {
+		if fs.cfg.RangeMessages {
 			// RG (§4): a directory-wide range delete whose purpose is
 			// to let PacMan gobble the stale per-file messages below.
 			lo, hi := keys.SubtreeRange(path)
@@ -438,13 +433,13 @@ func (fs *FS) Remove(parent vfs.Handle, name string, h vfs.Handle, dir bool) err
 		if err := fs.store.Data().DeleteRange(lo, hi, betree.LogAuto); err != nil {
 			return err
 		}
-		if fs.cfg.RedundantDeletes {
+		if !fs.cfg.RangeMessages {
 			if err := fs.store.Data().DeleteRange(lo, hi, betree.LogAuto); err != nil {
 				return err
 			}
 		}
 	}
-	if fs.cfg.NlinkChecks && fs.nlinkKnown[parent.(string)] {
+	if fs.cfg.RangeMessages && fs.nlinkKnown[parent.(string)] {
 		fs.nlink[parent.(string)]--
 	}
 	delete(fs.unloggedData, path)
@@ -462,7 +457,7 @@ func (fs *FS) Remove(parent vfs.Handle, name string, h vfs.Handle, dir bool) err
 // too or already in the tree, where the nlink count or the range query
 // sees it.
 func (fs *FS) checkEmpty(path string) error {
-	if fs.cfg.NlinkChecks && fs.nlinkKnown[path] {
+	if fs.cfg.RangeMessages && fs.nlinkKnown[path] {
 		fs.m.emptyNlink.Inc()
 		if fs.nlink[path] > 0 || fs.dirs[path].oldest != nil {
 			return vfs.ErrNotEmpty
@@ -592,7 +587,7 @@ func (fs *FS) Rename(oldParent vfs.Handle, oldName string, h vfs.Handle, newPare
 			fs.unloggedData[newPath] = true
 		}
 	}
-	if fs.cfg.NlinkChecks {
+	if fs.cfg.RangeMessages {
 		if fs.nlinkKnown[oldParent.(string)] {
 			fs.nlink[oldParent.(string)]--
 		}
@@ -674,7 +669,7 @@ func (fs *FS) ReadDir(h vfs.Handle) ([]vfs.DirEntry, error) {
 	clear(ents)
 	fs.listing, fs.listingPaths, fs.listingEnds = ents, paths, ends
 	// A full listing initializes the coherent child count (RG).
-	if fs.cfg.NlinkChecks {
+	if fs.cfg.RangeMessages {
 		fs.nlink[path] = len(out)
 		fs.nlinkKnown[path] = true
 	}

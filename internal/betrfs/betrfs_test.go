@@ -124,7 +124,7 @@ func TestNlinkEmptyCheckAvoidsQueries(t *testing.T) {
 }
 
 func TestEmptyCheckByQueryWithoutRG(t *testing.T) {
-	env, fs := newFS(t, func(c *Config) { c.NlinkChecks = false })
+	env, fs := newFS(t, func(c *Config) { c.RangeMessages = false })
 	d, _, _ := fs.Create(fs.Root(), "dir", true)
 	fs.WriteAttr(d, vfs.Attr{Dir: true, Nlink: 2})
 	if err := fs.Remove(fs.Root(), "dir", d, true); err != nil {
@@ -137,7 +137,7 @@ func TestEmptyCheckByQueryWithoutRG(t *testing.T) {
 
 func TestRedundantDeletesFlag(t *testing.T) {
 	count := func(redundant bool) int64 {
-		env, fs := newFS(t, func(c *Config) { c.RedundantDeletes = redundant; c.ConditionalLogging = false })
+		env, fs := newFS(t, func(c *Config) { c.RangeMessages = !redundant; c.ConditionalLogging = false })
 		h, _, _ := fs.Create(fs.Root(), "f", false)
 		before := metricstest.Counter(t, env.Metrics, "betree.msg.inject")
 		fs.Remove(fs.Root(), "f", h, false)
@@ -147,7 +147,7 @@ func TestRedundantDeletesFlag(t *testing.T) {
 	// more point delete to the metadata index and one more range delete to
 	// the data index.
 	if v04, v06 := count(true), count(false); v04 != v06+2 {
-		t.Fatalf("redundant delete flag: v0.4 sent %d messages, v0.6 %d", v04, v06)
+		t.Fatalf("unlink without RG sent %d messages, with RG %d", v04, v06)
 	}
 }
 

@@ -15,15 +15,16 @@ import (
 )
 
 // indexConfigs are the two ways checkEmpty consults the deferred creates:
-// v0.6 decides emptiness by the nlink counts, and v0.6 without NlinkChecks
-// by a tree query. No Table 3 rung has conditional logging without the
-// nlink counts (RG sits below CL), so the second is v0.6 with them off.
+// v0.6 decides emptiness by the nlink counts, and v0.6 without
+// RangeMessages by a tree query. No Table 3 rung has conditional logging
+// without the nlink counts (RG sits below CL), so the second is v0.6 with
+// RG off.
 var indexConfigs = []struct {
 	name   string
 	mutate func(*Config)
 }{
 	{"v0.6", nil},
-	{"v0.6-without-nlink", func(c *Config) { c.NlinkChecks = false }},
+	{"v0.6-without-nlink", func(c *Config) { c.RangeMessages = false }},
 }
 
 // checkDirIndex verifies that the per-directory queues are the

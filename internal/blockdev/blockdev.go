@@ -21,9 +21,6 @@ import (
 	"betrfs/internal/sim"
 )
 
-// BlockSize is the minimum I/O granularity of all simulated devices.
-const BlockSize = 4096
-
 // Completion identifies an in-flight I/O; it completes at time At. Err
 // carries the command's outcome: a failed command still occupies the device
 // until At, but the data was not transferred.
@@ -240,9 +237,6 @@ func (d *Dev) Size() int64 { return d.profile.Capacity }
 
 // Stats returns cumulative I/O statistics.
 func (d *Dev) Stats() *Stats { return &d.stats }
-
-// Profile returns the performance profile the device was created with.
-func (d *Dev) Profile() Profile { return d.profile }
 
 func (d *Dev) checkRange(n int, off int64, op string) {
 	if off < 0 || off+int64(n) > d.profile.Capacity {

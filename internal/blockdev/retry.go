@@ -1,6 +1,7 @@
 package blockdev
 
 import (
+	"errors"
 	"time"
 
 	"betrfs/internal/ioerr"
@@ -26,11 +27,11 @@ func DefaultRetryPolicy() RetryPolicy {
 }
 
 // RetryDev wraps a Device with retry-on-transient-fault. Transient errors
-// (ioerr.IsTransient) are retried up to the policy bound with exponential
-// backoff charged to the simulated clock; persistent errors and exhausted
-// retries surface to the caller and are counted in io.error.*. With no
-// faults injected below it, RetryDev is a pure pass-through: no extra
-// charges, no behavior change.
+// (an ioerr.DeviceError with Transient set) are retried up to the policy
+// bound with exponential backoff charged to the simulated clock;
+// persistent errors and exhausted retries surface to the caller and are
+// counted in io.error.*. With no faults injected below it, RetryDev is a
+// pure pass-through: no extra charges, no behavior change.
 //
 // Asynchronous submissions degrade to synchronous only on the fault path:
 // a failed submit is waited out, backed off, and resubmitted before the
@@ -88,7 +89,7 @@ func (d *RetryDev) submit(retries, errs *metrics.Counter,
 	c := op()
 	backoff := d.pol.Backoff
 	for attempt := 1; attempt < d.pol.MaxAttempts &&
-		c.Err != nil && ioerr.IsTransient(c.Err); attempt++ {
+		transient(c.Err); attempt++ {
 		d.dev.Wait(c) // the failed command still occupied the device
 		d.env.Charge(backoff)
 		backoff *= 2
@@ -97,7 +98,7 @@ func (d *RetryDev) submit(retries, errs *metrics.Counter,
 	}
 	if c.Err != nil {
 		errs.Inc()
-		if ioerr.IsTransient(c.Err) {
+		if transient(c.Err) {
 			d.mRetryExhausted.Inc()
 		}
 	}
@@ -144,4 +145,11 @@ func (d *RetryDev) Flush() error {
 		d.mErrFlush.Inc()
 	}
 	return err
+}
+
+// transient reports whether err wraps a transient ioerr.DeviceError;
+// persistent faults and other errors are not retried.
+func transient(err error) bool {
+	var de *ioerr.DeviceError
+	return errors.As(err, &de) && de.Transient
 }

@@ -3,7 +3,6 @@ package blockdev
 import (
 	"testing"
 
-	"betrfs/internal/ioerr"
 	"betrfs/internal/sim"
 )
 
@@ -38,7 +37,7 @@ func TestRetryExhaustedCounting(t *testing.T) {
 		if err == nil {
 			t.Fatalf("read %d succeeded under an always-failing plan", i)
 		}
-		if !ioerr.IsTransient(err) {
+		if !transient(err) {
 			t.Fatalf("read %d surfaced non-transient %v from a transient plan", i, err)
 		}
 	}
@@ -64,7 +63,7 @@ func TestRetryExhaustedExcludesPersistent(t *testing.T) {
 	buf := make([]byte, 4096)
 	if err := rd.ReadAt(buf, 0); err == nil {
 		t.Fatal("read from a bad range succeeded")
-	} else if ioerr.IsTransient(err) {
+	} else if transient(err) {
 		t.Fatalf("bad-range error %v claims to be transient", err)
 	}
 	if err := rd.WriteAt(buf, 4096); err == nil {

@@ -12,6 +12,9 @@ import (
 	"betrfs/internal/sim"
 )
 
+// blockSize is the simulated devices' I/O granularity.
+const blockSize = 4096
+
 // build stacks a cache of lines lines of lineSize bytes over a fresh
 // device; the small sizes are what make eviction observable.
 func build(t *testing.T, lineSize int64, lines int) (*Dev, *blockdev.Dev, *metrics.Registry) {
@@ -33,11 +36,11 @@ func counters(reg *metrics.Registry) (hit, miss, evict int64) {
 // hits without touching the device.
 func TestReadThroughAndHit(t *testing.T) {
 	c, dev, reg := build(t, 64<<10, 8)
-	payload := bytes.Repeat([]byte{0xaa}, blockdev.BlockSize)
+	payload := bytes.Repeat([]byte{0xaa}, blockSize)
 	if err := c.WriteAt(payload, 0); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, blockdev.BlockSize)
+	got := make([]byte, blockSize)
 	if err := c.ReadAt(got, 0); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("first read: %v", err)
 	}
@@ -46,7 +49,7 @@ func TestReadThroughAndHit(t *testing.T) {
 	}
 	devReads := dev.Stats().Reads
 	// Same line, different block: must be served from cache.
-	if err := c.ReadAt(got, 4*blockdev.BlockSize); err != nil {
+	if err := c.ReadAt(got, 4*blockSize); err != nil {
 		t.Fatal(err)
 	}
 	if hit, miss, _ := counters(reg); hit != 1 || miss != 1 {
@@ -62,15 +65,15 @@ func TestReadThroughAndHit(t *testing.T) {
 // never a stale cached copy.
 func TestWriteInvalidates(t *testing.T) {
 	c, _, reg := build(t, 64<<10, 8)
-	old := bytes.Repeat([]byte{1}, blockdev.BlockSize)
+	old := bytes.Repeat([]byte{1}, blockSize)
 	if err := c.WriteAt(old, 0); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, blockdev.BlockSize)
+	got := make([]byte, blockSize)
 	if err := c.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
-	neu := bytes.Repeat([]byte{2}, blockdev.BlockSize)
+	neu := bytes.Repeat([]byte{2}, blockSize)
 	if err := c.WriteAt(neu, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -87,15 +90,15 @@ func TestWriteInvalidates(t *testing.T) {
 // deterministic zeroes.
 func TestDiscardInvalidates(t *testing.T) {
 	c, dev, _ := build(t, 64<<10, 8)
-	payload := bytes.Repeat([]byte{3}, blockdev.BlockSize)
+	payload := bytes.Repeat([]byte{3}, blockSize)
 	if err := c.WriteAt(payload, 0); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, blockdev.BlockSize)
+	got := make([]byte, blockSize)
 	if err := c.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Discard(0, blockdev.BlockSize); err != nil {
+	if err := c.Discard(0, blockSize); err != nil {
 		t.Fatal(err)
 	}
 	if dev.Stats().Discards != 1 {
@@ -111,7 +114,7 @@ func TestDiscardInvalidates(t *testing.T) {
 func TestBoundedEviction(t *testing.T) {
 	const lineSize = 64 << 10
 	c, _, reg := build(t, lineSize, 2)
-	buf := make([]byte, blockdev.BlockSize)
+	buf := make([]byte, blockSize)
 	for i := int64(0); i < 4; i++ {
 		if err := c.ReadAt(buf, i*lineSize); err != nil {
 			t.Fatal(err)
@@ -141,12 +144,12 @@ func TestTailLineClamp(t *testing.T) {
 	// leaves a ragged tail.
 	c, dev, _ := build(t, 48<<10, 4)
 	size := dev.Size()
-	tail := size - blockdev.BlockSize
-	payload := bytes.Repeat([]byte{9}, blockdev.BlockSize)
+	tail := size - blockSize
+	payload := bytes.Repeat([]byte{9}, blockSize)
 	if err := c.WriteAt(payload, tail); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, blockdev.BlockSize)
+	got := make([]byte, blockSize)
 	if err := c.ReadAt(got, tail); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("tail read: %v", err)
 	}
@@ -159,7 +162,7 @@ func TestSubmitCompletesAtNow(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(256))
 	c := New(env, dev)
-	payload := bytes.Repeat([]byte{7}, blockdev.BlockSize)
+	payload := bytes.Repeat([]byte{7}, blockSize)
 	w := c.SubmitWrite(payload, 0)
 	if w.At != env.Now() {
 		t.Fatalf("write completion at %v, now %v", w.At, env.Now())
@@ -189,7 +192,7 @@ func TestDiscardForwarding(t *testing.T) {
 	faulted := blockdev.NewFault(env, fdev, blockdev.FaultPlan{Seed: 1})
 	retried := blockdev.WithRetry(env, faulted, blockdev.DefaultRetryPolicy())
 
-	length := int64(8 * blockdev.BlockSize)
+	length := int64(8 * blockSize)
 	if err := New(env, retried).Discard(length, length); err != nil {
 		t.Fatalf("discard through the cache: %v", err)
 	}
@@ -214,7 +217,7 @@ func TestErrNoSpaceSentinel(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(256))
 	c := New(env, nospaceDev{dev})
-	err := c.Wait(c.SubmitWrite(make([]byte, blockdev.BlockSize), 0))
+	err := c.Wait(c.SubmitWrite(make([]byte, blockSize), 0))
 	if !errors.Is(err, ioerr.ErrNoSpace) {
 		t.Fatalf("cache write error = %v, want ENOSPC", err)
 	}

@@ -17,13 +17,16 @@ import (
 	"betrfs/internal/sim"
 )
 
+// blockSize is the simulated devices' I/O granularity.
+const blockSize = 4096
+
 // serveDevice exports dev as the block share "blk0" behind a mount-less
 // server and returns the remote device a client on its own machine opens
 // over the wire.
 func serveDevice(t *testing.T, env *sim.Env, dev blockdev.Device) (*remote.Dev, func()) {
 	t.Helper()
 	reg := registry.New()
-	reg.AddDevice("blk0", env, dev)
+	reg.AddDevice("blk0", dev)
 	cfg := fsserve.DefaultConfig()
 	cfg.Registry = reg
 	srv := fsserve.New(env, nil, cfg)
@@ -61,7 +64,7 @@ func TestRemoteLocalEquivalence(t *testing.T) {
 	// (> MaxData) to cover the wire chunking path.
 	rng := rand.New(rand.NewSource(42))
 	size := devL.Size()
-	blocks := size / blockdev.BlockSize
+	blocks := size / blockSize
 	apply := func(op func(d blockdev.Device) error) {
 		t.Helper()
 		errL := op(devL)
@@ -71,10 +74,10 @@ func TestRemoteLocalEquivalence(t *testing.T) {
 		}
 	}
 	for i := 0; i < 200; i++ {
-		off := (rng.Int63n(blocks - 80)) * blockdev.BlockSize
+		off := (rng.Int63n(blocks - 80)) * blockSize
 		switch rng.Intn(5) {
 		case 0, 1: // write 1–8 blocks of op-dependent bytes
-			n := (1 + rng.Intn(8)) * blockdev.BlockSize
+			n := (1 + rng.Intn(8)) * blockSize
 			payload := bytes.Repeat([]byte{byte(i)}, n)
 			if i%2 == 0 {
 				apply(func(d blockdev.Device) error { return d.WriteAt(payload, off) })
@@ -82,12 +85,12 @@ func TestRemoteLocalEquivalence(t *testing.T) {
 				apply(func(d blockdev.Device) error { return d.Wait(d.SubmitWrite(payload, off)) })
 			}
 		case 2: // discard 1–16 blocks
-			n := int64(1+rng.Intn(16)) * blockdev.BlockSize
+			n := int64(1+rng.Intn(16)) * blockSize
 			apply(func(d blockdev.Device) error { return d.Discard(off, n) })
 		case 3:
 			apply(func(d blockdev.Device) error { return d.Flush() })
 		case 4: // verifying read
-			n := (1 + rng.Intn(4)) * blockdev.BlockSize
+			n := (1 + rng.Intn(4)) * blockSize
 			bl, br := make([]byte, n), make([]byte, n)
 			if err := devL.ReadAt(bl, off); err != nil {
 				t.Fatalf("local read: %v", err)
@@ -106,7 +109,7 @@ func TestRemoteLocalEquivalence(t *testing.T) {
 	}
 	// A transfer larger than one wire frame's data cap must chunk
 	// transparently.
-	big := bytes.Repeat([]byte{0xcd}, fsrpc.MaxData+3*blockdev.BlockSize)
+	big := bytes.Repeat([]byte{0xcd}, fsrpc.MaxData+3*blockSize)
 	apply(func(d blockdev.Device) error { return d.WriteAt(big, 0) })
 	got := make([]byte, len(big))
 	if err := rdev.ReadAt(got, 0); err != nil || !bytes.Equal(got, big) {
@@ -146,12 +149,12 @@ func TestRemoteErrorSurfacing(t *testing.T) {
 	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(2048))
 	// A grown defect: reads overlapping it fail permanently with EIO.
 	faulted := blockdev.NewFault(env, dev, blockdev.FaultPlan{
-		BadSectors: []blockdev.Range{{Off: 0, Len: blockdev.BlockSize}},
+		BadSectors: []blockdev.Range{{Off: 0, Len: blockSize}},
 	})
 	rdev, shutdown := serveDevice(t, env, faulted)
 	defer shutdown()
 
-	buf := make([]byte, blockdev.BlockSize)
+	buf := make([]byte, blockSize)
 	errLocal := faulted.ReadAt(buf, 0)
 	errRemote := rdev.ReadAt(buf, 0)
 	if !errors.Is(errLocal, ioerr.ErrIO) {

@@ -103,7 +103,7 @@ func buildShard(i int, cfg Config) *Shard {
 	dev := blockdev.New(senv, blockdev.SamsungEVO860().Scale(cfg.Scale))
 	fdev := ftl.New(senv, dev, ftl.DefaultConfig())
 	sreg := registry.New()
-	sreg.AddDevice(BlockShare, senv, fdev)
+	sreg.AddDevice(BlockShare, fdev)
 	scfg := fsserve.DefaultConfig()
 	scfg.Registry = sreg
 	storage := fsserve.New(senv, nil, scfg)
@@ -130,7 +130,7 @@ func buildShard(i int, cfg Config) *Shard {
 	mount := st.Mount
 
 	freg := registry.New()
-	freg.AddMount(MountShare, fenv, mount)
+	freg.AddMount(MountShare, mount)
 	fcfg := fsserve.DefaultConfig()
 	fcfg.Registry = freg
 	front := fsserve.New(fenv, mount, fcfg)

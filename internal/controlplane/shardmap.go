@@ -26,7 +26,6 @@ type Route struct {
 // after construction, so lookups need no locking.
 type ShardMap struct {
 	routes []Route // sorted longest-prefix-first
-	shards int
 }
 
 // NewShardMap builds a map over routes for a deployment of shards
@@ -56,11 +55,8 @@ func NewShardMap(shards int, routes []Route) *ShardMap {
 	if !catchall {
 		panic("controlplane: shard map needs a catch-all \"\" route")
 	}
-	return &ShardMap{routes: rs, shards: shards}
+	return &ShardMap{routes: rs}
 }
-
-// Shards returns the deployment size the map was built for.
-func (m *ShardMap) Shards() int { return m.shards }
 
 // Routes returns the routing table, longest prefix first (fsshell
 // `shardmap` prints it).

@@ -169,9 +169,6 @@ func New(env *sim.Env, dev blockdev.Device, prof Profile) *FS {
 	return fs
 }
 
-// Profile returns the flavor.
-func (fs *FS) Profile() Profile { return fs.prof }
-
 func (fs *FS) markInodeDirty(x *xinode) {
 	x.dirty = true
 	fs.itableDirty[int64(x.ino)/inodesPerBlock] = true

@@ -17,7 +17,6 @@ package faulttest
 import (
 	"fmt"
 
-	"betrfs/internal/betree"
 	"betrfs/internal/betrfs"
 	"betrfs/internal/blockdev"
 	"betrfs/internal/crashtest"
@@ -54,7 +53,7 @@ func (s *System) Counter(name string) int64 {
 // stack too, so plans aggressive enough to defeat the retry bound can
 // fail formatting; Build returns that error rather than panicking.
 func Build(name string, seed uint64, scale int64, plan blockdev.FaultPlan, pol blockdev.RetryPolicy) (*System, error) {
-	return buildWith(name, seed, scale, plan, pol, 0, nil)
+	return buildWith(name, seed, scale, plan, pol, 0)
 }
 
 // BuildConcurrent is Build with the concurrency layer switched on: the
@@ -68,21 +67,15 @@ func BuildConcurrent(name string, seed uint64, scale int64, plan blockdev.FaultP
 	if workers < 1 {
 		workers = 1
 	}
-	return buildWith(name, seed, scale, plan, pol, workers, nil)
+	return buildWith(name, seed, scale, plan, pol, workers)
 }
 
 // buildWith constructs the system; workers == 0 means the deterministic
-// single-goroutine configuration, workers >= 1 the concurrent one. A
-// non-nil tune edits this copy of the catalogue's betrfs tree config before
-// construction: the self-healing sweeps turn write-path relocation off for
-// a negative control.
-func buildWith(name string, seed uint64, scale int64, plan blockdev.FaultPlan, pol blockdev.RetryPolicy, workers int, tune func(*betree.Config)) (*System, error) {
+// single-goroutine configuration, workers >= 1 the concurrent one.
+func buildWith(name string, seed uint64, scale int64, plan blockdev.FaultPlan, pol blockdev.RetryPolicy, workers int) (*System, error) {
 	sys, err := systems.Lookup(name)
 	if err != nil {
 		return nil, fmt.Errorf("faulttest: %w", err)
-	}
-	if tune != nil {
-		tune(&sys.Betr.Tree)
 	}
 	env := sim.NewEnv(seed)
 	sz := systems.Sizes{Concurrent: workers > 0}

@@ -14,9 +14,9 @@ import (
 // populateCheckpointed builds a v0.6 system, runs a synced workload, and
 // checkpoints the store so every node is durable and scrub-visible. The
 // clean scrub reports are returned for targeted fault injection.
-func populateCheckpointed(t *testing.T, seed uint64, files int, tune func(*betree.Config)) (*System, *crashtest.Model, []betree.ScrubReport) {
+func populateCheckpointed(t *testing.T, seed uint64, files int) (*System, *crashtest.Model, []betree.ScrubReport) {
 	t.Helper()
-	sys, err := buildWith("betrfs-v0.6", seed, DefaultScale, blockdev.FaultPlan{Seed: seed}, blockdev.DefaultRetryPolicy(), 0, tune)
+	sys, err := buildWith("betrfs-v0.6", seed, DefaultScale, blockdev.FaultPlan{Seed: seed}, blockdev.DefaultRetryPolicy(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func populateCheckpointed(t *testing.T, seed uint64, files int, tune func(*betre
 // mount never degrades, and a follow-up scrub comes back clean — the
 // betrfsck exit-0 condition.
 func TestScrubRepairRelocatesBadSector(t *testing.T) {
-	sys, mo, clean := populateCheckpointed(t, 21, 40, nil)
+	sys, mo, clean := populateCheckpointed(t, 21, 40)
 	m := sys.Mount
 
 	// Grow the defect under a data-tree extent: file bytes live there, so
@@ -105,7 +105,7 @@ func TestScrubRepairRelocatesBadSector(t *testing.T) {
 // historical behaviour — the scrub reports the node unreadable (the
 // betrfsck exit-3 condition) and cold reads surface EIO.
 func TestBadSectorWithoutRepairStaysBroken(t *testing.T) {
-	sys, mo, clean := populateCheckpointed(t, 21, 40, nil)
+	sys, mo, clean := populateCheckpointed(t, 21, 40)
 
 	var target betree.ScrubReport
 	for _, rep := range clean {
@@ -172,7 +172,7 @@ func writeBig(m *vfs.Mount, path string, size int) error {
 // the store relocates the image to fresh space instead of latching the
 // read-only degradation — the workload never sees the fault.
 func TestWritePathRelocationAbsorbsGrownDefect(t *testing.T) {
-	sys, _, clean := populateCheckpointed(t, 23, 40, nil)
+	sys, _, clean := populateCheckpointed(t, 23, 40)
 	m := sys.Mount
 
 	tail := dataTail(clean)
@@ -224,37 +224,6 @@ func TestWritePathRelocationAbsorbsGrownDefect(t *testing.T) {
 		if rep.Err != nil {
 			t.Errorf("post-relocation scrub: %s node %d: %v", rep.Tree, rep.ID, rep.Err)
 		}
-	}
-}
-
-// TestWritePathRelocationDisabledReproducesEIO is the acceptance
-// negative control: with RelocateAttempts=0 the identical grown defect
-// reproduces the historical behaviour — the write error surfaces as
-// EIO-class at fsync/sync and the mount latches read-only.
-func TestWritePathRelocationDisabledReproducesEIO(t *testing.T) {
-	sys, _, clean := populateCheckpointed(t, 23, 40, func(cfg *betree.Config) {
-		cfg.RelocateAttempts = 0
-	})
-	m := sys.Mount
-
-	tail := dataTail(clean)
-	sys.Fault.AddBadRange(sys.SFL.DevOffset("data", tail), 4096)
-
-	err := writeBig(m, "work/big", 4<<20)
-	if err == nil {
-		err = m.Sync()
-	}
-	if err == nil {
-		t.Fatal("write into grown defect surfaced no error with relocation disabled")
-	}
-	if !errors.Is(err, vfs.ErrIO) {
-		t.Fatalf("write into defect with relocation off = %v, want EIO-class", err)
-	}
-	if m.Degraded() == nil {
-		t.Fatal("mount did not degrade with relocation disabled")
-	}
-	if got := sys.Counter("io.defect.relocate.write"); got != 0 {
-		t.Fatalf("io.defect.relocate.write = %d with relocation disabled, want 0", got)
 	}
 }
 

@@ -23,15 +23,15 @@ import (
 var ErrPoisoned = errors.New("fsrpc: client poisoned")
 
 // DefaultWindow is the default bound on calls in flight per client. A
-// caller that would exceed it blocks in Go/Do until a slot frees — the
+// caller that would exceed it blocks in Go until a slot frees — the
 // window applies backpressure, it never drops (DESIGN.md §13.4).
 const DefaultWindow = 32
 
 // Call is one in-flight request issued with Go. When the call completes
 // (reply received, transport poisoned, or Reset), Reply/Err are set and
 // the call is delivered on its done channel exactly once. The caller of Go
-// or Do owns the Call and what it points to; the client keeps no reference
-// once the call is delivered.
+// owns the Call and what it points to; the client keeps no reference once
+// the call is delivered.
 type Call struct {
 	Req   *Request
 	Reply *Reply // nil on transport errors
@@ -304,10 +304,10 @@ func (c *Client) reader(gen uint64, fr *FrameReader) {
 // (blocking while the window is saturated — requests are never dropped),
 // assigns the tag, writes the frame, and returns the in-flight call,
 // which is delivered on its Done channel when the reply arrives or the
-// transport dies. ctx bounds only the wait for a window slot; use Do for
-// a context that also bounds the reply wait. Calls issued by a single
-// goroutine reach the wire in issue order, which is what the server's
-// per-class ordering guarantees key off (DESIGN.md §13.5).
+// transport dies. ctx bounds only the wait for a window slot. Calls
+// issued by a single goroutine reach the wire in issue order, which is
+// what the server's per-class ordering guarantees key off (DESIGN.md
+// §13.5).
 func (c *Client) Go(ctx context.Context, q *Request) *Call {
 	call := &Call{Req: q, done: make(chan *Call, 1)}
 	c.start(ctx, call)
@@ -414,16 +414,6 @@ func (c *Client) abandon(call *Call) bool {
 	}
 	c.mu.Unlock()
 	return false
-}
-
-// Do issues q and waits for its completion under ctx. On ctx expiry the
-// call is abandoned: its window slot frees immediately and the eventual
-// reply is discarded. The request may still execute on the server — the
-// same fate-unknown caveat as a poisoned call (DESIGN.md §13.6).
-func (c *Client) Do(ctx context.Context, q *Request) (*Reply, error) {
-	call := c.Go(ctx, q)
-	c.await(ctx, call)
-	return call.Reply, call.Err
 }
 
 // await waits for call's delivery under ctx. On ctx expiry the call is

@@ -141,8 +141,8 @@ func TestEveryRequestIsOneWrite(t *testing.T) {
 	go echoServe(srvEnd)
 	for _, op := range Ops {
 		before := first.writes.Load()
-		if _, err := cli.Do(context.Background(), fullRequest(op)); err != nil {
-			t.Fatalf("%s: %v", op, err)
+		if call := wait(t, cli.Go(context.Background(), fullRequest(op))); call.Err != nil {
+			t.Fatalf("%s: %v", op, call.Err)
 		}
 		if n := first.writes.Load() - before; n != 1 {
 			t.Fatalf("%s request took %d writes, want 1", op, n)

@@ -14,6 +14,9 @@ import (
 	"betrfs/internal/vfs"
 )
 
+// blockSize is the simulated devices' I/O granularity.
+const blockSize = 4096
+
 // TestBlockOpsOverWire drives the block class (DESIGN.md §14.3) against
 // a mount-less storage node: a registry exporting one device as a block
 // share, served by a server with a nil default mount.
@@ -21,7 +24,7 @@ func TestBlockOpsOverWire(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(256))
 	reg := registry.New()
-	reg.AddDevice("blk0", env, dev)
+	reg.AddDevice("blk0", dev)
 	cfg := fsserve.DefaultConfig()
 	cfg.Registry = reg
 	srv := fsserve.New(env, nil, cfg)
@@ -39,8 +42,8 @@ func TestBlockOpsOverWire(t *testing.T) {
 		t.Fatalf("bopen unknown share = %v, want ENOENT", err)
 	}
 
-	payload := bytes.Repeat([]byte{0x5a}, 2*blockdev.BlockSize)
-	off := int64(16 * blockdev.BlockSize)
+	payload := bytes.Repeat([]byte{0x5a}, 2*blockSize)
+	off := int64(16 * blockSize)
 	if n, err := cli.Bwrite(h, off, payload); err != nil || n != len(payload) {
 		t.Fatalf("bwrite = %d, %v", n, err)
 	}
@@ -81,11 +84,11 @@ func TestBlockOpsOverWire(t *testing.T) {
 			t.Errorf("%s = %v, want EINVAL", what, err)
 		}
 	}
-	_, err = cli.Bread(h, size, blockdev.BlockSize)
+	_, err = cli.Bread(h, size, blockSize)
 	inval("bread at the device end", err)
-	_, err = cli.Bwrite(h, -blockdev.BlockSize, payload)
+	_, err = cli.Bwrite(h, -blockSize, payload)
 	inval("bwrite at a negative offset", err)
-	inval("bdiscard of a negative length", cli.Bdiscard(h, off, -2*blockdev.BlockSize))
+	inval("bdiscard of a negative length", cli.Bdiscard(h, off, -2*blockSize))
 	if n := counter("fsserve.op.panic"); n != 0 {
 		t.Errorf("fsserve.op.panic = %d, want 0", n)
 	}
@@ -123,8 +126,8 @@ func TestAttachOverWire(t *testing.T) {
 	in := bench.Build("ext4", 256)
 	in2 := bench.Build("ext4", 256)
 	reg := registry.New()
-	reg.AddMount("fs0", in.Env, in.Mount)
-	reg.AddMount("fs1", in2.Env, in2.Mount)
+	reg.AddMount("fs0", in.Mount)
+	reg.AddMount("fs1", in2.Mount)
 	cfg := fsserve.DefaultConfig()
 	cfg.Registry = reg
 	srv := fsserve.New(in.Env, in.Mount, cfg)

@@ -269,9 +269,6 @@ func New(env *sim.Env, mount *vfs.Mount, cfg Config) *Server {
 	return s
 }
 
-// Mount returns the served mount (tests poke at it directly).
-func (s *Server) Mount() *vfs.Mount { return s.mount }
-
 // ServeConn serves one client connection until the peer closes it, a
 // protocol error tears it down, or the server shuts down. It blocks;
 // callers run it on a goroutine per connection.

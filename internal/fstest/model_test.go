@@ -3,6 +3,7 @@ package fstest
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 
 	"betrfs/internal/sim"
@@ -168,8 +169,9 @@ func pickFile(rnd *sim.Rand, exists map[string]byte) string {
 	if len(files) == 0 {
 		return ""
 	}
-	// Map iteration is nondeterministic; sort-free deterministic pick by
-	// scanning for the lexicographically smallest among a random sample.
+	// The seed picks positions, so the list must not depend on the map's
+	// iteration order; the pick is the smallest of a random sample.
+	sort.Strings(files)
 	best := ""
 	for i := 0; i < 5 && i < len(files); i++ {
 		c := files[rnd.Intn(len(files))]

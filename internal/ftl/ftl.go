@@ -181,30 +181,13 @@ func New(env *sim.Env, dev blockdev.Device, cfg Config) *Dev {
 // over-provisioned physical space is internal to the FTL.
 func (d *Dev) Size() int64 { return d.dev.Size() }
 
-// WAFMilli returns the current write amplification factor in thousandths
-// (flash bytes programmed per host byte written); 0 before any write.
-func (d *Dev) WAFMilli() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.wafMilliLocked()
-}
-
+// wafMilliLocked is the write amplification factor in thousandths (flash
+// bytes programmed per host byte written); 0 before any write.
 func (d *Dev) wafMilliLocked() int64 {
 	if d.hostBytes == 0 {
 		return 0
 	}
 	return d.flashBytes * 1000 / d.hostBytes
-}
-
-// Erases returns the total erase count across all blocks.
-func (d *Dev) Erases() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var n int64
-	for i := range d.blocks {
-		n += d.blocks[i].wear
-	}
-	return n
 }
 
 // account runs the FTL bookkeeping for a host write of n bytes at off and

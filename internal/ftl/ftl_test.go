@@ -51,7 +51,7 @@ func TestSequentialOverwriteWAFIsOne(t *testing.T) {
 			}
 		}
 	}
-	if waf := d.WAFMilli(); waf != 1000 {
+	if waf := waf(env); waf != 1000 {
 		t.Fatalf("sequential overwrite WAF = %d milli, want exactly 1000", waf)
 	}
 	snap := env.Metrics.Snapshot()
@@ -63,9 +63,16 @@ func TestSequentialOverwriteWAFIsOne(t *testing.T) {
 	}
 }
 
+// waf reads the write amplification factor in thousandths from the
+// registry's io.waf gauge.
+func waf(env *sim.Env) int64 { return env.Metrics.Snapshot().Gauges["io.waf"] }
+
+// erases reads the total erase count from the registry.
+func erases(env *sim.Env) int64 { return env.Metrics.Snapshot().Counters["ftl.erase.count"] }
+
 // churn fills the device, trims the first half (or not), then overwrites
-// the second half for passes rounds. Returns the final WAF in milli.
-func churn(t *testing.T, d *Dev, passes int, trimHalf bool) int64 {
+// the second half for passes rounds.
+func churn(t *testing.T, d *Dev, passes int, trimHalf bool) {
 	t.Helper()
 	page := make([]byte, 4096)
 	half := d.logicalPages / 2
@@ -92,31 +99,31 @@ func churn(t *testing.T, d *Dev, passes int, trimHalf bool) int64 {
 			}
 		}
 	}
-	return d.WAFMilli()
 }
 
 func TestTrimLowersWriteAmplification(t *testing.T) {
-	_, trimmed := newFTL(t, smallCfg())
+	trimEnv, trimmed := newFTL(t, smallCfg())
 	ctrlCfg := smallCfg()
 	ctrlCfg.DisableTrim = true
-	_, control := newFTL(t, ctrlCfg)
+	ctrlEnv, control := newFTL(t, ctrlCfg)
 
-	wafTrim := churn(t, trimmed, 20, true)
-	wafCtrl := churn(t, control, 20, true)
-	if wafTrim >= wafCtrl {
+	churn(t, trimmed, 20, true)
+	churn(t, control, 20, true)
+	if wafTrim, wafCtrl := waf(trimEnv), waf(ctrlEnv); wafTrim >= wafCtrl {
 		t.Fatalf("TRIM run WAF %d milli not below DisableTrim control %d", wafTrim, wafCtrl)
 	}
 	// The control never learns the first half is dead, so GC migrates it
 	// again and again; the stale pages must show up as moved bytes.
-	if control.Erases() <= trimmed.Erases() {
-		t.Fatalf("control erases %d <= TRIM erases %d", control.Erases(), trimmed.Erases())
+	if erases(ctrlEnv) <= erases(trimEnv) {
+		t.Fatalf("control erases %d <= TRIM erases %d", erases(ctrlEnv), erases(trimEnv))
 	}
 }
 
 func TestGCMigratesValidPages(t *testing.T) {
 	env, d := newFTL(t, smallCfg())
 	// No trim, half the space cold and live: GC has to move it.
-	if waf := churn(t, d, 20, false); waf <= 1000 {
+	churn(t, d, 20, false)
+	if waf := waf(env); waf <= 1000 {
 		t.Fatalf("mixed-validity churn WAF = %d milli, want > 1000", waf)
 	}
 	snap := env.Metrics.Snapshot()
@@ -205,7 +212,7 @@ func TestCountersDeterministic(t *testing.T) {
 	run := func() (int64, int64, map[string]int64) {
 		env, d := newFTL(t, smallCfg())
 		churn(t, d, 10, true)
-		return d.WAFMilli(), d.Erases(), env.Metrics.Snapshot().Counters
+		return waf(env), erases(env), env.Metrics.Snapshot().Counters
 	}
 	waf1, er1, c1 := run()
 	waf2, er2, c2 := run()

@@ -56,13 +56,6 @@ func (e *DeviceError) Error() string {
 // Unwrap makes errors.Is(err, ErrIO) true for every DeviceError.
 func (e *DeviceError) Unwrap() error { return ErrIO }
 
-// IsTransient reports whether err wraps a transient DeviceError; permanent
-// faults and non-device errors return false.
-func IsTransient(err error) bool {
-	var de *DeviceError
-	return errors.As(err, &de) && de.Transient
-}
-
 // Abort carries an error through panic across layers whose deep internals
 // cannot practically thread error returns (allocators and mutation
 // machinery several frames below a public API). Guard recovers it at the

@@ -228,17 +228,11 @@ func (a *Allocator) free(b *Buf, sized bool) {
 	a.env.ChargeAlloc(a.env.Costs.TLBShootdown + time.Duration(pages)*a.env.Costs.VmallocPerPage/2)
 }
 
-// Realloc grows (or shrinks) b to newSize and returns the new handle.
+// realloc grows (or shrinks) b to newSize and returns the new handle.
 //
-// In cooperative mode a request within the usable capacity is free — the
+// A request within the usable capacity is free — in cooperative mode the
 // caller was told the capacity up front. Otherwise the kernel pattern
 // applies: allocate, copy the used bytes, free the old region.
-func (a *Allocator) Realloc(b *Buf, newSize int, usedBytes int) *Buf {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.realloc(b, newSize, usedBytes)
-}
-
 func (a *Allocator) realloc(b *Buf, newSize int, usedBytes int) *Buf {
 	a.mRealloc.Inc()
 	if b == nil {
@@ -265,7 +259,7 @@ func (a *Allocator) realloc(b *Buf, newSize int, usedBytes int) *Buf {
 
 // GrowDoubling models the user-space-heritage growth loop in TokuDB: grow
 // by doubling until newSize fits. Legacy mode pays a copy per doubling
-// step; cooperative mode collapses to a single Realloc because the
+// step; cooperative mode collapses to a single realloc because the
 // negotiated capacity absorbs the growth.
 func (a *Allocator) GrowDoubling(b *Buf, newSize int, usedBytes int) *Buf {
 	a.mu.Lock()

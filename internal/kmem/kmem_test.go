@@ -116,7 +116,7 @@ func TestReallocWithinUsableIsFree(t *testing.T) {
 		t.Fatalf("usable=%d, want >=128K", b.Usable)
 	}
 	before := env.Now()
-	b = a.Realloc(b, 120<<10, 100<<10)
+	b = a.GrowDoubling(b, 120<<10, 100<<10)
 	if env.Now() != before {
 		t.Fatal("realloc within usable capacity should cost nothing")
 	}

@@ -24,7 +24,6 @@
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -71,9 +70,6 @@ type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 }
 
-// Unit returns the unit label the histogram was registered with.
-func (h *Histogram) Unit() string { return h.unit }
-
 // bucketFor returns the power-of-two bucket index for v.
 func bucketFor(v int64) int {
 	if v <= 1 {
@@ -104,12 +100,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.buckets[bucketFor(v)].Add(1)
 }
-
-// Count returns the number of observed samples.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of observed samples.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
 // Registry holds the named instruments of one simulated machine.
 type Registry struct {
@@ -167,22 +157,4 @@ func (r *Registry) Histogram(name, unit string) *Histogram {
 		r.histograms[name] = h
 	}
 	return h
-}
-
-// Names returns every registered instrument name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

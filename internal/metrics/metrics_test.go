@@ -27,14 +27,15 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	for _, v := range []int64{1, 2, 3, 4, 4096, -9} {
 		h.Observe(v)
 	}
-	if h.Count() != 6 {
-		t.Fatalf("hist count = %d, want 6", h.Count())
+	hs := r.Snapshot().Histograms["layer.op.bytes"]
+	if hs.Count != 6 {
+		t.Fatalf("hist count = %d, want 6", hs.Count)
 	}
-	if h.Sum() != 1+2+3+4+4096 {
-		t.Fatalf("hist sum = %d", h.Sum())
+	if hs.Sum != 1+2+3+4+4096 {
+		t.Fatalf("hist sum = %d", hs.Sum)
 	}
-	if h.Unit() != "bytes" {
-		t.Fatalf("hist unit = %q", h.Unit())
+	if hs.Unit != "bytes" {
+		t.Fatalf("hist unit = %q", hs.Unit)
 	}
 }
 
@@ -100,20 +101,21 @@ func TestSnapshotDiffMerge(t *testing.T) {
 	}
 }
 
+// TestNamesSorted checks that a snapshot names every registered
+// instrument, unset ones included, and that its JSON lists them sorted.
 func TestNamesSorted(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z.z.z")
+	r.Counter("b.b.b")
 	r.Gauge("a.a.a")
 	r.Histogram("m.m.ns", "ns")
-	names := r.Names()
-	want := []string{"a.a.a", "m.m.ns", "z.z.z"}
-	if len(names) != len(want) {
-		t.Fatalf("names = %v", names)
+	blob, err := json.Marshal(r.Snapshot())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("names = %v, want %v", names, want)
-		}
+	want := `{"counters":{"b.b.b":0,"z.z.z":0},"gauges":{"a.a.a":0},"histograms":{"m.m.ns":{"unit":"ns","count":0,"sum":0,"max":0}}}`
+	if string(blob) != want {
+		t.Fatalf("snapshot = %s, want %s", blob, want)
 	}
 }
 

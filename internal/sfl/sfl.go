@@ -14,7 +14,6 @@ package sfl
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"betrfs/internal/blockdev"
 	"betrfs/internal/metrics"
@@ -158,16 +157,6 @@ func (s *SFL) DevOffset(name string, off int64) int64 {
 		panic(fmt.Sprintf("sfl: unknown file %q", name))
 	}
 	return f.base + off
-}
-
-// Names returns the file names in layout order (for tools).
-func (s *SFL) Names() []string {
-	names := make([]string, 0, len(s.files))
-	for n := range s.files {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return s.files[names[i]].base < s.files[names[j]].base })
-	return names
 }
 
 // file is one static extent. I/O is direct: buffers belong to the caller

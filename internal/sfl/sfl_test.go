@@ -57,7 +57,7 @@ func TestRegionsAlignToEraseBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("1/%d: %v", scale, err)
 		}
-		for _, name := range s.Names() {
+		for name := range s.files {
 			if off := s.DevOffset(name, 0); off%RegionAlign != 0 {
 				t.Errorf("1/%d: %s starts at %d, not on a %d-byte erase block", scale, name, off, RegionAlign)
 			}
@@ -71,7 +71,10 @@ func TestRegionsAlignToEraseBlocks(t *testing.T) {
 func TestFilesAreDisjoint(t *testing.T) {
 	_, _, s := newSFL(t)
 	// Writing a marker at offset 0 of each file must not clobber others.
-	names := s.Names()
+	var names []string
+	for name := range s.files {
+		names = append(names, name)
+	}
 	if len(names) != 4 {
 		t.Fatalf("names=%v", names)
 	}

@@ -52,14 +52,13 @@ func addDur(p *time.Duration, d time.Duration) {
 	atomic.AddInt64((*int64)(p), int64(d))
 }
 
-func loadDur(p *time.Duration) time.Duration {
-	return time.Duration(atomic.LoadInt64((*int64)(p)))
-}
-
 // Total returns the total CPU time across categories.
 func (s *CPUStats) Total() time.Duration {
-	return loadDur(&s.Memcpy) + loadDur(&s.Checksum) + loadDur(&s.Compare) +
-		loadDur(&s.Serialize) + loadDur(&s.Alloc) + loadDur(&s.Other)
+	var sum int64
+	for _, p := range []*time.Duration{&s.Memcpy, &s.Checksum, &s.Compare, &s.Serialize, &s.Alloc, &s.Other} {
+		sum += atomic.LoadInt64((*int64)(p))
+	}
+	return time.Duration(sum)
 }
 
 // NewEnv returns an environment with default costs and the given seed. The

@@ -153,30 +153,6 @@ func (p *WorkerPool) TrySubmit(f func()) bool {
 	}
 }
 
-// Go schedules f and returns a wait function that blocks until f has
-// finished. In inline mode f runs before Go returns and the wait is a
-// no-op; callers therefore observe identical execution order in
-// deterministic mode.
-func (p *WorkerPool) Go(f func()) (wait func()) {
-	p.mu.Lock()
-	tasks := p.tasks
-	p.mu.Unlock()
-	p.mSubmit.Inc()
-	if tasks == nil {
-		p.mInline.Inc()
-		f()
-		return func() {}
-	}
-	p.mAsync.Inc()
-	p.wg.Add(1)
-	done := make(chan struct{})
-	tasks <- func() {
-		defer close(done)
-		f()
-	}
-	return func() { <-done }
-}
-
 // Drain blocks until every task submitted so far has completed. It is the
 // pool's barrier: checkpoint and sync paths call it before declaring
 // state durable.

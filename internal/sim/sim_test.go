@@ -106,28 +106,6 @@ func TestRandIntnRange(t *testing.T) {
 	}
 }
 
-func TestRandPerm(t *testing.T) {
-	r := NewRand(9)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestRandFloat64Range(t *testing.T) {
-	r := NewRand(11)
-	for i := 0; i < 10000; i++ {
-		v := r.Float64()
-		if v < 0 || v >= 1 {
-			t.Fatalf("Float64 out of range: %v", v)
-		}
-	}
-}
-
 func TestRandZeroSeed(t *testing.T) {
 	r := NewRand(0)
 	if r.Uint64() == 0 && r.Uint64() == 0 {

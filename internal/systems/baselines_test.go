@@ -281,7 +281,7 @@ func TestRecoveryChargesRepeat(t *testing.T) {
 			var first string
 			for i := 0; i < 3; i++ {
 				env := sim.NewEnv(1)
-				dev := blockdev.New(env, src.Profile())
+				dev := blockdev.New(env, prof)
 				for _, off := range offs {
 					if err := dev.WriteAt(image[off], off); err != nil {
 						t.Fatal(err)

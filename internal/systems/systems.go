@@ -89,9 +89,7 @@ var rungs = []struct {
 }{
 	{"SFL", func(s *System) { s.sfl = true; s.Betr.Tree.ReadAhead = true }},
 	{"RG", func(s *System) {
-		s.Betr.DirRangeDelete = true
-		s.Betr.NlinkChecks = true
-		s.Betr.RedundantDeletes = false
+		s.Betr.RangeMessages = true
 		s.Betr.Tree.CoalesceRangeDeletes = true
 	}},
 	{"MLC", func(s *System) { s.Betr.CooperativeMem = true }},

@@ -41,11 +41,11 @@ func TestLadderIsCumulative(t *testing.T) {
 	if !sfl.sfl || !sfl.Betr.Tree.ReadAhead {
 		t.Fatal("+SFL must enable the SFL backend and tree read-ahead")
 	}
-	if sfl.Betr.DirRangeDelete || sfl.Betr.CooperativeMem || sfl.Betr.Tree.PageSharing {
+	if sfl.Betr.RangeMessages || sfl.Betr.CooperativeMem || sfl.Betr.Tree.PageSharing {
 		t.Fatal("+SFL must not enable later rungs")
 	}
 	rg := lookup(t, "betrfs+RG")
-	if !rg.Betr.DirRangeDelete || !rg.Betr.NlinkChecks || rg.Betr.RedundantDeletes {
+	if !rg.Betr.RangeMessages || !rg.Betr.Tree.CoalesceRangeDeletes {
 		t.Fatal("+RG features missing")
 	}
 	if rg.Betr.CooperativeMem {
@@ -59,7 +59,7 @@ func TestLadderIsCumulative(t *testing.T) {
 		t.Fatal("+QRY must include all earlier rungs")
 	}
 	v04 := lookup(t, "betrfs-v0.4")
-	if v04.sfl || v04.Betr.Tree.ReadAhead || !v04.Betr.RedundantDeletes || !v04.Betr.Tree.LegacyApplyOnQuery {
+	if v04.sfl || v04.Betr.Tree.ReadAhead || v04.Betr.RangeMessages || !v04.Betr.Tree.LegacyApplyOnQuery {
 		t.Fatal("v0.4 config wrong")
 	}
 	for i := 1; i < len(Ladder); i++ {

@@ -84,13 +84,6 @@ func (f *File) Size() int64 {
 	return f.ino.attr.Size
 }
 
-// Path returns the file's current path.
-func (f *File) Path() string {
-	f.m.lock()
-	defer f.m.unlock()
-	return f.ino.path
-}
-
 // Truncate resizes the file to size (only shrinking discards data).
 func (f *File) Truncate(size int64) error {
 	f.m.lock()

@@ -30,7 +30,7 @@ const cachePages = 64
 // many background flushers: a flush that supersedes a pinned page's value
 // makes the final Release of that page off the mount's goroutine.
 // nodeCache is the node cache's budget (8 MiB when zero).
-func mountV06(t *testing.T, seed uint64, workers int, nodeCache int64) (*sim.Env, *vfs.Mount) {
+func mountV06(t *testing.T, seed uint64, workers int, nodeCache int64) (*sim.Env, *vfs.Mount, *betrfs.FS) {
 	t.Helper()
 	sys, err := systems.Lookup("betrfs-v0.6")
 	if err != nil {
@@ -52,7 +52,7 @@ func mountV06(t *testing.T, seed uint64, workers int, nodeCache int64) (*sim.Env
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env, st.Mount
+	return env, st.Mount, st.FS.(*betrfs.FS)
 }
 
 // shadowProgram drives a seeded mix of full-page and partial overwrites,
@@ -166,7 +166,7 @@ func TestFramesAliasing(t *testing.T) {
 		}
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%ssingle/seed%d", name, seed), func(t *testing.T) {
-				env, m := mountV06(t, uint64(seed), 0, nodeCache)
+				env, m, _ := mountV06(t, uint64(seed), 0, nodeCache)
 				if err := shadowProgram(m, seed, "f", 1500, true); err != nil {
 					t.Fatal(err)
 				}
@@ -178,7 +178,7 @@ func TestFramesAliasing(t *testing.T) {
 				checkCold(t, env)
 			})
 			t.Run(fmt.Sprintf("%sconcurrent/seed%d", name, seed), func(t *testing.T) {
-				env, m := mountV06(t, uint64(seed), 3, nodeCache)
+				env, m, _ := mountV06(t, uint64(seed), 3, nodeCache)
 				var wg sync.WaitGroup
 				errs := make([]error, 2)
 				for c := range errs {
@@ -231,11 +231,11 @@ func TestFramesAliasing(t *testing.T) {
 func TestImagesComeBack(t *testing.T) {
 	for _, workers := range []int{0, 3} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			_, m := mountV06(t, 5, workers, 0)
+			_, m, fs := mountV06(t, 5, workers, 0)
 			if err := shadowProgram(m, 5, "f", 600, true); err != nil {
 				t.Fatal(err)
 			}
-			store := m.FS().(*betrfs.FS).Store()
+			store := fs.Store()
 			if store.ImagesOut() == 0 {
 				t.Fatal("no node image borrowed before the drop")
 			}
@@ -260,7 +260,7 @@ func TestImagesComeBack(t *testing.T) {
 func TestImagesComeBackAfterDeletes(t *testing.T) {
 	for _, workers := range []int{0, 3} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			env, m := mountV06(t, 9, workers, 0)
+			env, m, fs := mountV06(t, 9, workers, 0)
 			const files = 300
 			data := bytes.Repeat([]byte("betrfs"), 900)
 			for _, dir := range []string{"d0", "d1"} {
@@ -295,7 +295,7 @@ func TestImagesComeBackAfterDeletes(t *testing.T) {
 					f.Close()
 				}
 			}
-			store := m.FS().(*betrfs.FS).Store()
+			store := fs.Store()
 			if store.ImagesOut() == 0 {
 				t.Fatal("no node image borrowed after the cold reads")
 			}
@@ -328,7 +328,7 @@ func TestImagesComeBackAfterDeletes(t *testing.T) {
 // mount; once Sync and DropCaches have made the cache and the tree let go
 // of every page, every frame handed out must have come back.
 func TestFramesComeBack(t *testing.T) {
-	_, m := mountV06(t, 7, 0, 0)
+	_, m, _ := mountV06(t, 7, 0, 0)
 	if err := shadowProgram(m, 7, "f", 600, false); err != nil {
 		t.Fatal(err)
 	}

@@ -244,9 +244,6 @@ func (m *Mount) reportWbErr(opErr error) error {
 	return opErr
 }
 
-// FS returns the underlying file system.
-func (m *Mount) FS() FS { return m.fs }
-
 // --- path resolution --------------------------------------------------------
 
 // walk resolves path to an inode, charging dentry-cache costs per

@@ -60,7 +60,7 @@ type Hint struct {
 // Log is a circular redo log over a fixed storage region.
 //
 // Methods are serialized by an internal mutex so the background flusher
-// and concurrent readers of log state (free bytes, durable LSN) never
+// and concurrent readers of log state (free bytes, next LSN) never
 // race with appends (DESIGN.md §9). The Bε-tree additionally orders all
 // appends under its writer lock, so record order equals MSN order.
 type Log struct {
@@ -181,13 +181,6 @@ func (l *Log) NextLSN() uint64 {
 	return l.nextLSN
 }
 
-// DurableLSN returns the highest LSN known to be on stable storage.
-func (l *Log) DurableLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.durable
-}
-
 // FreeBytes returns how much circular space remains before Append fails.
 func (l *Log) FreeBytes() int64 {
 	l.mu.Lock()
@@ -270,8 +263,8 @@ func (l *Log) encode(t RecordType, lsn uint64, payload []byte) {
 }
 
 // WriteOut writes all pending records to the region without a
-// durability barrier — background log writeback. DurableLSN does not
-// advance; a crash may tear or drop the written tail, which recovery
+// durability barrier — background log writeback. The durable LSN does
+// not advance; a crash may tear or drop the written tail, which recovery
 // detects via record CRCs. On a device error the unwritten tail stays
 // pending, so a later WriteOut or Flush retries it.
 func (l *Log) WriteOut() error {
@@ -310,8 +303,8 @@ func (l *Log) writeOut() error {
 }
 
 // Flush writes all pending records to the region and issues a durability
-// barrier; afterwards DurableLSN covers everything appended so far. On
-// error DurableLSN does not advance: nothing new is promised durable.
+// barrier; afterwards the durable LSN covers everything appended so far.
+// On error it does not advance: nothing new is promised durable.
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -93,12 +93,12 @@ func TestUnflushedRecordsNotRecovered(t *testing.T) {
 func TestDurableLSNTracksFlush(t *testing.T) {
 	_, _, l := newLog(t, 1<<20)
 	lsn, _ := l.Append(1, []byte("x"))
-	if l.DurableLSN() != 0 {
+	if l.durable != 0 {
 		t.Fatal("nothing should be durable before flush")
 	}
 	l.Flush()
-	if l.DurableLSN() != lsn {
-		t.Fatalf("durable=%d, want %d", l.DurableLSN(), lsn)
+	if l.durable != lsn {
+		t.Fatalf("durable=%d, want %d", l.durable, lsn)
 	}
 }
 
