@@ -1,7 +1,8 @@
 # Developer checks. `make check` is the gate a change must pass: static
-# analysis, a full build, the race-enabled test suite over every package,
-# the benchmark module's tests, fsck-style exit codes through a real
-# binary, and machine-readable bench runs whose JSON must validate.
+# analysis, a full build and two cross-builds, the race-enabled test
+# suite over every package, the benchmark module's tests, fsck-style exit
+# codes through a real binary, and machine-readable bench runs whose JSON
+# must validate.
 #
 # Tests run on whole packages, never through a -run filter, so a renamed
 # test cannot silently drop out of the gate: `race` runs every package,
@@ -10,9 +11,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fuzz benchmod scrub repair faults bench-json serve servebench netfaults aging shard loc
+.PHONY: check vet build crossbuild test race fuzz benchmod scrub repair faults bench-json serve servebench netfaults aging shard loc
 
-check: vet build race fuzz benchmod scrub repair faults serve servebench netfaults aging shard bench-json
+check: vet build crossbuild race fuzz benchmod scrub repair faults serve servebench netfaults aging shard bench-json
 
 # Static analysis, plus the formatting gate: any file gofmt would change
 # fails the target (gofmt -l lists it).
@@ -23,6 +24,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# The chunk store maps device memory with syscall.Mmap on unix and falls
+# back to the heap elsewhere (internal/blockdev/slab_*.go); building for
+# Windows and for Apple silicon keeps both sides compiling.
+crossbuild:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...

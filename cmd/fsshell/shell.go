@@ -220,6 +220,14 @@ func printSnapshot(w io.Writer, snap metrics.Snapshot) {
 			fmt.Fprintf(w, "  %-28s %12d\n", name, v)
 		}
 	}
+	if len(snap.Gauges) > 0 {
+		fmt.Fprintln(w, "gauges:")
+		for _, name := range sortedKeys(snap.Gauges) {
+			if v := snap.Gauges[name]; v != 0 {
+				fmt.Fprintf(w, "  %-28s %12d\n", name, v)
+			}
+		}
+	}
 	if len(snap.Histograms) == 0 {
 		return
 	}

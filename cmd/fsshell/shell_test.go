@@ -133,7 +133,7 @@ func TestModeCommands(t *testing.T) {
 	}{
 		{func(out io.Writer) *shell { return localShell(out, "ext4") },
 			"write x hi\nsync\ndropcaches\nstats\nhelp\n",
-			[]string{"  blockdev.flush.count", "  vfs.write.ns", "| dropcaches | stats | sync | quit"}},
+			[]string{"  blockdev.flush.count", "gauges:\n", "  blockdev.chunk.bytes", "  vfs.write.ns", "| dropcaches | stats | sync | quit"}},
 		{func(out io.Writer) *shell { return remoteOverPipe(t, out) },
 			"ping\nshares\nattach nope\nstats\nhelp\n",
 			[]string{"pong in ", "attach: vfs: no such file", "session: s", "| attach name | ping | shares | stats | quit"}},

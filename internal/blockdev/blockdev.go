@@ -154,15 +154,10 @@ func (p Profile) Scale(factor int64) Profile {
 	return p
 }
 
-const chunkSize = 64 << 10
-
-// maxSpareChunks bounds the discarded chunks a Dev keeps for reuse (24 MiB).
-const maxSpareChunks = 384
-
-// Dev is the standard simulated device. Storage is sparse: chunks are
-// allocated on first write and unwritten regions read as zeros. A chunk a
-// discard drops whole goes onto a bounded spare list, and the next chunk
-// a write allocates comes from there (DESIGN.md §5.6).
+// Dev is the standard simulated device. Storage is sparse: a 64 KiB chunk
+// is taken from the process-wide chunk store (chunks.go) on first write,
+// unwritten regions read as zeros, and a chunk that a discard drops whole
+// goes back to the store (DESIGN.md §5.6).
 //
 // Submission entry points are serialized by a mutex, modeling the single
 // hardware queue the timing model already assumes: concurrent submitters
@@ -176,8 +171,7 @@ type Dev struct {
 	mu      sync.Mutex
 	stats   Stats
 
-	chunks map[int64][]byte
-	spare  [][]byte
+	chunks *chunkTable
 
 	busyUntil time.Duration
 	readEnd   int64 // next sequential read offset
@@ -204,6 +198,7 @@ type Dev struct {
 	mWriteSize    *metrics.Histogram
 	mDiscardCount *metrics.Counter
 	mDiscardBytes *metrics.Counter
+	mChunkBytes   *metrics.Gauge
 }
 
 // New creates a device with the given profile.
@@ -215,7 +210,7 @@ func New(env *sim.Env, profile Profile) *Dev {
 	return &Dev{
 		env:           env,
 		profile:       profile,
-		chunks:        make(map[int64][]byte),
+		chunks:        newChunkTable(&sharedChunks),
 		mReadCount:    reg.Counter("blockdev.read.count"),
 		mWriteCount:   reg.Counter("blockdev.write.count"),
 		mReadBytes:    reg.Counter("blockdev.read.bytes"),
@@ -229,6 +224,7 @@ func New(env *sim.Env, profile Profile) *Dev {
 		mWriteSize:    reg.Histogram("blockdev.write.size", "bytes"),
 		mDiscardCount: reg.Counter("blockdev.discard.count"),
 		mDiscardBytes: reg.Counter("blockdev.discard.bytes"),
+		mChunkBytes:   reg.Gauge("blockdev.chunk.bytes"),
 	}
 }
 
@@ -254,7 +250,7 @@ func (d *Dev) copyOut(p []byte, off int64) {
 		if max := int(chunkSize - co); want > max {
 			want = max
 		}
-		if c, ok := d.chunks[ci]; ok {
+		if c, ok := d.chunks.m[ci]; ok {
 			copy(p[n:n+want], c[co:])
 		} else {
 			for i := n; i < n+want; i++ {
@@ -274,28 +270,14 @@ func (d *Dev) copyIn(p []byte, off int64) {
 		if max := int(chunkSize - co); want > max {
 			want = max
 		}
-		c, ok := d.chunks[ci]
+		c, ok := d.chunks.m[ci]
 		if !ok {
-			c = d.newChunk(int(co), want)
-			d.chunks[ci] = c
+			c = d.chunks.add(ci, int(co), want)
+			d.mChunkBytes.Add(chunkSize)
 		}
 		copy(c[co:], p[n:n+want])
 		n += want
 	}
-}
-
-// newChunk returns a chunk for a write of n bytes at offset co in it: a
-// spare one with every byte outside the write zeroed, else a fresh one.
-func (d *Dev) newChunk(co, n int) []byte {
-	k := len(d.spare)
-	if k == 0 {
-		return make([]byte, chunkSize)
-	}
-	c := d.spare[k-1]
-	d.spare = d.spare[:k-1]
-	clear(c[:co])
-	clear(c[co+n:])
-	return c
 }
 
 // drainCache destages the write cache to flash during device-idle time.
@@ -470,9 +452,8 @@ func (d *Dev) Discard(off, length int64) error {
 	return nil
 }
 
-// zeroRange zeroes [off, off+n) in place, dropping chunks the range fully
-// covers so discarded space costs no memory beyond the bounded spare list
-// they go to.
+// zeroRange zeroes [off, off+n) in place, giving the chunks the range fully
+// covers back to the store so discarded space costs no memory.
 func (d *Dev) zeroRange(off, n int64) {
 	for n > 0 {
 		ci := off / chunkSize
@@ -481,12 +462,10 @@ func (d *Dev) zeroRange(off, n int64) {
 		if max := chunkSize - co; want > max {
 			want = max
 		}
-		c, ok := d.chunks[ci]
+		c, ok := d.chunks.m[ci]
 		if ok && co == 0 && want == chunkSize {
-			delete(d.chunks, ci)
-			if len(d.spare) < maxSpareChunks {
-				d.spare = append(d.spare, c)
-			}
+			d.chunks.drop(ci)
+			d.mChunkBytes.Add(-chunkSize)
 		} else if ok {
 			clear(c[co : co+want])
 		}

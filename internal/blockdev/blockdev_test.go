@@ -2,6 +2,7 @@ package blockdev
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -433,18 +434,32 @@ func TestCorruptZeroAndFlip(t *testing.T) {
 	}
 }
 
-// dirtySpare writes chunks full chunks of 0xee from chunk first on and
-// discards them, leaving them on the spare list with stale bytes.
-func dirtySpare(t *testing.T, d *Dev, first, chunks int64) {
+// newDevOn returns an SSD whose chunks come from st instead of the shared
+// store, so a test sees every chunk it frees and maps.
+func newDevOn(st *chunkStore) (*sim.Env, *Dev) {
+	env := sim.NewEnv(1)
+	d := New(env, SamsungEVO860())
+	d.chunks = newChunkTable(st)
+	return env, d
+}
+
+// dirtyFree writes chunks full chunks of 0xee on d from chunk first on and
+// discards them, leaving them on the free list with stale bytes. It
+// returns the freed chunks' first bytes, by which a test recognises them.
+func dirtyFree(t *testing.T, d *Dev, first, chunks int64) map[*byte]bool {
 	t.Helper()
 	d.WriteAt(bytes.Repeat([]byte{0xee}, int(chunks*chunkSize)), first*chunkSize)
-	spare := len(d.spare)
+	freed := map[*byte]bool{}
+	for ci := first; ci < first+chunks; ci++ {
+		freed[&d.chunks.m[ci][0]] = true
+	}
 	if err := d.Discard(first*chunkSize, chunks*chunkSize); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(d.spare) - spare; got != int(min(chunks, maxSpareChunks-int64(spare))) {
-		t.Fatalf("discarding %d whole chunks added %d spares", chunks, got)
+	if len(d.chunks.m) != 0 {
+		t.Fatalf("%d chunks left after discarding every written one", len(d.chunks.m))
 	}
+	return freed
 }
 
 // checkBytes fails unless got holds want in [lo, hi) and zeros elsewhere.
@@ -461,43 +476,74 @@ func checkBytes(t *testing.T, got []byte, lo, hi int, want byte) {
 	}
 }
 
-// TestSpareChunkPartialWrite writes a few bytes into chunks that come off
-// the spare list: every byte the write does not cover reads as zero, not
-// as the discarded data.
-func TestSpareChunkPartialWrite(t *testing.T) {
-	_, d := newSSD(t)
-	dirtySpare(t, d, 0, 3)
-	// One write straddling two fresh chunks, then one in a third.
-	d.WriteAt(bytes.Repeat([]byte{0x5a}, 200), 10*chunkSize-100)
-	d.WriteAt([]byte{0x7b}, 20*chunkSize+chunkSize/2)
-	if len(d.spare) != 0 {
-		t.Fatalf("%d spares left, want all 3 reused", len(d.spare))
-	}
-	got := make([]byte, 2*chunkSize)
-	d.ReadAt(got, 9*chunkSize)
-	checkBytes(t, got, chunkSize-100, chunkSize+100, 0x5a)
-	got = got[:chunkSize]
-	d.ReadAt(got, 20*chunkSize)
-	checkBytes(t, got, chunkSize/2, chunkSize/2+1, 0x7b)
-	// The discarded range itself reads as zeros.
-	d.ReadAt(got, 0)
-	checkBytes(t, got, 0, 0, 0)
+// chunkBytes reads d's blockdev.chunk.bytes gauge.
+func chunkBytes(env *sim.Env) int64 {
+	return env.Metrics.Snapshot().Gauges["blockdev.chunk.bytes"]
 }
 
-// TestSpareChunkCrashRevert runs discards and reused spare chunks under
-// crash tracking: a tracked discard is reverted by a crash, and a tracked
-// write into a spare chunk reverts to the zeros it replaced.
-func TestSpareChunkCrashRevert(t *testing.T) {
-	_, d := newSSD(t)
-	dirtySpare(t, d, 0, 2)
+// TestFreeChunkPartialWrite has one device discard chunks and another
+// write a few bytes into the chunks it then takes off the shared free
+// list: every byte the write does not cover reads as zero, never as the
+// first device's data.
+func TestFreeChunkPartialWrite(t *testing.T) {
+	var st chunkStore
+	envA, a := newDevOn(&st)
+	envB, b := newDevOn(&st)
+	freed := dirtyFree(t, a, 0, 3)
+	if got := chunkBytes(envA); got != 0 {
+		t.Fatalf("discarding every chunk left a gauge of %d bytes", got)
+	}
+	// One write straddling two new chunks, then one in a third.
+	b.WriteAt(bytes.Repeat([]byte{0x5a}, 200), 10*chunkSize-100)
+	b.WriteAt([]byte{0x7b}, 20*chunkSize+chunkSize/2)
+	if len(st.free) != 0 {
+		t.Fatalf("%d chunks left on the free list, want all 3 reused", len(st.free))
+	}
+	for ci, c := range b.chunks.m {
+		if !freed[&c[0]] {
+			t.Fatalf("chunk %d is not one the other device freed", ci)
+		}
+	}
+	if got := chunkBytes(envB); got != 3*chunkSize {
+		t.Fatalf("gauge %d bytes, want 3 chunks", got)
+	}
+	got := make([]byte, 2*chunkSize)
+	b.ReadAt(got, 9*chunkSize)
+	checkBytes(t, got, chunkSize-100, chunkSize+100, 0x5a)
+	got = got[:chunkSize]
+	b.ReadAt(got, 20*chunkSize)
+	checkBytes(t, got, chunkSize/2, chunkSize/2+1, 0x7b)
+	// The discarded range itself reads as zeros.
+	a.ReadAt(got, 0)
+	checkBytes(t, got, 0, 0, 0)
+	// A discard that covers no chunk whole frees nothing.
+	if err := b.Discard(9*chunkSize+1, 2*chunkSize-2); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.free) != 0 || chunkBytes(envB) != 3*chunkSize {
+		t.Fatalf("a discard covering no whole chunk freed %d chunks", len(st.free))
+	}
+}
+
+// TestFreeChunkCrashRevert runs discards and reused chunks under crash
+// tracking: a tracked discard is reverted by a crash, and a tracked write
+// into a chunk another device freed reverts to the zeros it replaced.
+func TestFreeChunkCrashRevert(t *testing.T) {
+	var st chunkStore
+	_, a := newDevOn(&st)
+	_, d := newDevOn(&st)
+	dirtyFree(t, a, 0, 2)
 	keep := bytes.Repeat([]byte{0x11}, chunkSize)
-	d.WriteAt(keep, 4*chunkSize) // takes a spare
+	d.WriteAt(keep, 4*chunkSize) // takes a freed chunk
 	d.Flush()
 	d.EnableCrashTracking()
 	if err := d.Discard(4*chunkSize, chunkSize); err != nil {
 		t.Fatal(err)
 	}
-	d.WriteAt(bytes.Repeat([]byte{0x22}, 300), 8*chunkSize+5) // takes a spare
+	d.WriteAt(bytes.Repeat([]byte{0x22}, 300), 8*chunkSize+5) // takes a freed chunk
+	if len(st.free) != 0 {
+		t.Fatalf("%d chunks left on the free list, want both reused", len(st.free))
+	}
 	got := make([]byte, chunkSize)
 	d.ReadAt(got, 4*chunkSize)
 	checkBytes(t, got, 0, 0, 0)
@@ -510,20 +556,75 @@ func TestSpareChunkCrashRevert(t *testing.T) {
 	checkBytes(t, got, 0, 0, 0)
 }
 
-// TestSpareListBound discards more whole chunks than the spare list
-// keeps: the list stops at its bound, and partial discards add nothing.
-func TestSpareListBound(t *testing.T) {
-	_, d := newSSD(t)
-	dirtySpare(t, d, 0, maxSpareChunks+16)
-	if len(d.spare) != maxSpareChunks {
-		t.Fatalf("%d spare chunks, want the bound %d", len(d.spare), maxSpareChunks)
+// TestChunkChurnBound creates and drops devices that each write 64 MiB.
+// The collector does not see mapped chunks, so only the store's forced
+// collection returns a dropped device's chunks in time: the store must
+// stay within twice one device's bytes plus one slab, where without it
+// every device would map its own.
+func TestChunkChurnBound(t *testing.T) {
+	const devices, perDev = 20, 64 << 20
+	var st chunkStore
+	buf := bytes.Repeat([]byte{0x3c}, 1<<20)
+	var peak int64
+	for i := 0; i < devices; i++ {
+		_, d := newDevOn(&st)
+		for off := int64(0); off < perDev; off += int64(len(buf)) {
+			d.WriteAt(buf, off)
+		}
+		st.mu.Lock()
+		peak = max(peak, st.mapped)
+		st.mu.Unlock()
 	}
-	d.spare = d.spare[:0]
-	d.WriteAt(bytes.Repeat([]byte{0x44}, 2*chunkSize), 1000*chunkSize)
-	if err := d.Discard(1000*chunkSize+1, 2*chunkSize-2); err != nil {
-		t.Fatal(err)
+	if bound := int64(2*perDev + slabSize); peak > bound {
+		t.Fatalf("%d devices of %d MiB mapped %d MiB, want at most %d MiB",
+			devices, perDev>>20, peak>>20, bound>>20)
 	}
-	if len(d.spare) != 0 {
-		t.Fatalf("a discard covering no whole chunk made %d spares", len(d.spare))
+	t.Logf("peak mapped %d MiB after %d forced collections", peak>>20, st.collections.Load())
+}
+
+// TestChunkStoreConcurrent runs devices on several goroutines against one
+// store while earlier devices are dropped: writes, discards and forced
+// collections race with each other and with the finalizers, and each
+// device must still read back only its own bytes. Meant for -race.
+func TestChunkStoreConcurrent(t *testing.T) {
+	const workers, rounds, chunks = 4, 3, 512 // 32 MiB written, 16 MiB held
+	var st chunkStore
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			zero, written, got := make([]byte, chunkSize), make([]byte, chunkSize), make([]byte, chunkSize)
+			for r := 0; r < rounds; r++ {
+				_, d := newDevOn(&st)
+				b := byte(w*rounds + r + 1)
+				half := bytes.Repeat([]byte{b}, chunkSize/2)
+				copy(written[chunkSize/4:], half)
+				// Odd chunks keep their write; each even one is
+				// discarded whole once written.
+				for ci := int64(0); ci < chunks; ci++ {
+					d.WriteAt(half, ci*chunkSize+chunkSize/4)
+					if ci%2 == 1 {
+						if err := d.Discard((ci-1)*chunkSize, chunkSize); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+				for ci := int64(0); ci < chunks; ci++ {
+					d.ReadAt(got, ci*chunkSize)
+					want := written
+					if ci%2 == 0 {
+						want = zero
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("worker %d round %d: chunk %d does not hold its own bytes", w, r, ci)
+						return
+					}
+				}
+			}
+		}(w)
 	}
+	wg.Wait()
+	t.Logf("%d forced collections, %d MiB mapped", st.collections.Load(), st.mapped>>20)
 }
