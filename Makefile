@@ -59,6 +59,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeserializeNode$$' -fuzztime $(FUZZTIME) ./internal/betree
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBasement$$' -fuzztime $(FUZZTIME) ./internal/betree
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeLeafShell$$' -fuzztime $(FUZZTIME) ./internal/betree
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInteriorShell$$' -fuzztime $(FUZZTIME) ./internal/betree
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartition$$' -fuzztime $(FUZZTIME) ./internal/betree
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadBlockTable$$' -fuzztime $(FUZZTIME) ./internal/betree
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSuperblock$$' -fuzztime $(FUZZTIME) ./internal/betree
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/betree

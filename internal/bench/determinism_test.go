@@ -17,17 +17,17 @@ import (
 var goldenMicro2048 = []MicroResults{
 	{
 		System:  "betrfs-v0.4",
-		SeqRead: 337.11949601185756, SeqWrite: 121.50524469039345,
-		Rand4K: 165.54508201169665, Rand4B: 0.8479163841831301,
-		TokuBench: 47.41995138094575,
-		Grep:      0.056302333, Rm: 0.445036355, Find: 0.002773996,
+		SeqRead: 337.1190841506479, SeqWrite: 121.50523166677029,
+		Rand4K: 165.54354655880672, Rand4B: 0.847907607879993,
+		TokuBench: 47.41973634691372,
+		Grep:      0.05630255, Rm: 0.445036678, Find: 0.002773996,
 	},
 	{
 		System:  "betrfs-v0.6",
-		SeqRead: 474.2990339531994, SeqWrite: 359.72580211410127,
-		Rand4K: 204.73230238516834, Rand4B: 0.8596151501293936,
-		TokuBench: 60.02070222253708,
-		Grep:      0.033174724, Rm: 0.067394941, Find: 0.00171564,
+		SeqRead: 474.29821870956386, SeqWrite: 359.7256848765524,
+		Rand4K: 204.09752780091995, Rand4B: 0.8596061299822686,
+		TokuBench: 60.02043400595441,
+		Grep:      0.033183189, Rm: 0.067395264, Find: 0.00171564,
 	},
 }
 

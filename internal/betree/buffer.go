@@ -31,6 +31,23 @@ type buffer struct {
 	ranges []*Msg // range deletes, ascending MSN
 	bytes  int
 	kbuf   *kmem.Buf
+	// missing is set while a partial read has left the buffer on disk,
+	// where part says; it is loaded before anything reads or changes its
+	// messages (Tree.ensurePartition).
+	missing bool
+	part
+	// keyBytes is the directory's count of the partition's key bytes,
+	// which sizes the decoded keys' arena.
+	keyBytes int
+	// filter is the partition's key filter from the shell (none: nil).
+	filter []byte
+}
+
+// mayHold reports whether b, still on disk, may hold a message for key:
+// it holds messages, and its key filter does not rule key out (a buffer
+// without one holds a range delete, or its shell had no room for it).
+func (b *buffer) mayHold(key []byte) bool {
+	return b.count > 0 && (len(b.filter) == 0 || filterProbe(b.filter, key, false))
 }
 
 func (b *buffer) len() int { return len(b.points) + len(b.ranges) }
@@ -80,6 +97,7 @@ func (b *buffer) insert(m *Msg) {
 		b.points = slices.Insert(b.points, i, m)
 	}
 	b.bytes += m.memBytes()
+	b.clean = false
 }
 
 // add inserts one message with its costs: for a point message the index
@@ -118,6 +136,7 @@ func (b *buffer) merge(env *sim.Env, alloc *kmem.Allocator, run []*Msg) {
 	}
 	merged = append(merged, b.points[i:]...)
 	b.points = append(merged, run[j:]...)
+	b.clean = false
 	for _, x := range run {
 		old := b.bytes
 		b.bytes += x.memBytes()
@@ -174,6 +193,7 @@ func (b *buffer) takeAll(alloc *kmem.Allocator) []*Msg {
 	out := append(b.points, b.ranges...)
 	b.points, b.ranges = nil, nil
 	b.bytes = 0
+	b.clean = false
 	if b.kbuf != nil {
 		alloc.FreeSized(b.kbuf)
 		b.kbuf = nil
@@ -195,6 +215,9 @@ func (b *buffer) drop(eaten func(*Msg) bool) int {
 	}
 	b.points = slices.DeleteFunc(b.points, del)
 	b.ranges = slices.DeleteFunc(b.ranges, del)
+	if b.len() < before {
+		b.clean = false
+	}
 	return before - b.len()
 }
 
@@ -266,6 +289,7 @@ func (b *buffer) collectRange(env *sim.Env, lo, hi []byte, after MSN, out []*Msg
 // leaf; charged like collectRange.
 func (b *buffer) removeOverlapping(env *sim.Env, lo, hi []byte) []*Msg {
 	i, j := b.span(env, lo, hi)
+	before := b.len()
 	out := slices.Clone(b.points[i:j])
 	for _, m := range out {
 		b.bytes -= m.memBytes()
@@ -284,5 +308,8 @@ func (b *buffer) removeOverlapping(env *sim.Env, lo, hi []byte) []*Msg {
 		}
 		return false
 	})
+	if b.len() < before {
+		b.clean = false
+	}
 	return out
 }

@@ -26,8 +26,8 @@ func (r ScrubReport) Corrupt() bool { return errors.Is(r.Err, ErrChecksum) }
 func (r ScrubReport) Unreadable() bool { return errors.Is(r.Err, ioerr.ErrIO) }
 
 // Scrub reads every node extent referenced by the current block tables of
-// both trees and verifies its checksums — the whole-image CRC plus, for
-// leaves, the shell and per-basement CRCs exercised via full
+// both trees and verifies its checksums — the whole-image CRC, the shell
+// CRC and every basement's or child buffer's CRC, exercised via full
 // deserialization. It bypasses the node cache so that each report reflects
 // the bytes actually on disk right now. One report is returned per node,
 // in (tree, node ID) order. It takes the store's mutator and structure
@@ -129,27 +129,28 @@ func (s *Store) repairNode(t *Tree, id nodeID) bool {
 	}
 	if data == nil {
 		// No good bytes on the media: fall back to a resident cache copy,
-		// the current logical state of the node. Unloaded basements must be
-		// materialized first — from the old extent, which may still succeed
-		// when the corruption sits outside their ranges.
+		// the current logical state of the node. Partitions still on disk
+		// must be materialized first — from the old extent, which may
+		// still succeed when the corruption sits outside their ranges.
 		n, ok := s.cache.lookup(t, id, false)
 		if !ok {
 			return false
 		}
-		if n.height == 0 {
-			for bi, b := range n.basements {
-				if b.loaded {
-					continue
-				}
-				if lerr := s.loadBasement(t, n, ext, bi); lerr != nil {
-					return false
-				}
+		for bi := range n.basements {
+			if s.loadBasement(t, n, ext, bi) != nil {
+				return false
+			}
+		}
+		for ci := range n.bufs {
+			if s.loadPartition(t, n, ext, ci) != nil {
+				return false
 			}
 		}
 		ni := s.prepareNodeImage(t, n)
 		data = ni.data
 		s.alloc.FreeSized(ni.buf)
 		n.dirty.Store(false)
+		n.markClean()
 	}
 	ne, rerr := t.bt.relocate(id, int64(len(data)))
 	if rerr != nil {

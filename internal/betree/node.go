@@ -27,20 +27,35 @@ type basement struct {
 	maxApplied MSN
 	bytes      int
 	loaded     bool
-	// Disk location within the owning node's extent, valid when the
-	// node came from disk (offsets are node-relative). The small
-	// section holds keys and small values; the page section holds
-	// 4 KiB-aligned values (the §6 on-disk format).
+	part
+	// firstKey bounds the basement's key range when entries are not
+	// loaded; for loaded basements the entries themselves bound it.
+	firstKey []byte
+}
+
+// part is what a leaf's basement and an interior node's child buffer share
+// as partitions of a node image (DESIGN.md §7.2): where the partition lies
+// in the node's extent, valid when the node came from disk (offsets are
+// node-relative), its directory checksum, and whether its contents still
+// equal those bytes.
+type part struct {
+	// The small section holds keys, small values and message headers;
+	// the page range holds 4 KiB-aligned values (the §6 on-disk format).
+	// An interior partition's page range follows its small section
+	// directly, so the two are one device read.
 	diskOff int
 	diskLen int
 	pageOff int
 	pageLen int
 	// crc is the directory checksum over the small section and page
-	// range, verified when the basement is materialized from disk.
+	// range, verified when the partition is materialized from disk.
 	crc uint32
-	// firstKey bounds the basement's key range when entries are not
-	// loaded; for loaded basements the entries themselves bound it.
-	firstKey []byte
+	// count is the directory's entry or message count.
+	count int
+	// clean is set while the partition holds exactly what it was loaded
+	// from or last written as; a write-back of it rewrites unchanged
+	// bytes (betree.bytes.written.clean).
+	clean bool
 }
 
 func (b *basement) entryBytes() int {
@@ -100,6 +115,11 @@ type node struct {
 	// the (verified) header when the node was decoded from disk; basement
 	// partial loads need it to resolve aligned value offsets.
 	pageBase int
+
+	// img is the image of an interior node read partially: each child
+	// buffer is read into its own range of it when it is needed, and its
+	// values borrow it. The node holds one borrow of it while cached.
+	img *image
 
 	// pins counts the users holding the node; the cache evicts only
 	// unpinned nodes. Atomic: the cache pins under its shard lock, but
@@ -224,6 +244,7 @@ func (n *node) applyToBasement(env *sim.Env, bi int, m *Msg, withCopies bool) bo
 		return false
 	}
 	b.maxApplied = m.MSN
+	b.clean = false
 	env.Charge(env.Costs.MessageOverhead)
 	switch m.Type {
 	case MsgInsert:
@@ -352,6 +373,30 @@ func (n *node) releaseRefs() {
 		for i := range b.entries {
 			b.entries[i].val.Release()
 		}
+	}
+	if n.img != nil {
+		n.img.Release()
+		n.img = nil
+	}
+}
+
+// cleanBytes sums the image bytes of n's partitions that still hold what
+// they were loaded from or last written as.
+func (n *node) cleanBytes() int {
+	total := 0
+	for _, p := range n.parts() {
+		if p.clean {
+			total += p.diskLen + p.pageLen
+		}
+	}
+	return total
+}
+
+// markClean records that every partition of n holds what its last
+// serialized image does, once that image is on its way to the device.
+func (n *node) markClean() {
+	for _, p := range n.parts() {
+		p.clean = true
 	}
 }
 

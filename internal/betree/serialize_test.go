@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"runtime"
@@ -153,10 +154,11 @@ func TestLeafShellPartialDecode(t *testing.T) {
 	}
 	n := mkLeaf(entries, 8<<10)
 	data := serializeNode(env, &cfg, n, nil)
-	shell, err := decodeLeafShell(data)
+	got0, _, err := decodeShell(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shell := got0.basements
 	if shellEnd := binary.BigEndian.Uint32(data[32:]); shellEnd > headerRegion {
 		t.Skipf("directory larger than header region (%d)", shellEnd)
 	}
@@ -166,7 +168,8 @@ func TestLeafShellPartialDecode(t *testing.T) {
 	// Load just one basement and verify its entries.
 	bi := len(shell) / 2
 	b := shell[bi]
-	if err := decodeBasement(data[b.diskOff:b.diskOff+b.diskLen], data[b.pageOff:b.pageOff+b.pageLen], b, pageBase(data), nil); err != nil {
+	small, pages := data[b.diskOff:b.diskOff+b.diskLen], data[b.pageOff:b.pageOff+b.pageLen]
+	if err := decodeBasement(small, pages, b, pageBase(data), nil, crc32.Update(crc32.ChecksumIEEE(small), crc32.IEEETable, pages)); err != nil {
 		t.Fatal(err)
 	}
 	want := n.basements[bi].entries
@@ -200,8 +203,8 @@ func TestHugeCountsFailFast(t *testing.T) {
 	}{
 		{"leaf basement count", leaf, []int{28}},
 		{"basement entry count", leaf, []int{int(binary.BigEndian.Uint32(leaf[baseHeaderSize:]))}},
-		{"interior child count", interior, []int{28, baseHeaderSize}},
-		{"interior message count", interior, []int{baseHeaderSize + 4 + 8}},
+		{"interior child count", interior, []int{28}},
+		{"interior message count", interior, []int{baseHeaderSize + 12}},
 	} {
 		img := append([]byte(nil), c.img...)
 		for _, off := range c.offs {
@@ -363,8 +366,8 @@ func TestLiftingShrinksNodes(t *testing.T) {
 	}
 }
 
-// TestBorrowedImageNotRecycled decodes node images, and the basements of
-// a leaf image, from pooled images. Every value borrows its bytes from the
+// TestBorrowedImageNotRecycled decodes node images, the basements of a
+// leaf image and the partitions of an interior image from pooled images. Every value borrows its bytes from the
 // image; the image stays out of the pool while any value is held and goes
 // back when the last is released; and overwriting it after that changes
 // no live node, whose keys live in their own arena. It also checks
@@ -434,7 +437,16 @@ func TestBorrowedImageNotRecycled(t *testing.T) {
 
 	for _, n := range []*node{leaf, interior} {
 		data := serializeNode(env, &cfg, n, nil)
-		if bound := encodedSizeBound(&cfg, n); len(data) > bound || bound >= len(data)+2*blockAlign+8 {
+		// The bound takes a whole block for each alignment pad: the page
+		// section's and the image end's, and one in front of each interior
+		// partition that has pages.
+		pads := 2
+		for _, p := range n.parts() {
+			if !n.isLeaf() && p.pageLen > 0 {
+				pads++
+			}
+		}
+		if bound := encodedSizeBound(&cfg, n); len(data) > bound || bound >= len(data)+pads*blockAlign+8 {
 			t.Errorf("height %d: encodedSizeBound %d, image %d bytes", n.height, bound, len(data))
 		}
 		im := pooled(data)
@@ -447,13 +459,13 @@ func TestBorrowedImageNotRecycled(t *testing.T) {
 	}
 
 	data := serializeNode(env, &cfg, leaf, nil)
-	shell, err := decodeLeafShell(data)
+	shell, _, err := decodeShell(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for bi, b := range shell {
+	for bi, b := range shell.basements {
 		im := pooled(append(append([]byte(nil), data[b.diskOff:b.diskOff+b.diskLen]...), data[b.pageOff:b.pageOff+b.pageLen]...))
-		if err := decodeBasement(im.b[:b.diskLen], im.b[b.diskLen:], b, pageBase(data), im); err != nil {
+		if err := decodeBasement(im.b[:b.diskLen], im.b[b.diskLen:], b, pageBase(data), im, crc32.ChecksumIEEE(im.b)); err != nil {
 			t.Fatal(err)
 		}
 		s.keep(im)
@@ -470,6 +482,33 @@ func TestBorrowedImageNotRecycled(t *testing.T) {
 		}
 		leafOf := &node{basements: []*basement{b}}
 		drain(fmt.Sprintf("basement %d", bi), im, vals, func() string { return nodeKeys(leafOf) })
+	}
+
+	data = serializeNode(env, &cfg, interior, nil)
+	shell, _, err = decodeShell(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci := range shell.bufs {
+		b := &shell.bufs[ci]
+		im := pooled(data[b.diskOff : b.pageOff+b.pageLen])
+		if err := decodePartition(im.b[:b.diskLen], im.b[b.diskLen:], b, im, crc32.ChecksumIEEE(im.b)); err != nil {
+			t.Fatal(err)
+		}
+		s.keep(im)
+		want := interior.bufs[ci].points
+		if len(b.points) != len(want) || len(b.ranges) != 0 {
+			t.Fatalf("partition %d: %d messages, want %d", ci, b.len(), len(want))
+		}
+		var vals []Value
+		for i, m := range b.points {
+			if !bytes.Equal(m.Key, want[i].Key) || m.MSN != want[i].MSN || !bytes.Equal(m.Val.Bytes(), want[i].Val.Bytes()) {
+				t.Fatalf("partition %d message %d did not decode to what was encoded", ci, i)
+			}
+			vals = append(vals, m.Val)
+		}
+		nodeOf := &node{height: 1, bufs: []buffer{*b}}
+		drain(fmt.Sprintf("partition %d", ci), im, vals, func() string { return nodeKeys(nodeOf) })
 	}
 }
 
@@ -541,5 +580,80 @@ func TestPrepareNodeImageReusesPool(t *testing.T) {
 	}
 	if reused < calls/2 {
 		t.Fatalf("only %d of %d calls took their image buffer from the pool", reused, calls)
+	}
+}
+
+// TestKeyFilters: an interior shell carries a key filter per child buffer
+// that never rules out a key the buffer holds a point message for and
+// rules out most others; a buffer holding a range delete has none; and
+// when the filters would not fit in the header region, they shrink or go
+// rather than push the shell past it.
+func TestKeyFilters(t *testing.T) {
+	env := sim.NewEnv(1)
+	cfg := DefaultConfig()
+	build := func(children, msgs int) *node {
+		n := &node{id: 9, height: 1, bufs: make([]buffer, children)}
+		for c := 0; c < children; c++ {
+			n.children = append(n.children, nodeID(10+c))
+			if c > 0 {
+				n.pivots = append(n.pivots, []byte(fmt.Sprintf("k%02d", c)))
+			}
+			for i := 0; i < msgs; i++ {
+				n.bufs[c].insert(&Msg{Type: MsgInsert, MSN: MSN(c*msgs + i + 1), Key: []byte(fmt.Sprintf("k%02d/%06d", c, 2*i)), Val: InlineValue([]byte("v"))})
+			}
+		}
+		return n
+	}
+	n := build(4, 200)
+	n.bufs[3].insert(&Msg{Type: MsgRangeDelete, MSN: 1000, Key: []byte("k03/"), EndKey: []byte("k03/5")})
+	data := serializeNode(env, &cfg, n, nil)
+	shell, _, err := decodeShell(data[:headerRegion])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 3; c++ {
+		b := &shell.bufs[c]
+		if want := (filterBitsPerKey*200 + 7) / 8; len(b.filter) != want {
+			t.Fatalf("buffer %d: %d-byte filter, want %d", c, len(b.filter), want)
+		}
+		ruled := 0
+		for i := 0; i < 200; i++ {
+			if !b.mayHold([]byte(fmt.Sprintf("k%02d/%06d", c, 2*i))) {
+				t.Fatalf("buffer %d: filter rules out a key it holds", c)
+			}
+			if !b.mayHold([]byte(fmt.Sprintf("k%02d/%06d", c, 2*i+1))) {
+				ruled++
+			}
+		}
+		if ruled < 180 {
+			t.Fatalf("buffer %d: filter ruled out %d of 200 absent keys", c, ruled)
+		}
+	}
+	if b := &shell.bufs[3]; len(b.filter) != 0 || !b.mayHold([]byte("k03/000001")) {
+		t.Fatalf("buffer with a range delete: %d-byte filter", len(b.filter))
+	}
+
+	// 24 000 messages leave about five bits each in the header region,
+	// 40 000 fewer than four: the filters shrink, then go.
+	for _, c := range []struct{ msgs, bits int }{{1500, 5}, {2500, 0}} {
+		big := serializeNode(env, &cfg, build(16, c.msgs), nil)
+		if shellEnd := int(binary.BigEndian.Uint32(big[32:])); shellEnd > headerRegion {
+			t.Fatalf("%d messages a buffer: filters pushed the shell to %d bytes", c.msgs, shellEnd)
+		}
+		bigShell, _, err := decodeShell(big[:headerRegion])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci := range bigShell.bufs {
+			b := &bigShell.bufs[ci]
+			if want := (c.bits*c.msgs + 7) / 8; len(b.filter) != want {
+				t.Fatalf("%d messages a buffer: buffer %d has a %d-byte filter, want %d", c.msgs, ci, len(b.filter), want)
+			}
+			for i := 0; i < c.msgs; i += 97 {
+				if !b.mayHold([]byte(fmt.Sprintf("k%02d/%06d", ci, 2*i))) {
+					t.Fatalf("%d messages a buffer: buffer %d rules out a key it holds", c.msgs, ci)
+				}
+			}
+		}
 	}
 }

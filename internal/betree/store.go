@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,6 +106,7 @@ type storeMetrics struct {
 	nodeRead      *metrics.Counter
 	nodePartial   *metrics.Counter
 	basementRead  *metrics.Counter
+	partitionRead *metrics.Counter
 	bytesWritten  *metrics.Counter
 	bytesRead     *metrics.Counter
 	checkpoint    *metrics.Counter
@@ -121,10 +123,15 @@ type storeMetrics struct {
 	queryScan     *metrics.Counter
 	retryCorrupt  *metrics.Counter
 
-	// bytesReadInterior and bytesReadLeaf split bytesRead by node kind;
-	// leaf bytes include whole leaves, leaf shells and basements.
+	// bytesReadInterior and bytesReadLeaf split bytesRead by node kind:
+	// whole nodes, shells, and basements or child-buffer partitions.
 	bytesReadInterior *metrics.Counter
 	bytesReadLeaf     *metrics.Counter
+
+	// bytesWrittenClean counts the written image bytes of basements and
+	// child buffers that had not changed since they were loaded or last
+	// written: what partition-granular write-back would not rewrite.
+	bytesWrittenClean *metrics.Counter
 
 	defectGrown    *metrics.Counter
 	defectBytes    *metrics.Counter
@@ -158,6 +165,7 @@ func resolveStoreMetrics(reg *metrics.Registry) storeMetrics {
 		nodeRead:      reg.Counter("betree.node.read"),
 		nodePartial:   reg.Counter("betree.node.partialread"),
 		basementRead:  reg.Counter("betree.basement.read"),
+		partitionRead: reg.Counter("betree.partition.read"),
 		bytesWritten:  reg.Counter("betree.bytes.written"),
 		bytesRead:     reg.Counter("betree.bytes.read"),
 		checkpoint:    reg.Counter("betree.checkpoint.run"),
@@ -176,6 +184,7 @@ func resolveStoreMetrics(reg *metrics.Registry) storeMetrics {
 
 		bytesReadInterior: reg.Counter("betree.bytes.read.interior"),
 		bytesReadLeaf:     reg.Counter("betree.bytes.read.leaf"),
+		bytesWrittenClean: reg.Counter("betree.bytes.written.clean"),
 
 		defectGrown:    reg.Counter("io.defect.grown"),
 		defectBytes:    reg.Counter("io.defect.bytes"),
@@ -551,11 +560,13 @@ func (s *Store) replay(rec wal.Record) error {
 
 // nodeImage is a serialized node between the CPU half of a write
 // (prepareNodeImage) and the submission half (finishNodeWrite). img is the
-// pooled buffer data lives in.
+// pooled buffer data lives in; clean counts the bytes of its partitions
+// that were clean before it was serialized.
 type nodeImage struct {
-	buf  *kmem.Buf
-	data []byte
-	img  *image
+	buf   *kmem.Buf
+	data  []byte
+	img   *image
+	clean int
 }
 
 // writeNode serializes and writes a dirty node copy-on-write, charging the
@@ -564,13 +575,15 @@ type nodeImage struct {
 // the flusher pool while keeping block placement and write submission in
 // deterministic order on the coordinating goroutine (writeDirtyNodes).
 //
-// A dirty leaf can reach write-back half-loaded: a cold point read caches a
+// A dirty node can reach write-back half-loaded: a cold point read caches a
 // leaf with one basement resident, and a flush into it loads only the
-// basements its messages land in. The new image must carry the untouched
-// basements too, so they are read in first — here, on the coordinating
-// goroutine, because the read touches the device and the cache accounting.
+// basements its messages land in; a v0.4 query that pushes messages out of
+// a partially read interior node dirties it. The new image must carry the
+// untouched partitions too, so they are read in first — here, on the
+// coordinating goroutine, because the read touches the device and the
+// cache accounting.
 func (s *Store) writeNode(t *Tree, n *node) {
-	t.ensureAllBasements(n)
+	t.ensureAll(n)
 	s.finishNodeWrite(t, n, s.prepareNodeImage(t, n))
 }
 
@@ -590,7 +603,8 @@ func (s *Store) prepareNodeImage(t *Tree, n *node) nodeImage {
 		buf = s.alloc.GrowDoubling(buf, n.memSize()+512, 64<<10)
 	}
 	img := getImage(int64(encodedSizeBound(&s.cfg, n)))
-	return nodeImage{buf: buf, data: serializeNode(s.env, &s.cfg, n, img.b), img: img}
+	clean := n.cleanBytes()
+	return nodeImage{buf: buf, data: serializeNode(s.env, &s.cfg, n, img.b), img: img, clean: clean}
 }
 
 // inflightWrite is one submitted node-image write. The image and target
@@ -631,8 +645,10 @@ func (s *Store) finishNodeWrite(t *Tree, n *node, img nodeImage) {
 	}
 	s.alloc.FreeSized(img.buf)
 	n.dirty.Store(false)
+	n.markClean()
 	s.m.nodeWrite.Inc()
 	s.m.bytesWritten.Add(int64(len(data)))
+	s.m.bytesWrittenClean.Add(int64(img.clean))
 	s.env.Trace("betree", "node.write", t.name, int64(len(data)))
 }
 
@@ -682,11 +698,13 @@ func (s *Store) completeWrite(w *inflightWrite) error {
 	return err
 }
 
-// readNode fetches a node image from disk. If partialKey is non-nil and
-// the node is a leaf, only the header region and the basement containing
-// partialKey are read and materialized (§2.2 basement nodes). A corrupted
-// or torn image surfaces an error wrapping ErrChecksum rather than
-// garbage or a panic.
+// readNode fetches a node image from disk. If partialKey is non-nil, only
+// the header region is read for the node's shell, and then the one
+// partition on partialKey's path: the basement holding it, or the child
+// buffer it descends through unless that buffer's key filter rules
+// partialKey out (§2.2 basement nodes, and TokuDB's partial fetch of a
+// nonleaf node). A corrupted or torn image surfaces an error wrapping
+// ErrChecksum rather than garbage or a panic.
 func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err error) {
 	defer func() {
 		if err != nil {
@@ -720,28 +738,30 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 
 	if partialKey != nil {
 		// Header region first, into a buffer of just that size.
-		hlen := int64(headerRegion)
-		if hlen > ext.len {
-			hlen = ext.len
-		}
-		// The shell copies what it keeps (its first keys), so the header
-		// buffer goes back to the pool before this returns.
+		hlen := min(int64(headerRegion), ext.len)
+		// The shell copies what it keeps (its keys), so the header buffer
+		// goes back to the pool before this returns.
 		hdr := getImage(hlen)
 		defer putImage(hdr)
 		if rerr := t.f.SubmitRead(hdr.b, ext.off)(); rerr != nil {
 			return nil, rerr
 		}
-		if basements, err := decodeLeafShell(hdr.b); err == nil {
-			n := &node{id: id, height: 0, basements: basements, pageBase: pageBase(hdr.b)}
+		if n, _, err := decodeShell(hdr.b); err == nil && n.id == id {
 			s.m.nodePartial.Inc()
 			s.countNodeRead(n, hlen)
-			if err := s.loadBasement(t, n, ext, n.basementFor(s.env, partialKey)); err != nil {
+			if n.isLeaf() {
+				err = s.loadBasement(t, n, ext, n.basementFor(s.env, partialKey))
+			} else if ci := n.childFor(s.env, partialKey); s.needsPartition(&n.bufs[ci], partialKey) {
+				err = s.loadPartition(t, n, ext, ci)
+			}
+			if err != nil {
+				n.releaseRefs()
 				return nil, err
 			}
 			return n, nil
 		}
-		// A region that is not a leaf's, or a shell that did not fit in it
-		// (or failed its checksum), leaves the decision to the whole-image
+		// A shell that did not fit in the region, failed its checksum or
+		// names another node leaves the decision to the whole-image
 		// checksum: read the remainder.
 		img := getImage(ext.len)
 		copy(img.b, hdr.b)
@@ -820,54 +840,133 @@ func (s *Store) decodeFull(t *Tree, id nodeID, ext extent, img *image) (*node, e
 }
 
 // loadBasement materializes basement bi of cached leaf n with a partial
-// disk read: its small section and its page range, read into one pooled
-// image that the basement's values then borrow. The basement's directory
-// checksum is verified, and a failure is re-read once into the same
-// buffer (see decodeFull) before being reported as corruption.
+// disk read (loadPart).
 func (s *Store) loadBasement(t *Tree, n *node, ext extent, bi int) error {
 	b := n.basements[bi]
 	if b.loaded {
 		return nil
 	}
-	fail := func(err error) error {
-		return fmt.Errorf("betree: %s node %d basement %d: %w", t.name, n.id, bi, err)
-	}
-	if err := b.checkSpan(ext.len); err != nil {
-		return fail(err)
-	}
-	img := getImage(int64(b.diskLen + b.pageLen))
-	small, pages := img.b[:b.diskLen], img.b[b.diskLen:]
-	readRanges := func() error {
-		if rerr := t.f.SubmitRead(small, ext.off+int64(b.diskOff))(); rerr != nil {
-			return rerr
-		}
-		if b.pageLen > 0 {
-			return t.f.SubmitRead(pages, ext.off+int64(b.pageOff))()
-		}
-		return nil
-	}
-	if rerr := readRanges(); rerr != nil {
-		putImage(img)
-		return fail(rerr)
-	}
-	s.env.Checksum(b.diskLen + b.pageLen)
-	s.env.Serialize(b.diskLen)
-	err := decodeBasement(small, pages, b, n.pageBase, img)
-	if err != nil && errors.Is(err, ErrChecksum) {
-		s.m.retryCorrupt.Inc()
-		if rerr := readRanges(); rerr != nil {
-			putImage(img)
-			return fail(rerr)
-		}
-		err = decodeBasement(small, pages, b, n.pageBase, img)
+	err := b.checkSpan(ext.len)
+	if err == nil {
+		err = s.loadPart(t, n, ext, &b.part, func(small, pages []byte, img *image, crc uint32) error {
+			return decodeBasement(small, pages, b, n.pageBase, img, crc)
+		})
 	}
 	if err != nil {
-		putImage(img)
+		return fmt.Errorf("betree: %s node %d basement %d: %w", t.name, n.id, bi, err)
+	}
+	s.m.basementRead.Inc()
+	return nil
+}
+
+// needsPartition reports whether a point read for key must load child
+// buffer b, still on disk: unless its key filter rules key out. The v0.4
+// apply-on-query policy pushes whatever the path buffers hold for the
+// whole leaf, so it loads every partition on the path.
+func (s *Store) needsPartition(b *buffer, key []byte) bool {
+	return s.cfg.LegacyApplyOnQuery || b.mayHold(key)
+}
+
+// loadPartition materializes child buffer ci of interior node n with a
+// partial disk read (loadPart). Its caller keeps every other user of n out:
+// n is not yet cached, or is latched exclusively, or the structure lock is
+// held exclusively.
+func (s *Store) loadPartition(t *Tree, n *node, ext extent, ci int) error {
+	b := &n.bufs[ci]
+	if !b.missing {
+		return nil
+	}
+	err := b.within(ext.len)
+	if err == nil {
+		err = s.loadPart(t, n, ext, &b.part, func(small, pages []byte, img *image, crc uint32) error {
+			return decodePartition(small, pages, b, img, crc)
+		})
+	}
+	if err != nil {
+		return fmt.Errorf("betree: %s node %d partition %d: %w", t.name, n.id, ci, err)
+	}
+	s.m.partitionRead.Inc()
+	return nil
+}
+
+// loadPart reads partition p of node n, whose image is at ext, and decodes
+// it with decode; the partition's values then borrow the image it was read
+// into: for an interior node its own (n.img, taken on its first partition
+// load), for a leaf a pooled image of the partition's size. The small
+// section and the page range are one device read when they are
+// contiguous, as an interior partition's always are, and two otherwise.
+// The bytes are hashed once and decode compares that checksum with the
+// directory's; a mismatch is re-read once into the same buffer (see
+// decodeFull) before being reported as corruption. An empty partition
+// reads nothing.
+func (s *Store) loadPart(t *Tree, n *node, ext extent, p *part, decode func(small, pages []byte, img *image, crc uint32) error) error {
+	size := p.diskLen + p.pageLen
+	if size == 0 {
+		return decode(nil, nil, nil, 0)
+	}
+	own := n.isLeaf()
+	if !own && n.img == nil {
+		// An interior node's partitions are read into an image of its
+		// extent, as a whole read would be, so partial and whole reads
+		// and the writes draw on the same image sizes.
+		n.img = getImage(ext.len)
+		n.img.refs.Store(1)
+		s.keep(n.img)
+	}
+	img, buf := n.img, []byte(nil)
+	if own {
+		img = getImage(int64(size))
+		buf = img.b
+	} else {
+		buf = img.b[p.diskOff : p.diskOff+size]
+	}
+	small, pages := buf[:p.diskLen], buf[p.diskLen:]
+	read := func() (uint32, error) {
+		if p.pageOff == p.diskOff+p.diskLen {
+			if err := t.f.SubmitRead(buf, ext.off+int64(p.diskOff))(); err != nil {
+				return 0, err
+			}
+		} else {
+			if err := t.f.SubmitRead(small, ext.off+int64(p.diskOff))(); err != nil {
+				return 0, err
+			}
+			if p.pageLen > 0 {
+				if err := t.f.SubmitRead(pages, ext.off+int64(p.pageOff))(); err != nil {
+					return 0, err
+				}
+			}
+		}
+		return crc32.ChecksumIEEE(buf), nil
+	}
+	// A failed decode credits no borrow, so only an image of its own goes
+	// back on an error.
+	fail := func(err error) error {
+		if own {
+			putImage(img)
+		}
+		return err
+	}
+	crc, err := read()
+	if err != nil {
 		return fail(err)
 	}
-	s.keep(img)
-	s.m.basementRead.Inc()
-	s.countBytesRead(n, int64(len(img.b)))
+	s.env.Checksum(size)
+	s.env.Serialize(p.diskLen)
+	err = decode(small, pages, img, crc)
+	if err != nil && errors.Is(err, ErrChecksum) {
+		s.m.retryCorrupt.Inc()
+		if crc, err = read(); err != nil {
+			return fail(err)
+		}
+		err = decode(small, pages, img, crc)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	if own {
+		s.keep(img)
+	}
+	s.countBytesRead(n, int64(size))
 	s.cache.resize(t, n)
 	return nil
 }
@@ -1071,7 +1170,7 @@ func (s *Store) writeDirtyNodes(t *Tree) {
 	var wg sync.WaitGroup
 	for i, n := range dirty {
 		i, n := i, n
-		t.ensureAllBasements(n) // see writeNode
+		t.ensureAll(n) // see writeNode
 		wg.Add(1)
 		pool.Submit(func() {
 			defer wg.Done()

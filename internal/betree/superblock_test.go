@@ -133,7 +133,7 @@ func checkSameTable(t *testing.T, got, want *blockTable) {
 }
 
 // TestCraftedLoaderSeedsRejected requires every bad- seed of the two loader
-// fuzz targets and of the leaf-shell target to be rejected with an error.
+// fuzz targets and of the two shell targets to be rejected with an error.
 func TestCraftedLoaderSeedsRejected(t *testing.T) {
 	load := map[string]func([]byte) error{
 		"FuzzLoadBlockTable": func(b []byte) error {
@@ -145,7 +145,11 @@ func TestCraftedLoaderSeedsRejected(t *testing.T) {
 			return err
 		},
 		"FuzzDecodeLeafShell": func(b []byte) error {
-			_, err := decodeLeafShell(b)
+			_, _, err := decodeShell(b)
+			return err
+		},
+		"FuzzDecodeInteriorShell": func(b []byte) error {
+			_, _, err := decodeShell(b)
 			return err
 		},
 	}

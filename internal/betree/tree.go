@@ -183,11 +183,31 @@ func (t *Tree) mustEnsureBasement(n *node, bi int) {
 	ioerr.Check(t.ensureBasement(n, bi))
 }
 
-// ensureAllBasements loads every basement (required before structural
-// changes or serialization; write path, so corruption is fatal).
-func (t *Tree) ensureAllBasements(n *node) {
+// ensurePartition makes child buffer ci of interior node n resident.
+// Corruption in the partition's on-disk image surfaces as an error wrapping
+// ErrChecksum. The load mutates n: the caller holds the structure lock
+// exclusively or n's latch exclusively (see descend).
+func (t *Tree) ensurePartition(n *node, ci int) error {
+	if !n.bufs[ci].missing {
+		return nil
+	}
+	ext, ok := t.bt.lookup(n.id)
+	if !ok {
+		return fmt.Errorf("betree: interior node %d with a missing partition has no extent", n.id)
+	}
+	return t.store.loadPartition(t, n, ext, ci)
+}
+
+// ensureAll loads every basement of a leaf or every child buffer of an
+// interior node: a partial read may have left some on disk, and flushes,
+// splits, merges and serialization need them all. Write path, so
+// corruption is fatal.
+func (t *Tree) ensureAll(n *node) {
 	for bi := range n.basements {
 		t.mustEnsureBasement(n, bi)
+	}
+	for ci := range n.bufs {
+		ioerr.Check(t.ensurePartition(n, ci))
 	}
 }
 
@@ -441,6 +461,11 @@ func (t *Tree) flushToChild(parent *node, ci int) {
 	s.m.flushRun.Inc()
 	child := t.mustFetch(parent.children[ci])
 	defer t.unpin(child)
+	if !child.isLeaf() {
+		// A point read may have cached the child with only the partitions
+		// on its path; the flush merges into, relieves and splits all.
+		t.ensureAll(child)
+	}
 	msgs := parent.bufs[ci].takeAll(s.alloc)
 	s.m.msgFlush.Add(int64(len(msgs)))
 	t.markDirty(parent)
@@ -664,8 +689,8 @@ func (t *Tree) splitRoot(old *node) {
 // the parent's pivots, children, and buffers.
 func (t *Tree) splitChild(parent *node, ci int, child *node) {
 	s := t.store
+	t.ensureAll(child)
 	if child.isLeaf() {
-		t.ensureAllBasements(child)
 		entries := t.flattenLeaf(child)
 		if len(entries) < 2 {
 			return
@@ -831,10 +856,14 @@ type descent struct {
 }
 
 // descend walks from the root to the leaf covering key under the caller's
-// structure lock. partial allows a basement-granular read of the leaf,
-// except under a sequential hint, where whole leaves bring the upcoming
-// basements along. On an error it releases everything taken so far;
-// otherwise the caller releases the walk when done.
+// structure lock. partial allows partition-granular reads of the nodes
+// below the root — an interior node's shell and the child buffer on the
+// path, a leaf's shell and the basement holding key — except under a
+// sequential hint, where whole leaves bring the upcoming basements along;
+// it also lets a child buffer on the path stay on disk when its key filter
+// rules key out. Without partial every buffer on the path is resident.
+// On an error it releases everything taken so far; otherwise the caller
+// releases the walk when done.
 func (t *Tree) descend(key []byte, partial bool) (d descent, err error) {
 	s := t.store
 	n, err := t.fetch(t.rootID, nil)
@@ -845,9 +874,26 @@ func (t *Tree) descend(key []byte, partial bool) (d descent, err error) {
 	d.leaf = n
 	for !n.isLeaf() {
 		ci := n.childFor(s.env, key)
+		if b := &n.bufs[ci]; b.missing && (!partial || s.needsPartition(b, key)) {
+			// A cached node from an earlier partial read may lack this
+			// partition, which a point read skips if the partition's key
+			// filter rules key out. Loading it mutates n, so the walk
+			// trades its shared latch for an exclusive one around the
+			// load: the pin keeps n cached and the shared structure lock
+			// keeps its shape meanwhile.
+			s.unlatchShared(n)
+			s.latchExcl(n)
+			err := t.ensurePartition(n, ci)
+			s.unlatchExcl(n)
+			s.latchShared(n)
+			if err != nil {
+				t.release(&d)
+				return descent{}, err
+			}
+		}
 		var pk []byte
-		if partial && n.height == 1 && !t.seqHint.Load() {
-			pk = key // child is a leaf: basement-granular read allowed
+		if partial && !t.seqHint.Load() {
+			pk = key // the shell and the partition on key's path
 		}
 		child, err := t.fetch(n.children[ci], pk)
 		if err != nil {
@@ -1015,6 +1061,15 @@ func (t *Tree) applyOnQuery(d *descent, bi int, pend []*Msg) {
 	legacy := s.cfg.LegacyApplyOnQuery
 	if !legacy && len(pend) == 0 {
 		return
+	}
+	for _, pe := range d.path {
+		if pe.n.bufs[pe.ci].missing {
+			// The descent left a path buffer on disk, its filter having
+			// ruled out key: it may still hold messages for the rest of
+			// the basement's range, so the basement cannot be brought up
+			// to date without it. The messages stay pending.
+			return
+		}
 	}
 	s.m.applyOnQuery.Inc()
 	leaf := d.leaf
