@@ -42,11 +42,18 @@ type part struct {
 	// The small section holds keys, small values and message headers;
 	// the page range holds 4 KiB-aligned values (the §6 on-disk format).
 	// An interior partition's page range follows its small section
-	// directly, so the two are one device read.
+	// directly, so the two are one device read. A basement's small
+	// section lies apart from its pages, but usually inside the header
+	// region, and then the shell read keeps it (kept), so that loading
+	// the basement reads only its page range.
 	diskOff int
 	diskLen int
 	pageOff int
 	pageLen int
+	// kept is the small section as the shell read fetched it, until the
+	// partition loads; verified with the page range against crc. Kept
+	// sections of one leaf share one allocation (node.keepSmall).
+	kept []byte
 	// crc is the directory checksum over the small section and page
 	// range, verified when the partition is materialized from disk.
 	crc uint32
@@ -411,10 +418,32 @@ func (n *node) memSize() int {
 		total += n.bufs[i].bytes
 	}
 	for _, b := range n.basements {
-		total += 64
+		total += 64 + len(b.kept)
 		if b.loaded {
 			total += b.bytes
 		}
 	}
 	return total
+}
+
+// keepSmall gives each basement of leaf n whose small section lies inside
+// hdr, the header region a partial read fetched, its own sub-slice of one
+// copy of those bytes, which loadPart takes instead of reading them again.
+func (n *node) keepSmall(env *sim.Env, hdr []byte) {
+	lo, hi := len(hdr), 0
+	for _, b := range n.basements {
+		if end := b.diskOff + b.diskLen; end <= len(hdr) {
+			lo, hi = min(lo, b.diskOff), max(hi, end)
+		}
+	}
+	if lo >= hi {
+		return
+	}
+	env.Memcpy(hi - lo)
+	kept := append([]byte(nil), hdr[lo:hi]...)
+	for _, b := range n.basements {
+		if end := b.diskOff + b.diskLen; end <= len(hdr) {
+			b.kept = kept[b.diskOff-lo : end-lo : end-lo]
+		}
+	}
 }

@@ -657,3 +657,33 @@ func TestKeyFilters(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkDecodePartition decodes one child buffer of 208 buffered
+// inserts, the partition a cold point read loads from an interior node,
+// from its serialized small section and page range.
+func BenchmarkDecodePartition(b *testing.B) {
+	env := sim.NewEnv(1)
+	cfg := DefaultConfig()
+	n := &node{id: 9, height: 1, children: []nodeID{10, 11}, pivots: [][]byte{k(1000)}, bufs: make([]buffer, 2)}
+	for i := 0; i < 208; i++ {
+		n.bufs[0].insert(&Msg{Type: MsgInsert, MSN: MSN(i + 1), Key: k(i), Val: InlineValue(v(i, 4+i%3*60))})
+	}
+	data := serializeNode(env, &cfg, n, nil)
+	shell, _, err := decodeShell(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := &shell.bufs[0]
+	small, pages := data[p.diskOff:p.diskOff+p.diskLen], data[p.pageOff:p.pageOff+p.pageLen]
+	crc := crc32.Update(crc32.ChecksumIEEE(small), crc32.IEEETable, pages)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.missing, p.points, p.ranges, p.bytes = true, nil, nil, 0
+		if err := decodePartition(small, pages, p, nil, crc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if len(p.points) != 208 {
+		b.Fatalf("decoded %d messages, want 208", len(p.points))
+	}
+}

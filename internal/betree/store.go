@@ -703,8 +703,10 @@ func (s *Store) completeWrite(w *inflightWrite) error {
 // partition on partialKey's path: the basement holding it, or the child
 // buffer it descends through unless that buffer's key filter rules
 // partialKey out (§2.2 basement nodes, and TokuDB's partial fetch of a
-// nonleaf node). A corrupted or torn image surfaces an error wrapping
-// ErrChecksum rather than garbage or a panic.
+// nonleaf node). A leaf keeps the basement small sections the header
+// region holds, so each basement load reads only its page range. A
+// corrupted or torn image surfaces an error wrapping ErrChecksum rather
+// than garbage or a panic.
 func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err error) {
 	defer func() {
 		if err != nil {
@@ -750,6 +752,7 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 			s.m.nodePartial.Inc()
 			s.countNodeRead(n, hlen)
 			if n.isLeaf() {
+				n.keepSmall(s.env, hdr.b)
 				err = s.loadBasement(t, n, ext, n.basementFor(s.env, partialKey))
 			} else if ci := n.childFor(s.env, partialKey); s.needsPartition(&n.bufs[ci], partialKey) {
 				err = s.loadPartition(t, n, ext, ci)
@@ -892,13 +895,16 @@ func (s *Store) loadPartition(t *Tree, n *node, ext extent, ci int) error {
 // loadPart reads partition p of node n, whose image is at ext, and decodes
 // it with decode; the partition's values then borrow the image it was read
 // into: for an interior node its own (n.img, taken on its first partition
-// load), for a leaf a pooled image of the partition's size. The small
-// section and the page range are one device read when they are
-// contiguous, as an interior partition's always are, and two otherwise.
+// load), for a leaf a pooled image of the partition's size. The partition
+// is one device read when its small section and page range are
+// contiguous, as an interior partition's always are. A basement's lie
+// apart: its load reads only the page range when the shell read kept the
+// small section (p.kept), as it does for every basement whose small
+// section lies in the header region, and both, in two reads, otherwise.
 // The bytes are hashed once and decode compares that checksum with the
-// directory's; a mismatch is re-read once into the same buffer (see
-// decodeFull) before being reported as corruption. An empty partition
-// reads nothing.
+// directory's; a mismatch drops the kept section and re-reads both parts
+// once into the same buffer (see decodeFull) before being reported as
+// corruption. An empty partition reads nothing.
 func (s *Store) loadPart(t *Tree, n *node, ext extent, p *part, decode func(small, pages []byte, img *image, crc uint32) error) error {
 	size := p.diskLen + p.pageLen
 	if size == 0 {
@@ -921,32 +927,38 @@ func (s *Store) loadPart(t *Tree, n *node, ext extent, p *part, decode func(smal
 		buf = img.b[p.diskOff : p.diskOff+size]
 	}
 	small, pages := buf[:p.diskLen], buf[p.diskLen:]
-	read := func() (uint32, error) {
-		if p.pageOff == p.diskOff+p.diskLen {
-			if err := t.f.SubmitRead(buf, ext.off+int64(p.diskOff))(); err != nil {
-				return 0, err
-			}
-		} else {
-			if err := t.f.SubmitRead(small, ext.off+int64(p.diskOff))(); err != nil {
-				return 0, err
-			}
+	// read fills buf and returns its checksum and how many of its bytes
+	// came off the device.
+	read := func() (uint32, int, error) {
+		var err error
+		switch {
+		case p.kept != nil:
+			s.env.Memcpy(copy(small, p.kept))
 			if p.pageLen > 0 {
-				if err := t.f.SubmitRead(pages, ext.off+int64(p.pageOff))(); err != nil {
-					return 0, err
-				}
+				err = t.f.SubmitRead(pages, ext.off+int64(p.pageOff))()
+			}
+		case p.pageOff == p.diskOff+p.diskLen:
+			err = t.f.SubmitRead(buf, ext.off+int64(p.diskOff))()
+		default:
+			if err = t.f.SubmitRead(small, ext.off+int64(p.diskOff))(); err == nil && p.pageLen > 0 {
+				err = t.f.SubmitRead(pages, ext.off+int64(p.pageOff))()
 			}
 		}
-		return crc32.ChecksumIEEE(buf), nil
+		if err != nil {
+			return 0, 0, err
+		}
+		return crc32.ChecksumIEEE(buf), size - len(p.kept), nil
 	}
 	// A failed decode credits no borrow, so only an image of its own goes
-	// back on an error.
+	// back on an error. A dropped kept section changes n's charge.
 	fail := func(err error) error {
 		if own {
 			putImage(img)
 		}
+		s.cache.resize(t, n)
 		return err
 	}
-	crc, err := read()
+	crc, devBytes, err := read()
 	if err != nil {
 		return fail(err)
 	}
@@ -954,8 +966,11 @@ func (s *Store) loadPart(t *Tree, n *node, ext extent, p *part, decode func(smal
 	s.env.Serialize(p.diskLen)
 	err = decode(small, pages, img, crc)
 	if err != nil && errors.Is(err, ErrChecksum) {
+		// The kept section may be what a flipped bit in the header
+		// read's transfer landed in: read both parts again.
 		s.m.retryCorrupt.Inc()
-		if crc, err = read(); err != nil {
+		p.kept = nil
+		if crc, devBytes, err = read(); err != nil {
 			return fail(err)
 		}
 		err = decode(small, pages, img, crc)
@@ -966,7 +981,8 @@ func (s *Store) loadPart(t *Tree, n *node, ext extent, p *part, decode func(smal
 	if own {
 		s.keep(img)
 	}
-	s.countBytesRead(n, int64(size))
+	p.kept = nil
+	s.countBytesRead(n, int64(devBytes))
 	s.cache.resize(t, n)
 	return nil
 }

@@ -58,7 +58,15 @@ type Decoder struct {
 	buf []byte
 	off int
 	err error
+	// short is the length of the Take that failed while err is
+	// errShort, until Err formats the failure.
+	short int
 }
+
+// errShort marks a failed Take until Err or Done formats it: a Take that
+// calls out of line to build its error is too costly to inline, and U8
+// through U64 inline only when Take does.
+var errShort = errors.New("codec: short read")
 
 // NewDecoder returns a Decoder positioned at the start of b.
 func NewDecoder(b []byte) Decoder { return Decoder{buf: b} }
@@ -72,11 +80,14 @@ func (d *Decoder) fail(format string, arg int) {
 // Take returns the next n bytes, aliasing the input. A negative n or one
 // past the end fails the decoder and returns nil.
 func (d *Decoder) Take(n int) []byte {
-	if d.err != nil || n < 0 || n > len(d.buf)-d.off {
-		d.fail("field of %d bytes", n)
+	// As unsigned, a negative n is past the end too.
+	if d.err != nil || uint(n) > uint(len(d.buf)-d.off) {
+		if d.err == nil {
+			d.err, d.short = errShort, n
+		}
 		return nil
 	}
-	b := d.buf[d.off : d.off+n : d.off+n]
+	b := d.buf[d.off:][:n:n]
 	d.off += n
 	return b
 }
@@ -124,7 +135,13 @@ func (d *Decoder) Bool() bool {
 func (d *Decoder) Len() int { return len(d.buf) - d.off }
 
 // Err returns the first failure, or nil.
-func (d *Decoder) Err() error { return d.err }
+func (d *Decoder) Err() error {
+	if d.err == errShort {
+		d.err = nil
+		d.fail("field of %d bytes", d.short)
+	}
+	return d.err
+}
 
 // Done returns the first failure, or an error if any input is left unread:
 // a record is consumed exactly.
@@ -132,5 +149,5 @@ func (d *Decoder) Done() error {
 	if d.err == nil && d.off != len(d.buf) {
 		d.fail("%d trailing bytes", len(d.buf)-d.off)
 	}
-	return d.err
+	return d.Err()
 }
