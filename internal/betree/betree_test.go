@@ -336,10 +336,13 @@ func TestLogReplayAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ops after the last checkpoint, made durable only via the log.
+	// Ops after the last checkpoint, made durable only via the log. An
+	// update past logPayloadMax is logged with its patch all the same.
 	for i := 0; i < 100; i++ {
 		s.Meta().Put(k(i), v(i, 32), LogAuto)
 	}
+	patch := v(7, 1000)
+	s.Data().Update(k(7), 100, patch, LogAuto)
 	s.SyncLog()
 	// Crash: drop all cached state, reopen from disk.
 	s.cache.dropAll()
@@ -352,6 +355,9 @@ func TestLogReplayAfterCrash(t *testing.T) {
 		if !ok || !bytes.Equal(got, v(i, 32)) {
 			t.Fatalf("key %d lost after crash+replay", i)
 		}
+	}
+	if got, ok, _ := s2.Data().Get(k(7)); !ok || len(got) != 1100 || !bytes.Equal(got[100:], patch) {
+		t.Fatal("a 1000-byte blind update lost after crash+replay")
 	}
 }
 

@@ -53,9 +53,10 @@ type Config struct {
 // sticky write error (errors=remount-ro).
 const relocateAttempts = 2
 
-// logPayloadMax is the largest value payload recorded in the redo log;
-// larger values (file data pages) are logged by key only and made durable
-// by checkpointing (see DESIGN.md on crash semantics).
+// logPayloadMax is the largest insert value LogAuto records in the redo
+// log; larger inserts (file data pages) are logged by key only and made
+// durable by checkpointing (see DESIGN.md on crash semantics). Updates are
+// logged whole at any size.
 const logPayloadMax = 512
 
 // DefaultConfig returns the BetrFS v0.6 tree configuration.

@@ -28,18 +28,33 @@ type image struct {
 // at submission and which come back once the write has succeeded. As in
 // §5's cache of common sizes, images come in power-of-two classes: class c
 // holds images of capacity 1<<c, so a request never meets a pooled image
-// too small for it.
-var imagePools [64]sync.Pool
+// too small for it. It is one free list for the process, which a garbage
+// collection does not empty, as it would a sync.Pool, and which a store
+// created after another takes over. A new image is made only when its
+// class has none listed, so the list never holds more images of a class
+// than the process once had out at the same time, and it needs no budget
+// of its own (DESIGN.md §5.6 gives the measurements). Images are released
+// on whatever goroutine drops them, so the list has a lock.
+var imagePools struct {
+	mu   sync.Mutex
+	free [64][]*image
+}
 
 // getImage returns an image of n bytes from n's size class. Its contents
 // are stale: callers fill every byte.
 func getImage(n int64) *image {
 	c := bits.Len64(uint64(n - 1))
-	if im, _ := imagePools[c].Get().(*image); im != nil {
+	imagePools.mu.Lock()
+	if l := imagePools.free[c]; len(l) > 0 {
+		im := l[len(l)-1]
+		l[len(l)-1] = nil
+		imagePools.free[c] = l[:len(l)-1]
+		imagePools.mu.Unlock()
 		im.pooled.Store(false)
 		im.b = im.b[:n]
 		return im
 	}
+	imagePools.mu.Unlock()
 	return &image{b: make([]byte, n, 1<<c)}
 }
 
@@ -51,7 +66,10 @@ func putImage(im *image) {
 	}
 	im.refs.Store(0)
 	im.out = nil
-	imagePools[bits.Len64(uint64(cap(im.b)))-1].Put(im)
+	c := bits.Len64(uint64(cap(im.b))) - 1
+	imagePools.mu.Lock()
+	imagePools.free[c] = append(imagePools.free[c], im)
+	imagePools.mu.Unlock()
 }
 
 // Release drops one borrow; the last one returns the image to the pool.

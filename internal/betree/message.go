@@ -101,7 +101,11 @@ func (v Value) Release() {
 // Msg is one Bε-tree message.
 type Msg struct {
 	Type MsgType
-	MSN  MSN
+	// Off is the byte offset within the existing value that an update
+	// patches. It is 32 bits wide so that it packs beside Type: every
+	// decoded buffer message is one Msg.
+	Off int32
+	MSN MSN
 	// Key targets a single pair for point messages, or the inclusive
 	// lower bound for range deletes.
 	Key []byte
@@ -109,9 +113,6 @@ type Msg struct {
 	EndKey []byte
 	// Val carries the payload of inserts and updates.
 	Val Value
-	// Off is the byte offset within the existing value that an update
-	// patches.
-	Off int
 }
 
 // memBytes estimates the in-memory footprint of the message, used for

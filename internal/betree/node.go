@@ -52,8 +52,9 @@ type part struct {
 	pageLen int
 	// kept is the small section as the shell read fetched it, until the
 	// partition loads; verified with the page range against crc. Kept
-	// sections of one leaf share one allocation (node.keepSmall).
-	kept []byte
+	// sections of one leaf borrow the header-region image the shell was
+	// read into (node.keepSmall).
+	kept Value
 	// crc is the directory checksum over the small section and page
 	// range, verified when the partition is materialized from disk.
 	crc uint32
@@ -289,7 +290,7 @@ func (n *node) applyToBasement(env *sim.Env, bi int, m *Msg, withCopies bool) bo
 		if !found {
 			// Blind update to an absent key materializes a value of
 			// zeros up to the patched range.
-			v := make([]byte, m.Off+len(patch))
+			v := make([]byte, int(m.Off)+len(patch))
 			copy(v[m.Off:], patch)
 			env.Memcpy(len(v))
 			ins := &Msg{Type: MsgInsert, MSN: m.MSN, Key: m.Key, Val: InlineValue(v)}
@@ -298,7 +299,7 @@ func (n *node) applyToBasement(env *sim.Env, bi int, m *Msg, withCopies bool) bo
 		}
 		val := b.entries[i].val
 		oldLen := val.Len()
-		if need := m.Off + len(patch); need > oldLen || val.IsRef() {
+		if need := int(m.Off) + len(patch); need > oldLen || val.IsRef() {
 			// A grown value, or a shared page (copy-on-write), gets a
 			// private copy. Otherwise the patch lands in place, and a
 			// value borrowed from a node image keeps its borrow.
@@ -356,15 +357,20 @@ func cutEntries(es []entry, lo, hi int) []entry {
 // original remains live in an ancestor buffer (scan and apply-on-query
 // materialization): the payload is copied so the leaf entry does not alias
 // buffer-owned memory. The copy is charged — building a materialized view
-// costs a memcpy.
+// costs a memcpy. An update's patch is copied into the value it patches
+// and never kept, so its clone views the buffer's bytes, holding nothing,
+// and the host skips that copy.
 func cloneForSharedApply(env *sim.Env, m *Msg) *Msg {
 	if m.Type != MsgInsert && m.Type != MsgUpdate {
 		return m
 	}
 	c := *m
-	data := append([]byte{}, m.Val.Bytes()...)
-	env.Memcpy(len(data))
-	c.Val = InlineValue(data)
+	env.Memcpy(m.Val.Len())
+	if m.Type == MsgUpdate {
+		c.Val = InlineValue(m.Val.Bytes())
+	} else {
+		c.Val = InlineValue(append([]byte{}, m.Val.Bytes()...))
+	}
 	return &c
 }
 
@@ -380,6 +386,7 @@ func (n *node) releaseRefs() {
 		for i := range b.entries {
 			b.entries[i].val.Release()
 		}
+		b.dropKept()
 	}
 	if n.img != nil {
 		n.img.Release()
@@ -418,7 +425,7 @@ func (n *node) memSize() int {
 		total += n.bufs[i].bytes
 	}
 	for _, b := range n.basements {
-		total += 64 + len(b.kept)
+		total += 64 + b.kept.Len()
 		if b.loaded {
 			total += b.bytes
 		}
@@ -427,23 +434,26 @@ func (n *node) memSize() int {
 }
 
 // keepSmall gives each basement of leaf n whose small section lies inside
-// hdr, the header region a partial read fetched, its own sub-slice of one
-// copy of those bytes, which loadPart takes instead of reading them again.
-func (n *node) keepSmall(env *sim.Env, hdr []byte) {
-	lo, hi := len(hdr), 0
+// hdr, the header region a partial read fetched, a borrow of those bytes,
+// which loadPart takes instead of reading them again. The simulation
+// charges the copy of their span that the kernel keeps; the host lends the
+// image instead of copying it.
+func (n *node) keepSmall(env *sim.Env, hdr *image) {
+	lo, hi := len(hdr.b), 0
 	for _, b := range n.basements {
-		if end := b.diskOff + b.diskLen; end <= len(hdr) {
+		if end := b.diskOff + b.diskLen; end <= len(hdr.b) && b.diskLen > 0 {
 			lo, hi = min(lo, b.diskOff), max(hi, end)
+			b.kept = Value{data: hdr.b[b.diskOff:end:end], hold: hdr}
+			hdr.refs.Add(1)
 		}
 	}
-	if lo >= hi {
-		return
+	if lo < hi {
+		env.Memcpy(hi - lo)
 	}
-	env.Memcpy(hi - lo)
-	kept := append([]byte(nil), hdr[lo:hi]...)
-	for _, b := range n.basements {
-		if end := b.diskOff + b.diskLen; end <= len(hdr) {
-			b.kept = kept[b.diskOff-lo : end-lo : end-lo]
-		}
-	}
+}
+
+// dropKept lets go of the kept small section.
+func (p *part) dropKept() {
+	p.kept.Release()
+	p.kept = Value{}
 }

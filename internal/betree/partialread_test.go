@@ -109,9 +109,21 @@ func TestColdGetReadCommands(t *testing.T) {
 		t.Fatal("the leaf left the cache")
 	}
 	for bi, b := range n.basements {
-		if loaded := bi == 0 || bi == len(n.basements)-1; b.loaded != loaded || (b.kept == nil) != loaded {
-			t.Fatalf("basement %d: loaded=%v, holds a kept small section: %v", bi, b.loaded, b.kept != nil)
+		if loaded := bi == 0 || bi == len(n.basements)-1; b.loaded != loaded || (b.kept.Len() == 0) != loaded {
+			t.Fatalf("basement %d: loaded=%v, holds a kept small section: %v", bi, b.loaded, b.kept.Len() > 0)
 		}
+	}
+	// The kept sections borrow the image the shell was read into, one
+	// borrow each, and it comes back once the leaf leaves the cache.
+	hdr, _ := n.basements[1].kept.hold.(*image)
+	if hdr == nil || hdr.refs.Load() != int32(len(n.basements)-2) {
+		t.Fatal("the kept small sections do not each borrow the shell's image")
+	}
+	if err := s.DropCleanCaches(); err != nil {
+		t.Fatal(err)
+	}
+	if !hdr.pooled.Load() {
+		t.Fatal("after the cache drop the shell's image is not back in the pool")
 	}
 }
 

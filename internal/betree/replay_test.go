@@ -12,12 +12,14 @@ import (
 // malformedLogRecords are CRC-valid redo-log records no encoder writes:
 // payloads with a key length cut short, a key past the end, and an update
 // offset cut short, each of which once panicked the replayer with an index
-// out of range, and a record of a type the store never logs.
+// out of range, a record of a type the store never logs, and an update
+// logged without its patch, which replay could only drop.
 var malformedLogRecords = []wal.Record{
 	{Type: opRecord, Payload: []byte{0, 1, 0}},
 	{Type: opRecord, Payload: []byte{0, 1, 0, 200, 1, 2}},
 	{Type: opRecord, Payload: []byte{0, 1, 0, 0, 0, 0}},
 	{Type: opRecord + 1, Payload: encodeLogRecord(false, &Msg{Type: MsgDelete, Key: []byte("k")}, true)},
+	{Type: opRecord, Payload: encodeLogRecord(true, &Msg{Type: MsgUpdate, Key: []byte("k"), Off: 8, Val: InlineValue(make([]byte, 600))}, false)},
 }
 
 // TestOpenRejectsMalformedLogRecord appends each malformed record to the
@@ -53,7 +55,7 @@ func FuzzReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		data, m, logged, derr := decodeLogRecord(p)
 		err := s.replay(wal.Record{Type: opRecord, Payload: p})
-		if derr != nil || m.Type == MsgUpdate && m.Off+m.Val.Len() > s.cfg.NodeSize {
+		if derr != nil || m.Type == MsgUpdate && int(m.Off)+m.Val.Len() > s.cfg.NodeSize {
 			if !errors.Is(err, ErrChecksum) {
 				t.Fatalf("malformed record replayed with %v, want an error wrapping ErrChecksum", err)
 			}

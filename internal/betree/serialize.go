@@ -756,13 +756,17 @@ func decodePartition(small, pages []byte, b *buffer, img *image, crc uint32) (er
 		m.MSN = MSN(d.U64())
 		m.Key = d.keyed()
 		m.EndKey = d.keyed()
-		m.Off = int(d.U32())
+		off := d.U32()
 		if m.Val, err = d.value(pages, 0); err != nil {
 			return err
 		}
 		if m.Type < MsgInsert || m.Type > MsgRangeDelete {
 			return fmt.Errorf("betree: partition at %d: message type %d: %w", b.diskOff, m.Type, ErrChecksum)
 		}
+		if off > math.MaxInt32 {
+			return fmt.Errorf("betree: partition at %d: update offset %d: %w", b.diskOff, off, ErrChecksum)
+		}
+		m.Off = int32(off)
 		if (m.Type == MsgDelete || m.Type == MsgRangeDelete) && m.Val.Len() > 0 {
 			return fmt.Errorf("betree: partition at %d: %v message with a value: %w", b.diskOff, m.Type, ErrChecksum)
 		}

@@ -134,6 +134,50 @@ func TestInteriorSerializeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWideUpdateOffsetRejected: a message carries an update offset in 31
+// bits. A child buffer whose update offset does not fit is corrupt to the
+// node decoder, a log record with one is corrupt to replay, and Tree.Update
+// refuses a patch that does not lie within a node before logging it.
+func TestWideUpdateOffsetRejected(t *testing.T) {
+	env := sim.NewEnv(1)
+	cfg := DefaultConfig()
+	n := &node{id: 9, height: 1, children: []nodeID{10, 11}, pivots: [][]byte{[]byte("m")}, bufs: make([]buffer, 2)}
+	n.bufs[0].insert(&Msg{Type: MsgUpdate, MSN: 1, Key: []byte("a"), Off: 0x7eadbeef, Val: InlineValue([]byte{1})})
+	img := serializeNode(env, &cfg, n, nil)
+	at := bytes.Index(img, []byte{0x7e, 0xad, 0xbe, 0xef})
+	if at < 0 {
+		t.Fatal("the update offset is not in the image")
+	}
+	if _, err := deserializeNode(env, img, nil); err != nil {
+		t.Fatalf("an offset that fits: %v", err)
+	}
+	img[at] = 0xfe
+	if _, err := deserializeNode(env, reseal(img), nil); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("a 32-bit update offset decoded with %v, want an error wrapping ErrChecksum", err)
+	}
+
+	rec := encodeLogRecord(true, &Msg{Type: MsgUpdate, Key: []byte("k"), Off: 0x7eadbeef, Val: InlineValue([]byte{1})}, true)
+	at = bytes.Index(rec, []byte{0x7e, 0xad, 0xbe, 0xef})
+	rec[at] = 0xfe
+	if _, _, _, err := decodeLogRecord(rec); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("a log record with a 32-bit update offset decoded with %v, want an error wrapping ErrChecksum", err)
+	}
+
+	_, s := testStore(t, nil)
+	lsn := s.Log().NextLSN()
+	for _, tc := range []struct{ off, n int }{{-1, 1}, {math.MaxInt32 + 1, 1}, {s.cfg.NodeSize - 3, 4}} {
+		if err := s.Data().Update([]byte("k"), tc.off, make([]byte, tc.n), LogAuto); !errors.Is(err, ErrUpdateRange) {
+			t.Errorf("Update at %d of %d bytes = %v, want ErrUpdateRange", tc.off, tc.n, err)
+		}
+	}
+	if err := s.Data().Update([]byte("k"), s.cfg.NodeSize-4, make([]byte, 4), LogAuto); err != nil {
+		t.Fatalf("an update that ends at the node size: %v", err)
+	}
+	if n := s.Log().NextLSN() - lsn; n != 1 {
+		t.Fatalf("%d records logged, want only the update in range", n)
+	}
+}
+
 func TestCorruptNodeDetected(t *testing.T) {
 	env := sim.NewEnv(1)
 	cfg := DefaultConfig()
@@ -546,11 +590,10 @@ func nodeKeys(n *node) string {
 }
 
 // TestPrepareNodeImageReusesPool is the image pool's allocation guard: with
-// a warm pool, serializing a node for write takes the buffer from the pool
-// instead of allocating an image, and a recycled buffer's stale bytes never
-// reach the image. A sync.Pool may drop what it is given (the race
-// detector drops a quarter of all puts on purpose), so the guard asks that
-// most calls, not all, allocate less than half an image.
+// a warm pool, serializing a node for write takes the buffer from the free
+// list instead of allocating an image, even after a garbage collection,
+// and a recycled buffer's stale bytes never reach the image. Every call
+// but the first must allocate less than half an image.
 func TestPrepareNodeImageReusesPool(t *testing.T) {
 	_, s := testStore(t, nil)
 	var entries []entry
@@ -563,6 +606,10 @@ func TestPrepareNodeImageReusesPool(t *testing.T) {
 	reused := 0
 	var before, after runtime.MemStats
 	for i := 0; i < calls; i++ {
+		if i%10 == 5 {
+			runtime.GC() // a sync.Pool would be empty after two
+			runtime.GC()
+		}
 		runtime.ReadMemStats(&before)
 		img := s.prepareNodeImage(s.Data(), leaf)
 		runtime.ReadMemStats(&after)
@@ -578,8 +625,25 @@ func TestPrepareNodeImageReusesPool(t *testing.T) {
 		s.alloc.FreeSized(img.buf)
 		putImage(img.img)
 	}
-	if reused < calls/2 {
+	if reused < calls-1 {
 		t.Fatalf("only %d of %d calls took their image buffer from the pool", reused, calls)
+	}
+}
+
+// TestImagePoolKeepsImages: a returned image is listed in its size class
+// and handed out again, also after garbage collections, which would have
+// emptied a sync.Pool. It uses a class no node image falls in, so tests
+// running beside it do not take the image.
+func TestImagePoolKeepsImages(t *testing.T) {
+	im := getImage(3)
+	if cap(im.b) != 4 || len(im.b) != 3 {
+		t.Fatalf("a 3-byte request got %d bytes of %d", len(im.b), cap(im.b))
+	}
+	putImage(im)
+	runtime.GC()
+	runtime.GC()
+	if again := getImage(4); again != im || len(again.b) != 4 || again.pooled.Load() {
+		t.Fatal("the returned image did not come back from its size class")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -501,7 +502,7 @@ func decodeLogRecord(p []byte) (data bool, m *Msg, logged bool, err error) {
 	mt := MsgType(d.U8())
 	key := d.Take(int(d.U16()))
 	endKey := d.Take(int(d.U16()))
-	off := int(d.U32())
+	off := d.U32()
 	vlen := int(d.U32())
 	logged = d.Bool()
 	var payload []byte
@@ -516,7 +517,13 @@ func decodeLogRecord(p []byte) (data bool, m *Msg, logged bool, err error) {
 	if !known || !hasValue && vlen != 0 {
 		return false, nil, false, fmt.Errorf("betree: log record: %w: %v with a %d-byte value", ErrChecksum, mt, vlen)
 	}
-	m = &Msg{Type: mt, Key: bytes.Clone(key), EndKey: bytes.Clone(endKey), Off: off}
+	if mt == MsgUpdate && !logged {
+		return false, nil, false, fmt.Errorf("betree: log record: %w: update without its payload", ErrChecksum)
+	}
+	if off > math.MaxInt32 {
+		return false, nil, false, fmt.Errorf("betree: log record: %w: update offset %d", ErrChecksum, off)
+	}
+	m = &Msg{Type: mt, Key: bytes.Clone(key), EndKey: bytes.Clone(endKey), Off: int32(off)}
 	if hasValue && logged {
 		m.Val = InlineValue(bytes.Clone(payload))
 	}
@@ -534,7 +541,7 @@ func (s *Store) replay(rec wal.Record) error {
 	if err != nil {
 		return err
 	}
-	if m.Type == MsgUpdate && m.Off+m.Val.Len() > s.cfg.NodeSize {
+	if m.Type == MsgUpdate && int(m.Off)+m.Val.Len() > s.cfg.NodeSize {
 		// A blind update materializes its value up to the patched end,
 		// which must fit in a node.
 		return fmt.Errorf("betree: log record: %w: update of [%d, +%d) exceeds a %d-byte node",
@@ -542,7 +549,7 @@ func (s *Store) replay(rec wal.Record) error {
 	}
 	// Every record takes an MSN, a skipped one too.
 	m.MSN = s.nextMsn()
-	if (m.Type == MsgInsert || m.Type == MsgUpdate) && !logged {
+	if m.Type == MsgInsert && !logged {
 		// Bulk value never payload-logged: its durability was
 		// checkpoint-based, so the checkpointed tree already has
 		// the newest durable version. Skip.
@@ -739,20 +746,24 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 	}
 
 	if partialKey != nil {
-		// Header region first, into a buffer of just that size.
+		// Header region first, into a buffer of just that size. The shell
+		// copies what it keeps (its keys); a leaf's basements borrow their
+		// small sections from the buffer (keepSmall), and it goes back to
+		// the pool once none does.
 		hlen := min(int64(headerRegion), ext.len)
-		// The shell copies what it keeps (its keys), so the header buffer
-		// goes back to the pool before this returns.
 		hdr := getImage(hlen)
-		defer putImage(hdr)
 		if rerr := t.f.SubmitRead(hdr.b, ext.off)(); rerr != nil {
+			putImage(hdr)
 			return nil, rerr
 		}
 		if n, _, err := decodeShell(hdr.b); err == nil && n.id == id {
 			s.m.nodePartial.Inc()
 			s.countNodeRead(n, hlen)
 			if n.isLeaf() {
-				n.keepSmall(s.env, hdr.b)
+				n.keepSmall(s.env, hdr)
+			}
+			s.keep(hdr)
+			if n.isLeaf() {
 				err = s.loadBasement(t, n, ext, n.basementFor(s.env, partialKey))
 			} else if ci := n.childFor(s.env, partialKey); s.needsPartition(&n.bufs[ci], partialKey) {
 				err = s.loadPartition(t, n, ext, ci)
@@ -768,6 +779,7 @@ func (s *Store) readNode(t *Tree, id nodeID, partialKey []byte) (_ *node, err er
 		// checksum: read the remainder.
 		img := getImage(ext.len)
 		copy(img.b, hdr.b)
+		putImage(hdr)
 		if ext.len > hlen {
 			if rerr := t.f.SubmitRead(img.b[hlen:], ext.off+hlen)(); rerr != nil {
 				putImage(img)
@@ -932,8 +944,8 @@ func (s *Store) loadPart(t *Tree, n *node, ext extent, p *part, decode func(smal
 	read := func() (uint32, int, error) {
 		var err error
 		switch {
-		case p.kept != nil:
-			s.env.Memcpy(copy(small, p.kept))
+		case p.kept.Len() > 0:
+			s.env.Memcpy(copy(small, p.kept.Bytes()))
 			if p.pageLen > 0 {
 				err = t.f.SubmitRead(pages, ext.off+int64(p.pageOff))()
 			}
@@ -947,7 +959,7 @@ func (s *Store) loadPart(t *Tree, n *node, ext extent, p *part, decode func(smal
 		if err != nil {
 			return 0, 0, err
 		}
-		return crc32.ChecksumIEEE(buf), size - len(p.kept), nil
+		return crc32.ChecksumIEEE(buf), size - p.kept.Len(), nil
 	}
 	// A failed decode credits no borrow, so only an image of its own goes
 	// back on an error. A dropped kept section changes n's charge.
@@ -969,7 +981,7 @@ func (s *Store) loadPart(t *Tree, n *node, ext extent, p *part, decode func(smal
 		// The kept section may be what a flipped bit in the header
 		// read's transfer landed in: read both parts again.
 		s.m.retryCorrupt.Inc()
-		p.kept = nil
+		p.dropKept()
 		if crc, devBytes, err = read(); err != nil {
 			return fail(err)
 		}
@@ -981,7 +993,7 @@ func (s *Store) loadPart(t *Tree, n *node, ext extent, p *part, decode func(smal
 	if own {
 		s.keep(img)
 	}
-	p.kept = nil
+	p.dropKept()
 	s.countBytesRead(n, int64(devBytes))
 	s.cache.resize(t, n)
 	return nil

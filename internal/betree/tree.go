@@ -3,6 +3,7 @@ package betree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -218,7 +219,9 @@ type Durability int
 
 const (
 	// LogAuto logs the payload if it is small (metadata, tiny updates);
-	// bulk values are logged key-only and persist via checkpoint.
+	// a bulk insert is logged key-only and persists via checkpoint. An
+	// update always carries its patch: it is one message, and only its
+	// log record can make it durable without a checkpoint.
 	LogAuto Durability = iota
 	// LogPayload forces payload logging (fsync-driven write-back).
 	LogPayload
@@ -234,6 +237,11 @@ const MaxKeyLen = 0xffff
 // logged: a key cut to its encoded length would make the node that holds
 // it, and with it every key under that node, unreadable.
 var ErrKeyTooLong = errors.New("betree: key too long")
+
+// ErrUpdateRange refuses an update, before anything is logged, whose patch
+// does not lie within a node's size: replay refuses such a record, and a
+// message carries its offset in 31 bits.
+var ErrUpdateRange = errors.New("betree: update out of range")
 
 // checkKeys refuses a message whose key or end key is longer than
 // MaxKeyLen.
@@ -282,7 +290,10 @@ func (t *Tree) PutRef(key []byte, ref PageRef, d Durability) (err error) {
 // off of key's value, without reading it first (§2.1).
 func (t *Tree) Update(key []byte, off int, data []byte, d Durability) (err error) {
 	defer ioerr.Guard(&err)
-	m := &Msg{Type: MsgUpdate, Key: key, Off: off, Val: InlineValue(data)}
+	if off < 0 || off > math.MaxInt32 || off+len(data) > t.store.cfg.NodeSize {
+		return fmt.Errorf("%w: [%d, +%d)", ErrUpdateRange, off, len(data))
+	}
+	m := &Msg{Type: MsgUpdate, Key: key, Off: int32(off), Val: InlineValue(data)}
 	t.logAndInsert(m, d)
 	return nil
 }
@@ -315,13 +326,10 @@ func (t *Tree) logAndInsert(m *Msg, d Durability) {
 	s.writerMu.Lock()
 	defer s.writerMu.Unlock()
 	if d != LogNone {
-		withPayload := true
-		if m.Type == MsgInsert || m.Type == MsgUpdate {
-			if d == LogAuto && m.Val.Len() > logPayloadMax {
-				withPayload = false
-			}
-		}
-		s.logOp(t, m, withPayload)
+		// Only an insert may be logged by key alone: replay skips such a
+		// record because the checkpointed tree holds the whole value, but
+		// no checkpoint holds a patch it has not yet applied.
+		s.logOp(t, m, d == LogPayload || m.Type != MsgInsert || m.Val.Len() <= logPayloadMax)
 	}
 	m.MSN = s.nextMsn()
 	t.insertMsg(m)
@@ -1022,7 +1030,7 @@ func currentValue(s *Store, b *basement, key []byte, pend []*Msg) ([]byte, bool)
 			exists = false
 		case MsgUpdate:
 			patch := m.Val.Bytes()
-			need := m.Off + len(patch)
+			need := int(m.Off) + len(patch)
 			if !cloned {
 				nv := make([]byte, len(val))
 				copy(nv, val)

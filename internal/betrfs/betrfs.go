@@ -796,7 +796,8 @@ func (fs *FS) WriteBlocks(h vfs.Handle, blk int64, pgs []*vfs.Page, durable bool
 	return nil
 }
 
-// WritePartial is a blind sub-block update (§2.1): no read, one message.
+// WritePartial is a blind sub-block update (§2.1): no read, one message,
+// whose patch is always logged, so Fsync's log flush makes it durable.
 func (fs *FS) WritePartial(h vfs.Handle, blk int64, off int, data []byte, durable bool) error {
 	if err := fs.writeGate(); err != nil {
 		return err

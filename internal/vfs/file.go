@@ -152,8 +152,10 @@ func (f *File) Read(p []byte) (int, error) {
 }
 
 // WriteAt writes p at offset off, through the page cache. Full-page
-// overwrites never read; sub-page writes to uncached blocks either use the
-// FS's blind-write path (WODs, §2.1) or fall back to read-modify-write.
+// overwrites never read. A sub-page write to an uncached block or to a
+// clean cached page uses the FS's blind-write path (WODs, §2.1) where it
+// has one; otherwise an uncached block is read, modified and written, and
+// a cached page is patched and dirtied.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	f.m.lock()
 	defer f.m.unlock()
@@ -185,6 +187,23 @@ func (f *File) writeAtLocked(p []byte, off int64) (int, error) {
 		m.env.Charge(m.env.Costs.PageCacheOp)
 		pg, cached := ino.pages[blk]
 		switch {
+		case cached && !pg.Dirty && n < PageSize && m.fs.SupportsBlindWrites():
+			// Sub-page write to a clean cached page: the same blind
+			// update as for an uncached block (§2.1), so the page stays
+			// clean and no write-back resends it. The FS takes the patch
+			// first; a failed write leaves the cached bytes as they were.
+			m.m.writeBlind.Inc()
+			m.m.blindCache.Inc()
+			m.env.Memcpy(n)
+			if err := m.fs.WritePartial(ino.h, blk, po, chunk, false); err != nil {
+				return f.finishWrite(written, pos, err)
+			}
+			pg = m.cowIfPinned(ino, blk, pg, false)
+			m.env.Memcpy(n)
+			copy(pg.Data[po:po+n], chunk)
+			// A copied frame takes the pinned page's place on the clean
+			// LRU; left off it, it would never be evicted.
+			m.listClean(pg)
 		case cached:
 			pg = m.cowIfPinned(ino, blk, pg, po == 0 && n == PageSize)
 			m.env.Memcpy(n)
@@ -356,7 +375,9 @@ func (m *Mount) fillPages(ino *inode, blk int64, seq bool, raPages int) (*Page, 
 // fsyncDurableMaxPages bounds how many dirty pages an fsync writes back
 // through the payload-logged durable path; larger dirty sets go through
 // normal write-back and the FS persists them wholesale (for BetrFS, a
-// checkpoint — see the crash-semantics note in DESIGN.md).
+// checkpoint; DESIGN.md §5.5 has the three routes). Sub-page writes to
+// clean pages never count here: they went to the FS as blind writes and
+// left their pages clean.
 const fsyncDurableMaxPages = 64
 
 // Fsync writes back the file's dirty pages and metadata, then asks the FS

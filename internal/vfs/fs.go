@@ -174,7 +174,10 @@ type FS interface {
 	// FS may Pin pages instead of copying them (page sharing).
 	WriteBlocks(h Handle, blk int64, pgs []*Page, durable bool) error
 	// WritePartial is a blind sub-page write (off, data within one
-	// block) without a prior read; only WODs support it.
+	// block) without a prior read; only WODs support it. The VFS sends
+	// it for a block it does not cache and for a clean cached page, whose
+	// cached copy it patches only after this succeeds. It is durable after
+	// the next Fsync of h without a write-back of the block.
 	WritePartial(h Handle, blk int64, off int, data []byte, durable bool) error
 	// SupportsBlindWrites reports whether WritePartial is available.
 	SupportsBlindWrites() bool

@@ -138,6 +138,9 @@ type mountMetrics struct {
 	pageWrite  *metrics.Counter
 	pageEvict  *metrics.Counter
 	writeBlind *metrics.Counter
+	// blindCache counts the blind writes that patched a clean cached
+	// page, a subset of writeBlind.
+	blindCache *metrics.Counter
 	writeRMW   *metrics.Counter
 	cowCopy    *metrics.Counter
 	fsync      *metrics.Counter
@@ -166,6 +169,7 @@ func resolveMountMetrics(reg *metrics.Registry) mountMetrics {
 		pageWrite:  reg.Counter("vfs.page.write"),
 		pageEvict:  reg.Counter("vfs.page.evict"),
 		writeBlind: reg.Counter("vfs.write.blind"),
+		blindCache: reg.Counter("vfs.write.blind.cached"),
 		writeRMW:   reg.Counter("vfs.write.rmw"),
 		cowCopy:    reg.Counter("vfs.page.cow"),
 		fsync:      reg.Counter("vfs.fsync.count"),

@@ -24,6 +24,7 @@ type memFS struct {
 	fsyncs          int64
 	maintains       int64
 	blind           bool
+	failPartial     error // returned by WritePartial when set
 	lastWriteRunLen int
 }
 
@@ -137,6 +138,9 @@ func (f *memFS) WriteBlocks(h Handle, blk int64, pgs []*Page, durable bool) erro
 }
 
 func (f *memFS) WritePartial(h Handle, blk int64, off int, data []byte, durable bool) error {
+	if f.failPartial != nil {
+		return f.failPartial
+	}
 	f.partialWrites++
 	n := f.nodes[h.(int)]
 	b, ok := n.blocks[blk]
@@ -260,12 +264,155 @@ func TestBlindWriteRouting(t *testing.T) {
 	if fs.partialWrites != 1 {
 		t.Fatalf("expected 1 blind partial write, got %d", fs.partialWrites)
 	}
-	// Cached page: patch in place instead.
+	// A clean cached page takes the blind path too.
 	g.ReadAt(make([]byte, PageSize), 2*PageSize)
 	g.WriteAt([]byte{9}, 2*PageSize+5)
-	if fs.partialWrites != 1 {
-		t.Fatal("cached sub-page write should not be blind")
+	if fs.partialWrites != 2 {
+		t.Fatalf("sub-page write to a clean cached page: %d blind writes in all, want 2", fs.partialWrites)
 	}
+	if n := metricstest.Counter(t, m.env.Metrics, "vfs.write.blind.cached"); n != 1 {
+		t.Fatalf("vfs.write.blind.cached = %d, want 1", n)
+	}
+}
+
+// cleanCachedFile returns a mount over a blind-writing memFS and a file of
+// four blocks, each filled with its own byte, whose pages are all cached
+// clean.
+func cleanCachedFile(t *testing.T) (*memFS, *Mount, *File, []byte) {
+	t.Helper()
+	_, fs, m := newTestMount(t, nil)
+	fs.blind = true
+	f, _ := m.Create("f")
+	want := make([]byte, 4*PageSize)
+	for i := range want {
+		want[i] = byte(1 + i/PageSize)
+	}
+	f.WriteAt(want, 0)
+	if err := f.Fsync(); err != nil {
+		t.Fatal(err)
+	}
+	for blk, pg := range f.ino.pages {
+		if pg.Dirty {
+			t.Fatalf("page %d still dirty after fsync", blk)
+		}
+	}
+	return fs, m, f, want
+}
+
+// readBack fails the test unless f reads back as want.
+func readBack(t *testing.T, f *File, want []byte) {
+	t.Helper()
+	got := make([]byte, len(want))
+	if n, err := f.ReadAt(got, 0); err != nil || n != len(want) || !bytes.Equal(got, want) {
+		t.Fatalf("read back %d bytes (%v), differing from what was written", n, err)
+	}
+}
+
+// TestBlindPatchKeepsPageClean: a patch into a clean cached page goes to
+// the FS as one blind write and into the cached copy, which stays clean,
+// so an fsync writes back no page; the patch reads back from the cache and,
+// after the caches are dropped, from the FS.
+func TestBlindPatchKeepsPageClean(t *testing.T) {
+	fs, m, f, want := cleanCachedFile(t)
+	partials, writes := fs.partialWrites, fs.writeCalls
+	f.WriteAt([]byte("patch"), PageSize+100)
+	copy(want[PageSize+100:], "patch")
+	if fs.partialWrites != partials+1 {
+		t.Fatalf("%d blind writes, want 1", fs.partialWrites-partials)
+	}
+	if pg := f.ino.pages[1]; pg == nil || pg.Dirty {
+		t.Fatal("the patched page is gone from the cache or dirty")
+	}
+	readBack(t, f, want)
+	if err := f.Fsync(); err != nil {
+		t.Fatal(err)
+	}
+	if fs.writeCalls != writes {
+		t.Fatalf("fsync wrote back %d page runs after a blind patch, want none", fs.writeCalls-writes)
+	}
+	m.DropCaches()
+	g, err := m.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readBack(t, g, want)
+}
+
+// TestBlindPatchOfPinnedPage: a patch into a clean page the FS still pins
+// lands in a copy, which takes the pinned page's place on the clean LRU,
+// so eviction still sees every cached page.
+func TestBlindPatchOfPinnedPage(t *testing.T) {
+	_, m, f, want := cleanCachedFile(t)
+	pinned := f.ino.pages[0]
+	pinned.Pin()
+	clean := m.cleanBytes
+	f.WriteAt([]byte{0xab}, 9)
+	want[9] = 0xab
+	pg := f.ino.pages[0]
+	if pg == pinned || pinned.Data[9] == 0xab {
+		t.Fatal("the patch did not go to a copy of the pinned page")
+	}
+	if pg.Dirty || pg.list != &m.lru || m.cleanBytes != clean {
+		t.Fatal("the copy is not on the clean LRU in the pinned page's place")
+	}
+	readBack(t, f, want)
+	pinned.Release()
+}
+
+// TestDirtyPagePatchedInPlace: a patch into a dirty cached page lands in
+// the page, which write-back will send whole anyway; the FS sees no blind
+// write.
+func TestDirtyPagePatchedInPlace(t *testing.T) {
+	fs, _, f, want := cleanCachedFile(t)
+	f.WriteAt(want[2*PageSize:3*PageSize], 2*PageSize) // a full overwrite dirties the page
+	partials := fs.partialWrites
+	f.WriteAt([]byte{0xee}, 2*PageSize+7)
+	want[2*PageSize+7] = 0xee
+	if fs.partialWrites != partials {
+		t.Fatalf("a patch into a dirty page made %d blind writes", fs.partialWrites-partials)
+	}
+	if !f.ino.pages[2].Dirty {
+		t.Fatal("the patched dirty page went clean")
+	}
+	readBack(t, f, want)
+	f.Fsync()
+	if got := fs.nodes[f.ino.h.(int)].blocks[2][7]; got != 0xee {
+		t.Fatalf("write-back sent byte %#x, want the patch", got)
+	}
+}
+
+// TestFailedBlindPatchLeavesCache: when the FS refuses a blind write to a
+// clean cached page, the write fails and the cached bytes stay as they
+// were, still clean.
+func TestFailedBlindPatchLeavesCache(t *testing.T) {
+	fs, _, f, want := cleanCachedFile(t)
+	fs.failPartial = ErrNoSpace
+	if n, err := f.WriteAt([]byte("lost"), 3*PageSize+9); err != ErrNoSpace || n != 0 {
+		t.Fatalf("WriteAt = %d, %v; want 0, %v", n, err, ErrNoSpace)
+	}
+	if f.ino.pages[3].Dirty {
+		t.Fatal("a failed blind write dirtied the page")
+	}
+	readBack(t, f, want)
+}
+
+// TestStraddlingPatchSendsTwoPartials: a write across the boundary of two
+// clean cached pages is one blind write per page.
+func TestStraddlingPatchSendsTwoPartials(t *testing.T) {
+	fs, m, f, want := cleanCachedFile(t)
+	partials := fs.partialWrites
+	f.WriteAt([]byte("12345678"), 2*PageSize-4)
+	copy(want[2*PageSize-4:], "12345678")
+	if fs.partialWrites != partials+2 {
+		t.Fatalf("%d blind writes, want 2", fs.partialWrites-partials)
+	}
+	if f.ino.pages[1].Dirty || f.ino.pages[2].Dirty {
+		t.Fatal("a straddled page went dirty")
+	}
+	readBack(t, f, want)
+	m.DropCaches()
+	g, _ := m.Open("f")
+	readBack(t, g, want)
 }
 
 func TestRMWFallback(t *testing.T) {
@@ -392,6 +539,75 @@ func TestRenameDirInvalidatesDescendants(t *testing.T) {
 	}
 	if _, err := m.Stat("z/b/f"); err != nil {
 		t.Fatalf("new path unresolvable: %v", err)
+	}
+}
+
+// TestConcurrentBlindPatches has two writers patch their own files on a
+// Concurrent mount whose FS pins every page it writes back and lets go of
+// it on another goroutine, so a patch can meet a clean page the FS still
+// pins (copy-on-write) or one whose last pin is being released. Run it
+// under -race. Each file must read back every patch, from the cache and
+// after the caches are dropped.
+func TestConcurrentBlindPatches(t *testing.T) {
+	env := sim.NewEnv(1)
+	fs := &pinFS{memFS: newMemFS(env), pinned: make(chan *Page, 8)}
+	fs.blind = true
+	m := NewMount(env, fs, Config{CacheBytes: 1 << 20, Concurrent: true})
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		for pg := range fs.pinned {
+			pg.Release()
+		}
+	}()
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		go func(w int) {
+			errs <- func() error {
+				f, err := m.Create(fmt.Sprintf("f%d", w))
+				if err != nil {
+					return err
+				}
+				want := bytes.Repeat([]byte{byte(w + 1)}, 4*PageSize)
+				for i := 0; i < 300; i++ {
+					if i%100 == 0 {
+						// Rewrite and sync the file: every page clean and
+						// pinned until the releaser gets to it.
+						if _, err := f.WriteAt(want, 0); err != nil {
+							return err
+						}
+						if err := f.Fsync(); err != nil {
+							return err
+						}
+					}
+					off := (i*389 + w*7) % (len(want) - 3)
+					patch := []byte{byte(i), byte(w), byte(i >> 8)}
+					copy(want[off:], patch)
+					if _, err := f.WriteAt(patch, int64(off)); err != nil {
+						return err
+					}
+				}
+				got := make([]byte, len(want))
+				if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+					return fmt.Errorf("writer %d: cached read lost a patch (%v)", w, err)
+				}
+				m.DropCaches()
+				if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+					return fmt.Errorf("writer %d: read after dropping the caches lost a patch (%v)", w, err)
+				}
+				return nil
+			}()
+		}(w)
+	}
+	for w := 0; w < 2; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	close(fs.pinned)
+	<-released
+	if n := metricstest.Counter(t, env.Metrics, "vfs.write.blind.cached"); n == 0 {
+		t.Fatal("no patch took the blind path to a cached page")
 	}
 }
 
